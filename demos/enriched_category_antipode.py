@@ -34,7 +34,7 @@ agree = all(solved.family.sigma[p] == pres.antipode.sigma[p]
             for p in pres.antipode.sigma)
 print("solved family equals inversion:", agree)
 
-print("componentwise:", hs.check_antipode_enriched(pres).summary())
+print("componentwise:", hs.check_antipode_group(pres).summary())
 print("assembled:    ", hs.check_antipode_duoidal(pres).summary())
 
 # Feed a deliberately wrong family through the same checkers: the
@@ -46,7 +46,7 @@ wrong = hs.AntipodeFamily(
         pres.hom[(x, y)], pres.hom[(y, x)],
         lambda w, x=x, y=y: (next(iter(torsor.hom(x, y))),))
      for x in pres.objects for y in pres.objects})
-componentwise = hs.check_antipode_enriched(pres, wrong)
+componentwise = hs.check_antipode_group(pres, wrong)
 assembled = hs.check_antipode_duoidal(pres, wrong)
 print("wrong family componentwise:", componentwise.summary())
 print("wrong family assembled:    ", assembled.summary())

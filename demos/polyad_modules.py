@@ -20,14 +20,14 @@ indiscrete = hs.indiscrete_monoidal_group(*Z2)
 # Identity labels are opmonoidal over any fiber, and over a group shape
 # every fusion transformation is invertible pointwise.
 opstr = hs.identity_polyad(*Z2, discrete)
-print("identity polyad monad:", hs.check_polyad(opstr.monad).summary())
+print("identity polyad monad:", hs.check_monad(opstr.monad).summary())
 print("identity polyad Hopf: ", bool(hs.polyad_is_hopf(opstr)))
 
 # Translation labels send q to h (x) q.  They are a perfectly good
 # monad over the discrete fiber, but the comparison morphisms needed
 # for opmonoidality ask for arrows between distinct objects, which the
 # discrete fiber lacks; the indiscrete fiber provides them.
-print("translation monad:", hs.check_polyad(
+print("translation monad:", hs.check_monad(
     hs.translation_polyad(*Z2, discrete)).summary())
 try:
     hs.translation_opmonoidal(*Z2, discrete)

@@ -439,43 +439,22 @@ def canonical_json(value):
 # The check pipeline.
 
 
-def _det(entries):
-    """Exact determinant of a square fraction matrix, None off-square."""
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        return None
-    m = [list(row) for row in entries]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return result
-
-
-def _fusion_determinants(loaded):
-    """Component determinants of both fusion 2-cells, keyed by the pair
-    of shape morphisms being fused; off-square components print null."""
+def _fusion_determinants(left, right):
+    """Component determinants of both built fusion 2-cells, keyed by the
+    pair of shape morphisms being fused; off-square components print
+    null."""
     out = {}
-    for side, builder in (("left", hs.left_fusion),
-                          ("right", hs.right_fusion)):
-        cell = builder(loaded.monad, loaded.comonoid)
+    for side, cell in (("left", left), ("right", right)):
         rows = []
         for atom in cell.source.span.apex:
             if side == "left":
                 pair = (atom[0][0], atom[1][0])
             else:
                 pair = (atom[0][0], atom[1][1])
-            det = _det(cell.components[atom].entries)
-            rows.append([repr(pair), None if det is None else str(det)])
+            mor = cell.components[atom]
+            square = mor.dom.dim == mor.cod.dim
+            rows.append([repr(pair),
+                         str(vb.determinant(mor)) if square else None])
         rows.sort(key=lambda item: item[0])
         out[side] = rows
     return out
@@ -522,13 +501,14 @@ def _execute_check(loaded, name, cache):
     if name == "opmonoidal":
         return hs.check_opmonoidal(loaded.monad, loaded.comonoid).failures, {}
     if name == "hopf":
-        verdict = hs.is_hopf(loaded.monad, loaded.comonoid)
+        left = hs.left_fusion(loaded.monad, loaded.comonoid)
+        right = hs.right_fusion(loaded.monad, loaded.comonoid)
+        verdict = hs.fusion_verdict(left, right)
         failures = [] if verdict else [("fusion invertible", verdict.witness)]
-        return failures, {"fusion_determinants": _fusion_determinants(loaded)}
+        return failures, {"fusion_determinants":
+                          _fusion_determinants(left, right)}
     if name == "antipode":
-        if loaded.kind == "group_monoid":
-            return hs.check_antipode_group(loaded.presentation).failures, {}
-        return hs.check_antipode_enriched(loaded.presentation).failures, {}
+        return hs.check_antipode_group(loaded.presentation).failures, {}
     if name == "duoidal":
         return hs.check_antipode_duoidal(loaded.presentation).failures, {}
     carrier = FinSet(list(loaded.monad.shape.objects))

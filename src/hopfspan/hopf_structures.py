@@ -12,9 +12,14 @@ structure make the presentation an opmonoidal monad on the induced
 monoid object.  The two fusion 2-cells are assembled from the generic
 coherence cells, with the braiding entering only through the interchange
 step, and the presentation is Hopf exactly when both are invertible.
-Antipode families are checked componentwise and as assembled 2-cell
-chains through the convolution unit, and computed by exact linear
-elimination with a cross-check against the inverted left fusion cell.
+Antipode families are checked componentwise (check_antipode_group, for
+one-object and hom-enriched presentations alike) and as assembled
+2-cell chains through the convolution unit.  They are computed as the
+unique solution of the stacked antipode squares, by the single
+elimination routine vect_backend.row_reduce; a system without a unique
+solution is reported as ("underdetermined", first pivot-free column) or
+("inconsistent", row).  Each solution is cross-checked against the
+extraction from the inverted left fusion cell.
 
 Over the finite-category base the same shape data is a polyad: labels
 are functors and multiplication is natural.  Modules and representations
@@ -159,12 +164,6 @@ def check_monad(p):
     return report
 
 
-def check_polyad(p):
-    """The monad axioms for a category-valued presentation; the generic
-    checker already covers both backends, this is the polyad entry point."""
-    return check_monad(p)
-
-
 # ---------------------------------------------------------------------------
 # Comonoid labels and the opmonoidal structure cells.
 
@@ -297,15 +296,20 @@ def right_fusion(p, c, fibers=None):
     return cell
 
 
-def is_hopf(p, c, fibers=None):
-    """Both fusion cells invertible: bijective span maps with invertible
-    components."""
-    for side, cell in (("left", left_fusion(p, c, fibers)),
-                       ("right", right_fusion(p, c, fibers))):
+def fusion_verdict(left, right):
+    """Both built fusion cells invertible: bijective span maps with
+    invertible components.  The witness names the first failing side."""
+    for side, cell in (("left", left), ("right", right)):
         res = invert_cell2(cell)
         if not res:
             return Verdict(False, witness=(side,) + tuple(res.witness))
     return Verdict(True)
+
+
+def is_hopf(p, c, fibers=None):
+    """The Hopf property: build both fusion cells and test them."""
+    return fusion_verdict(left_fusion(p, c, fibers),
+                          right_fusion(p, c, fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +377,7 @@ def _matrix_unit(dom, cod, i, j):
 
 
 def _solve_unique(rows, rhs):
-    """Exact Gauss-Jordan elimination demanding a unique solution.
+    """Exact elimination (vb.row_reduce) demanding a unique solution.
 
     Returns (solution, None) or (None, witness); a pivot-free column is
     reported as underdetermined since either reading (free variable or
@@ -381,20 +385,11 @@ def _solve_unique(rows, rhs):
     """
     cols = len(rows[0]) if rows else 0
     m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            return None, ("underdetermined", col)
-        m[rank], m[pivot] = m[pivot], m[rank]
-        scale = m[rank][col]
-        m[rank] = [e / scale for e in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    for r in range(rank, len(m)):
+    pivots, _ = vb.row_reduce(m, cols)
+    free = set(range(cols)).difference(pivots)
+    if free:
+        return None, ("underdetermined", min(free))
+    for r in range(cols, len(m)):
         if m[r][cols] != 0:
             return None, ("inconsistent", r)
     return [m[r][cols] for r in range(cols)], None
@@ -471,19 +466,9 @@ def compute_antipode(pres, c=None):
 
 
 def check_antipode_group(pres, sigma=None):
-    """Both antipode squares for a one-object presentation, element by
-    element."""
-    fam = sigma if sigma is not None else pres.antipode
-    if fam is None:
-        raise SpanVError("presentation carries no antipode family")
-    return _antipode_axioms(pres.monad_presentation(),
-                            pres.comonoid_structure(),
-                            pres.sigma_by_shape(fam))
-
-
-def check_antipode_enriched(pres, sigma=None):
-    """Both antipode squares for a hom-enriched presentation, hom pair by
-    hom pair."""
+    """Both antipode squares, componentwise: element by element for a
+    one-object presentation, hom pair by hom pair for a hom-enriched
+    one."""
     fam = sigma if sigma is not None else pres.antipode
     if fam is None:
         raise SpanVError("presentation carries no antipode family")
@@ -507,12 +492,11 @@ def check_antipode_duoidal(pres, sigma=None):
         raise SpanVError("presentation carries no antipode family")
     if isinstance(pres, GroupMonoidPresentation):
         report = _assembled_antipode_group(pres, fam)
-        pointwise = check_antipode_group(pres, fam)
     elif isinstance(pres, EnrichedCatPresentation):
         report = _assembled_antipode_enriched(pres, fam)
-        pointwise = check_antipode_enriched(pres, fam)
     else:
         raise SpanVError("no assembled antipode form for %r" % (pres,))
+    pointwise = check_antipode_group(pres, fam)
     if report.ok != pointwise.ok:
         report.fail("assembled and componentwise verdicts differ",
                     (report.ok, pointwise.ok))

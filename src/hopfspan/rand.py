@@ -91,11 +91,6 @@ def random_vect_cell2_from(rng, target, max_dim=3, max_grade=2):
     return Cell2(source, target, morphism, comps)
 
 
-def random_vect_cell2_on(rng, cell, max_dim=3, max_grade=2):
-    """A random endo-ish 2-cell whose source is freshly generated."""
-    return random_vect_cell2_from(rng, cell, max_dim, max_grade)
-
-
 def random_composable_vect_cell1s(rng, backend, count_cells=2, max_carrier=3,
                                   max_apex=3, max_dim=3, max_grade=2):
     """A chain a_n, ..., a_1 with matching boundaries, outermost first."""

@@ -10,6 +10,16 @@ The braiding depends on a nonzero rational parameter q and sends the basis
 pair (a_i, b_j) to q^(grade(a_i) * grade(b_j)) times the swapped pair.
 q = 1 is the symmetric ungraded case, q = -1 the super case, any other q a
 genuinely non-symmetric braiding.
+
+All exact linear algebra goes through one elimination routine,
+row_reduce, which reduces the leading columns of an augmented matrix and
+returns its pivot columns and determinant.  invert reports the rank of a
+singular square matrix and (cod dim, dom dim) of a non-square one;
+determinant refuses a non-square one; the antipode solver in
+hopf_structures reports ("underdetermined", first pivot-free column) or
+("inconsistent", row).  Each reported value is unique (inverse,
+determinant, rank, unique solution, first free column), so it does not
+depend on the pivoting order.
 """
 
 from dataclasses import dataclass
@@ -230,8 +240,43 @@ class InverseResult:
         return self.inverse is not None
 
 
+def row_reduce(rows, width):
+    """Gauss-Jordan elimination on the leading width columns of rows, a
+    list of rational rows; any further columns are the augmented part.
+
+    Column by column, the first row at or below the current rank with a
+    nonzero entry is swapped up, scaled to a leading one and cleared from
+    every other row.  rows is reduced in place (its rows are replaced,
+    never mutated).  Returns (pivots, det): the pivot columns in
+    increasing order, and the determinant of the leading width x width
+    block, which is ZERO when a column has no pivot and means something
+    only when there are width rows.
+    """
+    pivots = []
+    det = ONE
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                     None)
+        if pivot is None:
+            det = ZERO
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        det *= lead
+        top = rows[rank] = [e / lead for e in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] != 0:
+                factor = row[col]
+                rows[r] = [e - factor * p for e, p in zip(row, top)]
+        pivots.append(col)
+    return pivots, det
+
+
 def invert(f):
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+    """Exact inverse, by row_reduce on f augmented with the identity.
 
     Returns an empty result with witness = (cod dim, dom dim) for a
     non-square matrix, or witness = rank for a singular square one.
@@ -239,55 +284,16 @@ def invert(f):
     n = f.dom.dim
     if f.cod.dim != n:
         return InverseResult(None, witness=(f.cod.dim, f.dom.dim))
-    work = [list(row) for row in f.entries]
-    aug = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv_p = 1 / work[rank][col]
-        work[rank] = [e * inv_p for e in work[rank]]
-        aug[rank] = [e * inv_p for e in aug[rank]]
-        for r in range(n):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[rank])]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[rank])]
-        rank += 1
-    if rank < n:
-        return InverseResult(None, witness=rank)
-    return InverseResult(VMorphism(f.cod, f.dom, aug))
+    rows = [list(row) + [ONE if r == c else ZERO for c in range(n)]
+            for r, row in enumerate(f.entries)]
+    pivots, _ = row_reduce(rows, n)
+    if len(pivots) < n:
+        return InverseResult(None, witness=len(pivots))
+    return InverseResult(VMorphism(f.cod, f.dom, [row[n:] for row in rows]))
 
 
 def determinant(f):
-    """Exact determinant of a square morphism, by elimination."""
-    n = f.dom.dim
-    if f.cod.dim != n:
+    """Exact determinant of a square morphism, by row_reduce."""
+    if f.cod.dim != f.dom.dim:
         raise ValueError("determinant of a non-square morphism")
-    work = [list(row) for row in f.entries]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv_p = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv_p
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-    return det
+    return row_reduce(list(f.entries), f.dom.dim)[1]

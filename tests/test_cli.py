@@ -8,6 +8,7 @@ uses, and mutated copies go through tmp_path.
 import json
 import pathlib
 
+from hopfspan import hopf_structures as hs
 from hopfspan.cli import canonical_json, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -67,6 +68,21 @@ def test_z2_fusion_determinants_are_signs(capsys):
     for side in ("left", "right"):
         assert len(dets[side]) == 4
         assert all(value in ("1", "-1") for _, value in dets[side])
+
+
+def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
+    # The verdict and the determinants read the same two built cells.
+    calls = {"left_fusion": 0, "right_fusion": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(hs, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(hs, name, counted)
+    code, _, _ = run_cli(capsys, "check", Z2_FILE, "--hopf",
+                         "--format", "json")
+    assert code == 0
+    assert calls == {"left_fusion": 1, "right_fusion": 1}
 
 
 def test_nongroup_hopf_fails_with_span_witness(capsys):

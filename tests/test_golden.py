@@ -1,0 +1,50 @@
+"""Canonical reports pinned byte for byte.
+
+Each file under tests/data/golden/ named after a case below holds the
+``--format json`` output that main() printed for that argv when the case
+was recorded.  The run must reproduce it exactly, and the exit code must
+agree with the report's status.  The inputs are the bundled fixtures
+plus three variants kept next to the reports:
+
+* ``z2_super.json``: the Z_2 fixture with q = -1 and the generator in
+  degree 1, which fails the multiplication/comultiplication square;
+* ``z2_q2.json``: the same labels with q = 2, whose left fusion
+  determinants are 2 rather than a sign;
+* ``idempotent_wide.json``: the idempotent monoid with a two-dimensional
+  label on z, so that some fusion components are not square (reported
+  as null) and some are singular.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from hopfspan.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+CASES = {
+    "check_z2_group_algebra.json": ["check", DATA / "z2_group_algebra.json"],
+    "check_idempotent_monoid.json": ["check",
+                                     DATA / "idempotent_monoid.json"],
+    "check_indiscrete_pair.json": ["check", DATA / "indiscrete_pair.json"],
+    "check_torsor_enriched.json": ["check", DATA / "torsor_enriched.json"],
+    "check_z2_super.json": ["check", GOLDEN / "z2_super.json"],
+    "check_hopf_z2_super.json": ["check", GOLDEN / "z2_super.json", "--hopf"],
+    "check_hopf_z2_q2.json": ["check", GOLDEN / "z2_q2.json", "--hopf"],
+    "check_idempotent_wide.json": ["check", GOLDEN / "idempotent_wide.json"],
+    "antipode_z2_group_algebra.json": ["antipode",
+                                       DATA / "z2_group_algebra.json"],
+    "antipode_torsor_enriched.json": ["antipode",
+                                      DATA / "torsor_enriched.json"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_report_matches_the_recorded_bytes(golden, capsys):
+    code = main([str(arg) for arg in CASES[golden]] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+    assert code == (0 if json.loads(out)["status"] == "pass" else 1)

@@ -14,18 +14,18 @@ from hopfspan.spanv_core import (
 from hopfspan.hopf_structures import (
     AntipodeFamily, ComonoidStructure, EnrichedCatPresentation,
     EnrichedModule, GroupMonoidPresentation, MonadPresentation,
-    MonoidalCatData, PolyadOpmonoidalStructure,
-    check_antipode_duoidal, check_antipode_enriched, check_antipode_group,
-    check_enriched_module, check_monad, check_opmonoidal, check_polyad,
-    compute_antipode, constant_unit_presentation, cyclic_group,
-    cyclic_group_algebra, discrete_monoidal_group, em_algebras_restricted,
-    enriched_from_groupoid, enriched_module_product, enumerate_modules,
-    enumerate_representations, grouplike_monoid_algebra, identity_polyad,
-    idempotent_monoid_presentation, image_polyad_report, image_presentation,
-    indiscrete_enriched, indiscrete_monoidal_group, is_hopf, left_fusion,
-    monad_cells, opmonoidal_cells, polyad_fusion, polyad_is_hopf,
-    regular_enriched_module, right_fusion, translation_opmonoidal,
-    translation_polyad, unit_enriched_module,
+    MonoidalCatData, PolyadOpmonoidalStructure, _solve_unique,
+    check_antipode_duoidal, check_antipode_group, check_enriched_module,
+    check_monad, check_opmonoidal, compute_antipode,
+    constant_unit_presentation, cyclic_group, cyclic_group_algebra,
+    discrete_monoidal_group, em_algebras_restricted, enriched_from_groupoid,
+    enriched_module_product, enumerate_modules, enumerate_representations,
+    grouplike_monoid_algebra, identity_polyad, idempotent_monoid_presentation,
+    image_polyad_report, image_presentation, indiscrete_enriched,
+    indiscrete_monoidal_group, is_hopf, left_fusion, monad_cells,
+    opmonoidal_cells, polyad_fusion, polyad_is_hopf, regular_enriched_module,
+    right_fusion, translation_opmonoidal, translation_polyad,
+    unit_enriched_module,
 )
 
 Z2 = (["e", "b"],
@@ -295,6 +295,30 @@ def test_compute_antipode_flags_underdetermined_systems():
     assert res.witness[2][0] == "underdetermined"
 
 
+def test_solve_unique_witnesses_on_hand_built_systems():
+    f = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    assert _solve_unique(f, [Fraction(3), Fraction(4)]) == ([1, 1], None)
+    # A consistent extra row leaves the unique solution alone.
+    assert _solve_unique(f + [[Fraction(3), Fraction(4)]],
+                         [Fraction(3), Fraction(4), Fraction(7)]) == \
+        ([1, 1], None)
+    # Column 2 is column 0 plus column 1, found after a row swap.
+    rows = [[0, 1, 1], [1, 0, 1], [0, 0, 0]]
+    assert _solve_unique(rows, [1, 1, 0]) == \
+        (None, ("underdetermined", 2))
+    # The first of several free columns is reported, even when the
+    # system is also inconsistent.
+    assert _solve_unique([[1, 1, 1], [1, 1, 1]], [0, 1]) == \
+        (None, ("underdetermined", 1))
+    # Full column rank but no solution: the first nonzero leftover row,
+    # counted after the pivot rows were swapped up.
+    assert _solve_unique([[0, 1], [1, 0], [1, 1], [1, 1]], [1, 1, 3, 0]) == \
+        (None, ("inconsistent", 2))
+    assert _solve_unique([[0, 1], [1, 0], [0, 0], [1, 1]], [1, 1, 0, 3]) == \
+        (None, ("inconsistent", 3))
+    assert _solve_unique([], []) == ([], None)
+
+
 def test_antipode_checks_need_a_family():
     p = idempotent_monoid_presentation()
     assert p.antipode is None
@@ -319,7 +343,7 @@ def test_enriched_indiscrete_pipeline():
     mp = e.monad_presentation()
     assert check_monad(mp).ok
     assert is_hopf(mp, e.comonoid_structure())
-    assert check_antipode_enriched(e).ok
+    assert check_antipode_group(e).ok
     assert check_antipode_duoidal(e).ok
     assert compute_antipode(e)
 
@@ -338,7 +362,7 @@ def test_enriched_groupoid_pipeline():
     c = e.comonoid_structure()
     assert check_opmonoidal(mp, c).ok
     assert is_hopf(mp, c)
-    assert check_antipode_enriched(e).ok
+    assert check_antipode_group(e).ok
     assert check_antipode_duoidal(e).ok
     res = compute_antipode(e)
     assert res
@@ -356,7 +380,7 @@ def test_enriched_identity_family_fails_on_the_torsor():
          else VMorphism(e.hom[p], e.hom[(p[1], p[0])],
                         [[Fraction(0)] * e.hom[p].dim] * e.hom[p].dim)
          for p in e.hom})
-    report = check_antipode_enriched(e, wrong)
+    report = check_antipode_group(e, wrong)
     assert not report.ok
     assembled = check_antipode_duoidal(e, wrong)
     assert not assembled.ok
@@ -437,14 +461,14 @@ def test_identity_polyad_is_hopf():
     for fiber in (discrete_monoidal_group(*Z2),
                   indiscrete_monoidal_group(*Z2)):
         opstr = identity_polyad(*Z2, fiber)
-        assert check_polyad(opstr.monad).ok
+        assert check_monad(opstr.monad).ok
         assert polyad_is_hopf(opstr)
 
 
 def test_translation_polyad_monad_axioms():
     for fiber in (discrete_monoidal_group(*Z2),
                   indiscrete_monoidal_group(*Z2)):
-        assert check_polyad(translation_polyad(*Z2, fiber)).ok
+        assert check_monad(translation_polyad(*Z2, fiber)).ok
 
 
 def test_translation_comparison_needs_connected_fibers():

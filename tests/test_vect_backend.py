@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfspan.hopf_structures import _solve_unique
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, unit_object,
     tensor_obj, tensor_mor, braiding, invert, determinant,
@@ -166,3 +168,70 @@ def test_determinant_permutation_signs():
     assert determinant(VMorphism.identity(a)) == 1
     with pytest.raises(ValueError):
         determinant(VMorphism.zero(a, unit_object()))
+
+
+# ---------------------------------------------------------------------------
+# The elimination routine against closed forms.
+
+
+def leibniz(m):
+    """The permutation expansion of the determinant of a square matrix."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2)
+                         if i > j)
+        term = Fraction(-1) ** inversions
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total
+
+
+def minor_rank(m, cols):
+    """The rank of the first cols columns of m: the largest k with a
+    nonzero k x k minor."""
+    for k in range(min(len(m), cols), 0, -1):
+        for rs in itertools.combinations(range(len(m)), k):
+            for cs in itertools.combinations(range(cols), k):
+                if leibniz([[m[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+# Small integers make singular matrices common; fractions exercise the
+# exact arithmetic.
+ENTRY = st.one_of(st.integers(-1, 1).map(Fraction),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    rhs = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    return rows, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_systems())
+def test_elimination_matches_closed_forms(system):
+    rows, rhs = system
+    n = len(rows)
+    a = VObject.ungraded([str(i) for i in range(n)])
+    f = VMorphism(a, a, rows)
+    det = determinant(f)
+    assert det == leibniz(rows)
+    res = invert(f)
+    assert bool(res) == (det != 0)
+    solution, witness = _solve_unique(rows, rhs)
+    if res:
+        assert res.inverse.compose(f) == VMorphism.identity(a)
+        assert witness is None
+        assert [sum(row[c] * solution[c] for c in range(n))
+                for row in rows] == rhs
+    else:
+        assert res.witness == minor_rank(rows, n)
+        free = next(c for c in range(n)
+                    if minor_rank(rows, c + 1) == minor_rank(rows, c))
+        assert (solution, witness) == (None, ("underdetermined", free))
