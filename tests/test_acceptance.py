@@ -1,4 +1,4 @@
-"""Acceptance gate: nine criteria, one pass line each.
+"""Acceptance gate: ten criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -8,8 +8,11 @@ where a criterion is quantified over randomized data.
 
 import contextlib
 import io
+import itertools
+import json
 import pathlib
 import time
+from fractions import Fraction
 
 from hopfspan import hopf_structures as hs
 from hopfspan.cat_backend import FinCategory, FunctorData
@@ -92,7 +95,7 @@ def test_criterion_1_bicategory_coherence():
                                                  unitor.morphism))
                 cases += 1
     assert cases >= 500
-    finish(1, "bicategory coherence", start, 30.0, cases)
+    finish(1, "bicategory coherence", start, 10.0, cases)
 
 
 def test_criterion_2_naturally_frobenius():
@@ -248,14 +251,25 @@ def test_criterion_8_functoriality(tmp_path):
     for pres in (hs.cyclic_group_algebra(2), torsor_enriched()):
         report, _, _ = hs.image_polyad_report(pres, probes)
         assert report.ok, report.summary()
-    finish(8, "pointwise image of the fixtures", start, 10.0)
+    finish(8, "pointwise image of the fixtures", start, 5.0)
+
+
+def symmetric3():
+    """The symmetric group on three letters: permutations as strings of
+    images, composed right to left."""
+    perms = ["".join(p) for p in itertools.permutations("012")]
+    mul = {(a, b): "".join(a[int(b[i])] for i in range(3))
+           for a in perms for b in perms}
+    return perms, mul, "012"
 
 
 def test_criterion_9_fusion_formula_oracle():
     start = time.monotonic()
     cases = 0
-    for qv in (1, -1, 2):
-        pres = hs.cyclic_group_algebra(2, q=BraidParam(qv), graded=True)
+    presentations = [hs.cyclic_group_algebra(n, q=BraidParam(qv), graded=True)
+                     for n in (2, 3) for qv in (1, -1, 2)]
+    presentations.append(hs.grouplike_monoid_algebra(*symmetric3()))
+    for pres in presentations:
         mp = pres.monad_presentation()
         com = pres.comonoid_structure()
         be = mp.backend
@@ -272,3 +286,45 @@ def test_criterion_9_fusion_formula_oracle():
             assert cell.components[((h, x), (k, x))] == formula
             cases += 1
     finish(9, "fusion formula oracle", start, 10.0, cases)
+
+
+def group_algebra_document(elements, mul, unit):
+    """The ungraded group algebra as a group_monoid file: every element
+    carries the algebra, and the antipode is inversion on the basis."""
+    def matrix(dom, cod, image):
+        return [[str(int(image(w) == v)) for w in dom] for v in cod]
+
+    square = [(a, b) for a in elements for b in elements]
+    inverse = {a: next(b for b in elements if mul[(a, b)] == unit)
+               for a in elements}
+    mult = matrix(square, elements, lambda w: mul[w])
+    sigma = matrix(elements, elements, lambda a: inverse[a])
+    return {"format_version": 1, "kind": "group_monoid", "backend": "vect",
+            "elements": elements, "unit": unit, "q": "1", "grouplike": True,
+            "table": {a: {b: mul[(a, b)] for b in elements}
+                      for a in elements},
+            "labels": {a: [[b, 0] for b in elements] for a in elements},
+            "mu": {a: {b: mult for b in elements} for a in elements},
+            "eta": matrix([unit], elements, lambda w: w),
+            "antipode": {a: sigma for a in elements}}
+
+
+def test_criterion_10_z4_default_check(tmp_path):
+    start = time.monotonic()
+    names, mul, unit = hs.cyclic_group(4)
+    fixture = tmp_path / "z4_group_algebra.json"
+    fixture.write_text(json.dumps(group_algebra_document(names, mul, unit)))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(["check", str(fixture), "--format", "json"])
+    report = json.loads(sink.getvalue())
+    assert code == 0 and report["status"] == "pass"
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        (name, "pass") for name in ("monad", "opmonoidal", "hopf",
+                                    "antipode", "duoidal", "frobenius")]
+    (hopf,) = [c for c in report["checks"] if c["name"] == "hopf"]
+    for side in ("left", "right"):
+        dets = hopf["fusion_determinants"][side]
+        assert len(dets) == 16
+        assert all(Fraction(det) != 0 for _, det in dets)
+    finish(10, "default check on the Z_4 group algebra", start, 30.0, 32)

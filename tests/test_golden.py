@@ -4,7 +4,7 @@ Each file under tests/data/golden/ named after a case below holds the
 ``--format json`` output that main() printed for that argv when the case
 was recorded.  The run must reproduce it exactly, and the exit code must
 agree with the report's status.  The inputs are the bundled fixtures
-plus three variants kept next to the reports:
+plus four variants kept next to the reports:
 
 * ``z2_super.json``: the Z_2 fixture with q = -1 and the generator in
   degree 1, which fails the multiplication/comultiplication square;
@@ -12,7 +12,10 @@ plus three variants kept next to the reports:
   determinants are 2 rather than a sign;
 * ``idempotent_wide.json``: the idempotent monoid with a two-dimensional
   label on z, so that some fusion components are not square (reported
-  as null) and some are singular.
+  as null) and some are singular;
+* ``z3_group_algebra.json``: the ungraded group algebra of Z_3, whose
+  labels are three-dimensional and whose fusion cells have 9 components
+  on each side.
 """
 
 import json
@@ -39,6 +42,9 @@ CASES = {
                                        DATA / "z2_group_algebra.json"],
     "antipode_torsor_enriched.json": ["antipode",
                                       DATA / "torsor_enriched.json"],
+    "check_z3_group_algebra.json": ["check", GOLDEN / "z3_group_algebra.json"],
+    "antipode_z3_group_algebra.json": ["antipode",
+                                       GOLDEN / "z3_group_algebra.json"],
 }
 
 

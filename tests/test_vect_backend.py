@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hopfspan.hopf_structures import _solve_unique
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, unit_object,
-    tensor_obj, tensor_mor, braiding, invert, determinant,
+    tensor_obj, tensor_mor, braiding, invert, determinant, row_reduce,
 )
 
 
@@ -235,3 +235,129 @@ def test_elimination_matches_closed_forms(system):
         free = next(c for c in range(n)
                     if minor_rank(rows, c + 1) == minor_rank(rows, c))
         assert (solution, witness) == (None, ("underdetermined", free))
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against the dense kernel it replaced.  A dense matrix
+# is a tuple of Fraction rows; these few functions are that kernel, and
+# leibniz and minor_rank above stand in for its elimination.
+
+
+def dense_compose(a, b, width):
+    return tuple(tuple(sum((row[k] * b[k][c] for k in range(len(b))),
+                           Fraction(0)) for c in range(width))
+                 for row in a)
+
+
+def dense_tensor(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def dense_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_scale(a, s):
+    return tuple(tuple(s * x for x in row) for row in a)
+
+
+def dense_is_permutation(a):
+    return (len(a) == len(a[0])
+            and all(sorted(row) == [0] * (len(row) - 1) + [1] for row in a)
+            and all(sorted(col) == [0] * (len(col) - 1) + [1]
+                    for col in zip(*a)))
+
+
+# At least 60% zeros; 1 and -1 are common, so sums cancel to zero often.
+NONZERO = st.one_of(st.sampled_from([1, -1, 2]).map(Fraction),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4).filter(bool))
+SPARSE_ENTRY = st.integers(0, 9).flatmap(
+    lambda k: st.just(Fraction(0)) if k < 6 else NONZERO)
+
+
+def obj(n, tag="v"):
+    return VObject.ungraded(["%s%d" % (tag, i) for i in range(n)])
+
+
+@st.composite
+def dense_matrices(draw, rows, cols):
+    """A random sparse matrix, or (one draw in three) a monomial one:
+    a permutation with nonzero scalars."""
+    if rows == cols and draw(st.integers(0, 2)) == 0:
+        perm = draw(st.permutations(range(cols)))
+        values = draw(st.lists(NONZERO, min_size=rows, max_size=rows))
+        return tuple(tuple(values[r] if c == perm[r] else Fraction(0)
+                           for c in range(cols)) for r in range(rows))
+    return tuple(tuple(draw(SPARSE_ENTRY) for _ in range(cols))
+                 for _ in range(rows))
+
+
+@st.composite
+def kernel_cases(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return (n, k, m, draw(dense_matrices(n, k)), draw(dense_matrices(k, m)),
+            draw(dense_matrices(n, k)), draw(dense_matrices(k, k)),
+            draw(NONZERO | st.just(Fraction(0))))
+
+
+def built(m, dom, cod):
+    """The kernel morphism of a dense matrix, checked to round-trip."""
+    f = VMorphism(dom, cod, m)
+    assert f.entries == m
+    assert all(v != 0 for row in f.rows for v in row.values())
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_sparse_kernel_matches_the_dense_oracle(case):
+    n, k, m, a, b, c, sq, s = case
+    dn, dk, dm = obj(n, "n"), obj(k, "k"), obj(m, "m")
+    f, g, h, q = built(a, dk, dn), built(b, dm, dk), built(c, dk, dn), \
+        built(sq, dk, dk)
+    results = [
+        (f.compose(g), dense_compose(a, b, m)),
+        (f.compose(q).compose(g), dense_compose(dense_compose(a, sq, k), b, m)),
+        (tensor_mor(f, g), dense_tensor(a, b)),
+        (f + h, dense_add(a, c)),
+        (f + f.scale(-1), dense_add(a, dense_scale(a, Fraction(-1)))),
+        (f.scale(s), dense_scale(a, s)),
+    ]
+    for kernel, dense in results:
+        assert kernel.entries == dense
+        assert kernel.is_zero() == all(e == 0 for row in dense for e in row)
+        twin = VMorphism(kernel.dom, kernel.cod, dense)
+        assert kernel == twin and hash(kernel) == hash(twin)
+    assert (f + f.scale(-1)).is_zero() and f.scale(0).is_zero()
+    assert q.is_permutation() == dense_is_permutation(sq)
+    det, res = leibniz(sq), invert(q)
+    assert determinant(q) == det and bool(res) == (det != 0)
+    if res:
+        one = tuple(tuple(Fraction(int(r == c)) for c in range(k))
+                    for r in range(k))
+        inverse = res.inverse.entries
+        assert dense_compose(inverse, sq, k) == one == \
+            dense_compose(sq, inverse, k)
+    else:
+        assert res.witness == minor_rank(sq, k)
+
+
+def test_invert_singular_monomial_rows_fall_through_to_elimination():
+    # One nonzero per row, but rows 0 and 1 share column 0: not monomial.
+    a = obj(3)
+    rows = [[2, 0, 0], [Fraction(1, 3), 0, 0], [0, 0, -1]]
+    res = invert(VMorphism(a, a, rows))
+    assert not res
+    pivots, _ = row_reduce([[Fraction(e) for e in row] for row in rows], 3)
+    assert res.witness == len(pivots) == 2
+
+
+def test_tensor_obj_is_built_once_per_pair():
+    a = VObject([("x", 1), ("y", 0)])
+    b = VObject([("u", 2)])
+    twin = VObject([("u", 2)])
+    assert tensor_obj(a, b) is tensor_obj(a, twin)
+    assert hash(tensor_obj(a, b)) == hash(VObject(tensor_obj(a, b).basis))
+    k = unit_object()
+    assert tensor_obj(a, k) is a and tensor_obj(k, a) is a
