@@ -3,7 +3,9 @@
 FinCategory stores a dense composition table keyed by composable morphism
 pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
 axioms are verified at construction unless check=False is passed, in which
-case check_category can be used to collect every violation.
+case check_category can be used to collect every violation.  The table is
+never changed after construction, so products of a category are shared
+(spanv_core.product_category).
 
 LazyCategory wraps a category too big to materialize (here: graded rational
 vector spaces) behind procedures, and verifies the axioms on a finite list
@@ -40,18 +42,20 @@ class FinCategory:
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "identities", identities)
         object.__setattr__(self, "composition", dict(composition))
+        object.__setattr__(self, "_products", {})
         if check:
             report = check_category(self)
             if not report.ok:
                 raise CatError(report.summary())
 
     def __eq__(self, other):
-        return (isinstance(other, FinCategory)
-                and self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self.src == other.src and self.tgt == other.tgt
-                and self.identities == other.identities
-                and self.composition == other.composition)
+        return self is other or (
+            isinstance(other, FinCategory)
+            and self.objects == other.objects
+            and self.morphisms == other.morphisms
+            and self.src == other.src and self.tgt == other.tgt
+            and self.identities == other.identities
+            and self.composition == other.composition)
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -66,8 +70,18 @@ class FinCategory:
         return self.identities(x)
 
     def composable_pairs(self):
-        return [(g, f) for g in self.morphisms for f in self.morphisms
-                if self.tgt(f) == self.src(g)]
+        """Pairs (g, f) with tgt(f) = src(g), lexicographic in morphism
+        order."""
+        into = self.morphisms_by(self.tgt)
+        return [(g, f) for g in self.morphisms
+                for f in into.get(self.src(g), ())]
+
+    def morphisms_by(self, end):
+        """Morphisms bucketed by end(m), each bucket in morphism order."""
+        buckets = {}
+        for m in self.morphisms:
+            buckets.setdefault(end(m), []).append(m)
+        return buckets
 
     def hom(self, x, y):
         return [m for m in self.morphisms
@@ -135,12 +149,12 @@ def check_category(c):
             report.fail("left identity", f)
         if c.composition[(f, c.identities(c.src(f)))] != f:
             report.fail("right identity", f)
+    out_of = c.morphisms_by(c.src)
     for (g, f) in c.composable_pairs():
-        for h in c.morphisms:
-            if c.tgt(g) == c.src(h):
-                if c.composition[(c.composition[(h, g)], f)] != \
-                        c.composition[(h, c.composition[(g, f)])]:
-                    report.fail("associativity", (h, g, f))
+        for h in out_of.get(c.tgt(g), ()):
+            if c.composition[(c.composition[(h, g)], f)] != \
+                    c.composition[(h, c.composition[(g, f)])]:
+                report.fail("associativity", (h, g, f))
     return report
 
 
@@ -172,9 +186,10 @@ class FunctorData:
             if self.mmap(self.dom.identities(x)) != \
                     self.cod.identities(self.omap(x)):
                 raise CatError("functor breaks identity at %r" % (x,))
+        mmap = self.mmap.assignment
+        dom_comp, cod_comp = self.dom.composition, self.cod.composition
         for (g, f) in self.dom.composable_pairs():
-            if self.mmap(self.dom.composition[(g, f)]) != \
-                    self.cod.composition[(self.mmap(g), self.mmap(f))]:
+            if mmap[dom_comp[(g, f)]] != cod_comp[(mmap[g], mmap[f])]:
                 raise CatError("functor breaks composition at %r" % ((g, f),))
 
     @staticmethod

@@ -217,15 +217,18 @@ def compose_spans(b, a):
     """Pullback composite b after a; needs b.src == a.tgt.
 
     The apex is the set of pairs (d, c) with b.right(d) == a.left(c),
-    enumerated lexicographically in (index of d, index of c).
+    enumerated lexicographically in (index of d, index of c): a.apex is
+    bucketed by a.left in apex order, and each d takes its bucket.
     """
     if b.src != a.tgt:
         raise SpanError(
             "span boundary mismatch: b.src = %r but a.tgt = %r" % (b.src, a.tgt)
         )
-    pairs = tuple(
-        (d, c) for d in b.apex for c in a.apex if b.right(d) == a.left(c)
-    )
+    a_left, b_right = a.left.assignment, b.right.assignment
+    over = {}
+    for c in a.apex:
+        over.setdefault(a_left[c], []).append(c)
+    pairs = tuple((d, c) for d in b.apex for c in over.get(b_right[d], ()))
     apex = FinSet(pairs)
     left = FinFn(apex, b.tgt, {(d, c): b.left(d) for (d, c) in pairs})
     right = FinFn(apex, a.src, {(d, c): a.right(c) for (d, c) in pairs})

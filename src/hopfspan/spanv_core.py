@@ -262,7 +262,16 @@ class CatBackend(Backend):
 
 
 def product_category(a, b):
-    """Product of finite categories on pair atoms, componentwise."""
+    """Product of finite categories on pair atoms, componentwise.
+
+    Built once per pair of operands and kept on a, keyed by b."""
+    p = a._products.get(b)
+    if p is None:
+        p = a._products[b] = _product_category(a, b)
+    return p
+
+
+def _product_category(a, b):
     objects = FinSet.product(a.objects, b.objects)
     morphisms = FinSet.product(a.morphisms, b.morphisms)
     src = FinFn(morphisms, objects,
@@ -272,12 +281,14 @@ def product_category(a, b):
     identities = FinFn(objects, morphisms,
                        {(x, y): (a.identities(x), b.identities(y))
                         for (x, y) in objects})
+    a_into, b_into = a.morphisms_by(a.tgt), b.morphisms_by(b.tgt)
     composition = {}
     for (g, h) in morphisms:
-        for (f, k) in morphisms:
-            if a.tgt(f) == a.src(g) and b.tgt(k) == b.src(h):
-                composition[((g, h), (f, k))] = \
-                    (a.composition[(g, f)], b.composition[(h, k)])
+        ks = b_into.get(b.src(h), ())
+        for f in a_into.get(a.src(g), ()):
+            gf = a.composition[(g, f)]
+            for k in ks:
+                composition[((g, h), (f, k))] = (gf, b.composition[(h, k)])
     return cb.FinCategory(objects, morphisms, src, tgt,
                           identities, composition, check=False)
 

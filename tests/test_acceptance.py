@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, one pass line each.
+"""Acceptance gate: eleven criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -328,3 +328,22 @@ def test_criterion_10_z4_default_check(tmp_path):
         assert len(dets) == 16
         assert all(Fraction(det) != 0 for _, det in dets)
     finish(10, "default check on the Z_4 group algebra", start, 30.0, 32)
+
+
+def test_criterion_11_translation_polyad_z3_z4():
+    start = time.monotonic()
+    for n in (3, 4):
+        names, mul, unit = hs.cyclic_group(n)
+        fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+        assert hs.polyad_is_hopf(
+            hs.translation_opmonoidal(names, mul, unit, fiber))
+        # Over the indiscrete fiber every hom set is a singleton: a module
+        # is one fiber object, and any two modules have one morphism.
+        comparison = hs.em_algebras_restricted(
+            hs.translation_polyad(names, mul, unit, fiber), "modules")
+        assert comparison.report.ok, comparison.report.summary()
+        assert len(list(comparison.algebras.objects)) == n
+        assert len(list(comparison.algebras.morphisms)) == n * n
+        assert comparison.forward.then(comparison.backward) == \
+            FunctorData.identity(comparison.enumerated)
+    finish(11, "translation polyad over Z_3 and Z_4", start, 10.0, 2)

@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfspan.finset_span import FinSet, FinFn
 from hopfspan.cat_backend import (
     FinCategory, FunctorData, NatTransData, CatError,
     check_category, is_groupoid, nat_is_iso, vect_as_lazy_category,
 )
+from hopfspan.spanv_core import product_category
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, braiding, invert, tensor_obj, unit_object,
 )
@@ -201,3 +204,89 @@ def test_pseudofunctor_product_compat_invertible():
 def test_empty_probe_list_rejected():
     with pytest.raises(CatError):
         vect_as_lazy_category(BraidParam(1), [])
+
+
+# ---------------------------------------------------------------------------
+# The bucketed joins against the nested scans they replace.
+
+
+def unital_tables(n):
+    """Every multiplication table on range(n) with unit 0, associative or
+    not."""
+    free = [(g, f) for g in range(1, n) for f in range(1, n)]
+    for values in itertools.product(range(n), repeat=len(free)):
+        mul = {(g, f): g or f for g in range(n) for f in range(n)}
+        mul.update(zip(free, values))
+        yield mul
+
+
+def is_associative(mul, n):
+    return all(mul[(mul[(h, g)], f)] == mul[(h, mul[(g, f)])]
+               for h in range(n) for g in range(n) for f in range(n))
+
+
+MONOID_TABLES = [(n, mul) for n in (1, 2, 3) for mul in unital_tables(n)
+                 if is_associative(mul, n)]
+
+
+@st.composite
+def leaf_categories(draw):
+    kind = draw(st.sampled_from(["table", "cyclic", "idempotent", "max",
+                                 "indiscrete", "discrete"]))
+    if kind == "indiscrete":
+        return FinCategory.indiscrete(range(draw(st.integers(1, 2))))
+    if kind == "discrete":
+        return FinCategory.discrete(range(draw(st.integers(1, 3))))
+    if kind == "table":
+        n, mul = draw(st.sampled_from(MONOID_TABLES))
+    else:
+        n = draw(st.integers(1, 3))
+        op = {"cyclic": lambda g, f: (g + f) % n,
+              "idempotent": lambda g, f: g or f if 0 in (g, f) else g,
+              "max": max}[kind]
+        mul = {(g, f): op(g, f) for g in range(n) for f in range(n)}
+    elements = draw(st.permutations(range(n)))
+    return FinCategory.from_monoid(elements, mul, 0)
+
+
+categories = st.one_of(leaf_categories(), st.builds(
+    product_category, leaf_categories(), leaf_categories()))
+
+
+def scanned_pairs(c):
+    return [(g, f) for g in c.morphisms for f in c.morphisms
+            if c.tgt(f) == c.src(g)]
+
+
+def scanned_product_table(a, b):
+    morphisms = FinSet.product(a.morphisms, b.morphisms)
+    return {((g, h), (f, k)): (a.composition[(g, f)], b.composition[(h, k)])
+            for (g, h) in morphisms for (f, k) in morphisms
+            if a.tgt(f) == a.src(g) and b.tgt(k) == b.src(h)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(categories, leaf_categories())
+def test_category_joins_match_nested_scans(a, b):
+    assert a.composable_pairs() == scanned_pairs(a)
+    product = product_category(a, b)
+    table = scanned_product_table(a, b)
+    assert product.composition == table
+    assert list(product.composition) == list(table)
+    assert product.composable_pairs() == scanned_pairs(product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(n, mul) for n in (2, 3) for mul in unital_tables(n)]),
+       st.data())
+def test_associativity_failures_keep_the_nested_scan_order(table, data):
+    n, mul = table
+    elements = FinSet(data.draw(st.permutations(range(n))))
+    one = FinSet(["*"])
+    c = FinCategory(one, elements, FinFn.constant(elements, one, "*"),
+                    FinFn.constant(elements, one, "*"),
+                    FinFn(one, elements, {"*": 0}), mul, check=False)
+    expected = [("associativity", (h, g, f)) for (g, f) in scanned_pairs(c)
+                for h in c.morphisms if c.tgt(g) == c.src(h)
+                and mul[(mul[(h, g)], f)] != mul[(h, mul[(g, f)])]]
+    assert check_category(c).failures == expected

@@ -5,8 +5,14 @@ files under tests/data are the same documents the acceptance suite
 uses, and mutated copies go through tmp_path.
 """
 
+import contextlib
+import copy
+import io
 import json
 import pathlib
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 
 from hopfspan import hopf_structures as hs
 from hopfspan.cli import canonical_json, main
@@ -324,3 +330,58 @@ def test_inapplicable_flags_on_polyad_are_skipped(capsys, tmp_path):
     assert by_name["opmonoidal"]["status"] == "skipped"
     assert "kind polyad" in by_name["opmonoidal"]["reason"]
     assert by_name["hopf"]["status"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: mutated fixtures exit with 0, 1 or 2 and never raise.
+
+FUZZED_FIXTURES = ("z2_group_algebra.json", "indiscrete_pair.json",
+                   "idempotent_monoid.json")
+CORRUPT_VALUES = (None, [], {}, "1/0", "nan", True, 1.5)
+
+
+def _nodes(doc):
+    """Every (container, key) under doc, a key being a dict key or a list
+    index, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture after one to three mutations, none of which grows it:
+    drop a key or a list entry, corrupt a value, or overwrite one atom of
+    a list with another of the same list."""
+    doc = load_doc(draw(st.sampled_from(FUZZED_FIXTURES)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        container, key = draw(st.sampled_from(nodes))
+        kind = draw(st.sampled_from(["drop", "corrupt", "duplicate"]))
+        if kind == "drop":
+            del container[key]
+        elif kind == "corrupt":
+            value = draw(st.sampled_from(CORRUPT_VALUES))
+            container[key] = copy.deepcopy(value)
+        elif isinstance(container, list) and len(container) > 1:
+            other = draw(st.sampled_from(range(len(container))))
+            container[key] = copy.deepcopy(container[other])
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_documents(),
+       st.sampled_from([["check"], ["check", "--hopf"], ["antipode"]]))
+def test_mutated_fixtures_exit_cleanly(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(path), "--format", "json"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -193,12 +193,30 @@ def check_triangle_identities(a, res):
 
 @st.composite
 def small_span_between(draw, src, tgt, max_apex=4):
-    n = draw(st.integers(min_value=0, max_value=max_apex))
-    apex = FinSet(range(n))
-    lvals = draw(st.lists(st.sampled_from(tgt.elements), min_size=n, max_size=n)) if n else []
-    rvals = draw(st.lists(st.sampled_from(src.elements), min_size=n, max_size=n)) if n else []
-    left = FinFn(apex, tgt, {i: lvals[i] for i in range(n)})
-    right = FinFn(apex, src, {i: rvals[i] for i in range(n)})
+    """A span from src to tgt with its apex in a drawn order.  Besides
+    random legs it draws the shapes a bucketed pullback must get right:
+    an empty apex, legs that miss part of the boundary, and many apex
+    points over one boundary point."""
+    kind = draw(st.sampled_from(["random", "empty", "partial", "piled"]))
+    if kind == "empty":
+        n = 0
+    else:
+        n = draw(st.integers(1, 2 * max_apex if kind == "piled" else max_apex))
+    apex = FinSet(draw(st.permutations(range(n))))
+    if kind == "piled":
+        lpool = [draw(st.sampled_from(tgt.elements))]
+        rpool = [draw(st.sampled_from(src.elements))]
+    elif kind == "partial":
+        lpool = tgt.elements[:max(1, len(tgt) - 1)]
+        rpool = src.elements[:max(1, len(src) - 1)]
+    else:
+        lpool, rpool = tgt.elements, src.elements
+    lvals = draw(st.lists(st.sampled_from(lpool), min_size=n, max_size=n))
+    rvals = draw(st.lists(st.sampled_from(rpool), min_size=n, max_size=n))
+    # Assignments list the apex backwards, so no join may read their order.
+    backwards = list(enumerate(apex))[::-1]
+    left = FinFn(apex, tgt, {c: lvals[i] for i, c in backwards})
+    right = FinFn(apex, src, {c: rvals[i] for i, c in backwards})
     return Span(src, tgt, apex, left, right)
 
 
@@ -228,5 +246,10 @@ def test_pullback_associative_up_to_canonical_iso(triple):
 @given(composable_triple())
 def test_pullback_cardinality_matches_bruteforce(triple):
     c, b, a = triple
-    assert len(compose_spans(b, a).apex) == len(pullback_pairs(b, a))
-    assert len(compose_spans(c, b).apex) == len(pullback_pairs(c, b))
+    for (y, x) in ((b, a), (c, b)):
+        composite, pairs = compose_spans(y, x), pullback_pairs(y, x)
+        assert len(composite.apex) == len(pairs)
+        assert composite.apex.elements == tuple(pairs)
+        for (d, e) in pairs:
+            assert composite.left((d, e)) == y.left(d)
+            assert composite.right((d, e)) == x.right(e)

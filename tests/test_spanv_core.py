@@ -6,14 +6,16 @@ from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, tensor_obj, tensor_mor, unit_object,
 )
-from hopfspan.cat_backend import FinCategory, FunctorData, check_category
+from hopfspan.cat_backend import (
+    FinCategory, FunctorData, NatTransData, check_category,
+)
 from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
     identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2,
     unit_cell0, tensor0, tensor1, tensor2,
     relabel_cell2, associator_cell2, left_unitor_cell2, right_unitor_cell2,
     tensor_associator_cell2, interchange_cell2, invert_cell2, eq2,
-    reindex_cell1, product_category,
+    reindex_cell1, product_category, product_functor, product_nat,
     BackendFunctor, apply_span_F, vect_to_cat_functor, TensorFunctor1,
 )
 from hopfspan.rand import (
@@ -204,6 +206,34 @@ def test_product_category_is_valid():
     p = product_category(z2, z2)
     assert check_category(p).ok
     assert len(p.objects) == 4 and len(p.morphisms) == 16
+
+
+def test_product_category_is_built_once_per_pair():
+    a = FinCategory.indiscrete(["x", "y"])
+    b = FinCategory.discrete(["u", "v"])
+    twin = FinCategory.discrete(["u", "v"])
+    p = product_category(a, b)
+    assert product_category(a, b) is p
+    # A separately built left operand has an empty cache: a fresh build.
+    fresh = product_category(FinCategory.indiscrete(["x", "y"]), twin)
+    assert fresh is not p
+    assert product_category(a, twin) == fresh
+    assert list(product_category(a, twin).composition) == \
+        list(fresh.composition)
+    ida, idb = FunctorData.identity(a), FunctorData.identity(b)
+    f = product_functor(ida, idb)
+    assert f.dom is p and f.cod is p
+    assert f == FunctorData.identity(fresh)
+    flip = {"x": "y", "y": "x"}
+    swap = FunctorData(a, a, FinFn(a.objects, a.objects, flip),
+                       FinFn(a.morphisms, a.morphisms,
+                             {(s, t): (flip[s], flip[t])
+                              for (s, t) in a.morphisms}))
+    assert product_functor(swap, idb) != f
+    n = product_nat(NatTransData.identity(ida), NatTransData.identity(idb))
+    assert n == NatTransData.identity(FunctorData.identity(fresh))
+    to_swap = NatTransData(ida, swap, {x: (x, flip[x]) for x in a.objects})
+    assert product_nat(to_swap, NatTransData.identity(idb)) != n
 
 
 def test_cat_backend_cells_compose():
