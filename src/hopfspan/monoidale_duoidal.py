@@ -139,10 +139,12 @@ def unique_relabel_cell2(source, target):
     docstring any parallel identity-component cell equals this one.
     """
     s, t = source.span, target.span
+    over = {}
+    for d in t.apex:
+        over.setdefault((t.left(d), t.right(d)), []).append(d)
     assignment = {}
     for c in s.apex:
-        matches = [d for d in t.apex
-                   if t.left(d) == s.left(c) and t.right(d) == s.right(c)]
+        matches = over.get((s.left(c), s.right(c)), ())
         if len(matches) != 1:
             raise SpanVError(
                 "%d leg matches at %r, need exactly one" % (len(matches), c))
@@ -164,18 +166,30 @@ class MonoidalFiber:
     unit: object
 
 
-def trivial_fibers(X, be):
-    """The fiber assignment labeling everything by the base unit."""
+def _trivial_fiber(be):
+    """The base unit with its tensor and unit 1-cells."""
     if isinstance(be, CatBackend):
         one = be.unit0()
-        fib = MonoidalFiber(
+        return MonoidalFiber(
             one,
             _structural_functor(be.tensor0v(one, one), one, lambda t: t[0]),
             cb.FunctorData.identity(one))
-    else:
-        k = be.id1(be.unit0())
-        fib = MonoidalFiber(be.unit0(), k, k)
+    k = be.id1(be.unit0())
+    return MonoidalFiber(be.unit0(), k, k)
+
+
+def trivial_fibers(X, be):
+    """The fiber assignment labeling everything by the base unit."""
+    fib = _trivial_fiber(be)
     return {x: fib for x in X}
+
+
+def _duplicate_label(be, obj):
+    """The comultiplication label at a point whose fiber is obj."""
+    if isinstance(be, CatBackend):
+        return _structural_functor(obj, be.tensor0v(obj, obj),
+                                   lambda t: (t, t))
+    return be.id1(obj)
 
 
 @dataclass(frozen=True)
@@ -350,13 +364,10 @@ def induced_comonoidale(X, be, fibers=None):
     base = Cell0(be, X, {x: fibers[x].obj for x in X})
     squared = tensor0(base, base)
     diag = FinFn(X, squared.carrier, {x: (x, x) for x in X})
+    d_labels = {x: _duplicate_label(be, fibers[x].obj) for x in X}
     if isinstance(be, CatBackend):
-        d_labels = {x: _structural_functor(
-            fibers[x].obj, be.tensor0v(fibers[x].obj, fibers[x].obj),
-            lambda t: (t, t)) for x in X}
         e_labels = {x: _collapse_functor(fibers[x].obj, be.unit0()) for x in X}
     else:
-        d_labels = {x: be.id1(fibers[x].obj) for x in X}
         e_labels = dict(d_labels)
     d = Cell1(be, base, squared,
               Span(X, squared.carrier, X, diag, FinFn.identity(X)), d_labels)
@@ -602,65 +613,64 @@ def check_frobenius(X, be, adj=None):
 # Convolution of parallel 1- and 2-cells.
 
 
-def _star_composite(b, a, com, mon):
-    """The raw convolution composite m o (b . a) o d, its normalized
-    presentation on plain leg-matched pairs, and the relabeling between
-    them."""
-    composite = hcomp1(hcomp1(mon.m, tensor1(b, a)), com.d)
-    pairs, labels, assignment = [], {}, {}
-    for big in composite.span.apex:
-        ((_, pair), _) = big
-        pairs.append(pair)
-        labels[pair] = composite.label[big]
-        assignment[big] = pair
-    apex = FinSet(pairs)
-    span = Span(a.src.carrier, a.tgt.carrier, apex,
-                FinFn(apex, a.tgt.carrier, {(c, h): b.span.left(c)
-                                            for (c, h) in apex}),
-                FinFn(apex, a.src.carrier, {(c, h): b.span.right(c)
-                                            for (c, h) in apex}))
-    normalized = Cell1(b.backend, a.src, a.tgt, span, labels)
-    normalizer = relabel_cell2(
-        composite, normalized,
-        SpanMorphism(composite.span, span,
-                     FinFn(composite.span.apex, apex, assignment)))
-    return composite, normalized, normalizer
+def _diagonal_labels(b):
+    """The labels m and d of the diagonal multiplication and
+    comultiplication, the same at every point of b's boundary carriers,
+    whose labels must all be the base unit."""
+    be = b.backend
+    fib = _trivial_fiber(be)
+    for z in (b.src, b.tgt):
+        if not all(be.eq0(z.label[p], fib.obj) for p in z.carrier):
+            raise SpanVError("convolution needs boundary labels at the unit")
+    return fib.tensor, _duplicate_label(be, fib.obj)
 
 
-def _star_context(b, a, com, mon):
-    if (com is None) != (mon is None):
-        raise SpanVError("convolution needs both or neither structure cell")
-    if com is None:
-        be = b.backend
-        com = induced_comonoidale(b.src.carrier, be)
-        mon = induced_monoidale(b.tgt.carrier, be)
-    return com, mon
+def star1(b, a):
+    """The convolution b * a of parallel 1-cells.
 
-
-def star1(b, a, com=None, mon=None):
-    """The convolution b * a of parallel 1-cells: apex pairs with equal
-    legs, labeled m o (b(c) . a(h)) o d.  With the default diagonal
-    structures over a one-object base this is just the label tensor."""
+    The apex is the pairs (c, h) with equal legs, ordered by the point
+    x = left(c) in carrier order, then c, then h, in apex order: the
+    order of the pullback composite m o (b . a) o d.  The label at (c, h)
+    is m o (b(c) . a(h)) o d.  Over a one-object base this is just the
+    label tensor."""
     if b.src != a.src or b.tgt != a.tgt:
         raise SpanVError("convolution needs parallel 1-cells")
-    com, mon = _star_context(b, a, com, mon)
-    _, normalized, _ = _star_composite(b, a, com, mon)
-    return normalized
+    be = b.backend
+    m, d = _diagonal_labels(b)
+    b_left, b_right = b.span.left.assignment, b.span.right.assignment
+    over = {}
+    for h in a.span.apex:
+        over.setdefault((a.span.left(h), a.span.right(h)), []).append(h)
+    place = b.tgt.carrier.index
+    apex = FinSet((c, h) for c in sorted(b.span.apex,
+                                         key=lambda c: place(b_left[c]))
+                  for h in over.get((b_left[c], b_right[c]), ()))
+    span = Span(a.src.carrier, a.tgt.carrier, apex,
+                FinFn(apex, a.tgt.carrier, {p: b_left[p[0]] for p in apex}),
+                FinFn(apex, a.src.carrier, {p: b_right[p[0]] for p in apex}))
+    label = {(c, h): be.comp1(be.comp1(m, be.tensor1v(b.label[c],
+                                                      a.label[h])), d)
+             for (c, h) in apex}
+    return Cell1(be, a.src, a.tgt, span, label)
 
 
-def star2(v, u, com=None, mon=None):
-    """The convolution of parallel 2-cells: the whiskered composite
-    1 o (v . u) o 1, transported to the normalized presentations."""
-    com, mon = _star_context(v.source, u.source, com, mon)
-    _, _, n_source = _star_composite(v.source, u.source, com, mon)
-    _, _, n_target = _star_composite(v.target, u.target, com, mon)
-    big = hcomp2(hcomp2(identity_cell2(mon.m), tensor2(v, u)),
-                 identity_cell2(com.d))
-    opened = invert_cell2(n_source)
-    if not opened:
-        raise SpanVError("convolution presentation is not invertible: %r"
-                         % (opened.witness,))
-    return vcomp2(n_target, vcomp2(big, opened.inverse))
+def star2(v, u):
+    """The convolution of parallel 2-cells: (c, h) goes to (v(c), u(h))
+    with component 1_m o (v(c) . u(h)) o 1_d."""
+    source, target = star1(v.source, u.source), star1(v.target, u.target)
+    be = source.backend
+    m, d = _diagonal_labels(v.source)
+    one_m, one_d = be.id2(m), be.id2(d)
+    fv, fu = v.morphism.map, u.morphism.map
+    apex = source.span.apex
+    morphism = SpanMorphism(source.span, target.span,
+                            FinFn(apex, target.span.apex,
+                                  {(c, h): (fv(c), fu(h)) for (c, h) in apex}))
+    comps = {(c, h): be.comp2(be.comp2(one_m, be.tensor2v(v.components[c],
+                                                          u.components[h])),
+                              one_d)
+             for (c, h) in apex}
+    return Cell2(source, target, morphism, comps)
 
 
 def complete_unit_cell1(src0, tgt0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .finset_span import (
     FinSet, FinFn, Span, SpanMorphism, SpanError,
     compose_spans, compose_span_morphisms_h, cartesian_product,
-    product_of_morphisms, associator_iso, left_unitor_iso, right_unitor_iso,
+    associator_iso, left_unitor_iso, right_unitor_iso,
 )
 from .reporting import Verdict
 from . import vect_backend as vb
@@ -479,7 +479,11 @@ def tensor2(u, v):
     source = tensor1(u.source, v.source)
     target = tensor1(u.target, v.target)
     be = source.backend
-    morphism = product_of_morphisms(u.morphism, v.morphism)
+    fu, fv = u.morphism.map, v.morphism.map
+    apex = source.span.apex
+    morphism = SpanMorphism(source.span, target.span,
+                            FinFn(apex, target.span.apex,
+                                  {(c, d): (fu(c), fv(d)) for (c, d) in apex}))
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
              for (c, d) in source.span.apex}
     return Cell2(source, target, morphism, comps)

@@ -327,7 +327,7 @@ def test_criterion_10_z4_default_check(tmp_path):
         dets = hopf["fusion_determinants"][side]
         assert len(dets) == 16
         assert all(Fraction(det) != 0 for _, det in dets)
-    finish(10, "default check on the Z_4 group algebra", start, 30.0, 32)
+    finish(10, "default check on the Z_4 group algebra", start, 10.0, 32)
 
 
 def test_criterion_11_translation_polyad_z3_z4():

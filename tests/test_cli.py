@@ -15,6 +15,8 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from hopfspan import hopf_structures as hs
+from hopfspan import monoidale_duoidal as md
+from hopfspan import spanv_core as sc
 from hopfspan.cli import canonical_json, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -23,6 +25,7 @@ IDEMPOTENT_FILE = str(DATA / "idempotent_monoid.json")
 TORSOR_FILE = str(DATA / "torsor_enriched.json")
 INDISCRETE_FILE = str(DATA / "indiscrete_pair.json")
 PROBES_FILE = str(DATA / "probes.json")
+Z3_FILE = str(DATA / "golden" / "z3_group_algebra.json")
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,36 @@ def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
                          "--format", "json")
     assert code == 0
     assert calls == {"left_fusion": 1, "right_fusion": 1}
+
+
+def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):
+    # The convolution cells are built on leg-matched pairs: no cell is
+    # inverted, and no monoid object is built to read the diagonal labels.
+    calls = {"invert_cell2": 0, "induced_monoidale in a convolution": 0}
+    depth = [0]
+    for module in (sc, md, hs):
+        def counted_invert(*args, _original=module.invert_cell2, **kwargs):
+            calls["invert_cell2"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "invert_cell2", counted_invert)
+
+    def counted_monoidale(*args, _original=md.induced_monoidale, **kwargs):
+        calls["induced_monoidale in a convolution"] += depth[0] > 0
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(md, "induced_monoidale", counted_monoidale)
+    for module, name in ((md, "star1"), (md, "star2"), (hs, "star2")):
+        def tracked(*args, _original=getattr(module, name), **kwargs):
+            depth[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(module, name, tracked)
+    code, _, _ = run_cli(capsys, "check", Z3_FILE, "--opmonoidal",
+                         "--format", "json")
+    assert code == 0
+    assert calls == {"invert_cell2": 0,
+                     "induced_monoidale in a convolution": 0}
 
 
 def test_nongroup_hopf_fails_with_span_witness(capsys):

@@ -8,11 +8,12 @@ from hopfspan.vect_backend import BraidParam, VObject, VMorphism, tensor_obj
 from hopfspan.cat_backend import FinCategory
 from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
-    identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2,
-    left_unitor_cell2, right_unitor_cell2, invert_cell2, eq2,
+    identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2, tensor1, tensor2,
+    relabel_cell2, left_unitor_cell2, right_unitor_cell2, invert_cell2, eq2,
 )
 from hopfspan.monoidale_duoidal import (
-    MonoidaleData, induced_monoidale, check_monoidale, unique_relabel_cell2,
+    MonoidaleData, induced_monoidale, induced_comonoidale, check_monoidale,
+    unique_relabel_cell2,
     opmap_adjunctions, check_adjunction_triangles,
     frobenius_comparison_cells, check_frobenius,
     star1, star2, complete_unit_cell1, star_associator_cell2,
@@ -22,7 +23,9 @@ from hopfspan.monoidale_duoidal import (
     grouplike_comonoid, conjugate_comonoid,
     zunino_braiding, zunino_check,
 )
-from hopfspan.rand import seeded, random_vect_cell1, random_vect_cell2_from
+from hopfspan.rand import (
+    seeded, random_span, random_vect_cell1, random_vect_cell2_from,
+)
 
 V1 = VectBackend(BraidParam(1))
 V2 = VectBackend(BraidParam(2))
@@ -113,7 +116,14 @@ def test_unique_relabel_needs_a_unique_match():
                     {"c1": "*", "c2": "*"})
     with pytest.raises(SpanVError) as err:
         unique_relabel_cell2(identity_cell1(base), doubled)
-    assert "exactly one" in str(err.value)
+    assert str(err.value) == "2 leg matches at 'x0', need exactly one"
+    X = carrier(2)
+    base = vect_base(V1, X)
+    complete = complete_cell1(V1, base, [1, 1, 1, 1])
+    with pytest.raises(SpanVError) as err:
+        unique_relabel_cell2(complete, identity_cell1(base))
+    assert str(err.value) == \
+        "0 leg matches at ('x0', 'x1'), need exactly one"
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +217,125 @@ def test_star_keeps_only_leg_matched_pairs():
                     if b.span.left(c) == a.span.left(h)
                     and b.span.right(c) == a.span.right(h)]
         assert sorted(s.span.apex) == sorted(expected)
+
+
+def whiskered_star(b, a):
+    """The convolution as the whiskered composite m o (b . a) o d of the
+    diagonal monoid and comonoid, its presentation on plain leg-matched
+    pairs, and the relabeling normalizer between the two."""
+    mon = induced_monoidale(b.tgt.carrier, b.backend)
+    com = induced_comonoidale(b.src.carrier, b.backend)
+    composite = hcomp1(hcomp1(mon.m, tensor1(b, a)), com.d)
+    pairs, labels, assignment = [], {}, {}
+    for big in composite.span.apex:
+        ((_, pair), _) = big
+        pairs.append(pair)
+        labels[pair] = composite.label[big]
+        assignment[big] = pair
+    apex = FinSet(pairs)
+    span = Span(a.src.carrier, a.tgt.carrier, apex,
+                FinFn(apex, a.tgt.carrier,
+                      {(c, h): b.span.left(c) for (c, h) in apex}),
+                FinFn(apex, a.src.carrier,
+                      {(c, h): b.span.right(c) for (c, h) in apex}))
+    normalized = Cell1(b.backend, a.src, a.tgt, span, labels)
+    normalizer = relabel_cell2(
+        composite, normalized,
+        SpanMorphism(composite.span, span,
+                     FinFn(composite.span.apex, apex, assignment)))
+    return mon, com, normalized, normalizer
+
+
+def oracle_star2(v, u):
+    """The whiskered 2-cell 1_m o (v . u) o 1_d between normalizers."""
+    mon, com, _, n_source = whiskered_star(v.source, u.source)
+    _, _, _, n_target = whiskered_star(v.target, u.target)
+    big = hcomp2(hcomp2(identity_cell2(mon.m), tensor2(v, u)),
+                 identity_cell2(com.d))
+    return vcomp2(n_target, vcomp2(big, invert_cell2(n_source).inverse))
+
+
+def cat_cell2_into(rng, target):
+    """A random 2-cell into a Cat-labeled 1-cell, reusing the legs and
+    labels of each chosen image element; identity components."""
+    t = target.span
+    n = rng.randint(0, 3) if len(t.apex) else 0
+    apex = FinSet(["s%d" % k for k in range(n)])
+    images = {c: rng.choice(t.apex.elements) for c in apex}
+    span = Span(t.src, t.tgt, apex,
+                FinFn(apex, t.tgt, {c: t.left(images[c]) for c in apex}),
+                FinFn(apex, t.src, {c: t.right(images[c]) for c in apex}))
+    label = {c: target.label[images[c]] for c in apex}
+    source = Cell1(C, target.src, target.tgt, span, label)
+    return Cell2(source, target,
+                 SpanMorphism(span, t, FinFn(apex, t.apex, images)),
+                 {c: C.id2(label[c]) for c in apex})
+
+
+def assert_star_matches_oracle(b, a, v, u, seen):
+    s = star1(b, a)
+    _, _, old, _ = whiskered_star(b, a)
+    assert s.span.apex.elements == old.span.apex.elements
+    for p in old.span.apex:
+        assert s.span.left(p) == old.span.left(p)
+        assert s.span.right(p) == old.span.right(p)
+        assert s.label[p] == old.label[p]
+    assert s == old
+    new2, old2 = star2(v, u), oracle_star2(v, u)
+    assert new2.source == old2.source and new2.target == old2.target
+    assert new2.morphism.map == old2.morphism.map
+    assert eq2(new2, old2)
+    partners = {}
+    for (c, h) in s.span.apex:
+        partners.setdefault(c, []).append(h)
+    if not s.span.apex:
+        seen.add("empty")
+    elif len(partners) < len(b.span.apex):
+        seen.add("partly matched")
+    if sum(len(hs) > 1 for hs in partners.values()) > 1:
+        seen.add("several partners")
+
+
+def test_star_matches_the_whiskered_composite():
+    """star1 gives the normalized composite's apex (order included), legs
+    and labels; star2 its span map and components, without building the
+    composite, the normalizer or its inverse."""
+    rng = seeded(59)
+    seen = set()
+    for q in (1, -1, 2):
+        be = VectBackend(BraidParam(q))
+        for n in (1, 2, 3):
+            base = vect_base(be, carrier(n))
+            for _ in range(8):
+                a, b = [random_vect_cell1(rng, be, base, base, max_apex=4,
+                                          max_dim=2, max_grade=1)
+                        for _ in range(2)]
+                u = random_vect_cell2_from(rng, a, max_dim=2, max_grade=1)
+                v = random_vect_cell2_from(rng, b, max_dim=2, max_grade=1)
+                assert_star_matches_oracle(b, a, v, u, seen)
+                assert_star_matches_oracle(b, a, identity_cell2(b),
+                                           identity_cell2(a), seen)
+    assert seen == {"empty", "partly matched", "several partners"}
+
+
+def test_star_matches_the_whiskered_composite_over_cat():
+    rng = seeded(61)
+    seen = set()
+    for n in (1, 2):
+        X = carrier(n)
+        base = Cell0(C, X, {x: C.unit0() for x in X})
+        for _ in range(8):
+            a, b = [Cell1(C, base, base, span,
+                          {c: C.id1(C.unit0()) for c in span.apex})
+                    for span in (random_span(rng, X, X, 4),
+                                 random_span(rng, X, X, 4))]
+            v, u = cat_cell2_into(rng, b), cat_cell2_into(rng, a)
+            assert_star_matches_oracle(b, a, v, u, seen)
+    assert "several partners" in seen
+    z2 = FinCategory.indiscrete(["u", "v"])
+    wide = identity_cell1(Cell0(C, carrier(1), {"x0": z2}))
+    with pytest.raises(SpanVError):
+        star1(wide, wide)
 
 
 def test_star_units_and_associator_invertible():
