@@ -19,7 +19,7 @@ unique solution of the stacked antipode squares, by the single
 elimination routine vect_backend.row_reduce; a system without a unique
 solution is reported as ("underdetermined", first pivot-free column) or
 ("inconsistent", row).  Each solution is cross-checked against the
-extraction from the inverted left fusion cell.
+extraction from the inverted right fusion cell.
 
 Over the finite-category base the same shape data is a polyad: labels
 are functors and multiplication is natural.  Modules and representations
@@ -31,6 +31,7 @@ the lazy-category backend and re-checks them pointwise on probes.
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cat_backend as cb
 from . import vect_backend as vb
@@ -402,12 +403,12 @@ def _flat(mor):
 def _solve_antipode(p, c):
     """Per-morphism antipode entries as the unique solution of both
     stacked axiom systems, cross-checked against the extraction from the
-    inverted left fusion component.  Keys follow the shape."""
+    inverted right fusion component.  Keys follow the shape."""
     be, d = p.backend, p.shape
     groupoid = cb.is_groupoid(d)
     if not groupoid:
         return None, ("shape not a groupoid", groupoid.witness)
-    fusion = left_fusion(p, c)
+    fusion = right_fusion(p, c)
     sigma = {}
     for h in d.morphisms:
         g = _shape_inverse(d, h)
@@ -434,13 +435,13 @@ def _solve_antipode(p, c):
         entries = [solution[i * lab_h.dim:(i + 1) * lab_h.dim]
                    for i in range(lab_g.dim)]
         solved = vb.VMorphism(lab_h, lab_g, entries)
-        phi = fusion.components[((h, x), (g, x))]
+        phi = fusion.components[((h, x), (x, g))]
         res = vb.invert(phi)
         if not res:
             return None, ("fusion component singular", h, res.witness)
         extracted = be.vcomp(be.tensor2v(c.eps[h], be.id2(lab_g)),
                              be.vcomp(res.inverse,
-                                      be.tensor2v(p.eta[y], one)))
+                                      be.tensor2v(one, p.eta[y])))
         if not be.eq2(extracted, solved):
             return None, ("extraction disagrees with the linear solution", h)
         sigma[h] = solved
@@ -453,7 +454,7 @@ def compute_antipode(pres, c=None):
 
     Two independent routes must agree for every morphism: the unique
     solution of the exact linear system given by both antipode squares,
-    and the candidate extracted from the inverted left fusion component.
+    and the candidate extracted from the inverted right fusion component.
     The optional c overrides the presentation's comonoid structure and is
     keyed by shape morphisms.
     """
@@ -1245,196 +1246,170 @@ def translation_opmonoidal(elements, mul, unit, fiber):
 
 # ---------------------------------------------------------------------------
 # Modules and representations of a polyad, by exhaustive search.
+#
+# Both are actions of the polyad on one fiber object per key.  A module
+# keys its objects by shape object, a representation by shape morphism,
+# sitting over its target.  The keys are the apex of a carrier 1-cell
+# from the unit 0-cell (_restricted_carrier), and each apex point (f, c)
+# of the composite t o carrier is a slot holding one action morphism.
 
 
 @dataclass(frozen=True)
-class PolyadModule:
-    """One fiber object per shape object and one action morphism per
-    shape morphism, stored as aligned pair tuples so modules can serve
-    as atoms of a finite category."""
+class _ActionShape:
+    """Keys with their leg to the shape objects, the slots (f, c) with
+    src(f) == left(c), and out[(f, c)], the key receiving the action."""
 
-    objects: tuple
-    actions: tuple
+    keys: FinSet
+    left: FinFn
+    slots: tuple
+    out: dict
 
-    def obj(self, x):
-        return dict(self.objects)[x]
-
-    def action(self, f):
-        return dict(self.actions)[f]
+    def fiber(self, p, c):
+        return p.base_label[self.left(c)]
 
 
-@dataclass(frozen=True)
-class PolyadRepresentation:
-    """One fiber object per shape morphism and one action morphism per
-    composable pair."""
-
-    objects: tuple
-    actions: tuple
-
-    def obj(self, k):
-        return dict(self.objects)[k]
-
-    def action(self, pair):
-        return dict(self.actions)[pair]
-
-
-def _module_squares_ok(p, q, rho):
+def _action_shape(p, kind):
+    """Modules: the shape objects with the identity leg, and f acting at
+    c lands at tgt(f).  Representations: the shape morphisms with the
+    target leg, and f acting at c lands at f o c.  Slots follow the apex
+    order of hcomp1(t, carrier)."""
     d = p.shape
-    for (f, g) in d.composable_pairs():
-        cat = p.base_label[d.tgt(f)]
-        lhs = cat.compose(rho[d.compose(f, g)],
-                          p.mu[(f, g)].components[q[d.src(g)]])
-        rhs = cat.compose(rho[f], p.mor_label[f].mmap(rho[g]))
-        if lhs != rhs:
-            return False
-    for x in d.objects:
+    if kind == "modules":
+        keys, left = d.objects, FinFn.identity(d.objects)
+        out = lambda f, c: d.tgt(f)
+    elif kind == "representations":
+        keys, left, out = d.morphisms, d.tgt, d.compose
+    else:
+        raise SpanVError("unknown kind %r" % (kind,))
+    slots = tuple((f, c) for f in d.morphisms for c in keys
+                  if left(c) == d.src(f))
+    return _ActionShape(keys, left, slots, {s: out(*s) for s in slots})
+
+
+class PolyadAction(NamedTuple):
+    """A module or representation: one fiber object per key and one
+    action morphism per slot, stored as aligned pair tuples so actions
+    can serve as atoms of a finite category (hashed as a plain tuple)."""
+
+    objects: tuple
+    actions: tuple
+
+    def obj(self, c):
+        return dict(self.objects)[c]
+
+
+def _action_candidates(p, shape):
+    """Each choice q of one fiber object per key, with an iterator over
+    the choices of one fiber hom per slot (f, c), from f applied to q[c]
+    into q[out(f, c)]."""
+    d = p.shape
+    keys = list(shape.keys)
+    for combo in itertools.product(*[list(shape.fiber(p, c).objects)
+                                     for c in keys]):
+        q = dict(zip(keys, combo))
+        pools = [p.base_label[d.tgt(f)].hom(p.mor_label[f].omap(q[c]),
+                                            q[shape.out[(f, c)]])
+                 for (f, c) in shape.slots]
+        yield q, (dict(zip(shape.slots, acts))
+                  for acts in itertools.product(*pools))
+
+
+def _arrow_candidates(p, shape, a, b):
+    """Each family of one fiber hom per key from a's object to b's."""
+    keys = list(shape.keys)
+    for combo in itertools.product(*[shape.fiber(p, c).hom(a.obj(c),
+                                                           b.obj(c))
+                                     for c in keys]):
+        yield tuple(zip(keys, combo))
+
+
+def _action_of(shape, q, rho):
+    return PolyadAction(tuple((c, q[c]) for c in shape.keys),
+                        tuple((s, rho[s]) for s in shape.slots))
+
+
+def _action_laws_hold(p, shape, q, rho):
+    """Associativity at every slot (g, c) and every f after g, and the
+    unit at every key, each composed in a fiber."""
+    d = p.shape
+    after = d.morphisms_by(d.src)
+    for (g, c) in shape.slots:
+        for f in after.get(d.tgt(g), ()):
+            cat = p.base_label[d.tgt(f)]
+            lhs = cat.compose(rho[(d.compose(f, g), c)],
+                              p.mu[(f, g)].components[q[c]])
+            rhs = cat.compose(rho[(f, shape.out[(g, c)])],
+                              p.mor_label[f].mmap(rho[(g, c)]))
+            if lhs != rhs:
+                return False
+    for c in shape.keys:
+        x = shape.left(c)
         cat = p.base_label[x]
-        if cat.compose(rho[d.identities(x)], p.eta[x].components[q[x]]) != \
-                cat.identities(q[x]):
+        if cat.compose(rho[(d.identities(x), c)],
+                       p.eta[x].components[q[c]]) != cat.identities(q[c]):
             return False
     return True
 
 
-def _module_morphism_ok(p, a, b, chi):
+def _action_morphism_ok(p, shape, a, b, chi):
     d = p.shape
-    for g in d.morphisms:
+    rho_a, rho_b = dict(a.actions), dict(b.actions)
+    for (g, c) in shape.slots:
         cat = p.base_label[d.tgt(g)]
-        if cat.compose(b.action(g), p.mor_label[g].mmap(chi[d.src(g)])) != \
-                cat.compose(chi[d.tgt(g)], a.action(g)):
+        if cat.compose(rho_b[(g, c)], p.mor_label[g].mmap(chi[c])) != \
+                cat.compose(chi[shape.out[(g, c)]], rho_a[(g, c)]):
             return False
     return True
+
+
+def _enumerate_actions(p, kind):
+    """Exhaustive search for actions and their morphisms; returns the
+    finite category they form, revalidated on construction."""
+    shape = _action_shape(p, kind)
+    actions = [_action_of(shape, q, rho)
+               for q, rhos in _action_candidates(p, shape) for rho in rhos
+               if _action_laws_hold(p, shape, q, rho)]
+    arrows = [(a, b, chi) for a in actions for b in actions
+              for chi in _arrow_candidates(p, shape, a, b)
+              if _action_morphism_ok(p, shape, a, b, dict(chi))]
+    return _category_of_actions(p, shape, actions, arrows)
 
 
 def enumerate_modules(p):
-    """Exhaustive search for modules and their morphisms; returns the
-    finite category they form, revalidated on construction."""
-    d = p.shape
-    objs, mors = list(d.objects), list(d.morphisms)
-    modules = []
-    for combo in itertools.product(*[list(p.base_label[x].objects)
-                                     for x in objs]):
-        q = dict(zip(objs, combo))
-        pools = []
-        for f in mors:
-            cat = p.base_label[d.tgt(f)]
-            pools.append(cat.hom(p.mor_label[f].omap(q[d.src(f)]),
-                                 q[d.tgt(f)]))
-        for acts in itertools.product(*pools):
-            rho = dict(zip(mors, acts))
-            if _module_squares_ok(p, q, rho):
-                modules.append(PolyadModule(
-                    tuple((x, q[x]) for x in objs),
-                    tuple((f, rho[f]) for f in mors)))
-    arrows = []
-    for a in modules:
-        for b in modules:
-            pools = [p.base_label[x].hom(a.obj(x), b.obj(x)) for x in objs]
-            for combo in itertools.product(*pools):
-                chi = dict(zip(objs, combo))
-                if _module_morphism_ok(p, a, b, chi):
-                    arrows.append((a, b, tuple((x, chi[x]) for x in objs)))
-    return _category_of_actions(p, modules, arrows, objs)
-
-
-def _representation_squares_ok(p, w, rho):
-    d = p.shape
-    for (g, k) in d.composable_pairs():
-        for f in d.morphisms:
-            if d.src(f) != d.tgt(g):
-                continue
-            cat = p.base_label[d.tgt(f)]
-            lhs = cat.compose(rho[(d.compose(f, g), k)],
-                              p.mu[(f, g)].components[w[k]])
-            rhs = cat.compose(rho[(f, d.compose(g, k))],
-                              p.mor_label[f].mmap(rho[(g, k)]))
-            if lhs != rhs:
-                return False
-    for k in d.morphisms:
-        cat = p.base_label[d.tgt(k)]
-        e = d.identities(d.tgt(k))
-        if cat.compose(rho[(e, k)], p.eta[d.tgt(k)].components[w[k]]) != \
-                cat.identities(w[k]):
-            return False
-    return True
-
-
-def _representation_morphism_ok(p, a, b, phi):
-    d = p.shape
-    for (g, k) in d.composable_pairs():
-        cat = p.base_label[d.tgt(g)]
-        if cat.compose(b.action((g, k)),
-                       p.mor_label[g].mmap(phi[k])) != \
-                cat.compose(phi[d.compose(g, k)], a.action((g, k))):
-            return False
-    return True
+    """Modules: one fiber object per shape object, acted on along every
+    shape morphism."""
+    return _enumerate_actions(p, "modules")
 
 
 def enumerate_representations(p):
-    """Exhaustive search for representations, one fiber object per shape
-    morphism, acted on along composition."""
-    d = p.shape
-    mors = list(d.morphisms)
-    pairs = d.composable_pairs()
-    reps = []
-    for combo in itertools.product(*[list(p.base_label[d.tgt(k)].objects)
-                                     for k in mors]):
-        w = dict(zip(mors, combo))
-        pools = []
-        for (g, k) in pairs:
-            cat = p.base_label[d.tgt(g)]
-            pools.append(cat.hom(p.mor_label[g].omap(w[k]),
-                                 w[d.compose(g, k)]))
-        for acts in itertools.product(*pools):
-            rho = dict(zip(pairs, acts))
-            if _representation_squares_ok(p, w, rho):
-                reps.append(PolyadRepresentation(
-                    tuple((k, w[k]) for k in mors),
-                    tuple((pair, rho[pair]) for pair in pairs)))
-    arrows = []
-    for a in reps:
-        for b in reps:
-            pools = [p.base_label[d.tgt(k)].hom(a.obj(k), b.obj(k))
-                     for k in mors]
-            for combo in itertools.product(*pools):
-                phi = dict(zip(mors, combo))
-                if _representation_morphism_ok(p, a, b, phi):
-                    arrows.append((a, b, tuple((k, phi[k]) for k in mors)))
-    return _category_of_actions(p, reps, arrows, mors)
+    """Representations: one fiber object per shape morphism, acted on
+    along composition."""
+    return _enumerate_actions(p, "representations")
 
 
-def _component_cat(p, kind, key):
-    if kind == "modules":
-        return p.base_label[key]
-    return p.base_label[p.shape.tgt(key)]
-
-
-def _category_of_actions(p, objects, arrows, keys):
-    """Assemble enumerated action carriers and componentwise morphisms
+def _category_of_actions(p, shape, objects, arrows):
+    """Assemble actions and their morphisms, one fiber morphism per key,
     into a finite category."""
     objects_f = FinSet(objects)
     morphisms_f = FinSet(arrows)
-    kind = "modules" if objects and isinstance(objects[0], PolyadModule) \
-        else "representations"
-    if not objects:
-        kind = "modules" if keys == list(p.shape.objects) else \
-            "representations"
-    src = FinFn(morphisms_f, objects_f, {m: m[0] for m in arrows})
-    tgt = FinFn(morphisms_f, objects_f, {m: m[1] for m in arrows})
-    identities = {}
-    for a in objects:
-        identities[a] = (a, a, tuple(
-            (c, _component_cat(p, kind, c).identities(a.obj(c)))
-            for c in keys))
+    identities = {a: (a, a, tuple((c, shape.fiber(p, c).identities(x))
+                                  for (c, x) in a.objects))
+                  for a in objects}
+    into = {}
+    for m1 in arrows:
+        into.setdefault(m1[1], []).append(m1)
     composition = {}
     for m2 in arrows:
-        for m1 in arrows:
-            if m1[1] != m2[0]:
-                continue
-            left, right = dict(m2[2]), dict(m1[2])
+        left = dict(m2[2])
+        for m1 in into.get(m2[0], ()):
             composition[(m2, m1)] = (m1[0], m2[1], tuple(
-                (c, _component_cat(p, kind, c).compose(left[c], right[c]))
-                for c in keys))
-    return cb.FinCategory(objects_f, morphisms_f, src, tgt,
+                (c, shape.fiber(p, c).compose(left[c], right))
+                for (c, right) in m1[2]))
+    return cb.FinCategory(objects_f, morphisms_f,
+                          FinFn(morphisms_f, objects_f,
+                                {m: m[0] for m in arrows}),
+                          FinFn(morphisms_f, objects_f,
+                                {m: m[1] for m in arrows}),
                           FinFn(objects_f, morphisms_f, identities),
                           composition)
 
@@ -1453,43 +1428,28 @@ class RestrictedAlgebraComparison:
     report: CheckReport
 
 
-def _restricted_carrier(p, kind, labels):
-    """The 1-cell from the unit 0-cell whose apex picks one fiber object
-    per shape object (modules) or per shape morphism
-    (representations)."""
+def _restricted_carrier(p, shape, q):
+    """The 1-cell from the unit 0-cell whose apex is the keys, with the
+    point functor at q[c] as the label at c."""
     be, d = p.backend, p.shape
     one0 = unit_cell0(be)
-    if kind == "modules":
-        apex, left = d.objects, FinFn.identity(d.objects)
-    else:
-        apex, left = d.morphisms, d.tgt
-    span = Span(one0.carrier, d.objects, apex,
-                left, FinFn.constant(apex, one0.carrier, "*"))
-    label = {c: _point_functor(_component_cat(p, kind, c), labels[c])
-             for c in apex}
+    span = Span(one0.carrier, d.objects, shape.keys, shape.left,
+                FinFn.constant(shape.keys, one0.carrier, "*"))
+    label = {c: _point_functor(shape.fiber(p, c), q[c]) for c in shape.keys}
     return Cell1(be, one0, p.carrier(), span, label)
 
 
-def _algebra_cell(p, kind, t, carrier1, comps):
-    """The action 2-cell over the restricted carrier; for modules the
-    span map is forced by the legs, for representations it is fixed to
-    composition."""
-    d = p.shape
-    composite = hcomp1(t, carrier1)
-    if kind == "modules":
-        mapping = {(f, x): d.tgt(f) for (f, x) in composite.span.apex}
-    else:
-        mapping = {(g, k): d.compose(g, k)
-                   for (g, k) in composite.span.apex}
+def _algebra_cell(shape, composite, carrier1, rho):
+    """The action 2-cell from composite = t o carrier1 to carrier1,
+    sending slot s to out[s] with component rho[s]."""
     morphism = SpanMorphism(composite.span, carrier1.span,
                             FinFn(composite.span.apex, carrier1.span.apex,
-                                  mapping))
-    cell_comps = {
-        atom: cb.NatTransData(composite.label[atom],
-                              carrier1.label[morphism.map(atom)],
-                              {"*": comps[atom]})
-        for atom in composite.span.apex}
-    return Cell2(composite, carrier1, morphism, cell_comps)
+                                  {s: shape.out[s]
+                                   for s in composite.span.apex}))
+    comps = {s: cb.NatTransData(composite.label[s],
+                                carrier1.label[shape.out[s]], {"*": rho[s]})
+             for s in composite.span.apex}
+    return Cell2(composite, carrier1, morphism, comps)
 
 
 def _algebra_laws_hold(t, mu2, eta2, q, xi):
@@ -1502,129 +1462,74 @@ def _algebra_laws_hold(t, mu2, eta2, q, xi):
     return bool(eq2(unit, left_unitor_cell2(q)))
 
 
+def _inclusion_functor(src, tgt):
+    return cb.FunctorData(
+        src, tgt, FinFn(src.objects, tgt.objects, {x: x for x in src.objects}),
+        FinFn(src.morphisms, tgt.morphisms, {m: m for m in src.morphisms}))
+
+
 def em_algebras_restricted(p, kind="modules"):
     """Algebras over restricted carrier 1-cells, with both laws checked
     as 2-cell equations, compared with the enumerated category through a
     validated functor pair in each direction.
 
-    For representations the carrier morphisms are restricted to the
-    identity reindexing of the apex, matching the enumerated morphisms,
-    which are one component per shape morphism.
+    The carrier morphisms are restricted to the identity reindexing of
+    the apex, matching the enumerated morphisms, which are one component
+    per key.  Both sides take their candidates from _action_candidates
+    and _arrow_candidates, but decide them independently: the search in
+    the fibers, the algebras with eq2 on assembled 2-cells.
     """
-    if kind not in ("modules", "representations"):
-        raise SpanVError("unknown kind %r" % (kind,))
-    be, d = p.backend, p.shape
-    if not isinstance(be, CatBackend):
+    shape = _action_shape(p, kind)
+    if not isinstance(p.backend, CatBackend):
         raise SpanVError("restricted algebras live over the finite-"
                          "category base")
     t, mu2, eta2 = monad_cells(p)
-    keys = list(d.objects) if kind == "modules" else list(d.morphisms)
     algebras = []
-    for combo in itertools.product(*[list(_component_cat(p, kind, c).objects)
-                                     for c in keys]):
-        labels = dict(zip(keys, combo))
-        carrier1 = _restricted_carrier(p, kind, labels)
+    for q, rhos in _action_candidates(p, shape):
+        carrier1 = _restricted_carrier(p, shape, q)
         composite = hcomp1(t, carrier1)
-        atoms = list(composite.span.apex)
-        pools = []
-        for atom in atoms:
-            f, c = atom
-            cat = p.base_label[d.tgt(f)]
-            cod = labels[d.tgt(f)] if kind == "modules" \
-                else labels[d.compose(f, c)]
-            pools.append(cat.hom(p.mor_label[f].omap(labels[c]), cod))
-        for acts in itertools.product(*pools):
-            comps = dict(zip(atoms, acts))
-            xi = _algebra_cell(p, kind, t, carrier1, comps)
-            if not _algebra_laws_hold(t, mu2, eta2, carrier1, xi):
-                continue
-            algebras.append((("algebra",
-                              tuple((c, labels[c]) for c in keys),
-                              tuple((a, comps[a]) for a in atoms)),
-                             carrier1, xi))
+        for rho in rhos:
+            xi = _algebra_cell(shape, composite, carrier1, rho)
+            if _algebra_laws_hold(t, mu2, eta2, carrier1, xi):
+                algebras.append((_action_of(shape, q, rho), carrier1, xi))
     arrows = []
-    for (a_atom, a_q, a_xi) in algebras:
-        a_labels = dict(a_atom[1])
-        for (b_atom, b_q, b_xi) in algebras:
-            b_labels = dict(b_atom[1])
-            pools = [_component_cat(p, kind, c).hom(a_labels[c], b_labels[c])
-                     for c in keys]
-            for combo in itertools.product(*pools):
-                comps = dict(zip(keys, combo))
-                chi = Cell2(a_q, b_q,
-                            SpanMorphism(a_q.span, b_q.span,
-                                         FinFn.identity(a_q.span.apex)),
-                            {c: cb.NatTransData(a_q.label[c], b_q.label[c],
-                                                {"*": comps[c]})
-                             for c in keys})
-                if eq2(vcomp2(b_xi, hcomp2(identity_cell2(t), chi)),
-                       vcomp2(chi, a_xi)):
-                    arrows.append((a_atom, b_atom,
-                                   tuple((c, comps[c]) for c in keys)))
-    atoms_only = [a for (a, _, _) in algebras]
-    objects_f = FinSet(atoms_only)
-    morphisms_f = FinSet(arrows)
-    identities = {a: (a, a, tuple(
-        (c, _component_cat(p, kind, c).identities(dict(a[1])[c]))
-        for c in keys)) for a in atoms_only}
-    composition = {}
-    for m2 in arrows:
-        for m1 in arrows:
-            if m1[1] != m2[0]:
-                continue
-            left, right = dict(m2[2]), dict(m1[2])
-            composition[(m2, m1)] = (m1[0], m2[1], tuple(
-                (c, _component_cat(p, kind, c).compose(left[c], right[c]))
-                for c in keys))
-    algebra_cat = cb.FinCategory(
-        objects_f, morphisms_f,
-        FinFn(morphisms_f, objects_f, {m: m[0] for m in arrows}),
-        FinFn(morphisms_f, objects_f, {m: m[1] for m in arrows}),
-        FinFn(objects_f, morphisms_f, identities),
-        composition)
-    enumerated = enumerate_modules(p) if kind == "modules" \
-        else enumerate_representations(p)
+    for (a, a_q, a_xi) in algebras:
+        for (b, b_q, b_xi) in algebras:
+            for chi in _arrow_candidates(p, shape, a, b):
+                cell = Cell2(a_q, b_q,
+                             SpanMorphism(a_q.span, b_q.span,
+                                          FinFn.identity(a_q.span.apex)),
+                             {c: cb.NatTransData(a_q.label[c], b_q.label[c],
+                                                 {"*": m})
+                              for (c, m) in chi})
+                if eq2(vcomp2(b_xi, hcomp2(identity_cell2(t), cell)),
+                       vcomp2(cell, a_xi)):
+                    arrows.append((a, b, chi))
+    algebra_cat = _category_of_actions(p, shape, [a for (a, _, _) in algebras],
+                                       arrows)
+    enumerated = _enumerate_actions(p, kind)
     report = CheckReport("restricted algebras (%s)" % kind)
-    if len(list(enumerated.objects)) != len(atoms_only):
-        report.fail("object count",
-                    (len(list(enumerated.objects)), len(atoms_only)))
-    if len(list(enumerated.morphisms)) != len(arrows):
+    if len(enumerated.objects) != len(algebras):
+        report.fail("object count", (len(enumerated.objects), len(algebras)))
+    if len(enumerated.morphisms) != len(arrows):
         report.fail("morphism count",
-                    (len(list(enumerated.morphisms)), len(arrows)))
+                    (len(enumerated.morphisms), len(arrows)))
     forward = backward = None
     if report.ok:
-        omap, omap_back = {}, {}
-        for m in enumerated.objects:
-            if kind == "modules":
-                atom = ("algebra", m.objects,
-                        tuple(((f, d.src(f)), rho) for (f, rho) in m.actions))
-            else:
-                atom = ("algebra", m.objects, m.actions)
-            if atom not in objects_f:
-                report.fail("object missing on the algebra side", m)
-                break
-            omap[m] = atom
-            omap_back[atom] = m
+        missing = [m for m in enumerated.objects
+                   if m not in algebra_cat.objects]
+        if missing:
+            report.fail("object missing on the algebra side", missing[0])
+        elif set(enumerated.morphisms) != set(arrows):
+            report.fail("morphism mismatch", None)
         else:
-            mmap = {m: (omap[m[0]], omap[m[1]], m[2])
-                    for m in enumerated.morphisms}
-            mmap_back = {v: k for k, v in mmap.items()}
-            if set(mmap.values()) != set(arrows):
-                report.fail("morphism mismatch", None)
-            else:
-                forward = cb.FunctorData(
-                    enumerated, algebra_cat,
-                    FinFn(enumerated.objects, objects_f, omap),
-                    FinFn(enumerated.morphisms, morphisms_f, mmap))
-                backward = cb.FunctorData(
-                    algebra_cat, enumerated,
-                    FinFn(objects_f, enumerated.objects, omap_back),
-                    FinFn(morphisms_f, enumerated.morphisms, mmap_back))
-                if forward.then(backward) != \
-                        cb.FunctorData.identity(enumerated) or \
-                        backward.then(forward) != \
-                        cb.FunctorData.identity(algebra_cat):
-                    report.fail("functor pair does not invert", kind)
+            forward = _inclusion_functor(enumerated, algebra_cat)
+            backward = _inclusion_functor(algebra_cat, enumerated)
+            if forward.then(backward) != \
+                    cb.FunctorData.identity(enumerated) or \
+                    backward.then(forward) != \
+                    cb.FunctorData.identity(algebra_cat):
+                report.fail("functor pair does not invert", kind)
     return RestrictedAlgebraComparison(kind, algebra_cat, enumerated,
                                        forward, backward, report)
 

@@ -71,63 +71,46 @@ def _reshape_label(be, src_label, tgt_label, fn):
     return be.id1(src_label)
 
 
-def tensor_associator_cell1(x, y, z):
-    """The regrouping 1-cell (x . y) . z -> x . (y . z).
+def _regroup_cell1(src, tgt, fn):
+    """The 1-cell src -> tgt along a carrier regrouping fn.
 
-    Its span has the source carrier as apex, identity right leg, and the
-    regrouping bijection as left leg; each label is the corresponding
-    reshuffle of base labels.
+    Its span has the source carrier as apex, identity right leg, and fn
+    as left leg; each label is the corresponding reshuffle of base
+    labels.
     """
-    be = x.backend
-    src = tensor0(tensor0(x, y), z)
-    tgt = tensor0(x, tensor0(y, z))
-    fn = lambda t: (t[0][0], (t[0][1], t[1]))
+    be = src.backend
     left = FinFn(src.carrier, tgt.carrier, {c: fn(c) for c in src.carrier})
     span = Span(src.carrier, tgt.carrier, src.carrier,
                 left, FinFn.identity(src.carrier))
     label = {c: _reshape_label(be, src.label[c], tgt.label[fn(c)], fn)
              for c in src.carrier}
     return Cell1(be, src, tgt, span, label)
+
+
+def tensor_associator_cell1(x, y, z):
+    """The regrouping 1-cell (x . y) . z -> x . (y . z)."""
+    return _regroup_cell1(tensor0(tensor0(x, y), z),
+                          tensor0(x, tensor0(y, z)),
+                          lambda t: (t[0][0], (t[0][1], t[1])))
 
 
 def tensor_associator_inv_cell1(x, y, z):
     """The regrouping 1-cell x . (y . z) -> (x . y) . z."""
-    be = x.backend
-    src = tensor0(x, tensor0(y, z))
-    tgt = tensor0(tensor0(x, y), z)
-    fn = lambda t: ((t[0], t[1][0]), t[1][1])
-    left = FinFn(src.carrier, tgt.carrier, {c: fn(c) for c in src.carrier})
-    span = Span(src.carrier, tgt.carrier, src.carrier,
-                left, FinFn.identity(src.carrier))
-    label = {c: _reshape_label(be, src.label[c], tgt.label[fn(c)], fn)
-             for c in src.carrier}
-    return Cell1(be, src, tgt, span, label)
+    return _regroup_cell1(tensor0(x, tensor0(y, z)),
+                          tensor0(tensor0(x, y), z),
+                          lambda t: ((t[0], t[1][0]), t[1][1]))
 
 
 def tensor_left_unitor_cell1(x):
     """The projection 1-cell K . x -> x."""
-    be = x.backend
-    src = tensor0(unit_cell0(be), x)
-    fn = lambda t: t[1]
-    left = FinFn(src.carrier, x.carrier, {c: fn(c) for c in src.carrier})
-    span = Span(src.carrier, x.carrier, src.carrier,
-                left, FinFn.identity(src.carrier))
-    label = {c: _reshape_label(be, src.label[c], x.label[fn(c)], fn)
-             for c in src.carrier}
-    return Cell1(be, src, x, span, label)
+    return _regroup_cell1(tensor0(unit_cell0(x.backend), x), x,
+                          lambda t: t[1])
 
 
 def tensor_right_unitor_cell1(x):
     """The projection 1-cell x . K -> x."""
-    be = x.backend
-    src = tensor0(x, unit_cell0(be))
-    fn = lambda t: t[0]
-    left = FinFn(src.carrier, x.carrier, {c: fn(c) for c in src.carrier})
-    span = Span(src.carrier, x.carrier, src.carrier,
-                left, FinFn.identity(src.carrier))
-    label = {c: _reshape_label(be, src.label[c], x.label[fn(c)], fn)
-             for c in src.carrier}
-    return Cell1(be, src, x, span, label)
+    return _regroup_cell1(tensor0(x, unit_cell0(x.backend)), x,
+                          lambda t: t[0])
 
 
 def unique_relabel_cell2(source, target):

@@ -90,9 +90,6 @@ class Backend:
     def mid4(self, p, q, r, s):
         raise NotImplementedError
 
-    def mid4_inv(self, p, q, r, s):
-        raise NotImplementedError
-
     def invert2(self, f):
         """Return (inverse, witness): inverse is None when not invertible."""
         raise NotImplementedError
@@ -158,12 +155,6 @@ class VectBackend(Backend):
         return vb.tensor_mor(
             vb.VMorphism.identity(p),
             vb.tensor_mor(vb.braiding(q, r, self.q), vb.VMorphism.identity(s)))
-
-    def mid4_inv(self, p, q, r, s):
-        c_inv = vb.invert(vb.braiding(q, r, self.q)).inverse
-        return vb.tensor_mor(
-            vb.VMorphism.identity(p),
-            vb.tensor_mor(c_inv, vb.VMorphism.identity(s)))
 
     def invert2(self, f):
         res = vb.invert(f)
@@ -237,8 +228,6 @@ class CatBackend(Backend):
         if composite != other:
             raise SpanVError("interchange is not strict on %r" % ((p, q, r, s),))
         return cb.NatTransData.identity(composite)
-
-    mid4_inv = mid4
 
     def invert2(self, f):
         verdict = cb.nat_is_iso(f)

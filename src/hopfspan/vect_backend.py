@@ -39,8 +39,6 @@ depend on the pivoting order.
 from dataclasses import dataclass
 from fractions import Fraction
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -26,6 +26,7 @@ TORSOR_FILE = str(DATA / "torsor_enriched.json")
 INDISCRETE_FILE = str(DATA / "indiscrete_pair.json")
 PROBES_FILE = str(DATA / "probes.json")
 Z3_FILE = str(DATA / "golden" / "z3_group_algebra.json")
+H4_FILE = str(DATA / "golden" / "h4_sweedler.json")
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +293,33 @@ def test_antipode_solves_the_torsor_family(capsys, tmp_path):
     sigma = json.loads(out)["sigma"]
     doc = load_doc("torsor_enriched.json")
     assert sigma == doc["antipode"]
+
+
+def test_antipode_solves_sweedlers_h4(capsys):
+    # S(x) = -gx and S(gx) = x; the antipode of the co-opposite (S^-1)
+    # sends x to gx instead, so an extraction from the wrong fusion side
+    # disagrees with the linear solution here.
+    code, out, _ = run_cli(capsys, "antipode", H4_FILE, "--format", "json")
+    assert code == 0
+    sigma = json.loads(out)["sigma"]
+    doc = json.loads(pathlib.Path(H4_FILE).read_text())
+    assert sigma == doc["antipode"]
+    assert [row[2] for row in sigma["e"]] == ["0", "0", "0", "-1"]
+    assert [row[3] for row in sigma["e"]] == ["0", "0", "1", "0"]
+
+
+def test_h4_inverse_antipode_fails_both_squares(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(H4_FILE).read_text())
+    inverse = [[str(-int(v)) if i >= 2 else v for v in row]
+               for i, row in enumerate(doc["antipode"]["e"])]
+    assert inverse[2][3] == "-1" and inverse[3][2] == "1"
+    doc["antipode"]["e"] = inverse
+    code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, doc),
+                           "--antipode", "--duoidal", "--format", "json")
+    assert code == 1
+    for check in json.loads(out)["checks"]:
+        laws = [law for (law, _) in check["failures"]]
+        assert laws == ["(1, sigma) square", "(sigma, 1) square"], check
 
 
 def test_antipode_fails_off_groups(capsys):

@@ -15,7 +15,12 @@ plus four variants kept next to the reports:
   as null) and some are singular;
 * ``z3_group_algebra.json``: the ungraded group algebra of Z_3, whose
   labels are three-dimensional and whose fusion cells have 9 components
-  on each side.
+  on each side;
+* ``h4_sweedler.json``: Sweedler's four-dimensional Hopf algebra H_4
+  (basis 1, g, x, gx; g^2 = 1, x^2 = 0, xg = -gx, Delta x = x (x) 1 +
+  g (x) x) on a one-element monoid, with explicit delta and eps and its
+  antipode S(x) = -gx, S(gx) = x.  It is not grouplike and S^2 is not
+  the identity, so S differs from the antipode of the co-opposite.
 """
 
 import json
@@ -45,6 +50,10 @@ CASES = {
     "check_z3_group_algebra.json": ["check", GOLDEN / "z3_group_algebra.json"],
     "antipode_z3_group_algebra.json": ["antipode",
                                        GOLDEN / "z3_group_algebra.json"],
+    "check_h4_sweedler.json": ["check", GOLDEN / "h4_sweedler.json"],
+    "check_hopf_h4_sweedler.json": ["check", GOLDEN / "h4_sweedler.json",
+                                    "--hopf"],
+    "antipode_h4_sweedler.json": ["antipode", GOLDEN / "h4_sweedler.json"],
 }
 
 

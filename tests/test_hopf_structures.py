@@ -31,6 +31,10 @@ from hopfspan.hopf_structures import (
 Z2 = (["e", "b"],
       {("e", "e"): "e", ("e", "b"): "b", ("b", "e"): "b", ("b", "b"): "e"},
       "e")
+IDEMPOTENT = (["e", "z"],
+              {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z",
+               ("z", "z"): "z"},
+              "e")
 
 
 def permutation_sign(order, mapping):
@@ -551,21 +555,58 @@ EXPECTED_COUNTS = {
     ("translation", "indiscrete", "representations"): (4, 16),
 }
 
+# The identity polyad over the indiscrete shape on two objects x, y.
+# Over the discrete fiber an action along x -> y forces equal objects at
+# x and y (two modules), and a representation's object at a morphism
+# depends only on its source (four).  Over the indiscrete fiber every
+# pair of objects is a module, with one morphism between any two.
+PAIR_COUNTS = {
+    ("pair", "discrete", "modules"): (2, 2),
+    ("pair", "discrete", "representations"): (4, 4),
+    ("pair", "indiscrete", "modules"): (4, 16),
+}
+# The identity polyad over Z_2 on the idempotent monoid {e, z} as a
+# one-object fiber, whose endomorphisms let an action be z.  The laws
+# make every action e; without the unit square, acting by z everywhere
+# would pass too.  Any endomorphism is a morphism of actions by e.
+ENDOMORPHISM_COUNTS = {
+    ("identity", "endomorphisms", "modules"): (1, 2),
+    ("identity", "endomorphisms", "representations"): (1, 2),
+}
+COUNTS = {**EXPECTED_COUNTS, **PAIR_COUNTS, **ENDOMORPHISM_COUNTS}
+
+
+def identity_polyad_over(shape, cat):
+    """Every label the identity functor on cat, over any shape."""
+    ident = FunctorData.identity(cat)
+    one = NatTransData.identity(ident)
+    return MonadPresentation(
+        CatBackend(), shape, {x: cat for x in shape.objects},
+        {h: ident for h in shape.morphisms},
+        {pair: one for pair in shape.composable_pairs()},
+        {x: one for x in shape.objects})
+
 
 def polyad_fixture(name, fiber_kind):
+    if fiber_kind == "endomorphisms":
+        return identity_polyad_over(FinCategory.from_monoid(*Z2),
+                                    FinCategory.from_monoid(*IDEMPOTENT))
     fiber = discrete_monoidal_group(*Z2) if fiber_kind == "discrete" \
         else indiscrete_monoidal_group(*Z2)
     if name == "identity":
         return identity_polyad(*Z2, fiber).monad
+    if name == "pair":
+        return identity_polyad_over(FinCategory.indiscrete(["x", "y"]),
+                                    fiber.cat)
     return translation_polyad(*Z2, fiber)
 
 
-@pytest.mark.parametrize("name,fiber_kind,kind", list(EXPECTED_COUNTS))
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
 def test_enumeration_counts(name, fiber_kind, kind):
     p = polyad_fixture(name, fiber_kind)
     cat = enumerate_modules(p) if kind == "modules" \
         else enumerate_representations(p)
-    objs, mors = EXPECTED_COUNTS[(name, fiber_kind, kind)]
+    objs, mors = COUNTS[(name, fiber_kind, kind)]
     assert len(list(cat.objects)) == objs
     assert len(list(cat.morphisms)) == mors
 
@@ -578,12 +619,12 @@ def test_translation_representations_satisfy_the_orbit_relation():
         assert w["b"] == Z2[1][("b", w["e"])]
 
 
-@pytest.mark.parametrize("name,fiber_kind,kind", list(EXPECTED_COUNTS))
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
 def test_restricted_algebras_match_enumeration(name, fiber_kind, kind):
     p = polyad_fixture(name, fiber_kind)
     cmp = em_algebras_restricted(p, kind)
     assert cmp.report.ok, cmp.report.summary()
-    objs, mors = EXPECTED_COUNTS[(name, fiber_kind, kind)]
+    objs, mors = COUNTS[(name, fiber_kind, kind)]
     assert len(list(cmp.algebras.objects)) == objs
     assert len(list(cmp.algebras.morphisms)) == mors
     assert cmp.forward is not None and cmp.backward is not None
@@ -596,6 +637,242 @@ def test_restricted_algebras_reject_the_graded_base():
     with pytest.raises(SpanVError) as err:
         em_algebras_restricted(p)
     assert "finite-category base" in str(err.value)
+
+
+def test_restricted_algebras_reject_unknown_kinds():
+    with pytest.raises(SpanVError) as err:
+        em_algebras_restricted(polyad_fixture("identity", "discrete"),
+                               "comodules")
+    assert "unknown kind" in str(err.value)
+
+
+# The per-kind enumeration that the single action enumeration replaced,
+# kept as its oracle: one record and two law checkers per kind, module
+# actions keyed by shape morphism.
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleModule:
+    objects: tuple
+    actions: tuple
+
+    def obj(self, x):
+        return dict(self.objects)[x]
+
+    def action(self, f):
+        return dict(self.actions)[f]
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleRepresentation:
+    objects: tuple
+    actions: tuple
+
+    def obj(self, k):
+        return dict(self.objects)[k]
+
+    def action(self, pair):
+        return dict(self.actions)[pair]
+
+
+def oracle_module_squares_ok(p, q, rho):
+    d = p.shape
+    for (f, g) in d.composable_pairs():
+        cat = p.base_label[d.tgt(f)]
+        lhs = cat.compose(rho[d.compose(f, g)],
+                          p.mu[(f, g)].components[q[d.src(g)]])
+        rhs = cat.compose(rho[f], p.mor_label[f].mmap(rho[g]))
+        if lhs != rhs:
+            return False
+    for x in d.objects:
+        cat = p.base_label[x]
+        if cat.compose(rho[d.identities(x)], p.eta[x].components[q[x]]) != \
+                cat.identities(q[x]):
+            return False
+    return True
+
+
+def oracle_module_morphism_ok(p, a, b, chi):
+    d = p.shape
+    for g in d.morphisms:
+        cat = p.base_label[d.tgt(g)]
+        if cat.compose(b.action(g), p.mor_label[g].mmap(chi[d.src(g)])) != \
+                cat.compose(chi[d.tgt(g)], a.action(g)):
+            return False
+    return True
+
+
+def oracle_enumerate_modules(p):
+    d = p.shape
+    objs, mors = list(d.objects), list(d.morphisms)
+    modules = []
+    for combo in itertools.product(*[list(p.base_label[x].objects)
+                                     for x in objs]):
+        q = dict(zip(objs, combo))
+        pools = []
+        for f in mors:
+            cat = p.base_label[d.tgt(f)]
+            pools.append(cat.hom(p.mor_label[f].omap(q[d.src(f)]),
+                                 q[d.tgt(f)]))
+        for acts in itertools.product(*pools):
+            rho = dict(zip(mors, acts))
+            if oracle_module_squares_ok(p, q, rho):
+                modules.append(OracleModule(
+                    tuple((x, q[x]) for x in objs),
+                    tuple((f, rho[f]) for f in mors)))
+    arrows = []
+    for a in modules:
+        for b in modules:
+            pools = [p.base_label[x].hom(a.obj(x), b.obj(x)) for x in objs]
+            for combo in itertools.product(*pools):
+                chi = dict(zip(objs, combo))
+                if oracle_module_morphism_ok(p, a, b, chi):
+                    arrows.append((a, b, tuple((x, chi[x]) for x in objs)))
+    return oracle_category(p, modules, arrows, objs, lambda x: x)
+
+
+def oracle_representation_squares_ok(p, w, rho):
+    d = p.shape
+    for (g, k) in d.composable_pairs():
+        for f in d.morphisms:
+            if d.src(f) != d.tgt(g):
+                continue
+            cat = p.base_label[d.tgt(f)]
+            lhs = cat.compose(rho[(d.compose(f, g), k)],
+                              p.mu[(f, g)].components[w[k]])
+            rhs = cat.compose(rho[(f, d.compose(g, k))],
+                              p.mor_label[f].mmap(rho[(g, k)]))
+            if lhs != rhs:
+                return False
+    for k in d.morphisms:
+        cat = p.base_label[d.tgt(k)]
+        e = d.identities(d.tgt(k))
+        if cat.compose(rho[(e, k)], p.eta[d.tgt(k)].components[w[k]]) != \
+                cat.identities(w[k]):
+            return False
+    return True
+
+
+def oracle_representation_morphism_ok(p, a, b, phi):
+    d = p.shape
+    for (g, k) in d.composable_pairs():
+        cat = p.base_label[d.tgt(g)]
+        if cat.compose(b.action((g, k)),
+                       p.mor_label[g].mmap(phi[k])) != \
+                cat.compose(phi[d.compose(g, k)], a.action((g, k))):
+            return False
+    return True
+
+
+def oracle_enumerate_representations(p):
+    d = p.shape
+    mors = list(d.morphisms)
+    pairs = d.composable_pairs()
+    reps = []
+    for combo in itertools.product(*[list(p.base_label[d.tgt(k)].objects)
+                                     for k in mors]):
+        w = dict(zip(mors, combo))
+        pools = []
+        for (g, k) in pairs:
+            cat = p.base_label[d.tgt(g)]
+            pools.append(cat.hom(p.mor_label[g].omap(w[k]),
+                                 w[d.compose(g, k)]))
+        for acts in itertools.product(*pools):
+            rho = dict(zip(pairs, acts))
+            if oracle_representation_squares_ok(p, w, rho):
+                reps.append(OracleRepresentation(
+                    tuple((k, w[k]) for k in mors),
+                    tuple((pair, rho[pair]) for pair in pairs)))
+    arrows = []
+    for a in reps:
+        for b in reps:
+            pools = [p.base_label[d.tgt(k)].hom(a.obj(k), b.obj(k))
+                     for k in mors]
+            for combo in itertools.product(*pools):
+                phi = dict(zip(mors, combo))
+                if oracle_representation_morphism_ok(p, a, b, phi):
+                    arrows.append((a, b, tuple((k, phi[k]) for k in mors)))
+    return oracle_category(p, reps, arrows, mors, d.tgt)
+
+
+def oracle_category(p, objects, arrows, keys, over):
+    """The category of enumerated actions; key c lives in the fiber at
+    over(c)."""
+    objects_f = FinSet(objects)
+    morphisms_f = FinSet(arrows)
+    identities = {a: (a, a, tuple(
+        (c, p.base_label[over(c)].identities(a.obj(c))) for c in keys))
+        for a in objects}
+    composition = {}
+    for m2 in arrows:
+        for m1 in arrows:
+            if m1[1] != m2[0]:
+                continue
+            left, right = dict(m2[2]), dict(m1[2])
+            composition[(m2, m1)] = (m1[0], m2[1], tuple(
+                (c, p.base_label[over(c)].compose(left[c], right[c]))
+                for c in keys))
+    return FinCategory(objects_f, morphisms_f,
+                       FinFn(morphisms_f, objects_f,
+                             {m: m[0] for m in arrows}),
+                       FinFn(morphisms_f, objects_f,
+                             {m: m[1] for m in arrows}),
+                       FinFn(objects_f, morphisms_f, identities),
+                       composition)
+
+
+def category_tables(cat, atom):
+    """Objects, morphisms, identities and composition of an action
+    category, with every action record replaced by atom(record)."""
+    def arrow(m):
+        return (atom(m[0]), atom(m[1]), m[2])
+    return ({atom(a) for a in cat.objects},
+            {arrow(m) for m in cat.morphisms},
+            {atom(a): arrow(cat.identities(a)) for a in cat.objects},
+            {(arrow(g), arrow(f)): arrow(gf)
+             for (g, f), gf in cat.composition.items()})
+
+
+DIFFERENTIAL_POLYADS = {
+    "identity-discrete": lambda: polyad_fixture("identity", "discrete"),
+    "translation-discrete":
+        lambda: polyad_fixture("translation", "discrete"),
+    "translation-indiscrete":
+        lambda: polyad_fixture("translation", "indiscrete"),
+    "identity-idempotent": lambda: identity_polyad(
+        *IDEMPOTENT, discrete_monoidal_group(*IDEMPOTENT)).monad,
+    "pair-discrete": lambda: polyad_fixture("pair", "discrete"),
+    "pair-indiscrete": lambda: polyad_fixture("pair", "indiscrete"),
+    "discrete-pair-discrete": lambda: identity_polyad_over(
+        FinCategory.discrete(["x", "y"]),
+        discrete_monoidal_group(*Z2).cat),
+    "discrete-pair-indiscrete": lambda: identity_polyad_over(
+        FinCategory.discrete(["x", "y"]),
+        indiscrete_monoidal_group(*Z2).cat),
+    "identity-endomorphisms":
+        lambda: polyad_fixture("identity", "endomorphisms"),
+}
+
+
+@pytest.mark.parametrize("kind", ["modules", "representations"])
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_POLYADS))
+def test_action_enumeration_matches_the_per_kind_oracle(name, kind):
+    p = DIFFERENTIAL_POLYADS[name]()
+    d = p.shape
+    if kind == "modules":
+        cat, oracle = enumerate_modules(p), oracle_enumerate_modules(p)
+
+        def oracle_atom(m):
+            return (m.objects,
+                    tuple(((f, d.src(f)), rho) for (f, rho) in m.actions))
+    else:
+        cat = enumerate_representations(p)
+        oracle = oracle_enumerate_representations(p)
+
+        def oracle_atom(m):
+            return (m.objects, m.actions)
+    assert category_tables(cat, lambda a: (a.objects, a.actions)) == \
+        category_tables(oracle, oracle_atom)
 
 
 # ---------------------------------------------------------------------------
