@@ -43,6 +43,7 @@ class FinCategory:
         object.__setattr__(self, "identities", identities)
         object.__setattr__(self, "composition", dict(composition))
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_pairs", None)
         if check:
             report = check_category(self)
             if not report.ok:
@@ -68,10 +69,14 @@ class FinCategory:
 
     def composable_pairs(self):
         """Pairs (g, f) with tgt(f) = src(g), lexicographic in morphism
-        order."""
-        into = self.morphisms_by(self.tgt)
-        return [(g, f) for g in self.morphisms
-                for f in into.get(self.src(g), ())]
+        order: a tuple, computed once, since the category never
+        changes."""
+        if self._pairs is None:
+            into = self.morphisms_by(self.tgt)
+            object.__setattr__(self, "_pairs", tuple(
+                (g, f) for g in self.morphisms
+                for f in into.get(self.src(g), ())))
+        return self._pairs
 
     def morphisms_by(self, end):
         """Morphisms bucketed by end(m), each bucket in morphism order."""

@@ -130,7 +130,9 @@ def _vobject(value, path):
     return vb.VObject(basis)
 
 
-def _vmorphism(value, dom, cod, path):
+def _vmorphism(value, dom, cod, path, shared):
+    """A matrix given as rows of fraction strings; shared maps each
+    morphism read in this load to the first one equal to it."""
     if not isinstance(value, list) or len(value) != cod.dim:
         _fail(path, "expected a matrix with %d rows" % cod.dim)
     rows = []
@@ -140,16 +142,21 @@ def _vmorphism(value, dom, cod, path):
                   "expected a row with %d entries" % dom.dim)
         rows.append([_fraction(entry, "%s[%d][%d]" % (path, i, j))
                      for j, entry in enumerate(row)])
-    return vb.VMorphism(dom, cod, rows)
+    return _share(vb.VMorphism(dom, cod, rows), shared)
 
 
-def _grouplike_delta(obj):
-    return vb.VMorphism.from_basis_map(obj, vb.tensor_obj(obj, obj),
-                                       lambda w: w + w)
+def _share(f, shared):
+    return shared.setdefault(f, f)
 
 
-def _counit_row(obj):
-    return vb.VMorphism(obj, vb.unit_object(), [[vb.ONE] * obj.dim])
+def _grouplike_delta(obj, shared):
+    return _share(vb.VMorphism.from_basis_map(obj, vb.tensor_obj(obj, obj),
+                                              lambda w: w + w), shared)
+
+
+def _counit_row(obj, shared):
+    return _share(vb.VMorphism(obj, vb.unit_object(), [[vb.ONE] * obj.dim]),
+                  shared)
 
 
 def _load_braiding(doc, path):
@@ -159,7 +166,7 @@ def _load_braiding(doc, path):
     return VectBackend(vb.BraidParam(value))
 
 
-def _comonoid_blocks(doc, keys, label_of, lookup, path):
+def _comonoid_blocks(doc, keys, label_of, lookup, path, shared):
     """Shared delta/eps handling for both graded kinds.
 
     keys lists the structure keys (elements, or object pairs), label_of
@@ -172,8 +179,9 @@ def _comonoid_blocks(doc, keys, label_of, lookup, path):
         if "delta" in doc or "eps" in doc:
             _fail(path, "grouplike cannot be combined with explicit "
                         "delta/eps")
-        delta = {key: _grouplike_delta(label_of(key)) for key in keys}
-        eps = {key: _counit_row(label_of(key)) for key in keys}
+        delta = {key: _grouplike_delta(label_of(key), shared)
+                 for key in keys}
+        eps = {key: _counit_row(label_of(key), shared) for key in keys}
         return delta, eps, True
     if "delta" not in doc and "eps" not in doc:
         return None, None, False
@@ -185,9 +193,10 @@ def _comonoid_blocks(doc, keys, label_of, lookup, path):
         obj = label_of(key)
         delta[key] = _vmorphism(lookup("delta", key), obj,
                                 vb.tensor_obj(obj, obj),
-                                lookup.path("delta", key))
+                                lookup.path("delta", key), shared)
         eps[key] = _vmorphism(lookup("eps", key), obj,
-                              vb.unit_object(), lookup.path("eps", key))
+                              vb.unit_object(), lookup.path("eps", key),
+                              shared)
     return delta, eps, False
 
 
@@ -274,6 +283,7 @@ def _load_group(doc, path):
     labels = {a: _vobject(labels_doc[a], "%s.labels.%s" % (path, a))
               for a in elements}
     backend = _load_braiding(doc, path)
+    shared = {}
     lookup = _NestedLookup(doc, path, [elements, elements])
     lookup.validate("mu")
     mu = {}
@@ -282,16 +292,17 @@ def _load_group(doc, path):
             mu[(a, b)] = _vmorphism(lookup("mu", (a, b)),
                                     vb.tensor_obj(labels[a], labels[b]),
                                     labels[mul[(a, b)]],
-                                    lookup.path("mu", (a, b)))
+                                    lookup.path("mu", (a, b)), shared)
     eta = _vmorphism(doc["eta"], vb.unit_object(), labels[unit],
-                     path + ".eta")
+                     path + ".eta", shared)
     flat = _NestedLookup(doc, path, [elements])
     if "delta" in doc:
         flat.validate("delta")
     if "eps" in doc:
         flat.validate("eps")
     delta, eps, synthesized = _comonoid_blocks(doc, elements,
-                                               labels.__getitem__, flat, path)
+                                               labels.__getitem__, flat, path,
+                                               shared)
     fam = None
     if "antipode" in doc:
         inverses = hs._monoid_inverses(elements, mul, unit)
@@ -301,7 +312,8 @@ def _load_group(doc, path):
         flat.validate("antipode")
         fam = hs.AntipodeFamily(
             {a: _vmorphism(flat("antipode", a), labels[a],
-                           labels[inverses[a]], flat.path("antipode", a))
+                           labels[inverses[a]], flat.path("antipode", a),
+                           shared)
              for a in elements})
     pres = hs.GroupMonoidPresentation(backend, FinSet(elements), mul, unit,
                                       labels, mu, eta, delta, eps, fam)
@@ -330,6 +342,7 @@ def _load_enriched(doc, path):
     hom = {(x, y): _vobject(nested("hom", (x, y)), nested.path("hom", (x, y)))
            for (x, y) in pairs}
     backend = _load_braiding(doc, path)
+    shared = {}
     triple = _NestedLookup(doc, path, [objects, objects, objects])
     triple.validate("mu")
     mu = {}
@@ -339,24 +352,25 @@ def _load_enriched(doc, path):
                 mu[(x, y, z)] = _vmorphism(
                     triple("mu", (x, y, z)),
                     vb.tensor_obj(hom[(x, y)], hom[(y, z)]),
-                    hom[(x, z)], triple.path("mu", (x, y, z)))
+                    hom[(x, z)], triple.path("mu", (x, y, z)), shared)
     flat = _NestedLookup(doc, path, [objects])
     flat.validate("eta")
     eta = {x: _vmorphism(flat("eta", x), vb.unit_object(), hom[(x, x)],
-                         flat.path("eta", x))
+                         flat.path("eta", x), shared)
            for x in objects}
     if "delta" in doc:
         nested.validate("delta")
     if "eps" in doc:
         nested.validate("eps")
     delta, eps, synthesized = _comonoid_blocks(doc, pairs, hom.__getitem__,
-                                               nested, path)
+                                               nested, path, shared)
     fam = None
     if "antipode" in doc:
         nested.validate("antipode")
         fam = hs.AntipodeFamily(
             {(x, y): _vmorphism(nested("antipode", (x, y)), hom[(x, y)],
-                                hom[(y, x)], nested.path("antipode", (x, y)))
+                                hom[(y, x)], nested.path("antipode", (x, y)),
+                                shared)
              for (x, y) in pairs})
     pres = hs.EnrichedCatPresentation(backend, FinSet(objects), hom, mu, eta,
                                       delta, eps, fam)

@@ -852,12 +852,19 @@ def enriched_from_groupoid(cat, q=None, grades=None):
 
     hom[(x, y)] is spanned by the morphisms into x from y, each wrapped
     as a single word atom so splitting tensor words stays unambiguous
-    whatever the morphism atoms look like."""
+    whatever the morphism atoms look like.  Equal structure maps are
+    one object."""
     verdict = cb.is_groupoid(cat)
     if not verdict:
         raise SpanVError("inversion structure needs a groupoid; %r has "
                          "no inverse" % (verdict.witness,))
     be = VectBackend(q if q is not None else vb.BraidParam(1))
+    shared = {}
+
+    def basis_map(dom, cod, fn):
+        f = vb.VMorphism.from_basis_map(dom, cod, fn)
+        return shared.setdefault(f, f)
+
     X = FinSet(list(cat.objects))
     grades = dict(grades) if grades else {m: 0 for m in cat.morphisms}
     hom = {}
@@ -870,23 +877,22 @@ def enriched_from_groupoid(cat, q=None, grades=None):
         for y in X:
             for z in X:
                 dom = vb.tensor_obj(hom[(x, y)], hom[(y, z)])
-                mu[(x, y, z)] = vb.VMorphism.from_basis_map(
+                mu[(x, y, z)] = basis_map(
                     dom, hom[(x, z)],
                     lambda w: (cat.compose(w[0], w[1]),))
     eta = {}
     for x in X:
-        eta[x] = vb.VMorphism.from_basis_map(
+        eta[x] = basis_map(
             vb.unit_object(), hom[(x, x)],
             lambda w: (cat.identities(x),))
-    delta = {p: vb.VMorphism.from_basis_map(
-        hom[p], vb.tensor_obj(hom[p], hom[p]), lambda w: w + w)
-        for p in hom}
-    eps = {p: vb.VMorphism(hom[p], vb.unit_object(),
-                           [[vb.ONE] * hom[p].dim])
+    delta = {p: basis_map(hom[p], vb.tensor_obj(hom[p], hom[p]),
+                          lambda w: w + w)
+             for p in hom}
+    eps = {p: basis_map(hom[p], vb.unit_object(), lambda w: ())
            for p in hom}
     sigma = {}
     for (x, y) in hom:
-        sigma[(x, y)] = vb.VMorphism.from_basis_map(
+        sigma[(x, y)] = basis_map(
             hom[(x, y)], hom[(y, x)],
             lambda w: (_shape_inverse(cat, w[0]),))
     return EnrichedCatPresentation(be, X, hom, mu, eta, delta, eps,

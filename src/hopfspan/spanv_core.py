@@ -105,9 +105,13 @@ class VectBackend(Backend):
 
     Horizontal composition and tensor coincide (both are the Kronecker
     tensor); mid4 is 1 tensor braiding tensor 1 and genuinely depends on q.
+    It is memoized on this backend, keyed by the identities of its four
+    (hash-consed) labels.
     """
 
     q: vb.BraidParam
+    _mid4: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def src1(self, p):
         return "*"
@@ -152,9 +156,14 @@ class VectBackend(Backend):
         return vb.braiding(p, q, self.q)
 
     def mid4(self, p, q, r, s):
-        return vb.tensor_mor(
-            vb.VMorphism.identity(p),
-            vb.tensor_mor(vb.braiding(q, r, self.q), vb.VMorphism.identity(s)))
+        key = (id(p), id(q), id(r), id(s))
+        hit = self._mid4.get(key)
+        if hit is None:
+            hit = self._mid4[key] = ((p, q, r, s), vb.tensor_mor(
+                vb.VMorphism.identity(p),
+                vb.tensor_mor(vb.braiding(q, r, self.q),
+                              vb.VMorphism.identity(s))))
+        return hit[1]
 
     def invert2(self, f):
         res = vb.invert(f)

@@ -3,10 +3,20 @@
 Objects are finite ordered bases whose labels are words (flat tuples of
 atoms) carrying integer grades.  Tensor concatenates words and adds grades,
 so the tensor is strictly associative and the one-dimensional empty-word
-object K is a strict unit.  tensor_obj builds each product once: the
-result is kept in a dict on the left operand, keyed by the right one, so
-equal operands share one VObject (with its label index and cached hash)
-for as long as the left operand lives.
+object K is a strict unit.
+
+Equal values are shared and the kernel is memoized on operand identity,
+so its work grows with the number of distinct matrices, not with the
+places they appear.  VObject construction is hash-consed through a weak
+table keyed by the normalized basis, so equal objects are one object and
+compare by identity; the table keeps nothing alive.  tensor_obj,
+tensor_mor, compose and VMorphism.identity keep each result on the left
+operand (on the object, for an identity), keyed by the id of the right
+one and holding it, so that id is not reused while the entry lives.  An
+identity on either side of compose, or the identity on K on either side
+of tensor_mor, gives back the other operand, so the identity on K, which
+lives as long as K, never holds an entry.  Morphisms built apart compare
+by exact Fraction equality.
 
 A morphism is a matrix of exact rationals (fractions.Fraction), rows
 indexed by the codomain basis, stored as the nonzero entries of each row:
@@ -24,23 +34,29 @@ pair (a_i, b_j) to q^(grade(a_i) * grade(b_j)) times the swapped pair.
 q = 1 is the symmetric ungraded case, q = -1 the super case, any other q a
 genuinely non-symmetric braiding.
 
-invert inverts a monomial matrix directly, by transposing it and taking
-reciprocals.  All other exact linear algebra goes through one elimination
-routine, row_reduce, which reduces the leading columns of an augmented
-matrix and returns its pivot columns and determinant.  invert reports the
-rank of a singular square matrix and (cod dim, dom dim) of a non-square
-one; determinant refuses a non-square one; the antipode solver in
-hopf_structures reports ("underdetermined", first pivot-free column) or
-("inconsistent", row).  Each reported value is unique (inverse,
-determinant, rank, unique solution, first free column), so it does not
-depend on the pivoting order.
+invert and determinant treat a monomial matrix directly: the inverse is
+the transpose with each entry replaced by its reciprocal, the determinant
+the permutation's sign times the product of the nonzeros.  All other
+exact linear algebra goes through one elimination routine, row_reduce,
+which reduces the leading columns of an augmented matrix and returns its
+pivot columns and determinant.  invert reports the rank of a singular
+square matrix and (cod dim, dom dim) of a non-square one; determinant
+refuses a non-square one; the antipode solver in hopf_structures reports
+("underdetermined", first pivot-free column) or ("inconsistent", row).
+Each reported value is unique (inverse, determinant, rank, unique
+solution, first free column), so it does not depend on the pivoting
+order.
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# The live VObjects, keyed by normalized basis.
+_OBJECTS = weakref.WeakValueDictionary()
 
 
 def _as_word(label):
@@ -56,21 +72,34 @@ def _fraction(value):
     return ONE if value == 1 else value
 
 
-@dataclass(frozen=True)
 class VObject:
-    """An ordered graded basis; each entry is (word label, integer grade)."""
+    """An ordered graded basis; each entry is (word label, integer grade).
 
-    basis: tuple
+    Hash-consed: while a VObject with a given basis lives, constructing
+    that basis again returns it.  Equality is therefore identity (the
+    inherited object equality); the hash is the basis hash."""
 
-    def __init__(self, basis):
+    __slots__ = ("basis", "_index", "_hash", "_tensors", "_identity",
+                 "__weakref__")
+
+    def __new__(cls, basis):
         basis = tuple((_as_word(label), int(grade)) for label, grade in basis)
-        labels = [label for label, _ in basis]
-        if len(set(labels)) != len(labels):
+        self = _OBJECTS.get(basis)
+        if self is not None:
+            return self
+        index = {label: i for i, (label, _) in enumerate(basis)}
+        if len(index) != len(basis):
             raise ValueError("duplicate basis labels")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_index", {label: i for i, (label, _) in enumerate(basis)})
-        object.__setattr__(self, "_hash", hash(basis))
-        object.__setattr__(self, "_tensors", {})
+        self = object.__new__(cls)
+        for name, value in (("basis", basis), ("_index", index),
+                            ("_hash", hash(basis)), ("_tensors", {}),
+                            ("_identity", None)):
+            object.__setattr__(self, name, value)
+        _OBJECTS[basis] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VObject is immutable")
 
     @property
     def dim(self):
@@ -84,10 +113,6 @@ class VObject:
 
     def index(self, label):
         return self._index[_as_word(label)]
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, VObject)
-                                 and self.basis == other.basis)
 
     def __hash__(self):
         return self._hash
@@ -112,17 +137,17 @@ def tensor_obj(a, b):
     """Concatenate label words and add grades; a-index major order.
 
     K tensor b is b itself and a tensor K is a.  Any other product is
-    built once per pair of operands and kept on a, keyed by b."""
-    if a == _UNIT:
+    memoized on a, keyed by b's identity."""
+    if a is _UNIT:
         return b
-    if b == _UNIT:
+    if b is _UNIT:
         return a
-    t = a._tensors.get(b)
-    if t is None:
-        t = a._tensors[b] = VObject([(la + lb, ga + gb)
-                                     for (la, ga) in a.basis
-                                     for (lb, gb) in b.basis])
-    return t
+    hit = a._tensors.get(id(b))
+    if hit is None:
+        hit = a._tensors[id(b)] = (b, VObject([(la + lb, ga + gb)
+                                               for (la, ga) in a.basis
+                                               for (lb, gb) in b.basis]))
+    return hit[1]
 
 
 class VMorphism:
@@ -131,10 +156,12 @@ class VMorphism:
     rows[r] holds the nonzero entries of codomain row r as a dict
     column -> Fraction.  Rows are never mutated once built, so morphisms
     share them.  The constructor takes dense rows and checks their shape;
-    the kernel builds its results through _from_rows.
+    the kernel builds its results through _from_rows.  _composites and
+    _tensors are the memos of compose and tensor_mor with this morphism
+    on the left.
     """
 
-    __slots__ = ("dom", "cod", "rows")
+    __slots__ = ("dom", "cod", "rows", "_composites", "_tensors")
 
     def __init__(self, dom, cod, entries):
         entries = [tuple(row) for row in entries]
@@ -152,17 +179,18 @@ class VMorphism:
                 if e:
                     nonzero[c] = e
             rows.append(nonzero)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "rows", tuple(rows))
+        self._set(dom, cod, rows)
 
     @classmethod
     def _from_rows(cls, dom, cod, rows):
         f = object.__new__(cls)
-        object.__setattr__(f, "dom", dom)
-        object.__setattr__(f, "cod", cod)
-        object.__setattr__(f, "rows", tuple(rows))
+        f._set(dom, cod, rows)
         return f
+
+    def _set(self, dom, cod, rows):
+        for name, value in (("dom", dom), ("cod", cod), ("rows", tuple(rows)),
+                            ("_composites", {}), ("_tensors", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("VMorphism is immutable")
@@ -179,8 +207,9 @@ class VMorphism:
         return self.rows[r].get(range(self.dom.dim)[c], ZERO)
 
     def __eq__(self, other):
-        return (isinstance(other, VMorphism) and self.dom == other.dom
-                and self.cod == other.cod and self.rows == other.rows)
+        return self is other or (
+            isinstance(other, VMorphism) and self.dom is other.dom
+            and self.cod is other.cod and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.dom, self.cod,
@@ -190,9 +219,22 @@ class VMorphism:
         return "VMorphism(%d x %d)" % (self.cod.dim, self.dom.dim)
 
     def compose(self, other):
-        """self after other (matrix product)."""
-        if other.cod != self.dom:
+        """self after other (matrix product).
+
+        An identity on either side gives the other operand; any other
+        product is memoized on self, keyed by other's identity."""
+        if other.cod is not self.dom:
             raise ValueError("composition mismatch: %r then %r" % (other, self))
+        if self is self.dom._identity:
+            return other
+        if other is other.dom._identity:
+            return self
+        hit = self._composites.get(id(other))
+        if hit is None:
+            hit = self._composites[id(other)] = (other, self._product(other))
+        return hit[1]
+
+    def _product(self, other):
         right = other.rows
         rows = []
         for row in self.rows:
@@ -213,7 +255,7 @@ class VMorphism:
     __mul__ = compose
 
     def __add__(self, other):
-        if self.dom != other.dom or self.cod != other.cod:
+        if self.dom is not other.dom or self.cod is not other.cod:
             raise ValueError("sum shape mismatch")
         rows = []
         for r1, r2 in zip(self.rows, other.rows):
@@ -256,8 +298,13 @@ class VMorphism:
 
     @staticmethod
     def identity(obj):
-        return VMorphism._from_rows(obj, obj,
-                                    [{i: ONE} for i in range(obj.dim)])
+        """The identity on obj, built once and kept on obj."""
+        f = obj._identity
+        if f is None:
+            f = VMorphism._from_rows(obj, obj,
+                                     [{i: ONE} for i in range(obj.dim)])
+            object.__setattr__(obj, "_identity", f)
+        return f
 
     @staticmethod
     def zero(dom, cod):
@@ -285,7 +332,23 @@ class BraidParam:
 
 
 def tensor_mor(f, g):
-    """Kronecker product, row-major: row r1*n2+r2, column c1*m2+c2."""
+    """Kronecker product, row-major: row r1*n2+r2, column c1*m2+c2.
+
+    The identity on K on either side gives the other operand; any other
+    product is computed by _kronecker once, memoized on f, keyed by g's
+    identity."""
+    k = _UNIT._identity
+    if f is k:
+        return g
+    if g is k:
+        return f
+    hit = f._tensors.get(id(g))
+    if hit is None:
+        hit = f._tensors[id(g)] = (g, _kronecker(f, g))
+    return hit[1]
+
+
+def _kronecker(f, g):
     dom = tensor_obj(f.dom, g.dom)
     cod = tensor_obj(f.cod, g.cod)
     m2 = g.dom.dim
@@ -361,27 +424,38 @@ def row_reduce(rows, width):
     return pivots, det
 
 
+def _monomial(f):
+    """The (column, entry) of each row of a square f when f is monomial,
+    one nonzero in each row and in distinct columns; otherwise None."""
+    seen = set()
+    out = []
+    for row in f.rows:
+        if len(row) != 1:
+            return None
+        ((c, e),) = row.items()
+        if c in seen:
+            return None
+        seen.add(c)
+        out.append((c, e))
+    return out
+
+
 def invert(f):
     """Exact inverse, or an empty result with witness = (cod dim, dom dim)
     for a non-square matrix, or witness = rank for a singular square one.
 
-    A monomial matrix (one nonzero in each row, in distinct columns) is
-    inverted directly: transposed, with each entry replaced by its
-    reciprocal.  Any other square matrix goes through row_reduce on f
-    augmented with the identity.
+    A monomial matrix is inverted directly: transposed, with each entry
+    replaced by its reciprocal.  Any other square matrix goes through
+    row_reduce on f augmented with the identity.
     """
     n = f.dom.dim
     if f.cod.dim != n:
         return InverseResult(None, witness=(f.cod.dim, f.dom.dim))
-    transpose = [None] * n
-    for r, row in enumerate(f.rows):
-        if len(row) != 1:
-            break
-        ((c, e),) = row.items()
-        if transpose[c] is not None:
-            break
-        transpose[c] = {r: e if e is ONE else _fraction(1 / e)}
-    else:
+    monomial = _monomial(f)
+    if monomial is not None:
+        transpose = [None] * n
+        for r, (c, e) in enumerate(monomial):
+            transpose[c] = {r: e if e is ONE else _fraction(1 / e)}
         return InverseResult(VMorphism._from_rows(f.cod, f.dom, transpose))
     rows = [list(row) + [ONE if r == c else ZERO for c in range(n)]
             for r, row in enumerate(f.entries)]
@@ -392,7 +466,22 @@ def invert(f):
 
 
 def determinant(f):
-    """Exact determinant of a square morphism, by row_reduce."""
+    """Exact determinant of a square morphism.  A monomial matrix gives
+    its permutation's sign times the product of its nonzeros; any other
+    goes through row_reduce."""
     if f.cod.dim != f.dom.dim:
         raise ValueError("determinant of a non-square morphism")
-    return row_reduce(list(f.entries), f.dom.dim)[1]
+    monomial = _monomial(f)
+    if monomial is None:
+        return row_reduce(list(f.entries), f.dom.dim)[1]
+    det = ONE
+    cols = [c for c, _ in monomial]
+    for i in range(len(cols)):
+        while cols[i] != i:
+            j = cols[i]
+            cols[i], cols[j] = cols[j], j
+            det = -det
+    for _, e in monomial:
+        if e is not ONE:
+            det *= e
+    return det

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, one pass line each.
+"""Acceptance gate: twelve criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -309,10 +309,12 @@ def group_algebra_document(elements, mul, unit):
             "antipode": {a: sigma for a in elements}}
 
 
-def test_criterion_10_z4_default_check(tmp_path):
-    start = time.monotonic()
-    names, mul, unit = hs.cyclic_group(4)
-    fixture = tmp_path / "z4_group_algebra.json"
+def passing_default_check(n, tmp_path):
+    """Run the default check on the ungraded Z_n group algebra file and
+    assert that all six checks pass with n * n nonzero fusion
+    determinants on each side."""
+    names, mul, unit = hs.cyclic_group(n)
+    fixture = tmp_path / ("z%d_group_algebra.json" % n)
     fixture.write_text(json.dumps(group_algebra_document(names, mul, unit)))
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
@@ -325,9 +327,14 @@ def test_criterion_10_z4_default_check(tmp_path):
     (hopf,) = [c for c in report["checks"] if c["name"] == "hopf"]
     for side in ("left", "right"):
         dets = hopf["fusion_determinants"][side]
-        assert len(dets) == 16
+        assert len(dets) == n * n
         assert all(Fraction(det) != 0 for _, det in dets)
-    finish(10, "default check on the Z_4 group algebra", start, 10.0, 32)
+
+
+def test_criterion_10_z4_default_check(tmp_path):
+    start = time.monotonic()
+    passing_default_check(4, tmp_path)
+    finish(10, "default check on the Z_4 group algebra", start, 2.0, 32)
 
 
 def test_criterion_11_translation_polyad_z3_z4():
@@ -347,3 +354,9 @@ def test_criterion_11_translation_polyad_z3_z4():
         assert comparison.forward.then(comparison.backward) == \
             FunctorData.identity(comparison.enumerated)
     finish(11, "translation polyad over Z_3 and Z_4", start, 10.0, 2)
+
+
+def test_criterion_12_z8_default_check(tmp_path):
+    start = time.monotonic()
+    passing_default_check(8, tmp_path)
+    finish(12, "default check on the Z_8 group algebra", start, 10.0, 128)

@@ -268,12 +268,15 @@ def scanned_product_table(a, b):
 @settings(max_examples=100, deadline=None)
 @given(categories, leaf_categories())
 def test_category_joins_match_nested_scans(a, b):
-    assert a.composable_pairs() == scanned_pairs(a)
+    pairs = a.composable_pairs()
+    assert pairs == tuple(scanned_pairs(a))
+    assert a.composable_pairs() is pairs
     product = product_category(a, b)
     table = scanned_product_table(a, b)
     assert product.composition == table
     assert list(product.composition) == list(table)
-    assert product.composable_pairs() == scanned_pairs(product)
+    assert product.composable_pairs() == tuple(scanned_pairs(product))
+    assert product.composable_pairs() is product.composable_pairs()
 
 
 @settings(max_examples=40, deadline=None)

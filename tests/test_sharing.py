@@ -1,0 +1,145 @@
+"""Shared values and the memoized kernel against fresh components.
+
+Graded objects are hash-consed and the kernel memoizes compose,
+tensor_mor, identities and the interchange on the identity of their
+operands, so a presentation whose equal structure maps are one object
+does a product once.  These tests check that sharing never changes an
+answer: a presentation rebuilt from fresh, equal-but-distinct
+components, and one with really different components, must give the
+same verdicts, witnesses and canonical bytes whether its components are
+shared or not.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from hopfspan import cli
+from hopfspan import hopf_structures as hs
+from hopfspan import vect_backend as vb
+from hopfspan.cat_backend import FinCategory
+from hopfspan.spanv_core import VectBackend
+
+# Every check that reads the structure maps; frobenius reads only the
+# carrier.
+CHECKS = ["monad", "opmonoidal", "hopf", "antipode", "duoidal"]
+
+
+def fresh(value):
+    """value with every morphism replaced by an equal one that shares no
+    object with it or with any other component."""
+    if isinstance(value, vb.VMorphism):
+        return vb.VMorphism(value.dom, value.cod, value.entries)
+    if isinstance(value, hs.AntipodeFamily):
+        return hs.AntipodeFamily(fresh(value.sigma))
+    return {key: fresh(mor) for key, mor in value.items()}
+
+
+def rebuilt(pres, components):
+    """pres on a new backend (so no interchange memo carries over), with
+    each structure map passed through components."""
+    return dataclasses.replace(
+        pres, backend=VectBackend(pres.backend.q),
+        **{name: components(getattr(pres, name))
+           for name in ("mu", "eta", "delta", "eps", "antipode")})
+
+
+def report_bytes(kind, pres):
+    """The canonical bytes of the default check suite and of the solved
+    antipode."""
+    loaded = cli.LoadedFile(kind, {}, pres, pres.monad_presentation(),
+                            pres.comonoid_structure(), True)
+    entries, ok = cli._run_check_suite(loaded, CHECKS)
+    solved = hs.compute_antipode(pres)
+    sigma = (cli._sigma_document(loaded, solved.family) if solved
+             else repr(solved.witness))
+    return cli.canonical_json({"checks": entries, "ok": ok,
+                               "sigma": sigma})
+
+
+def perturbed(kind, pres, key):
+    """pres with the multiplication at one unit slot doubled and one
+    antipode component negated: really different components."""
+    mu, sigma = dict(pres.mu), dict(pres.antipode.sigma)
+    mu_key = (pres.unit, key) if kind == "group_monoid" else \
+        (key[0], key[0], key[1])
+    mu[mu_key] = mu[mu_key].scale(2)
+    sigma[key] = sigma[key].scale(-1)
+    return dataclasses.replace(pres, mu=mu,
+                               antipode=hs.AntipodeFamily(sigma))
+
+
+@st.composite
+def graded_presentations(draw):
+    q = vb.BraidParam(draw(st.sampled_from([1, -1, 2])))
+    if draw(st.booleans()):
+        names, mul, unit = hs.cyclic_group(draw(st.integers(2, 3)))
+        grades = {a: draw(st.integers(0, 2)) for a in names}
+        pres = hs.grouplike_monoid_algebra(names, mul, unit, q=q,
+                                           grades=grades)
+        return "group_monoid", pres, draw(st.sampled_from(names))
+    cat = FinCategory.indiscrete(["x", "y"])
+    grades = {m: draw(st.integers(0, 2)) for m in cat.morphisms}
+    pres = hs.enriched_from_groupoid(cat, q=q, grades=grades)
+    return "enriched_category", pres, draw(st.sampled_from(list(pres.hom)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(graded_presentations())
+def test_shared_and_fresh_components_give_the_same_bytes(case):
+    kind, pres, key = case
+    shared = report_bytes(kind, pres)
+    assert report_bytes(kind, rebuilt(pres, fresh)) == shared
+    different = perturbed(kind, pres, key)
+    changed = report_bytes(kind, different)
+    assert changed != shared
+    assert report_bytes(kind, rebuilt(different, fresh)) == changed
+    if kind == "group_monoid":
+        # The builder shares one multiplication among all the slots.
+        assert len({id(f) for f in pres.mu.values()}) == 1
+
+
+def test_a_z5_opmonoidal_check_makes_each_product_once(tmp_path,
+                                                       monkeypatch):
+    names, mul, unit = hs.cyclic_group(5)
+    inverse = {a: next(b for b in names if mul[(a, b)] == unit)
+               for a in names}
+
+    def matrix(dom, cod, image):
+        return [[str(int(image(w) == v)) for w in dom] for v in cod]
+
+    square = [(a, b) for a in names for b in names]
+    doc = {"format_version": 1, "kind": "group_monoid", "backend": "vect",
+           "elements": names, "unit": unit, "grouplike": True,
+           "table": {a: {b: mul[(a, b)] for b in names} for a in names},
+           "labels": {a: [[b, 0] for b in names] for a in names},
+           "mu": {a: {b: matrix(square, names, lambda w: mul[w])
+                      for b in names} for a in names},
+           "eta": matrix([unit], names, lambda w: w),
+           "antipode": {a: matrix(names, names, lambda w: inverse[w])
+                        for a in names}}
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps(doc))
+    products = []
+    raw = vb._kronecker
+
+    def counted(f, g):
+        products.append((f, g))
+        return raw(f, g)
+
+    monkeypatch.setattr(vb, "_kronecker", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", str(path), "--opmonoidal",
+                         "--format", "json"])
+    assert code == 0
+    assert [c["status"] for c in json.loads(out.getvalue())["checks"]] == \
+        ["pass"]
+    # Each raw product is made once per pair of operands, and the pairs
+    # are distinct by value too: the check calls tensor_mor 1950 times
+    # (3198 times, each a product, before the kernel was memoized).
+    assert len({(id(f), id(g)) for f, g in products}) == len(products)
+    assert len({(f, g) for f, g in products}) == len(products) == 10

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfspan.hopf_structures import _solve_unique
 from hopfspan.vect_backend import (
@@ -206,15 +206,31 @@ ENTRY = st.one_of(st.integers(-1, 1).map(Fraction),
 
 @st.composite
 def square_systems(draw):
+    """A random square system; one draw in three has one nonzero in each
+    row, either in distinct columns (monomial, so invert and determinant
+    skip elimination) or in columns drawn with repetition (singular
+    unless they happen to be distinct)."""
     n = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
-                         min_size=n, max_size=n))
+    kind = draw(st.integers(0, 5))
+    if kind < 4:
+        rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    else:
+        cols = draw(st.permutations(range(n)) if kind == 4 else
+                    st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        values = draw(st.lists(NONZERO, min_size=n, max_size=n))
+        rows = [[values[r] if c == cols[r] else Fraction(0)
+                 for c in range(n)] for r in range(n)]
     rhs = draw(st.lists(ENTRY, min_size=n, max_size=n))
     return rows, rhs
 
 
 @settings(max_examples=80, deadline=None)
 @given(square_systems())
+# monomial: an odd permutation with entries other than 1
+@example(([[0, Fraction(2, 3), 0], [-1, 0, 0], [0, 0, 5]], [1, 0, 2]))
+# one nonzero per row, but column 1 twice: singular, not monomial
+@example(([[0, 2, 0], [0, Fraction(-1, 2), 0], [3, 0, 0]], [1, 0, 0]))
 def test_elimination_matches_closed_forms(system):
     rows, rhs = system
     n = len(rows)
@@ -316,10 +332,31 @@ def test_sparse_kernel_matches_the_dense_oracle(case):
     dn, dk, dm = obj(n, "n"), obj(k, "k"), obj(m, "m")
     f, g, h, q = built(a, dk, dn), built(b, dm, dk), built(c, dk, dn), \
         built(sq, dk, dk)
-    results = [
-        (f.compose(g), dense_compose(a, b, m)),
-        (f.compose(q).compose(g), dense_compose(dense_compose(a, sq, k), b, m)),
-        (tensor_mor(f, g), dense_tensor(a, b)),
+    ident = tuple(tuple(Fraction(int(r == c)) for c in range(k))
+                  for r in range(k))
+    # Each memoized call twice: the repeat must give the very same
+    # object, and both must match the dense oracle.
+    memoized = [
+        (lambda: f.compose(g), dense_compose(a, b, m)),
+        (lambda: f.compose(q).compose(g),
+         dense_compose(dense_compose(a, sq, k), b, m)),
+        (lambda: tensor_mor(f, g), dense_tensor(a, b)),
+        (lambda: tensor_mor(q, q), dense_tensor(sq, sq)),
+        (lambda: VMorphism.identity(dk), ident),
+        (lambda: f.compose(VMorphism.identity(dk)), a),
+        (lambda: tensor_mor(VMorphism.identity(unit_object()), g), b),
+    ]
+    results = []
+    for call, dense in memoized:
+        first, again = call(), call()
+        assert again is first
+        results += [(first, dense), (again, dense)]
+    # An equal but distinct operand is a separate memo entry with an
+    # equal result.
+    twin = VMorphism(dm, dk, b)
+    assert twin is not g and f.compose(twin) == f.compose(g)
+    assert tensor_mor(f, twin) == tensor_mor(f, g)
+    results += [
         (f + h, dense_add(a, c)),
         (f + f.scale(-1), dense_add(a, dense_scale(a, Fraction(-1)))),
         (f.scale(s), dense_scale(a, s)),
@@ -361,3 +398,16 @@ def test_tensor_obj_is_built_once_per_pair():
     assert hash(tensor_obj(a, b)) == hash(VObject(tensor_obj(a, b).basis))
     k = unit_object()
     assert tensor_obj(a, k) is a and tensor_obj(k, a) is a
+    assert not k._tensors
+
+
+def test_objects_are_hash_consed():
+    a = VObject([("x", 1), (("y", "z"), 0)])
+    assert VObject([(("x",), 1), (("y", "z"), 0)]) is a
+    assert VObject([("x", 1), ("y", 0)]) is not a
+    assert VObject([((), 0)]) is unit_object()
+    assert a != VObject([("x", 2), (("y", "z"), 0)])
+    with pytest.raises(ValueError):
+        VObject([("x", 0), (("x",), 1)])
+    with pytest.raises(AttributeError):
+        a.basis = ()
