@@ -19,7 +19,7 @@ torsor = product_category(
                              ("b", "e"): "b", ("b", "b"): "e"},
                             "e"))
 pres = hs.enriched_from_groupoid(torsor)
-mp = pres.monad_presentation()
+mp = pres.monad
 com = pres.comonoid_structure()
 
 print("monad laws:      ", hs.check_monad(mp).summary())

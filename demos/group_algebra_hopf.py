@@ -14,7 +14,7 @@ from hopfspan.vect_backend import BraidParam
 # algebra itself, multiplication follows the table, and each basis
 # element is grouplike: delta(g) = g (x) g, eps(g) = 1.
 pres = hs.cyclic_group_algebra(2)
-mp = pres.monad_presentation()
+mp = pres.monad
 com = pres.comonoid_structure()
 
 print("monad laws:     ", hs.check_monad(mp).summary())
@@ -48,13 +48,13 @@ print("assembled antipode:    ", hs.check_antipode_duoidal(pres).summary())
 # A nontrivial braiding weights the fusion entries by grade pairings
 # but groups stay Hopf; put the k-th power in degree k and take q = 2.
 graded = hs.cyclic_group_algebra(3, q=BraidParam(Fraction(2)), graded=True)
-print("graded Z3 Hopf:", bool(hs.is_hopf(graded.monad_presentation(),
+print("graded Z3 Hopf:", bool(hs.is_hopf(graded.monad,
                                          graded.comonoid_structure())))
 
 # Monoids that are not groups fail: with z idempotent the fusion span
 # map collapses (z, z) onto (z, z) twice and misses a target element.
 bad = hs.idempotent_monoid_presentation()
-verdict = hs.is_hopf(bad.monad_presentation(), bad.comonoid_structure())
+verdict = hs.is_hopf(bad.monad, bad.comonoid_structure())
 print("idempotent monoid Hopf:", bool(verdict))
 print("witness:", verdict.witness)
 print("solver verdict:", hs.compute_antipode(bad).witness)

@@ -89,6 +89,14 @@ class FinCategory:
         return [m for m in self.morphisms
                 if self.src(m) == x and self.tgt(m) == y]
 
+    def inverse(self, m):
+        """The two-sided inverse of m, or None when m has none."""
+        x, y = self.src(m), self.tgt(m)
+        return next((n for n in self.hom(y, x)
+                     if self.composition.get((n, m)) == self.identities(x)
+                     and self.composition.get((m, n)) == self.identities(y)),
+                    None)
+
     @staticmethod
     def from_monoid(elements, mul, unit, obj="*"):
         """One-object category from a multiplication table dict (a,b) -> ab."""
@@ -163,10 +171,7 @@ def check_category(c):
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse."""
     for m in c.morphisms:
-        x, y = c.src(m), c.tgt(m)
-        if not any(c.composition.get((n, m)) == c.identities(x)
-                   and c.composition.get((m, n)) == c.identities(y)
-                   for n in c.hom(y, x)):
+        if c.inverse(m) is None:
             return Verdict(False, witness=m)
     return Verdict(True)
 
@@ -265,11 +270,7 @@ def nat_is_iso(n):
     """True iff every component has a two-sided inverse in the codomain."""
     cod = n.source.cod
     for x in n.source.dom.objects:
-        m = n.components[x]
-        sx, tx = cod.src(m), cod.tgt(m)
-        if not any(cod.composition.get((p, m)) == cod.identities(sx)
-                   and cod.composition.get((m, p)) == cod.identities(tx)
-                   for p in cod.hom(tx, sx)):
+        if cod.inverse(n.components[x]) is None:
             return Verdict(False, witness=x)
     return Verdict(True)
 

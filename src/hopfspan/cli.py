@@ -22,6 +22,7 @@ Exit codes: 0 when every selected check passes, 1 when a check fails,
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -86,11 +87,20 @@ def _check_keys(doc, required, optional, path):
             _fail(path, "unknown field %r" % key)
 
 
+@functools.lru_cache(maxsize=4096)
+def _parse_entry(text):
+    """text as a Fraction; TypeError when it is not a string.  A matrix
+    block repeats a few strings many times, so each is parsed once."""
+    if not isinstance(text, str):
+        raise TypeError(text)
+    return Fraction(text)
+
+
 def _fraction(value, path):
     if not isinstance(value, str):
         _fail(path, "expected a fraction string")
     try:
-        return Fraction(value)
+        return _parse_entry(value)
     except (ValueError, ZeroDivisionError):
         _fail(path, "malformed fraction %r" % value)
 
@@ -140,23 +150,17 @@ def _vmorphism(value, dom, cod, path, shared):
         if not isinstance(row, list) or len(row) != dom.dim:
             _fail("%s[%d]" % (path, i),
                   "expected a row with %d entries" % dom.dim)
-        rows.append([_fraction(entry, "%s[%d][%d]" % (path, i, j))
-                     for j, entry in enumerate(row)])
+        try:
+            rows.append([_parse_entry(entry) for entry in row])
+        except (TypeError, ValueError, ZeroDivisionError):
+            # Only a rejected row pays for the paths of its entries.
+            for j, entry in enumerate(row):
+                _fraction(entry, "%s[%d][%d]" % (path, i, j))
     return _share(vb.VMorphism(dom, cod, rows), shared)
 
 
 def _share(f, shared):
     return shared.setdefault(f, f)
-
-
-def _grouplike_delta(obj, shared):
-    return _share(vb.VMorphism.from_basis_map(obj, vb.tensor_obj(obj, obj),
-                                              lambda w: w + w), shared)
-
-
-def _counit_row(obj, shared):
-    return _share(vb.VMorphism(obj, vb.unit_object(), [[vb.ONE] * obj.dim]),
-                  shared)
 
 
 def _load_braiding(doc, path):
@@ -179,9 +183,10 @@ def _comonoid_blocks(doc, keys, label_of, lookup, path, shared):
         if "delta" in doc or "eps" in doc:
             _fail(path, "grouplike cannot be combined with explicit "
                         "delta/eps")
-        delta = {key: _grouplike_delta(label_of(key), shared)
-                 for key in keys}
-        eps = {key: _counit_row(label_of(key), shared) for key in keys}
+        delta, eps = {}, {}
+        for key in keys:
+            d, e = vb.grouplike(label_of(key))
+            delta[key], eps[key] = _share(d, shared), _share(e, shared)
         return delta, eps, True
     if "delta" not in doc and "eps" not in doc:
         return None, None, False
@@ -238,8 +243,6 @@ class LoadedFile:
     kind: str
     document: dict
     presentation: object
-    monad: object
-    comonoid: object
     synthesized: bool
     probes: tuple = ()
 
@@ -315,14 +318,13 @@ def _load_group(doc, path):
                            labels[inverses[a]], flat.path("antipode", a),
                            shared)
              for a in elements})
-    pres = hs.GroupMonoidPresentation(backend, FinSet(elements), mul, unit,
-                                      labels, mu, eta, delta, eps, fam)
     try:
-        monad = pres.monad_presentation()
+        pres = hs.GroupMonoidPresentation(backend, FinSet(elements), mul,
+                                          unit, labels, mu, eta, delta, eps,
+                                          fam)
     except SpanVError as error:
         _fail(path, str(error))
-    comonoid = pres.comonoid_structure() if delta is not None else None
-    return LoadedFile("group_monoid", doc, pres, monad, comonoid, synthesized)
+    return LoadedFile("group_monoid", doc, pres, synthesized)
 
 
 _ENRICHED_REQUIRED = ("format_version", "kind", "backend", "objects", "hom",
@@ -372,15 +374,12 @@ def _load_enriched(doc, path):
                                 hom[(y, x)], nested.path("antipode", (x, y)),
                                 shared)
              for (x, y) in pairs})
-    pres = hs.EnrichedCatPresentation(backend, FinSet(objects), hom, mu, eta,
-                                      delta, eps, fam)
     try:
-        monad = pres.monad_presentation()
+        pres = hs.EnrichedCatPresentation(backend, FinSet(objects), hom, mu,
+                                          eta, delta, eps, fam)
     except SpanVError as error:
         _fail(path, str(error))
-    comonoid = pres.comonoid_structure() if delta is not None else None
-    return LoadedFile("enriched_category", doc, pres, monad, comonoid,
-                      synthesized)
+    return LoadedFile("enriched_category", doc, pres, synthesized)
 
 
 _POLYAD_REQUIRED = ("format_version", "kind", "backend", "construction",
@@ -403,11 +402,11 @@ def _load_polyad(doc, path):
               "unknown construction %r" % (doc["construction"],))
     probes = _load_probes_doc(doc["probes"], path + ".probes")
     source = load_document(doc["source"], path + ".source")
-    if source.comonoid is None:
+    if source.presentation.delta is None:
         _fail(path + ".source", "a polyad export needs delta and eps "
                                 "(grouplike: true also works)")
-    return LoadedFile("polyad", doc, source.presentation, source.monad,
-                      source.comonoid, source.synthesized, probes)
+    return LoadedFile("polyad", doc, source.presentation, source.synthesized,
+                      probes)
 
 
 def load_document(doc, path="$"):
@@ -460,12 +459,7 @@ def _fusion_determinants(left, right):
     out = {}
     for side, cell in (("left", left), ("right", right)):
         rows = []
-        for atom in cell.source.span.apex:
-            if side == "left":
-                pair = (atom[0][0], atom[1][0])
-            else:
-                pair = (atom[0][0], atom[1][1])
-            mor = cell.components[atom]
+        for pair, mor in hs.fusion_components(cell, side).items():
             square = mor.dom.dim == mor.cod.dim
             rows.append([repr(pair),
                          str(vb.determinant(mor)) if square else None])
@@ -479,7 +473,8 @@ def _selected_checks(loaded, args):
     if explicit:
         if loaded.kind != "polyad":
             for name in explicit:
-                if name in _NEEDS_COMONOID and loaded.comonoid is None:
+                if (name in _NEEDS_COMONOID
+                        and loaded.presentation.delta is None):
                     raise InputError(
                         "the %s check needs delta and eps "
                         "(grouplike: true also works)" % name)
@@ -491,7 +486,7 @@ def _selected_checks(loaded, args):
     if loaded.kind == "polyad":
         return list(_POLYAD_CHECKS)
     names = ["monad"]
-    if loaded.comonoid is not None:
+    if loaded.presentation.delta is not None:
         names += ["opmonoidal", "hopf"]
         if loaded.presentation.antipode is not None:
             names += ["antipode", "duoidal"]
@@ -510,23 +505,26 @@ def _execute_check(loaded, name, cache):
         if name == "monad":
             return [f for f in failures if f[0] in _MONAD_LAWS], {}
         return [f for f in failures if f[0] not in _MONAD_LAWS], {}
+    pres = loaded.presentation
+    monad = pres.monad
     if name == "monad":
-        return hs.check_monad(loaded.monad).failures, {}
+        return hs.check_monad(monad).failures, {}
     if name == "opmonoidal":
-        return hs.check_opmonoidal(loaded.monad, loaded.comonoid).failures, {}
+        com = pres.comonoid_structure()
+        return hs.check_opmonoidal(monad, com).failures, {}
     if name == "hopf":
-        left = hs.left_fusion(loaded.monad, loaded.comonoid)
-        right = hs.right_fusion(loaded.monad, loaded.comonoid)
+        com = pres.comonoid_structure()
+        left = hs.left_fusion(monad, com)
+        right = hs.right_fusion(monad, com)
         verdict = hs.fusion_verdict(left, right)
         failures = [] if verdict else [("fusion invertible", verdict.witness)]
         return failures, {"fusion_determinants":
                           _fusion_determinants(left, right)}
     if name == "antipode":
-        return hs.check_antipode_group(loaded.presentation).failures, {}
+        return hs.check_antipode_group(pres).failures, {}
     if name == "duoidal":
-        return hs.check_antipode_duoidal(loaded.presentation).failures, {}
-    carrier = FinSet(list(loaded.monad.shape.objects))
-    return check_frobenius(carrier, loaded.presentation.backend).failures, {}
+        return hs.check_antipode_duoidal(pres).failures, {}
+    return check_frobenius(monad.shape.objects, pres.backend).failures, {}
 
 
 def _run_check_suite(loaded, selected):
@@ -563,7 +561,7 @@ def _run_check_suite(loaded, selected):
     return entries, ok
 
 
-def _check_text(report, seed, elapsed):
+def _check_text(report, elapsed):
     lines = ["kind: %s" % report["kind"]]
     if report["synthesized_grouplike_comonoid"]:
         lines.append("note: grouplike comonoid synthesized from the basis")
@@ -581,8 +579,6 @@ def _check_text(report, seed, elapsed):
                 lines.append("  %s fusion determinant at %s: %s"
                              % (side, pair, "n/a" if det is None else det))
     lines.append("overall: %s" % report["status"])
-    if seed is not None:
-        lines.append("seed: %d" % seed)
     lines.append("elapsed: %.3fs" % elapsed)
     return "\n".join(lines) + "\n"
 
@@ -603,8 +599,7 @@ def cmd_check(args):
     if args.format == "json":
         sys.stdout.write(canonical_json(report))
     else:
-        sys.stdout.write(_check_text(report, args.seed,
-                                     time.monotonic() - start))
+        sys.stdout.write(_check_text(report, time.monotonic() - start))
     return 0 if ok else 1
 
 
@@ -632,7 +627,7 @@ def cmd_antipode(args):
     if loaded.kind == "polyad":
         raise InputError("antipode solving needs a graded presentation, "
                          "not a polyad export")
-    if loaded.comonoid is None:
+    if loaded.presentation.delta is None:
         raise InputError("computing an antipode needs delta and eps "
                          "(grouplike: true also works)")
     result = hs.compute_antipode(loaded.presentation)
@@ -675,7 +670,7 @@ def cmd_export_polyad(args):
     if loaded.kind == "polyad":
         raise InputError("the file is already a polyad export; pass the "
                          "graded source presentation")
-    if loaded.comonoid is None:
+    if loaded.presentation.delta is None:
         raise InputError("a polyad export needs delta and eps "
                          "(grouplike: true also works)")
     probes_doc = _read_json(args.probes)
@@ -736,9 +731,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="canonical machine json or human text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="echoed in the text report; every checker "
-                             "is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser(

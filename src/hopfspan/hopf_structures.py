@@ -30,7 +30,7 @@ the lazy-category backend and re-checks them pointwise on probes.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import cat_backend as cb
@@ -88,8 +88,9 @@ class MonadPresentation:
     base_label assigns a base 0-cell value to every shape object and
     mor_label a base 1-cell value to every morphism; mu[(h, k)] (h after
     k) and eta[x] are base 2-cell values.  Construction builds the monad
-    cells once, which validates every boundary; the equations themselves
-    are left to check_monad.
+    cells once, which validates every boundary, and keeps them as cells
+    for every checker to read; the equations themselves are left to
+    check_monad.
     """
 
     backend: object
@@ -98,26 +99,21 @@ class MonadPresentation:
     mor_label: dict
     mu: dict
     eta: dict
+    cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        monad_cells(self)
-
-    def carrier(self):
-        return Cell0(self.backend, self.shape.objects, dict(self.base_label))
-
-    def total(self):
-        """The 1-cell whose apex is the morphism set, target map as the
-        left leg and source map as the right leg."""
-        d = self.shape
-        span = Span(d.objects, d.objects, d.morphisms, d.tgt, d.src)
-        return Cell1(self.backend, self.carrier(), self.carrier(), span,
-                     dict(self.mor_label))
+        object.__setattr__(self, "cells", monad_cells(self))
 
 
 def monad_cells(p):
-    """The total 1-cell with its multiplication and unit 2-cells."""
+    """The total 1-cell, whose apex is the morphism set with the target
+    map as the left leg and the source map as the right leg, with its
+    multiplication and unit 2-cells."""
     d = p.shape
-    t = p.total()
+    carrier = Cell0(p.backend, d.objects, dict(p.base_label))
+    t = Cell1(p.backend, carrier, carrier,
+              Span(d.objects, d.objects, d.morphisms, d.tgt, d.src),
+              dict(p.mor_label))
     composite = hcomp1(t, t)
     for pair in composite.span.apex:
         if pair not in p.mu:
@@ -181,17 +177,8 @@ class ComonoidStructure:
 def opmonoidal_cells(p, c, fibers=None):
     """The binary and nullary structure cells over the induced monoid
     object: t o m => m o (t . t) and t o u => u."""
-    be, d = p.backend, p.shape
-    t, _, _ = monad_cells(p)
-    mon = induced_monoidale(d.objects, be, fibers)
-    source2 = hcomp1(t, mon.m)
-    target2 = hcomp1(mon.m, tensor1(t, t))
-    f2 = Cell2(source2, target2,
-               SpanMorphism(source2.span, target2.span,
-                            FinFn(source2.span.apex, target2.span.apex,
-                                  {(h, x): (d.tgt(h), (h, h))
-                                   for (h, x) in source2.span.apex})),
-               {(h, x): c.delta[h] for (h, x) in source2.span.apex})
+    d, t = p.shape, p.cells[0]
+    mon = induced_monoidale(d.objects, p.backend, fibers)
     source0 = hcomp1(t, mon.u)
     f0 = Cell2(source0, mon.u,
                SpanMorphism(source0.span, mon.u.span,
@@ -199,7 +186,20 @@ def opmonoidal_cells(p, c, fibers=None):
                                   {(h, x): d.tgt(h)
                                    for (h, x) in source0.span.apex})),
                {(h, x): c.eps[h] for (h, x) in source0.span.apex})
-    return f2, f0
+    return _binary_cell(p, c, mon), f0
+
+
+def _binary_cell(p, c, mon):
+    """The binary structure cell t o m => m o (t . t) over mon."""
+    d, t = p.shape, p.cells[0]
+    source = hcomp1(t, mon.m)
+    target = hcomp1(mon.m, tensor1(t, t))
+    return Cell2(source, target,
+                 SpanMorphism(source.span, target.span,
+                              FinFn(source.span.apex, target.span.apex,
+                                    {(h, x): (d.tgt(h), (h, h))
+                                     for (h, x) in source.span.apex})),
+                 {(h, x): c.delta[h] for (h, x) in source.span.apex})
 
 
 def check_opmonoidal(p, c):
@@ -214,7 +214,7 @@ def check_opmonoidal(p, c):
     if not isinstance(be, VectBackend):
         raise SpanVError("assembled bimonoid squares need the one-object "
                          "graded base")
-    t, mu2, eta2 = monad_cells(p)
+    t, mu2, eta2 = p.cells
     com = ComonoidLabeledCell(t, dict(c.delta), dict(c.eps))
     report = CheckReport("opmonoidal structure")
     report.merge(check_comonoid(com))
@@ -257,18 +257,16 @@ def left_fusion(p, c, fibers=None):
     composable pair works out to (mu tensor 1) (1 tensor braiding)
     (delta tensor 1); the tests pin that shape down independently.
     """
-    be, d = p.backend, p.shape
-    t, mu2, _ = monad_cells(p)
-    mon = induced_monoidale(d.objects, be, fibers)
-    f2, _ = opmonoidal_cells(p, c, fibers)
+    t, mu2, _ = p.cells
+    mon = induced_monoidale(p.shape.objects, p.backend, fibers)
     idc = identity_cell1(mon.base)
     pair = tensor1(t, idc)
-    cell = hcomp2(f2, identity_cell2(pair))
+    cell = hcomp2(_binary_cell(p, c, mon), identity_cell2(pair))
     cell = vcomp2(associator_cell2(mon.m, tensor1(t, t), pair), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
                          interchange_cell2(t, t, t, idc)), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
-                         tensor2(identity_cell2(hcomp1(t, t)),
+                         tensor2(identity_cell2(mu2.source),
                                  right_unitor_cell2(t))), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
                          tensor2(mu2, identity_cell2(t))), cell)
@@ -279,22 +277,29 @@ def right_fusion(p, c, fibers=None):
     """The mirror composite (t o m) o (1 . t) => m o (t . t); here the
     interchange step braids against the unit label, so no braiding factor
     survives and the component is (1 tensor mu) (delta tensor 1)."""
-    be, d = p.backend, p.shape
-    t, mu2, _ = monad_cells(p)
-    mon = induced_monoidale(d.objects, be, fibers)
-    f2, _ = opmonoidal_cells(p, c, fibers)
+    t, mu2, _ = p.cells
+    mon = induced_monoidale(p.shape.objects, p.backend, fibers)
     idc = identity_cell1(mon.base)
     pair = tensor1(idc, t)
-    cell = hcomp2(f2, identity_cell2(pair))
+    cell = hcomp2(_binary_cell(p, c, mon), identity_cell2(pair))
     cell = vcomp2(associator_cell2(mon.m, tensor1(t, t), pair), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
                          interchange_cell2(t, t, idc, t)), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
                          tensor2(right_unitor_cell2(t),
-                                 identity_cell2(hcomp1(t, t)))), cell)
+                                 identity_cell2(mu2.source))), cell)
     cell = vcomp2(hcomp2(identity_cell2(mon.m),
                          tensor2(identity_cell2(t), mu2)), cell)
     return cell
+
+
+def fusion_components(cell, side):
+    """The components of a built fusion cell keyed by the fused pair
+    (h, k) of shape morphisms, read off its apex atoms: ((h, x), (k, x))
+    on the left side and ((h, x), (x, k)) on the right."""
+    at = ("left", "right").index(side)
+    return {(atom[0][0], atom[1][at]): cell.components[atom]
+            for atom in cell.source.span.apex}
 
 
 def fusion_verdict(left, right):
@@ -334,13 +339,22 @@ class AntipodeResult:
         return self.family is not None
 
 
-def _shape_inverse(d, h):
-    x, y = d.src(h), d.tgt(h)
-    for n in d.hom(y, x):
-        if d.composition.get((n, h)) == d.identities(x) and \
-                d.composition.get((h, n)) == d.identities(y):
-            return n
-    return None
+_SQUARE_LAWS = ("(1, sigma) square", "(sigma, 1) square")
+
+
+def _antipode_squares(p, c, h, g, sigma):
+    """Both antipode squares at h, whose shape inverse is g, for sigma
+    from the label of h to the label of g: mu (1 . sigma) delta with its
+    target eta eps at tgt(h), then mu (sigma . 1) delta with eta eps at
+    src(h)."""
+    be, d = p.backend, p.shape
+    one = be.id2(p.mor_label[h])
+    return ((be.vcomp(p.mu[(h, g)],
+                      be.vcomp(be.tensor2v(one, sigma), c.delta[h])),
+             be.vcomp(p.eta[d.tgt(h)], c.eps[h])),
+            (be.vcomp(p.mu[(g, h)],
+                      be.vcomp(be.tensor2v(sigma, one), c.delta[h])),
+             be.vcomp(p.eta[d.src(h)], c.eps[h])))
 
 
 def _antipode_axioms(p, c, sigma):
@@ -353,21 +367,14 @@ def _antipode_axioms(p, c, sigma):
     report = CheckReport("antipode axioms")
     be, d = p.backend, p.shape
     for h in d.morphisms:
-        g = _shape_inverse(d, h)
+        g = d.inverse(h)
         if g is None:
             report.fail("no shape inverse", h)
             continue
-        one = be.id2(p.mor_label[h])
-        unit_tgt = be.vcomp(p.eta[d.tgt(h)], c.eps[h])
-        lhs = be.vcomp(p.mu[(h, g)],
-                       be.vcomp(be.tensor2v(one, sigma[h]), c.delta[h]))
-        if not be.eq2(lhs, unit_tgt):
-            report.fail("(1, sigma) square", (h, be.first_diff(lhs, unit_tgt)))
-        unit_src = be.vcomp(p.eta[d.src(h)], c.eps[h])
-        lhs = be.vcomp(p.mu[(g, h)],
-                       be.vcomp(be.tensor2v(sigma[h], one), c.delta[h]))
-        if not be.eq2(lhs, unit_src):
-            report.fail("(sigma, 1) square", (h, be.first_diff(lhs, unit_src)))
+        squares = _antipode_squares(p, c, h, g, sigma[h])
+        for law, (lhs, unit) in zip(_SQUARE_LAWS, squares):
+            if not be.eq2(lhs, unit):
+                report.fail(law, (h, be.first_diff(lhs, unit)))
     return report
 
 
@@ -408,26 +415,21 @@ def _solve_antipode(p, c):
     groupoid = cb.is_groupoid(d)
     if not groupoid:
         return None, ("shape not a groupoid", groupoid.witness)
-    fusion = right_fusion(p, c)
+    fused = fusion_components(right_fusion(p, c), "right")
     sigma = {}
     for h in d.morphisms:
-        g = _shape_inverse(d, h)
+        g = d.inverse(h)
         lab_h, lab_g = p.mor_label[h], p.mor_label[g]
-        x, y = d.src(h), d.tgt(h)
-        one = be.id2(lab_h)
         columns = []
         for i in range(lab_g.dim):
             for j in range(lab_h.dim):
-                basis = _matrix_unit(lab_h, lab_g, i, j)
-                second = be.vcomp(p.mu[(h, g)],
-                                  be.vcomp(be.tensor2v(one, basis),
-                                           c.delta[h]))
-                first = be.vcomp(p.mu[(g, h)],
-                                 be.vcomp(be.tensor2v(basis, one),
-                                          c.delta[h]))
-                columns.append(_flat(second) + _flat(first))
-        rhs = _flat(be.vcomp(p.eta[y], c.eps[h])) + \
-            _flat(be.vcomp(p.eta[x], c.eps[h]))
+                (one_sigma, _), (sigma_one, _) = _antipode_squares(
+                    p, c, h, g, _matrix_unit(lab_h, lab_g, i, j))
+                columns.append(_flat(one_sigma) + _flat(sigma_one))
+        # The targets do not depend on the candidate.
+        (_, unit_tgt), (_, unit_src) = _antipode_squares(
+            p, c, h, g, vb.VMorphism.zero(lab_h, lab_g))
+        rhs = _flat(unit_tgt) + _flat(unit_src)
         rows = [[col[r] for col in columns] for r in range(len(rhs))]
         solution, witness = _solve_unique(rows, rhs)
         if solution is None:
@@ -435,13 +437,13 @@ def _solve_antipode(p, c):
         entries = [solution[i * lab_h.dim:(i + 1) * lab_h.dim]
                    for i in range(lab_g.dim)]
         solved = vb.VMorphism(lab_h, lab_g, entries)
-        phi = fusion.components[((h, x), (x, g))]
-        res = vb.invert(phi)
+        res = vb.invert(fused[(h, g)])
         if not res:
             return None, ("fusion component singular", h, res.witness)
         extracted = be.vcomp(be.tensor2v(c.eps[h], be.id2(lab_g)),
                              be.vcomp(res.inverse,
-                                      be.tensor2v(one, p.eta[y])))
+                                      be.tensor2v(be.id2(lab_h),
+                                                  p.eta[d.tgt(h)])))
         if not be.eq2(extracted, solved):
             return None, ("extraction disagrees with the linear solution", h)
         sigma[h] = solved
@@ -458,7 +460,7 @@ def compute_antipode(pres, c=None):
     The optional c overrides the presentation's comonoid structure and is
     keyed by shape morphisms.
     """
-    mp = pres.monad_presentation()
+    mp = pres.monad
     cs = c if c is not None else pres.comonoid_structure()
     solved, witness = _solve_antipode(mp, cs)
     if solved is None:
@@ -473,7 +475,7 @@ def check_antipode_group(pres, sigma=None):
     fam = sigma if sigma is not None else pres.antipode
     if fam is None:
         raise SpanVError("presentation carries no antipode family")
-    return _antipode_axioms(pres.monad_presentation(),
+    return _antipode_axioms(pres.monad,
                             pres.comonoid_structure(),
                             pres.sigma_by_shape(fam))
 
@@ -510,9 +512,9 @@ def _assembled_antipode_group(pres, fam):
     map with the family as components) and both squares are plain
     convolution composites."""
     report = CheckReport("assembled antipode squares")
-    mp = pres.monad_presentation()
+    mp = pres.monad
     d = mp.shape
-    t, mu2, eta2 = monad_cells(mp)
+    t, mu2, eta2 = mp.cells
     com = ComonoidLabeledCell(t, dict(pres.delta), dict(pres.eps))
     delta2, eps2 = comonoid_cells(com)
     units = duoidal_units(d.objects, mp.backend)
@@ -523,7 +525,7 @@ def _assembled_antipode_group(pres, fam):
     unit_path = vcomp2(eta2, vcomp2(opened.inverse, eps2))
     mapping = {}
     for h in d.morphisms:
-        g = _shape_inverse(d, h)
+        g = d.inverse(h)
         if g is None:
             report.fail("no shape inverse", h)
             return report
@@ -653,7 +655,9 @@ class GroupMonoidPresentation:
     labels maps each element to its graded object; mu[(a, b)] multiplies
     along the table, eta embeds the unit.  delta/eps and the antipode
     family are optional and keyed by elements, as is everything else, so
-    no key translation is ever needed for this kind.
+    no key translation is ever needed for this kind.  Construction builds
+    the monad presentation on the table's one-object category once, as
+    monad.
     """
 
     backend: VectBackend
@@ -666,15 +670,14 @@ class GroupMonoidPresentation:
     delta: dict = None
     eps: dict = None
     antipode: AntipodeFamily = None
+    monad: MonadPresentation = field(init=False, repr=False, compare=False)
 
-    def shape(self):
-        return cb.FinCategory.from_monoid(list(self.elements), self.mul,
-                                          self.unit)
-
-    def monad_presentation(self):
-        return MonadPresentation(self.backend, self.shape(), {"*": "*"},
-                                 dict(self.labels), dict(self.mu),
-                                 {"*": self.eta})
+    def __post_init__(self):
+        shape = cb.FinCategory.from_monoid(list(self.elements), self.mul,
+                                           self.unit)
+        object.__setattr__(self, "monad", MonadPresentation(
+            self.backend, shape, {"*": "*"}, dict(self.labels),
+            dict(self.mu), {"*": self.eta}))
 
     def comonoid_structure(self):
         if self.delta is None or self.eps is None:
@@ -713,8 +716,7 @@ def grouplike_monoid_algebra(elements, mul, unit, q=None, grades=None):
                                        lambda w: (mul[(w[0], w[1])],))
     eta = vb.VMorphism.from_basis_map(vb.unit_object(), obj,
                                       lambda w: (unit,))
-    delta = vb.VMorphism.from_basis_map(obj, square, lambda w: w + w)
-    eps = vb.VMorphism(obj, vb.unit_object(), [[vb.ONE] * obj.dim])
+    delta, eps = vb.grouplike(obj)
     antipode = None
     inverses = _monoid_inverses(elements, mul, unit)
     if inverses is not None:
@@ -788,9 +790,10 @@ class EnrichedCatPresentation:
     hom[(x, y)] composes with hom[(y, z)] into hom[(x, z)] via
     mu[(x, y, z)]; eta[x] embeds the unit into hom[(x, x)].  The shape of
     the induced monad is the one-morphism-per-pair category, whose
-    morphism (u, v): u -> v carries hom[(v, u)]; the key-translation
-    helpers keep that orientation in one place.  delta/eps/antipode are
-    optional, keyed by hom pairs.
+    morphism (u, v): u -> v carries hom[(v, u)]; construction builds that
+    monad presentation once, as monad, and the key-translation helpers
+    keep the orientation in one place.  delta/eps/antipode are optional,
+    keyed by hom pairs.
     """
 
     backend: VectBackend
@@ -801,19 +804,16 @@ class EnrichedCatPresentation:
     delta: dict = None
     eps: dict = None
     antipode: AntipodeFamily = None
+    monad: MonadPresentation = field(init=False, repr=False, compare=False)
 
-    def shape(self):
-        return cb.FinCategory.indiscrete(list(self.objects))
-
-    def monad_presentation(self):
-        shape = self.shape()
+    def __post_init__(self):
+        shape = cb.FinCategory.indiscrete(list(self.objects))
         mor_label = {(u, v): self.hom[(v, u)] for (u, v) in shape.morphisms}
-        mu = {}
-        for (g, f) in shape.composable_pairs():
-            mu[(g, f)] = self.mu[(g[1], g[0], f[0])]
-        return MonadPresentation(self.backend, shape,
-                                 {x: "*" for x in shape.objects},
-                                 mor_label, mu, dict(self.eta))
+        mu = {(g, f): self.mu[(g[1], g[0], f[0])]
+              for (g, f) in shape.composable_pairs()}
+        object.__setattr__(self, "monad", MonadPresentation(
+            self.backend, shape, {x: "*" for x in shape.objects},
+            mor_label, mu, dict(self.eta)))
 
     def comonoid_structure(self):
         if self.delta is None or self.eps is None:
@@ -861,9 +861,11 @@ def enriched_from_groupoid(cat, q=None, grades=None):
     be = VectBackend(q if q is not None else vb.BraidParam(1))
     shared = {}
 
-    def basis_map(dom, cod, fn):
-        f = vb.VMorphism.from_basis_map(dom, cod, fn)
+    def share(f):
         return shared.setdefault(f, f)
+
+    def basis_map(dom, cod, fn):
+        return share(vb.VMorphism.from_basis_map(dom, cod, fn))
 
     X = FinSet(list(cat.objects))
     grades = dict(grades) if grades else {m: 0 for m in cat.morphisms}
@@ -885,16 +887,13 @@ def enriched_from_groupoid(cat, q=None, grades=None):
         eta[x] = basis_map(
             vb.unit_object(), hom[(x, x)],
             lambda w: (cat.identities(x),))
-    delta = {p: basis_map(hom[p], vb.tensor_obj(hom[p], hom[p]),
-                          lambda w: w + w)
-             for p in hom}
-    eps = {p: basis_map(hom[p], vb.unit_object(), lambda w: ())
-           for p in hom}
+    delta, eps = {}, {}
+    for p in hom:
+        delta[p], eps[p] = map(share, vb.grouplike(hom[p]))
     sigma = {}
     for (x, y) in hom:
-        sigma[(x, y)] = basis_map(
-            hom[(x, y)], hom[(y, x)],
-            lambda w: (_shape_inverse(cat, w[0]),))
+        sigma[(x, y)] = basis_map(hom[(x, y)], hom[(y, x)],
+                                  lambda w: (cat.inverse(w[0]),))
     return EnrichedCatPresentation(be, X, hom, mu, eta, delta, eps,
                                    AntipodeFamily(sigma))
 
@@ -1442,7 +1441,7 @@ def _restricted_carrier(p, shape, q):
     span = Span(one0.carrier, d.objects, shape.keys, shape.left,
                 FinFn.constant(shape.keys, one0.carrier, "*"))
     label = {c: _point_functor(shape.fiber(p, c), q[c]) for c in shape.keys}
-    return Cell1(be, one0, p.carrier(), span, label)
+    return Cell1(be, one0, p.cells[0].src, span, label)
 
 
 def _algebra_cell(shape, composite, carrier1, rho):
@@ -1489,7 +1488,7 @@ def em_algebras_restricted(p, kind="modules"):
     if not isinstance(p.backend, CatBackend):
         raise SpanVError("restricted algebras live over the finite-"
                          "category base")
-    t, mu2, eta2 = monad_cells(p)
+    t, mu2, eta2 = p.cells
     algebras = []
     for q, rhos in _action_candidates(p, shape):
         carrier1 = _restricted_carrier(p, shape, q)
@@ -1663,7 +1662,7 @@ def image_presentation(p, probes):
     return imaged, F, image
 
 
-def image_polyad_report(pres, probes, c=None):
+def image_polyad_report(pres, probes):
     """Push a one-object presentation along the tensoring functor and
     re-check it over the lazy-category backend.
 
@@ -1673,8 +1672,7 @@ def image_polyad_report(pres, probes, c=None):
     evaluated and inverted at each probe object."""
     if not probes:
         raise SpanVError("at least one probe object is needed")
-    source = pres.monad_presentation() \
-        if not isinstance(pres, MonadPresentation) else pres
+    source = pres.monad
     imaged, F, backend = image_presentation(source, probes)
     report = CheckReport("image polyad")
     report.merge(check_monad(imaged))
@@ -1688,7 +1686,7 @@ def image_polyad_report(pres, probes, c=None):
     if not verdict:
         report.fail("shape not a groupoid", verdict.witness)
         return report, imaged, backend
-    com = c if c is not None else pres.comonoid_structure()
+    com = pres.comonoid_structure()
     for side, cell in (("left", left_fusion(source, com)),
                        ("right", right_fusion(source, com))):
         pushed = apply_span_F(F, cell)

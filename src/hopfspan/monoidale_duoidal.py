@@ -975,13 +975,7 @@ def grouplike_comonoid(cell):
         raise SpanVError("grouplike comonoids need a one-object graded base")
     delta, eps = {}, {}
     for h in cell.span.apex:
-        obj = cell.label[h]
-        sq = vb.tensor_obj(obj, obj)
-        rows = [[vb.ZERO] * obj.dim for _ in range(sq.dim)]
-        for k in range(obj.dim):
-            rows[k * obj.dim + k][k] = vb.ONE
-        delta[h] = vb.VMorphism(obj, sq, rows)
-        eps[h] = vb.VMorphism(obj, vb.unit_object(), [[vb.ONE] * obj.dim])
+        delta[h], eps[h] = vb.grouplike(cell.label[h])
     return ComonoidLabeledCell(cell, delta, eps)
 
 

@@ -1,8 +1,7 @@
 """Seeded generators for randomized law checking.
 
-Everything takes an explicit random.Random so that suites are reproducible
-from a single seed, both under pytest and behind the command line's
---seed flag.
+Everything takes an explicit random.Random so that the randomized suites
+are reproducible from a single seed.
 """
 
 import random

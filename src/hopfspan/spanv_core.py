@@ -239,17 +239,12 @@ class CatBackend(Backend):
         return cb.NatTransData.identity(composite)
 
     def invert2(self, f):
-        verdict = cb.nat_is_iso(f)
-        if not verdict:
-            return None, verdict.witness
         cod = f.source.cod
         comps = {}
         for x in f.source.dom.objects:
-            m = f.components[x]
-            sx, tx = cod.src(m), cod.tgt(m)
-            comps[x] = next(p for p in cod.hom(tx, sx)
-                            if cod.composition[(p, m)] == cod.identities(sx)
-                            and cod.composition[(m, p)] == cod.identities(tx))
+            comps[x] = cod.inverse(f.components[x])
+            if comps[x] is None:
+                return None, x
         return cb.NatTransData(f.target, f.source, comps), None
 
     def first_diff(self, f, g):
@@ -432,21 +427,26 @@ def vcomp2(second, first):
 
 def hcomp1(b, a):
     """Horizontal composite of 1-cells; label (d, c) is b(d) after a(c)."""
+    return _composite(b, a, compose_spans(b.span, a.span))
+
+
+def _composite(b, a, span):
+    """b after a on span, their pullback composite computed elsewhere."""
     if b.src != a.tgt:
         raise SpanVError("horizontal composition boundary mismatch")
     be = a.backend
-    span = compose_spans(b.span, a.span)
     label = {(d, c): be.comp1(b.label[d], a.label[c])
              for (d, c) in span.apex}
     return Cell1(be, a.src, b.tgt, span, label)
 
 
 def hcomp2(g, f):
-    """Horizontal composite of 2-cells, componentwise."""
-    source = hcomp1(g.source, f.source)
-    target = hcomp1(g.target, f.target)
-    be = source.backend
+    """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
+    the composite spans that the span morphism already carries."""
     morphism = compose_span_morphisms_h(g.morphism, f.morphism)
+    source = _composite(g.source, f.source, morphism.source)
+    target = _composite(g.target, f.target, morphism.target)
+    be = source.backend
     comps = {(d, c): be.comp2(g.components[d], f.components[c])
              for (d, c) in source.span.apex}
     return Cell2(source, target, morphism, comps)
@@ -506,21 +506,24 @@ def relabel_cell2(source, target, span_morphism):
 
 def associator_cell2(c, b, a):
     """(c o b) o a => c o (b o a), identity components."""
-    lhs = hcomp1(hcomp1(c, b), a)
-    rhs = hcomp1(c, hcomp1(b, a))
-    return relabel_cell2(lhs, rhs, associator_iso(c.span, b.span, a.span))
+    iso = associator_iso(c.span, b.span, a.span)
+    lhs = _composite(hcomp1(c, b), a, iso.source)
+    rhs = _composite(c, hcomp1(b, a), iso.target)
+    return relabel_cell2(lhs, rhs, iso)
 
 
 def left_unitor_cell2(a):
     """identity(tgt) o a => a, identity components."""
-    lhs = hcomp1(identity_cell1(a.tgt), a)
-    return relabel_cell2(lhs, a, left_unitor_iso(a.span))
+    iso = left_unitor_iso(a.span)
+    return relabel_cell2(_composite(identity_cell1(a.tgt), a, iso.source),
+                         a, iso)
 
 
 def right_unitor_cell2(a):
     """a o identity(src) => a, identity components."""
-    lhs = hcomp1(a, identity_cell1(a.src))
-    return relabel_cell2(lhs, a, right_unitor_iso(a.span))
+    iso = right_unitor_iso(a.span)
+    return relabel_cell2(_composite(a, identity_cell1(a.src), iso.source),
+                         a, iso)
 
 
 def tensor_associator_cell2(a, b, c):

@@ -373,6 +373,15 @@ def braiding(a, b, q):
     return VMorphism._from_rows(dom, cod, rows)
 
 
+def grouplike(obj):
+    """The comonoid (delta, eps) on obj whose basis vectors are grouplike:
+    delta sends each one to its tensor square, eps is the sum of the
+    coordinates."""
+    return (VMorphism.from_basis_map(obj, tensor_obj(obj, obj),
+                                     lambda w: w + w),
+            VMorphism.from_basis_map(obj, _UNIT, lambda w: ()))
+
+
 @dataclass(frozen=True)
 class InverseResult:
     """Either the exact inverse, or a witness for why there is none."""

@@ -134,7 +134,7 @@ def test_criterion_3_duoidal_and_zunino():
 def test_criterion_4_hopf_group_monoid_fixture():
     start = time.monotonic()
     pres = hs.cyclic_group_algebra(2)
-    mp = pres.monad_presentation()
+    mp = pres.monad
     com = pres.comonoid_structure()
     assert hs.check_monad(mp).ok
     assert hs.check_opmonoidal(mp, com).ok
@@ -161,7 +161,7 @@ def test_criterion_4_hopf_group_monoid_fixture():
 def test_criterion_5_negative_control():
     start = time.monotonic()
     pres = hs.idempotent_monoid_presentation()
-    verdict = hs.is_hopf(pres.monad_presentation(),
+    verdict = hs.is_hopf(pres.monad,
                          pres.comonoid_structure())
     assert not verdict
     assert verdict.witness[1] == "span map not surjective"
@@ -174,7 +174,7 @@ def test_criterion_5_negative_control():
 def test_criterion_6_hopf_category_fixtures():
     start = time.monotonic()
     for pres in (hs.indiscrete_enriched(["x", "y"]), torsor_enriched()):
-        mp = pres.monad_presentation()
+        mp = pres.monad
         com = pres.comonoid_structure()
         assert hs.check_monad(mp).ok
         assert hs.check_opmonoidal(mp, com).ok
@@ -270,7 +270,7 @@ def test_criterion_9_fusion_formula_oracle():
                      for n in (2, 3) for qv in (1, -1, 2)]
     presentations.append(hs.grouplike_monoid_algebra(*symmetric3()))
     for pres in presentations:
-        mp = pres.monad_presentation()
+        mp = pres.monad
         com = pres.comonoid_structure()
         be = mp.backend
         cell = hs.left_fusion(mp, com)

@@ -76,6 +76,34 @@ def test_groupoid_detection():
     assert verdict.witness == "z"
 
 
+def brute_inverse(c, m):
+    """Every morphism of c scanned for a two-sided inverse of m."""
+    found = [n for n in c.morphisms
+             if c.composition.get((n, m)) == c.identities(c.src(m))
+             and c.composition.get((m, n)) == c.identities(c.tgt(m))]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def test_inverse_matches_a_brute_force_scan():
+    # {1, g, z}: g is invertible, the absorbing z is not.
+    elements = ["1", "g", "z"]
+    mul = {(a, b): "z" if "z" in (a, b) else ("1" if a == b else "g")
+           for a in elements for b in elements}
+    mixed = FinCategory.from_monoid(elements, mul, "1")
+    small = [z2_category(), idempotent_monoid_category(), mixed,
+             FinCategory.indiscrete(["x", "y"]),
+             FinCategory.discrete(["x", "y"])]
+    cats = small + [s3_category(), FinCategory.indiscrete(["x", "y", "w"])]
+    cats += [product_category(a, b) for a in small for b in small]
+    for c in cats:
+        for m in c.morphisms:
+            assert c.inverse(m) == brute_inverse(c, m)
+        assert bool(is_groupoid(c)) == \
+            all(c.inverse(m) is not None for m in c.morphisms)
+    assert mixed.inverse("g") == "g" and mixed.inverse("z") is None
+
+
 def test_functor_validation():
     z2 = z2_category()
     flip = FunctorData(z2, z2, FinFn.identity(z2.objects),

@@ -5,6 +5,7 @@ files under tests/data are the same documents the acceptance suite
 uses, and mutated copies go through tmp_path.
 """
 
+import collections
 import contextlib
 import copy
 import io
@@ -12,8 +13,11 @@ import json
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfspan import cat_backend as cb
+from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan import monoidale_duoidal as md
 from hopfspan import spanv_core as sc
@@ -95,6 +99,29 @@ def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
     assert calls == {"left_fusion": 1, "right_fusion": 1}
 
 
+def test_default_check_builds_each_structure_once(capsys, monkeypatch):
+    # The presentation builds its shape and monad cells at load; each
+    # fusion cell builds its monoid object once, and horizontal composites
+    # of 2-cells sit on the pullbacks their span morphisms carry.  Before
+    # that, this check ran monad_cells 10 times, check_category 4 times,
+    # induced_monoidale 5 times and compose_spans 688 times.
+    calls = collections.Counter()
+    for modules, name in (((fs, sc), "compose_spans"),
+                          ((md, hs), "induced_monoidale"),
+                          ((hs,), "monad_cells"),
+                          ((cb,), "check_category")):
+        def counted(*args, _name=name, _original=getattr(modules[0], name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
+    assert code == 0
+    assert calls == {"monad_cells": 1, "check_category": 1,
+                     "induced_monoidale": 3, "compose_spans": 424}
+
+
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):
     # The convolution cells are built on leg-matched pairs: no cell is
     # inverted, and no monoid object is built to read the diagonal labels.
@@ -171,15 +198,6 @@ def test_machine_reports_are_byte_identical(capsys):
     assert "elapsed" not in first
 
 
-def test_seed_is_echoed_only_in_text(capsys):
-    _, text, _ = run_cli(capsys, "check", Z2_FILE, "--monad",
-                         "--seed", "7")
-    assert "seed: 7" in text
-    _, machine, _ = run_cli(capsys, "check", Z2_FILE, "--monad",
-                            "--seed", "7", "--format", "json")
-    assert "seed" not in machine
-
-
 def test_explicit_delta_eps_not_flagged_as_synthesized(capsys, tmp_path):
     doc = load_doc("z2_group_algebra.json")
     del doc["grouplike"]
@@ -227,6 +245,20 @@ def test_matrix_shape_mismatch_is_located(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", write_doc(tmp_path, doc))
     assert code == 2
     assert "$.eta" in err and "rows" in err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1/x", "malformed fraction '1/x'"),
+    ("1/0", "malformed fraction '1/0'"),
+    (1, "expected a fraction string"),
+    (["1"], "expected a fraction string"),
+])
+def test_bad_matrix_entry_is_located(capsys, tmp_path, entry, message):
+    doc = load_doc("z2_group_algebra.json")
+    doc["mu"]["b"]["e"][1][2] = entry
+    code, _, err = run_cli(capsys, "check", write_doc(tmp_path, doc))
+    assert code == 2
+    assert err == "error: $.mu.b.e[1][2]: %s\n" % message
 
 
 def test_undeclared_atom_is_rejected(capsys, tmp_path):

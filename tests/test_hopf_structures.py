@@ -55,7 +55,7 @@ def permutation_sign(order, mapping):
 
 
 def test_monad_cells_shapes():
-    p = cyclic_group_algebra(2).monad_presentation()
+    p = cyclic_group_algebra(2).monad
     t, mu2, eta2 = monad_cells(p)
     assert sorted(t.span.apex) == ["b", "e"]
     assert t.span.left("b") == "*" and t.span.right("b") == "*"
@@ -66,7 +66,7 @@ def test_monad_cells_shapes():
 
 def test_check_monad_passes_on_group_algebras():
     for n in (2, 3, 4):
-        p = cyclic_group_algebra(n).monad_presentation()
+        p = cyclic_group_algebra(n).monad
         assert check_monad(p).ok
 
 
@@ -79,7 +79,7 @@ def test_check_monad_locates_broken_associativity():
                                         lambda w: ("e",))
     broken = dict(p.mu)
     broken[("b", "e")] = collapse
-    mp = dataclasses.replace(p, mu=broken).monad_presentation()
+    mp = dataclasses.replace(p, mu=broken).monad
     report = check_monad(mp)
     assert not report.ok
     laws = {law for (law, _) in report.failures}
@@ -91,7 +91,7 @@ def test_presentation_rejects_missing_multiplication():
     p = cyclic_group_algebra(2)
     partial = {pair: v for pair, v in p.mu.items() if pair != ("b", "b")}
     with pytest.raises(SpanVError) as err:
-        dataclasses.replace(p, mu=partial).monad_presentation()
+        dataclasses.replace(p, mu=partial).monad
     assert "multiplication entry missing" in str(err.value)
 
 
@@ -101,7 +101,7 @@ def test_presentation_rejects_missing_multiplication():
 
 def test_opmonoidal_cells_shapes():
     p = cyclic_group_algebra(2)
-    mp = p.monad_presentation()
+    mp = p.monad
     f2, f0 = opmonoidal_cells(mp, p.comonoid_structure())
     for (h, x) in f2.source.span.apex:
         assert f2.morphism.map((h, x)) == ("*", (h, h))
@@ -113,13 +113,13 @@ def test_opmonoidal_cells_shapes():
 def test_check_opmonoidal_passes_ungraded():
     for p in (cyclic_group_algebra(2), cyclic_group_algebra(3),
               idempotent_monoid_presentation()):
-        mp = p.monad_presentation()
+        mp = p.monad
         assert check_opmonoidal(mp, p.comonoid_structure()).ok
 
 
 def test_check_opmonoidal_passes_enriched():
     e = indiscrete_enriched(["x", "y"])
-    assert check_opmonoidal(e.monad_presentation(),
+    assert check_opmonoidal(e.monad,
                             e.comonoid_structure()).ok
 
 
@@ -130,7 +130,7 @@ def test_graded_braiding_breaks_the_bimonoid_square():
     # while the comonoid laws themselves still hold.
     for qv in (-1, 2, Fraction(1, 3)):
         p = cyclic_group_algebra(2, q=BraidParam(qv), graded=True)
-        report = check_opmonoidal(p.monad_presentation(),
+        report = check_opmonoidal(p.monad,
                                   p.comonoid_structure())
         assert not report.ok
         assert {law for (law, _) in report.failures} == \
@@ -156,7 +156,7 @@ Z2_FUSION_MAP = {("e", "e"): ("e", "e"), ("e", "b"): ("b", "e"),
 
 def test_left_fusion_span_map_is_the_frozen_permutation():
     p = cyclic_group_algebra(2)
-    cell = left_fusion(p.monad_presentation(), p.comonoid_structure())
+    cell = left_fusion(p.monad, p.comonoid_structure())
     seen = {}
     for ((h, x), (k, _)) in cell.source.span.apex:
         image = cell.morphism.map(((h, x), (k, x)))
@@ -170,7 +170,7 @@ def test_left_fusion_span_map_general_groups():
     for n in (3, 4):
         names, mul, unit = cyclic_group(n)
         p = cyclic_group_algebra(n)
-        cell = left_fusion(p.monad_presentation(), p.comonoid_structure())
+        cell = left_fusion(p.monad, p.comonoid_structure())
         images = set()
         for ((h, x), (k, _)) in cell.source.span.apex:
             image = cell.morphism.map(((h, x), (k, x)))
@@ -185,7 +185,7 @@ def test_left_fusion_components_match_the_convolution_formula():
     # presentation data, for trivial and nontrivial braiding alike.
     for qv, graded in ((1, False), (-1, True), (2, True)):
         p = cyclic_group_algebra(2, q=BraidParam(qv), graded=graded)
-        mp = p.monad_presentation()
+        mp = p.monad
         c = p.comonoid_structure()
         be = mp.backend
         cell = left_fusion(mp, c)
@@ -204,7 +204,7 @@ def test_left_fusion_components_match_the_convolution_formula():
 def test_right_fusion_components_match_the_convolution_formula():
     for qv, graded in ((1, False), (-1, True), (2, True)):
         p = cyclic_group_algebra(2, q=BraidParam(qv), graded=graded)
-        mp = p.monad_presentation()
+        mp = p.monad
         c = p.comonoid_structure()
         be = mp.backend
         cell = right_fusion(mp, c)
@@ -220,12 +220,12 @@ def test_right_fusion_components_match_the_convolution_formula():
 def test_groups_are_hopf_and_braiding_does_not_obstruct():
     for p in (cyclic_group_algebra(2), cyclic_group_algebra(3),
               cyclic_group_algebra(3, q=BraidParam(-1), graded=True)):
-        assert is_hopf(p.monad_presentation(), p.comonoid_structure())
+        assert is_hopf(p.monad, p.comonoid_structure())
 
 
 def test_idempotent_monoid_is_not_hopf():
     p = idempotent_monoid_presentation()
-    verdict = is_hopf(p.monad_presentation(), p.comonoid_structure())
+    verdict = is_hopf(p.monad, p.comonoid_structure())
     assert not verdict
     side, reason, missing = verdict.witness
     assert side == "left"
@@ -344,7 +344,7 @@ def torsor_groupoid():
 
 def test_enriched_indiscrete_pipeline():
     e = indiscrete_enriched(["x", "y"])
-    mp = e.monad_presentation()
+    mp = e.monad
     assert check_monad(mp).ok
     assert is_hopf(mp, e.comonoid_structure())
     assert check_antipode_group(e).ok
@@ -354,7 +354,7 @@ def test_enriched_indiscrete_pipeline():
 
 def test_enriched_shape_orientation():
     e = enriched_from_groupoid(torsor_groupoid())
-    mp = e.monad_presentation()
+    mp = e.monad
     for (u, v) in mp.shape.morphisms:
         assert mp.mor_label[(u, v)] == e.hom[(v, u)]
     assert check_monad(mp).ok
@@ -362,7 +362,7 @@ def test_enriched_shape_orientation():
 
 def test_enriched_groupoid_pipeline():
     e = enriched_from_groupoid(torsor_groupoid())
-    mp = e.monad_presentation()
+    mp = e.monad
     c = e.comonoid_structure()
     assert check_opmonoidal(mp, c).ok
     assert is_hopf(mp, c)
@@ -633,7 +633,7 @@ def test_restricted_algebras_match_enumeration(name, fiber_kind, kind):
 
 
 def test_restricted_algebras_reject_the_graded_base():
-    p = cyclic_group_algebra(2).monad_presentation()
+    p = cyclic_group_algebra(2).monad
     with pytest.raises(SpanVError) as err:
         em_algebras_restricted(p)
     assert "finite-category base" in str(err.value)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
-from hopfspan.vect_backend import BraidParam, VObject, VMorphism, tensor_obj
+from hopfspan.vect_backend import (
+    BraidParam, VObject, VMorphism, grouplike, tensor_obj, unit_object,
+)
 from hopfspan.cat_backend import FinCategory
 from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
@@ -25,6 +27,7 @@ from hopfspan.monoidale_duoidal import (
 )
 from hopfspan.rand import (
     seeded, random_span, random_vect_cell1, random_vect_cell2_from,
+    random_vobject,
 )
 
 V1 = VectBackend(BraidParam(1))
@@ -463,6 +466,19 @@ def test_grouplike_comonoid_satisfies_laws():
     com = grouplike_comonoid(cell)
     report = check_comonoid(com)
     assert report.ok, report.summary()
+    for h in cell.span.apex:
+        assert (com.delta[h], com.eps[h]) == grouplike(cell.label[h])
+    # The helper against the dense construction: delta has a one at row
+    # k * dim + k of column k, eps is a row of ones.
+    for _ in range(30):
+        obj = random_vobject(rng, max_dim=4, max_grade=3)
+        n = obj.dim
+        rows = [[Fraction(0)] * n for _ in range(n * n)]
+        for k in range(n):
+            rows[k * n + k][k] = Fraction(1)
+        delta, eps = grouplike(obj)
+        assert delta == VMorphism(obj, tensor_obj(obj, obj), rows)
+        assert eps == VMorphism(obj, unit_object(), [[Fraction(1)] * n])
 
 
 def test_conjugated_comonoid_satisfies_laws():

@@ -50,8 +50,7 @@ def rebuilt(pres, components):
 def report_bytes(kind, pres):
     """The canonical bytes of the default check suite and of the solved
     antipode."""
-    loaded = cli.LoadedFile(kind, {}, pres, pres.monad_presentation(),
-                            pres.comonoid_structure(), True)
+    loaded = cli.LoadedFile(kind, {}, pres, True)
     entries, ok = cli._run_check_suite(loaded, CHECKS)
     solved = hs.compute_antipode(pres)
     sigma = (cli._sigma_document(loaded, solved.family) if solved
