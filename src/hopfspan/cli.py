@@ -90,9 +90,12 @@ def _check_keys(doc, required, optional, path):
 @functools.lru_cache(maxsize=4096)
 def _parse_entry(text):
     """text as a Fraction; TypeError when it is not a string.  A matrix
-    block repeats a few strings many times, so each is parsed once."""
+    block repeats a few strings many times, so each is parsed once.  An
+    exponent is refused: "1e2000000000" would build a huge integer."""
     if not isinstance(text, str):
         raise TypeError(text)
+    if "e" in text or "E" in text:
+        raise ValueError(text)
     return Fraction(text)
 
 
@@ -438,6 +441,8 @@ def _read_json(filename):
         return json.loads(text)
     except json.JSONDecodeError as error:
         raise InputError("%s: invalid JSON: %s" % (filename, error))
+    except RecursionError:
+        raise InputError("%s: JSON nested too deeply to read" % filename)
 
 
 def load_path(filename):
@@ -704,8 +709,12 @@ def cmd_export_polyad(args):
     }
     text = canonical_json(document)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as error:
+            raise InputError("%s: %s" % (args.output,
+                                         error.strerror or error))
         if args.format == "text":
             sys.stdout.write("wrote polyad export to %s (verified on %d "
                              "probes, %.3fs)\n"

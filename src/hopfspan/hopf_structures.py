@@ -12,9 +12,10 @@ structure make the presentation an opmonoidal monad on the induced
 monoid object.  The two fusion 2-cells are assembled from the generic
 coherence cells, with the braiding entering only through the interchange
 step, and the presentation is Hopf exactly when both are invertible.
-Antipode families are checked componentwise (check_antipode_group, for
-one-object and hom-enriched presentations alike) and as assembled
-2-cell chains through the convolution unit.  They are computed as the
+Antipode families are checked componentwise (check_antipode_group) and
+as assembled 2-cell chains (check_antipode_duoidal), each one
+construction over the shape for one-object and hom-enriched
+presentations alike.  They are computed as the
 unique solution of the stacked antipode squares, by the single
 elimination routine vect_backend.row_reduce; a system without a unique
 solution is reported as ("underdetermined", first pivot-free column) or
@@ -53,7 +54,6 @@ from .spanv_core import (
     Cell1,
     Cell2,
     SpanVError,
-    TensorNat2,
     VectBackend,
     apply_span_F,
     associator_cell2,
@@ -472,175 +472,86 @@ def check_antipode_group(pres, sigma=None):
     """Both antipode squares, componentwise: element by element for a
     one-object presentation, hom pair by hom pair for a hom-enriched
     one."""
+    return _antipode_axioms(*_antipode_inputs(pres, sigma))
+
+
+def _antipode_inputs(pres, sigma):
+    """The monad presentation, comonoid structure and family (the given
+    one, else the presentation's), the last two keyed by shape
+    morphisms."""
     fam = sigma if sigma is not None else pres.antipode
     if fam is None:
         raise SpanVError("presentation carries no antipode family")
-    return _antipode_axioms(pres.monad,
-                            pres.comonoid_structure(),
-                            pres.sigma_by_shape(fam))
+    return pres.monad, pres.comonoid_structure(), pres.sigma_by_shape(fam)
 
 
 def check_antipode_duoidal(pres, sigma=None):
-    """The assembled 2-cell form of both antipode squares, composed
-    through the convolution unit, plus agreement with the componentwise
-    verdict.
+    """The assembled 2-cell form of both antipode squares, one chain over
+    the monad's shape for every presentation kind, plus agreement with
+    the componentwise verdict.
 
     The assembled route and the componentwise route share no
     intermediate values: one is a chain of validated span 2-cells
     compared by eq2, the other a family of matrix equations.  Their
     verdicts must coincide.
     """
-    fam = sigma if sigma is not None else pres.antipode
-    if fam is None:
-        raise SpanVError("presentation carries no antipode family")
-    if isinstance(pres, GroupMonoidPresentation):
-        report = _assembled_antipode_group(pres, fam)
-    elif isinstance(pres, EnrichedCatPresentation):
-        report = _assembled_antipode_enriched(pres, fam)
-    else:
-        raise SpanVError("no assembled antipode form for %r" % (pres,))
-    pointwise = check_antipode_group(pres, fam)
+    inputs = _antipode_inputs(pres, sigma)
+    report = _assembled_antipode(*inputs)
+    pointwise = _antipode_axioms(*inputs)
     if report.ok != pointwise.ok:
         report.fail("assembled and componentwise verdicts differ",
                     (report.ok, pointwise.ok))
     return report
 
 
-def _assembled_antipode_group(pres, fam):
-    """Over one object the convolution of endo-cells coincides with
-    composition, so the antipode is itself a 2-cell (the inversion span
-    map with the family as components) and both squares are plain
-    convolution composites."""
+def _assembled_antipode(p, c, sigma):
+    """Both antipode squares as 2-cell chains over a groupoid shape.
+
+    The (1, sigma) square starts from the cell on the shape morphisms
+    whose legs are both tgt, the (sigma, 1) square from the one whose
+    legs are both src.  Each comultiplies, sends h to (h, h^-1) (or to
+    (h^-1, h)) on the source of the multiplication with components
+    1 . sigma_h (or sigma_h . 1), and multiplies; the unit path takes the
+    counit, collapses onto the identity 1-cell along the leg and applies
+    the unit.  Over one object star1 is hcomp1, so this is the
+    convolution composite of the group case.  sigma and c are keyed by
+    shape morphisms.
+    """
     report = CheckReport("assembled antipode squares")
-    mp = pres.monad
-    d = mp.shape
-    t, mu2, eta2 = mp.cells
-    com = ComonoidLabeledCell(t, dict(pres.delta), dict(pres.eps))
-    delta2, eps2 = comonoid_cells(com)
-    units = duoidal_units(d.objects, mp.backend)
-    opened = invert_cell2(units.iota_ij)
-    if not opened:
-        raise SpanVError("convolution unit comparison is not invertible "
-                         "over this carrier")
-    unit_path = vcomp2(eta2, vcomp2(opened.inverse, eps2))
-    mapping = {}
+    be, d, lab = p.backend, p.shape, p.mor_label
+    t, mu2, eta2 = p.cells
+    inverse = {}
     for h in d.morphisms:
-        g = d.inverse(h)
-        if g is None:
+        inverse[h] = d.inverse(h)
+        if inverse[h] is None:
             report.fail("no shape inverse", h)
             return report
-        mapping[h] = g
-    sigma2 = Cell2(t, t,
-                   SpanMorphism(t.span, t.span,
-                                FinFn(d.morphisms, d.morphisms, mapping)),
-                   {h: fam.sigma[h] for h in d.morphisms})
-    verdict = eq2(vcomp2(mu2, vcomp2(star2(identity_cell2(t), sigma2),
-                                     delta2)),
-                  unit_path)
-    if not verdict:
-        report.fail("(1, sigma) square", verdict.witness)
-    verdict = eq2(vcomp2(mu2, vcomp2(star2(sigma2, identity_cell2(t)),
-                                     delta2)),
-                  unit_path)
-    if not verdict:
-        report.fail("(sigma, 1) square", verdict.witness)
-    return report
-
-
-def _assembled_antipode_enriched(pres, fam):
-    """Both squares as chains over the doubled-leg source cells.
-
-    The inversion swaps the legs of the hom span, so the antipode is not
-    a 2-cell on the total 1-cell; each square instead starts from the
-    cell with both legs equal (first projection for the (1, sigma)
-    square, second projection for the other), pads the comultiplied
-    labels into a three-leg span, applies the family on one tensor
-    factor while swapping legs, and multiplies.  The unit path collapses
-    the same source cell through the counit."""
-    report = CheckReport("assembled antipode squares")
-    be, X = pres.backend, pres.objects
-    hom, mu, eta = pres.hom, pres.mu, pres.eta
-    base = Cell0(be, X, {x: "*" for x in X})
-    pairs = FinSet.product(X, X)
-    triples = FinSet([(u, v, w) for u in X for v in X for w in X])
-    first = FinFn(pairs, X, {(v, w): v for (v, w) in pairs})
-    second = FinFn(pairs, X, {(v, w): w for (v, w) in pairs})
-    tfirst = FinFn(triples, X, {t: t[0] for t in triples})
-    tsecond = FinFn(triples, X, {t: t[1] for t in triples})
-    tthird = FinFn(triples, X, {t: t[2] for t in triples})
-    unit = vb.unit_object()
-    target = Cell1(be, base, base, Span(X, X, pairs, first, second),
-                   dict(hom))
-    composable = Cell1(be, base, base, Span(X, X, triples, tfirst, tthird),
-                       {(v, w, z): vb.tensor_obj(hom[(v, w)], hom[(w, z)])
-                        for (v, w, z) in triples})
-    mu_step = Cell2(composable, target,
-                    SpanMorphism(composable.span, target.span,
-                                 FinFn(triples, pairs,
-                                       {(v, w, z): (v, z)
-                                        for (v, w, z) in triples})),
-                    {(v, w, z): mu[(v, w, z)] for (v, w, z) in triples})
-    diag = identity_cell1(base)
-    eta_step = Cell2(diag, target,
-                     SpanMorphism(diag.span, target.span,
-                                  FinFn(X, pairs, {v: (v, v) for v in X})),
-                     {v: eta[v] for v in X})
-
-    def square(leg, pad_map, mid_span, mid_label, swap_map, swap_comp, law):
-        source = Cell1(be, base, base, Span(X, X, pairs, leg, leg),
-                       dict(hom))
-        counit_kill = Cell2(source,
-                            Cell1(be, base, base, source.span,
-                                  {q: unit for q in pairs}),
-                            SpanMorphism(source.span, source.span,
-                                         FinFn.identity(pairs)),
-                            {q: pres.eps[q] for q in pairs})
-        collapse = relabel_cell2(counit_kill.target, diag,
-                                 SpanMorphism(counit_kill.target.span,
-                                              diag.span,
-                                              FinFn(pairs, X,
-                                                    {q: leg(q)
-                                                     for q in pairs})))
-        top = vcomp2(eta_step, vcomp2(collapse, counit_kill))
-        doubled = Cell1(be, base, base, source.span,
-                        {q: vb.tensor_obj(hom[q], hom[q]) for q in pairs})
-        comult = Cell2(source, doubled,
-                       SpanMorphism(source.span, doubled.span,
-                                    FinFn.identity(pairs)),
-                       {q: pres.delta[q] for q in pairs})
-        middle = Cell1(be, base, base, mid_span, mid_label)
-        pad = relabel_cell2(doubled, middle,
-                            SpanMorphism(doubled.span, middle.span,
-                                         FinFn(pairs, triples, pad_map)))
-        swap = Cell2(middle, composable,
-                     SpanMorphism(middle.span, composable.span,
-                                  FinFn(triples, triples, swap_map)),
-                     swap_comp)
-        bottom = vcomp2(mu_step, vcomp2(swap, vcomp2(pad, comult)))
-        verdict = eq2(bottom, top)
+    one = {h: be.id2(lab[h]) for h in d.morphisms}
+    squares = (
+        (d.tgt, {h: (h, inverse[h]) for h in d.morphisms},
+         {h: be.tensor2v(one[h], sigma[h]) for h in d.morphisms}),
+        (d.src, {h: (inverse[h], h) for h in d.morphisms},
+         {h: be.tensor2v(sigma[h], one[h]) for h in d.morphisms}))
+    for law, (leg, onto, swap) in zip(_SQUARE_LAWS, squares):
+        span = Span(d.objects, d.objects, d.morphisms, leg, leg)
+        source = Cell1(be, t.src, t.src, span, lab)
+        doubled = Cell1(be, t.src, t.src, span,
+                        {h: be.tensor1v(lab[h], lab[h]) for h in d.morphisms})
+        units = Cell1(be, t.src, t.src, span,
+                      {h: be.id1(t.src.label[leg(h)]) for h in d.morphisms})
+        comult = Cell2(source, doubled, SpanMorphism.identity(span), c.delta)
+        swapped = Cell2(doubled, mu2.source,
+                        SpanMorphism(span, mu2.source.span,
+                                     FinFn(d.morphisms,
+                                           mu2.source.span.apex, onto)),
+                        swap)
+        counit = Cell2(source, units, SpanMorphism.identity(span), c.eps)
+        collapse = relabel_cell2(units, eta2.source,
+                                 SpanMorphism(span, eta2.source.span, leg))
+        verdict = eq2(vcomp2(mu2, vcomp2(swapped, comult)),
+                      vcomp2(eta2, vcomp2(collapse, counit)))
         if not verdict:
             report.fail(law, verdict.witness)
-
-    square(first,
-           {(v, w): (v, v, w) for (v, w) in pairs},
-           Span(X, X, triples, tfirst, tsecond),
-           {(v, z, w): vb.tensor_obj(hom[(v, w)], hom[(z, w)])
-            for (v, z, w) in triples},
-           {(v, z, w): (v, w, z) for (v, z, w) in triples},
-           {(v, z, w): vb.tensor_mor(vb.VMorphism.identity(hom[(v, w)]),
-                                     fam.sigma[(z, w)])
-            for (v, z, w) in triples},
-           "(1, sigma) square")
-    square(second,
-           {(v, w): (v, w, w) for (v, w) in pairs},
-           Span(X, X, triples, tsecond, tthird),
-           {(v, w, z): vb.tensor_obj(hom[(v, w)], hom[(v, z)])
-            for (v, w, z) in triples},
-           {(v, w, z): (w, v, z) for (v, w, z) in triples},
-           {(v, w, z): vb.tensor_mor(fam.sigma[(v, w)],
-                                     vb.VMorphism.identity(hom[(v, z)]))
-            for (v, w, z) in triples},
-           "(sigma, 1) square")
     return report
 
 

@@ -500,45 +500,35 @@ def _frobenius_shared_prefix(adj, mirrored):
     return cell, outer
 
 
-def _frobenius_core(adj, mirrored):
-    """m_star o (m o (m-bracket))  =>  (1-bracket) o regroup: the part of
-    the mate where the coherence cell fires and the counit collapses."""
-    steps = _core_steps(adj, mirrored)
-    cell = steps[0]
-    for step in steps[1:]:
-        cell = vcomp2(step, cell)
-    return cell
-
-
-def frobenius_comparison_cells(adj, convention="unit-first"):
+def frobenius_comparison_cells(adj):
     """The two mate composites m_star o m => (1 . m) o assoc o (m_star . 1)
-    and its mirror with (m . 1) and reverse-assoc.
+    and its mirror with (m . 1) and reverse-assoc, each side as the pair
+    (unit-first, counit-first).
 
-    Under "unit-first" every whiskering is a separate vertical step; under
-    "counit-first" the coherence-and-counit core is assembled first and
-    applied in one whiskered step.  Both conventions build the same
-    pasting and the results are compared in check_frobenius.
+    Unit-first applies every core step as its own whiskered vertical
+    step; counit-first composes the coherence-and-counit core first and
+    applies it in one whiskered step.  Both conventions read one prefix
+    and one list of core steps per side, and check_frobenius compares
+    them.
     """
-    if convention not in ("unit-first", "counit-first"):
-        raise SpanVError("unknown mate convention %r" % (convention,))
-    cells = []
+    sides = []
     for mirrored in (False, True):
         prefix, outer = _frobenius_shared_prefix(adj, mirrored)
-        core = _frobenius_core(adj, mirrored)
-        if convention == "counit-first":
-            cells.append(vcomp2(hcomp2(core, identity_cell2(outer)), prefix))
-            continue
-        # Replay the core step by step against the whiskered boundary.
         steps = _core_steps(adj, mirrored)
-        cell = prefix
+        whisker = identity_cell2(outer)
+        unit_first, core = prefix, steps[0]
         for step in steps:
-            cell = vcomp2(hcomp2(step, identity_cell2(outer)), cell)
-        cells.append(cell)
-    return tuple(cells)
+            unit_first = vcomp2(hcomp2(step, whisker), unit_first)
+        for step in steps[1:]:
+            core = vcomp2(step, core)
+        sides.append((unit_first, vcomp2(hcomp2(core, whisker), prefix)))
+    return tuple(sides)
 
 
 def _core_steps(adj, mirrored):
-    """The individual vertical steps making up _frobenius_core."""
+    """The vertical steps of the mate's core m_star o (m o (m-bracket))
+    => (1-bracket) o regroup, where the coherence cell fires and the
+    counit collapses."""
     mon = adj.monoidale
     A = mon.base
     idc = identity_cell1(A)
@@ -571,22 +561,17 @@ def check_frobenius(X, be, adj=None):
     report = CheckReport("frobenius")
     report.merge(check_adjunction_triangles(adj))
     try:
-        first = frobenius_comparison_cells(adj, "unit-first")
-        second = frobenius_comparison_cells(adj, "counit-first")
+        sides = frobenius_comparison_cells(adj)
     except SpanVError as e:
         report.fail("comparison construction", str(e))
         return report
-    for side, cell, cell2 in [("left", first[0], second[0]),
-                              ("right", first[1], second[1])]:
-        res = invert_cell2(cell)
-        if not res:
-            report.fail(side + " comparison invertible (unit-first)",
-                        res.witness)
-        res = invert_cell2(cell2)
-        if not res:
-            report.fail(side + " comparison invertible (counit-first)",
-                        res.witness)
-        verdict = eq2(cell, cell2)
+    for side, cells in zip(("left", "right"), sides):
+        for convention, cell in zip(("unit-first", "counit-first"), cells):
+            res = invert_cell2(cell)
+            if not res:
+                report.fail("%s comparison invertible (%s)"
+                            % (side, convention), res.witness)
+        verdict = eq2(*cells)
         if not verdict:
             report.fail(side + " mate conventions agree", verdict.witness)
     return report

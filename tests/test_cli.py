@@ -101,10 +101,13 @@ def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
 
 def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # The presentation builds its shape and monad cells at load; each
-    # fusion cell builds its monoid object once, and horizontal composites
-    # of 2-cells sit on the pullbacks their span morphisms carry.  Before
-    # that, this check ran monad_cells 10 times, check_category 4 times,
-    # induced_monoidale 5 times and compose_spans 688 times.
+    # fusion cell builds its monoid object once, horizontal composites
+    # of 2-cells sit on the pullbacks their span morphisms carry, the
+    # Frobenius check builds each side's cells once for both mate
+    # conventions, and the assembled antipode chain needs no convolution
+    # unit.  Before that, this check ran monad_cells 10 times,
+    # check_category 4 times, induced_monoidale 5 times and compose_spans
+    # 688 times.
     calls = collections.Counter()
     for modules, name in (((fs, sc), "compose_spans"),
                           ((md, hs), "induced_monoidale"),
@@ -119,7 +122,7 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
     assert code == 0
     assert calls == {"monad_cells": 1, "check_category": 1,
-                     "induced_monoidale": 3, "compose_spans": 424}
+                     "induced_monoidale": 3, "compose_spans": 251}
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):
@@ -275,6 +278,41 @@ def test_invalid_json_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(target))
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "deep.json"
+    target.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run_cli(capsys, "check", str(target))
+    assert code == 2
+    assert err.startswith("error: %s: " % target)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("path, entry", [("$.mu.b.e[1][2]", "1e5"),
+                                         ("$.q", "1E5")])
+def test_exponent_entries_are_malformed_fractions(capsys, tmp_path, path,
+                                                  entry):
+    # Only fractions like "-3/2" are part of the format; an exponent
+    # could ask the parser for an integer of any size.
+    doc = load_doc("z2_group_algebra.json")
+    if path == "$.q":
+        doc["q"] = entry
+    else:
+        doc["mu"]["b"]["e"][1][2] = entry
+    code, _, err = run_cli(capsys, "check", write_doc(tmp_path, doc))
+    assert code == 2
+    assert err == "error: %s: malformed fraction %r\n" % (path, entry)
+
+
+def test_unwritable_output_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "polyad.json"
+    code, out, err = run_cli(capsys, "export-polyad", Z2_FILE,
+                             "--probes", PROBES_FILE, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s: " % target)
+    assert not target.exists()
 
 
 def test_explicit_flag_without_comonoid_data_errors(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from hopfspan.cli import load_path
 from hopfspan.finset_span import FinSet, FinFn
 from hopfspan.vect_backend import BraidParam, VMorphism, VObject, braiding, \
     tensor_obj, unit_object
@@ -400,6 +402,44 @@ def test_enriched_from_groupoid_rejects_non_groupoids():
     with pytest.raises(SpanVError) as err:
         enriched_from_groupoid(idem)
     assert "groupoid" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# One assembled antipode chain for every presentation kind.
+
+
+H4_FILE = pathlib.Path(__file__).parent / "data/golden/h4_sweedler.json"
+
+WITNESS_PRESENTATIONS = {
+    **{"Z%d graded q=%d" % (n, q):
+       (lambda n=n, q=q: cyclic_group_algebra(n, BraidParam(q), graded=True))
+       for n in (2, 3, 4) for q in (1, -1, 2)},
+    "H4": lambda: load_path(str(H4_FILE)).presentation,
+    "indiscrete on 2": lambda: indiscrete_enriched(["x", "y"]),
+    "indiscrete on 3": lambda: indiscrete_enriched(["x", "y", "z"]),
+    "torsor": lambda: enriched_from_groupoid(torsor_groupoid()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PRESENTATIONS))
+def test_assembled_witnesses_match_the_componentwise_ones(name):
+    # Corrupt one antipode component at a time.  For each square law the
+    # assembled chain must fail at the same shape morphism and matrix
+    # entry as the first componentwise failure, whatever the kind.
+    pres = WITNESS_PRESENTATIONS[name]()
+    sigma = pres.antipode.sigma
+    for key in sigma:
+        for factor in (2, 0):
+            fam = AntipodeFamily({**sigma, key: sigma[key].scale(factor)})
+            pointwise = check_antipode_group(pres, fam)
+            assembled = check_antipode_duoidal(pres, fam)
+            assert not pointwise.ok and not assembled.ok
+            for law in ("(1, sigma) square", "(sigma, 1) square"):
+                expected = [("component",) + witness
+                            for failed, witness in pointwise.failures
+                            if failed == law][:1]
+                assert [witness for failed, witness in assembled.failures
+                        if failed == law] == expected, (key, factor, law)
 
 
 # ---------------------------------------------------------------------------

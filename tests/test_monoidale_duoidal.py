@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfspan import monoidale_duoidal as md
 from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
 from hopfspan.vect_backend import (
     BraidParam, VObject, VMorphism, grouplike, tensor_obj, unit_object,
@@ -148,7 +149,7 @@ def test_frobenius_comparison_boundary():
     adj = opmap_adjunctions(X, V1)
     left, right = frobenius_comparison_cells(adj)
     diag = [(x, x) for x in X]
-    for cell in (left, right):
+    for cell in left + right:
         assert list(cell.source.span.apex) == diag
         for c in cell.source.span.apex:
             assert cell.source.span.left(c) == c
@@ -170,12 +171,22 @@ def test_frobenius_small_carriers():
 
 def test_frobenius_conventions_agree_literally():
     adj = opmap_adjunctions(carrier(3), V1)
-    first = frobenius_comparison_cells(adj, "unit-first")
-    second = frobenius_comparison_cells(adj, "counit-first")
-    for a, b in zip(first, second):
+    for a, b in frobenius_comparison_cells(adj):
         assert eq2(a, b)
-    with pytest.raises(SpanVError):
-        frobenius_comparison_cells(adj, "sideways")
+
+
+def test_frobenius_builds_each_side_once(monkeypatch):
+    # Both mate conventions read one prefix and one list of core steps
+    # per side: two of each per check, one per side.
+    calls = {"_frobenius_shared_prefix": 0, "_core_steps": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(md, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(md, name, counted)
+    report = check_frobenius(carrier(2), V1)
+    assert report.ok, report.summary()
+    assert calls == {"_frobenius_shared_prefix": 2, "_core_steps": 2}
 
 
 def test_frobenius_locates_corrupted_unit():
