@@ -23,13 +23,13 @@ agreement breaks, so nothing outside the class is silently accepted.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .finset_span import FinSet, FinFn, Span, SpanMorphism
 from .reporting import Verdict, CheckReport
-from . import cat_backend as cb
 from . import vect_backend as vb
 from .spanv_core import (
-    SpanVError, Backend, VectBackend, CatBackend,
+    SpanVError, VectBackend,
     Cell0, Cell1, Cell2, identity_cell1, identity_cell2,
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
     relabel_cell2, associator_cell2, left_unitor_cell2, right_unitor_cell2,
@@ -38,51 +38,21 @@ from .spanv_core import (
 
 
 # ---------------------------------------------------------------------------
-# Structural base labels and carrier-level coherence 1-cells.
-
-
-def _structural_functor(src_cat, tgt_cat, fn):
-    """The functor applying the same reshuffle to objects and morphisms.
-
-    Valid for regrouping and projection maps between product categories,
-    where morphism atoms mirror the nesting of object atoms.
-    """
-    omap = FinFn(src_cat.objects, tgt_cat.objects,
-                 {o: fn(o) for o in src_cat.objects})
-    mmap = FinFn(src_cat.morphisms, tgt_cat.morphisms,
-                 {m: fn(m) for m in src_cat.morphisms})
-    return cb.FunctorData(src_cat, tgt_cat, omap, mmap)
-
-
-def _collapse_functor(src_cat, one):
-    """The unique functor into the one-object one-morphism category."""
-    return cb.FunctorData(
-        src_cat, one,
-        FinFn.constant(src_cat.objects, one.objects, "*"),
-        FinFn.constant(src_cat.morphisms, one.morphisms, one.identities("*")))
-
-
-def _reshape_label(be, src_label, tgt_label, fn):
-    """A base 1-cell for a carrier reshuffle: a functor over a cat base,
-    the unit object over a one-object base (where 0-cell labels carry no
-    structure to reshuffle)."""
-    if isinstance(be, CatBackend):
-        return _structural_functor(src_label, tgt_label, fn)
-    return be.id1(src_label)
+# Carrier-level coherence 1-cells.
 
 
 def _regroup_cell1(src, tgt, fn):
     """The 1-cell src -> tgt along a carrier regrouping fn.
 
     Its span has the source carrier as apex, identity right leg, and fn
-    as left leg; each label is the corresponding reshuffle of base
-    labels.
+    as left leg; each label is the base reshuffle of its point's label
+    along the same fn.
     """
     be = src.backend
     left = FinFn(src.carrier, tgt.carrier, {c: fn(c) for c in src.carrier})
     span = Span(src.carrier, tgt.carrier, src.carrier,
                 left, FinFn.identity(src.carrier))
-    label = {c: _reshape_label(be, src.label[c], tgt.label[fn(c)], fn)
+    label = {c: be.reshape1(src.label[c], tgt.label[fn(c)], fn)
              for c in src.carrier}
     return Cell1(be, src, tgt, span, label)
 
@@ -150,29 +120,43 @@ class MonoidalFiber:
 
 
 def _trivial_fiber(be):
-    """The base unit with its tensor and unit 1-cells."""
-    if isinstance(be, CatBackend):
-        one = be.unit0()
-        return MonoidalFiber(
-            one,
-            _structural_functor(be.tensor0v(one, one), one, lambda t: t[0]),
-            cb.FunctorData.identity(one))
-    k = be.id1(be.unit0())
-    return MonoidalFiber(be.unit0(), k, k)
-
-
-def trivial_fibers(X, be):
-    """The fiber assignment labeling everything by the base unit."""
-    fib = _trivial_fiber(be)
-    return {x: fib for x in X}
+    """The base unit, tensored by the projection off its square."""
+    one = be.unit0()
+    return MonoidalFiber(
+        one, be.reshape1(be.tensor0v(one, one), one, lambda t: t[0]),
+        be.id1(one))
 
 
 def _duplicate_label(be, obj):
     """The comultiplication label at a point whose fiber is obj."""
-    if isinstance(be, CatBackend):
-        return _structural_functor(obj, be.tensor0v(obj, obj),
-                                   lambda t: (t, t))
-    return be.id1(obj)
+    return be.reshape1(obj, be.tensor0v(obj, obj), lambda t: (t, t))
+
+
+class _Diagonal(NamedTuple):
+    """A labeled carrier with what its diagonal spans are made of: its
+    square, the diagonal X -> X x X, the unit 0-cell and the collapse
+    X -> *, and the fiber at each point."""
+
+    base: Cell0
+    square: Cell0
+    diag: FinFn
+    unit: Cell0
+    bang: FinFn
+    fibers: dict
+
+
+def _diagonal(X, be, fibers=None):
+    """The diagonal data on X.  fibers, when given, assigns each point a
+    MonoidalFiber whose tensor must be strict; by default everything is
+    labeled with the base unit."""
+    if fibers is None:
+        fibers = dict.fromkeys(X, _trivial_fiber(be))
+    base = Cell0(be, X, {x: fibers[x].obj for x in X})
+    square = tensor0(base, base)
+    unit = unit_cell0(be)
+    return _Diagonal(base, square,
+                     FinFn(X, square.carrier, {x: (x, x) for x in X}),
+                     unit, FinFn.constant(X, unit.carrier, "*"), fibers)
 
 
 @dataclass(frozen=True)
@@ -199,41 +183,32 @@ class MonoidaleData:
             raise SpanVError("unit must go K -> base")
 
 
-@dataclass(frozen=True)
-class InducedMonoidale(MonoidaleData):
-    """The diagonal-span monoid object on a carrier set."""
-
-    carrier: FinSet = None
+def _coherence_boundaries(base, m, u):
+    """The (name, source, target) of alpha, lam and rho for the
+    multiplication m and unit u on base."""
+    idc = identity_cell1(base)
+    return [
+        ("alpha", hcomp1(m, tensor1(m, idc)),
+         hcomp1(hcomp1(m, tensor1(idc, m)),
+                tensor_associator_cell1(base, base, base))),
+        ("lam", hcomp1(m, tensor1(u, idc)), tensor_left_unitor_cell1(base)),
+        ("rho", hcomp1(m, tensor1(idc, u)), tensor_right_unitor_cell1(base)),
+    ]
 
 
 def induced_monoidale(X, be, fibers=None):
     """The monoid object on X: m is the reversed diagonal span, u the
-    reversed collapse span.  fibers, when given, assigns each point a
-    MonoidalFiber whose tensor must be strict; by default everything is
-    labeled with the base unit."""
-    if fibers is None:
-        fibers = trivial_fibers(X, be)
-    base = Cell0(be, X, {x: fibers[x].obj for x in X})
-    squared = tensor0(base, base)
-    diag = FinFn(X, squared.carrier, {x: (x, x) for x in X})
-    m = Cell1(be, squared, base,
-              Span(squared.carrier, X, X, FinFn.identity(X), diag),
-              {x: fibers[x].tensor for x in X})
-    k0 = unit_cell0(be)
-    bang = FinFn.constant(X, k0.carrier, "*")
-    u = Cell1(be, k0, base,
-              Span(k0.carrier, X, X, FinFn.identity(X), bang),
-              {x: fibers[x].unit for x in X})
-    idc = identity_cell1(base)
-    alpha = unique_relabel_cell2(
-        hcomp1(m, tensor1(m, idc)),
-        hcomp1(hcomp1(m, tensor1(idc, m)),
-               tensor_associator_cell1(base, base, base)))
-    lam = unique_relabel_cell2(hcomp1(m, tensor1(u, idc)),
-                               tensor_left_unitor_cell1(base))
-    rho = unique_relabel_cell2(hcomp1(m, tensor1(idc, u)),
-                               tensor_right_unitor_cell1(base))
-    return InducedMonoidale(base, m, u, alpha, lam, rho, carrier=X)
+    reversed collapse span, labeled by the fibers (see _diagonal)."""
+    g = _diagonal(X, be, fibers)
+    m = Cell1(be, g.square, g.base,
+              Span(g.square.carrier, X, X, FinFn.identity(X), g.diag),
+              {x: g.fibers[x].tensor for x in X})
+    u = Cell1(be, g.unit, g.base,
+              Span(g.unit.carrier, X, X, FinFn.identity(X), g.bang),
+              {x: g.fibers[x].unit for x in X})
+    bounds = _coherence_boundaries(g.base, m, u)
+    alpha, lam, rho = (unique_relabel_cell2(s, t) for _, s, t in bounds)
+    return MonoidaleData(g.base, m, u, alpha, lam, rho)
 
 
 def check_monoidale(mon):
@@ -249,20 +224,8 @@ def check_monoidale(mon):
     idc = identity_cell1(A)
     AA = tensor0(A, A)
 
-    shapes = [
-        ("alpha", mon.alpha,
-         lambda: hcomp1(mon.m, tensor1(mon.m, idc)),
-         lambda: hcomp1(hcomp1(mon.m, tensor1(idc, mon.m)),
-                        tensor_associator_cell1(A, A, A))),
-        ("lam", mon.lam,
-         lambda: hcomp1(mon.m, tensor1(mon.u, idc)),
-         lambda: tensor_left_unitor_cell1(A)),
-        ("rho", mon.rho,
-         lambda: hcomp1(mon.m, tensor1(idc, mon.u)),
-         lambda: tensor_right_unitor_cell1(A)),
-    ]
-    for name, cell, mk_source, mk_target in shapes:
-        source, target = mk_source(), mk_target()
+    for name, source, target in _coherence_boundaries(A, mon.m, mon.u):
+        cell = getattr(mon, name)
         if cell.source != source or cell.target != target:
             report.fail(name + " boundary", "does not match canonical shape")
             continue
@@ -339,33 +302,25 @@ class ComonoidaleData:
             raise SpanVError("counit must go base -> K")
 
 
-def induced_comonoidale(X, be, fibers=None):
+def induced_comonoidale(X, be):
     """The diagonal-span comonoid object on X (the reverses of the
-    induced monoid 1-cells)."""
-    if fibers is None:
-        fibers = trivial_fibers(X, be)
-    base = Cell0(be, X, {x: fibers[x].obj for x in X})
-    squared = tensor0(base, base)
-    diag = FinFn(X, squared.carrier, {x: (x, x) for x in X})
-    d_labels = {x: _duplicate_label(be, fibers[x].obj) for x in X}
-    if isinstance(be, CatBackend):
-        e_labels = {x: _collapse_functor(fibers[x].obj, be.unit0()) for x in X}
-    else:
-        e_labels = dict(d_labels)
-    d = Cell1(be, base, squared,
-              Span(X, squared.carrier, X, diag, FinFn.identity(X)), d_labels)
-    k0 = unit_cell0(be)
-    bang = FinFn.constant(X, k0.carrier, "*")
-    e = Cell1(be, base, k0,
-              Span(X, k0.carrier, X, bang, FinFn.identity(X)), e_labels)
-    return ComonoidaleData(base, d, e)
+    induced monoid 1-cells), labeled by the base unit: the diagonal of
+    the unit at each point of d, the identity at each point of e."""
+    g = _diagonal(X, be)
+    d = Cell1(be, g.base, g.square,
+              Span(X, g.square.carrier, X, g.diag, FinFn.identity(X)),
+              {x: _duplicate_label(be, g.base.label[x]) for x in X})
+    e = Cell1(be, g.base, g.unit,
+              Span(X, g.unit.carrier, X, g.bang, FinFn.identity(X)),
+              {x: be.id1(g.base.label[x]) for x in X})
+    return ComonoidaleData(g.base, d, e)
 
 
 @dataclass(frozen=True)
 class OpmapAdjunctions:
     """m_star -| m and u_star -| u for the induced monoid object."""
 
-    monoidale: InducedMonoidale
+    monoidale: MonoidaleData
     m_star: Cell1
     u_star: Cell1
     m_unit: Cell2
@@ -465,7 +420,8 @@ def _frobenius_shared_prefix(adj, mirrored):
     """The opening moves of both mate composites: pad with the identity,
     insert the adjunction unit on one tensor factor, split off the
     composite with the inverse interchange cell, and rebracket so the
-    multiplication sits next to its freshly inserted partner.
+    multiplication sits next to its freshly inserted partner.  The
+    mirrored side is the same moves with every tensor pair swapped.
 
     Returns (prefix 2-cell, the tensored m_star 1-cell it ends against).
     """
@@ -474,22 +430,15 @@ def _frobenius_shared_prefix(adj, mirrored):
     idc = identity_cell1(A)
     s0 = hcomp1(adj.m_star, mon.m)
     mm = hcomp1(mon.m, adj.m_star)
-    if mirrored:
-        pad = tensor2(identity_cell2(idc), adj.m_unit)
-        split = invert_cell2(
-            interchange_cell2(idc, mon.m, idc, adj.m_star)).inverse
-        fixup = tensor2(invert_cell2(left_unitor_cell2(idc)).inverse,
-                        identity_cell2(mm))
-        inner = tensor1(idc, mon.m)
-        outer = tensor1(idc, adj.m_star)
-    else:
-        pad = tensor2(adj.m_unit, identity_cell2(idc))
-        split = invert_cell2(
-            interchange_cell2(mon.m, idc, adj.m_star, idc)).inverse
-        fixup = tensor2(identity_cell2(mm),
-                        invert_cell2(left_unitor_cell2(idc)).inverse)
-        inner = tensor1(mon.m, idc)
-        outer = tensor1(adj.m_star, idc)
+    def order(a, b):
+        return (b, a) if mirrored else (a, b)
+    pad = tensor2(*order(adj.m_unit, identity_cell2(idc)))
+    split = invert_cell2(interchange_cell2(
+        *order(mon.m, idc), *order(adj.m_star, idc))).inverse
+    fixup = tensor2(*order(identity_cell2(mm),
+                           invert_cell2(left_unitor_cell2(idc)).inverse))
+    inner = tensor1(*order(mon.m, idc))
+    outer = tensor1(*order(adj.m_star, idc))
     cell = invert_cell2(right_unitor_cell2(s0)).inverse
     cell = vcomp2(hcomp2(identity_cell2(s0), pad), cell)
     cell = vcomp2(hcomp2(identity_cell2(s0), vcomp2(split, fixup)), cell)
@@ -705,8 +654,7 @@ class DuoidalUnits:
 def duoidal_units(X, be):
     """I (identity span), J (complete span), the J-multiplication, the
     I-comultiplication, and the diagonal comparison I => J."""
-    fibers = trivial_fibers(X, be)
-    base = Cell0(be, X, {x: fibers[x].obj for x in X})
+    base = _diagonal(X, be).base
     i = identity_cell1(base)
     j = complete_unit_cell1(base, base)
     mu_j = unique_relabel_cell2(hcomp1(j, j), j)
@@ -738,46 +686,21 @@ def duoidal_interchange(a, b, h, d):
     return Cell2(lhs, rhs, morphism, comps)
 
 
-@dataclass(frozen=True)
-class DuoidalHom:
-    """The endo-hom on a carrier with its two products and units."""
-
-    carrier: FinSet
-    backend: Backend
-    base: Cell0
-    units: DuoidalUnits
-    comonoidale: ComonoidaleData
-    monoidale: InducedMonoidale
-
-    def compose(self, b, a):
-        return hcomp1(b, a)
-
-    def star(self, b, a):
-        return star1(b, a)
-
-
-def duoidal_hom(X, be):
-    units = duoidal_units(X, be)
-    return DuoidalHom(X, be, units.i.src, units,
-                      induced_comonoidale(X, be), induced_monoidale(X, be))
-
-
 def _take(cells, n, offset=0):
     return [cells[(offset + k) % len(cells)] for k in range(n)]
 
 
-def check_duoidal(hom, cells):
+def check_duoidal(un, cells):
     """All structure-morphism axioms of the two-product structure.
 
     J is a monoid for composition, I a comonoid for convolution, the
     interchange cell is associative against both products and compatible
-    with all four units; the product-shape checks run over the supplied
-    endo 1-cells.
+    with all four units (un, the DuoidalUnits on the carrier); the
+    product-shape checks run over the supplied endo 1-cells.
     """
     if not cells:
         raise SpanVError("need at least one sample cell")
     report = CheckReport("duoidal")
-    un = hom.units
     i, j = un.i, un.j
 
     left = vcomp2(un.mu_j, hcomp2(un.mu_j, identity_cell2(j)))
@@ -1007,8 +930,7 @@ def zunino_check(X, be, cells):
     if len(X) != 1:
         raise SpanVError("the comparison lives over a one-point carrier")
     report = CheckReport("zunino")
-    hom = duoidal_hom(X, be)
-    res = invert_cell2(hom.units.iota_ij)
+    res = invert_cell2(duoidal_units(X, be).iota_ij)
     if not res:
         report.fail("unit comparison invertible", res.witness)
     for k, a in enumerate(cells):

@@ -16,7 +16,7 @@ transport along explicitly supplied coherence cells.
 from dataclasses import dataclass, field
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism, SpanError,
+    FinSet, FinFn, Span, SpanMorphism,
     compose_spans, compose_span_morphisms_h, cartesian_product,
     associator_iso, left_unitor_iso, right_unitor_iso,
 )
@@ -37,6 +37,9 @@ class Backend:
     mid4(p, q, r, s) is the interchange comparison (p . q) o (r . s) =>
     (p o r) . (q o s) on base 1-cell values, where o is composition within
     the base and . its tensor; both bundled backends realize it exactly.
+    reshape1(x, y, fn) is the base 1-cell x -> y that reshuffles the atoms
+    of products of base 0-cells by fn (a regrouping, projection or
+    diagonal), where morphism atoms mirror the nesting of object atoms.
     """
 
     def eq0(self, x, y):
@@ -88,6 +91,9 @@ class Backend:
         raise NotImplementedError
 
     def mid4(self, p, q, r, s):
+        raise NotImplementedError
+
+    def reshape1(self, x, y, fn):
         raise NotImplementedError
 
     def invert2(self, f):
@@ -154,6 +160,10 @@ class VectBackend(Backend):
 
     def braid1(self, p, q):
         return vb.braiding(p, q, self.q)
+
+    def reshape1(self, x, y, fn):
+        """The unit object: the one 0-cell has no atoms to reshuffle."""
+        return vb.unit_object()
 
     def mid4(self, p, q, r, s):
         key = (id(p), id(q), id(r), id(s))
@@ -238,6 +248,12 @@ class CatBackend(Backend):
             raise SpanVError("interchange is not strict on %r" % ((p, q, r, s),))
         return cb.NatTransData.identity(composite)
 
+    def reshape1(self, x, y, fn):
+        """The functor applying fn to objects and morphisms alike."""
+        return cb.FunctorData(
+            x, y, FinFn(x.objects, y.objects, {o: fn(o) for o in x.objects}),
+            FinFn(x.morphisms, y.morphisms, {m: fn(m) for m in x.morphisms}))
+
     def invert2(self, f):
         cod = f.source.cod
         comps = {}
@@ -318,10 +334,11 @@ class Cell0:
                 raise SpanVError("0-cell label missing at %r" % (x,))
 
     def __eq__(self, other):
-        return (isinstance(other, Cell0) and self.backend == other.backend
-                and self.carrier == other.carrier
-                and all(self.backend.eq0(self.label[x], other.label[x])
-                        for x in self.carrier))
+        return self is other or (
+            isinstance(other, Cell0) and self.backend == other.backend
+            and self.carrier == other.carrier
+            and all(self.backend.eq0(self.label[x], other.label[x])
+                    for x in self.carrier))
 
     def __hash__(self):
         return hash(self.carrier)
@@ -351,11 +368,12 @@ class Cell1:
                 raise SpanVError("label target mismatch at apex %r" % (c,))
 
     def __eq__(self, other):
-        return (isinstance(other, Cell1) and self.backend == other.backend
-                and self.src == other.src and self.tgt == other.tgt
-                and self.span == other.span
-                and all(self.backend.eq1(self.label[c], other.label[c])
-                        for c in self.span.apex))
+        return self is other or (
+            isinstance(other, Cell1) and self.backend == other.backend
+            and self.src == other.src and self.tgt == other.tgt
+            and self.span == other.span
+            and all(self.backend.eq1(self.label[c], other.label[c])
+                    for c in self.span.apex))
 
     def __hash__(self):
         return hash(self.span)

@@ -453,10 +453,14 @@ def invert(f):
     """Exact inverse, or an empty result with witness = (cod dim, dom dim)
     for a non-square matrix, or witness = rank for a singular square one.
 
-    A monomial matrix is inverted directly: transposed, with each entry
-    replaced by its reciprocal.  Any other square matrix goes through
-    row_reduce on f augmented with the identity.
+    The shared identity is returned as its own inverse, which the
+    identity shortcuts of compose and tensor_mor recognise.  A monomial
+    matrix is inverted directly: transposed, with each entry replaced by
+    its reciprocal.  Any other square matrix goes through row_reduce on f
+    augmented with the identity.
     """
+    if f is f.dom._identity:
+        return InverseResult(f)
     n = f.dom.dim
     if f.cod.dim != n:
         return InverseResult(None, witness=(f.cod.dim, f.dom.dim))

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from hopfspan import hopf_structures as hs
 from hopfspan.cat_backend import FinCategory, FunctorData
-from hopfspan.cli import main
+from hopfspan.cli import load_path, main
 from hopfspan.finset_span import FinSet
 from hopfspan.monoidale_duoidal import (
-    check_duoidal, check_frobenius, duoidal_hom, zunino_check,
+    check_duoidal, check_frobenius, duoidal_units, zunino_check,
 )
 from hopfspan.rand import (
     random_composable_vect_cell1s, random_vect_cell1, random_vect_cell2_from,
@@ -113,15 +113,15 @@ def test_criterion_3_duoidal_and_zunino():
     for qv in (1, -1, 2):
         be = VectBackend(BraidParam(qv))
         for n in (1, 2):
-            hom = duoidal_hom(carrier(n), be)
-            cells = [random_vect_cell1(rng, be, hom.base, hom.base,
+            units = duoidal_units(carrier(n), be)
+            cells = [random_vect_cell1(rng, be, units.i.src, units.i.src,
                                        max_apex=2, max_dim=2, max_grade=1)
                      for _ in range(6)]
-            report = check_duoidal(hom, cells)
+            report = check_duoidal(units, cells)
             assert report.ok, "q=%s |X|=%d %s" % (qv, n, report.summary())
             cases += len(cells)
-        hom = duoidal_hom(carrier(1), be)
-        cells = [random_vect_cell1(rng, be, hom.base, hom.base,
+        units = duoidal_units(carrier(1), be)
+        cells = [random_vect_cell1(rng, be, units.i.src, units.i.src,
                                    max_apex=2, max_dim=2, max_grade=1)
                  for _ in range(3)]
         report = zunino_check(carrier(1), be, cells)
@@ -263,17 +263,37 @@ def symmetric3():
     return perms, mul, "012"
 
 
+def z2_times_z3():
+    names = [a + b for a in ("e", "a") for b in ("0", "1", "2")]
+    mul = {(x, y): ("e" if (x[0] == "a") == (y[0] == "a") else "a")
+           + str((int(x[1]) + int(y[1])) % 3) for x in names for y in names}
+    return names, mul, "e0"
+
+
 def test_criterion_9_fusion_formula_oracle():
+    """Both fusion components against their closed formulas: the left at
+    ((h, x), (k, x)) is (mu . 1)(1 . braiding)(delta . 1), the right at
+    ((h, x), (x, k)) is (1 . mu)(delta . 1), on one-object presentations
+    (grouplike, graded, and Sweedler's H_4) and hom-enriched ones."""
     start = time.monotonic()
     cases = 0
     presentations = [hs.cyclic_group_algebra(n, q=BraidParam(qv), graded=True)
                      for n in (2, 3) for qv in (1, -1, 2)]
     presentations.append(hs.grouplike_monoid_algebra(*symmetric3()))
+    presentations.append(hs.grouplike_monoid_algebra(*z2_times_z3()))
+    presentations.append(load_path(str(DATA / "golden" / "h4_sweedler.json"))
+                         .presentation)
+    torsor = product_category(FinCategory.indiscrete(["x", "y"]),
+                              FinCategory.from_monoid(*Z2))
+    presentations += [hs.enriched_from_groupoid(torsor, q=BraidParam(qv))
+                      for qv in (1, -1, 2)]
+    presentations.append(hs.indiscrete_enriched(["x", "y", "z"]))
     for pres in presentations:
         mp = pres.monad
         com = pres.comonoid_structure()
         be = mp.backend
-        cell = hs.left_fusion(mp, com)
+        left = hs.left_fusion(mp, com)
+        right = hs.right_fusion(mp, com)
         for (h, k) in mp.shape.composable_pairs():
             x = mp.shape.tgt(k)
             lab = mp.mor_label
@@ -283,7 +303,11 @@ def test_criterion_9_fusion_formula_oracle():
                     be.tensor2v(be.id2(lab[h]),
                                 braiding(lab[h], lab[k], be.q)),
                     be.tensor2v(com.delta[h], be.id2(lab[k]))))
-            assert cell.components[((h, x), (k, x))] == formula
+            assert left.components[((h, x), (k, x))] == formula
+            formula = be.vcomp(
+                be.tensor2v(be.id2(lab[h]), mp.mu[(h, k)]),
+                be.tensor2v(com.delta[h], be.id2(lab[k])))
+            assert right.components[((h, x), (x, k))] == formula
             cases += 1
     finish(9, "fusion formula oracle", start, 10.0, cases)
 

@@ -8,7 +8,7 @@ from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
 from hopfspan.vect_backend import (
     BraidParam, VObject, VMorphism, grouplike, tensor_obj, unit_object,
 )
-from hopfspan.cat_backend import FinCategory
+from hopfspan.cat_backend import FinCategory, FunctorData
 from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
     identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2, tensor1, tensor2,
@@ -21,7 +21,7 @@ from hopfspan.monoidale_duoidal import (
     frobenius_comparison_cells, check_frobenius,
     star1, star2, complete_unit_cell1, star_associator_cell2,
     star_left_unitor_cell2, star_right_unitor_cell2,
-    duoidal_hom, duoidal_interchange, check_duoidal,
+    duoidal_units, duoidal_interchange, check_duoidal,
     ComonoidLabeledCell, check_comonoid, comonoid_cells,
     grouplike_comonoid, conjugate_comonoid,
     zunino_braiding, zunino_check,
@@ -375,17 +375,12 @@ def test_complete_unit_needs_matching_labels():
 
 def test_duoidal_unit_shapes():
     X = carrier(2)
-    hom = duoidal_hom(X, V1)
-    un = hom.units
+    un = duoidal_units(X, V1)
     assert len(un.mu_j.source.span.apex) == 8
     assert len(un.mu_j.target.span.apex) == 4
     for x in X:
         assert un.delta_i.morphism.map(x) == (x, x)
         assert un.iota_ij.morphism.map(x) == (x, x)
-    a = complete_cell1(V1, hom.base, [1, 2, 2, 1])
-    b = complete_cell1(V1, hom.base, [2, 1, 1, 2])
-    assert hom.star(b, a) == star1(b, a)
-    assert hom.compose(b, a) == hcomp1(b, a)
 
 
 def test_interchange_components_carry_the_braiding():
@@ -419,11 +414,11 @@ def test_duoidal_axioms_randomized():
     for q in (1, -1, 2):
         be = VectBackend(BraidParam(q))
         for n in (1, 2):
-            hom = duoidal_hom(carrier(n), be)
-            cells = [random_vect_cell1(rng, be, hom.base, hom.base,
+            units = duoidal_units(carrier(n), be)
+            cells = [random_vect_cell1(rng, be, units.i.src, units.i.src,
                                        max_apex=2, max_dim=2, max_grade=1)
                      for _ in range(6)]
-            report = check_duoidal(hom, cells)
+            report = check_duoidal(units, cells)
             assert report.ok, "q=%s |X|=%d %s" % (q, n, report.summary())
 
 
@@ -564,10 +559,10 @@ def test_comonoid_cells_give_coassociative_convolution():
 
 def test_star_collapses_to_composition_on_one_point():
     rng = seeded(47)
-    hom = duoidal_hom(carrier(1), V1)
+    units = duoidal_units(carrier(1), V1)
     for _ in range(10):
-        a = random_vect_cell1(rng, V1, hom.base, hom.base, max_apex=3)
-        b = random_vect_cell1(rng, V1, hom.base, hom.base, max_apex=3)
+        a = random_vect_cell1(rng, V1, units.i.src, units.i.src, max_apex=3)
+        b = random_vect_cell1(rng, V1, units.i.src, units.i.src, max_apex=3)
         assert star1(b, a) == hcomp1(b, a)
         u = random_vect_cell2_from(rng, a)
         v = random_vect_cell2_from(rng, b)
@@ -578,8 +573,8 @@ def test_zunino_comparison():
     rng = seeded(53)
     for q in (1, -1, 2):
         be = VectBackend(BraidParam(q))
-        hom = duoidal_hom(carrier(1), be)
-        cells = [random_vect_cell1(rng, be, hom.base, hom.base,
+        units = duoidal_units(carrier(1), be)
+        cells = [random_vect_cell1(rng, be, units.i.src, units.i.src,
                                    max_apex=2, max_dim=2, max_grade=1)
                  for _ in range(3)]
         report = zunino_check(carrier(1), be, cells)
@@ -588,11 +583,11 @@ def test_zunino_comparison():
 
 def test_zunino_braiding_swaps_with_weights():
     be = V2
-    hom = duoidal_hom(carrier(1), be)
+    units = duoidal_units(carrier(1), be)
     span = Span.complete(carrier(1), carrier(1))
-    a = Cell1(be, hom.base, hom.base, span,
+    a = Cell1(be, units.i.src, units.i.src, span,
               {("x0", "x0"): VObject([("s", 1)])})
-    b = Cell1(be, hom.base, hom.base, span,
+    b = Cell1(be, units.i.src, units.i.src, span,
               {("x0", "x0"): VObject([("t", 1)])})
     braid = zunino_braiding(a, b)
     comp = next(iter(braid.components.values()))
@@ -602,3 +597,73 @@ def test_zunino_braiding_swaps_with_weights():
 def test_zunino_rejects_larger_carriers():
     with pytest.raises(SpanVError):
         zunino_check(carrier(2), V1, [])
+
+
+# ---------------------------------------------------------------------------
+# Base reshuffles behind the backend.
+
+
+def structural_functor(src_cat, tgt_cat, fn):
+    """The oracle: the functor applying the same reshuffle to objects and
+    morphisms, as the carrier-level coherence cells built it when they
+    chose their labels by backend type."""
+    omap = FinFn(src_cat.objects, tgt_cat.objects,
+                 {o: fn(o) for o in src_cat.objects})
+    mmap = FinFn(src_cat.morphisms, tgt_cat.morphisms,
+                 {m: fn(m) for m in src_cat.morphisms})
+    return FunctorData(src_cat, tgt_cat, omap, mmap)
+
+
+def test_reshape1_matches_the_structural_functor():
+    z2 = (["e", "b"], {("e", "e"): "e", ("e", "b"): "b", ("b", "e"): "b",
+                       ("b", "b"): "e"}, "e")
+    cats = [FinCategory.indiscrete(["x", "y"]),
+            FinCategory.discrete(["u", "v"]), FinCategory.from_monoid(*z2)]
+    pair = C.tensor0v
+    shuffles = 0
+    for a in cats:
+        diagonal = (a, pair(a, a), lambda t: (t, t))
+        for b in cats:
+            projections = [(pair(a, b), a, lambda t: t[0]),
+                           (pair(a, b), b, lambda t: t[1])]
+            for c in cats:
+                regroups = [
+                    (pair(pair(a, b), c), pair(a, pair(b, c)),
+                     lambda t: (t[0][0], (t[0][1], t[1]))),
+                    (pair(a, pair(b, c)), pair(pair(a, b), c),
+                     lambda t: ((t[0], t[1][0]), t[1][1]))]
+                for x, y, fn in [diagonal] + projections + regroups:
+                    assert C.reshape1(x, y, fn) == structural_functor(x, y, fn)
+                    assert V1.reshape1(x, y, fn) is unit_object()
+                    shuffles += 1
+    assert shuffles == 27 * 5
+    # The coherence 1-cells over a carrier labeled by those categories.
+    X = carrier(3)
+    base = Cell0(C, X, dict(zip(X, cats)))
+    for cell, fn in (
+            (md.tensor_associator_cell1(base, base, base),
+             lambda t: (t[0][0], (t[0][1], t[1]))),
+            (md.tensor_associator_inv_cell1(base, base, base),
+             lambda t: ((t[0], t[1][0]), t[1][1])),
+            (md.tensor_left_unitor_cell1(base), lambda t: t[1]),
+            (md.tensor_right_unitor_cell1(base), lambda t: t[0])):
+        for p in cell.span.apex:
+            assert cell.label[p] == structural_functor(
+                cell.src.label[p], cell.tgt.label[fn(p)], fn)
+
+
+def test_frobenius_over_cat_carriers():
+    """check_frobenius re-checks the adjunction triangles; check_monoidale
+    over the same carriers is test_monoidale_coherence_small_carriers."""
+    one = C.unit0()
+    collapse = FunctorData(
+        one, one, FinFn.constant(one.objects, one.objects, "*"),
+        FinFn.constant(one.morphisms, one.morphisms, one.identities("*")))
+    for n in range(4):
+        X = carrier(n)
+        report = check_frobenius(X, C)
+        assert report.ok, report.summary()
+        # Over the unit category the collapse functor is the identity.
+        com = md.induced_comonoidale(X, C)
+        for x in X:
+            assert com.e.label[x] == collapse == FunctorData.identity(one)

@@ -57,6 +57,36 @@ def test_cell1_rejects_bad_boundary():
     assert "'c'" in str(err.value)
 
 
+def test_cell_equality_is_by_value():
+    """Equal but distinct 0- and 1-cells compare equal, one changed label
+    makes them unequal, and a cell equals itself."""
+    be = CatBackend()
+    z2 = FinCategory.indiscrete(["x", "y"])
+    one = FinCategory.discrete(["*"])
+    carrier = FinSet(["p", "q"])
+    x = Cell0(be, carrier, {"p": z2, "q": one})
+    twin = Cell0(be, carrier, {"p": FinCategory.indiscrete(["x", "y"]),
+                               "q": one})
+    assert x == x and x == twin and twin == x
+    assert x != Cell0(be, carrier, {"p": z2, "q": z2})
+    apex = FinSet(["c"])
+    span = Span(carrier, carrier, apex, FinFn.constant(apex, carrier, "p"),
+                FinFn.constant(apex, carrier, "p"))
+    f = Cell1(be, x, x, span, {"c": FunctorData.identity(z2)})
+    g = Cell1(be, twin, twin, span, {"c": FunctorData.identity(z2)})
+    assert f == f and f == g and g == f
+    flip = {"x": "y", "y": "x"}
+    swap = FunctorData(z2, z2, FinFn(z2.objects, z2.objects, flip),
+                       FinFn(z2.morphisms, z2.morphisms,
+                             {(s, t): (flip[s], flip[t])
+                              for (s, t) in z2.morphisms}))
+    assert f != Cell1(be, x, x, span, {"c": swap})
+    a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
+    b = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
+    assert a is not b and a == b and a.src is not b.src and a.src == b.src
+    assert a != group_algebra_cell1(V1, {"g": VObject.ungraded(["e"])})
+
+
 def test_vcomp2_pointwise_and_identity():
     rng = seeded(3)
     a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})

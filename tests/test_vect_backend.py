@@ -134,6 +134,21 @@ def test_invert_identity_and_failures():
     assert res.witness == (1, 2)  # shape
 
 
+def test_invert_returns_the_shared_identity():
+    """The shared identity is its own inverse as the same object, so the
+    identity shortcuts of compose and tensor_mor still see it; an equal
+    identity built afresh is inverted to an equal matrix."""
+    for x in (unit_object(), VObject([("x", 1), ("y", 0), ("z", 2)])):
+        one = VMorphism.identity(x)
+        assert invert(one).inverse is one
+        f = one.scale(2)
+        assert invert(one).inverse.compose(f) is f
+    a = VObject.ungraded(["0", "1"])
+    fresh = VMorphism(a, a, [[1, 0], [0, 1]])
+    assert fresh is not VMorphism.identity(a)
+    assert invert(fresh).inverse == VMorphism.identity(a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
                 min_size=4, max_size=4))
