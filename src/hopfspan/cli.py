@@ -788,6 +788,9 @@ def main(argv=None):
     except InputError as error:
         sys.stderr.write("error: %s\n" % error)
         return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory in %s\n" % args.command)
+        return 2
 
 
 if __name__ == "__main__":

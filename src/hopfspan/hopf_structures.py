@@ -15,8 +15,8 @@ step, and the presentation is Hopf exactly when both are invertible.
 Antipode families are checked componentwise (check_antipode_group) and
 as assembled 2-cell chains (check_antipode_duoidal), each one
 construction over the shape for one-object and hom-enriched
-presentations alike.  They are computed as the
-unique solution of the stacked antipode squares, by the single
+presentations alike.  They are computed as the unique solution of the
+stacked antipode squares, built as sparse rows and reduced by the single
 elimination routine vect_backend.row_reduce; a system without a unique
 solution is reported as ("underdetermined", first pivot-free column) or
 ("inconsistent", row).  Each solution is cross-checked against the
@@ -384,33 +384,34 @@ def _antipode_axioms(p, c, sigma):
     return report
 
 
-def _matrix_unit(dom, cod, i, j):
-    entries = [[vb.ZERO] * dom.dim for _ in range(cod.dim)]
-    entries[i][j] = vb.ONE
-    return vb.VMorphism(dom, cod, entries)
-
-
-def _solve_unique(rows, rhs):
+def _solve_unique(rows, width):
     """Exact elimination (vb.row_reduce) demanding a unique solution.
 
-    Returns (solution, None) or (None, witness); a pivot-free column is
-    reported as underdetermined since either reading (free variable or
-    inconsistency) rules out a unique antipode.
+    rows are sparse rows in width unknowns, augmented with the right-hand
+    side in column width.  Returns (solution, None) or (None, witness); a
+    pivot-free column is reported as underdetermined since either reading
+    (free variable or inconsistency) rules out a unique antipode.
     """
-    cols = len(rows[0]) if rows else 0
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, _ = vb.row_reduce(m, cols)
-    free = set(range(cols)).difference(pivots)
+    pivots, _ = vb.row_reduce(rows, width)
+    free = set(range(width)).difference(pivots)
     if free:
         return None, ("underdetermined", min(free))
-    for r in range(cols, len(m)):
-        if m[r][cols] != 0:
+    for r in range(width, len(rows)):
+        if width in rows[r]:
             return None, ("inconsistent", r)
-    return [m[r][cols] for r in range(cols)], None
+    return [rows[r].get(width, vb.ZERO) for r in range(width)], None
 
 
-def _flat(mor):
-    return [entry for row in mor.entries for entry in row]
+def _stack(rows, mors, column):
+    """Write the entries of mors, flattened row-major one after the other,
+    into column of rows, one row per entry."""
+    offset = 0
+    for mor in mors:
+        for r, row in enumerate(mor.rows):
+            base = offset + r * mor.dom.dim
+            for c, e in row.items():
+                rows[base + c][column] = e
+        offset += mor.cod.dim * mor.dom.dim
 
 
 def _solve_antipode(p, c):
@@ -426,23 +427,25 @@ def _solve_antipode(p, c):
     for h in d.morphisms:
         g = d.inverse(h)
         lab_h, lab_g = p.mor_label[h], p.mor_label[g]
-        columns = []
+        width = lab_g.dim * lab_h.dim
+        # One equation per entry of both squares, one unknown per entry of
+        # sigma; the targets, independent of sigma, are the augmented column.
+        targets = [unit for _, unit in _antipode_squares(
+            p, c, h, g, vb.VMorphism.zero(lab_h, lab_g))]
+        rows = [{} for t in targets for _ in range(t.cod.dim * t.dom.dim)]
+        _stack(rows, targets, width)
         for i in range(lab_g.dim):
             for j in range(lab_h.dim):
+                unit = vb.VMorphism._from_rows(lab_h, lab_g, [
+                    {j: vb.ONE} if r == i else {} for r in range(lab_g.dim)])
                 (one_sigma, _), (sigma_one, _) = _antipode_squares(
-                    p, c, h, g, _matrix_unit(lab_h, lab_g, i, j))
-                columns.append(_flat(one_sigma) + _flat(sigma_one))
-        # The targets do not depend on the candidate.
-        (_, unit_tgt), (_, unit_src) = _antipode_squares(
-            p, c, h, g, vb.VMorphism.zero(lab_h, lab_g))
-        rhs = _flat(unit_tgt) + _flat(unit_src)
-        rows = [[col[r] for col in columns] for r in range(len(rhs))]
-        solution, witness = _solve_unique(rows, rhs)
+                    p, c, h, g, unit)
+                _stack(rows, (one_sigma, sigma_one), i * lab_h.dim + j)
+        solution, witness = _solve_unique(rows, width)
         if solution is None:
             return None, ("linear system", h, witness)
-        entries = [solution[i * lab_h.dim:(i + 1) * lab_h.dim]
-                   for i in range(lab_g.dim)]
-        solved = vb.VMorphism(lab_h, lab_g, entries)
+        solved = vb.VMorphism(lab_h, lab_g, [
+            solution[k:k + lab_h.dim] for k in range(0, width, lab_h.dim)])
         res = vb.invert(fused[(h, g)])
         if not res:
             return None, ("fusion component singular", h, res.witness)

@@ -180,13 +180,7 @@ class VectBackend(Backend):
         return res.inverse, res.witness
 
     def first_diff(self, f, g):
-        if f.dom != g.dom or g.cod != f.cod:
-            return "boundary"
-        for r in range(f.cod.dim):
-            for c in range(f.dom.dim):
-                if f[r, c] != g[r, c]:
-                    return (r, c)
-        return None
+        return vb.first_diff(f, g)
 
 
 class CatBackend(Backend):
@@ -786,7 +780,7 @@ class VectImageBackend(Backend):
         return (TensorNat2(res.inverse) if res else None), res.witness
 
     def first_diff(self, f, g):
-        return VectBackend(self.q).first_diff(f.mor, g.mor)
+        return vb.first_diff(f.mor, g.mor)
 
     def evaluate1(self, p, x):
         """Apply the functor handle to a probe object."""

@@ -20,32 +20,25 @@ by exact Fraction equality.
 
 A morphism is a matrix of exact rationals (fractions.Fraction), rows
 indexed by the codomain basis, stored as the nonzero entries of each row:
-a dict column -> Fraction.  Every structure map of the bundled
-presentations (grouplike comultiplication and counit, table
-multiplication, units, braidings, the interchange, identities) is a
-monomial matrix, one nonzero in each row and column, so composition,
-tensor, sum and scaling touch only nonzeros; they never re-wrap a Fraction
-and never multiply by 1.  The dense matrix stays available as the
-read-only tuple-of-tuples view entries, and indexing, equality and hashing
-agree with it.
+a dict column -> Fraction.  Composition, tensor, sum and scaling touch
+only nonzeros; they never re-wrap a Fraction and never multiply by 1.
+The dense matrix stays available as the read-only tuple-of-tuples view
+entries, and indexing, equality and hashing agree with it.
 
 The braiding depends on a nonzero rational parameter q and sends the basis
 pair (a_i, b_j) to q^(grade(a_i) * grade(b_j)) times the swapped pair.
 q = 1 is the symmetric ungraded case, q = -1 the super case, any other q a
 genuinely non-symmetric braiding.
 
-invert and determinant treat a monomial matrix directly: the inverse is
-the transpose with each entry replaced by its reciprocal, the determinant
-the permutation's sign times the product of the nonzeros.  All other
-exact linear algebra goes through one elimination routine, row_reduce,
-which reduces the leading columns of an augmented matrix and returns its
-pivot columns and determinant.  invert reports the rank of a singular
-square matrix and (cod dim, dom dim) of a non-square one; determinant
-refuses a non-square one; the antipode solver in hopf_structures reports
-("underdetermined", first pivot-free column) or ("inconsistent", row).
-Each reported value is unique (inverse, determinant, rank, unique
-solution, first free column), so it does not depend on the pivoting
-order.
+All exact linear algebra goes through one elimination routine,
+row_reduce, on the sparse rows themselves, so a monomial matrix costs only
+its nonzeros.  invert runs it once per matrix and keeps the result,
+determinant included, on the morphism, where determinant reads it.
+invert reports the rank of a singular square matrix and (cod dim, dom
+dim) of a non-square one; determinant refuses a non-square one; the
+antipode solver in hopf_structures reports ("underdetermined", first
+pivot-free column) or ("inconsistent", row).  Each reported value is
+unique, so it does not depend on the pivoting order.
 """
 
 import weakref
@@ -158,10 +151,11 @@ class VMorphism:
     share them.  The constructor takes dense rows and checks their shape;
     the kernel builds its results through _from_rows.  _composites and
     _tensors are the memos of compose and tensor_mor with this morphism
-    on the left.
+    on the left, and _inverse the result of invert.
     """
 
-    __slots__ = ("dom", "cod", "rows", "_composites", "_tensors")
+    __slots__ = ("dom", "cod", "rows", "_composites", "_tensors",
+                 "_inverse")
 
     def __init__(self, dom, cod, entries):
         entries = [tuple(row) for row in entries]
@@ -189,7 +183,8 @@ class VMorphism:
 
     def _set(self, dom, cod, rows):
         for name, value in (("dom", dom), ("cod", cod), ("rows", tuple(rows)),
-                            ("_composites", {}), ("_tensors", {})):
+                            ("_composites", {}), ("_tensors", {}),
+                            ("_inverse", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -384,10 +379,12 @@ def grouplike(obj):
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Either the exact inverse, or a witness for why there is none."""
+    """Either the exact inverse, or a witness for why there is none; det is
+    the determinant of a square matrix."""
 
     inverse: VMorphism | None
     witness: object = None
+    det: Fraction | None = None
 
     def __bool__(self):
         return self.inverse is not None
@@ -395,58 +392,53 @@ class InverseResult:
 
 def row_reduce(rows, width):
     """Gauss-Jordan elimination on the leading width columns of rows, a
-    list of rational rows; any further columns are the augmented part.
+    list of sparse rows (dict column -> nonzero Fraction); any further
+    columns are the augmented part.
 
-    Column by column, the first row at or below the current rank with a
-    nonzero entry is swapped up, scaled to a leading one and cleared from
-    every other row; only the pivot row's nonzero columns are touched.
-    rows is reduced in place (its rows are replaced, never mutated).
-    Returns (pivots, det): the pivot columns in increasing order, and the
-    determinant of the leading width x width block, which is ZERO when a
-    column has no pivot and means something only when there are width
-    rows.
+    Column by column, the first row at or below the current rank that
+    holds the column is swapped up, scaled to a leading one and cleared
+    from every other row holding it, found through an index of the rows
+    holding each column.  rows is reduced in place (its rows are replaced,
+    never mutated).  Returns (pivots, det): the pivot columns in
+    increasing order, and the determinant of the leading width x width
+    block (ZERO when a column has no pivot; meaningful for width rows).
     """
+    holding = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            holding.setdefault(c, set()).add(r)
     pivots = []
     det = ONE
     for col in range(width):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                     None)
+        pivot = min((r for r in holding.get(col, ()) if r >= rank),
+                    default=None)
         if pivot is None:
             det = ZERO
             continue
         if pivot != rank:
+            # A column held by just one of the two rows changes holder.
+            for c in rows[rank].keys() ^ rows[pivot].keys():
+                holding[c] ^= {rank, pivot}
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
             det = -det
         lead = rows[rank][col]
         if lead != 1:
             det *= lead
-            rows[rank] = [e / lead for e in rows[rank]]
-        support = [(c, p) for c, p in enumerate(rows[rank]) if p != 0]
-        for r, row in enumerate(rows):
-            if r != rank and row[col] != 0:
-                factor = row[col]
-                row = rows[r] = list(row)
-                for c, p in support:
-                    row[c] -= factor * p
+            rows[rank] = {c: e / lead for c, e in rows[rank].items()}
+        support = rows[rank].items()
+        for r in [r for r in holding[col] if r != rank]:
+            row = rows[r] = dict(rows[r])
+            factor = row[col]
+            for c, p in support:
+                e = row.pop(c, ZERO) - factor * p
+                if e:
+                    row[c] = e
+                    holding[c].add(r)
+                else:
+                    holding[c].discard(r)
         pivots.append(col)
     return pivots, det
-
-
-def _monomial(f):
-    """The (column, entry) of each row of a square f when f is monomial,
-    one nonzero in each row and in distinct columns; otherwise None."""
-    seen = set()
-    out = []
-    for row in f.rows:
-        if len(row) != 1:
-            return None
-        ((c, e),) = row.items()
-        if c in seen:
-            return None
-        seen.add(c)
-        out.append((c, e))
-    return out
 
 
 def invert(f):
@@ -454,47 +446,45 @@ def invert(f):
     for a non-square matrix, or witness = rank for a singular square one.
 
     The shared identity is returned as its own inverse, which the
-    identity shortcuts of compose and tensor_mor recognise.  A monomial
-    matrix is inverted directly: transposed, with each entry replaced by
-    its reciprocal.  Any other square matrix goes through row_reduce on f
-    augmented with the identity.
+    identity shortcuts of compose and tensor_mor recognise.  Any other
+    square matrix goes through row_reduce on its rows augmented with the
+    identity, once: the result, determinant included, is kept on f.
     """
     if f is f.dom._identity:
-        return InverseResult(f)
+        return InverseResult(f, det=ONE)
+    if f._inverse is None:
+        object.__setattr__(f, "_inverse", _invert(f))
+    return f._inverse
+
+
+def _invert(f):
     n = f.dom.dim
     if f.cod.dim != n:
         return InverseResult(None, witness=(f.cod.dim, f.dom.dim))
-    monomial = _monomial(f)
-    if monomial is not None:
-        transpose = [None] * n
-        for r, (c, e) in enumerate(monomial):
-            transpose[c] = {r: e if e is ONE else _fraction(1 / e)}
-        return InverseResult(VMorphism._from_rows(f.cod, f.dom, transpose))
-    rows = [list(row) + [ONE if r == c else ZERO for c in range(n)]
-            for r, row in enumerate(f.entries)]
-    pivots, _ = row_reduce(rows, n)
+    rows = [{**row, n + r: ONE} for r, row in enumerate(f.rows)]
+    pivots, det = row_reduce(rows, n)
     if len(pivots) < n:
-        return InverseResult(None, witness=len(pivots))
-    return InverseResult(VMorphism(f.cod, f.dom, [row[n:] for row in rows]))
+        return InverseResult(None, witness=len(pivots), det=det)
+    return InverseResult(
+        VMorphism._from_rows(f.cod, f.dom, [
+            {c - n: _fraction(e) for c, e in row.items() if c >= n}
+            for row in rows]), det=det)
 
 
 def determinant(f):
-    """Exact determinant of a square morphism.  A monomial matrix gives
-    its permutation's sign times the product of its nonzeros; any other
-    goes through row_reduce."""
+    """Exact determinant of a square morphism, read off its inversion."""
     if f.cod.dim != f.dom.dim:
         raise ValueError("determinant of a non-square morphism")
-    monomial = _monomial(f)
-    if monomial is None:
-        return row_reduce(list(f.entries), f.dom.dim)[1]
-    det = ONE
-    cols = [c for c, _ in monomial]
-    for i in range(len(cols)):
-        while cols[i] != i:
-            j = cols[i]
-            cols[i], cols[j] = cols[j], j
-            det = -det
-    for _, e in monomial:
-        if e is not ONE:
-            det *= e
-    return det
+    return invert(f).det
+
+
+def first_diff(f, g):
+    """The first (row, column), in row-major order, where f and g differ;
+    "boundary" when their domains or codomains differ, None when equal."""
+    if f.dom is not g.dom or f.cod is not g.cod:
+        return "boundary"
+    for r, (a, b) in enumerate(zip(f.rows, g.rows)):
+        if a != b:
+            return r, min(c for c in a.keys() | b.keys()
+                          if a.get(c, ZERO) != b.get(c, ZERO))
+    return None

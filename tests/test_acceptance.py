@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve criteria, one pass line each.
+"""Acceptance gate: thirteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -333,6 +333,115 @@ def group_algebra_document(elements, mul, unit):
             "antipode": {a: sigma for a in elements}}
 
 
+def nichols_document(n, antipode_power=1):
+    """The Nichols Hopf algebra E(n) as a one-element group_monoid file
+    with explicit delta and eps.  Its basis g^a x_S (a in {0, 1}, S a set
+    of generators) has dimension 2^(n+1); g^2 = 1, x_i^2 = 0,
+    x_i x_j = -x_j x_i, g x_i = -x_i g, Delta g = g (x) g,
+    Delta x_i = x_i (x) 1 + g (x) x_i, and S(x_i) = -g x_i.  The file
+    carries the antipode_power-th power of S; E(1) is Sweedler's H_4."""
+    gens = ["x"] if n == 1 else ["x%d" % (i + 1) for i in range(n)]
+    # Basis element (a, mask): the word g^a followed by the x_i in mask,
+    # in increasing order.
+    basis = [(a, mask) for mask in range(2 ** n) for a in (0, 1)]
+
+    def word(a, mask):
+        text = "g" * a + "".join(x for i, x in enumerate(gens)
+                                 if mask >> i & 1)
+        return text or "1"
+
+    def mul_basis(left, right):
+        (a, s), (b, t) = left, right
+        if s & t:
+            return {}
+        # g x_S g^b = (-1)^(b|S|) g^(a+b) x_S; x_S x_T shuffles each
+        # x_i of S past every smaller x_j of T.
+        swaps = b * bin(s).count("1") + sum(
+            bin(t & ((1 << i) - 1)).count("1")
+            for i in range(n) if s >> i & 1)
+        return {((a + b) % 2, s | t): (-1) ** swaps}
+
+    def product(x, y, mul):
+        out = {}
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                for k, c in mul(kx, ky).items():
+                    out[k] = out.get(k, 0) + cx * cy * c
+        return {k: c for k, c in out.items() if c}
+
+    def mul_pair(left, right):
+        return {(k1, k2): c1 * c2
+                for k1, c1 in mul_basis(left[0], right[0]).items()
+                for k2, c2 in mul_basis(left[1], right[1]).items()}
+
+    one, g = (0, 0), (1, 0)
+    delta, antipode = {}, {}
+    for a, mask in basis:
+        d = {(g, g): 1} if a else {(one, one): 1}
+        s = {g: 1} if a else {one: 1}
+        for i in range(n):
+            if mask >> i & 1:
+                x = (0, 1 << i)
+                d = product(d, {(x, one): 1, (g, x): 1}, mul_pair)
+                # S reverses products: S(g^a x_S) = ... S(x_j) S(x_i) g^a.
+                s = product({(1, 1 << i): -1}, s, mul_basis)
+        delta[(a, mask)], antipode[(a, mask)] = d, s
+
+    def apply(linear, x):
+        out = {}
+        for v, cv in x.items():
+            for k, c in linear[v].items():
+                out[k] = out.get(k, 0) + cv * c
+        return {k: c for k, c in out.items() if c}
+
+    def matrix(cods, image, doms):
+        return [[str(image(w).get(v, 0)) for w in doms] for v in cods]
+
+    sigma = dict(antipode)
+    for _ in range(antipode_power - 1):
+        sigma = {w: apply(antipode, x) for w, x in sigma.items()}
+    square = [(u, v) for u in basis for v in basis]
+    return {"format_version": 1, "kind": "group_monoid", "backend": "vect",
+            "elements": ["e"], "unit": "e", "q": "1",
+            "table": {"e": {"e": "e"}},
+            "labels": {"e": [[word(*b), 0] for b in basis]},
+            "mu": {"e": {"e": matrix(basis, lambda w: mul_basis(*w),
+                                     square)}},
+            "eta": matrix(basis, lambda w: {one: 1}, [one]),
+            "delta": {"e": matrix(square, delta.get, basis)},
+            "eps": {"e": matrix(["1"], lambda w: {"1": int(w[1] == 0)},
+                                basis)},
+            "antipode": {"e": matrix(basis, sigma.get, basis)}}
+
+
+def run_json(argv):
+    """main(argv) with --format json and stdout captured: (code, report)."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main([str(arg) for arg in argv] + ["--format", "json"])
+    return code, json.loads(sink.getvalue())
+
+
+def test_nichols_documents_match_the_fixtures():
+    golden = DATA / "golden"
+    assert nichols_document(1) == \
+        json.loads((golden / "h4_sweedler.json").read_text())
+    assert nichols_document(2) == \
+        json.loads((golden / "e2_nichols.json").read_text())
+
+
+def test_nichols_inverse_antipode_fails(tmp_path):
+    # S^4 = id and S^2 != id on E(n), so S^3 = S^-1 is not the antipode.
+    for n in (1, 2):
+        fixture = tmp_path / ("e%d_s3.json" % n)
+        fixture.write_text(json.dumps(nichols_document(n, antipode_power=3)))
+        code, report = run_json(["check", fixture, "--antipode",
+                                 "--duoidal"])
+        assert code == 1
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [
+            ("antipode", "fail"), ("duoidal", "fail")]
+
+
 def passing_default_check(n, tmp_path):
     """Run the default check on the ungraded Z_n group algebra file and
     assert that all six checks pass with n * n nonzero fusion
@@ -340,10 +449,7 @@ def passing_default_check(n, tmp_path):
     names, mul, unit = hs.cyclic_group(n)
     fixture = tmp_path / ("z%d_group_algebra.json" % n)
     fixture.write_text(json.dumps(group_algebra_document(names, mul, unit)))
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink):
-        code = main(["check", str(fixture), "--format", "json"])
-    report = json.loads(sink.getvalue())
+    code, report = run_json(["check", fixture])
     assert code == 0 and report["status"] == "pass"
     assert [(c["name"], c["status"]) for c in report["checks"]] == [
         (name, "pass") for name in ("monad", "opmonoidal", "hopf",
@@ -384,3 +490,15 @@ def test_criterion_12_z8_default_check(tmp_path):
     start = time.monotonic()
     passing_default_check(8, tmp_path)
     finish(12, "default check on the Z_8 group algebra", start, 10.0, 128)
+
+
+def test_criterion_13_nichols_e4_hopf_check(tmp_path):
+    fixture = tmp_path / "e4_nichols.json"
+    fixture.write_text(json.dumps(nichols_document(4)))
+    start = time.monotonic()
+    code, report = run_json(["check", fixture, "--hopf"])
+    assert code == 0 and report["status"] == "pass"
+    (hopf,) = report["checks"]
+    assert hopf["fusion_determinants"] == {
+        "left": [["('e', 'e')", "1"]], "right": [["('e', 'e')", "1"]]}
+    finish(13, "fusion check on the Nichols algebra E(4)", start, 4.0, 2)

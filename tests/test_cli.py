@@ -21,6 +21,7 @@ from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan import monoidale_duoidal as md
 from hopfspan import spanv_core as sc
+from hopfspan import vect_backend as vb
 from hopfspan.cli import canonical_json, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -97,6 +98,31 @@ def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
                          "--format", "json")
     assert code == 0
     assert calls == {"left_fusion": 1, "right_fusion": 1}
+
+
+def test_hopf_check_eliminates_each_fusion_component_once(capsys,
+                                                         monkeypatch):
+    # H_4 has one 16 x 16 fusion component per side, not monomial.  The
+    # verdict inverts each once and the determinants read that inversion.
+    calls = []
+
+    def counted(rows, width, _original=vb.row_reduce):
+        calls.append((len(rows), width))
+        return _original(rows, width)
+    monkeypatch.setattr(vb, "row_reduce", counted)
+    code, _, _ = run_cli(capsys, "check", H4_FILE, "--hopf",
+                         "--format", "json")
+    assert code == 0
+    assert calls == [(16, 16), (16, 16)]
+
+
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(hs, "check_monad", exhausted)
+    code, out, err = run_cli(capsys, "check", Z2_FILE, "--monad")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory in check\n"
 
 
 def test_default_check_builds_each_structure_once(capsys, monkeypatch):

@@ -4,7 +4,7 @@ Each file under tests/data/golden/ named after a case below holds the
 ``--format json`` output that main() printed for that argv when the case
 was recorded.  The run must reproduce it exactly, and the exit code must
 agree with the report's status.  The inputs are the bundled fixtures
-plus four variants kept next to the reports:
+plus the variants kept next to the reports:
 
 * ``z2_super.json``: the Z_2 fixture with q = -1 and the generator in
   degree 1, which fails the multiplication/comultiplication square;
@@ -20,7 +20,11 @@ plus four variants kept next to the reports:
   (basis 1, g, x, gx; g^2 = 1, x^2 = 0, xg = -gx, Delta x = x (x) 1 +
   g (x) x) on a one-element monoid, with explicit delta and eps and its
   antipode S(x) = -gx, S(gx) = x.  It is not grouplike and S^2 is not
-  the identity, so S differs from the antipode of the co-opposite.
+  the identity, so S differs from the antipode of the co-opposite;
+* ``e2_nichols.json``: the Nichols Hopf algebra E(2) (dimension 8, two
+  anticommuting skew-primitive generators), written by
+  ``nichols_document(2)`` in test_acceptance.py.  Its fusion components
+  are 64 x 64 and not monomial, so they go through elimination.
 """
 
 import json
@@ -54,6 +58,10 @@ CASES = {
     "check_hopf_h4_sweedler.json": ["check", GOLDEN / "h4_sweedler.json",
                                     "--hopf"],
     "antipode_h4_sweedler.json": ["antipode", GOLDEN / "h4_sweedler.json"],
+    "check_e2_nichols.json": ["check", GOLDEN / "e2_nichols.json"],
+    "check_hopf_e2_nichols.json": ["check", GOLDEN / "e2_nichols.json",
+                                   "--hopf"],
+    "antipode_e2_nichols.json": ["antipode", GOLDEN / "e2_nichols.json"],
 }
 
 

@@ -301,28 +301,35 @@ def test_compute_antipode_flags_underdetermined_systems():
     assert res.witness[2][0] == "underdetermined"
 
 
+def solve(rows, rhs):
+    """_solve_unique on dense rows and right-hand side, as sparse rows."""
+    width = len(rows[0]) if rows else 0
+    return _solve_unique([{c: Fraction(e) for c, e in enumerate(row + [b])
+                           if e} for row, b in zip(rows, rhs)], width)
+
+
 def test_solve_unique_witnesses_on_hand_built_systems():
     f = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    assert _solve_unique(f, [Fraction(3), Fraction(4)]) == ([1, 1], None)
+    assert solve(f, [Fraction(3), Fraction(4)]) == ([1, 1], None)
     # A consistent extra row leaves the unique solution alone.
-    assert _solve_unique(f + [[Fraction(3), Fraction(4)]],
-                         [Fraction(3), Fraction(4), Fraction(7)]) == \
+    assert solve(f + [[Fraction(3), Fraction(4)]],
+                 [Fraction(3), Fraction(4), Fraction(7)]) == \
         ([1, 1], None)
     # Column 2 is column 0 plus column 1, found after a row swap.
     rows = [[0, 1, 1], [1, 0, 1], [0, 0, 0]]
-    assert _solve_unique(rows, [1, 1, 0]) == \
+    assert solve(rows, [1, 1, 0]) == \
         (None, ("underdetermined", 2))
     # The first of several free columns is reported, even when the
     # system is also inconsistent.
-    assert _solve_unique([[1, 1, 1], [1, 1, 1]], [0, 1]) == \
+    assert solve([[1, 1, 1], [1, 1, 1]], [0, 1]) == \
         (None, ("underdetermined", 1))
     # Full column rank but no solution: the first nonzero leftover row,
     # counted after the pivot rows were swapped up.
-    assert _solve_unique([[0, 1], [1, 0], [1, 1], [1, 1]], [1, 1, 3, 0]) == \
+    assert solve([[0, 1], [1, 0], [1, 1], [1, 1]], [1, 1, 3, 0]) == \
         (None, ("inconsistent", 2))
-    assert _solve_unique([[0, 1], [1, 0], [0, 0], [1, 1]], [1, 1, 0, 3]) == \
+    assert solve([[0, 1], [1, 0], [0, 0], [1, 1]], [1, 1, 0, 3]) == \
         (None, ("inconsistent", 3))
-    assert _solve_unique([], []) == ([], None)
+    assert solve([], []) == ([], None)
 
 
 def test_antipode_checks_need_a_family():

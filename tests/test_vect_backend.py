@@ -8,6 +8,7 @@ from hopfspan.hopf_structures import _solve_unique
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, unit_object,
     tensor_obj, tensor_mor, braiding, invert, determinant, row_reduce,
+    first_diff,
 )
 
 
@@ -213,6 +214,14 @@ def minor_rank(m, cols):
     return 0
 
 
+def sparse(rows, rhs=None):
+    """Dense rows, optionally augmented with rhs, as the kernel's sparse
+    rows: dicts column -> nonzero Fraction."""
+    if rhs is not None:
+        rows = [list(row) + [b] for row, b in zip(rows, rhs)]
+    return [{c: Fraction(e) for c, e in enumerate(row) if e} for row in rows]
+
+
 # Small integers make singular matrices common; fractions exercise the
 # exact arithmetic.
 ENTRY = st.one_of(st.integers(-1, 1).map(Fraction),
@@ -222,9 +231,8 @@ ENTRY = st.one_of(st.integers(-1, 1).map(Fraction),
 @st.composite
 def square_systems(draw):
     """A random square system; one draw in three has one nonzero in each
-    row, either in distinct columns (monomial, so invert and determinant
-    skip elimination) or in columns drawn with repetition (singular
-    unless they happen to be distinct)."""
+    row, either in distinct columns (monomial) or in columns drawn with
+    repetition (singular unless they happen to be distinct)."""
     n = draw(st.integers(1, 4))
     kind = draw(st.integers(0, 5))
     if kind < 4:
@@ -255,7 +263,7 @@ def test_elimination_matches_closed_forms(system):
     assert det == leibniz(rows)
     res = invert(f)
     assert bool(res) == (det != 0)
-    solution, witness = _solve_unique(rows, rhs)
+    solution, witness = _solve_unique(sparse(rows, rhs), n)
     if res:
         assert res.inverse.compose(f) == VMorphism.identity(a)
         assert witness is None
@@ -266,6 +274,122 @@ def test_elimination_matches_closed_forms(system):
         free = next(c for c in range(n)
                     if minor_rank(rows, c + 1) == minor_rank(rows, c))
         assert (solution, witness) == (None, ("underdetermined", free))
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination against the dense Gauss-Jordan it replaced.  These
+# three functions are that elimination and the inverse and solver built
+# on it, kept as the oracle.
+
+
+def dense_row_reduce(rows, width):
+    pivots = []
+    det = Fraction(1)
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                     None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        if lead != 1:
+            det *= lead
+            rows[rank] = [e / lead for e in rows[rank]]
+        support = [(c, p) for c, p in enumerate(rows[rank]) if p != 0]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] != 0:
+                factor = row[col]
+                row = rows[r] = list(row)
+                for c, p in support:
+                    row[c] -= factor * p
+        pivots.append(col)
+    return pivots, det
+
+
+def dense_invert(rows):
+    """(inverse rows, None), or (None, rank) for a singular square matrix."""
+    n = len(rows)
+    m = [list(row) + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(rows)]
+    pivots, _ = dense_row_reduce(m, n)
+    if len(pivots) < n:
+        return None, len(pivots)
+    return tuple(tuple(row[n:]) for row in m), None
+
+
+def dense_solve_unique(rows, rhs):
+    cols = len(rows[0]) if rows else 0
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, _ = dense_row_reduce(m, cols)
+    free = set(range(cols)).difference(pivots)
+    if free:
+        return None, ("underdetermined", min(free))
+    for r in range(cols, len(m)):
+        if m[r][cols] != 0:
+            return None, ("inconsistent", r)
+    return [m[r][cols] for r in range(cols)], None
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(rows, width): a random matrix, sparse or dense, with 1 to 5 rows,
+    width leading columns and up to two augmented ones.  Some draws zero
+    the leading entry of the first row, so the first pivot needs a swap;
+    some copy one row into another as a multiple, or the first column
+    into the last leading one, so the leading block is singular."""
+    m, width, extra = (draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+                       draw(st.integers(0, 2)))
+    entry = draw(st.sampled_from([ENTRY, SPARSE_ENTRY]))
+    rows = [[draw(entry) for _ in range(width + extra)] for _ in range(m)]
+    kind = draw(st.integers(0, 3))
+    if kind == 1:
+        rows[0][0] = Fraction(0)
+    elif kind == 2:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        scale = draw(ENTRY)
+        rows[i] = [scale * e for e in rows[j]]
+    elif kind == 3:
+        for row in rows:
+            row[width - 1] = row[0]
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+# the first pivot is found in the last row
+@example(([[0, 1], [0, 2], [3, 0]], 1))
+# full column rank, inconsistent in the last row
+@example(([[1, 0, 1], [0, 1, 1], [1, 1, 2], [1, 0, 5]], 2))
+# a swap at every column
+@example(([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3))
+def test_sparse_elimination_matches_the_dense_oracle(case):
+    rows, width = case
+    rows = [[Fraction(e) for e in row] for row in rows]
+    reduced = [list(row) for row in rows]
+    expected = dense_row_reduce(reduced, width)
+    given_rows = sparse(rows)
+    copies = [dict(row) for row in given_rows]
+    work = list(given_rows)
+    assert row_reduce(work, width) == expected
+    assert work == sparse(reduced)
+    assert given_rows == copies  # rows are replaced, never mutated
+    rhs = [row[width] if len(row) > width else Fraction(0) for row in rows]
+    leading = [row[:width] for row in rows]
+    assert _solve_unique(sparse(leading, rhs), width) == \
+        dense_solve_unique(leading, rhs)
+    if len(rows) == width:
+        a = obj(width)
+        f = VMorphism(a, a, leading)
+        res = invert(f)
+        inverse, rank = dense_invert(leading)
+        assert res.witness == rank
+        assert (res.inverse.entries if res else None) == inverse
+        assert determinant(f) == dense_row_reduce(
+            [list(row) for row in leading], width)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +438,8 @@ def obj(n, tag="v"):
 @st.composite
 def dense_matrices(draw, rows, cols):
     """A random sparse matrix, or (one draw in three) a monomial one:
-    a permutation with nonzero scalars."""
+    a permutation with nonzero scalars, inverted by elimination like any
+    other."""
     if rows == cols and draw(st.integers(0, 2)) == 0:
         perm = draw(st.permutations(range(cols)))
         values = draw(st.lists(NONZERO, min_size=rows, max_size=rows))
@@ -382,6 +507,10 @@ def test_sparse_kernel_matches_the_dense_oracle(case):
         twin = VMorphism(kernel.dom, kernel.cod, dense)
         assert kernel == twin and hash(kernel) == hash(twin)
     assert (f + f.scale(-1)).is_zero() and f.scale(0).is_zero()
+    diff = next(((r, col) for r in range(n) for col in range(k)
+                 if a[r][col] != c[r][col]), None)
+    assert first_diff(f, h) == diff and first_diff(f, f) is None
+    assert first_diff(f, g) == "boundary"
     assert q.is_permutation() == dense_is_permutation(sq)
     det, res = leibniz(sq), invert(q)
     assert determinant(q) == det and bool(res) == (det != 0)
@@ -401,7 +530,7 @@ def test_invert_singular_monomial_rows_fall_through_to_elimination():
     rows = [[2, 0, 0], [Fraction(1, 3), 0, 0], [0, 0, -1]]
     res = invert(VMorphism(a, a, rows))
     assert not res
-    pivots, _ = row_reduce([[Fraction(e) for e in row] for row in rows], 3)
+    pivots, _ = row_reduce(sparse(rows), 3)
     assert res.witness == len(pivots) == 2
 
 
