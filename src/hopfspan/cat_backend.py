@@ -168,6 +168,10 @@ def check_category(c):
     return report
 
 
+# The unit of the product: one object, so that every unit label and the
+# products cached on it are shared.
+TERMINAL = FinCategory.discrete(["*"])
+
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse."""
     for m in c.morphisms:

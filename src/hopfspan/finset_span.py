@@ -12,7 +12,6 @@ integers, or (nested) tuples of atoms.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 
 class SpanError(ValueError):
@@ -254,37 +253,6 @@ def cartesian_product(a, b):
     return Span(src, tgt, apex, left, right)
 
 
-def product_of_morphisms(f, g):
-    """(c, d) -> (f(c), g(d)) between cartesian_product spans."""
-    source = cartesian_product(f.source, g.source)
-    target = cartesian_product(f.target, g.target)
-    assignment = {(c, d): (f.map(c), g.map(d)) for (c, d) in source.apex}
-    return SpanMorphism(source, target,
-                        FinFn(source.apex, target.apex, assignment))
-
-
-def associator_iso(c, b, a):
-    """Canonical bijection from (c . b) . a to c . (b . a)."""
-    lhs = compose_spans(compose_spans(c, b), a)
-    rhs = compose_spans(c, compose_spans(b, a))
-    assignment = {((e, d), f): (e, (d, f)) for ((e, d), f) in lhs.apex}
-    return SpanMorphism(lhs, rhs, FinFn(lhs.apex, rhs.apex, assignment))
-
-
-def left_unitor_iso(a):
-    """From identity(a.tgt) . a to a, by (y, c) -> c."""
-    lhs = compose_spans(Span.identity(a.tgt), a)
-    assignment = {(y, c): c for (y, c) in lhs.apex}
-    return SpanMorphism(lhs, a, FinFn(lhs.apex, a.apex, assignment))
-
-
-def right_unitor_iso(a):
-    """From a . identity(a.src) to a, by (c, x) -> c."""
-    lhs = compose_spans(a, Span.identity(a.src))
-    assignment = {(c, x): c for (c, x) in lhs.apex}
-    return SpanMorphism(lhs, a, FinFn(lhs.apex, a.apex, assignment))
-
-
 @dataclass(frozen=True)
 class RightAdjointResult:
     """Either the adjoint data, or a witness that the right leg fails."""
@@ -331,8 +299,3 @@ def right_adjoint_of(a):
     counit = SpanMorphism(comp_au, Span.identity(a.tgt), counit_map)
     return RightAdjointResult(adjoint, unit, counit)
 
-
-def pullback_pairs(b, a):
-    """Brute-force enumeration of matching pairs, for cross-checking."""
-    return [(d, c) for d, c in product(b.apex.elements, a.apex.elements)
-            if b.right(d) == a.left(c)]

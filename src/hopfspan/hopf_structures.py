@@ -57,6 +57,7 @@ from .spanv_core import (
     VectBackend,
     apply_span_F,
     associator_cell2,
+    cell2_along,
     eq2,
     hcomp1,
     hcomp2,
@@ -118,16 +119,10 @@ def monad_cells(p):
     for pair in composite.span.apex:
         if pair not in p.mu:
             raise SpanVError("multiplication entry missing at %r" % (pair,))
-    mu2 = Cell2(composite, t,
-                SpanMorphism(composite.span, t.span,
-                             FinFn(composite.span.apex, d.morphisms,
-                                   {(h, k): d.compose(h, k)
-                                    for (h, k) in composite.span.apex})),
-                {pair: p.mu[pair] for pair in composite.span.apex})
-    idc = identity_cell1(t.src)
-    eta2 = Cell2(idc, t,
-                 SpanMorphism(idc.span, t.span, d.identities),
-                 {x: p.eta[x] for x in d.objects})
+    mu2 = cell2_along(composite, t, lambda pair: d.compose(*pair),
+                      {pair: p.mu[pair] for pair in composite.span.apex})
+    eta2 = cell2_along(identity_cell1(t.src), t, d.identities,
+                       {x: p.eta[x] for x in d.objects})
     return t, mu2, eta2
 
 
@@ -174,32 +169,14 @@ class ComonoidStructure:
     eps: dict
 
 
-def opmonoidal_cells(p, c, fibers=None):
-    """The binary and nullary structure cells over the induced monoid
-    object: t o m => m o (t . t) and t o u => u."""
-    d, t = p.shape, p.cells[0]
-    mon = induced_monoidale(d.objects, p.backend, fibers)
-    source0 = hcomp1(t, mon.u)
-    f0 = Cell2(source0, mon.u,
-               SpanMorphism(source0.span, mon.u.span,
-                            FinFn(source0.span.apex, mon.u.span.apex,
-                                  {(h, x): d.tgt(h)
-                                   for (h, x) in source0.span.apex})),
-               {(h, x): c.eps[h] for (h, x) in source0.span.apex})
-    return _binary_cell(p, c, mon), f0
-
-
 def _binary_cell(p, c, mon):
     """The binary structure cell t o m => m o (t . t) over mon."""
     d, t = p.shape, p.cells[0]
     source = hcomp1(t, mon.m)
     target = hcomp1(mon.m, tensor1(t, t))
-    return Cell2(source, target,
-                 SpanMorphism(source.span, target.span,
-                              FinFn(source.span.apex, target.span.apex,
-                                    {(h, x): (d.tgt(h), (h, h))
-                                     for (h, x) in source.span.apex})),
-                 {(h, x): c.delta[h] for (h, x) in source.span.apex})
+    return cell2_along(source, target,
+                       lambda hx: (d.tgt(hx[0]), (hx[0], hx[0])),
+                       {(h, x): c.delta[h] for (h, x) in source.span.apex})
 
 
 def check_opmonoidal(p, c):
@@ -257,16 +234,16 @@ def _pair_order(side):
 
 def _fusion(p, c, fibers, side):
     """The fusion cell (t o m) o (t . 1) => m o (t . t) on the left and
-    (t o m) o (1 . t) => m o (t . t) on the right: one chain of steps with
-    every tensor pair in the side's order.
+    (t o m) o (1 . t) => m o (t . t) on the right: one chain of four
+    steps with every tensor pair in the side's order.
 
     Whisker the binary structure cell, reassociate, apply the interchange
-    cell (this is where the braiding acts), absorb the identity factor,
-    multiply.  Over the graded base the component at a composable pair
-    works out to (mu tensor 1) (1 tensor braiding) (delta tensor 1) on the
-    left; on the right the interchange braids against the unit label, so
-    it is (1 tensor mu) (delta tensor 1).  The tests pin both down
-    independently.
+    cell (this is where the braiding acts), then multiply and absorb the
+    identity factor in one step.  Over the graded base the component at
+    a composable pair works out to (mu tensor 1) (1 tensor braiding)
+    (delta tensor 1) on the left; on the right the interchange braids
+    against the unit label, so it is (1 tensor mu) (delta tensor 1).
+    The tests pin both down independently.
     """
     order = _pair_order(side)
     t, mu2, _ = p.cells
@@ -275,14 +252,12 @@ def _fusion(p, c, fibers, side):
     pair = tensor1(*order(t, idc))
     cell = hcomp2(_binary_cell(p, c, mon), identity_cell2(pair))
     cell = vcomp2(associator_cell2(mon.m, tensor1(t, t), pair), cell)
-    # Each step is built where it is applied: built first, all three stay
-    # alive together, which raised the peak RSS of wide shapes by 15%.
+    # Each step is built where it is applied: built first, the steps all
+    # stay alive together, which raised the peak RSS of wide shapes by 15%.
     one_m = identity_cell2(mon.m)
     cell = vcomp2(hcomp2(one_m, interchange_cell2(t, t, *order(t, idc))),
                   cell)
-    cell = vcomp2(hcomp2(one_m, tensor2(*order(identity_cell2(mu2.source),
-                                               right_unitor_cell2(t)))), cell)
-    cell = vcomp2(hcomp2(one_m, tensor2(*order(mu2, identity_cell2(t)))),
+    cell = vcomp2(hcomp2(one_m, tensor2(*order(mu2, right_unitor_cell2(t)))),
                   cell)
     return cell
 
@@ -537,9 +512,9 @@ def _assembled_antipode(p, c, sigma):
             return report
     one = {h: be.id2(lab[h]) for h in d.morphisms}
     squares = (
-        (d.tgt, {h: (h, inverse[h]) for h in d.morphisms},
+        (d.tgt, lambda h: (h, inverse[h]),
          {h: be.tensor2v(one[h], sigma[h]) for h in d.morphisms}),
-        (d.src, {h: (inverse[h], h) for h in d.morphisms},
+        (d.src, lambda h: (inverse[h], h),
          {h: be.tensor2v(sigma[h], one[h]) for h in d.morphisms}))
     for law, (leg, onto, swap) in zip(_SQUARE_LAWS, squares):
         span = Span(d.objects, d.objects, d.morphisms, leg, leg)
@@ -549,14 +524,9 @@ def _assembled_antipode(p, c, sigma):
         units = Cell1(be, t.src, t.src, span,
                       {h: be.id1(t.src.label[leg(h)]) for h in d.morphisms})
         comult = Cell2(source, doubled, SpanMorphism.identity(span), c.delta)
-        swapped = Cell2(doubled, mu2.source,
-                        SpanMorphism(span, mu2.source.span,
-                                     FinFn(d.morphisms,
-                                           mu2.source.span.apex, onto)),
-                        swap)
+        swapped = cell2_along(doubled, mu2.source, onto, swap)
         counit = Cell2(source, units, SpanMorphism.identity(span), c.eps)
-        collapse = relabel_cell2(units, eta2.source,
-                                 SpanMorphism(span, eta2.source.span, leg))
+        collapse = relabel_cell2(units, eta2.source, leg)
         verdict = eq2(vcomp2(mu2, vcomp2(swapped, comult)),
                       vcomp2(eta2, vcomp2(collapse, counit)))
         if not verdict:
@@ -874,7 +844,7 @@ class MonoidalCatData:
 
 
 def _point_functor(cat, x):
-    one = cb.FinCategory.discrete(["*"])
+    one = cb.TERMINAL
     return cb.FunctorData(one, cat,
                           FinFn(one.objects, cat.objects, {"*": x}),
                           FinFn(one.morphisms, cat.morphisms,
@@ -1357,14 +1327,10 @@ def _restricted_carrier(p, shape, q):
 def _algebra_cell(shape, composite, carrier1, rho):
     """The action 2-cell from composite = t o carrier1 to carrier1,
     sending slot s to out[s] with component rho[s]."""
-    morphism = SpanMorphism(composite.span, carrier1.span,
-                            FinFn(composite.span.apex, carrier1.span.apex,
-                                  {s: shape.out[s]
-                                   for s in composite.span.apex}))
     comps = {s: cb.NatTransData(composite.label[s],
                                 carrier1.label[shape.out[s]], {"*": rho[s]})
              for s in composite.span.apex}
-    return Cell2(composite, carrier1, morphism, comps)
+    return cell2_along(composite, carrier1, shape.out.__getitem__, comps)
 
 
 def _algebra_laws_hold(t, mu2, eta2, q, xi):

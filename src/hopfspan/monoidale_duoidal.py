@@ -25,15 +25,16 @@ agreement breaks, so nothing outside the class is silently accepted.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .finset_span import FinSet, FinFn, Span, SpanMorphism
+from .finset_span import FinSet, FinFn, Span
 from .reporting import Verdict, CheckReport
 from . import vect_backend as vb
 from .spanv_core import (
     SpanVError, VectBackend,
-    Cell0, Cell1, Cell2, identity_cell1, identity_cell2,
+    Cell0, Cell1, Cell2, cell2_along, identity_cell1, identity_cell2,
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
-    relabel_cell2, associator_cell2, left_unitor_cell2, right_unitor_cell2,
-    interchange_cell2, invert_cell2, eq2,
+    relabel_cell2, regroup, interchange_atoms, associator_cell2,
+    left_unitor_cell2, right_unitor_cell2, interchange_cell2, invert_cell2,
+    eq2,
 )
 
 
@@ -60,8 +61,7 @@ def _regroup_cell1(src, tgt, fn):
 def tensor_associator_cell1(x, y, z):
     """The regrouping 1-cell (x . y) . z -> x . (y . z)."""
     return _regroup_cell1(tensor0(tensor0(x, y), z),
-                          tensor0(x, tensor0(y, z)),
-                          lambda t: (t[0][0], (t[0][1], t[1])))
+                          tensor0(x, tensor0(y, z)), regroup)
 
 
 def tensor_associator_inv_cell1(x, y, z):
@@ -102,8 +102,7 @@ def unique_relabel_cell2(source, target):
             raise SpanVError(
                 "%d leg matches at %r, need exactly one" % (len(matches), c))
         assignment[c] = matches[0]
-    morphism = SpanMorphism(s, t, FinFn(s.apex, t.apex, assignment))
-    return relabel_cell2(source, target, morphism)
+    return relabel_cell2(source, target, assignment.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +439,8 @@ def _frobenius_shared_prefix(adj, mirrored):
     inner = tensor1(*order(mon.m, idc))
     outer = tensor1(*order(adj.m_star, idc))
     cell = invert_cell2(right_unitor_cell2(s0)).inverse
-    cell = vcomp2(hcomp2(identity_cell2(s0), pad), cell)
-    cell = vcomp2(hcomp2(identity_cell2(s0), vcomp2(split, fixup)), cell)
+    cell = vcomp2(hcomp2(identity_cell2(s0),
+                         vcomp2(vcomp2(split, fixup), pad)), cell)
     cell = vcomp2(invert_cell2(associator_cell2(s0, inner, outer)).inverse,
                   cell)
     cell = vcomp2(hcomp2(associator_cell2(adj.m_star, mon.m, inner),
@@ -579,15 +578,11 @@ def star2(v, u):
     m, d = _diagonal_labels(v.source)
     one_m, one_d = be.id2(m), be.id2(d)
     fv, fu = v.morphism.map, u.morphism.map
-    apex = source.span.apex
-    morphism = SpanMorphism(source.span, target.span,
-                            FinFn(apex, target.span.apex,
-                                  {(c, h): (fv(c), fu(h)) for (c, h) in apex}))
     comps = {(c, h): be.comp2(be.comp2(one_m, be.tensor2v(v.components[c],
                                                           u.components[h])),
                               one_d)
-             for (c, h) in apex}
-    return Cell2(source, target, morphism, comps)
+             for (c, h) in source.span.apex}
+    return cell2_along(source, target, lambda t: (fv(t[0]), fu(t[1])), comps)
 
 
 def complete_unit_cell1(src0, tgt0):
@@ -605,35 +600,20 @@ def complete_unit_cell1(src0, tgt0):
 
 def star_associator_cell2(c, b, a):
     """(c * b) * a  =>  c * (b * a), identity components."""
-    lhs = star1(star1(c, b), a)
-    rhs = star1(c, star1(b, a))
-    assignment = {((p, q), r): (p, (q, r)) for ((p, q), r) in lhs.span.apex}
-    return relabel_cell2(lhs, rhs,
-                         SpanMorphism(lhs.span, rhs.span,
-                                      FinFn(lhs.span.apex, rhs.span.apex,
-                                            assignment)))
+    return relabel_cell2(star1(star1(c, b), a), star1(c, star1(b, a)),
+                         regroup)
 
 
 def star_left_unitor_cell2(a):
     """J * a  =>  a, dropping the forced complete-span component."""
-    j = complete_unit_cell1(a.src, a.tgt)
-    lhs = star1(j, a)
-    assignment = {(p, h): h for (p, h) in lhs.span.apex}
-    return relabel_cell2(lhs, a,
-                         SpanMorphism(lhs.span, a.span,
-                                      FinFn(lhs.span.apex, a.span.apex,
-                                            assignment)))
+    return relabel_cell2(star1(complete_unit_cell1(a.src, a.tgt), a), a,
+                         lambda t: t[1])
 
 
 def star_right_unitor_cell2(a):
     """a * J  =>  a."""
-    j = complete_unit_cell1(a.src, a.tgt)
-    lhs = star1(a, j)
-    assignment = {(h, p): h for (h, p) in lhs.span.apex}
-    return relabel_cell2(lhs, a,
-                         SpanMorphism(lhs.span, a.span,
-                                      FinFn(lhs.span.apex, a.span.apex,
-                                            assignment)))
+    return relabel_cell2(star1(a, complete_unit_cell1(a.src, a.tgt)), a,
+                         lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +656,10 @@ def duoidal_interchange(a, b, h, d):
     be = a.backend
     lhs = hcomp1(star1(a, b), star1(h, d))
     rhs = star1(hcomp1(a, h), hcomp1(b, d))
-    assignment = {((p, q), (v, w)): ((p, v), (q, w))
-                  for ((p, q), (v, w)) in lhs.span.apex}
-    morphism = SpanMorphism(lhs.span, rhs.span,
-                            FinFn(lhs.span.apex, rhs.span.apex, assignment))
     comps = {((p, q), (v, w)): be.mid4(a.label[p], b.label[q],
                                        h.label[v], d.label[w])
              for ((p, q), (v, w)) in lhs.span.apex}
-    return Cell2(lhs, rhs, morphism, comps)
+    return cell2_along(lhs, rhs, interchange_atoms, comps)
 
 
 def _take(cells, n, offset=0):
@@ -858,19 +834,10 @@ def comonoid_cells(com):
     """The comultiplication a => a * a and counit a => J induced by
     per-label comonoid structure."""
     a = com.cell
-    target = star1(a, a)
-    assignment = {h: (h, h) for h in a.span.apex}
-    delta2 = Cell2(a, target,
-                   SpanMorphism(a.span, target.span,
-                                FinFn(a.span.apex, target.span.apex,
-                                      assignment)),
-                   dict(com.delta))
-    j = complete_unit_cell1(a.src, a.tgt)
-    assignment = {h: (a.span.left(h), a.span.right(h)) for h in a.span.apex}
-    eps2 = Cell2(a, j,
-                 SpanMorphism(a.span, j.span,
-                              FinFn(a.span.apex, j.span.apex, assignment)),
-                 dict(com.eps))
+    delta2 = cell2_along(a, star1(a, a), lambda h: (h, h), dict(com.delta))
+    eps2 = cell2_along(a, complete_unit_cell1(a.src, a.tgt),
+                       lambda h: (a.span.left(h), a.span.right(h)),
+                       dict(com.eps))
     return delta2, eps2
 
 
@@ -887,22 +854,6 @@ def grouplike_comonoid(cell):
     return ComonoidLabeledCell(cell, delta, eps)
 
 
-def conjugate_comonoid(com, autos):
-    """Transport the comonoid structure along a label automorphism P per
-    apex element: delta' = (P . P) o delta o P^-1, eps' = eps o P^-1."""
-    be = com.cell.backend
-    delta, eps = {}, {}
-    for h in com.cell.span.apex:
-        p = autos[h]
-        res = vb.invert(p)
-        if not res:
-            raise SpanVError("conjugator at %r is singular" % (h,))
-        delta[h] = be.vcomp(be.tensor2v(p, p),
-                            be.vcomp(com.delta[h], res.inverse))
-        eps[h] = be.vcomp(com.eps[h], res.inverse)
-    return ComonoidLabeledCell(com.cell, delta, eps)
-
-
 # ---------------------------------------------------------------------------
 # The one-point carrier, where the two products coincide.
 
@@ -914,13 +865,9 @@ def zunino_braiding(a, b):
     if not isinstance(be, VectBackend):
         raise SpanVError("the braiding needs a one-object graded base")
     lhs, rhs = star1(a, b), star1(b, a)
-    assignment = {(c, h): (h, c) for (c, h) in lhs.span.apex}
     comps = {(c, h): be.braid1(a.label[c], b.label[h])
              for (c, h) in lhs.span.apex}
-    return Cell2(lhs, rhs,
-                 SpanMorphism(lhs.span, rhs.span,
-                              FinFn(lhs.span.apex, rhs.span.apex, assignment)),
-                 comps)
+    return cell2_along(lhs, rhs, lambda t: (t[1], t[0]), comps)
 
 
 def zunino_check(X, be, cells):

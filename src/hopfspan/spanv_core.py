@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .finset_span import (
     FinSet, FinFn, Span, SpanMorphism,
     compose_spans, compose_span_morphisms_h, cartesian_product,
-    associator_iso, left_unitor_iso, right_unitor_iso,
 )
 from .reporting import Verdict
 from . import vect_backend as vb
@@ -224,7 +223,7 @@ class CatBackend(Backend):
         return f.hcomp(g)
 
     def unit0(self):
-        return cb.FinCategory.discrete(["*"])
+        return cb.TERMINAL
 
     def tensor0v(self, x, y):
         return product_category(x, y)
@@ -425,6 +424,17 @@ def identity_cell2(a):
                  {c: a.backend.id2(a.label[c]) for c in a.span.apex})
 
 
+def cell2_along(source, target, fn, components):
+    """The 2-cell source => target with the given components along fn, a
+    map of source apex atoms into the target apex commuting with the legs."""
+    apex = source.span.apex
+    return Cell2(source, target,
+                 SpanMorphism(source.span, target.span,
+                              FinFn(apex, target.span.apex,
+                                    {c: fn(c) for c in apex})),
+                 components)
+
+
 def vcomp2(second, first):
     """Vertical composite; component at c is second at f(c) after first at c."""
     if second.source != first.target:
@@ -490,76 +500,47 @@ def tensor2(u, v):
     target = tensor1(u.target, v.target)
     be = source.backend
     fu, fv = u.morphism.map, v.morphism.map
-    apex = source.span.apex
-    morphism = SpanMorphism(source.span, target.span,
-                            FinFn(apex, target.span.apex,
-                                  {(c, d): (fu(c), fv(d)) for (c, d) in apex}))
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
              for (c, d) in source.span.apex}
-    return Cell2(source, target, morphism, comps)
+    return cell2_along(source, target, lambda t: (fu(t[0]), fv(t[1])), comps)
 
 
-def relabel_cell2(source, target, span_morphism):
-    """A coherence 2-cell with identity components.
-
-    Valid when the label of each source apex element equals the label of
-    its image on the nose, which is the case for all re-bracketing maps
-    over the strict backends.
-    """
+def relabel_cell2(source, target, fn):
+    """The coherence 2-cell with identity components along fn (as in
+    cell2_along).  Valid when each source label equals the label of its
+    image on the nose, as for every re-bracketing or collapse over the
+    strict backends; the Cell2 checks fail loudly otherwise."""
     be = source.backend
-    comps = {}
-    for c in source.span.apex:
-        p = source.label[c]
-        if not be.eq1(p, target.label[span_morphism.map(c)]):
-            raise SpanVError("labels differ along coherence map at %r" % (c,))
-        comps[c] = be.id2(p)
-    return Cell2(source, target, span_morphism, comps)
+    return cell2_along(source, target, fn,
+                       {c: be.id2(source.label[c]) for c in source.span.apex})
+
+
+def regroup(t):
+    """The re-bracketing ((x, y), z) -> (x, (y, z)) of nested pairs."""
+    return (t[0][0], (t[0][1], t[1]))
+
+
+def interchange_atoms(t):
+    """The middle-four swap ((a, b), (c, d)) -> ((a, c), (b, d))."""
+    return ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
 
 
 def associator_cell2(c, b, a):
     """(c o b) o a => c o (b o a), identity components."""
-    iso = associator_iso(c.span, b.span, a.span)
-    lhs = _composite(hcomp1(c, b), a, iso.source)
-    rhs = _composite(c, hcomp1(b, a), iso.target)
-    return relabel_cell2(lhs, rhs, iso)
+    return relabel_cell2(hcomp1(hcomp1(c, b), a), hcomp1(c, hcomp1(b, a)),
+                         regroup)
 
 
 def left_unitor_cell2(a):
     """identity(tgt) o a => a, identity components."""
-    iso = left_unitor_iso(a.span)
-    return relabel_cell2(_composite(identity_cell1(a.tgt), a, iso.source),
-                         a, iso)
+    return relabel_cell2(hcomp1(identity_cell1(a.tgt), a), a,
+                         lambda t: t[1])
 
 
 def right_unitor_cell2(a):
     """a o identity(src) => a, identity components."""
-    iso = right_unitor_iso(a.span)
-    return relabel_cell2(_composite(a, identity_cell1(a.src), iso.source),
-                         a, iso)
-
-
-def tensor_associator_cell2(a, b, c):
-    """(a . b) . c => a . (b . c), identity components.
-
-    The boundary carriers (X x Y) x Z and X x (Y x Z) differ as sets, so
-    the left side is first moved along the evident regrouping bijections;
-    the resulting cell is then a pure apex relabeling.
-    """
-    lhs = tensor1(tensor1(a, b), c)
-    rhs = tensor1(a, tensor1(b, c))
-
-    def ungroup(new, old):
-        return FinFn(new, old, {(x, (y, z)): ((x, y), z)
-                                for (x, (y, z)) in new})
-
-    moved = reindex_cell1(lhs, rhs.src, rhs.tgt,
-                          ungroup(rhs.src.carrier, lhs.src.carrier),
-                          ungroup(rhs.tgt.carrier, lhs.tgt.carrier))
-    span_map = FinFn(moved.span.apex, rhs.span.apex,
-                     {((x, y), z): (x, (y, z))
-                      for ((x, y), z) in moved.span.apex})
-    return relabel_cell2(moved, rhs,
-                         SpanMorphism(moved.span, rhs.span, span_map))
+    return relabel_cell2(hcomp1(a, identity_cell1(a.src)), a,
+                         lambda t: t[0])
 
 
 def interchange_cell2(f, g, h, k):
@@ -572,14 +553,10 @@ def interchange_cell2(f, g, h, k):
     lhs = hcomp1(tensor1(f, g), tensor1(h, k))
     rhs = tensor1(hcomp1(f, h), hcomp1(g, k))
     be = lhs.backend
-    assignment = {((d, d2), (c, c2)): ((d, c), (d2, c2))
-                  for ((d, d2), (c, c2)) in lhs.span.apex}
-    span_map = SpanMorphism(lhs.span, rhs.span,
-                            FinFn(lhs.span.apex, rhs.span.apex, assignment))
     comps = {((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2],
                                          h.label[c], k.label[c2])
              for ((d, d2), (c, c2)) in lhs.span.apex}
-    return Cell2(lhs, rhs, span_map, comps)
+    return cell2_along(lhs, rhs, interchange_atoms, comps)
 
 
 @dataclass(frozen=True)
@@ -642,26 +619,6 @@ def eq2(u, v, transport=()):
     return Verdict(True)
 
 
-def reindex_cell1(a, new_src, new_tgt, src_iso, tgt_iso):
-    """Transport a 1-cell along carrier bijections of its boundary 0-cells.
-
-    src_iso: new_src.carrier -> a.src.carrier and likewise for tgt_iso;
-    labels must match along the bijections.  The apex and its labels are
-    untouched, only the legs are re-aimed.
-    """
-    be = a.backend
-    for x in new_src.carrier:
-        if not be.eq0(new_src.label[x], a.src.label[src_iso(x)]):
-            raise SpanVError("source labels differ along reindexing at %r" % (x,))
-    for y in new_tgt.carrier:
-        if not be.eq0(new_tgt.label[y], a.tgt.label[tgt_iso(y)]):
-            raise SpanVError("target labels differ along reindexing at %r" % (y,))
-    left = tgt_iso.inverse().compose(a.span.left)
-    right = src_iso.inverse().compose(a.span.right)
-    span = Span(new_src.carrier, new_tgt.carrier, a.span.apex, left, right)
-    return Cell1(be, new_src, new_tgt, span, dict(a.label))
-
-
 @dataclass
 class BackendFunctor:
     """Pointwise data of a base functor for transporting labeled cells.
@@ -676,14 +633,6 @@ class BackendFunctor:
     map1: object
     map2: object
     comparison: object = None
-
-    @staticmethod
-    def identity(backend):
-        return BackendFunctor(backend, backend,
-                              map0=lambda x: x, map1=lambda p: p,
-                              map2=lambda f: f,
-                              comparison=lambda p, q: backend.id2(
-                                  backend.comp1(p, q)))
 
 
 def apply_span_F(F, cell):

@@ -8,9 +8,9 @@ import random
 from fractions import Fraction
 from itertools import count
 
-from .finset_span import FinSet, FinFn, Span, SpanMorphism
-from .vect_backend import VObject, VMorphism
-from .spanv_core import Cell0, Cell1, Cell2
+from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
+from hopfspan.vect_backend import VObject, VMorphism
+from hopfspan.spanv_core import Cell0, Cell1, Cell2
 
 _fresh = count()
 

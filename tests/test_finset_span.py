@@ -1,12 +1,50 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfspan.finset_span import (
     FinSet, FinFn, Span, SpanMorphism, SpanError,
     compose_spans, compose_span_morphisms_h, cartesian_product,
-    product_of_morphisms, associator_iso, left_unitor_iso, right_unitor_iso,
-    right_adjoint_of, pullback_pairs,
+    right_adjoint_of,
 )
+
+
+def product_of_morphisms(f, g):
+    """(c, d) -> (f(c), g(d)) between cartesian_product spans."""
+    source = cartesian_product(f.source, g.source)
+    target = cartesian_product(f.target, g.target)
+    assignment = {(c, d): (f.map(c), g.map(d)) for (c, d) in source.apex}
+    return SpanMorphism(source, target,
+                        FinFn(source.apex, target.apex, assignment))
+
+
+def associator_iso(c, b, a):
+    """Canonical bijection from (c . b) . a to c . (b . a)."""
+    lhs = compose_spans(compose_spans(c, b), a)
+    rhs = compose_spans(c, compose_spans(b, a))
+    assignment = {((e, d), f): (e, (d, f)) for ((e, d), f) in lhs.apex}
+    return SpanMorphism(lhs, rhs, FinFn(lhs.apex, rhs.apex, assignment))
+
+
+def left_unitor_iso(a):
+    """From identity(a.tgt) . a to a, by (y, c) -> c."""
+    lhs = compose_spans(Span.identity(a.tgt), a)
+    assignment = {(y, c): c for (y, c) in lhs.apex}
+    return SpanMorphism(lhs, a, FinFn(lhs.apex, a.apex, assignment))
+
+
+def right_unitor_iso(a):
+    """From a . identity(a.src) to a, by (c, x) -> c."""
+    lhs = compose_spans(a, Span.identity(a.src))
+    assignment = {(c, x): c for (c, x) in lhs.apex}
+    return SpanMorphism(lhs, a, FinFn(lhs.apex, a.apex, assignment))
+
+
+def pullback_pairs(b, a):
+    """Brute-force enumeration of matching pairs, for cross-checking."""
+    return [(d, c) for d, c in product(b.apex.elements, a.apex.elements)
+            if b.right(d) == a.left(c)]
 
 
 def span_from_legs(src, tgt, apex, left, right):

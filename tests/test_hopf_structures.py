@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from hopfspan import hopf_structures as hs
 from hopfspan.cli import load_path
-from hopfspan.finset_span import FinSet, FinFn
+from hopfspan.finset_span import FinSet, FinFn, SpanMorphism
 from hopfspan.vect_backend import BraidParam, VMorphism, VObject, braiding, \
     tensor_obj, unit_object
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
+from hopfspan.monoidale_duoidal import induced_monoidale
 from hopfspan.spanv_core import (
-    SpanVError, CatBackend, VectBackend, eq2, invert_cell2, product_category,
+    SpanVError, CatBackend, VectBackend, Cell2, eq2, hcomp1, hcomp2,
+    identity_cell1, identity_cell2, interchange_cell2, invert_cell2,
+    product_category, relabel_cell2, tensor1, tensor2, vcomp2,
 )
 from hopfspan.hopf_structures import (
     AntipodeFamily, ComonoidStructure, EnrichedCatPresentation,
@@ -25,10 +29,11 @@ from hopfspan.hopf_structures import (
     grouplike_monoid_algebra, identity_polyad, idempotent_monoid_presentation,
     image_polyad_report, image_presentation, indiscrete_enriched,
     indiscrete_monoidal_group, is_hopf, left_fusion, monad_cells,
-    opmonoidal_cells, polyad_fusion, polyad_is_hopf, regular_enriched_module,
+    polyad_fusion, polyad_is_hopf, regular_enriched_module,
     right_fusion, translation_opmonoidal, translation_polyad,
     unit_enriched_module,
 )
+from test_finset_span import associator_iso, right_unitor_iso
 
 Z2 = (["e", "b"],
       {("e", "e"): "e", ("e", "b"): "b", ("b", "e"): "b", ("b", "b"): "e"},
@@ -99,6 +104,21 @@ def test_presentation_rejects_missing_multiplication():
 
 # ---------------------------------------------------------------------------
 # Opmonoidal structure.
+
+
+def opmonoidal_cells(p, c, fibers=None):
+    """The binary and nullary structure cells over the induced monoid
+    object: t o m => m o (t . t) and t o u => u."""
+    d, t = p.shape, p.cells[0]
+    mon = induced_monoidale(d.objects, p.backend, fibers)
+    source0 = hcomp1(t, mon.u)
+    f0 = Cell2(source0, mon.u,
+               SpanMorphism(source0.span, mon.u.span,
+                            FinFn(source0.span.apex, mon.u.span.apex,
+                                  {(h, x): d.tgt(h)
+                                   for (h, x) in source0.span.apex})),
+               {(h, x): c.eps[h] for (h, x) in source0.span.apex})
+    return hs._binary_cell(p, c, mon), f0
 
 
 def test_opmonoidal_cells_shapes():
@@ -217,6 +237,72 @@ def test_right_fusion_components_match_the_convolution_formula():
                 be.tensor2v(be.id2(lab[h]), mp.mu[(h, k)]),
                 be.tensor2v(c.delta[h], be.id2(lab[k])))
             assert cell.components[((h, x), (x, k))] == formula
+
+
+def five_stage_fusion(p, c, fibers, side):
+    """The fusion chain as five whiskered steps, the oracle for _fusion:
+    after the interchange, the identity factor is absorbed and the
+    multiplication applied as two separate steps, and the associator and
+    unitor are relabelings along the span-level isos."""
+    order = hs._pair_order(side)
+    t, mu2, _ = p.cells
+    mon = induced_monoidale(p.shape.objects, p.backend, fibers)
+    idc = identity_cell1(mon.base)
+    pair = tensor1(*order(t, idc))
+    m, tt = mon.m, tensor1(t, t)
+    associator = relabel_cell2(
+        hcomp1(hcomp1(m, tt), pair), hcomp1(m, hcomp1(tt, pair)),
+        associator_iso(m.span, tt.span, pair.span).map)
+    unitor = relabel_cell2(hcomp1(t, identity_cell1(t.src)), t,
+                           right_unitor_iso(t.span).map)
+    one_m = identity_cell2(m)
+    cell = hcomp2(hs._binary_cell(p, c, mon), identity_cell2(pair))
+    cell = vcomp2(associator, cell)
+    cell = vcomp2(hcomp2(one_m, interchange_cell2(t, t, *order(t, idc))),
+                  cell)
+    cell = vcomp2(hcomp2(one_m, tensor2(*order(identity_cell2(mu2.source),
+                                               unitor))), cell)
+    return vcomp2(hcomp2(one_m, tensor2(*order(mu2, identity_cell2(t)))),
+                  cell)
+
+
+def fusion_inputs():
+    """(name, presentation, fibers) for the fusion differential test."""
+    golden = pathlib.Path(__file__).parent / "data/golden"
+    for n in (2, 3, 4, 5):
+        for qv in (1, -1, 2):
+            yield ("Z%d graded q=%d" % (n, qv),
+                   cyclic_group_algebra(n, BraidParam(qv), graded=True), None)
+    for name in ("h4_sweedler", "e2_nichols"):
+        yield name, load_path(str(golden / (name + ".json"))).presentation, None
+    yield "torsor", enriched_from_groupoid(torsor_groupoid()), None
+    yield "indiscrete on 3", indiscrete_enriched(["x", "y", "z"]), None
+    yield "idempotent", idempotent_monoid_presentation(), None
+    opstr = translation_opmonoidal(*Z2, indiscrete_monoidal_group(*Z2))
+    yield "Z2 translation polyad", opstr, opstr.fiber_assignment()
+
+
+def test_four_stage_fusion_matches_the_five_stage_chain():
+    checked = set()
+    for name, pres, fibers in fusion_inputs():
+        mp, c = pres.monad, pres.comonoid_structure()
+        for side in ("left", "right"):
+            new = hs._fusion(mp, c, fibers, side)
+            old = five_stage_fusion(mp, c, fibers, side)
+            assert new.source == old.source, (name, side)
+            assert new.target == old.target, (name, side)
+            assert new.morphism == old.morphism, (name, side)
+            for atom in old.source.span.apex:
+                assert new.components[atom] == old.components[atom], \
+                    (name, side, atom)
+            new_inv, old_inv = invert_cell2(new), invert_cell2(old)
+            assert new_inv.witness == old_inv.witness, (name, side)
+            assert bool(new_inv) == bool(old_inv)
+            if old_inv:
+                assert eq2(new_inv.inverse, old_inv.inverse), (name, side)
+            checked.add((name, bool(old_inv)))
+    assert ("idempotent", False) in checked
+    assert len(checked) == 18
 
 
 def test_groups_are_hopf_and_braiding_does_not_obstruct():

@@ -21,7 +21,9 @@ from hopfspan import cli
 from hopfspan import hopf_structures as hs
 from hopfspan import vect_backend as vb
 from hopfspan.cat_backend import FinCategory
-from hopfspan.spanv_core import VectBackend
+from hopfspan.finset_span import FinSet
+from hopfspan.monoidale_duoidal import check_frobenius
+from hopfspan.spanv_core import CatBackend, VectBackend
 
 # Every check that reads the structure maps; frobenius reads only the
 # carrier.
@@ -142,3 +144,27 @@ def test_a_z5_opmonoidal_check_makes_each_product_once(tmp_path,
     # (3198 times, each a product, before the kernel was memoized).
     assert len({(id(f), id(g)) for f, g in products}) == len(products)
     assert len({(f, g) for f, g in products}) == len(products) == 10
+
+
+class FreshUnitCatBackend(CatBackend):
+    """The finite-category base with a new one-object unit category on
+    every call, equal to the shared one but not the same object."""
+
+    def unit0(self):
+        return FinCategory.discrete(["*"])
+
+
+def test_the_category_base_has_one_unit_category():
+    unit = CatBackend().unit0()
+    assert unit is CatBackend().unit0()
+    assert unit == FreshUnitCatBackend().unit0()
+    assert unit is not FreshUnitCatBackend().unit0()
+    fiber = hs.indiscrete_monoidal_group(["e"], {("e", "e"): "e"}, "e")
+    assert fiber.fiber().unit.dom is unit
+    for n in (1, 2, 3):
+        X = FinSet(["x%d" % k for k in range(n)])
+        shared = check_frobenius(X, CatBackend())
+        assert shared.ok, shared.summary()
+        fresh_report = check_frobenius(X, FreshUnitCatBackend())
+        assert (fresh_report.ok, fresh_report.failures) == \
+            (shared.ok, shared.failures)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
+from hopfspan import finset_span as fs
+from hopfspan import spanv_core as sc
+from hopfspan.finset_span import FinSet, FinFn, Span, SpanError, SpanMorphism
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, tensor_obj, tensor_mor, unit_object,
 )
@@ -13,12 +15,12 @@ from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
     identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2,
     unit_cell0, tensor0, tensor1, tensor2,
-    relabel_cell2, associator_cell2, left_unitor_cell2, right_unitor_cell2,
-    tensor_associator_cell2, interchange_cell2, invert_cell2, eq2,
-    reindex_cell1, product_category, product_functor, product_nat,
+    relabel_cell2, regroup, associator_cell2, left_unitor_cell2,
+    right_unitor_cell2, interchange_cell2, invert_cell2, eq2,
+    product_category, product_functor, product_nat,
     BackendFunctor, apply_span_F, vect_to_cat_functor, TensorFunctor1,
 )
-from hopfspan.rand import (
+from rand import (
     random_vect_cell0, random_vect_cell1, random_vect_cell2_from,
     random_composable_vect_cell1s, seeded,
 )
@@ -177,7 +179,41 @@ def test_associator_and_transport_random():
         lhs = hcomp1(hcomp1(c, b), a)
         rhs = hcomp1(c, hcomp1(b, a))
         moved = vcomp2(al, identity_cell2(lhs))
-        assert eq2(moved, relabel_cell2(lhs, rhs, al.morphism))
+        assert eq2(moved, relabel_cell2(lhs, rhs, al.morphism.map))
+
+
+def test_relabel_cell2_validates_its_map():
+    carrier = FinSet(["p", "q"])
+    x = Cell0(V1, carrier, {"p": "*", "q": "*"})
+
+    def cell(at, labels):
+        apex = FinSet(list(labels))
+        span = Span(carrier, carrier, apex, FinFn.constant(apex, carrier, at),
+                    FinFn.constant(apex, carrier, at))
+        return Cell1(V1, x, x, span, labels)
+
+    one, two = VObject.ungraded(["e"]), VObject.ungraded(["e", "z"])
+    a = cell("p", {"g": one})
+    assert relabel_cell2(a, cell("p", {"h": one}), {"g": "h"}.get)
+    with pytest.raises(SpanError):
+        relabel_cell2(a, cell("p", {"h": one}), lambda c: "nowhere")
+    with pytest.raises(SpanError):
+        relabel_cell2(a, cell("q", {"h": one}), lambda c: "h")
+    with pytest.raises(SpanVError):
+        relabel_cell2(a, cell("p", {"h": two}), lambda c: "h")
+
+
+def test_associator_cell_builds_four_pullbacks(monkeypatch):
+    # The cell sits on its own two composites: two pullbacks each.
+    calls = []
+    for module in (fs, sc):
+        def counted(b, a, _original=module.compose_spans):
+            calls.append((b, a))
+            return _original(b, a)
+        monkeypatch.setattr(module, "compose_spans", counted)
+    c, b, a = random_composable_vect_cell1s(seeded(23), V1, 3)
+    associator_cell2(c, b, a)
+    assert len(calls) == 4
 
 
 def test_interchange_law_of_compositions():
@@ -205,6 +241,55 @@ def test_interchange_cell_invertible_and_braided():
     comp = next(iter(xi.components.values()))
     # the braiding of grade-1 against grade-1 contributes a factor of 2
     assert any(e == 2 for row in comp.entries for e in row)
+
+
+def reindex_cell1(a, new_src, new_tgt, src_iso, tgt_iso):
+    """Transport a 1-cell along carrier bijections of its boundary 0-cells.
+
+    src_iso: new_src.carrier -> a.src.carrier and likewise for tgt_iso;
+    labels must match along the bijections.  The apex and its labels are
+    untouched, only the legs are re-aimed.
+    """
+    be = a.backend
+    for x in new_src.carrier:
+        if not be.eq0(new_src.label[x], a.src.label[src_iso(x)]):
+            raise SpanVError("source labels differ along reindexing at %r" % (x,))
+    for y in new_tgt.carrier:
+        if not be.eq0(new_tgt.label[y], a.tgt.label[tgt_iso(y)]):
+            raise SpanVError("target labels differ along reindexing at %r" % (y,))
+    left = tgt_iso.inverse().compose(a.span.left)
+    right = src_iso.inverse().compose(a.span.right)
+    span = Span(new_src.carrier, new_tgt.carrier, a.span.apex, left, right)
+    return Cell1(be, new_src, new_tgt, span, dict(a.label))
+
+
+def tensor_associator_cell2(a, b, c):
+    """(a . b) . c => a . (b . c), identity components.
+
+    The boundary carriers (X x Y) x Z and X x (Y x Z) differ as sets, so
+    the left side is first moved along the evident regrouping bijections;
+    the resulting cell is then a pure apex relabeling.
+    """
+    lhs = tensor1(tensor1(a, b), c)
+    rhs = tensor1(a, tensor1(b, c))
+
+    def ungroup(new, old):
+        return FinFn(new, old, {(x, (y, z)): ((x, y), z)
+                                for (x, (y, z)) in new})
+
+    moved = reindex_cell1(lhs, rhs.src, rhs.tgt,
+                          ungroup(rhs.src.carrier, lhs.src.carrier),
+                          ungroup(rhs.tgt.carrier, lhs.tgt.carrier))
+    return relabel_cell2(moved, rhs, regroup)
+
+
+def identity_functor(backend):
+    """The identity base functor, with identity comparison cells."""
+    return BackendFunctor(backend, backend,
+                          map0=lambda x: x, map1=lambda p: p,
+                          map2=lambda f: f,
+                          comparison=lambda p, q: backend.id2(
+                              backend.comp1(p, q)))
 
 
 def test_tensor_associator_identity_components():
@@ -282,7 +367,7 @@ def test_cat_backend_cells_compose():
 
 def test_apply_span_identity_functor():
     a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
-    F = BackendFunctor.identity(V1)
+    F = identity_functor(V1)
     assert apply_span_F(F, a) == a
 
 
