@@ -7,18 +7,16 @@ case check_category can be used to collect every violation.  The table is
 never changed after construction, so products of a category are shared
 (spanv_core.product_category).
 
-LazyCategory wraps a category too big to materialize (here: graded rational
-vector spaces) behind procedures, and verifies the axioms on a finite list
-of probe objects and morphisms only.
+LazyCategory is a category too big to materialize, given by procedures;
+it verifies the axioms on a finite list of probe objects and morphisms
+only.  This module knows nothing of graded vector spaces: their lazy
+category is built next to the image backend in spanv_core.
 """
 
 from dataclasses import dataclass, field
 
 from .finset_span import FinSet, FinFn
 from .reporting import CheckReport, Verdict
-from .vect_backend import (
-    VMorphism, braiding, tensor_mor, tensor_obj, unit_object,
-)
 
 
 class CatError(ValueError):
@@ -311,61 +309,3 @@ class LazyCategory:
                             self.compose(h, gf):
                         report.fail("associativity", (h, g, f))
         return report
-
-
-@dataclass
-class VectPseudofunctor:
-    """The pointwise data of the tensoring pseudofunctor into Cat.
-
-    The single 0-cell goes to the category of graded rational vector
-    spaces; an object p goes to the functor p tensor (-), a morphism f to
-    the natural transformation f tensor (-).  Composition comparison cells
-    are identities because the tensor here is strict; the product
-    compatibility at (p, q) has the braiding-built component
-    1 tensor c tensor 1, which is invertible.
-    """
-
-    q: object
-    category: LazyCategory
-
-    def on_obj_omap(self, p):
-        return lambda x: tensor_obj(p, x)
-
-    def on_mor_component(self, f, x):
-        return tensor_mor(f, VMorphism.identity(x))
-
-    def unit_compat(self):
-        """The unit object K and the (identity) comparison K @ K -> K."""
-        k = unit_object()
-        assert tensor_obj(k, k) == k
-        return k, VMorphism.identity(k)
-
-    def product_compat_component(self, p, p2, x, y):
-        """(p @ x) @ (p2 @ y) -> (p @ p2) @ (x @ y), the 1 @ c @ 1 map."""
-        c = braiding(x, p2, self.q)
-        return tensor_mor(VMorphism.identity(p),
-                          tensor_mor(c, VMorphism.identity(y)))
-
-
-def vect_as_lazy_category(q, probes):
-    """Wrap graded vector spaces as a lazy category with the given probes.
-
-    Probe morphisms are the identities and the braidings of probe pairs;
-    returns the category together with the pseudofunctor data.
-    """
-    if not probes:
-        raise CatError("probe list must not be empty")
-    probe_morphisms = [VMorphism.identity(x) for x in probes]
-    for x in probes:
-        for y in probes:
-            probe_morphisms.append(braiding(x, y, q))
-    category = LazyCategory(
-        name="graded vector spaces",
-        src=lambda f: f.dom,
-        tgt=lambda f: f.cod,
-        compose=lambda g, f: g.compose(f),
-        identity=VMorphism.identity,
-        probe_objects=list(probes),
-        probe_morphisms=probe_morphisms,
-    )
-    return category, VectPseudofunctor(q=q, category=category)

@@ -1521,20 +1521,17 @@ def regular_enriched_module(e):
 
 
 def image_presentation(p, probes):
-    """The presentation with every label replaced by its tensoring
-    handle over the lazy category of graded objects."""
+    """The presentation over the image of the tensoring functor: the
+    same labels, each object labeled by the lazy category of graded
+    objects."""
     be = p.backend
     if not isinstance(be, VectBackend):
         raise SpanVError("only presentations over the one-object graded "
                          "base are exported")
     F, image = vect_to_cat_functor(be.q, probes)
-    shape = p.shape
     imaged = MonadPresentation(
-        image, shape,
-        {x: image.category for x in shape.objects},
-        {h: F.map1(p.mor_label[h]) for h in shape.morphisms},
-        {pair: F.map2(value) for pair, value in p.mu.items()},
-        {x: F.map2(p.eta[x]) for x in shape.objects})
+        image, p.shape, {x: image.category for x in p.shape.objects},
+        p.mor_label, p.mu, p.eta)
     return imaged, F, image
 
 
@@ -1542,7 +1539,7 @@ def image_polyad_report(pres, probes):
     """Push a one-object presentation along the tensoring functor and
     re-check it over the lazy-category backend.
 
-    The monad axioms are decided exactly on handles; the functor's
+    The monad axioms are decided exactly over the image; the functor's
     comparison cells are inverted; and both fusion cells are pushed
     through and inverted as image 2-cells, with every component also
     evaluated and inverted at each probe object."""
@@ -1570,9 +1567,8 @@ def image_polyad_report(pres, probes):
         if not res:
             report.fail("%s fusion over the image" % side, res.witness)
         for atom in pushed.source.span.apex:
-            handle = pushed.components[atom]
             for x in probes:
-                component = backend.evaluate2(handle, x)
+                component = backend.evaluate2(pushed.components[atom], x)
                 outcome = vb.invert(component)
                 if not outcome:
                     report.fail("%s fusion at probe" % side,

@@ -104,25 +104,10 @@ class Backend:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class VectBackend(Backend):
-    """One 0-cell; 1-cells are graded objects, 2-cells are matrices.
-
-    Horizontal composition and tensor coincide (both are the Kronecker
-    tensor); mid4 is 1 tensor braiding tensor 1 and genuinely depends on q.
-    It is memoized on this backend, keyed by the identities of its four
-    (hash-consed) labels.
-    """
-
-    q: vb.BraidParam
-    _mid4: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-
-    def src1(self, p):
-        return "*"
-
-    def tgt1(self, p):
-        return "*"
+class _GradedCells(Backend):
+    """The cell operations on graded objects and matrices, shared by the
+    graded base and its image in Cat: a 1-cell is a graded object, a
+    2-cell a matrix, and horizontal composition is the Kronecker tensor."""
 
     def id1(self, x):
         return vb.unit_object()
@@ -144,6 +129,34 @@ class VectBackend(Backend):
 
     def comp2(self, g, f):
         return vb.tensor_mor(g, f)
+
+    def invert2(self, f):
+        res = vb.invert(f)
+        return res.inverse, res.witness
+
+    def first_diff(self, f, g):
+        return vb.first_diff(f, g)
+
+
+@dataclass(frozen=True)
+class VectBackend(_GradedCells):
+    """One 0-cell; 1-cells are graded objects, 2-cells are matrices.
+
+    Horizontal composition and tensor coincide (both are the Kronecker
+    tensor); mid4 is 1 tensor braiding tensor 1 and genuinely depends on q.
+    It is memoized on this backend, keyed by the identities of its four
+    (hash-consed) labels.
+    """
+
+    q: vb.BraidParam
+    _mid4: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def src1(self, p):
+        return "*"
+
+    def tgt1(self, p):
+        return "*"
 
     def unit0(self):
         return "*"
@@ -173,13 +186,6 @@ class VectBackend(Backend):
                 vb.tensor_mor(vb.braiding(q, r, self.q),
                               vb.VMorphism.identity(s))))
         return hit[1]
-
-    def invert2(self, f):
-        res = vb.invert(f)
-        return res.inverse, res.witness
-
-    def first_diff(self, f, g):
-        return vb.first_diff(f, g)
 
 
 class CatBackend(Backend):
@@ -655,41 +661,44 @@ def apply_span_F(F, cell):
     raise SpanVError("not a labeled cell: %r" % (cell,))
 
 
-@dataclass(frozen=True)
-class TensorFunctor1:
-    """Handle for the endofunctor obj tensor (-) of graded vector spaces."""
+def vect_as_lazy_category(q, probes):
+    """Graded vector spaces as a lazy category checked on the given
+    probes; its probe morphisms are the identities and the braidings of
+    probe pairs."""
+    if not probes:
+        raise cb.CatError("probe list must not be empty")
+    probe_morphisms = [vb.VMorphism.identity(x) for x in probes]
+    for x in probes:
+        for y in probes:
+            probe_morphisms.append(vb.braiding(x, y, q))
+    return cb.LazyCategory(
+        name="graded vector spaces",
+        src=lambda f: f.dom,
+        tgt=lambda f: f.cod,
+        compose=lambda g, f: g.compose(f),
+        identity=vb.VMorphism.identity,
+        probe_objects=list(probes),
+        probe_morphisms=probe_morphisms,
+    )
 
-    obj: vb.VObject
 
+class VectImageBackend(_GradedCells):
+    """The image of the tensoring pseudofunctor V -> Cat, as a backend.
 
-@dataclass(frozen=True)
-class TensorNat2:
-    """Handle for the natural transformation mor tensor (-)."""
-
-    mor: vb.VMorphism
-
-
-class VectImageBackend(Backend):
-    """The image of the tensoring pseudofunctor, as a composition backend.
-
-    The single 0-cell value is a lazy category of graded vector spaces;
-    1-cells are tensoring endofunctors determined by their object, 2-cells
-    tensoring transformations determined by their morphism.  Because the
-    underlying tensor is strict, composing handles is again a handle and
-    all pseudofunctor comparison cells are identities.  Tensor of handles
-    is out of scope: the exported structures are checked pointwise on
-    probes rather than through a product of lazy categories.
+    The single 0-cell is the lazy category of graded vector spaces.  The
+    tensor is strict, so a graded object p stands for the functor
+    p tensor (-) exactly, a morphism f for the transformation
+    f tensor 1, and composing those functors composes the p's: the 1- and
+    2-cells are the graded objects and morphisms themselves, and every
+    composition comparison cell is an identity.  Backends, like their
+    0-cell, are equal only to themselves.  Tensor of image cells is out
+    of scope: the exported structures are checked pointwise on probes
+    rather than through a product of lazy categories.
     """
 
     def __init__(self, q, probes):
         self.q = q
-        self.category, self.pseudofunctor = cb.vect_as_lazy_category(q, probes)
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
+        self.category = vect_as_lazy_category(q, probes)
 
     def eq0(self, x, y):
         return x is y
@@ -700,52 +709,38 @@ class VectImageBackend(Backend):
     def tgt1(self, p):
         return self.category
 
-    def id1(self, x):
-        return TensorFunctor1(vb.unit_object())
-
-    def comp1(self, b, a):
-        return TensorFunctor1(vb.tensor_obj(b.obj, a.obj))
-
-    def src2(self, f):
-        return TensorFunctor1(f.mor.dom)
-
-    def tgt2(self, f):
-        return TensorFunctor1(f.mor.cod)
-
-    def id2(self, p):
-        return TensorNat2(vb.VMorphism.identity(p.obj))
-
-    def vcomp(self, second, first):
-        return TensorNat2(second.mor.compose(first.mor))
-
-    def comp2(self, g, f):
-        return TensorNat2(vb.tensor_mor(g.mor, f.mor))
-
     def mid4(self, p, q, r, s):
         raise SpanVError("tensor of lazy-category cells is checked pointwise")
 
-    def invert2(self, f):
-        res = vb.invert(f.mor)
-        return (TensorNat2(res.inverse) if res else None), res.witness
-
-    def first_diff(self, f, g):
-        return vb.first_diff(f.mor, g.mor)
-
     def evaluate1(self, p, x):
-        """Apply the functor handle to a probe object."""
-        return self.pseudofunctor.on_obj_omap(p.obj)(x)
+        """The functor p tensor (-) at a probe object."""
+        return vb.tensor_obj(p, x)
 
     def evaluate2(self, f, x):
-        """The component of the transformation handle at a probe object."""
-        return self.pseudofunctor.on_mor_component(f.mor, x)
+        """The component of f tensor (-) at a probe object."""
+        return vb.tensor_mor(f, vb.VMorphism.identity(x))
+
+    def unit_compat(self):
+        """The unit object K and the (identity) comparison K @ K -> K."""
+        k = vb.unit_object()
+        assert vb.tensor_obj(k, k) == k
+        return k, vb.VMorphism.identity(k)
+
+    def product_compat_component(self, p, p2, x, y):
+        """(p @ x) @ (p2 @ y) -> (p @ p2) @ (x @ y), the 1 @ c @ 1 map
+        built from the braiding of x past p2, which is invertible."""
+        return vb.tensor_mor(vb.VMorphism.identity(p),
+                             vb.tensor_mor(vb.braiding(x, p2, self.q),
+                                           vb.VMorphism.identity(y)))
 
 
 def vect_to_cat_functor(q, probes):
     """The tensoring pseudofunctor as transport data for labeled cells.
 
-    Returns the BackendFunctor together with its target backend; the
-    comparison at (p, p2) is the identity on the composite handle because
-    the word tensor is strictly associative.
+    Returns the BackendFunctor together with its target backend.  It
+    keeps every 1- and 2-cell label and sends the one 0-cell to the lazy
+    category; the comparison at (p, p2) is the identity on their tensor
+    because the word tensor is strictly associative.
     """
     image = VectImageBackend(q, probes)
     def comparison(p, p2):
@@ -754,7 +749,7 @@ def vect_to_cat_functor(q, probes):
         source_backend=VectBackend(q),
         target_backend=image,
         map0=lambda x: image.category,
-        map1=lambda p: TensorFunctor1(p),
-        map2=lambda f: TensorNat2(f),
+        map1=lambda p: p,
+        map2=lambda f: f,
         comparison=comparison,
     ), image

@@ -254,7 +254,7 @@ def test_criterion_8_functoriality(tmp_path):
     for pres in (hs.cyclic_group_algebra(2), torsor_enriched()):
         report, _, _ = hs.image_polyad_report(pres, probes)
         assert report.ok, report.summary()
-    finish(8, "pointwise image of the fixtures", start, 5.0)
+    finish(8, "pointwise image of the fixtures", start, 1.0)
 
 
 def symmetric3():
@@ -417,6 +417,32 @@ def nichols_document(n, antipode_power=1):
             "antipode": {"e": matrix(basis, sigma.get, basis)}}
 
 
+def dual_group_document(elements, mul, unit):
+    """The dual group algebra Q^G as a one-element group_monoid file with
+    explicit delta and eps.  Its basis is the point masses d_g, with
+    d_g d_h = [g = h] d_g and unit the sum of all d_g;
+    Delta(d_g) = sum over ab = g of d_a (x) d_b, eps(d_g) = [g = e] and
+    S(d_g) = d_(g^-1).  For non-abelian G, Delta is not cocommutative."""
+    def matrix(cods, doms, entry):
+        return [[str(int(entry(v, w))) for w in doms] for v in cods]
+
+    inverse = {a: next(b for b in elements if mul[(a, b)] == unit)
+               for a in elements}
+    square = [(a, b) for a in elements for b in elements]
+    return {"format_version": 1, "kind": "group_monoid", "backend": "vect",
+            "elements": ["e"], "unit": "e", "q": "1",
+            "table": {"e": {"e": "e"}},
+            "labels": {"e": [[g, 0] for g in elements]},
+            "mu": {"e": {"e": matrix(elements, square,
+                                     lambda g, w: w == (g, g))}},
+            "eta": matrix(elements, ["1"], lambda g, w: True),
+            "delta": {"e": matrix(square, elements,
+                                  lambda v, g: mul[v] == g)},
+            "eps": {"e": matrix(["1"], elements, lambda v, g: g == unit)},
+            "antipode": {"e": matrix(elements, elements,
+                                     lambda v, g: inverse[g] == v)}}
+
+
 def run_json(argv):
     """main(argv) with --format json and stdout captured: (code, report)."""
     sink = io.StringIO()
@@ -443,6 +469,24 @@ def test_nichols_inverse_antipode_fails(tmp_path):
         assert code == 1
         assert [(c["name"], c["status"]) for c in report["checks"]] == [
             ("antipode", "fail"), ("duoidal", "fail")]
+
+
+def test_dual_group_document_matches_the_fixture():
+    assert dual_group_document(*symmetric3()) == \
+        json.loads((DATA / "golden" / "qs3_dual.json").read_text())
+
+
+def test_dual_group_identity_antipode_fails(tmp_path):
+    # S_3 has elements of order 3, so d_g -> d_g is not g -> g^-1.
+    doc = dual_group_document(*symmetric3())
+    doc["antipode"]["e"] = [[str(int(v == w)) for w in range(6)]
+                            for v in range(6)]
+    fixture = tmp_path / "qs3_identity.json"
+    fixture.write_text(json.dumps(doc))
+    code, report = run_json(["check", fixture, "--antipode", "--duoidal"])
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("antipode", "fail"), ("duoidal", "fail")]
 
 
 def passing_default_check(n, tmp_path):

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hopfspan.finset_span import FinSet, FinFn
 from hopfspan.cat_backend import (
     FinCategory, FunctorData, NatTransData, CatError,
-    check_category, is_groupoid, nat_is_iso, vect_as_lazy_category,
+    check_category, is_groupoid, nat_is_iso,
 )
-from hopfspan.spanv_core import product_category
+from hopfspan.spanv_core import (
+    VectImageBackend, product_category, vect_as_lazy_category,
+)
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, braiding, invert, tensor_obj, unit_object,
 )
@@ -193,7 +195,7 @@ def test_lazy_category_probe_checks():
     q = BraidParam(2)
     k = unit_object()
     a = VObject([("x", 1), ("y", 0)])
-    cat, pf = vect_as_lazy_category(q, [k, a])
+    cat = vect_as_lazy_category(q, [k, a])
     assert cat.check_probes().ok
 
 
@@ -201,14 +203,12 @@ def test_pseudofunctor_unit_and_obj_action():
     q = BraidParam(1)
     k = unit_object()
     a = VObject.ungraded(["0", "1"])
-    cat, pf = vect_as_lazy_category(q, [k, a])
+    image = VectImageBackend(q, [k, a])
     # K tensor (-) acts as the identity on probes
-    omap = pf.on_obj_omap(k)
-    assert omap(a) == a and omap(k) == k
+    assert image.evaluate1(k, a) == a and image.evaluate1(k, k) == k
     # a 2-dim object doubles dimension
-    omap2 = pf.on_obj_omap(a)
-    assert omap2(a).dim == 4
-    unit_obj, unit_iso = pf.unit_compat()
+    assert image.evaluate1(a, a).dim == 4
+    unit_obj, unit_iso = image.unit_compat()
     assert unit_obj == k
     assert unit_iso == VMorphism.identity(k)
 
@@ -219,8 +219,8 @@ def test_pseudofunctor_product_compat_invertible():
     p2 = VObject([("r", 1), ("s", 0)])
     x = VObject([("x", 1)])
     y = VObject([("y", 2)])
-    cat, pf = vect_as_lazy_category(q, [x, y])
-    comp = pf.product_compat_component(p, p2, x, y)
+    image = VectImageBackend(q, [x, y])
+    comp = image.product_compat_component(p, p2, x, y)
     assert comp.dom == tensor_obj(tensor_obj(p, x), tensor_obj(p2, y))
     assert comp.cod == tensor_obj(tensor_obj(p, p2), tensor_obj(x, y))
     assert invert(comp)

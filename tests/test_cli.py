@@ -495,7 +495,7 @@ def test_inapplicable_flags_on_polyad_are_skipped(capsys, tmp_path):
 # Loader fuzzing: mutated fixtures exit with 0, 1 or 2 and never raise.
 
 FUZZED_FIXTURES = ("z2_group_algebra.json", "indiscrete_pair.json",
-                   "idempotent_monoid.json")
+                   "idempotent_monoid.json", "golden/z2_polyad.json")
 CORRUPT_VALUES = (None, [], {}, "1/0", "nan", True, 1.5)
 
 
@@ -534,7 +534,8 @@ def mutated_documents(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(mutated_documents(),
-       st.sampled_from([["check"], ["check", "--hopf"], ["antipode"]]))
+       st.sampled_from([["check"], ["check", "--hopf"], ["antipode"],
+                        ["export-polyad", "--probes", PROBES_FILE]]))
 def test_mutated_fixtures_exit_cleanly(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "mutated.json"

@@ -24,7 +24,22 @@ plus the variants kept next to the reports:
 * ``e2_nichols.json``: the Nichols Hopf algebra E(2) (dimension 8, two
   anticommuting skew-primitive generators), written by
   ``nichols_document(2)`` in test_acceptance.py.  Its fusion components
-  are 64 x 64 and not monomial, so they go through elimination.
+  are 64 x 64 and not monomial, so they go through elimination;
+* ``qs3_dual.json``: the dual group algebra Q^{S_3} (point masses
+  d_g, Delta(d_g) = sum over ab = g of d_a (x) d_b) on a one-element
+  monoid, written by ``dual_group_document`` in test_acceptance.py.
+  Its comultiplication is not cocommutative;
+* ``z2_polyad.json`` and ``torsor_polyad.json``: the ``export-polyad``
+  output of the Z_2 and torsor fixtures on ``probes.json``, which
+  ``check`` reads as ``kind: polyad`` documents;
+* ``z2_zero_delta.json``: the Z_2 fixture with explicit all-zero delta
+  and eps, whose fusion components are zero, so that ``export-polyad``
+  fails over the image and at every probe;
+* ``z2_zero_delta_polyad.json``: a ``kind: polyad`` document wrapping
+  it with the same probes, where the monad laws hold and hopf fails.
+
+A passing ``export-polyad`` prints the export itself, with no status
+field, so the two exports are compared with its output separately.
 """
 
 import json
@@ -62,6 +77,24 @@ CASES = {
     "check_hopf_e2_nichols.json": ["check", GOLDEN / "e2_nichols.json",
                                    "--hopf"],
     "antipode_e2_nichols.json": ["antipode", GOLDEN / "e2_nichols.json"],
+    "check_qs3_dual.json": ["check", GOLDEN / "qs3_dual.json"],
+    "check_hopf_qs3_dual.json": ["check", GOLDEN / "qs3_dual.json",
+                                 "--hopf"],
+    "antipode_qs3_dual.json": ["antipode", GOLDEN / "qs3_dual.json"],
+    "check_z2_polyad.json": ["check", GOLDEN / "z2_polyad.json"],
+    "check_torsor_polyad.json": ["check", GOLDEN / "torsor_polyad.json"],
+    "check_opmonoidal_hopf_z2_polyad.json": [
+        "check", GOLDEN / "z2_polyad.json", "--opmonoidal", "--hopf"],
+    "export_polyad_z2_zero_delta.json": [
+        "export-polyad", GOLDEN / "z2_zero_delta.json",
+        "--probes", DATA / "probes.json"],
+    "check_z2_zero_delta_polyad.json": ["check",
+                                        GOLDEN / "z2_zero_delta_polyad.json"],
+}
+
+EXPORTS = {
+    "z2_polyad.json": DATA / "z2_group_algebra.json",
+    "torsor_polyad.json": DATA / "torsor_enriched.json",
 }
 
 
@@ -71,3 +104,12 @@ def test_report_matches_the_recorded_bytes(golden, capsys):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / golden).read_bytes()
     assert code == (0 if json.loads(out)["status"] == "pass" else 1)
+
+
+@pytest.mark.parametrize("export", sorted(EXPORTS))
+def test_export_matches_the_recorded_bytes(export, capsys):
+    code = main(["export-polyad", str(EXPORTS[export]),
+                 "--probes", str(DATA / "probes.json"), "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / export).read_bytes()

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and
+every module imports only from lower layers.
 
-No linter ships with the toolchain, so the check is a small pass over
+No linter ships with the toolchain, so the checks are small passes over
 each module's syntax tree: a name bound by an import statement must be
 read somewhere in the module (a bare name, the base of an attribute, or
-an annotation), or be listed in __all__.
+an annotation), or be listed in __all__; and a module may import from a
+package module only if that module sits in a strictly lower layer.
 """
 
 import ast
@@ -43,3 +45,49 @@ def test_unused_imports_finds_what_is_never_read():
                          sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# The package's layers, lowest first.  Modules in one layer are
+# independent of each other: the two bases do not see one another, and
+# how graded objects act as a category is decided above both of them.
+LAYERS = ({"reporting", "finset_span"}, {"vect_backend", "cat_backend"},
+          {"spanv_core"}, {"monoidale_duoidal"}, {"hopf_structures"},
+          {"cli"})
+LAYER = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+
+
+def package_imports(source):
+    """The package modules that source imports, relatively or by the
+    package name, in import order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and \
+                    node.module.startswith("hopfspan."):
+                names.append(node.module.split(".")[1])
+            elif node.level == 1 and node.module:
+                names.append(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "hopfspan":
+                names += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("hopfspan.")]
+    return names
+
+
+def test_package_imports_finds_every_form():
+    source = ("import os\nimport hopfspan.a\nfrom hopfspan.b import x\n"
+              "from hopfspan import c\nfrom . import d as e\n"
+              "from .f import y\n")
+    assert package_imports(source) == ["a", "b", "c", "d", "f"]
+
+
+@pytest.mark.parametrize("module",
+                         sorted(p.stem for p in PACKAGE.glob("*.py")
+                                if p.stem != "__init__"))
+def test_module_imports_only_lower_layers(module):
+    assert module in LAYER, "%s has no layer" % module
+    upward = [name for name in
+              package_imports((PACKAGE / (module + ".py")).read_text())
+              if LAYER[name] >= LAYER[module]]
+    assert upward == []

@@ -18,7 +18,7 @@ from hopfspan.spanv_core import (
     relabel_cell2, regroup, associator_cell2, left_unitor_cell2,
     right_unitor_cell2, interchange_cell2, invert_cell2, eq2,
     product_category, product_functor, product_nat,
-    BackendFunctor, apply_span_F, vect_to_cat_functor, TensorFunctor1,
+    BackendFunctor, apply_span_F, vect_to_cat_functor,
 )
 from rand import (
     random_vect_cell0, random_vect_cell1, random_vect_cell2_from,
@@ -378,13 +378,13 @@ def test_apply_span_vect_to_cat():
     p = VObject.ungraded(["u", "v"])
     a = group_algebra_cell1(VectBackend(q), {"g": p})
     moved = apply_span_F(F, a)
-    assert moved.label["g"] == TensorFunctor1(p)
+    assert moved.label["g"] == p
     # pointwise action on a probe doubles the dimension
     evaluated = image.evaluate1(moved.label["g"], probes[1])
     assert evaluated.dim == 4
-    # composition of handles matches the handle of the tensor
+    # composing the functors composes their objects
     composed = image.comp1(moved.label["g"], moved.label["g"])
-    assert composed == TensorFunctor1(tensor_obj(p, p))
+    assert composed == tensor_obj(p, p)
     # the comparison cell is an identity and hence invertible
     comparison = F.comparison(moved.label["g"], moved.label["g"])
     inv, _ = image.invert2(comparison)
