@@ -2,10 +2,12 @@
 
 FinCategory stores a dense composition table keyed by composable morphism
 pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
-axioms are verified at construction unless check=False is passed, in which
-case check_category can be used to collect every violation.  The table is
-never changed after construction, so products of a category are shared
-(spanv_core.product_category).
+axioms are verified at construction, and check_category collects every
+violation.  The table is never changed after construction, so products
+of a category are shared (spanv_core.product_category), and built without
+the check from factors that passed it.  Likewise functors and natural
+transformations are checked when built by their constructors, while the
+identities and composites of functors that were checked are not.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -15,7 +17,7 @@ category is built next to the image backend in spanv_core.
 
 from dataclasses import dataclass, field
 
-from .finset_span import FinSet, FinFn
+from .finset_span import FinSet, FinFn, _trusted
 from .reporting import CheckReport, Verdict
 
 
@@ -32,20 +34,14 @@ class FinCategory:
     identities: FinFn
     composition: dict = field(compare=False)
 
-    def __init__(self, objects, morphisms, src, tgt, identities, composition,
-                 check=True):
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "morphisms", morphisms)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
-        object.__setattr__(self, "identities", identities)
-        object.__setattr__(self, "composition", dict(composition))
-        object.__setattr__(self, "_products", {})
-        object.__setattr__(self, "_pairs", None)
-        if check:
-            report = check_category(self)
-            if not report.ok:
-                raise CatError(report.summary())
+    # composable_pairs() once computed; the table never changes.
+    _pairs = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "composition", dict(self.composition))
+        report = check_category(self)
+        if not report.ok:
+            raise CatError(report.summary())
 
     def __eq__(self, other):
         return self is other or (
@@ -203,14 +199,16 @@ class FunctorData:
 
     @staticmethod
     def identity(c):
-        return FunctorData(c, c, FinFn.identity(c.objects),
-                           FinFn.identity(c.morphisms))
+        return _trusted(FunctorData, c, c, FinFn.identity(c.objects),
+                        FinFn.identity(c.morphisms))
 
     def then(self, other):
         """other after self."""
-        return FunctorData(self.dom, other.cod,
-                           other.omap.compose(self.omap),
-                           other.mmap.compose(self.mmap))
+        if other.dom != self.cod:
+            raise CatError("functors are not composable")
+        return _trusted(FunctorData, self.dom, other.cod,
+                        other.omap.compose(self.omap),
+                        other.mmap.compose(self.mmap))
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,8 @@ class NatTransData:
 
     @staticmethod
     def identity(F):
-        return NatTransData(F, F, {x: F.cod.identities(F.omap(x))
-                                   for x in F.dom.objects})
+        return _trusted(NatTransData, F, F, {x: F.cod.identities(F.omap(x))
+                                             for x in F.dom.objects})
 
     def vcomp(self, other):
         """other after self (same functor boundary chain)."""

@@ -9,6 +9,11 @@ decided by plain list comparison.
 
 Apex elements of composites and products are pairs, so atoms are strings,
 integers, or (nested) tuples of atoms.
+
+Public constructors check their data.  Operations that compose values
+already checked build their result through _trusted instead, which sets
+the fields without the checks; each still checks the boundary it
+composes across.
 """
 
 from dataclasses import dataclass, field
@@ -18,12 +23,13 @@ class SpanError(ValueError):
     """Raised on boundary mismatches and malformed span data."""
 
 
-def _check_atoms(elements):
-    seen = set()
-    for a in elements:
-        if a in seen:
-            raise SpanError("duplicate atom %r" % (a,))
-        seen.add(a)
+def _trusted(cls, *values):
+    """cls(*values) without the constructor's checks, for a value composed
+    of parts that were checked already.  Replacing it by the constructor
+    must change nothing but the time taken."""
+    value = object.__new__(cls)
+    value.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return value
 
 
 @dataclass(frozen=True)
@@ -34,9 +40,12 @@ class FinSet:
 
     def __init__(self, elements):
         elements = tuple(elements)
-        _check_atoms(elements)
+        index = {a: i for i, a in enumerate(elements)}
+        if len(index) != len(elements):
+            raise SpanError("duplicate atom %r" % (next(
+                a for i, a in enumerate(elements) if elements.index(a) != i),))
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(elements)})
+        object.__setattr__(self, "_index", index)
 
     def __iter__(self):
         return iter(self.elements)
@@ -109,12 +118,13 @@ class FinFn:
                 "cannot compose: codomain %r != domain %r"
                 % (other.codomain, self.domain)
             )
-        return FinFn(other.domain, self.codomain,
-                     {a: self(other(a)) for a in other.domain})
+        mine, theirs = self.assignment, other.assignment
+        return _trusted(FinFn, other.domain, self.codomain,
+                        {a: mine[theirs[a]] for a in other.domain})
 
     @staticmethod
     def identity(x):
-        return FinFn(x, x, {a: a for a in x})
+        return _trusted(FinFn, x, x, {a: a for a in x})
 
     @staticmethod
     def constant(domain, codomain, value):
@@ -160,7 +170,7 @@ class Span:
     @staticmethod
     def identity(x):
         i = FinFn.identity(x)
-        return Span(x, x, x, i, i)
+        return _trusted(Span, x, x, x, i, i)
 
     @staticmethod
     def complete(x, y=None):
@@ -196,14 +206,14 @@ class SpanMorphism:
 
     @staticmethod
     def identity(span):
-        return SpanMorphism(span, span, FinFn.identity(span.apex))
+        return _trusted(SpanMorphism, span, span, FinFn.identity(span.apex))
 
     def then(self, other):
         """other after self (vertical composition of span maps)."""
         if other.source != self.target:
             raise SpanError("span morphisms not composable")
-        return SpanMorphism(self.source, other.target,
-                            other.map.compose(self.map))
+        return _trusted(SpanMorphism, self.source, other.target,
+                        other.map.compose(self.map))
 
     def is_iso(self):
         return self.map.is_bijection()
@@ -229,18 +239,21 @@ def compose_spans(b, a):
         over.setdefault(a_left[c], []).append(c)
     pairs = tuple((d, c) for d in b.apex for c in over.get(b_right[d], ()))
     apex = FinSet(pairs)
-    left = FinFn(apex, b.tgt, {(d, c): b.left(d) for (d, c) in pairs})
-    right = FinFn(apex, a.src, {(d, c): a.right(c) for (d, c) in pairs})
-    return Span(a.src, b.tgt, apex, left, right)
+    b_left, a_right = b.left.assignment, a.right.assignment
+    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in pairs})
+    right = _trusted(FinFn, apex, a.src,
+                     {(d, c): a_right[c] for (d, c) in pairs})
+    return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
 def compose_span_morphisms_h(g, f):
     """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c))."""
     source = compose_spans(g.source, f.source)
     target = compose_spans(g.target, f.target)
-    assignment = {(d, c): (g.map(d), f.map(c)) for (d, c) in source.apex}
-    return SpanMorphism(source, target,
-                        FinFn(source.apex, target.apex, assignment))
+    gm, fm = g.map.assignment, f.map.assignment
+    assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex}
+    return _trusted(SpanMorphism, source, target,
+                    _trusted(FinFn, source.apex, target.apex, assignment))
 
 
 def cartesian_product(a, b):
@@ -248,9 +261,11 @@ def cartesian_product(a, b):
     apex = FinSet.product(a.apex, b.apex)
     src = FinSet.product(a.src, b.src)
     tgt = FinSet.product(a.tgt, b.tgt)
-    left = FinFn(apex, tgt, {(c, d): (a.left(c), b.left(d)) for (c, d) in apex})
-    right = FinFn(apex, src, {(c, d): (a.right(c), b.right(d)) for (c, d) in apex})
-    return Span(src, tgt, apex, left, right)
+    left = _trusted(FinFn, apex, tgt,
+                    {(c, d): (a.left(c), b.left(d)) for (c, d) in apex})
+    right = _trusted(FinFn, apex, src,
+                     {(c, d): (a.right(c), b.right(d)) for (c, d) in apex})
+    return _trusted(Span, src, tgt, apex, left, right)
 
 
 @dataclass(frozen=True)

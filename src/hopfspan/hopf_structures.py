@@ -1009,7 +1009,9 @@ def polyad_fusion(opstr, side="left"):
     """One transformation per composable pair: the outer label's binary
     structure followed by multiplication on the first (left) or second
     (right) tensor factor.  Naturality of each component family is
-    validated on construction."""
+    checked by the public NatTransData constructor: source and target
+    are composites of checked functors and are built without checks,
+    but the components are new data."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
     out = {}

@@ -11,12 +11,18 @@ vector spaces, function composition for functors), so every coherence cell
 built here has identity components and all the weakness sits in span apex
 re-bracketing.  Equality of 2-cells is decided exactly, optionally after
 transport along explicitly supplied coherence cells.
+
+The cell constructors check labels and boundaries.  Identities and the
+horizontal, vertical and tensor composites of checked cells are built
+without those checks (finset_span._trusted), once the boundary they
+compose across has been checked; cell2_along and relabel_cell2 keep them,
+since their atom map is arbitrary.
 """
 
 from dataclasses import dataclass, field
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism,
+    FinSet, FinFn, Span, SpanMorphism, _trusted,
     compose_spans, compose_span_morphisms_h, cartesian_product,
 )
 from .reporting import Verdict
@@ -273,9 +279,10 @@ def product_category(a, b):
     """Product of finite categories on pair atoms, componentwise.
 
     Built once per pair of operands and kept on a, keyed by b."""
-    p = a._products.get(b)
+    products = vars(a).setdefault("_products", {})
+    p = products.get(b)
     if p is None:
-        p = a._products[b] = _product_category(a, b)
+        p = products[b] = _product_category(a, b)
     return p
 
 
@@ -297,18 +304,19 @@ def _product_category(a, b):
             gf = a.composition[(g, f)]
             for k in ks:
                 composition[((g, h), (f, k))] = (gf, b.composition[(h, k)])
-    return cb.FinCategory(objects, morphisms, src, tgt,
-                          identities, composition, check=False)
+    return _trusted(cb.FinCategory, objects, morphisms, src, tgt,
+                    identities, composition)
 
 
 def product_functor(p, q):
     dom = product_category(p.dom, q.dom)
     cod = product_category(p.cod, q.cod)
-    omap = FinFn(dom.objects, cod.objects,
-                 {(x, y): (p.omap(x), q.omap(y)) for (x, y) in dom.objects})
-    mmap = FinFn(dom.morphisms, cod.morphisms,
-                 {(m, n): (p.mmap(m), q.mmap(n)) for (m, n) in dom.morphisms})
-    return cb.FunctorData(dom, cod, omap, mmap)
+    omap = _trusted(FinFn, dom.objects, cod.objects,
+                    {(x, y): (p.omap(x), q.omap(y)) for (x, y) in dom.objects})
+    mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
+                    {(m, n): (p.mmap(m), q.mmap(n))
+                     for (m, n) in dom.morphisms})
+    return _trusted(cb.FunctorData, dom, cod, omap, mmap)
 
 
 def product_nat(f, g):
@@ -316,7 +324,7 @@ def product_nat(f, g):
     target = product_functor(f.target, g.target)
     comps = {(x, y): (f.components[x], g.components[y])
              for (x, y) in source.dom.objects}
-    return cb.NatTransData(source, target, comps)
+    return _trusted(cb.NatTransData, source, target, comps)
 
 
 @dataclass(frozen=True)
@@ -422,12 +430,12 @@ def identity_cell1(x):
     """The identity 1-cell: trivial span, identity labels."""
     span = Span.identity(x.carrier)
     label = {c: x.backend.id1(x.label[c]) for c in x.carrier}
-    return Cell1(x.backend, x, x, span, label)
+    return _trusted(Cell1, x.backend, x, x, span, label)
 
 
 def identity_cell2(a):
-    return Cell2(a, a, SpanMorphism.identity(a.span),
-                 {c: a.backend.id2(a.label[c]) for c in a.span.apex})
+    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span),
+                    {c: a.backend.id2(a.label[c]) for c in a.span.apex})
 
 
 def cell2_along(source, target, fn, components):
@@ -450,7 +458,7 @@ def vcomp2(second, first):
     comps = {c: be.vcomp(second.components[first.morphism.map(c)],
                          first.components[c])
              for c in first.source.span.apex}
-    return Cell2(first.source, second.target, morphism, comps)
+    return _trusted(Cell2, first.source, second.target, morphism, comps)
 
 
 def hcomp1(b, a):
@@ -465,7 +473,7 @@ def _composite(b, a, span):
     be = a.backend
     label = {(d, c): be.comp1(b.label[d], a.label[c])
              for (d, c) in span.apex}
-    return Cell1(be, a.src, b.tgt, span, label)
+    return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
 def hcomp2(g, f):
@@ -477,7 +485,7 @@ def hcomp2(g, f):
     be = source.backend
     comps = {(d, c): be.comp2(g.components[d], f.components[c])
              for (d, c) in source.span.apex}
-    return Cell2(source, target, morphism, comps)
+    return _trusted(Cell2, source, target, morphism, comps)
 
 
 def unit_cell0(backend):
@@ -490,7 +498,7 @@ def tensor0(a, b):
     carrier = FinSet.product(a.carrier, b.carrier)
     label = {(k, l): a.backend.tensor0v(a.label[k], b.label[l])
              for (k, l) in carrier}
-    return Cell0(a.backend, carrier, label)
+    return _trusted(Cell0, a.backend, carrier, label)
 
 
 def tensor1(a, b):
@@ -498,17 +506,22 @@ def tensor1(a, b):
     span = cartesian_product(a.span, b.span)
     label = {(c, d): be.tensor1v(a.label[c], b.label[d])
              for (c, d) in span.apex}
-    return Cell1(be, tensor0(a.src, b.src), tensor0(a.tgt, b.tgt), span, label)
+    return _trusted(Cell1, be, tensor0(a.src, b.src), tensor0(a.tgt, b.tgt),
+                    span, label)
 
 
 def tensor2(u, v):
     source = tensor1(u.source, v.source)
     target = tensor1(u.target, v.target)
     be = source.backend
-    fu, fv = u.morphism.map, v.morphism.map
+    fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
+    apex = source.span.apex
+    fn = _trusted(FinFn, apex, target.span.apex,
+                  {(c, d): (fu[c], fv[d]) for (c, d) in apex})
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
-             for (c, d) in source.span.apex}
-    return cell2_along(source, target, lambda t: (fu(t[0]), fv(t[1])), comps)
+             for (c, d) in apex}
+    return _trusted(Cell2, source, target,
+                    _trusted(SpanMorphism, source.span, target.span, fn), comps)
 
 
 def relabel_cell2(source, target, fn):

@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen criteria, one pass line each.
+"""Acceptance gate: fourteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -514,23 +514,32 @@ def test_criterion_10_z4_default_check(tmp_path):
     finish(10, "default check on the Z_4 group algebra", start, 2.0, 32)
 
 
-def test_criterion_11_translation_polyad_z3_z4():
+def translation_polyad_is_hopf(n):
+    names, mul, unit = hs.cyclic_group(n)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    assert hs.polyad_is_hopf(
+        hs.translation_opmonoidal(names, mul, unit, fiber))
+    return names, mul, unit, fiber
+
+
+def translation_polyad_checks(n):
+    names, mul, unit, fiber = translation_polyad_is_hopf(n)
+    # Over the indiscrete fiber every hom set is a singleton: a module
+    # is one fiber object, and any two modules have one morphism.
+    comparison = hs.em_algebras_restricted(
+        hs.translation_polyad(names, mul, unit, fiber), "modules")
+    assert comparison.report.ok, comparison.report.summary()
+    assert len(list(comparison.algebras.objects)) == n
+    assert len(list(comparison.algebras.morphisms)) == n * n
+    assert comparison.forward.then(comparison.backward) == \
+        FunctorData.identity(comparison.enumerated)
+
+
+def test_criterion_11_translation_polyad_z3_to_z5():
     start = time.monotonic()
-    for n in (3, 4):
-        names, mul, unit = hs.cyclic_group(n)
-        fiber = hs.indiscrete_monoidal_group(names, mul, unit)
-        assert hs.polyad_is_hopf(
-            hs.translation_opmonoidal(names, mul, unit, fiber))
-        # Over the indiscrete fiber every hom set is a singleton: a module
-        # is one fiber object, and any two modules have one morphism.
-        comparison = hs.em_algebras_restricted(
-            hs.translation_polyad(names, mul, unit, fiber), "modules")
-        assert comparison.report.ok, comparison.report.summary()
-        assert len(list(comparison.algebras.objects)) == n
-        assert len(list(comparison.algebras.morphisms)) == n * n
-        assert comparison.forward.then(comparison.backward) == \
-            FunctorData.identity(comparison.enumerated)
-    finish(11, "translation polyad over Z_3 and Z_4", start, 10.0, 2)
+    for n in (3, 4, 5):
+        translation_polyad_checks(n)
+    finish(11, "translation polyad over Z_3, Z_4 and Z_5", start, 2.0, 3)
 
 
 def test_criterion_12_z8_default_check(tmp_path):
@@ -549,3 +558,9 @@ def test_criterion_13_nichols_e4_hopf_check(tmp_path):
     assert hopf["fusion_determinants"] == {
         "left": [["('e', 'e')", "1"]], "right": [["('e', 'e')", "1"]]}
     finish(13, "fusion check on the Nichols algebra E(4)", start, 4.0, 2)
+
+
+def test_criterion_14_translation_polyad_z6_hopf_check():
+    start = time.monotonic()
+    translation_polyad_is_hopf(6)
+    finish(14, "Hopf check of the translation polyad over Z_6", start, 3.0)

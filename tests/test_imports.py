@@ -91,3 +91,54 @@ def test_module_imports_only_lower_layers(module):
               package_imports((PACKAGE / (module + ".py")).read_text())
               if LAYER[name] >= LAYER[module]]
     assert upward == []
+
+
+# The functions allowed to build values through finset_span._trusted,
+# which skips the constructors' checks: identities and composites of
+# values that were checked already.  A new call site must be added here
+# on purpose, and tests/test_trusted.py must cover it.
+TRUSTED = {
+    "finset_span": {"FinFn.compose", "FinFn.identity", "Span.identity",
+                    "SpanMorphism.identity", "SpanMorphism.then",
+                    "compose_spans", "compose_span_morphisms_h",
+                    "cartesian_product"},
+    "cat_backend": {"FunctorData.identity", "FunctorData.then",
+                    "NatTransData.identity"},
+    "spanv_core": {"_product_category", "product_functor", "product_nat",
+                   "identity_cell1", "identity_cell2", "vcomp2",
+                   "_composite", "hcomp2", "tensor0", "tensor1", "tensor2"},
+}
+
+
+def trusted_readers(source):
+    """The enclosing function, as Class.method, of every read of the
+    name _trusted in source."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Name) and child.id == "_trusted" \
+                        and isinstance(child.ctx, ast.Load):
+                    readers.add(".".join(scope) or "<module>")
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return readers
+
+
+def test_trusted_readers_finds_every_read():
+    source = ("from x import _trusted\nf = _trusted\n"
+              "class A:\n    def m(self):\n        return _trusted(A)\n"
+              "def g():\n    def h():\n        _trusted(1)\n")
+    assert trusted_readers(source) == {"<module>", "A.m", "g.h"}
+
+
+def test_trusted_constructors_are_called_only_where_listed():
+    readers = {p.stem: trusted_readers(p.read_text())
+               for p in PACKAGE.glob("*.py")}
+    readers = {module: names for module, names in readers.items() if names}
+    assert readers == TRUSTED
+    assert not set(readers) & {"hopf_structures", "monoidale_duoidal", "cli"}
