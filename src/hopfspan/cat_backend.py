@@ -7,7 +7,8 @@ violation.  The table is never changed after construction, so products
 of a category are shared (spanv_core.product_category), and built without
 the check from factors that passed it.  Likewise functors and natural
 transformations are checked when built by their constructors, while the
-identities and composites of functors that were checked are not.
+identities and composites of checked ones are not; a composite still
+checks the boundary it composes across.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -223,6 +224,8 @@ class NatTransData:
             raise CatError("natural transformation endpoints must agree")
         cod = F.cod
         for x in F.dom.objects:
+            if x not in self.components:
+                raise CatError("component missing at %r" % (x,))
             n = self.components[x]
             if cod.src(n) != F.omap(x) or cod.tgt(n) != G.omap(x):
                 raise CatError("component endpoints at %r" % (x,))
@@ -249,10 +252,12 @@ class NatTransData:
 
     def vcomp(self, other):
         """other after self (same functor boundary chain)."""
+        if self.target != other.source:
+            raise CatError("vertical composition boundary mismatch")
         cod = self.source.cod
         comps = {x: cod.composition[(other.components[x], self.components[x])]
                  for x in self.source.dom.objects}
-        return NatTransData(self.source, other.target, comps)
+        return _trusted(NatTransData, self.source, other.target, comps)
 
     def hcomp(self, other):
         """Horizontal composite: self: F => G on C -> D, other: H => K on
@@ -263,7 +268,7 @@ class NatTransData:
         comps = {x: E.composition[(K.mmap(self.components[x]),
                                    other.components[F.omap(x)])]
                  for x in F.dom.objects}
-        return NatTransData(F.then(H), G.then(K), comps)
+        return _trusted(NatTransData, F.then(H), G.then(K), comps)
 
 
 def nat_is_iso(n):

@@ -222,22 +222,39 @@ class SpanMorphism:
         return SpanMorphism(self.target, self.source, self.map.inverse())
 
 
-def compose_spans(b, a):
+def _in_order(pairs, x, y):
+    """The distinct pairs of atoms of x and y among pairs, lexicographic
+    in (index in x, index in y)."""
+    return tuple(sorted(set(pairs), key=lambda p: (x.index(p[0]),
+                                                    y.index(p[1]))))
+
+
+def compose_spans(b, a, pairs=None):
     """Pullback composite b after a; needs b.src == a.tgt.
 
     The apex is the set of pairs (d, c) with b.right(d) == a.left(c),
     enumerated lexicographically in (index of d, index of c): a.apex is
-    bucketed by a.left in apex order, and each d takes its bucket.
+    bucketed by a.left in apex order, and each d takes its bucket.  Given
+    pairs (some matched pairs, in any order, repeats allowed), the apex
+    is just those, in the same order: the sub-span they make up, built
+    without the rest of the pullback.
     """
     if b.src != a.tgt:
         raise SpanError(
             "span boundary mismatch: b.src = %r but a.tgt = %r" % (b.src, a.tgt)
         )
     a_left, b_right = a.left.assignment, b.right.assignment
-    over = {}
-    for c in a.apex:
-        over.setdefault(a_left[c], []).append(c)
-    pairs = tuple((d, c) for d in b.apex for c in over.get(b_right[d], ()))
+    if pairs is None:
+        over = {}
+        for c in a.apex:
+            over.setdefault(a_left[c], []).append(c)
+        pairs = tuple((d, c) for d in b.apex
+                      for c in over.get(b_right[d], ()))
+    else:
+        pairs = _in_order(pairs, b.apex, a.apex)
+        for (d, c) in pairs:
+            if b_right[d] != a_left[c]:
+                raise SpanError("%r is not a matched pair" % ((d, c),))
     apex = FinSet(pairs)
     b_left, a_right = b.left.assignment, a.right.assignment
     left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in pairs})
@@ -246,19 +263,24 @@ def compose_spans(b, a):
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
-def compose_span_morphisms_h(g, f):
-    """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c))."""
-    source = compose_spans(g.source, f.source)
-    target = compose_spans(g.target, f.target)
+def compose_span_morphisms_h(g, f, pairs=None):
+    """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)).
+    Given pairs, it runs between the sub-spans on those pairs and on
+    their images (see compose_spans)."""
+    source = compose_spans(g.source, f.source, pairs)
     gm, fm = g.map.assignment, f.map.assignment
     assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex}
+    target = compose_spans(g.target, f.target,
+                           None if pairs is None else assignment.values())
     return _trusted(SpanMorphism, source, target,
                     _trusted(FinFn, source.apex, target.apex, assignment))
 
 
-def cartesian_product(a, b):
-    """Componentwise product span; apex pairs lexicographic in (a, b)."""
-    apex = FinSet.product(a.apex, b.apex)
+def cartesian_product(a, b, pairs=None):
+    """Componentwise product span; apex pairs lexicographic in (a, b).
+    Given pairs, the apex is just those (see compose_spans)."""
+    apex = FinSet.product(a.apex, b.apex) if pairs is None else \
+        FinSet(_in_order(pairs, a.apex, b.apex))
     src = FinSet.product(a.src, b.src)
     tgt = FinSet.product(a.tgt, b.tgt)
     left = _trusted(FinFn, apex, tgt,

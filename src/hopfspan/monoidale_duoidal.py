@@ -34,7 +34,7 @@ from .spanv_core import (
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
     relabel_cell2, regroup, interchange_atoms, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2, invert_cell2,
-    eq2,
+    eq2, part, image,
 )
 
 
@@ -541,26 +541,32 @@ def _diagonal_labels(b):
     return fib.tensor, _duplicate_label(be, fib.obj)
 
 
-def star1(b, a):
+def star1(b, a, atoms=None):
     """The convolution b * a of parallel 1-cells.
 
     The apex is the pairs (c, h) with equal legs, ordered by the point
     x = left(c) in carrier order, then c, then h, in apex order: the
     order of the pullback composite m o (b . a) o d.  The label at (c, h)
     is m o (b(c) . a(h)) o d.  Over a one-object base this is just the
-    label tensor."""
+    label tensor.  Given atoms (some such pairs, in any order), the apex
+    is just those, in the same order."""
     if b.src != a.src or b.tgt != a.tgt:
         raise SpanVError("convolution needs parallel 1-cells")
     be = b.backend
     m, d = _diagonal_labels(b)
     b_left, b_right = b.span.left.assignment, b.span.right.assignment
-    over = {}
-    for h in a.span.apex:
-        over.setdefault((a.span.left(h), a.span.right(h)), []).append(h)
-    place = b.tgt.carrier.index
-    apex = FinSet((c, h) for c in sorted(b.span.apex,
-                                         key=lambda c: place(b_left[c]))
-                  for h in over.get((b_left[c], b_right[c]), ()))
+    legs = {h: (a.span.left(h), a.span.right(h)) for h in a.span.apex}
+    if atoms is None:
+        over = {}
+        for h in a.span.apex:
+            over.setdefault(legs[h], []).append(h)
+        atoms = [(c, h) for c in b.span.apex
+                 for h in over.get((b_left[c], b_right[c]), ())]
+    elif any(legs[h] != (b_left[c], b_right[c]) for (c, h) in atoms):
+        raise SpanVError("convolution atoms must have equal legs")
+    place, bi, ai = b.tgt.carrier.index, b.span.apex.index, a.span.apex.index
+    apex = FinSet(sorted(set(atoms), key=lambda p: (
+        place(b_left[p[0]]), bi(p[0]), ai(p[1]))))
     span = Span(a.src.carrier, a.tgt.carrier, apex,
                 FinFn(apex, a.tgt.carrier, {p: b_left[p[0]] for p in apex}),
                 FinFn(apex, a.src.carrier, {p: b_right[p[0]] for p in apex}))
@@ -570,19 +576,22 @@ def star1(b, a):
     return Cell1(be, a.src, a.tgt, span, label)
 
 
-def star2(v, u):
+def star2(v, u, atoms=None):
     """The convolution of parallel 2-cells: (c, h) goes to (v(c), u(h))
-    with component 1_m o (v(c) . u(h)) o 1_d."""
-    source, target = star1(v.source, u.source), star1(v.target, u.target)
+    with component 1_m o (v(c) . u(h)) o 1_d.  Given source atoms, it is
+    built on just those, into their image."""
+    source = star1(v.source, u.source, atoms)
+    fv, fu = v.morphism.map, u.morphism.map
+    fn = lambda t: (fv(t[0]), fu(t[1]))
+    target = star1(v.target, u.target, image(fn, source, atoms))
     be = source.backend
     m, d = _diagonal_labels(v.source)
     one_m, one_d = be.id2(m), be.id2(d)
-    fv, fu = v.morphism.map, u.morphism.map
     comps = {(c, h): be.comp2(be.comp2(one_m, be.tensor2v(v.components[c],
                                                           u.components[h])),
                               one_d)
              for (c, h) in source.span.apex}
-    return cell2_along(source, target, lambda t: (fv(t[0]), fu(t[1])), comps)
+    return cell2_along(source, target, fn, comps)
 
 
 def complete_unit_cell1(src0, tgt0):
@@ -643,19 +652,23 @@ def duoidal_units(X, be):
     return DuoidalUnits(i, j, mu_j, delta_i, iota_ij)
 
 
-def duoidal_interchange(a, b, h, d):
+def duoidal_interchange(a, b, h, d, atoms=None):
     """(a * b) o (h * d)  =>  (a o h) * (b o d).
 
     The span map regroups the leg-matched quadruple; each component is
     the base middle-four cell, which carries the braiding over a graded
-    one-object base.
+    one-object base.  Given source atoms, it is built on just those,
+    into their image.
     """
     for cell in (a, b, h, d):
         if cell.src != a.src or cell.tgt != a.src:
             raise SpanVError("interchange needs endo-cells on one carrier")
     be = a.backend
-    lhs = hcomp1(star1(a, b), star1(h, d))
-    rhs = star1(hcomp1(a, h), hcomp1(b, d))
+    lhs = hcomp1(star1(a, b, part(atoms, 0)), star1(h, d, part(atoms, 1)),
+                 atoms)
+    onto = image(interchange_atoms, lhs, atoms)
+    rhs = star1(hcomp1(a, h, part(onto, 0)), hcomp1(b, d, part(onto, 1)),
+                onto)
     comps = {((p, q), (v, w)): be.mid4(a.label[p], b.label[q],
                                        h.label[v], d.label[w])
              for ((p, q), (v, w)) in lhs.span.apex}

@@ -461,9 +461,10 @@ def vcomp2(second, first):
     return _trusted(Cell2, first.source, second.target, morphism, comps)
 
 
-def hcomp1(b, a):
-    """Horizontal composite of 1-cells; label (d, c) is b(d) after a(c)."""
-    return _composite(b, a, compose_spans(b.span, a.span))
+def hcomp1(b, a, atoms=None):
+    """Horizontal composite of 1-cells; label (d, c) is b(d) after a(c).
+    Given atoms, just the sub-span on them (see compose_spans)."""
+    return _composite(b, a, compose_spans(b.span, a.span, atoms))
 
 
 def _composite(b, a, span):
@@ -476,10 +477,11 @@ def _composite(b, a, span):
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
-def hcomp2(g, f):
+def hcomp2(g, f, atoms=None):
     """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
-    the composite spans that the span morphism already carries."""
-    morphism = compose_span_morphisms_h(g.morphism, f.morphism)
+    the composite spans that the span morphism already carries.  Given
+    source atoms, it is built on just those, into their image."""
+    morphism = compose_span_morphisms_h(g.morphism, f.morphism, atoms)
     source = _composite(g.source, f.source, morphism.source)
     target = _composite(g.target, f.target, morphism.target)
     be = source.backend
@@ -501,23 +503,24 @@ def tensor0(a, b):
     return _trusted(Cell0, a.backend, carrier, label)
 
 
-def tensor1(a, b):
+def tensor1(a, b, atoms=None):
     be = a.backend
-    span = cartesian_product(a.span, b.span)
+    span = cartesian_product(a.span, b.span, atoms)
     label = {(c, d): be.tensor1v(a.label[c], b.label[d])
              for (c, d) in span.apex}
     return _trusted(Cell1, be, tensor0(a.src, b.src), tensor0(a.tgt, b.tgt),
                     span, label)
 
 
-def tensor2(u, v):
-    source = tensor1(u.source, v.source)
-    target = tensor1(u.target, v.target)
+def tensor2(u, v, atoms=None):
+    source = tensor1(u.source, v.source, atoms)
     be = source.backend
     fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
     apex = source.span.apex
-    fn = _trusted(FinFn, apex, target.span.apex,
-                  {(c, d): (fu[c], fv[d]) for (c, d) in apex})
+    assignment = {(c, d): (fu[c], fv[d]) for (c, d) in apex}
+    target = tensor1(u.target, v.target,
+                     None if atoms is None else assignment.values())
+    fn = _trusted(FinFn, apex, target.span.apex, assignment)
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
              for (c, d) in apex}
     return _trusted(Cell2, source, target,
@@ -544,9 +547,23 @@ def interchange_atoms(t):
     return ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
 
 
-def associator_cell2(c, b, a):
-    """(c o b) o a => c o (b o a), identity components."""
-    return relabel_cell2(hcomp1(hcomp1(c, b), a), hcomp1(c, hcomp1(b, a)),
+def part(atoms, i):
+    """The i-th coordinates of pair atoms; None (all of them) for None."""
+    return None if atoms is None else [x[i] for x in atoms]
+
+
+def image(fn, cell, atoms):
+    """Where fn sends the apex of cell, built on atoms; None (all of the
+    target) when atoms is None."""
+    return None if atoms is None else [fn(x) for x in cell.span.apex]
+
+
+def associator_cell2(c, b, a, atoms=None):
+    """(c o b) o a => c o (b o a), identity components; given source
+    atoms, built on just those, into their image."""
+    source = hcomp1(hcomp1(c, b, part(atoms, 0)), a, atoms)
+    onto = image(regroup, source, atoms)
+    return relabel_cell2(source, hcomp1(c, hcomp1(b, a, part(onto, 1)), onto),
                          regroup)
 
 
@@ -562,20 +579,68 @@ def right_unitor_cell2(a):
                          lambda t: t[0])
 
 
-def interchange_cell2(f, g, h, k):
+def interchange_cell2(f, g, h, k, atoms=None):
     """(f . g) o (h . k) => (f o h) . (g o k).
 
     The span map regroups matched pairs; the component at a regrouped
     element is the base interchange mid4 and is where the braiding of a
-    one-object backend enters.
+    one-object backend enters.  Given source atoms, it is built on just
+    those, into their image.
     """
-    lhs = hcomp1(tensor1(f, g), tensor1(h, k))
-    rhs = tensor1(hcomp1(f, h), hcomp1(g, k))
+    lhs = hcomp1(tensor1(f, g, part(atoms, 0)), tensor1(h, k, part(atoms, 1)),
+                 atoms)
+    onto = image(interchange_atoms, lhs, atoms)
+    rhs = tensor1(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
+                  onto)
     be = lhs.backend
     comps = {((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2],
                                          h.label[c], k.label[c2])
              for ((d, d2), (c, c2)) in lhs.span.apex}
     return cell2_along(lhs, rhs, interchange_atoms, comps)
+
+
+def restrict1(a, atoms):
+    """The sub-span of a on some of its apex atoms, in apex order, with
+    its legs and labels restricted: a 1-cell whenever a is one."""
+    s = a.span
+    apex = FinSet(sorted(set(atoms), key=s.apex.index))
+    left = _trusted(FinFn, apex, s.tgt, {x: s.left(x) for x in apex})
+    right = _trusted(FinFn, apex, s.src, {x: s.right(x) for x in apex})
+    return _trusted(Cell1, a.backend, a.src, a.tgt,
+                    _trusted(Span, s.src, s.tgt, apex, left, right),
+                    {x: a.label[x] for x in apex})
+
+
+def _retarget(u, target):
+    """u with the same span map and components, into target."""
+    fn = _trusted(FinFn, u.source.span.apex, target.span.apex,
+                  u.morphism.map.assignment)
+    return _trusted(Cell2, u.source, target,
+                    _trusted(SpanMorphism, u.source.span, target.span, fn),
+                    u.components)
+
+
+def onto_image(u):
+    """u as a 2-cell into the sub-span of its target that it reaches."""
+    return _retarget(u, restrict1(u.target, u.morphism.map.image()))
+
+
+def chain(first, target, *stages):
+    """The vertical composite of first and then stages, landing in target.
+
+    Each stage is a function of source atoms that builds its cell on just
+    those atoms, into the sub-span of its target that they reach; it is
+    applied to the target apex of the composite so far.  So no stage is
+    built where no atom of first's source lands.  The last image must be
+    a sub-span of target, which the result maps into with the same span
+    map and components.
+    """
+    cell = first
+    for stage in stages:
+        cell = vcomp2(stage(cell.target.span.apex), cell)
+    if cell.target != restrict1(target, cell.target.span.apex):
+        raise SpanVError("chain does not land in its target")
+    return _retarget(cell, target)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen criteria, one pass line each.
+"""Acceptance gate: fifteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -564,3 +564,14 @@ def test_criterion_14_translation_polyad_z6_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(6)
     finish(14, "Hopf check of the translation polyad over Z_6", start, 3.0)
+
+
+def test_criterion_15_nichols_e4_antipode(tmp_path):
+    doc = nichols_document(4)
+    fixture = tmp_path / "e4_nichols.json"
+    fixture.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, report = run_json(["antipode", fixture])
+    assert code == 0 and report["status"] == "pass"
+    assert report["sigma"] == doc["antipode"]
+    finish(15, "antipode of the Nichols algebra E(4)", start, 1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfspan.finset_span import FinSet, FinFn, _trusted
 from hopfspan.cat_backend import (
-    FinCategory, FunctorData, NatTransData, CatError,
+    TERMINAL, FinCategory, FunctorData, NatTransData, CatError,
     check_category, is_groupoid, nat_is_iso,
 )
 from hopfspan.spanv_core import (
@@ -189,6 +189,25 @@ def test_interchange_on_s3():
         rhs = alpha.hcomp(gamma).vcomp(beta.hcomp(delta))
         assert lhs == rhs
         checked += 1
+
+
+def constant_functor(c, x):
+    """The functor from the terminal category picking the object x."""
+    return FunctorData(TERMINAL, c, FinFn(TERMINAL.objects, c.objects,
+                                          {"*": x}),
+                       FinFn(TERMINAL.morphisms, c.morphisms,
+                             {("id", "*"): c.identities(x)}))
+
+
+def test_vertical_composite_checks_its_boundary():
+    c = FinCategory.indiscrete(["a", "b"])
+    a, b = constant_functor(c, "a"), constant_functor(c, "b")
+    n1 = NatTransData(a, b, {"*": ("a", "b")})
+    n2 = NatTransData(a, b, {"*": ("a", "b")})
+    with pytest.raises(CatError, match="boundary"):
+        n1.vcomp(n2)
+    back = NatTransData(b, a, {"*": ("b", "a")})
+    assert n1.vcomp(back) == NatTransData.identity(a)
 
 
 def test_lazy_category_probe_checks():

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hopfspan import hopf_structures as hs
-from hopfspan.cli import load_path
+from hopfspan.cli import load_document, load_path
 from hopfspan.finset_span import FinSet, FinFn, SpanMorphism
-from hopfspan.vect_backend import BraidParam, VMorphism, VObject, braiding, \
-    tensor_obj, unit_object
+from hopfspan.vect_backend import ONE, BraidParam, VMorphism, VObject, \
+    braiding, tensor_obj, unit_object
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
 from hopfspan.monoidale_duoidal import induced_monoidale
 from hopfspan.spanv_core import (
@@ -33,6 +33,8 @@ from hopfspan.hopf_structures import (
     right_fusion, translation_opmonoidal, translation_polyad,
     unit_enriched_module,
 )
+from test_acceptance import dual_group_document, nichols_document, \
+    symmetric3
 from test_finset_span import associator_iso, right_unitor_iso
 
 Z2 = (["e", "b"],
@@ -385,6 +387,66 @@ def test_compute_antipode_flags_underdetermined_systems():
     assert not res
     assert res.witness[0] == "linear system"
     assert res.witness[2][0] == "underdetermined"
+
+
+def stack(rows, mors, column):
+    """Write the entries of mors, flattened row-major one after the other,
+    into column of rows, one row per entry."""
+    offset = 0
+    for mor in mors:
+        for r, row in enumerate(mor.rows):
+            base = offset + r * mor.dom.dim
+            for c, e in row.items():
+                rows[base + c][column] = e
+        offset += mor.cod.dim * mor.dom.dim
+
+
+def antipode_rows_by_composites(p, c, h, g):
+    """The oracle for _antipode_rows: both squares composed out for each
+    matrix unit of sigma in turn, one column of the system each."""
+    lab_h, lab_g = p.mor_label[h], p.mor_label[g]
+    width = lab_g.dim * lab_h.dim
+    targets = [unit for _, unit in hs._antipode_squares(
+        p, c, h, g, VMorphism.zero(lab_h, lab_g))]
+    rows = [{} for t in targets for _ in range(t.cod.dim * t.dom.dim)]
+    stack(rows, targets, width)
+    for i in range(lab_g.dim):
+        for j in range(lab_h.dim):
+            unit = VMorphism._from_rows(lab_h, lab_g, [
+                {j: ONE} if r == i else {} for r in range(lab_g.dim)])
+            (one_sigma, _), (sigma_one, _) = hs._antipode_squares(
+                p, c, h, g, unit)
+            stack(rows, (one_sigma, sigma_one), i * lab_h.dim + j)
+    return rows
+
+
+def antipode_system_inputs():
+    """(name, presentation, comonoid structure) for the antipode system
+    differential test: Nichols algebras, the dual of S_3, the torsor,
+    graded cyclic groups, and a comonoid with zero comultiplication."""
+    for n in (1, 2, 3):
+        pres = load_document(nichols_document(n)).presentation
+        yield "E(%d)" % n, pres, pres.comonoid_structure()
+    pres = load_document(dual_group_document(*symmetric3())).presentation
+    yield "Q^S3", pres, pres.comonoid_structure()
+    pres = enriched_from_groupoid(torsor_groupoid())
+    yield "torsor", pres, pres.comonoid_structure()
+    for qv in (-1, 2):
+        pres = cyclic_group_algebra(3, BraidParam(qv), graded=True)
+        yield "Z3 graded q=%d" % qv, pres, pres.comonoid_structure()
+    obj = pres.labels["e"]
+    yield "zero comonoid", pres, ComonoidStructure(
+        {a: VMorphism.zero(obj, tensor_obj(obj, obj)) for a in pres.elements},
+        {a: VMorphism.zero(obj, unit_object()) for a in pres.elements})
+
+
+def test_antipode_rows_match_the_composed_squares():
+    for name, pres, c in antipode_system_inputs():
+        mp = pres.monad
+        for h in mp.shape.morphisms:
+            g = mp.shape.inverse(h)
+            assert hs._antipode_rows(mp, c, h, g) == \
+                antipode_rows_by_composites(mp, c, h, g), (name, h)
 
 
 def solve(rows, rhs):

@@ -103,10 +103,12 @@ TRUSTED = {
                     "compose_spans", "compose_span_morphisms_h",
                     "cartesian_product"},
     "cat_backend": {"FunctorData.identity", "FunctorData.then",
-                    "NatTransData.identity"},
+                    "NatTransData.identity", "NatTransData.vcomp",
+                    "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
-                   "_composite", "hcomp2", "tensor0", "tensor1", "tensor2"},
+                   "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
+                   "restrict1", "_retarget"},
 }
 
 

@@ -207,9 +207,9 @@ def test_associator_cell_builds_four_pullbacks(monkeypatch):
     # The cell sits on its own two composites: two pullbacks each.
     calls = []
     for module in (fs, sc):
-        def counted(b, a, _original=module.compose_spans):
+        def counted(b, a, pairs=None, _original=module.compose_spans):
             calls.append((b, a))
-            return _original(b, a)
+            return _original(b, a, pairs)
         monkeypatch.setattr(module, "compose_spans", counted)
     c, b, a = random_composable_vect_cell1s(seeded(23), V1, 3)
     associator_cell2(c, b, a)

@@ -161,9 +161,9 @@ def then_dropping_mmap(self, other):
                        other.omap.compose(self.omap), self.mmap)
 
 
-def compose_spans_swapping_legs(b, a):
+def compose_spans_swapping_legs(b, a, pairs=None):
     """A mutant compose_spans whose legs trade places."""
-    span = fs.compose_spans(b, a)
+    span = fs.compose_spans(b, a, pairs)
     return fs._trusted(fs.Span, span.src, span.tgt, span.apex,
                        span.right, span.left)
 
