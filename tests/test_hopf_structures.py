@@ -1,19 +1,25 @@
 import dataclasses
 import itertools
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan.cli import load_document, load_path
 from hopfspan.finset_span import FinSet, FinFn, SpanMorphism
 from hopfspan.vect_backend import ONE, BraidParam, VMorphism, VObject, \
     braiding, tensor_obj, unit_object
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
-from hopfspan.monoidale_duoidal import induced_monoidale
+from hopfspan.monoidale_duoidal import (
+    ComonoidLabeledCell, comonoid_cells, duoidal_interchange,
+    induced_monoidale, star2,
+)
 from hopfspan.spanv_core import (
-    SpanVError, CatBackend, VectBackend, Cell2, eq2, hcomp1, hcomp2,
+    SpanVError, CatBackend, VectBackend, Cell2, associator_cell2,
+    cell2_along, eq2, hcomp1, hcomp2, right_unitor_cell2,
     identity_cell1, identity_cell2, interchange_cell2, invert_cell2,
     product_category, relabel_cell2, tensor1, tensor2, vcomp2,
 )
@@ -305,6 +311,156 @@ def test_four_stage_fusion_matches_the_five_stage_chain():
             checked.add((name, bool(old_inv)))
     assert ("idempotent", False) in checked
     assert len(checked) == 18
+
+
+def full_bimonoid_chain(p, c):
+    """delta . delta, then the interchange, then mu * mu, every stage
+    built on its whole target: the oracle for check_opmonoidal's chain."""
+    t, mu2, _ = p.cells
+    delta2, _ = comonoid_cells(ComonoidLabeledCell(t, dict(c.delta),
+                                                   dict(c.eps)))
+    return vcomp2(star2(mu2, mu2),
+                  vcomp2(duoidal_interchange(t, t, t, t),
+                         hcomp2(delta2, delta2)))
+
+
+def full_fusion(p, c, fibers, side):
+    """The four-step fusion chain with every stage built on its whole
+    target, on the whole of t . t: the oracle for _fusion."""
+    order = hs._pair_order(side)
+    d, (t, mu2, _) = p.shape, p.cells
+    mon = induced_monoidale(d.objects, p.backend, fibers)
+    idc = identity_cell1(mon.base)
+    pair, tt = tensor1(*order(t, idc)), tensor1(t, t)
+    source = hcomp1(t, mon.m)
+    binary = cell2_along(source, hcomp1(mon.m, tt),
+                         lambda hx: (d.tgt(hx[0]), (hx[0], hx[0])),
+                         {(h, x): c.delta[h] for (h, x) in source.span.apex})
+    one_m = identity_cell2(mon.m)
+    cell = hcomp2(binary, identity_cell2(pair))
+    cell = vcomp2(associator_cell2(mon.m, tt, pair), cell)
+    cell = vcomp2(hcomp2(one_m, interchange_cell2(t, t, *order(t, idc))),
+                  cell)
+    return vcomp2(hcomp2(one_m, tensor2(*order(mu2, right_unitor_cell2(t)))),
+                  cell)
+
+
+def with_scaled_mu(mp, factor):
+    """mp with the multiplication at one composable pair scaled."""
+    apex = mp.cells[1].source.span.apex
+    pair = apex.elements[len(apex) // 2]
+    mu = dict(mp.mu)
+    mu[pair] = mu[pair].scale(factor)
+    return dataclasses.replace(mp, mu=mu)
+
+
+def chain_inputs():
+    """(name, monad presentation, comonoid structure, fibers) for the
+    restricted-chain differential test, each graded input also with one
+    multiplication component doubled (which breaks the bimonoid square)
+    and zeroed (which makes a fusion component singular)."""
+    golden = pathlib.Path(__file__).parent / "data/golden"
+    inputs = [("Z%d graded q=%d" % (n, qv),
+               cyclic_group_algebra(n, BraidParam(qv), graded=True))
+              for n in (2, 3, 4) for qv in (1, -1, 2)]
+    inputs += [("Z%d constant unit" % n,
+                constant_unit_presentation(*cyclic_group(n)))
+               for n in (3, 5)]
+    inputs += [("S3 constant unit", constant_unit_presentation(*symmetric3())),
+               ("indiscrete on 3", indiscrete_enriched(["x", "y", "z"])),
+               ("torsor", enriched_from_groupoid(torsor_groupoid()))]
+    inputs += [(name, load_path(str(golden / (name + ".json"))).presentation)
+               for name in ("h4_sweedler", "e2_nichols")]
+    for name, pres in inputs:
+        c = pres.comonoid_structure()
+        yield name, pres.monad, c, None
+        yield name + " doubled mu", with_scaled_mu(pres.monad, 2), c, None
+        yield name + " zeroed mu", with_scaled_mu(pres.monad, 0), c, None
+    pres = idempotent_monoid_presentation()
+    yield "idempotent", pres.monad, pres.comonoid_structure(), None
+    opstr = translation_opmonoidal(*Z2, indiscrete_monoidal_group(*Z2))
+    yield ("Z2 translation polyad", opstr.monad, opstr.comonoid_structure(),
+           opstr.fiber_assignment())
+
+
+def assert_same_cells(new, old, where):
+    assert new.source == old.source, where
+    assert new.target == old.target, where
+    assert new.morphism == old.morphism, where
+    for atom in old.source.span.apex:
+        assert new.components[atom] == old.components[atom], (where, atom)
+
+
+def test_restricted_chains_match_the_fully_built_ones(monkeypatch):
+    chains = []
+    def recording(u, v, transport=()):
+        chains.append(v)
+        return eq2(u, v, transport)
+    monkeypatch.setattr(hs, "eq2", recording)
+    outcomes = set()
+    for name, mp, c, fibers in chain_inputs():
+        if fibers is None:
+            del chains[:]
+            report = check_opmonoidal(mp, c)
+            t, mu2, _ = mp.cells
+            delta2, _ = comonoid_cells(ComonoidLabeledCell(
+                t, dict(c.delta), dict(c.eps)))
+            lhs, old = vcomp2(delta2, mu2), full_bimonoid_chain(mp, c)
+            assert_same_cells(chains[0], old, name)
+            verdict, expected = eq2(lhs, chains[0]), eq2(lhs, old)
+            assert bool(verdict) == bool(expected), name
+            assert verdict.witness == expected.witness, name
+            square = "multiplication respects comultiplication"
+            assert (square in dict(report.failures)) == (not expected), name
+            outcomes.add(("square", bool(expected)))
+        for side in ("left", "right"):
+            new = hs._fusion(mp, c, fibers, side)
+            old = full_fusion(mp, c, fibers, side)
+            assert_same_cells(new, old, (name, side))
+            new_inv, old_inv = invert_cell2(new), invert_cell2(old)
+            assert bool(new_inv) == bool(old_inv), (name, side)
+            assert new_inv.witness == old_inv.witness, (name, side)
+            outcomes.add((side, bool(old_inv)))
+    assert outcomes == {(kind, ok) for kind in ("square", "left", "right")
+                        for ok in (True, False)}
+
+
+def largest_span_built(monkeypatch, run):
+    """The largest apex of a span that run() builds, through the checking
+    constructor or the trusted path."""
+    sizes = []
+    check = fs.Span.__post_init__
+    def checked(span):
+        sizes.append(len(span.apex))
+        check(span)
+    monkeypatch.setattr(fs.Span, "__post_init__", checked)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfspan.") and hasattr(module, "_trusted"):
+            def trusted(cls, *values, _original=module._trusted):
+                value = _original(cls, *values)
+                if cls is fs.Span:
+                    sizes.append(len(value.apex))
+                return value
+            monkeypatch.setattr(module, "_trusted", trusted)
+    run()
+    return max(sizes)
+
+
+@pytest.mark.parametrize("build, ends", [
+    (lambda: constant_unit_presentation(*cyclic_group(8)), 64),
+    (lambda: indiscrete_enriched(["a", "b", "c", "d", "e"]), 125)],
+    ids=["Z8 constant unit", "indiscrete on 5"])
+def test_law_chains_build_no_span_larger_than_their_ends(build, ends,
+                                                         monkeypatch):
+    # Fully built, the bimonoid square on Z_8 passed through 4096-atom
+    # stages, and the fusion chains on five objects through 3125.
+    pres = build()
+    mp, c = pres.monad, pres.comonoid_structure()
+    def run():
+        assert check_opmonoidal(mp, c).ok
+        assert invert_cell2(left_fusion(mp, c))
+        assert invert_cell2(right_fusion(mp, c))
+    assert largest_span_built(monkeypatch, run) == ends
 
 
 def test_groups_are_hopf_and_braiding_does_not_obstruct():

@@ -6,8 +6,9 @@ running its constructor's checks.  Here it is patched back to the
 constructor in every module that binds it, and the goldens, the
 acceptance inputs and generated chains of composites are built again:
 no constructor may raise, and every composite must equal the one the
-trusted path built.  Two mutant composites show that the mode catches
-what the trusted path lets through.
+trusted path built.  That includes the law chains whose later stages
+are built only on the atoms their source reaches.  Mutant composites
+show that the mode catches what the trusted path lets through.
 """
 
 import inspect
@@ -17,10 +18,13 @@ import pytest
 
 import test_acceptance
 import test_golden
+import test_hopf_structures
 from hopfspan import cat_backend as cb
 from hopfspan import finset_span as fs
+from hopfspan import hopf_structures as hs
 from hopfspan import spanv_core as sc
-from hopfspan.cat_backend import CatError, FinCategory, FunctorData
+from hopfspan.cat_backend import CatError, FinCategory, FunctorData, \
+    NatTransData
 from hopfspan.finset_span import FinFn, SpanError
 from hopfspan.spanv_core import (
     VectBackend, hcomp1, hcomp2, identity_cell2, product_functor,
@@ -148,6 +152,25 @@ def functor_chains():
     return products, build
 
 
+def law_chains():
+    """The bimonoid square's report and both fusion cells on the inputs
+    of the restricted-chain differential test, built on the atoms their
+    sources reach."""
+    built = []
+    for _, mp, c, fibers in test_hopf_structures.chain_inputs():
+        if fibers is None:
+            built.append(hs.check_opmonoidal(mp, c).failures)
+        built += [hs._fusion(mp, c, fibers, side)
+                  for side in ("left", "right")]
+    return built
+
+
+def test_restricted_chains_agree_in_checking_mode(monkeypatch):
+    trusted = law_chains()
+    enter_checking_mode(monkeypatch)
+    assert law_chains() == trusted
+
+
 def test_functor_chains_agree_in_checking_mode(monkeypatch):
     _, build = functor_chains()
     trusted = build()
@@ -176,6 +199,51 @@ def test_checking_mode_catches_a_then_that_drops_the_mmap(monkeypatch):
     enter_checking_mode(monkeypatch)
     with pytest.raises(CatError, match="endpoints"):
         f.then(g)
+
+
+def vcomp_dropping_a_component(self, other, _vcomp=NatTransData.vcomp):
+    """A mutant NatTransData.vcomp that leaves out its first component."""
+    n = _vcomp(self, other)
+    components = dict(n.components)
+    del components[next(iter(components))]
+    return cb._trusted(NatTransData, n.source, n.target, components)
+
+
+def compose_spans_swapping_restricted_legs(b, a, pairs=None):
+    """A mutant compose_spans whose sub-spans on given pairs have their
+    legs trade places."""
+    span = fs.compose_spans(b, a, pairs)
+    if pairs is None:
+        return span
+    return fs._trusted(fs.Span, span.src, span.tgt, span.apex,
+                       span.right, span.left)
+
+
+def test_checking_mode_catches_a_vcomp_that_drops_a_component(monkeypatch):
+    products, _ = functor_chains()
+    n = cb.NatTransData.identity(products[1])
+    monkeypatch.setattr(NatTransData, "vcomp", vcomp_dropping_a_component)
+    assert len(n.vcomp(n).components) == len(n.components) - 1
+    enter_checking_mode(monkeypatch)
+    with pytest.raises(CatError, match="component missing"):
+        n.vcomp(n)
+
+
+def test_checking_mode_catches_a_wrong_restricted_leg(monkeypatch):
+    rng = seeded(3)
+    be = VectBackend(BraidParam(1))
+    b, a = random_composable_vect_cell1s(rng, be, 2)
+    while len(b.tgt.carrier) == len(a.src.carrier):
+        b, a = random_composable_vect_cell1s(rng, be, 2)
+    atoms = hcomp1(b, a).span.apex.elements[::2]
+    monkeypatch.setattr(sc, "compose_spans",
+                        compose_spans_swapping_restricted_legs)
+    hcomp1(b, a)
+    hcomp1(b, a, atoms)  # the trusted path lets it through
+    enter_checking_mode(monkeypatch)
+    hcomp1(b, a)
+    with pytest.raises(SpanError, match="left leg"):
+        hcomp1(b, a, atoms)
 
 
 def test_checking_mode_catches_swapped_span_legs(monkeypatch):
