@@ -68,6 +68,7 @@ from .spanv_core import (
     invert_cell2,
     left_unitor_cell2,
     onto_image,
+    part,
     product_category,
     product_functor,
     relabel_cell2,
@@ -268,7 +269,7 @@ def _fusion(p, c, fibers, side):
 
     def whiskered(step):
         """1_m o step, with step built on the atoms it is applied at."""
-        return lambda s: hcomp2(one_m, step([x for _, x in s]), s)
+        return lambda s: hcomp2(one_m, step(part(s, 1)), s)
 
     return chain(
         hcomp2(onto_image(binary), identity_cell2(pair)), binary.target,

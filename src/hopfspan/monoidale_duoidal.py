@@ -34,7 +34,7 @@ from .spanv_core import (
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
     relabel_cell2, regroup, interchange_atoms, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2, invert_cell2,
-    eq2, part, image,
+    eq2, part, image_atoms,
 )
 
 
@@ -583,7 +583,7 @@ def star2(v, u, atoms=None):
     source = star1(v.source, u.source, atoms)
     fv, fu = v.morphism.map, u.morphism.map
     fn = lambda t: (fv(t[0]), fu(t[1]))
-    target = star1(v.target, u.target, image(fn, source, atoms))
+    target = star1(v.target, u.target, image_atoms(fn, source, atoms))
     be = source.backend
     m, d = _diagonal_labels(v.source)
     one_m, one_d = be.id2(m), be.id2(d)
@@ -666,7 +666,7 @@ def duoidal_interchange(a, b, h, d, atoms=None):
     be = a.backend
     lhs = hcomp1(star1(a, b, part(atoms, 0)), star1(h, d, part(atoms, 1)),
                  atoms)
-    onto = image(interchange_atoms, lhs, atoms)
+    onto = image_atoms(interchange_atoms, lhs, atoms)
     rhs = star1(hcomp1(a, h, part(onto, 0)), hcomp1(b, d, part(onto, 1)),
                 onto)
     comps = {((p, q), (v, w)): be.mid4(a.label[p], b.label[q],

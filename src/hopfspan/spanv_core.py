@@ -552,7 +552,7 @@ def part(atoms, i):
     return None if atoms is None else [x[i] for x in atoms]
 
 
-def image(fn, cell, atoms):
+def image_atoms(fn, cell, atoms):
     """Where fn sends the apex of cell, built on atoms; None (all of the
     target) when atoms is None."""
     return None if atoms is None else [fn(x) for x in cell.span.apex]
@@ -562,7 +562,7 @@ def associator_cell2(c, b, a, atoms=None):
     """(c o b) o a => c o (b o a), identity components; given source
     atoms, built on just those, into their image."""
     source = hcomp1(hcomp1(c, b, part(atoms, 0)), a, atoms)
-    onto = image(regroup, source, atoms)
+    onto = image_atoms(regroup, source, atoms)
     return relabel_cell2(source, hcomp1(c, hcomp1(b, a, part(onto, 1)), onto),
                          regroup)
 
@@ -589,7 +589,7 @@ def interchange_cell2(f, g, h, k, atoms=None):
     """
     lhs = hcomp1(tensor1(f, g, part(atoms, 0)), tensor1(h, k, part(atoms, 1)),
                  atoms)
-    onto = image(interchange_atoms, lhs, atoms)
+    onto = image_atoms(interchange_atoms, lhs, atoms)
     rhs = tensor1(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
                   onto)
     be = lhs.backend
