@@ -400,10 +400,10 @@ def _antipode_rows(p, c, h, g):
     row-major, and the targets eta eps in the last column.
 
     Both squares are linear in sigma, so the coefficient of sigma[i][q]
-    is a sum over p of one entry of mu times one entry of delta: with
-    a = dim(h) and b = dim(g), mu[(h, g)] at column p*b + i with delta[h]
-    at row p*a + q, and mu[(g, h)] at column i*a + p with delta[h] at
-    row q*a + p.
+    is a sum over x of one entry of mu times one entry of delta: with
+    a = dim(h) and b = dim(g), mu[(h, g)] at column x*b + i with delta[h]
+    at row x*a + q, and mu[(g, h)] at column i*a + x with delta[h] at
+    row q*a + x.
     """
     be, d = p.backend, p.shape
     a, b = p.mor_label[h].dim, p.mor_label[g].dim

@@ -17,6 +17,13 @@ horizontal, vertical and tensor composites of checked cells are built
 without those checks (finset_span._trusted), once the boundary they
 compose across has been checked; cell2_along and relabel_cell2 keep them,
 since their atom map is arbitrary.
+
+A 2-cell read at a source atom needs its target only at that atom's
+image.  So the composites and coherence cells a law passes through can
+be built on given source atoms, into the sub-span of their target that
+those atoms reach (a sub-span of a 1-cell, with its legs and labels
+restricted, is a 1-cell: restrict1), and chain composes such stages,
+each on the image of the one before.
 """
 
 from dataclasses import dataclass, field
