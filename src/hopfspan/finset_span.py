@@ -236,8 +236,8 @@ def compose_spans(b, a, pairs=None):
     enumerated lexicographically in (index of d, index of c): a.apex is
     bucketed by a.left in apex order, and each d takes its bucket.  Given
     pairs (some matched pairs, in any order, repeats allowed), the apex
-    is just those, in the same order: the sub-span they make up, built
-    without the rest of the pullback.
+    is just those, ordered as in the full pullback: the sub-span they
+    make up, built without the rest of it.
     """
     if b.src != a.tgt:
         raise SpanError(

@@ -549,7 +549,7 @@ def star1(b, a, atoms=None):
     order of the pullback composite m o (b . a) o d.  The label at (c, h)
     is m o (b(c) . a(h)) o d.  Over a one-object base this is just the
     label tensor.  Given atoms (some such pairs, in any order), the apex
-    is just those, in the same order."""
+    is just those, ordered as in the full apex."""
     if b.src != a.src or b.tgt != a.tgt:
         raise SpanVError("convolution needs parallel 1-cells")
     be = b.backend
