@@ -51,6 +51,7 @@ _NEEDS_COMONOID = ("opmonoidal", "hopf", "antipode", "duoidal")
 _NEEDS_ANTIPODE = ("antipode", "duoidal")
 _POLYAD_CHECKS = ("monad", "hopf")
 _MONAD_LAWS = ("associativity", "left unit", "right unit")
+_MAX_BRAID_BITS = 1 << 16
 
 
 class InputError(Exception):
@@ -166,11 +167,24 @@ def _share(f, shared):
     return shared.setdefault(f, f)
 
 
-def _load_braiding(doc, path):
+def _load_braiding(doc, path, objects):
     value = _fraction(doc.get("q", "1"), path + ".q")
     if value == 0:
         _fail(path + ".q", "braiding parameter must be nonzero")
+    _bound_braiding(value, objects, path + ".q")
     return VectBackend(vb.BraidParam(value))
+
+
+def _bound_braiding(q, objects, path):
+    """Refuse a q other than 1 or -1 when its exact power q^(g * g') for
+    the largest grades of objects, which the braiding computes, would
+    pass _MAX_BRAID_BITS bits: that alone can exhaust memory."""
+    top = max(abs(g) for obj in objects for g in obj.grades())
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    if abs(q) != 1 and top * top * bits > _MAX_BRAID_BITS:
+        _fail(path, "q = %s and grade %d give braiding powers of %d bits, "
+                    "over the %d-bit bound" % (q, top, top * top * bits,
+                                               _MAX_BRAID_BITS))
 
 
 def _comonoid_blocks(doc, keys, label_of, lookup, path, shared):
@@ -288,7 +302,7 @@ def _load_group(doc, path):
     _exact_keys(labels_doc, elements, path + ".labels")
     labels = {a: _vobject(labels_doc[a], "%s.labels.%s" % (path, a))
               for a in elements}
-    backend = _load_braiding(doc, path)
+    backend = _load_braiding(doc, path, labels.values())
     shared = {}
     lookup = _NestedLookup(doc, path, [elements, elements])
     lookup.validate("mu")
@@ -346,7 +360,7 @@ def _load_enriched(doc, path):
     nested.validate("hom")
     hom = {(x, y): _vobject(nested("hom", (x, y)), nested.path("hom", (x, y)))
            for (x, y) in pairs}
-    backend = _load_braiding(doc, path)
+    backend = _load_braiding(doc, path, hom.values())
     shared = {}
     triple = _NestedLookup(doc, path, [objects, objects, objects])
     triple.validate("mu")
@@ -389,11 +403,15 @@ _POLYAD_REQUIRED = ("format_version", "kind", "backend", "construction",
                     "probes", "source")
 
 
-def _load_probes_doc(value, path):
+def _load_probes_doc(value, path, pres):
+    """The probe objects, which the image braids with the labels of pres."""
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of probe objects")
-    return tuple(_vobject(entry, "%s[%d]" % (path, i))
-                 for i, entry in enumerate(value))
+    probes = tuple(_vobject(entry, "%s[%d]" % (path, i))
+                   for i, entry in enumerate(value))
+    _bound_braiding(pres.backend.q.q, probes + tuple(
+        pres.monad.mor_label.values()), path)
+    return probes
 
 
 def _load_polyad(doc, path):
@@ -403,11 +421,12 @@ def _load_polyad(doc, path):
     if doc["construction"] != "tensor_image":
         _fail(path + ".construction",
               "unknown construction %r" % (doc["construction"],))
-    probes = _load_probes_doc(doc["probes"], path + ".probes")
     source = load_document(doc["source"], path + ".source")
     if source.presentation.delta is None:
         _fail(path + ".source", "a polyad export needs delta and eps "
                                 "(grouplike: true also works)")
+    probes = _load_probes_doc(doc["probes"], path + ".probes",
+                              source.presentation)
     return LoadedFile("polyad", doc, source.presentation, source.synthesized,
                       probes)
 
@@ -441,6 +460,9 @@ def _read_json(filename):
         return json.loads(text)
     except json.JSONDecodeError as error:
         raise InputError("%s: invalid JSON: %s" % (filename, error))
+    except ValueError:
+        # An integer literal past the digit limit of int().
+        raise InputError("%s: JSON integer too long to read" % filename)
     except RecursionError:
         raise InputError("%s: JSON nested too deeply to read" % filename)
 
@@ -679,7 +701,7 @@ def cmd_export_polyad(args):
         raise InputError("a polyad export needs delta and eps "
                          "(grouplike: true also works)")
     probes_doc = _read_json(args.probes)
-    probes = _load_probes_doc(probes_doc, args.probes)
+    probes = _load_probes_doc(probes_doc, args.probes, loaded.presentation)
     report, _, _ = hs.image_polyad_report(loaded.presentation, list(probes))
     if not report.ok:
         out = {

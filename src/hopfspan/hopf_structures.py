@@ -6,6 +6,9 @@ pair and a unit 2-cell per object.  The total 1-cell keeps the morphism
 set as apex with the target and source maps as legs, so the apex of its
 self-composite is exactly the set of composable pairs and each monad
 axiom reduces to one base equation per composable triple or morphism.
+Every law equation here is recorded through CheckReport, which decides
+a base equation once per distinct pair of operands: the triples of a
+presentation whose mu entries are one shared matrix are one decision.
 
 Over the one-object graded base, labels with per-morphism comonoid
 structure make the presentation an opmonoidal monad on the induced
@@ -136,26 +139,20 @@ def check_monad(p):
     lab = p.mor_label
     for (h, k) in d.composable_pairs():
         for l in d.morphisms:
-            if d.src(k) != d.tgt(l):
-                continue
-            left = be.vcomp(p.mu[(d.compose(h, k), l)],
-                            be.comp2(p.mu[(h, k)], be.id2(lab[l])))
-            right = be.vcomp(p.mu[(h, d.compose(k, l))],
-                             be.comp2(be.id2(lab[h]), p.mu[(k, l)]))
-            if not be.eq2(left, right):
-                report.fail("associativity",
-                            ((h, k, l), be.first_diff(left, right)))
+            if d.src(k) == d.tgt(l):
+                report.equal(
+                    "associativity", (h, k, l), be,
+                    be.vcomp(p.mu[(d.compose(h, k), l)],
+                             be.comp2(p.mu[(h, k)], be.id2(lab[l]))),
+                    be.vcomp(p.mu[(h, d.compose(k, l))],
+                             be.comp2(be.id2(lab[h]), p.mu[(k, l)])))
     for h in d.morphisms:
         one = be.id2(lab[h])
         x, y = d.src(h), d.tgt(h)
-        left = be.vcomp(p.mu[(d.identities(y), h)],
-                        be.comp2(p.eta[y], one))
-        if not be.eq2(left, one):
-            report.fail("left unit", (h, be.first_diff(left, one)))
-        right = be.vcomp(p.mu[(h, d.identities(x))],
-                         be.comp2(one, p.eta[x]))
-        if not be.eq2(right, one):
-            report.fail("right unit", (h, be.first_diff(right, one)))
+        report.equal("left unit", h, be, be.vcomp(
+            p.mu[(d.identities(y), h)], be.comp2(p.eta[y], one)), one)
+        report.equal("right unit", h, be, be.vcomp(
+            p.mu[(h, d.identities(x))], be.comp2(one, p.eta[x])), one)
     return report
 
 
@@ -211,24 +208,17 @@ def check_opmonoidal(p, c):
     delta2, eps2 = comonoid_cells(com)
     units = duoidal_units(p.shape.objects, be)
     reached = onto_image(delta2)
-    verdict = eq2(vcomp2(delta2, mu2),
-                  chain(hcomp2(reached, reached), delta2.target,
-                        lambda s: duoidal_interchange(t, t, t, t, s),
-                        lambda s: star2(mu2, mu2, s)))
-    if not verdict:
-        report.fail("multiplication respects comultiplication",
-                    verdict.witness)
-    verdict = eq2(vcomp2(eps2, mu2),
-                  vcomp2(units.mu_j, hcomp2(eps2, eps2)))
-    if not verdict:
-        report.fail("multiplication respects counit", verdict.witness)
-    verdict = eq2(vcomp2(delta2, eta2),
-                  vcomp2(star2(eta2, eta2), units.delta_i))
-    if not verdict:
-        report.fail("unit respects comultiplication", verdict.witness)
-    verdict = eq2(vcomp2(eps2, eta2), units.iota_ij)
-    if not verdict:
-        report.fail("unit respects counit", verdict.witness)
+    report.holds("multiplication respects comultiplication", eq2(
+        vcomp2(delta2, mu2),
+        chain(hcomp2(reached, reached), delta2.target,
+              lambda s: duoidal_interchange(t, t, t, t, s),
+              lambda s: star2(mu2, mu2, s))))
+    report.holds("multiplication respects counit", eq2(
+        vcomp2(eps2, mu2), vcomp2(units.mu_j, hcomp2(eps2, eps2))))
+    report.holds("unit respects comultiplication", eq2(
+        vcomp2(delta2, eta2), vcomp2(star2(eta2, eta2), units.delta_i)))
+    report.holds("unit respects counit",
+                 eq2(vcomp2(eps2, eta2), units.iota_ij))
     return report
 
 
@@ -370,8 +360,7 @@ def _antipode_axioms(p, c, sigma):
             continue
         squares = _antipode_squares(p, c, h, g, sigma[h])
         for law, (lhs, unit) in zip(_SQUARE_LAWS, squares):
-            if not be.eq2(lhs, unit):
-                report.fail(law, (h, be.first_diff(lhs, unit)))
+            report.equal(law, h, be, lhs, unit)
     return report
 
 
@@ -552,10 +541,8 @@ def _assembled_antipode(p, c, sigma):
         swapped = cell2_along(doubled, mu2.source, onto, swap)
         counit = Cell2(source, units, SpanMorphism.identity(span), c.eps)
         collapse = relabel_cell2(units, eta2.source, leg)
-        verdict = eq2(vcomp2(mu2, vcomp2(swapped, comult)),
-                      vcomp2(eta2, vcomp2(collapse, counit)))
-        if not verdict:
-            report.fail(law, verdict.witness)
+        report.holds(law, eq2(vcomp2(mu2, vcomp2(swapped, comult)),
+                              vcomp2(eta2, vcomp2(collapse, counit))))
     return report
 
 
@@ -1456,25 +1443,18 @@ class EnrichedModule:
 
 
 def _enriched_module_squares(e, m, report, tag):
-    X = e.objects
-    for x in X:
-        for y in X:
-            for z in X:
-                for u in X:
-                    lhs = m.psi[(x, z, u)].compose(
-                        vb.tensor_mor(e.mu[(x, y, z)],
-                                      vb.VMorphism.identity(m.v[(z, u)])))
-                    rhs = m.psi[(x, y, u)].compose(
-                        vb.tensor_mor(vb.VMorphism.identity(e.hom[(x, y)]),
-                                      m.psi[(y, z, u)]))
-                    if lhs != rhs:
-                        report.fail(tag + " associativity", (x, y, z, u))
-    for x in X:
-        for y in X:
-            lhs = m.psi[(x, x, y)].compose(
-                vb.tensor_mor(e.eta[x], vb.VMorphism.identity(m.v[(x, y)])))
-            if lhs != vb.VMorphism.identity(m.v[(x, y)]):
-                report.fail(tag + " unit", (x, y))
+    X, be = e.objects, e.backend
+    for x, y, z, u in itertools.product(X, repeat=4):
+        report.equal(tag + " associativity", (x, y, z, u), be,
+                     m.psi[(x, z, u)].compose(vb.tensor_mor(
+                         e.mu[(x, y, z)], vb.VMorphism.identity(m.v[(z, u)]))),
+                     m.psi[(x, y, u)].compose(vb.tensor_mor(
+                         vb.VMorphism.identity(e.hom[(x, y)]),
+                         m.psi[(y, z, u)])))
+    for x, y in itertools.product(X, repeat=2):
+        one = vb.VMorphism.identity(m.v[(x, y)])
+        report.equal(tag + " unit", (x, y), be, m.psi[(x, x, y)].compose(
+            vb.tensor_mor(e.eta[x], one)), one)
 
 
 def enriched_module_product(e, a, b):
@@ -1508,17 +1488,12 @@ def check_enriched_module(e, m, other=None, morphism=None):
     _enriched_module_squares(e, m, report, "module")
     partner = other if other is not None else m
     if morphism is not None:
-        X = e.objects
-        for x in X:
-            for y in X:
-                for z in X:
-                    lhs = partner.psi[(x, y, z)].compose(
-                        vb.tensor_mor(
-                            vb.VMorphism.identity(e.hom[(x, y)]),
-                            morphism[(y, z)]))
-                    rhs = morphism[(x, z)].compose(m.psi[(x, y, z)])
-                    if lhs != rhs:
-                        report.fail("morphism square", (x, y, z))
+        for x, y, z in itertools.product(e.objects, repeat=3):
+            report.equal("morphism square", (x, y, z), e.backend,
+                         partner.psi[(x, y, z)].compose(vb.tensor_mor(
+                             vb.VMorphism.identity(e.hom[(x, y)]),
+                             morphism[(y, z)])),
+                         morphism[(x, z)].compose(m.psi[(x, y, z)]))
     if other is not None:
         _enriched_module_squares(e, other, report, "partner")
     _enriched_module_squares(e, enriched_module_product(e, m, partner),

@@ -236,9 +236,7 @@ def check_monoidale(mon):
         except SpanVError as e:
             report.fail(name + " forced", str(e))
             continue
-        verdict = eq2(cell, forced)
-        if not verdict:
-            report.fail(name + " canonical", verdict.witness)
+        report.holds(name + " canonical", eq2(cell, forced))
     if not report.ok:
         return report
 
@@ -261,8 +259,7 @@ def check_monoidale(mon):
         verdict = eq2(vcomp2(t, r1), r2)
     except SpanVError as e:
         verdict = Verdict(False, witness=str(e))
-    if not verdict:
-        report.fail("pentagon", verdict.witness)
+    report.holds("pentagon", verdict)
 
     w = hcomp1(hcomp1(mon.m, tensor1(mon.m, idc)),
                tensor1(tensor1(idc, mon.u), idc))
@@ -276,8 +273,7 @@ def check_monoidale(mon):
         verdict = eq2(vcomp2(tt, ra), rb)
     except SpanVError as e:
         verdict = Verdict(False, witness=str(e))
-    if not verdict:
-        report.fail("triangle", verdict.witness)
+    report.holds("triangle", verdict)
     return report
 
 
@@ -378,12 +374,10 @@ def check_adjunction_triangles(adj):
     for name, left, right, unit, counit in [
             ("m", adj.m_star, mon.m, adj.m_unit, adj.m_counit),
             ("u", adj.u_star, mon.u, adj.u_unit, adj.u_counit)]:
-        verdict = _triangle_left(left, right, unit, counit)
-        if not verdict:
-            report.fail(name + "-adjunction left triangle", verdict.witness)
-        verdict = _triangle_right(left, right, unit, counit)
-        if not verdict:
-            report.fail(name + "-adjunction right triangle", verdict.witness)
+        report.holds(name + "-adjunction left triangle",
+                     _triangle_left(left, right, unit, counit))
+        report.holds(name + "-adjunction right triangle",
+                     _triangle_right(left, right, unit, counit))
     return report
 
 
@@ -519,9 +513,7 @@ def check_frobenius(X, be, adj=None):
             if not res:
                 report.fail("%s comparison invertible (%s)"
                             % (side, convention), res.witness)
-        verdict = eq2(*cells)
-        if not verdict:
-            report.fail(side + " mate conventions agree", verdict.witness)
+        report.holds(side + " mate conventions agree", eq2(*cells))
     return report
 
 
@@ -694,33 +686,25 @@ def check_duoidal(un, cells):
 
     left = vcomp2(un.mu_j, hcomp2(un.mu_j, identity_cell2(j)))
     right = vcomp2(un.mu_j, hcomp2(identity_cell2(j), un.mu_j))
-    verdict = eq2(vcomp2(right, associator_cell2(j, j, j)), left)
-    if not verdict:
-        report.fail("J multiplication associative", verdict.witness)
-    verdict = eq2(vcomp2(un.mu_j, hcomp2(un.iota_ij, identity_cell2(j))),
-                  left_unitor_cell2(j))
-    if not verdict:
-        report.fail("J left unit", verdict.witness)
-    verdict = eq2(vcomp2(un.mu_j, hcomp2(identity_cell2(j), un.iota_ij)),
-                  right_unitor_cell2(j))
-    if not verdict:
-        report.fail("J right unit", verdict.witness)
+    report.holds("J multiplication associative",
+                 eq2(vcomp2(right, associator_cell2(j, j, j)), left))
+    report.holds("J left unit", eq2(
+        vcomp2(un.mu_j, hcomp2(un.iota_ij, identity_cell2(j))),
+        left_unitor_cell2(j)))
+    report.holds("J right unit", eq2(
+        vcomp2(un.mu_j, hcomp2(identity_cell2(j), un.iota_ij)),
+        right_unitor_cell2(j)))
 
     left = vcomp2(star2(un.delta_i, identity_cell2(i)), un.delta_i)
     right = vcomp2(star2(identity_cell2(i), un.delta_i), un.delta_i)
-    verdict = eq2(left, right, transport=(star_associator_cell2(i, i, i),))
-    if not verdict:
-        report.fail("I comultiplication coassociative", verdict.witness)
-    verdict = eq2(vcomp2(star2(un.iota_ij, identity_cell2(i)), un.delta_i),
-                  identity_cell2(i),
-                  transport=(star_left_unitor_cell2(i),))
-    if not verdict:
-        report.fail("I left counit", verdict.witness)
-    verdict = eq2(vcomp2(star2(identity_cell2(i), un.iota_ij), un.delta_i),
-                  identity_cell2(i),
-                  transport=(star_right_unitor_cell2(i),))
-    if not verdict:
-        report.fail("I right counit", verdict.witness)
+    report.holds("I comultiplication coassociative", eq2(
+        left, right, transport=(star_associator_cell2(i, i, i),)))
+    report.holds("I left counit", eq2(
+        vcomp2(star2(un.iota_ij, identity_cell2(i)), un.delta_i),
+        identity_cell2(i), transport=(star_left_unitor_cell2(i),)))
+    report.holds("I right counit", eq2(
+        vcomp2(star2(identity_cell2(i), un.iota_ij), un.delta_i),
+        identity_cell2(i), transport=(star_right_unitor_cell2(i),)))
 
     for offset in range(min(len(cells), 3)):
         a, b, h, d, f, e = _take(cells, 6, offset)
@@ -733,12 +717,10 @@ def check_duoidal(un, cells):
             vcomp2(hcomp2(identity_cell2(star1(a, b)),
                           duoidal_interchange(h, d, f, e)),
                    associator_cell2(star1(a, b), star1(h, d), star1(f, e))))
-        verdict = eq2(route1, route2,
-                      transport=(star2(associator_cell2(a, h, f),
-                                       associator_cell2(b, d, e)),))
-        if not verdict:
-            report.fail("interchange vs composition associativity",
-                        (offset, verdict.witness))
+        report.holds("interchange vs composition associativity", eq2(
+            route1, route2, transport=(star2(associator_cell2(a, h, f),
+                                             associator_cell2(b, d, e)),)),
+            offset)
 
         a, b, c, h, d, e = _take(cells, 6, offset + 1)
         route1 = vcomp2(
@@ -751,50 +733,37 @@ def check_duoidal(un, cells):
             vcomp2(duoidal_interchange(a, star1(b, c), h, star1(d, e)),
                    hcomp2(star_associator_cell2(a, b, c),
                           star_associator_cell2(h, d, e))))
-        verdict = eq2(route1, route2,
-                      transport=(star_associator_cell2(
-                          hcomp1(a, h), hcomp1(b, d), hcomp1(c, e)),))
-        if not verdict:
-            report.fail("interchange vs convolution associativity",
-                        (offset, verdict.witness))
+        report.holds("interchange vs convolution associativity", eq2(
+            route1, route2, transport=(star_associator_cell2(
+                hcomp1(a, h), hcomp1(b, d), hcomp1(c, e)),)), offset)
 
     for offset in range(min(len(cells), 4)):
         a, b = _take(cells, 2, offset)
         ab_star = star1(a, b)
         cell = vcomp2(duoidal_interchange(a, b, i, i),
                       hcomp2(identity_cell2(ab_star), un.delta_i))
-        verdict = eq2(vcomp2(star2(right_unitor_cell2(a),
-                                   right_unitor_cell2(b)), cell),
-                      right_unitor_cell2(ab_star))
-        if not verdict:
-            report.fail("interchange vs I on the right",
-                        (offset, verdict.witness))
+        report.holds("interchange vs I on the right", eq2(
+            vcomp2(star2(right_unitor_cell2(a), right_unitor_cell2(b)),
+                   cell), right_unitor_cell2(ab_star)), offset)
         cell = vcomp2(duoidal_interchange(i, i, a, b),
                       hcomp2(un.delta_i, identity_cell2(ab_star)))
-        verdict = eq2(vcomp2(star2(left_unitor_cell2(a),
-                                   left_unitor_cell2(b)), cell),
-                      left_unitor_cell2(ab_star))
-        if not verdict:
-            report.fail("interchange vs I on the left",
-                        (offset, verdict.witness))
+        report.holds("interchange vs I on the left", eq2(
+            vcomp2(star2(left_unitor_cell2(a), left_unitor_cell2(b)),
+                   cell), left_unitor_cell2(ab_star)), offset)
 
         ab = hcomp1(a, b)
         cell = vcomp2(star2(identity_cell2(ab), un.mu_j),
                       duoidal_interchange(a, j, b, j))
-        verdict = eq2(vcomp2(star_right_unitor_cell2(ab), cell),
-                      hcomp2(star_right_unitor_cell2(a),
-                             star_right_unitor_cell2(b)))
-        if not verdict:
-            report.fail("interchange vs J on the right",
-                        (offset, verdict.witness))
+        report.holds("interchange vs J on the right", eq2(
+            vcomp2(star_right_unitor_cell2(ab), cell),
+            hcomp2(star_right_unitor_cell2(a), star_right_unitor_cell2(b))),
+            offset)
         cell = vcomp2(star2(un.mu_j, identity_cell2(ab)),
                       duoidal_interchange(j, a, j, b))
-        verdict = eq2(vcomp2(star_left_unitor_cell2(ab), cell),
-                      hcomp2(star_left_unitor_cell2(a),
-                             star_left_unitor_cell2(b)))
-        if not verdict:
-            report.fail("interchange vs J on the left",
-                        (offset, verdict.witness))
+        report.holds("interchange vs J on the left", eq2(
+            vcomp2(star_left_unitor_cell2(ab), cell),
+            hcomp2(star_left_unitor_cell2(a), star_left_unitor_cell2(b))),
+            offset)
     return report
 
 
@@ -832,14 +801,13 @@ def check_comonoid(com):
         p = com.cell.label[h]
         d, e = com.delta[h], com.eps[h]
         one = be.id2(p)
-        left = be.vcomp(be.tensor2v(d, one), d)
-        right = be.vcomp(be.tensor2v(one, d), d)
-        if not be.eq2(left, right):
-            report.fail("coassociativity", (h, be.first_diff(left, right)))
-        if not be.eq2(be.vcomp(be.tensor2v(e, one), d), one):
-            report.fail("left counit", h)
-        if not be.eq2(be.vcomp(be.tensor2v(one, e), d), one):
-            report.fail("right counit", h)
+        report.equal("coassociativity", h, be,
+                     be.vcomp(be.tensor2v(d, one), d),
+                     be.vcomp(be.tensor2v(one, d), d))
+        report.equal("left counit", h, be,
+                     be.vcomp(be.tensor2v(e, one), d), one)
+        report.equal("right counit", h, be,
+                     be.vcomp(be.tensor2v(one, e), d), one)
     return report
 
 
@@ -903,16 +871,12 @@ def zunino_check(X, be, cells):
         if not res:
             report.fail("braiding invertible", (k, res.witness))
 
-        bc = star1(b, c)
-        direct = zunino_braiding(a, bc)
+        direct = zunino_braiding(a, star1(b, c))
         onestep = vcomp2(
             invert_cell2(star_associator_cell2(b, c, a)).inverse,
             vcomp2(star2(identity_cell2(b), zunino_braiding(a, c)),
                    vcomp2(star_associator_cell2(b, a, c),
-                          star2(zunino_braiding(a, b),
-                                identity_cell2(c)))))
-        lhs = vcomp2(direct, star_associator_cell2(a, b, c))
-        verdict = eq2(lhs, onestep)
-        if not verdict:
-            report.fail("hexagon", (k, verdict.witness))
+                          star2(braid, identity_cell2(c)))))
+        report.holds("hexagon", eq2(
+            vcomp2(direct, star_associator_cell2(a, b, c)), onestep), k)
     return report

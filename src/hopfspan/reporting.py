@@ -1,4 +1,7 @@
-"""Small result types shared by the checkers."""
+"""Small result types shared by the checkers, and the one rule every law
+equation goes through: CheckReport.holds records a 2-cell verdict of
+spanv_core.eq2, and CheckReport.equal decides an equation on base values
+once per distinct pair of operands."""
 
 from dataclasses import dataclass, field
 
@@ -16,10 +19,13 @@ class Verdict:
 
 @dataclass
 class CheckReport:
-    """Outcome of an axiom suite: named failures with located witnesses."""
+    """Outcome of an axiom suite: named failures with located witnesses.
+    _decided keys equal by the ids of its operands and holds both, so
+    an id is not reused while the report lives."""
 
     name: str
     failures: list = field(default_factory=list)
+    _decided: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -30,6 +36,23 @@ class CheckReport:
 
     def fail(self, law, witness):
         self.failures.append((law, witness))
+
+    def holds(self, law, verdict, *where):
+        """Record law as failed, at (*where, witness), unless verdict."""
+        if not verdict:
+            self.fail(law, (*where, verdict.witness) if where
+                      else verdict.witness)
+
+    def equal(self, law, key, be, lhs, rhs):
+        """The law lhs = rhs on base values at key, decided by backend be
+        once per distinct (lhs, rhs) pair and recorded by holds."""
+        pair = (id(lhs), id(rhs))
+        hit = self._decided.get(pair)
+        if hit is None:
+            ok = bool(be.eq2(lhs, rhs))
+            hit = self._decided[pair] = (lhs, rhs, Verdict(
+                ok, None if ok else be.first_diff(lhs, rhs)))
+        self.holds(law, hit[2], key)
 
     def merge(self, other):
         self.failures.extend(other.failures)

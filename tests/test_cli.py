@@ -11,7 +11,9 @@ import copy
 import io
 import json
 import pathlib
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,14 @@ from hopfspan import hopf_structures as hs
 from hopfspan import monoidale_duoidal as md
 from hopfspan import spanv_core as sc
 from hopfspan import vect_backend as vb
-from hopfspan.cli import canonical_json, main
+from hopfspan.cli import canonical_json, load_document, main
+
+from test_acceptance import dual_group_document, group_algebra_document, \
+    nichols_document, symmetric3
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent /
+                       "perfbench"))
+import inputs  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 Z2_FILE = str(DATA / "z2_group_algebra.json")
@@ -315,6 +324,89 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: %s: " % target)
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command, target", [("check", "file"),
+                                             ("export-polyad", "file"),
+                                             ("export-polyad", "probes")])
+def test_long_integer_literal_is_an_input_error(capsys, tmp_path, command,
+                                                target):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError.
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"format_version": %s}' % ("9" * 5000))
+    argv = [command, str(long_int) if target == "file" else Z2_FILE]
+    if command == "export-polyad":
+        argv += ["--probes",
+                 str(long_int) if target == "probes" else PROBES_FILE]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: JSON integer too long to read\n" % long_int
+
+
+def oversized_grade_documents():
+    """Each place a grade enters a braiding, with q = 2 and one grade of
+    100000: q^(10^10) would be computed exactly."""
+    group = {"format_version": 1, "kind": "group_monoid", "backend": "vect",
+             "elements": ["e", "a"], "unit": "e", "q": "2",
+             "grouplike": True,
+             "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
+             "labels": {"e": [["x", 0]], "a": [["y", 100000]]},
+             "mu": {a: {b: [["1"]] for b in "ea"} for a in "ea"},
+             "eta": [["1"]]}
+    enriched = load_doc("torsor_enriched.json")
+    enriched["q"] = "2"
+    enriched["hom"]["x"]["y"][1][1] = -100000
+    polyad = json.loads((DATA / "golden" / "z2_polyad.json").read_text())
+    polyad["source"]["q"] = "2"
+    polyad["probes"][1][0][1] = 100000
+    return [("group", group, "$.q"), ("enriched", enriched, "$.q"),
+            ("polyad", polyad, "$.probes")]
+
+
+@pytest.mark.parametrize("name, doc, path", oversized_grade_documents())
+def test_oversized_braiding_grade_is_refused_at_load(capsys, tmp_path, name,
+                                                     doc, path):
+    if name == "group":
+        assert len(json.dumps(doc)) < 400
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "check", write_doc(tmp_path, doc))
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: q = 2 and grade 100000 give braiding powers "
+                   "of 20000000000 bits, over the 65536-bit bound\n" % path)
+
+
+def test_oversized_probe_grade_is_refused_by_export(capsys, tmp_path):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps([[["p", 0]], [["r", 100000]]]))
+    z2_q2 = str(DATA / "golden" / "z2_q2.json")
+    code, out, err = run_cli(capsys, "export-polyad", z2_q2,
+                             "--probes", str(probes))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: q = 2 and grade 100000" % probes)
+    # Under q = 1 every power is 1, so no grade is refused.
+    code, _, _ = run_cli(capsys, "export-polyad", Z2_FILE,
+                         "--probes", str(probes), "--format", "json")
+    assert code == 0
+
+
+def test_every_fixture_and_generated_family_loads():
+    fixtures = [json.loads(path.read_text())
+                for path in sorted(DATA.rglob("*.json"))]
+    documents = [group_algebra_document(*hs.cyclic_group(n))
+                 for n in range(2, 9)]
+    documents += [nichols_document(n) for n in (1, 2, 3)]
+    documents.append(dual_group_document(*symmetric3()))
+    for workload in inputs.WORKLOADS:
+        _, files = inputs.generate(workload, 1)
+        documents += [json.loads(text) for text in files.values()]
+    # Reports and probe lists are not presentations.
+    documents = [doc for doc in fixtures + documents
+                 if isinstance(doc, dict) and "backend" in doc]
+    assert len(documents) > 30
+    for doc in documents:
+        load_document(doc)
 
 
 @pytest.mark.parametrize("path, entry", [("$.mu.b.e[1][2]", "1e5"),

@@ -112,23 +112,28 @@ TRUSTED = {
 }
 
 
-def trusted_readers(source):
-    """The enclosing function, as Class.method, of every read of the
-    name _trusted in source."""
-    readers = set()
+def readers(source, name):
+    """The enclosing function, as Class.method, of every read of name in
+    source, as a bare name or as an attribute."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Name) and child.id == "_trusted" \
-                        and isinstance(child.ctx, ast.Load):
-                    readers.add(".".join(scope) or "<module>")
+                read = child.id if isinstance(child, ast.Name) else \
+                    child.attr if isinstance(child, ast.Attribute) else None
+                if read == name and isinstance(child.ctx, ast.Load):
+                    found.add(".".join(scope) or "<module>")
                 visit(child, scope)
 
     visit(ast.parse(source), [])
-    return readers
+    return found
+
+
+def trusted_readers(source):
+    return readers(source, "_trusted")
 
 
 def test_trusted_readers_finds_every_read():
@@ -144,3 +149,24 @@ def test_trusted_constructors_are_called_only_where_listed():
     readers = {module: names for module, names in readers.items() if names}
     assert readers == TRUSTED
     assert not set(readers) & {"hopf_structures", "monoidale_duoidal", "cli"}
+
+
+# The readers of a backend's first_diff: the report's rule for equations
+# on base values, eq2 for 2-cells, and the graded backends' delegation
+# to the kernel.  A checker that locates a difference itself has
+# hand-rolled a law equation; it goes through CheckReport instead.
+FIRST_DIFF = {"reporting": {"CheckReport.equal"},
+              "spanv_core": {"eq2", "_GradedCells.first_diff"}}
+
+
+def test_readers_finds_attribute_reads():
+    source = ("def f(be):\n    return be.first_diff(1, 2)\n"
+              "class B:\n    def first_diff(self):\n        pass\n")
+    assert readers(source, "first_diff") == {"f"}
+
+
+def test_first_diff_is_read_only_by_the_law_rule_and_eq2():
+    found = {p.stem: readers(p.read_text(), "first_diff")
+             for p in PACKAGE.glob("*.py")}
+    assert {module: names for module, names in found.items() if names} == \
+        FIRST_DIFF

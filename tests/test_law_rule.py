@@ -1,0 +1,334 @@
+"""The one law rule of CheckReport against the per-key loops it replaced.
+
+The oracles below decide every key's equation afresh, the way the
+checkers did before they went through CheckReport.equal.  The rule
+decides each distinct pair of operands once, so the two must name the
+same failures, in the same order, with the same witnesses, whether the
+structure maps are shared or not, on every backend the checkers run on:
+the graded base, its image in Cat and the finite-category base.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from hopfspan import hopf_structures as hs
+from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
+from hopfspan.cli import load_document
+from hopfspan.monoidale_duoidal import ComonoidLabeledCell, check_comonoid
+from hopfspan.reporting import CheckReport, Verdict
+from hopfspan.spanv_core import CatBackend, VectBackend
+from hopfspan import vect_backend as vb
+from hopfspan.vect_backend import VMorphism, VObject, unit_object
+
+from rand import random_vmorphism, seeded
+from test_acceptance import group_algebra_document
+
+PROBES = (unit_object(), VObject([(("m",), 1)]))
+
+
+# ---------------------------------------------------------------------------
+# The oracles: one fresh decision per key.
+
+
+def naive_monad(p):
+    failures = []
+    be, d, lab = p.backend, p.shape, p.mor_label
+    for (h, k) in d.composable_pairs():
+        for l in d.morphisms:
+            if d.src(k) != d.tgt(l):
+                continue
+            left = be.vcomp(p.mu[(d.compose(h, k), l)],
+                            be.comp2(p.mu[(h, k)], be.id2(lab[l])))
+            right = be.vcomp(p.mu[(h, d.compose(k, l))],
+                             be.comp2(be.id2(lab[h]), p.mu[(k, l)]))
+            if not be.eq2(left, right):
+                failures.append(("associativity", ((h, k, l),
+                                 be.first_diff(left, right))))
+    for h in d.morphisms:
+        one = be.id2(lab[h])
+        x, y = d.src(h), d.tgt(h)
+        left = be.vcomp(p.mu[(d.identities(y), h)], be.comp2(p.eta[y], one))
+        if not be.eq2(left, one):
+            failures.append(("left unit", (h, be.first_diff(left, one))))
+        right = be.vcomp(p.mu[(h, d.identities(x))], be.comp2(one, p.eta[x]))
+        if not be.eq2(right, one):
+            failures.append(("right unit", (h, be.first_diff(right, one))))
+    return failures
+
+
+def naive_comonoid(com):
+    failures = []
+    be = com.cell.backend
+    for h in com.cell.span.apex:
+        d, e = com.delta[h], com.eps[h]
+        one = be.id2(com.cell.label[h])
+        for law, lhs, rhs in (
+                ("coassociativity", be.vcomp(be.tensor2v(d, one), d),
+                 be.vcomp(be.tensor2v(one, d), d)),
+                ("left counit", be.vcomp(be.tensor2v(e, one), d), one),
+                ("right counit", be.vcomp(be.tensor2v(one, e), d), one)):
+            if not be.eq2(lhs, rhs):
+                failures.append((law, (h, be.first_diff(lhs, rhs))))
+    return failures
+
+
+def naive_antipode(p, c, sigma):
+    failures = []
+    be, d = p.backend, p.shape
+    for h in d.morphisms:
+        squares = hs._antipode_squares(p, c, h, d.inverse(h), sigma[h])
+        for law, (lhs, unit) in zip(hs._SQUARE_LAWS, squares):
+            if not be.eq2(lhs, unit):
+                failures.append((law, (h, be.first_diff(lhs, unit))))
+    return failures
+
+
+def naive_module_squares(e, m, tag):
+    failures = []
+    X, be = e.objects, e.backend
+    for x, y, z, u in itertools.product(X, repeat=4):
+        lhs = m.psi[(x, z, u)].compose(vb.tensor_mor(
+            e.mu[(x, y, z)], VMorphism.identity(m.v[(z, u)])))
+        rhs = m.psi[(x, y, u)].compose(vb.tensor_mor(
+            VMorphism.identity(e.hom[(x, y)]), m.psi[(y, z, u)]))
+        if lhs != rhs:
+            failures.append((tag + " associativity",
+                             ((x, y, z, u), be.first_diff(lhs, rhs))))
+    for x, y in itertools.product(X, repeat=2):
+        one = VMorphism.identity(m.v[(x, y)])
+        lhs = m.psi[(x, x, y)].compose(vb.tensor_mor(e.eta[x], one))
+        if lhs != one:
+            failures.append((tag + " unit", ((x, y), be.first_diff(lhs, one))))
+    return failures
+
+
+def naive_module(e, m, morphism):
+    failures = naive_module_squares(e, m, "module")
+    for x, y, z in itertools.product(e.objects, repeat=3):
+        lhs = m.psi[(x, y, z)].compose(vb.tensor_mor(
+            VMorphism.identity(e.hom[(x, y)]), morphism[(y, z)]))
+        rhs = morphism[(x, z)].compose(m.psi[(x, y, z)])
+        if lhs != rhs:
+            failures.append(("morphism square",
+                             ((x, y, z), e.backend.first_diff(lhs, rhs))))
+    return failures + naive_module_squares(
+        e, hs.enriched_module_product(e, m, m), "product")
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs: the right maps and one wrong one, each either one
+# object in every slot that carries it or a fresh equal copy per slot.
+
+
+def placed(slots, right, wrong, broken, shared):
+    """right at every slot and wrong at the broken ones, each slot the
+    shared map itself or a fresh copy of it."""
+    def entry(f):
+        return f if shared else VMorphism(f.dom, f.cod, f.entries)
+    return {s: entry(wrong if s in broken else right) for s in slots}
+
+
+def broken_sets(rng, slots):
+    slots = sorted(slots)
+    return [(), tuple(rng.sample(slots, 1)), tuple(rng.sample(slots, 2)),
+            tuple(slots)]
+
+
+def vect_cases(seed):
+    """Z_2 and Z_3 group algebras with zero, one, two or every mu entry
+    replaced by one random matrix, shared and unshared."""
+    rng = seeded(seed)
+    for n in (2, 3):
+        pres = hs.cyclic_group_algebra(n)
+        mult = pres.mu[(pres.unit, pres.unit)]
+        wrong = random_vmorphism(rng, mult.dom, mult.cod)
+        for broken in broken_sets(rng, pres.mu):
+            for shared in (True, False):
+                yield dataclasses.replace(pres, mu=placed(
+                    pres.mu, mult, wrong, broken, shared)), rng, shared
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monad_rule_matches_the_oracle_on_the_graded_base(seed):
+    failing = 0
+    for pres, _, _ in vect_cases(seed):
+        expected = naive_monad(pres.monad)
+        assert hs.check_monad(pres.monad).failures == expected
+        failing += bool(expected)
+    assert failing
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_monad_rule_matches_the_oracle_on_the_image(seed):
+    failing = 0
+    for pres, _, _ in vect_cases(seed):
+        imaged, _, _ = hs.image_presentation(pres.monad, PROBES)
+        expected = naive_monad(imaged)
+        assert hs.check_monad(imaged).failures == expected
+        failing += bool(expected)
+    assert failing
+
+
+def cat_presentation(rng, n, broken, shared):
+    """The Z_n shape over the one-object category of Z_3, every label
+    the identity functor and every mu entry the transformation with one
+    component: the unit of Z_3, or a random element at the broken
+    slots.  The monad laws are then the 2-cocycle conditions."""
+    names, mul, unit = hs.cyclic_group(n)
+    shape = FinCategory.from_monoid(names, mul, unit)
+    fiber = FinCategory.from_monoid(*hs.cyclic_group(3))
+    ident = FunctorData.identity(fiber)
+    made = {}
+
+    def entry(component):
+        if not shared:
+            return NatTransData(ident, ident, {"*": component})
+        return made.setdefault(component,
+                               NatTransData(ident, ident, {"*": component}))
+    elements = list(fiber.morphisms)
+    mu = {(h, k): entry(rng.choice(elements) if (h, k) in broken else "e")
+          for h in names for k in names}
+    return hs.MonadPresentation(CatBackend(), shape, {"*": fiber},
+                                {h: ident for h in names}, mu,
+                                {"*": entry("e")})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monad_rule_matches_the_oracle_on_the_category_base(seed):
+    rng = seeded(seed)
+    failing = 0
+    for n in (2, 3):
+        pairs = list(itertools.product(hs.cyclic_group(n)[0], repeat=2))
+        for broken in broken_sets(rng, pairs):
+            for shared in (True, False):
+                p = cat_presentation(rng, n, set(broken), shared)
+                expected = naive_monad(p)
+                assert hs.check_monad(p).failures == expected
+                failing += bool(expected)
+    assert failing
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_comonoid_and_antipode_rules_match_the_oracles(seed):
+    failing = 0
+    for pres, rng, shared in vect_cases(seed):
+        t = pres.monad.cells[0]
+        delta, eps = pres.delta[pres.unit], pres.eps[pres.unit]
+        sigma = pres.antipode.sigma[pres.unit]
+        elements = list(pres.elements)
+        broken = rng.sample(elements, rng.randint(0, len(elements)))
+        com = ComonoidLabeledCell(t, placed(
+            elements, delta, random_vmorphism(rng, delta.dom, delta.cod),
+            broken, shared), placed(
+            elements, eps, random_vmorphism(rng, eps.dom, eps.cod),
+            broken[:1], shared))
+        expected = naive_comonoid(com)
+        assert check_comonoid(com).failures == expected
+        failing += bool(expected)
+
+        fam = placed(elements, sigma,
+                     random_vmorphism(rng, sigma.dom, sigma.cod), broken,
+                     shared)
+        expected = naive_antipode(pres.monad, pres.comonoid_structure(), fam)
+        assert hs.check_antipode_group(
+            pres, hs.AntipodeFamily(fam)).failures == expected
+        failing += bool(expected)
+    assert failing
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_enriched_module_rule_matches_the_oracle(seed):
+    rng = seeded(seed)
+    # Every hom and module object is K, and every action the identity.
+    e = hs.indiscrete_enriched(["x", "y"])
+    reg = hs.regular_enriched_module(e)
+    one = VMorphism.identity(unit_object())
+    assert all(f is one for f in reg.psi.values())
+    pairs = list(itertools.product(e.objects, repeat=2))
+    failing = 0
+    for broken in broken_sets(rng, reg.psi):
+        wrong = random_vmorphism(rng, one.dom, one.cod)
+        for shared in (True, False):
+            module = hs.EnrichedModule(reg.v, placed(reg.psi, one, wrong,
+                                                     broken, shared))
+            morphism = placed(pairs, one, one.scale(2),
+                              broken[:1] and [rng.choice(pairs)], shared)
+            expected = naive_module(e, module, morphism)
+            assert hs.check_enriched_module(
+                e, module, morphism=morphism).failures == expected
+            failing += bool(expected)
+    assert failing
+
+
+def test_one_changed_mu_entry_fails_exactly_where_the_oracle_says():
+    names, mul, unit = hs.cyclic_group(4)
+    doc = group_algebra_document(names, mul, unit)
+    square = [(a, b) for a in names for b in names]
+    # Multiply, then translate by b: a map of the right shape that is not
+    # the multiplication.
+    doc["mu"]["b"]["b2"] = [[str(int(mul[(mul[w], "b")] == v))
+                             for w in square] for v in names]
+    pres = load_document(doc).presentation
+    report = hs.check_monad(pres.monad)
+    expected = naive_monad(pres.monad)
+    assert report.failures == expected
+    assert {law for law, _ in expected} == {"associativity"}
+
+    def reads_the_changed_entry(h, k, l):
+        return ("b", "b2") in ((h, k), (k, l), (mul[(h, k)], l),
+                               (h, mul[(k, l)]))
+    assert all(reads_the_changed_entry(*key) for _, (key, _) in expected)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_shared_mu_decides_each_monad_law_once(n, monkeypatch):
+    names, mul, unit = hs.cyclic_group(n)
+    pres = load_document(group_algebra_document(names, mul, unit)).presentation
+    calls = []
+    raw = VectBackend.eq2
+
+    def counted(self, f, g):
+        calls.append((f, g))
+        return raw(self, f, g)
+
+    monkeypatch.setattr(VectBackend, "eq2", counted)
+    assert hs.check_monad(pres.monad).ok
+    # One pair of operands per law: associativity, left and right unit.
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# The rule itself.
+
+
+class CountingBackend:
+    def __init__(self):
+        self.calls = []
+
+    def eq2(self, f, g):
+        self.calls.append(("eq2", f, g))
+        return f == g
+
+    def first_diff(self, f, g):
+        self.calls.append(("first_diff", f, g))
+        return (f, g)
+
+
+def test_equal_decides_each_pair_of_operands_once():
+    be, report = CountingBackend(), CheckReport("r")
+    one, two = [1], [2]
+    for key in "abc":
+        report.equal("law", key, be, one, two)
+        report.equal("law", key, be, one, [1])
+    assert report.failures == [("law", (key, ([1], [2]))) for key in "abc"]
+    assert [c[0] for c in be.calls] == ["eq2", "first_diff"] + ["eq2"] * 3
+
+
+def test_holds_records_the_witness_with_its_place():
+    report = CheckReport("r")
+    report.holds("a", Verdict(True), 1)
+    report.holds("b", Verdict(False, "w"))
+    report.holds("c", Verdict(False, "w"), 0)
+    assert report.failures == [("b", "w"), ("c", (0, "w"))]
