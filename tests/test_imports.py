@@ -132,23 +132,24 @@ def readers(source, name):
     return found
 
 
-def trusted_readers(source):
-    return readers(source, "_trusted")
+def package_readers(name):
+    """readers of name in each package module that reads it."""
+    found = {p.stem: readers(p.read_text(), name)
+             for p in PACKAGE.glob("*.py")}
+    return {module: names for module, names in found.items() if names}
 
 
 def test_trusted_readers_finds_every_read():
     source = ("from x import _trusted\nf = _trusted\n"
               "class A:\n    def m(self):\n        return _trusted(A)\n"
               "def g():\n    def h():\n        _trusted(1)\n")
-    assert trusted_readers(source) == {"<module>", "A.m", "g.h"}
+    assert readers(source, "_trusted") == {"<module>", "A.m", "g.h"}
 
 
 def test_trusted_constructors_are_called_only_where_listed():
-    readers = {p.stem: trusted_readers(p.read_text())
-               for p in PACKAGE.glob("*.py")}
-    readers = {module: names for module, names in readers.items() if names}
-    assert readers == TRUSTED
-    assert not set(readers) & {"hopf_structures", "monoidale_duoidal", "cli"}
+    found = package_readers("_trusted")
+    assert found == TRUSTED
+    assert not set(found) & {"hopf_structures", "monoidale_duoidal", "cli"}
 
 
 # The readers of a backend's first_diff: the report's rule for equations
@@ -166,7 +167,4 @@ def test_readers_finds_attribute_reads():
 
 
 def test_first_diff_is_read_only_by_the_law_rule_and_eq2():
-    found = {p.stem: readers(p.read_text(), "first_diff")
-             for p in PACKAGE.glob("*.py")}
-    assert {module: names for module, names in found.items() if names} == \
-        FIRST_DIFF
+    assert package_readers("first_diff") == FIRST_DIFF
