@@ -12,7 +12,17 @@ so it can be spliced back in.
 All numbers are exact fractions written as strings, matrices are
 row-major, and multiplication tables are nested objects keyed by the
 declared atoms.  Unknown fields are rejected so a typo fails loudly
-instead of silently dropping structure.  Machine output
+instead of silently dropping structure.
+
+Both graded kinds read every matrix block (mu, eta, delta, eps,
+antipode) through two readers.  The block reader, _leaves, checks exact
+key coverage level by level and gives each leaf with its JSON path.  The
+matrix reader, _matrix, checks the shape and parses each entry once,
+straight into the nonzeros of its row; 0 and 1 parse to the kernel's own
+vb.ZERO and vb.ONE.  It builds through VMorphism._from_rows, since the
+checked constructor would only convert every entry again, and shares
+equal matrices: the matrices of one file that are equal are one object,
+which the kernel's memos key on.  Machine output
 (``--format json``) is canonical: keys are sorted and nothing time- or
 path-dependent is included, so identical inputs give byte-identical
 reports.  The text format adds timing and is meant for humans.
@@ -50,7 +60,6 @@ _CHAIN_BLOCKERS = {
 _NEEDS_COMONOID = ("opmonoidal", "hopf", "antipode", "duoidal")
 _NEEDS_ANTIPODE = ("antipode", "duoidal")
 _POLYAD_CHECKS = ("monad", "hopf")
-_MONAD_LAWS = ("associativity", "left unit", "right unit")
 _MAX_BRAID_BITS = 1 << 16
 
 
@@ -90,14 +99,16 @@ def _check_keys(doc, required, optional, path):
 
 @functools.lru_cache(maxsize=4096)
 def _parse_entry(text):
-    """text as a Fraction; TypeError when it is not a string.  A matrix
-    block repeats a few strings many times, so each is parsed once.  An
-    exponent is refused: "1e2000000000" would build a huge integer."""
+    """text as a Fraction, the kernel's own vb.ZERO or vb.ONE for 0 and 1;
+    TypeError when it is not a string.  A matrix block repeats a few
+    strings many times, so each is parsed once.  An exponent is refused:
+    "1e2000000000" would build a huge integer."""
     if not isinstance(text, str):
         raise TypeError(text)
     if "e" in text or "E" in text:
         raise ValueError(text)
-    return Fraction(text)
+    value = Fraction(text)
+    return vb.ZERO if value == 0 else vb.ONE if value == 1 else value
 
 
 def _fraction(value, path):
@@ -144,9 +155,28 @@ def _vobject(value, path):
     return vb.VObject(basis)
 
 
-def _vmorphism(value, dom, cod, path, shared):
-    """A matrix given as rows of fraction strings; shared maps each
-    morphism read in this load to the first one equal to it."""
+def _leaves(doc, root, name, levels):
+    """The block reader: doc[name], a mapping nested once per level and
+    keyed at each by exactly that level's atoms.  Coverage is checked
+    level by level before any leaf is returned; the leaves come as
+    (key, value, JSON path) in level order, key being the tuple of atoms
+    or, for one level, the atom itself."""
+    frontier = [((), doc[name], "%s.%s" % (root, name))]
+    for level in levels:
+        for _, mapping, where in frontier:
+            _require_mapping(mapping, where)
+        for _, mapping, where in frontier:
+            _exact_keys(mapping, level, where)
+        frontier = [(key + (atom,), mapping[atom], "%s.%s" % (where, atom))
+                    for key, mapping, where in frontier for atom in level]
+    return [(key if len(key) > 1 else key[0], value, where)
+            for key, value, where in frontier]
+
+
+def _matrix(value, dom, cod, path, shared):
+    """The matrix reader: rows of fraction strings, shape checked first,
+    each entry parsed once straight into its row's nonzeros.  shared maps
+    each matrix read in this load to the first one equal to it."""
     if not isinstance(value, list) or len(value) != cod.dim:
         _fail(path, "expected a matrix with %d rows" % cod.dim)
     rows = []
@@ -155,16 +185,21 @@ def _vmorphism(value, dom, cod, path, shared):
             _fail("%s[%d]" % (path, i),
                   "expected a row with %d entries" % dom.dim)
         try:
-            rows.append([_parse_entry(entry) for entry in row])
+            rows.append({c: e for c, e in enumerate(map(_parse_entry, row))
+                         if e is not vb.ZERO})
         except (TypeError, ValueError, ZeroDivisionError):
             # Only a rejected row pays for the paths of its entries.
             for j, entry in enumerate(row):
                 _fraction(entry, "%s[%d][%d]" % (path, i, j))
-    return _share(vb.VMorphism(dom, cod, rows), shared)
-
-
-def _share(f, shared):
+    f = vb.VMorphism._from_rows(dom, cod, rows)
     return shared.setdefault(f, f)
+
+
+def _matrix_block(doc, root, name, levels, shape, shared):
+    """Every matrix of the block doc[name], keyed as its leaves are;
+    shape(key) gives the (dom, cod) of the one at key."""
+    return {key: _matrix(value, *shape(key), where, shared)
+            for key, value, where in _leaves(doc, root, name, levels)}
 
 
 def _load_braiding(doc, path, objects):
@@ -187,81 +222,51 @@ def _bound_braiding(q, objects, path):
                                                _MAX_BRAID_BITS))
 
 
-def _comonoid_blocks(doc, keys, label_of, lookup, path, shared):
+def _comonoid_blocks(doc, path, levels, labels, shared):
     """Shared delta/eps handling for both graded kinds.
 
-    keys lists the structure keys (elements, or object pairs), label_of
-    maps a key to its graded object, and lookup resolves document
-    entries and their JSON paths.  Returns (delta, eps, synthesized)."""
+    labels maps each structure key (an element, or an object pair) to its
+    graded object, and levels are the key levels of the delta and eps
+    blocks.  Returns (delta, eps, synthesized)."""
+    blocks = {name: _leaves(doc, path, name, levels)
+              for name in ("delta", "eps") if name in doc}
     grouplike = doc.get("grouplike", False)
     if grouplike is not False and grouplike is not True:
         _fail(path + ".grouplike", "expected true or false")
     if grouplike:
-        if "delta" in doc or "eps" in doc:
+        if blocks:
             _fail(path, "grouplike cannot be combined with explicit "
                         "delta/eps")
-        delta, eps = {}, {}
-        for key in keys:
-            d, e = vb.grouplike(label_of(key))
-            delta[key], eps[key] = _share(d, shared), _share(e, shared)
+        made = {obj: vb.grouplike(obj)
+                for obj in dict.fromkeys(labels.values())}
+        delta, eps = ({key: made[obj][i] for key, obj in labels.items()}
+                      for i in (0, 1))
         return delta, eps, True
-    if "delta" not in doc and "eps" not in doc:
+    if not blocks:
         return None, None, False
-    if "delta" not in doc or "eps" not in doc:
+    if len(blocks) == 1:
         _fail(path, "delta and eps must be given together")
-    delta = {}
-    eps = {}
-    for key in keys:
-        obj = label_of(key)
-        delta[key] = _vmorphism(lookup("delta", key), obj,
-                                vb.tensor_obj(obj, obj),
-                                lookup.path("delta", key), shared)
-        eps[key] = _vmorphism(lookup("eps", key), obj,
-                              vb.unit_object(), lookup.path("eps", key),
-                              shared)
+    delta, eps = {}, {}
+    for (key, d, d_path), (_, e, e_path) in zip(blocks["delta"],
+                                               blocks["eps"]):
+        obj = labels[key]
+        delta[key] = _matrix(d, obj, vb.tensor_obj(obj, obj), d_path, shared)
+        eps[key] = _matrix(e, obj, vb.unit_object(), e_path, shared)
     return delta, eps, False
-
-
-class _NestedLookup:
-    """Reads nested mapping blocks like doc["mu"][a][b] while tracking
-    the JSON path, validating exact key coverage level by level."""
-
-    def __init__(self, doc, root, levels):
-        self.doc = doc
-        self.root = root
-        self.levels = levels
-
-    def validate(self, name):
-        block = _require_mapping(self.doc[name], "%s.%s" % (self.root, name))
-        frontier = [(block, "%s.%s" % (self.root, name))]
-        for depth, level in enumerate(self.levels):
-            nxt = []
-            for mapping, where in frontier:
-                _exact_keys(mapping, level, where)
-                for key in level:
-                    nxt.append((mapping[key], "%s.%s" % (where, key)))
-            if depth < len(self.levels) - 1:
-                nxt = [(_require_mapping(m, w), w) for m, w in nxt]
-            frontier = nxt
-
-    def __call__(self, name, key):
-        value = self.doc[name]
-        for part in key if isinstance(key, tuple) else (key,):
-            value = value[part]
-        return value
-
-    def path(self, name, key):
-        parts = key if isinstance(key, tuple) else (key,)
-        return "%s.%s.%s" % (self.root, name, ".".join(parts))
 
 
 @dataclass
 class LoadedFile:
+    """A loaded document; a polyad file also keeps its probes and the
+    image of its source, (imaged, F, backend) from
+    hs.image_presentation, built once for both of its checks."""
+
     kind: str
     document: dict
     presentation: object
     synthesized: bool
     probes: tuple = ()
+    image: tuple = None
 
 
 _GROUP_REQUIRED = ("format_version", "kind", "backend", "elements", "unit",
@@ -298,43 +303,26 @@ def _load_group(doc, path):
                 if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
                     _fail(path + ".table",
                           "not associative at %r" % ((a, b, c),))
-    labels_doc = _require_mapping(doc["labels"], path + ".labels")
-    _exact_keys(labels_doc, elements, path + ".labels")
-    labels = {a: _vobject(labels_doc[a], "%s.labels.%s" % (path, a))
-              for a in elements}
+    labels = {a: _vobject(value, where)
+              for a, value, where in _leaves(doc, path, "labels", [elements])}
     backend = _load_braiding(doc, path, labels.values())
     shared = {}
-    lookup = _NestedLookup(doc, path, [elements, elements])
-    lookup.validate("mu")
-    mu = {}
-    for a in elements:
-        for b in elements:
-            mu[(a, b)] = _vmorphism(lookup("mu", (a, b)),
-                                    vb.tensor_obj(labels[a], labels[b]),
-                                    labels[mul[(a, b)]],
-                                    lookup.path("mu", (a, b)), shared)
-    eta = _vmorphism(doc["eta"], vb.unit_object(), labels[unit],
-                     path + ".eta", shared)
-    flat = _NestedLookup(doc, path, [elements])
-    if "delta" in doc:
-        flat.validate("delta")
-    if "eps" in doc:
-        flat.validate("eps")
-    delta, eps, synthesized = _comonoid_blocks(doc, elements,
-                                               labels.__getitem__, flat, path,
-                                               shared)
+    mu = _matrix_block(doc, path, "mu", [elements, elements],
+                       lambda ab: (vb.tensor_obj(labels[ab[0]], labels[ab[1]]),
+                                   labels[mul[ab]]), shared)
+    eta = _matrix(doc["eta"], vb.unit_object(), labels[unit], path + ".eta",
+                  shared)
+    delta, eps, synthesized = _comonoid_blocks(doc, path, [elements],
+                                               labels, shared)
     fam = None
     if "antipode" in doc:
         inverses = hs._monoid_inverses(elements, mul, unit)
         if inverses is None:
             _fail(path + ".antipode",
                   "an antipode block needs every element invertible")
-        flat.validate("antipode")
-        fam = hs.AntipodeFamily(
-            {a: _vmorphism(flat("antipode", a), labels[a],
-                           labels[inverses[a]], flat.path("antipode", a),
-                           shared)
-             for a in elements})
+        fam = hs.AntipodeFamily(_matrix_block(
+            doc, path, "antipode", [elements],
+            lambda a: (labels[a], labels[inverses[a]]), shared))
     try:
         pres = hs.GroupMonoidPresentation(backend, FinSet(elements), mul,
                                           unit, labels, mu, eta, delta, eps,
@@ -355,42 +343,22 @@ def _load_enriched(doc, path):
         _fail(path + ".backend",
               "kind enriched_category needs the vect backend")
     objects = _atom_list(doc["objects"], path + ".objects")
-    pairs = [(x, y) for x in objects for y in objects]
-    nested = _NestedLookup(doc, path, [objects, objects])
-    nested.validate("hom")
-    hom = {(x, y): _vobject(nested("hom", (x, y)), nested.path("hom", (x, y)))
-           for (x, y) in pairs}
+    hom = {xy: _vobject(value, where) for xy, value, where
+           in _leaves(doc, path, "hom", [objects, objects])}
     backend = _load_braiding(doc, path, hom.values())
     shared = {}
-    triple = _NestedLookup(doc, path, [objects, objects, objects])
-    triple.validate("mu")
-    mu = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                mu[(x, y, z)] = _vmorphism(
-                    triple("mu", (x, y, z)),
-                    vb.tensor_obj(hom[(x, y)], hom[(y, z)]),
-                    hom[(x, z)], triple.path("mu", (x, y, z)), shared)
-    flat = _NestedLookup(doc, path, [objects])
-    flat.validate("eta")
-    eta = {x: _vmorphism(flat("eta", x), vb.unit_object(), hom[(x, x)],
-                         flat.path("eta", x), shared)
-           for x in objects}
-    if "delta" in doc:
-        nested.validate("delta")
-    if "eps" in doc:
-        nested.validate("eps")
-    delta, eps, synthesized = _comonoid_blocks(doc, pairs, hom.__getitem__,
-                                               nested, path, shared)
+    mu = _matrix_block(doc, path, "mu", [objects, objects, objects],
+                       lambda xyz: (vb.tensor_obj(hom[xyz[:2]], hom[xyz[1:]]),
+                                    hom[xyz[::2]]), shared)
+    eta = _matrix_block(doc, path, "eta", [objects],
+                        lambda x: (vb.unit_object(), hom[(x, x)]), shared)
+    delta, eps, synthesized = _comonoid_blocks(doc, path, [objects, objects],
+                                               hom, shared)
     fam = None
     if "antipode" in doc:
-        nested.validate("antipode")
-        fam = hs.AntipodeFamily(
-            {(x, y): _vmorphism(nested("antipode", (x, y)), hom[(x, y)],
-                                hom[(y, x)], nested.path("antipode", (x, y)),
-                                shared)
-             for (x, y) in pairs})
+        fam = hs.AntipodeFamily(_matrix_block(
+            doc, path, "antipode", [objects, objects],
+            lambda xy: (hom[xy], hom[xy[::-1]]), shared))
     try:
         pres = hs.EnrichedCatPresentation(backend, FinSet(objects), hom, mu,
                                           eta, delta, eps, fam)
@@ -427,8 +395,9 @@ def _load_polyad(doc, path):
                                 "(grouplike: true also works)")
     probes = _load_probes_doc(doc["probes"], path + ".probes",
                               source.presentation)
+    image = hs.image_presentation(source.presentation.monad, probes)
     return LoadedFile("polyad", doc, source.presentation, source.synthesized,
-                      probes)
+                      probes, image)
 
 
 def load_document(doc, path="$"):
@@ -521,18 +490,14 @@ def _selected_checks(loaded, args):
     return names
 
 
-def _execute_check(loaded, name, cache):
+def _execute_check(loaded, name):
     """Run one named check; returns (failures, extra report fields)."""
-    if loaded.kind == "polyad":
-        if "report" not in cache:
-            report, _, _ = hs.image_polyad_report(loaded.presentation,
-                                                  list(loaded.probes))
-            cache["report"] = report
-        failures = cache["report"].failures
-        if name == "monad":
-            return [f for f in failures if f[0] in _MONAD_LAWS], {}
-        return [f for f in failures if f[0] not in _MONAD_LAWS], {}
     pres = loaded.presentation
+    if loaded.kind == "polyad":
+        if name == "monad":
+            return hs.check_monad(loaded.image[0]).failures, {}
+        return hs.image_hopf_report(pres, loaded.image,
+                                    loaded.probes).failures, {}
     monad = pres.monad
     if name == "monad":
         return hs.check_monad(monad).failures, {}
@@ -557,7 +522,6 @@ def _execute_check(loaded, name, cache):
 def _run_check_suite(loaded, selected):
     entries = []
     failed = set()
-    cache = {}
     for name in _CHECK_ORDER:
         if name not in selected:
             continue
@@ -574,7 +538,7 @@ def _run_check_suite(loaded, selected):
             entry["reason"] = "%s failed" % blocker
             entries.append(entry)
             continue
-        failures, extras = _execute_check(loaded, name, cache)
+        failures, extras = _execute_check(loaded, name)
         if failures:
             entry["status"] = "fail"
             entry["failures"] = [[law, repr(witness)]

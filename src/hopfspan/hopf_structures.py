@@ -45,9 +45,9 @@ from .monoidale_duoidal import (
     MonoidalFiber,
     check_comonoid,
     comonoid_cells,
+    diagonal_multiplication,
     duoidal_interchange,
     duoidal_units,
-    induced_monoidale,
     star2,
 )
 from .reporting import CheckReport, Verdict
@@ -177,11 +177,12 @@ def _paired(t):
                           if left(h) == left(k)])
 
 
-def _binary_cell(p, c, mon):
-    """The binary structure cell t o m => m o (t . t) over mon."""
+def _binary_cell(p, c, m):
+    """The binary structure cell t o m => m o (t . t) over the
+    multiplication m."""
     d, t = p.shape, p.cells[0]
-    source = hcomp1(t, mon.m)
-    target = hcomp1(mon.m, _paired(t))
+    source = hcomp1(t, m)
+    target = hcomp1(m, _paired(t))
     return cell2_along(source, target,
                        lambda hx: (d.tgt(hx[0]), (hx[0], hx[0])),
                        {(h, x): c.delta[h] for (h, x) in source.span.apex})
@@ -251,11 +252,11 @@ def _fusion(p, c, fibers, side):
     """
     order = _pair_order(side)
     t, mu2, _ = p.cells
-    mon = induced_monoidale(p.shape.objects, p.backend, fibers)
-    idc = identity_cell1(mon.base)
+    m, _ = diagonal_multiplication(p.shape.objects, p.backend, fibers)
+    idc = identity_cell1(m.tgt)
     pair = tensor1(*order(t, idc))
-    binary = _binary_cell(p, c, mon)
-    one_m = identity_cell2(mon.m)
+    binary = _binary_cell(p, c, m)
+    one_m = identity_cell2(m)
 
     def whiskered(step):
         """1_m o step, with step built on the atoms it is applied at."""
@@ -263,7 +264,7 @@ def _fusion(p, c, fibers, side):
 
     return chain(
         hcomp2(onto_image(binary), identity_cell2(pair)), binary.target,
-        lambda s: associator_cell2(mon.m, _paired(t), pair, s),
+        lambda s: associator_cell2(m, _paired(t), pair, s),
         whiskered(lambda s: interchange_cell2(t, t, *order(t, idc), s)),
         whiskered(lambda s: tensor2(*order(mu2, right_unitor_cell2(t)), s)))
 
@@ -1539,19 +1540,27 @@ def image_presentation(p, probes):
 
 def image_polyad_report(pres, probes):
     """Push a one-object presentation along the tensoring functor and
-    re-check it over the lazy-category backend.
-
-    The monad axioms are decided exactly over the image; the functor's
-    comparison cells are inverted; and both fusion cells are pushed
-    through and inverted as image 2-cells, with every component also
-    evaluated and inverted at each probe object."""
+    re-check it over the lazy-category backend: the monad axioms decided
+    exactly over the image, then image_hopf_report."""
     if not probes:
         raise SpanVError("at least one probe object is needed")
-    source = pres.monad
-    imaged, F, backend = image_presentation(source, probes)
+    image = image_presentation(pres.monad, probes)
+    imaged, _, backend = image
     report = CheckReport("image polyad")
     report.merge(check_monad(imaged))
-    d = source.shape
+    report.merge(image_hopf_report(pres, image, probes))
+    return report, imaged, backend
+
+
+def image_hopf_report(pres, image, probes):
+    """The image checks past the monad axioms, on the image (imaged, F,
+    backend) of pres from image_presentation: the functor's comparison
+    cells are inverted; and both fusion cells are pushed through and
+    inverted as image 2-cells, with every component also evaluated and
+    inverted at each probe object."""
+    imaged, F, backend = image
+    report = CheckReport("image hopf")
+    d = imaged.shape
     for (h, k) in d.composable_pairs():
         comparison = F.comparison(imaged.mor_label[h], imaged.mor_label[k])
         inv, witness = backend.invert2(comparison)
@@ -1560,10 +1569,10 @@ def image_polyad_report(pres, probes):
     verdict = cb.is_groupoid(d)
     if not verdict:
         report.fail("shape not a groupoid", verdict.witness)
-        return report, imaged, backend
+        return report
     com = pres.comonoid_structure()
-    for side, cell in (("left", left_fusion(source, com)),
-                       ("right", right_fusion(source, com))):
+    for side, cell in (("left", left_fusion(pres.monad, com)),
+                       ("right", right_fusion(pres.monad, com))):
         pushed = apply_span_F(F, cell)
         res = invert_cell2(pushed)
         if not res:
@@ -1575,4 +1584,4 @@ def image_polyad_report(pres, probes):
                 if not outcome:
                     report.fail("%s fusion at probe" % side,
                                 (atom, x, outcome.witness))
-    return report, imaged, backend
+    return report

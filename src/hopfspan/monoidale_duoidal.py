@@ -32,9 +32,9 @@ from .spanv_core import (
     SpanVError, VectBackend,
     Cell0, Cell1, Cell2, cell2_along, identity_cell1, identity_cell2,
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
-    relabel_cell2, regroup, interchange_atoms, associator_cell2,
+    relabel_cell2, regroup, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2, invert_cell2,
-    eq2, part, image_atoms,
+    eq2, image_atoms,
 )
 
 
@@ -195,13 +195,20 @@ def _coherence_boundaries(base, m, u):
     ]
 
 
-def induced_monoidale(X, be, fibers=None):
-    """The monoid object on X: m is the reversed diagonal span, u the
-    reversed collapse span, labeled by the fibers (see _diagonal)."""
+def diagonal_multiplication(X, be, fibers=None):
+    """The multiplication m of the monoid object on X, the reversed
+    diagonal span labeled by the fibers' tensors, with the diagonal data
+    it is read from (see _diagonal); m.tgt is the base."""
     g = _diagonal(X, be, fibers)
-    m = Cell1(be, g.square, g.base,
-              Span(g.square.carrier, X, X, FinFn.identity(X), g.diag),
-              {x: g.fibers[x].tensor for x in X})
+    return Cell1(be, g.square, g.base,
+                 Span(g.square.carrier, X, X, FinFn.identity(X), g.diag),
+                 {x: g.fibers[x].tensor for x in X}), g
+
+
+def induced_monoidale(X, be, fibers=None):
+    """The monoid object on X: m as in diagonal_multiplication, u the
+    reversed collapse span, labeled by the fibers (see _diagonal)."""
+    m, g = diagonal_multiplication(X, be, fibers)
     u = Cell1(be, g.unit, g.base,
               Span(g.unit.carrier, X, X, FinFn.identity(X), g.bang),
               {x: g.fibers[x].unit for x in X})
@@ -645,26 +652,15 @@ def duoidal_units(X, be):
 
 
 def duoidal_interchange(a, b, h, d, atoms=None):
-    """(a * b) o (h * d)  =>  (a o h) * (b o d).
-
-    The span map regroups the leg-matched quadruple; each component is
-    the base middle-four cell, which carries the braiding over a graded
-    one-object base.  Given source atoms, it is built on just those,
-    into their image.
+    """(a * b) o (h * d)  =>  (a o h) * (b o d): the interchange cell of
+    spanv_core with the convolution as its product, on endo-cells of one
+    carrier.  Given source atoms, it is built on just those, into their
+    image.
     """
     for cell in (a, b, h, d):
         if cell.src != a.src or cell.tgt != a.src:
             raise SpanVError("interchange needs endo-cells on one carrier")
-    be = a.backend
-    lhs = hcomp1(star1(a, b, part(atoms, 0)), star1(h, d, part(atoms, 1)),
-                 atoms)
-    onto = image_atoms(interchange_atoms, lhs, atoms)
-    rhs = star1(hcomp1(a, h, part(onto, 0)), hcomp1(b, d, part(onto, 1)),
-                onto)
-    comps = {((p, q), (v, w)): be.mid4(a.label[p], b.label[q],
-                                       h.label[v], d.label[w])
-             for ((p, q), (v, w)) in lhs.span.apex}
-    return cell2_along(lhs, rhs, interchange_atoms, comps)
+    return interchange_cell2(a, b, h, d, atoms, star1)
 
 
 def _take(cells, n, offset=0):

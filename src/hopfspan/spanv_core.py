@@ -586,18 +586,20 @@ def right_unitor_cell2(a):
                          lambda t: t[0])
 
 
-def interchange_cell2(f, g, h, k, atoms=None):
-    """(f . g) o (h . k) => (f o h) . (g o k).
+def interchange_cell2(f, g, h, k, atoms=None, product=tensor1):
+    """(f . g) o (h . k) => (f o h) . (g o k), where . is product: the
+    tensor by default, or the convolution of monoidale_duoidal (see its
+    duoidal_interchange).
 
     The span map regroups matched pairs; the component at a regrouped
     element is the base interchange mid4 and is where the braiding of a
     one-object backend enters.  Given source atoms, it is built on just
     those, into their image.
     """
-    lhs = hcomp1(tensor1(f, g, part(atoms, 0)), tensor1(h, k, part(atoms, 1)),
-                 atoms)
+    lhs = hcomp1(product(f, g, part(atoms, 0)),
+                 product(h, k, part(atoms, 1)), atoms)
     onto = image_atoms(interchange_atoms, lhs, atoms)
-    rhs = tensor1(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
+    rhs = product(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
                   onto)
     be = lhs.backend
     comps = {((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2],

@@ -149,7 +149,9 @@ class VMorphism:
     rows[r] holds the nonzero entries of codomain row r as a dict
     column -> Fraction.  Rows are never mutated once built, so morphisms
     share them.  The constructor takes dense rows and checks their shape;
-    the kernel builds its results through _from_rows.  _composites and
+    the kernel builds its results through _from_rows, and so does the
+    file loader's matrix reader, from rows of nonzeros it has parsed and
+    checked itself (no zero stored, every 1 stored as ONE).  _composites and
     _tensors are the memos of compose and tensor_mor with this morphism
     on the left, and _inverse the result of invert.
     """

@@ -14,6 +14,7 @@ import pathlib
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from hopfspan import hopf_structures as hs
 from hopfspan import monoidale_duoidal as md
 from hopfspan import spanv_core as sc
 from hopfspan import vect_backend as vb
-from hopfspan.cli import canonical_json, load_document, main
+from hopfspan.cli import canonical_json, load_document, load_path, main
 
 from test_acceptance import dual_group_document, group_algebra_document, \
     nichols_document, symmetric3
@@ -136,7 +137,9 @@ def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
 
 def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # The presentation builds its shape and monad cells at load; each
-    # fusion cell builds its monoid object once, horizontal composites
+    # fusion cell builds only the multiplication 1-cell of its monoid
+    # object, not the coherence cells, so only the Frobenius check builds
+    # a whole monoid object; horizontal composites
     # of 2-cells sit on the pullbacks their span morphisms carry, the
     # Frobenius check builds each side's cells once for both mate
     # conventions, the assembled antipode chain needs no convolution
@@ -144,10 +147,11 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # pullbacks, 251 calls in all when it also built its span iso).
     # Before that, this check ran monad_cells 10 times,
     # check_category 4 times, induced_monoidale 5 times and compose_spans
-    # 688 times.
+    # 688 times; with a whole monoid object per fusion cell,
+    # induced_monoidale 3 times and compose_spans 213 times.
     calls = collections.Counter()
     for modules, name in (((fs, sc), "compose_spans"),
-                          ((md, hs), "induced_monoidale"),
+                          ((md,), "induced_monoidale"),
                           ((hs,), "monad_cells"),
                           ((cb,), "check_category")):
         def counted(*args, _name=name, _original=getattr(modules[0], name),
@@ -159,7 +163,7 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
     assert code == 0
     assert calls == {"monad_cells": 1, "check_category": 1,
-                     "induced_monoidale": 3, "compose_spans": 213}
+                     "induced_monoidale": 1, "compose_spans": 203}
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):
@@ -409,6 +413,103 @@ def test_every_fixture_and_generated_family_loads():
         load_document(doc)
 
 
+# ---------------------------------------------------------------------------
+# The matrix reader against the dense oracle.
+
+
+def dense_matrix(value, dom, cod):
+    """The loader's former path, kept as the oracle: each matrix read as
+    dense Fraction rows and built through the checked constructor."""
+    return vb.VMorphism(dom, cod, [[Fraction(e) for e in row]
+                                   for row in value])
+
+
+def read_matrices(doc):
+    """The presentation a graded or polyad document loads to, and the
+    (document value, loaded matrix) pair of every matrix the document
+    spells out; grouplike comonoids are built, not read."""
+    pres = load_document(doc).presentation
+    source = doc.get("source", doc)
+
+    def at(name, key):
+        value = source[name]
+        for part in key if isinstance(key, tuple) else (key,):
+            value = value[part]
+        return value
+
+    pairs = []
+    for name in ("mu", "eta", "delta", "eps", "antipode"):
+        if name not in source:
+            continue
+        block = pres.antipode.sigma if name == "antipode" else \
+            getattr(pres, name)
+        if isinstance(block, vb.VMorphism):
+            pairs.append((source[name], block))
+        else:
+            pairs += [(at(name, key), f) for key, f in block.items()]
+    return pres, pairs
+
+
+def reader_documents():
+    fixtures = [json.loads(path.read_text())
+                for path in sorted(DATA.rglob("*.json"))]
+    documents = [group_algebra_document(*hs.cyclic_group(n))
+                 for n in range(2, 6)]
+    documents += [nichols_document(1), nichols_document(2),
+                  dual_group_document(*symmetric3())]
+    return [doc for doc in fixtures + documents
+            if isinstance(doc, dict) and "backend" in doc]
+
+
+def test_the_matrix_reader_matches_the_dense_oracle():
+    documents = reader_documents()
+    assert len(documents) > 20
+    for doc in documents:
+        _, pairs = read_matrices(doc)
+        assert pairs
+        for value, f in pairs:
+            assert f == dense_matrix(value, f.dom, f.cod)
+            entries = [e for row in f.rows for e in row.values()]
+            assert all(e != 0 for e in entries)
+            assert all(e is vb.ONE for e in entries if e == 1)
+        # Equal blocks are one object.
+        loaded = [f for _, f in pairs]
+        assert len({id(f) for f in loaded}) == len(set(loaded))
+
+
+def test_a_cyclic_group_algebra_reads_one_multiplication():
+    for n in range(2, 6):
+        pres, _ = read_matrices(group_algebra_document(*hs.cyclic_group(n)))
+        assert len(pres.mu) == n * n
+        assert len({id(f) for f in pres.mu.values()}) == 1
+
+
+def test_loading_builds_no_matrix_through_the_checked_constructor(
+        tmp_path, monkeypatch):
+    # Every loaded matrix is built from its parsed nonzeros; before, each
+    # went through VMorphism.__init__, which converted every dense entry
+    # again with vect_backend._fraction.
+    calls = collections.Counter()
+    original_init = vb.VMorphism.__init__
+
+    def counted_init(self, *args):
+        calls["VMorphism.__init__"] += 1
+        original_init(self, *args)
+
+    def counted_fraction(value, _original=vb._fraction):
+        calls["_fraction"] += 1
+        return _original(value)
+    monkeypatch.setattr(vb.VMorphism, "__init__", counted_init)
+    monkeypatch.setattr(vb, "_fraction", counted_fraction)
+    doc = group_algebra_document(*hs.cyclic_group(5))
+    pres = load_path(write_doc(tmp_path, doc)).presentation
+    assert len(pres.mu) == 25 and calls == {}
+    # The counters see the checked constructor.
+    f = pres.eta
+    vb.VMorphism(f.dom, f.cod, f.entries)
+    assert calls == {"VMorphism.__init__": 1, "_fraction": 5}
+
+
 @pytest.mark.parametrize("path, entry", [("$.mu.b.e[1][2]", "1e5"),
                                          ("$.q", "1E5")])
 def test_exponent_entries_are_malformed_fractions(capsys, tmp_path, path,
@@ -568,6 +669,30 @@ def test_export_polyad_fails_off_groups(capsys):
     assert report["status"] == "fail"
     assert any("shape not a groupoid" in law
                for law, _ in report["failures"])
+
+
+def test_polyad_checks_run_only_their_own_half(capsys, monkeypatch):
+    # The image is built once per loaded file: the monad check decides
+    # the laws over it, and only the hopf check builds the fusion cells.
+    # Before, both read one whole image report, fusion cells included.
+    calls = collections.Counter()
+    for name in ("image_presentation", "check_monad", "left_fusion",
+                 "right_fusion"):
+        def counted(*args, _name=name, _original=getattr(hs, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(hs, name, counted)
+    polyad = str(DATA / "golden" / "z2_polyad.json")
+    code, _, _ = run_cli(capsys, "check", polyad, "--monad",
+                         "--format", "json")
+    assert code == 0
+    assert calls == {"image_presentation": 1, "check_monad": 1}
+    calls.clear()
+    code, _, _ = run_cli(capsys, "check", polyad, "--format", "json")
+    assert code == 0
+    assert calls == {"image_presentation": 1, "check_monad": 1,
+                     "left_fusion": 1, "right_fusion": 1}
 
 
 def test_inapplicable_flags_on_polyad_are_skipped(capsys, tmp_path):

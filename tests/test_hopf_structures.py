@@ -126,7 +126,7 @@ def opmonoidal_cells(p, c, fibers=None):
                                   {(h, x): d.tgt(h)
                                    for (h, x) in source0.span.apex})),
                {(h, x): c.eps[h] for (h, x) in source0.span.apex})
-    return hs._binary_cell(p, c, mon), f0
+    return hs._binary_cell(p, c, mon.m), f0
 
 
 def test_opmonoidal_cells_shapes():
@@ -264,7 +264,7 @@ def five_stage_fusion(p, c, fibers, side):
     unitor = relabel_cell2(hcomp1(t, identity_cell1(t.src)), t,
                            right_unitor_iso(t.span).map)
     one_m = identity_cell2(m)
-    cell = hcomp2(hs._binary_cell(p, c, mon), identity_cell2(pair))
+    cell = hcomp2(hs._binary_cell(p, c, mon.m), identity_cell2(pair))
     cell = vcomp2(associator, cell)
     cell = vcomp2(hcomp2(one_m, interchange_cell2(t, t, *order(t, idc))),
                   cell)

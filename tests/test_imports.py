@@ -168,3 +168,15 @@ def test_readers_finds_attribute_reads():
 
 def test_first_diff_is_read_only_by_the_law_rule_and_eq2():
     assert package_readers("first_diff") == FIRST_DIFF
+
+
+# Outside the kernel, only the CLI's matrix reader builds a VMorphism
+# from sparse rows: it parses each entry once into its row's nonzeros,
+# so the checked constructor would only convert them again.
+FROM_ROWS = {"cli": {"_matrix"}}
+
+
+def test_from_rows_is_read_outside_the_kernel_only_by_the_matrix_reader():
+    found = package_readers("_from_rows")
+    assert found.pop("vect_backend")
+    assert found == FROM_ROWS
