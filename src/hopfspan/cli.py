@@ -22,16 +22,18 @@ straight into the nonzeros of its row; 0 and 1 parse to the kernel's own
 vb.ZERO and vb.ONE.  It builds through VMorphism._from_rows, since the
 checked constructor would only convert every entry again, and shares
 equal matrices: the matrices of one file that are equal are one object,
-which the kernel's memos key on.  Machine output
-(``--format json``) is canonical: keys are sorted and nothing time- or
-path-dependent is included, so identical inputs give byte-identical
-reports.  The text format adds timing and is meant for humans.
+which the kernel's memos key on, and a repeated block is parsed once.
+Machine output (``--format json``) is canonical: keys are sorted and
+nothing time- or path-dependent is included, so identical inputs give
+byte-identical reports.  The text format adds timing and is meant for
+humans.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails,
 2 for malformed input.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -176,7 +178,13 @@ def _leaves(doc, root, name, levels):
 def _matrix(value, dom, cod, path, shared):
     """The matrix reader: rows of fraction strings, shape checked first,
     each entry parsed once straight into its row's nonzeros.  shared maps
-    each matrix read in this load to the first one equal to it."""
+    each matrix read in this load to the first one equal to it, and the
+    (dom, cod, rows of entry strings) of each block read to its matrix,
+    so a repeated block is neither parsed nor hashed by value again."""
+    if isinstance(value, list) and all(isinstance(r, list) for r in value):
+        key = (dom, cod, tuple(map(tuple, value)))
+        with contextlib.suppress(KeyError, TypeError):  # new or unhashable
+            return shared[key]
     if not isinstance(value, list) or len(value) != cod.dim:
         _fail(path, "expected a matrix with %d rows" % cod.dim)
     rows = []
@@ -192,7 +200,8 @@ def _matrix(value, dom, cod, path, shared):
             for j, entry in enumerate(row):
                 _fraction(entry, "%s[%d][%d]" % (path, i, j))
     f = vb.VMorphism._from_rows(dom, cod, rows)
-    return shared.setdefault(f, f)
+    shared[key] = f = shared.setdefault(f, f)  # parsed, so key is set
+    return f
 
 
 def _matrix_block(doc, root, name, levels, shape, shared):
@@ -718,7 +727,9 @@ def cmd_export_polyad(args):
 # Argument wiring.
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built at the first main call and kept."""
     parser = argparse.ArgumentParser(
         prog="hopfspan",
         description="Check presentation files for monad, bimonoid and "

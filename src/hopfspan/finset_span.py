@@ -16,6 +16,7 @@ the fields without the checks; each still checks the boundary it
 composes across.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 
@@ -23,18 +24,24 @@ class SpanError(ValueError):
     """Raised on boundary mismatches and malformed span data."""
 
 
+_FIELDS = {}
+
+
 def _trusted(cls, *values):
     """cls(*values) without the constructor's checks, for a value composed
     of parts that were checked already.  Replacing it by the constructor
     must change nothing but the time taken."""
+    names = _FIELDS.get(cls) or _FIELDS.setdefault(
+        cls, tuple(cls.__dataclass_fields__))
     value = object.__new__(cls)
-    value.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    value.__dict__.update(zip(names, values, strict=True))
     return value
 
 
 @dataclass(frozen=True)
 class FinSet:
-    """An ordered finite set of atoms."""
+    """An ordered finite set of atoms.  A set built through _trusted,
+    from atoms distinct by construction, indexes them on first use."""
 
     elements: tuple
 
@@ -46,6 +53,10 @@ class FinSet:
                 a for i, a in enumerate(elements) if elements.index(a) != i),))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", index)
+
+    @functools.cached_property
+    def _index(self):
+        return {a: i for i, a in enumerate(self.elements)}
 
     def __iter__(self):
         return iter(self.elements)
@@ -75,7 +86,7 @@ class FinSet:
     @staticmethod
     def product(x, y):
         """Cartesian product, lexicographic in (index in x, index in y)."""
-        return FinSet(tuple((a, b) for a in x for b in y))
+        return _trusted(FinSet, tuple((a, b) for a in x for b in y))
 
 
 @dataclass(frozen=True)
@@ -100,12 +111,12 @@ class FinFn:
         return self.assignment[atom]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FinFn)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and all(self.assignment[a] == other.assignment[a] for a in self.domain)
-        )
+        if self is other or not isinstance(other, FinFn):
+            return self is other
+        mine, theirs = self.assignment, other.assignment
+        return self.domain == other.domain and self.codomain == other.codomain \
+            and (mine == theirs if len(mine) == len(theirs) == len(self.domain)
+                 else all(mine[a] == theirs[a] for a in self.domain))
 
     def __hash__(self):
         return hash((self.domain, self.codomain,
@@ -223,10 +234,10 @@ class SpanMorphism:
 
 
 def _in_order(pairs, x, y):
-    """The distinct pairs of atoms of x and y among pairs, lexicographic
-    in (index in x, index in y)."""
-    return tuple(sorted(set(pairs), key=lambda p: (x.index(p[0]),
-                                                    y.index(p[1]))))
+    """The set of the distinct pairs of atoms of x and y among pairs,
+    lexicographic in (index in x, index in y)."""
+    return _trusted(FinSet, tuple(sorted(set(pairs), key=lambda p: (
+        x._index[p[0]], y._index[p[1]]))))
 
 
 def compose_spans(b, a, pairs=None):
@@ -248,18 +259,17 @@ def compose_spans(b, a, pairs=None):
         over = {}
         for c in a.apex:
             over.setdefault(a_left[c], []).append(c)
-        pairs = tuple((d, c) for d in b.apex
-                      for c in over.get(b_right[d], ()))
+        apex = _trusted(FinSet, tuple((d, c) for d in b.apex
+                                      for c in over.get(b_right[d], ())))
     else:
-        pairs = _in_order(pairs, b.apex, a.apex)
-        for (d, c) in pairs:
+        apex = _in_order(pairs, b.apex, a.apex)
+        for (d, c) in apex:
             if b_right[d] != a_left[c]:
                 raise SpanError("%r is not a matched pair" % ((d, c),))
-    apex = FinSet(pairs)
     b_left, a_right = b.left.assignment, a.right.assignment
-    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in pairs})
+    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in apex})
     right = _trusted(FinFn, apex, a.src,
-                     {(d, c): a_right[c] for (d, c) in pairs})
+                     {(d, c): a_right[c] for (d, c) in apex})
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
@@ -280,7 +290,7 @@ def cartesian_product(a, b, pairs=None):
     """Componentwise product span; apex pairs lexicographic in (a, b).
     Given pairs, the apex is just those (see compose_spans)."""
     apex = FinSet.product(a.apex, b.apex) if pairs is None else \
-        FinSet(_in_order(pairs, a.apex, b.apex))
+        _in_order(pairs, a.apex, b.apex)
     src = FinSet.product(a.src, b.src)
     tgt = FinSet.product(a.tgt, b.tgt)
     left = _trusted(FinFn, apex, tgt,

@@ -32,9 +32,9 @@ from .spanv_core import (
     SpanVError, VectBackend,
     Cell0, Cell1, Cell2, cell2_along, identity_cell1, identity_cell2,
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
-    relabel_cell2, regroup, associator_cell2,
-    left_unitor_cell2, right_unitor_cell2, interchange_cell2, invert_cell2,
-    eq2, image_atoms,
+    relabel_cell2, regroup, associator_cell2, associator_inv_cell2,
+    left_unitor_cell2, left_unitor_inv_cell2, right_unitor_cell2,
+    right_unitor_inv_cell2, interchange_cell2, invert_cell2, eq2, image_atoms,
 )
 
 
@@ -350,10 +350,9 @@ def opmap_adjunctions(X, be):
 
 def _triangle_left(left, right, unit, counit):
     """(counit o 1) . (1 o unit) = 1 on the left adjoint, with unitors."""
-    start = invert_cell2(right_unitor_cell2(left)).inverse
+    start = right_unitor_inv_cell2(left)
     insert = hcomp2(identity_cell2(left), unit)
-    rebracket = invert_cell2(
-        associator_cell2(left, right, left)).inverse
+    rebracket = associator_inv_cell2(left, right, left)
     collapse = hcomp2(counit, identity_cell2(left))
     finish = left_unitor_cell2(left)
     cell = vcomp2(finish, vcomp2(collapse, vcomp2(rebracket,
@@ -363,7 +362,7 @@ def _triangle_left(left, right, unit, counit):
 
 def _triangle_right(left, right, unit, counit):
     """(1 o counit) . (unit o 1) = 1 on the right adjoint, with unitors."""
-    start = invert_cell2(left_unitor_cell2(right)).inverse
+    start = left_unitor_inv_cell2(right)
     insert = hcomp2(unit, identity_cell2(right))
     rebracket = associator_cell2(right, left, right)
     collapse = hcomp2(identity_cell2(right), counit)
@@ -435,15 +434,13 @@ def _frobenius_shared_prefix(adj, mirrored):
     pad = tensor2(*order(adj.m_unit, identity_cell2(idc)))
     split = invert_cell2(interchange_cell2(
         *order(mon.m, idc), *order(adj.m_star, idc))).inverse
-    fixup = tensor2(*order(identity_cell2(mm),
-                           invert_cell2(left_unitor_cell2(idc)).inverse))
+    fixup = tensor2(*order(identity_cell2(mm), left_unitor_inv_cell2(idc)))
     inner = tensor1(*order(mon.m, idc))
     outer = tensor1(*order(adj.m_star, idc))
-    cell = invert_cell2(right_unitor_cell2(s0)).inverse
+    cell = right_unitor_inv_cell2(s0)
     cell = vcomp2(hcomp2(identity_cell2(s0),
                          vcomp2(vcomp2(split, fixup), pad)), cell)
-    cell = vcomp2(invert_cell2(associator_cell2(s0, inner, outer)).inverse,
-                  cell)
+    cell = vcomp2(associator_inv_cell2(s0, inner, outer), cell)
     cell = vcomp2(hcomp2(associator_cell2(adj.m_star, mon.m, inner),
                          identity_cell2(outer)), cell)
     return cell, outer
@@ -491,10 +488,9 @@ def _core_steps(adj, mirrored):
         freed = tensor1(idc, mon.m)
     return [
         hcomp2(identity_cell2(adj.m_star), coherence),
-        invert_cell2(associator_cell2(
-            adj.m_star, hcomp1(mon.m, freed), regroup)).inverse,
-        hcomp2(invert_cell2(associator_cell2(
-            adj.m_star, mon.m, freed)).inverse, identity_cell2(regroup)),
+        associator_inv_cell2(adj.m_star, hcomp1(mon.m, freed), regroup),
+        hcomp2(associator_inv_cell2(adj.m_star, mon.m, freed),
+               identity_cell2(regroup)),
         hcomp2(hcomp2(adj.m_counit, identity_cell2(freed)),
                identity_cell2(regroup)),
         hcomp2(left_unitor_cell2(freed), identity_cell2(regroup)),

@@ -15,8 +15,9 @@ transport along explicitly supplied coherence cells.
 The cell constructors check labels and boundaries.  Identities and the
 horizontal, vertical and tensor composites of checked cells are built
 without those checks (finset_span._trusted), once the boundary they
-compose across has been checked; cell2_along and relabel_cell2 keep them,
-since their atom map is arbitrary.
+compose across has been checked; cell2_along keeps them, since its atom
+map is arbitrary, and relabel_cell2 and invert_cell2 run those that can
+fail.
 
 A 2-cell read at a source atom needs its target only at that atom's
 image.  So the composites and coherence cells a law passes through can
@@ -29,7 +30,7 @@ each on the image of the one before.
 from dataclasses import dataclass, field
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism, _trusted,
+    FinSet, FinFn, Span, SpanMorphism, SpanError, _trusted,
     compose_spans, compose_span_morphisms_h, cartesian_product,
 )
 from .reporting import Verdict
@@ -504,10 +505,14 @@ def unit_cell0(backend):
 
 
 def tensor0(a, b):
-    carrier = FinSet.product(a.carrier, b.carrier)
-    label = {(k, l): a.backend.tensor0v(a.label[k], b.label[l])
-             for (k, l) in carrier}
-    return _trusted(Cell0, a.backend, carrier, label)
+    """The product 0-cell, kept on a by b's identity: checks on it hit is."""
+    hit = vars(a).setdefault("_tensors", {}).get(id(b))
+    if hit is None:
+        carrier = FinSet.product(a.carrier, b.carrier)
+        hit = a._tensors[id(b)] = (b, _trusted(Cell0, a.backend, carrier, {
+            (k, l): a.backend.tensor0v(a.label[k], b.label[l])
+            for (k, l) in carrier}))
+    return hit[1]
 
 
 def tensor1(a, b, atoms=None):
@@ -538,10 +543,28 @@ def relabel_cell2(source, target, fn):
     """The coherence 2-cell with identity components along fn (as in
     cell2_along).  Valid when each source label equals the label of its
     image on the nose, as for every re-bracketing or collapse over the
-    strict backends; the Cell2 checks fail loudly otherwise."""
+    strict backends; those checks of cell2_along that can fail run, as there."""
+    s, t = source.span, target.span
+    fn = {c: fn(c) for c in s.apex}
+    for c, d in fn.items():
+        if d not in t.apex:
+            raise SpanError("value %r of %r not in codomain %r" % (d, c, t.apex))
+    if s.src != t.src or s.tgt != t.tgt:
+        raise SpanError("span morphism endpoints must agree")
+    for c, d in fn.items():
+        if t.left(d) != s.left(c) or t.right(d) != s.right(c):
+            raise SpanError("legs do not commute at %r" % (c,))
     be = source.backend
-    return cell2_along(source, target, fn,
-                       {c: be.id2(source.label[c]) for c in source.span.apex})
+    if be != target.backend:
+        raise SpanVError("2-cell endpoints use different backends")
+    if source.src != target.src or source.tgt != target.tgt:
+        raise SpanVError("2-cell 0-cell boundaries must agree")
+    for c, d in fn.items():
+        if not be.eq1(source.label[c], target.label[d]):
+            raise SpanVError("component codomain mismatch at %r" % (c,))
+    return _trusted(Cell2, source, target, _trusted(
+        SpanMorphism, s, t, _trusted(FinFn, s.apex, t.apex, fn)),
+        {c: be.id2(source.label[c]) for c in s.apex})
 
 
 def regroup(t):
@@ -574,16 +597,34 @@ def associator_cell2(c, b, a, atoms=None):
                          regroup)
 
 
+def associator_inv_cell2(c, b, a):
+    """c o (b o a) => (c o b) o a, the inverse of associator_cell2."""
+    return relabel_cell2(hcomp1(c, hcomp1(b, a)), hcomp1(hcomp1(c, b), a),
+                         lambda t: ((t[0], t[1][0]), t[1][1]))
+
+
 def left_unitor_cell2(a):
     """identity(tgt) o a => a, identity components."""
     return relabel_cell2(hcomp1(identity_cell1(a.tgt), a), a,
                          lambda t: t[1])
 
 
+def left_unitor_inv_cell2(a):
+    """a => identity(tgt) o a, the inverse of left_unitor_cell2."""
+    return relabel_cell2(a, hcomp1(identity_cell1(a.tgt), a),
+                         lambda c: (a.span.left(c), c))
+
+
 def right_unitor_cell2(a):
     """a o identity(src) => a, identity components."""
     return relabel_cell2(hcomp1(a, identity_cell1(a.src)), a,
                          lambda t: t[0])
+
+
+def right_unitor_inv_cell2(a):
+    """a => a o identity(src), the inverse of right_unitor_cell2."""
+    return relabel_cell2(a, hcomp1(a, identity_cell1(a.src)),
+                         lambda c: (c, a.span.right(c)))
 
 
 def interchange_cell2(f, g, h, k, atoms=None, product=tensor1):
@@ -612,7 +653,7 @@ def restrict1(a, atoms):
     """The sub-span of a on some of its apex atoms, in apex order, with
     its legs and labels restricted: a 1-cell whenever a is one."""
     s = a.span
-    apex = FinSet(sorted(set(atoms), key=s.apex.index))
+    apex = _trusted(FinSet, tuple(sorted(set(atoms), key=s.apex.index)))
     left = _trusted(FinFn, apex, s.tgt, {x: s.left(x) for x in apex})
     right = _trusted(FinFn, apex, s.src, {x: s.right(x) for x in apex})
     return _trusted(Cell1, a.backend, a.src, a.tgt,
@@ -675,15 +716,17 @@ def invert_cell2(u):
                 return InverseCellResult(
                     None, ("span map not injective", (seen[d], c)))
             seen[d] = c
-    be = u.backend
-    inv_map = u.morphism.inverse()
+    be, fn = u.backend, u.morphism.map
     comps = {}
     for c in u.source.span.apex:
         inv, witness = be.invert2(u.components[c])
         if inv is None:
             return InverseCellResult(None, ("component not invertible", c, witness))
-        comps[u.morphism.map(c)] = inv
-    return InverseCellResult(Cell2(u.target, u.source, inv_map, comps))
+        comps[fn(c)] = inv
+    return InverseCellResult(_trusted(Cell2, u.target, u.source, _trusted(
+        SpanMorphism, u.morphism.target, u.morphism.source, _trusted(
+            FinFn, fn.codomain, fn.domain, {fn(c): c for c in fn.domain})),
+        comps))
 
 
 def eq2(u, v, transport=()):

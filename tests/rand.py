@@ -65,6 +65,28 @@ def random_vect_cell1(rng, backend, src, tgt, max_apex=3, max_dim=3,
     return Cell1(backend, src, tgt, span, label)
 
 
+def _span_over(rng, tspan):
+    """A random span with fresh apex atoms, each with the legs of a
+    random image in tspan's apex; returns it and the images."""
+    n = rng.randint(0, max(1, len(tspan.apex)))
+    if len(tspan.apex) == 0:
+        n = 0
+    apex = FinSet([fresh_atom("s") for _ in range(n)])
+    images = {c: rng.choice(tspan.apex.elements) for c in apex}
+    left = FinFn(apex, tspan.tgt, {c: tspan.left(images[c]) for c in apex})
+    right = FinFn(apex, tspan.src, {c: tspan.right(images[c]) for c in apex})
+    return Span(tspan.src, tspan.tgt, apex, left, right), images
+
+
+def random_relabeling(rng, target):
+    """A random 1-cell parallel to target and a map of its apex into
+    target's apex, as a dict, along which the legs commute and each
+    label is its image's: the data of a valid relabel_cell2."""
+    span, images = _span_over(rng, target.span)
+    return Cell1(target.backend, target.src, target.tgt, span,
+                 {c: target.label[d] for c, d in images.items()}), images
+
+
 def random_vect_cell2_from(rng, target, max_dim=3, max_grade=2):
     """A random 2-cell into the given 1-cell.
 
@@ -74,14 +96,8 @@ def random_vect_cell2_from(rng, target, max_dim=3, max_grade=2):
     """
     be = target.backend
     tspan = target.span
-    n = rng.randint(0, max(1, len(tspan.apex)))
-    if len(tspan.apex) == 0:
-        n = 0
-    apex = FinSet([fresh_atom("s") for _ in range(n)])
-    images = {c: rng.choice(tspan.apex.elements) for c in apex}
-    left = FinFn(apex, tspan.tgt, {c: tspan.left(images[c]) for c in apex})
-    right = FinFn(apex, tspan.src, {c: tspan.right(images[c]) for c in apex})
-    span = Span(tspan.src, tspan.tgt, apex, left, right)
+    span, images = _span_over(rng, tspan)
+    apex = span.apex
     label = {c: random_vobject(rng, max_dim, max_grade) for c in apex}
     source = Cell1(be, target.src, target.tgt, span, label)
     morphism = SpanMorphism(span, tspan, FinFn(apex, tspan.apex, images))

@@ -98,17 +98,18 @@ def test_module_imports_only_lower_layers(module):
 # values that were checked already.  A new call site must be added here
 # on purpose, and tests/test_trusted.py must cover it.
 TRUSTED = {
-    "finset_span": {"FinFn.compose", "FinFn.identity", "Span.identity",
-                    "SpanMorphism.identity", "SpanMorphism.then",
-                    "compose_spans", "compose_span_morphisms_h",
-                    "cartesian_product"},
+    "finset_span": {"FinSet.product", "FinFn.compose", "FinFn.identity",
+                    "Span.identity", "SpanMorphism.identity",
+                    "SpanMorphism.then", "_in_order", "compose_spans",
+                    "compose_span_morphisms_h", "cartesian_product"},
     "cat_backend": {"FunctorData.identity", "FunctorData.then",
                     "NatTransData.identity", "NatTransData.vcomp",
                     "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
-                   "restrict1", "_retarget"},
+                   "relabel_cell2", "restrict1", "_retarget",
+                   "invert_cell2"},
 }
 
 

@@ -190,6 +190,32 @@ def test_frobenius_builds_each_side_once(monkeypatch):
     assert calls == {"_frobenius_shared_prefix": 2, "_core_steps": 2}
 
 
+@pytest.mark.parametrize("backend", [V1, C], ids=["vect", "cat"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
+                                                     monkeypatch):
+    # The triangles, the prefix and the core steps build the inverses of
+    # associators and unitors directly, as reversed relabelings, and
+    # every relabeling is built without the Cell2 checks: left are the
+    # two interchange cells, the reversed coherence and the four
+    # comparison cells to invert, and the interchange cells as the only
+    # checked 2-cells (23 inversions and 61 checked 2-cells before).
+    calls = {"invert_cell2": 0, "Cell2": 0}
+
+    def counted_invert(u, _original=md.invert_cell2):
+        calls["invert_cell2"] += 1
+        return _original(u)
+
+    def counted_check(self, _original=Cell2.__post_init__):
+        calls["Cell2"] += 1
+        _original(self)
+    monkeypatch.setattr(md, "invert_cell2", counted_invert)
+    monkeypatch.setattr(Cell2, "__post_init__", counted_check)
+    report = check_frobenius(carrier(n), backend)
+    assert report.ok, report.summary()
+    assert calls["invert_cell2"] == 7 and calls["Cell2"] <= 2
+
+
 def test_frobenius_locates_corrupted_unit():
     X = carrier(2)
     adj = opmap_adjunctions(X, V1)

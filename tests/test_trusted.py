@@ -7,8 +7,11 @@ constructor in every module that binds it, and the goldens, the
 acceptance inputs and generated chains of composites are built again:
 no constructor may raise, and every composite must equal the one the
 trusted path built.  That includes the law chains whose later stages
-are built only on the atoms their source reaches.  Mutant composites
-show that the mode catches what the trusted path lets through.
+are built only on the atoms their source reaches, and the relabelings
+and inverses that run only the checks that can fail: on broken
+relabelings both modes raise the checked constructors' errors.  Mutant
+composites show that the mode catches what the trusted path lets
+through.
 """
 
 import inspect
@@ -25,15 +28,18 @@ from hopfspan import hopf_structures as hs
 from hopfspan import spanv_core as sc
 from hopfspan.cat_backend import CatError, FinCategory, FunctorData, \
     NatTransData
-from hopfspan.finset_span import FinFn, SpanError
+from hopfspan.finset_span import FinFn, FinSet, Span, SpanError
 from hopfspan.spanv_core import (
-    VectBackend, hcomp1, hcomp2, identity_cell2, product_functor,
-    product_nat, tensor2, vcomp2,
+    Cell0, Cell1, Cell2, SpanVError, VectBackend, associator_cell2,
+    associator_inv_cell2, cell2_along, hcomp1, hcomp2, identity_cell2,
+    invert_cell2, left_unitor_cell2, left_unitor_inv_cell2, product_functor,
+    product_nat, relabel_cell2, right_unitor_cell2, right_unitor_inv_cell2,
+    tensor2, vcomp2,
 )
 from hopfspan.vect_backend import BraidParam
 from rand import (
-    random_composable_vect_cell1s, random_vect_cell0, random_vect_cell1,
-    random_vect_cell2_from, seeded,
+    random_composable_vect_cell1s, random_relabeling, random_vect_cell0,
+    random_vect_cell1, random_vect_cell2_from, random_vobject, seeded,
 )
 
 
@@ -114,6 +120,120 @@ def vect_composites(seed):
 def test_vect_composite_chains_agree_in_checking_mode(seed, monkeypatch):
     build = vect_composites(seed)
     trusted = build()
+    enter_checking_mode(monkeypatch)
+    assert build() == trusted
+
+
+def empty_cell1(be, src, tgt):
+    apex = FinSet([])
+    return Cell1(be, src, tgt, Span(src.carrier, tgt.carrier, apex,
+                                    FinFn(apex, tgt.carrier, {}),
+                                    FinFn(apex, src.carrier, {})), {})
+
+
+def relabelings(seed):
+    """A valid relabeling (source, target, fn) drawn from rand, and the
+    broken ones made from it: fn off the target apex, legs that do not
+    commute, a label mismatch, and 0-cell boundaries that differ in
+    their carrier or, on the same carrier, in their labels."""
+    rng = seeded(seed)
+    be = VectBackend(BraidParam(1))
+    while True:
+        x, y = random_vect_cell0(rng, be), random_vect_cell0(rng, be)
+        target = random_vect_cell1(rng, be, x, y, max_apex=4)
+        source, images = random_relabeling(rng, target)
+        legs = {d: (target.span.left(d), target.span.right(d))
+                for d in target.span.apex}
+        c = next(iter(images), None)
+        astray = [d for d in legs if c is not None
+                  and legs[d] != legs[images[c]]]
+        if astray:
+            break
+    relabeled = Cell1(be, x, y, source.span,
+                      {**source.label, c: random_vobject(rng)})
+    unlabeled = Cell0(be, x.carrier, {p: "#" for p in x.carrier})
+    broken = [(source, target, {**images, c: "nowhere"}),
+              (source, target, {**images, c: astray[0]}),
+              (relabeled, target, images),
+              (empty_cell1(be, random_vect_cell0(rng, be), y), target, {}),
+              (empty_cell1(be, unlabeled, y), target, {})]
+    return (source, target, images), broken
+
+
+def relabeled_along(source, target, fn):
+    """relabel_cell2 through cell2_along and its checked constructors."""
+    be = source.backend
+    return cell2_along(source, target, fn,
+                       {c: be.id2(source.label[c]) for c in source.span.apex})
+
+
+def outcome(relabel, source, target, fn):
+    """The cell relabel builds, or the class and message it raises."""
+    try:
+        return relabel(source, target, fn.__getitem__)
+    except (SpanError, SpanVError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relabelings_agree_with_the_checked_constructors(seed, monkeypatch):
+    valid, broken = relabelings(seed)
+    cases = [valid] + broken
+    trusted = [outcome(relabel_cell2, *case) for case in cases]
+    assert isinstance(trusted[0], Cell2)
+    assert [type(o) for o in trusted[1:]] == [tuple] * len(broken)
+    assert trusted == [outcome(relabeled_along, *case) for case in cases]
+    enter_checking_mode(monkeypatch)
+    assert trusted == [outcome(relabel_cell2, *case) for case in cases]
+
+
+def relabel_unchecked(source, target, fn):
+    """A mutant relabel_cell2 that runs none of its checks."""
+    be = source.backend
+    s, t = source.span, target.span
+    return sc._trusted(Cell2, source, target, sc._trusted(
+        fs.SpanMorphism, s, t,
+        sc._trusted(FinFn, s.apex, t.apex, {c: fn(c) for c in s.apex})),
+        {c: be.id2(source.label[c]) for c in s.apex})
+
+
+def test_checking_mode_catches_a_relabeling_without_checks(monkeypatch):
+    _, broken = relabelings(0)
+    relabeled, target, images = broken[2]
+    relabel_unchecked(relabeled, target, images.__getitem__)  # let through
+    enter_checking_mode(monkeypatch)
+    with pytest.raises(SpanVError, match="component codomain mismatch"):
+        relabel_unchecked(relabeled, target, images.__getitem__)
+
+
+def inverses(seed):
+    """invert_cell2 on coherence cells, on a relabeling and on a random
+    2-cell, with the direct inverses of the coherence cells, as a thunk
+    building them from the same inputs in whichever mode is current."""
+    rng = seeded(seed)
+    be = VectBackend(BraidParam(rng.choice([1, -1, 2])))
+    c, b, a = random_composable_vect_cell1s(rng, be, 3)
+    source, target, images = relabelings(seed)[0]
+    u = random_vect_cell2_from(rng, b)
+
+    def build():
+        return [invert_cell2(associator_cell2(c, b, a)),
+                associator_inv_cell2(c, b, a),
+                invert_cell2(left_unitor_cell2(b)), left_unitor_inv_cell2(b),
+                invert_cell2(right_unitor_cell2(b)),
+                right_unitor_inv_cell2(b),
+                invert_cell2(relabel_cell2(source, target,
+                                           images.__getitem__)),
+                invert_cell2(u)]
+    return build
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inverses_agree_in_checking_mode(seed, monkeypatch):
+    build = inverses(seed)
+    trusted = build()
+    for res, direct in zip(trusted[0:6:2], trusted[1:6:2]):
+        assert res.inverse == direct
     enter_checking_mode(monkeypatch)
     assert build() == trusted
 
