@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import cat_backend as cb
 from . import vect_backend as vb
-from .finset_span import FinFn, FinSet, Span, SpanMorphism
+from .finset_span import FinFn, FinSet, Span
 from .monoidale_duoidal import (
     ComonoidLabeledCell,
     MonoidalFiber,
@@ -55,7 +55,6 @@ from .spanv_core import (
     CatBackend,
     Cell0,
     Cell1,
-    Cell2,
     SpanVError,
     VectBackend,
     apply_span_F,
@@ -538,9 +537,9 @@ def _assembled_antipode(p, c, sigma):
                         {h: be.tensor1v(lab[h], lab[h]) for h in d.morphisms})
         units = Cell1(be, t.src, t.src, span,
                       {h: be.id1(t.src.label[leg(h)]) for h in d.morphisms})
-        comult = Cell2(source, doubled, SpanMorphism.identity(span), c.delta)
+        comult = cell2_along(source, doubled, lambda h: h, c.delta)
         swapped = cell2_along(doubled, mu2.source, onto, swap)
-        counit = Cell2(source, units, SpanMorphism.identity(span), c.eps)
+        counit = cell2_along(source, units, lambda h: h, c.eps)
         collapse = relabel_cell2(units, eta2.source, leg)
         report.holds(law, eq2(vcomp2(mu2, vcomp2(swapped, comult)),
                               vcomp2(eta2, vcomp2(collapse, counit))))
@@ -1392,12 +1391,10 @@ def em_algebras_restricted(p, kind="modules"):
     for (a, a_q, a_xi) in algebras:
         for (b, b_q, b_xi) in algebras:
             for chi in _arrow_candidates(p, shape, a, b):
-                cell = Cell2(a_q, b_q,
-                             SpanMorphism(a_q.span, b_q.span,
-                                          FinFn.identity(a_q.span.apex)),
-                             {c: cb.NatTransData(a_q.label[c], b_q.label[c],
-                                                 {"*": m})
-                              for (c, m) in chi})
+                cell = cell2_along(a_q, b_q, lambda c: c,
+                                   {c: cb.NatTransData(a_q.label[c],
+                                                       b_q.label[c], {"*": m})
+                                    for (c, m) in chi})
                 if eq2(vcomp2(b_xi, hcomp2(identity_cell2(t), cell)),
                        vcomp2(cell, a_xi)):
                     arrows.append((a, b, chi))

@@ -32,7 +32,7 @@ from .spanv_core import (
     SpanVError, VectBackend,
     Cell0, Cell1, Cell2, cell2_along, identity_cell1, identity_cell2,
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
-    relabel_cell2, regroup, associator_cell2, associator_inv_cell2,
+    relabel_cell2, regroup, ungroup, associator_cell2, associator_inv_cell2,
     left_unitor_cell2, left_unitor_inv_cell2, right_unitor_cell2,
     right_unitor_inv_cell2, interchange_cell2, invert_cell2, eq2, image_atoms,
 )
@@ -67,8 +67,7 @@ def tensor_associator_cell1(x, y, z):
 def tensor_associator_inv_cell1(x, y, z):
     """The regrouping 1-cell x . (y . z) -> (x . y) . z."""
     return _regroup_cell1(tensor0(x, tensor0(y, z)),
-                          tensor0(tensor0(x, y), z),
-                          lambda t: ((t[0], t[1][0]), t[1][1]))
+                          tensor0(tensor0(x, y), z), ungroup)
 
 
 def tensor_left_unitor_cell1(x):
@@ -289,36 +288,6 @@ def check_monoidale(mon):
 
 
 @dataclass(frozen=True)
-class ComonoidaleData:
-    """A comonoid object: comultiplication d and counit e."""
-
-    base: Cell0
-    d: Cell1
-    e: Cell1
-
-    def __post_init__(self):
-        be = self.base.backend
-        if self.d.src != self.base or self.d.tgt != tensor0(self.base, self.base):
-            raise SpanVError("comultiplication must go base -> base . base")
-        if self.e.src != self.base or self.e.tgt != unit_cell0(be):
-            raise SpanVError("counit must go base -> K")
-
-
-def induced_comonoidale(X, be):
-    """The diagonal-span comonoid object on X (the reverses of the
-    induced monoid 1-cells), labeled by the base unit: the diagonal of
-    the unit at each point of d, the identity at each point of e."""
-    g = _diagonal(X, be)
-    d = Cell1(be, g.base, g.square,
-              Span(X, g.square.carrier, X, g.diag, FinFn.identity(X)),
-              {x: _duplicate_label(be, g.base.label[x]) for x in X})
-    e = Cell1(be, g.base, g.unit,
-              Span(X, g.unit.carrier, X, g.bang, FinFn.identity(X)),
-              {x: be.id1(g.base.label[x]) for x in X})
-    return ComonoidaleData(g.base, d, e)
-
-
-@dataclass(frozen=True)
 class OpmapAdjunctions:
     """m_star -| m and u_star -| u for the induced monoid object."""
 
@@ -333,11 +302,18 @@ class OpmapAdjunctions:
 
 def opmap_adjunctions(X, be):
     """The left adjoints of the induced multiplication and unit, with
-    their unit and counit 2-cells (all forced relabelings)."""
+    their unit and counit 2-cells (all forced relabelings).
+
+    The adjoints are the reversed spans, on the monoidale's own 0-cells,
+    labeled by the diagonal of each point's label (m_star) and by its
+    identity (u_star)."""
     mon = induced_monoidale(X, be)
-    com = induced_comonoidale(X, be)
-    m_star, u_star = com.d, com.e
-    idc = identity_cell1(mon.base)
+    A = mon.base
+    m_star = Cell1(be, A, mon.m.src, mon.m.span.reverse(),
+                   {x: _duplicate_label(be, A.label[x]) for x in X})
+    u_star = Cell1(be, A, mon.u.src, mon.u.span.reverse(),
+                   {x: be.id1(A.label[x]) for x in X})
+    idc = identity_cell1(A)
     return OpmapAdjunctions(
         mon, m_star, u_star,
         m_unit=unique_relabel_cell2(idc, hcomp1(mon.m, m_star)),

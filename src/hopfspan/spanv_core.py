@@ -15,9 +15,10 @@ transport along explicitly supplied coherence cells.
 The cell constructors check labels and boundaries.  Identities and the
 horizontal, vertical and tensor composites of checked cells are built
 without those checks (finset_span._trusted), once the boundary they
-compose across has been checked; cell2_along keeps them, since its atom
-map is arbitrary, and relabel_cell2 and invert_cell2 run those that can
-fail.
+compose across has been checked.  A 2-cell along a given atom map is
+built by cell2_along, which runs just those checks that can fail for it
+(relabel_cell2 is cell2_along with identity components), and
+invert_cell2 runs only its own.
 
 A 2-cell read at a source atom needs its target only at that atom's
 image.  So the composites and coherence cells a law passes through can
@@ -448,13 +449,36 @@ def identity_cell2(a):
 
 def cell2_along(source, target, fn, components):
     """The 2-cell source => target with the given components along fn, a
-    map of source apex atoms into the target apex commuting with the legs."""
-    apex = source.span.apex
-    return Cell2(source, target,
-                 SpanMorphism(source.span, target.span,
-                              FinFn(apex, target.span.apex,
-                                    {c: fn(c) for c in apex})),
-                 components)
+    map of source apex atoms into the target apex commuting with the legs.
+
+    It runs those checks of the FinFn, SpanMorphism and Cell2
+    constructors that can fail for a map built from fn, in their order
+    and with their errors, then builds the cell without the rest."""
+    s, t = source.span, target.span
+    fn = {c: fn(c) for c in s.apex}
+    for c, d in fn.items():
+        if d not in t.apex:
+            raise SpanError("value %r of %r not in codomain %r" % (d, c, t.apex))
+    if s.src != t.src or s.tgt != t.tgt:
+        raise SpanError("span morphism endpoints must agree")
+    for c, d in fn.items():
+        if t.left(d) != s.left(c) or t.right(d) != s.right(c):
+            raise SpanError("legs do not commute at %r" % (c,))
+    be = source.backend
+    if be != target.backend:
+        raise SpanVError("2-cell endpoints use different backends")
+    if source.src != target.src or source.tgt != target.tgt:
+        raise SpanVError("2-cell 0-cell boundaries must agree")
+    for c, d in fn.items():
+        if c not in components:
+            raise SpanVError("component missing at %r" % (c,))
+        phi = components[c]
+        if not be.eq1(be.src2(phi), source.label[c]):
+            raise SpanVError("component domain mismatch at %r" % (c,))
+        if not be.eq1(be.tgt2(phi), target.label[d]):
+            raise SpanVError("component codomain mismatch at %r" % (c,))
+    return _trusted(Cell2, source, target, _trusted(
+        SpanMorphism, s, t, _trusted(FinFn, s.apex, t.apex, fn)), components)
 
 
 def vcomp2(second, first):
@@ -540,36 +564,23 @@ def tensor2(u, v, atoms=None):
 
 
 def relabel_cell2(source, target, fn):
-    """The coherence 2-cell with identity components along fn (as in
+    """The coherence 2-cell with identity components along fn (see
     cell2_along).  Valid when each source label equals the label of its
     image on the nose, as for every re-bracketing or collapse over the
-    strict backends; those checks of cell2_along that can fail run, as there."""
-    s, t = source.span, target.span
-    fn = {c: fn(c) for c in s.apex}
-    for c, d in fn.items():
-        if d not in t.apex:
-            raise SpanError("value %r of %r not in codomain %r" % (d, c, t.apex))
-    if s.src != t.src or s.tgt != t.tgt:
-        raise SpanError("span morphism endpoints must agree")
-    for c, d in fn.items():
-        if t.left(d) != s.left(c) or t.right(d) != s.right(c):
-            raise SpanError("legs do not commute at %r" % (c,))
+    strict backends."""
     be = source.backend
-    if be != target.backend:
-        raise SpanVError("2-cell endpoints use different backends")
-    if source.src != target.src or source.tgt != target.tgt:
-        raise SpanVError("2-cell 0-cell boundaries must agree")
-    for c, d in fn.items():
-        if not be.eq1(source.label[c], target.label[d]):
-            raise SpanVError("component codomain mismatch at %r" % (c,))
-    return _trusted(Cell2, source, target, _trusted(
-        SpanMorphism, s, t, _trusted(FinFn, s.apex, t.apex, fn)),
-        {c: be.id2(source.label[c]) for c in s.apex})
+    return cell2_along(source, target, fn,
+                       {c: be.id2(source.label[c]) for c in source.span.apex})
 
 
 def regroup(t):
     """The re-bracketing ((x, y), z) -> (x, (y, z)) of nested pairs."""
     return (t[0][0], (t[0][1], t[1]))
+
+
+def ungroup(t):
+    """The re-bracketing (x, (y, z)) -> ((x, y), z), inverse to regroup."""
+    return ((t[0], t[1][0]), t[1][1])
 
 
 def interchange_atoms(t):
@@ -600,7 +611,7 @@ def associator_cell2(c, b, a, atoms=None):
 def associator_inv_cell2(c, b, a):
     """c o (b o a) => (c o b) o a, the inverse of associator_cell2."""
     return relabel_cell2(hcomp1(c, hcomp1(b, a)), hcomp1(hcomp1(c, b), a),
-                         lambda t: ((t[0], t[1][0]), t[1][1]))
+                         ungroup)
 
 
 def left_unitor_cell2(a):
@@ -784,10 +795,10 @@ def apply_span_F(F, cell):
                      cell.span,
                      {c: F.map1(cell.label[c]) for c in cell.span.apex})
     if isinstance(cell, Cell2):
-        return Cell2(apply_span_F(F, cell.source), apply_span_F(F, cell.target),
-                     cell.morphism,
-                     {c: F.map2(cell.components[c])
-                      for c in cell.source.span.apex})
+        return cell2_along(apply_span_F(F, cell.source),
+                           apply_span_F(F, cell.target), cell.morphism.map,
+                           {c: F.map2(cell.components[c])
+                            for c in cell.source.span.apex})
     raise SpanVError("not a labeled cell: %r" % (cell,))
 
 

@@ -108,14 +108,22 @@ TRUSTED = {
     "spanv_core": {"_product_category", "product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
-                   "relabel_cell2", "restrict1", "_retarget",
+                   "cell2_along", "restrict1", "_retarget",
                    "invert_cell2"},
 }
 
 
-def readers(source, name):
-    """The enclosing function, as Class.method, of every read of name in
-    source, as a bare name or as an attribute."""
+def name_read(node):
+    """The name node reads, as a bare name or as an attribute, or None."""
+    if not isinstance(getattr(node, "ctx", None), ast.Load):
+        return None
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def scopes(source, match):
+    """The enclosing function, as Class.method, of every node of source
+    that match accepts."""
     found = set()
 
     def visit(node, scope):
@@ -123,9 +131,7 @@ def readers(source, name):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                read = child.id if isinstance(child, ast.Name) else \
-                    child.attr if isinstance(child, ast.Attribute) else None
-                if read == name and isinstance(child.ctx, ast.Load):
+                if match(child):
                     found.add(".".join(scope) or "<module>")
                 visit(child, scope)
 
@@ -133,9 +139,20 @@ def readers(source, name):
     return found
 
 
-def package_readers(name):
-    """readers of name in each package module that reads it."""
-    found = {p.stem: readers(p.read_text(), name)
+def readers(source, name):
+    """The enclosing function of every read of name in source."""
+    return scopes(source, lambda node: name_read(node) == name)
+
+
+def callers(source, name):
+    """The enclosing function of every call of name in source."""
+    return scopes(source, lambda node: isinstance(node, ast.Call)
+                  and name_read(node.func) == name)
+
+
+def package_scopes(find, name):
+    """find(source, name) in each package module where it finds any."""
+    found = {p.stem: find(p.read_text(), name)
              for p in PACKAGE.glob("*.py")}
     return {module: names for module, names in found.items() if names}
 
@@ -148,9 +165,23 @@ def test_trusted_readers_finds_every_read():
 
 
 def test_trusted_constructors_are_called_only_where_listed():
-    found = package_readers("_trusted")
+    found = package_scopes(readers, "_trusted")
     assert found == TRUSTED
     assert not set(found) & {"hopf_structures", "monoidale_duoidal", "cli"}
+
+
+def test_callers_finds_calls_only():
+    source = ("from x import Cell2\ncheck = isinstance(1, Cell2)\n"
+              "def f(m):\n    return m.Cell2(1)\n"
+              "def g():\n    return _trusted(Cell2, 1)\n"
+              "class A:\n    def h(self):\n        return Cell2(2)\n")
+    assert callers(source, "Cell2") == {"f", "A.h"}
+
+
+def test_no_package_module_calls_the_checked_cell2_constructor():
+    # A 2-cell is either a trusted composite or built along its atom map
+    # by cell2_along, which runs the constructor's checks that can fail.
+    assert package_scopes(callers, "Cell2") == {}
 
 
 # The readers of a backend's first_diff: the report's rule for equations
@@ -168,7 +199,7 @@ def test_readers_finds_attribute_reads():
 
 
 def test_first_diff_is_read_only_by_the_law_rule_and_eq2():
-    assert package_readers("first_diff") == FIRST_DIFF
+    assert package_scopes(readers, "first_diff") == FIRST_DIFF
 
 
 # Outside the kernel, only the CLI's matrix reader builds a VMorphism
@@ -178,6 +209,6 @@ FROM_ROWS = {"cli": {"_matrix"}}
 
 
 def test_from_rows_is_read_outside_the_kernel_only_by_the_matrix_reader():
-    found = package_readers("_from_rows")
+    found = package_scopes(readers, "_from_rows")
     assert found.pop("vect_backend")
     assert found == FROM_ROWS

@@ -16,7 +16,7 @@ from hopfspan.spanv_core import (
     relabel_cell2, left_unitor_cell2, right_unitor_cell2, invert_cell2, eq2,
 )
 from hopfspan.monoidale_duoidal import (
-    MonoidaleData, induced_monoidale, induced_comonoidale, check_monoidale,
+    MonoidaleData, induced_monoidale, check_monoidale,
     unique_relabel_cell2,
     opmap_adjunctions, check_adjunction_triangles,
     frobenius_comparison_cells, check_frobenius,
@@ -196,10 +196,10 @@ def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
                                                      monkeypatch):
     # The triangles, the prefix and the core steps build the inverses of
     # associators and unitors directly, as reversed relabelings, and
-    # every relabeling is built without the Cell2 checks: left are the
-    # two interchange cells, the reversed coherence and the four
-    # comparison cells to invert, and the interchange cells as the only
-    # checked 2-cells (23 inversions and 61 checked 2-cells before).
+    # every 2-cell along an atom map is built by cell2_along, without
+    # the Cell2 constructor: left to invert are the two interchange
+    # cells, the reversed coherence and the four comparison cells (23
+    # inversions and 61 checked 2-cells before).
     calls = {"invert_cell2": 0, "Cell2": 0}
 
     def counted_invert(u, _original=md.invert_cell2):
@@ -213,7 +213,26 @@ def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
     monkeypatch.setattr(Cell2, "__post_init__", counted_check)
     report = check_frobenius(carrier(n), backend)
     assert report.ok, report.summary()
-    assert calls["invert_cell2"] == 7 and calls["Cell2"] <= 2
+    assert calls["invert_cell2"] == 7 and calls["Cell2"] == 0
+
+
+@pytest.mark.parametrize("backend", [V1, C], ids=["vect", "cat"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_frobenius_compares_its_0_cells_by_identity(n, backend,
+                                                    monkeypatch):
+    # The adjoints are built on the monoidale's own 0-cells, so the
+    # composites of m with m_star meet the same carrier and square: the
+    # few 0-cell comparisons left that are not identical are of 0-cells
+    # made from a unit 0-cell built again (100 before).
+    calls = {"equal": 0}
+
+    def counted_eq(self, other, _original=Cell0.__eq__):
+        calls["equal"] += self is not other
+        return _original(self, other)
+    monkeypatch.setattr(Cell0, "__eq__", counted_eq)
+    report = check_frobenius(carrier(n), backend)
+    assert report.ok, report.summary()
+    assert calls["equal"] <= 3
 
 
 def test_frobenius_locates_corrupted_unit():
@@ -261,12 +280,13 @@ def test_star_keeps_only_leg_matched_pairs():
 
 
 def whiskered_star(b, a):
-    """The convolution as the whiskered composite m o (b . a) o d of the
-    diagonal monoid and comonoid, its presentation on plain leg-matched
-    pairs, and the relabeling normalizer between the two."""
+    """The convolution as the whiskered composite m o (b . a) o m_star of
+    the diagonal multiplication and its left adjoint, its presentation on
+    plain leg-matched pairs, and the relabeling normalizer between the
+    two."""
     mon = induced_monoidale(b.tgt.carrier, b.backend)
-    com = induced_comonoidale(b.src.carrier, b.backend)
-    composite = hcomp1(hcomp1(mon.m, tensor1(b, a)), com.d)
+    m_star = opmap_adjunctions(b.src.carrier, b.backend).m_star
+    composite = hcomp1(hcomp1(mon.m, tensor1(b, a)), m_star)
     pairs, labels, assignment = [], {}, {}
     for big in composite.span.apex:
         ((_, pair), _) = big
@@ -281,15 +301,15 @@ def whiskered_star(b, a):
                       {(c, h): b.span.right(c) for (c, h) in apex}))
     normalized = Cell1(b.backend, a.src, a.tgt, span, labels)
     normalizer = relabel_cell2(composite, normalized, assignment.__getitem__)
-    return mon, com, normalized, normalizer
+    return mon, m_star, normalized, normalizer
 
 
 def oracle_star2(v, u):
-    """The whiskered 2-cell 1_m o (v . u) o 1_d between normalizers."""
-    mon, com, _, n_source = whiskered_star(v.source, u.source)
+    """The whiskered 2-cell 1_m o (v . u) o 1_m_star between normalizers."""
+    mon, m_star, _, n_source = whiskered_star(v.source, u.source)
     _, _, _, n_target = whiskered_star(v.target, u.target)
     big = hcomp2(hcomp2(identity_cell2(mon.m), tensor2(v, u)),
-                 identity_cell2(com.d))
+                 identity_cell2(m_star))
     return vcomp2(n_target, vcomp2(big, invert_cell2(n_source).inverse))
 
 
@@ -704,6 +724,6 @@ def test_frobenius_over_cat_carriers():
         report = check_frobenius(X, C)
         assert report.ok, report.summary()
         # Over the unit category the collapse functor is the identity.
-        com = md.induced_comonoidale(X, C)
+        u_star = md.opmap_adjunctions(X, C).u_star
         for x in X:
-            assert com.e.label[x] == collapse == FunctorData.identity(one)
+            assert u_star.label[x] == collapse == FunctorData.identity(one)

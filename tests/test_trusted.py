@@ -7,9 +7,9 @@ constructor in every module that binds it, and the goldens, the
 acceptance inputs and generated chains of composites are built again:
 no constructor may raise, and every composite must equal the one the
 trusted path built.  That includes the law chains whose later stages
-are built only on the atoms their source reaches, and the relabelings
-and inverses that run only the checks that can fail: on broken
-relabelings both modes raise the checked constructors' errors.  Mutant
+are built only on the atoms their source reaches, and the cells along
+atom maps and inverses that run only the checks that can fail: on
+broken ones both modes raise the checked constructors' errors.  Mutant
 composites show that the mode catches what the trusted path lets
 through.
 """
@@ -36,7 +36,7 @@ from hopfspan.spanv_core import (
     product_nat, relabel_cell2, right_unitor_cell2, right_unitor_inv_cell2,
     tensor2, vcomp2,
 )
-from hopfspan.vect_backend import BraidParam
+from hopfspan.vect_backend import BraidParam, VMorphism
 from rand import (
     random_composable_vect_cell1s, random_relabeling, random_vect_cell0,
     random_vect_cell1, random_vect_cell2_from, random_vobject, seeded,
@@ -160,50 +160,90 @@ def relabelings(seed):
     return (source, target, images), broken
 
 
-def relabeled_along(source, target, fn):
-    """relabel_cell2 through cell2_along and its checked constructors."""
+def identity_components(source):
     be = source.backend
-    return cell2_along(source, target, fn,
-                       {c: be.id2(source.label[c]) for c in source.span.apex})
+    return {c: be.id2(source.label[c]) for c in source.span.apex}
 
 
-def outcome(relabel, source, target, fn):
-    """The cell relabel builds, or the class and message it raises."""
+def cells_along(seed):
+    """A random 2-cell's (source, target, map as a dict, components),
+    and the broken ones made from it: a component missing, and one with
+    the wrong domain or the wrong codomain."""
+    rng = seeded(seed)
+    be = VectBackend(BraidParam(1))
+    u = None
+    while u is None or not u.components:
+        x, y = random_vect_cell0(rng, be), random_vect_cell0(rng, be)
+        u = random_vect_cell2_from(
+            rng, random_vect_cell1(rng, be, x, y, max_apex=4))
+    images = dict(u.morphism.map.assignment)
+    c, phi = next(iter(u.components.items()))
+    stray = random_vobject(rng)
+    broken = [{d: u.components[d] for d in images if d != c},
+              {**u.components, c: VMorphism.zero(stray, phi.cod)},
+              {**u.components, c: VMorphism.zero(phi.dom, stray)}]
+    return ((u.source, u.target, images, u.components),
+            [(u.source, u.target, images, comps) for comps in broken])
+
+
+def checked_along(source, target, fn, components):
+    """cell2_along through the checked constructors."""
+    apex = source.span.apex
+    return Cell2(source, target,
+                 fs.SpanMorphism(source.span, target.span,
+                                 FinFn(apex, target.span.apex,
+                                       {c: fn(c) for c in apex})),
+                 components)
+
+
+def outcome(build, source, target, fn, *components):
+    """The cell build makes, or the class and message it raises."""
     try:
-        return relabel(source, target, fn.__getitem__)
+        return build(source, target, fn.__getitem__, *components)
     except (SpanError, SpanVError) as error:
         return type(error), str(error)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_relabelings_agree_with_the_checked_constructors(seed, monkeypatch):
+    # Relabelings, valid and broken, go through relabel_cell2 and, with
+    # identity components, through cell2_along; random 2-cells and
+    # their broken components through cell2_along alone.
     valid, broken = relabelings(seed)
-    cases = [valid] + broken
-    trusted = [outcome(relabel_cell2, *case) for case in cases]
-    assert isinstance(trusted[0], Cell2)
-    assert [type(o) for o in trusted[1:]] == [tuple] * len(broken)
-    assert trusted == [outcome(relabeled_along, *case) for case in cases]
+    relabels = [valid] + broken
+    along_valid, along_broken = cells_along(seed)
+    cases = [(*case, identity_components(case[0])) for case in relabels] \
+        + [along_valid] + along_broken
+
+    def build():
+        return ([outcome(relabel_cell2, *case) for case in relabels],
+                [outcome(cell2_along, *case) for case in cases])
+    relabeled, along = build()
+    assert [type(o) for o in along] == [Cell2] + [tuple] * len(broken) \
+        + [Cell2] + [tuple] * len(along_broken)
+    assert along == [outcome(checked_along, *case) for case in cases]
+    assert relabeled == along[:len(relabels)]
     enter_checking_mode(monkeypatch)
-    assert trusted == [outcome(relabel_cell2, *case) for case in cases]
+    assert build() == (relabeled, along)
 
 
-def relabel_unchecked(source, target, fn):
-    """A mutant relabel_cell2 that runs none of its checks."""
-    be = source.backend
+def along_unchecked(source, target, fn, components):
+    """A mutant cell2_along that runs none of its checks."""
     s, t = source.span, target.span
     return sc._trusted(Cell2, source, target, sc._trusted(
         fs.SpanMorphism, s, t,
         sc._trusted(FinFn, s.apex, t.apex, {c: fn(c) for c in s.apex})),
-        {c: be.id2(source.label[c]) for c in s.apex})
+        components)
 
 
 def test_checking_mode_catches_a_relabeling_without_checks(monkeypatch):
     _, broken = relabelings(0)
     relabeled, target, images = broken[2]
-    relabel_unchecked(relabeled, target, images.__getitem__)  # let through
+    monkeypatch.setattr(sc, "cell2_along", along_unchecked)
+    relabel_cell2(relabeled, target, images.__getitem__)  # let through
     enter_checking_mode(monkeypatch)
     with pytest.raises(SpanVError, match="component codomain mismatch"):
-        relabel_unchecked(relabeled, target, images.__getitem__)
+        relabel_cell2(relabeled, target, images.__getitem__)
 
 
 def inverses(seed):
