@@ -13,29 +13,47 @@ integers, or (nested) tuples of atoms.
 Public constructors check their data.  Operations that compose values
 already checked build their result through _trusted instead, which sets
 the fields without the checks; each still checks the boundary it
-composes across.
+composes across, once.  _trusted is the only way to a value without
+its checks: it calls a builder made for each class on first use, which
+stores the fields straight into the new value.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class SpanError(ValueError):
     """Raised on boundary mismatches and malformed span data."""
 
 
-_FIELDS = {}
+_BUILDERS = {}
 
 
 def _trusted(cls, *values):
     """cls(*values) without the constructor's checks, for a value composed
     of parts that were checked already.  Replacing it by the constructor
-    must change nothing but the time taken."""
-    names = _FIELDS.get(cls) or _FIELDS.setdefault(
-        cls, tuple(cls.__dataclass_fields__))
-    value = object.__new__(cls)
-    value.__dict__.update(zip(names, values, strict=True))
-    return value
+    must change nothing but the time taken.  It calls cls's builder,
+    made on first use, which takes exactly one value per field, in
+    field order, and raises TypeError on any other number."""
+    build = _BUILDERS.get(cls)
+    if build is None:
+        build = _BUILDERS[cls] = _builder(cls)
+    return build(*values)
+
+
+def _builder(cls):
+    """A function of cls's fields, in order, named after cls, that makes
+    a cls and stores each field by name straight into its __dict__,
+    where the __init__ that dataclasses writes stores it through
+    object.__setattr__."""
+    names = [f.name for f in fields(cls)]
+    lines = ["def %s(%s):" % (cls.__name__, ", ".join(names)),
+             "    value = new(cls)", "    attrs = value.__dict__"]
+    lines += ["    attrs[%r] = %s" % (name, name) for name in names]
+    lines.append("    return value")
+    scope = {"new": object.__new__, "cls": cls}
+    exec("\n".join(lines), scope)
+    return scope[cls.__name__]
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,8 @@ class FinSet:
         return "FinSet(%r)" % (list(self.elements),)
 
     def __eq__(self, other):
-        return isinstance(other, FinSet) and self.elements == other.elements
+        return self is other or (isinstance(other, FinSet)
+                                 and self.elements == other.elements)
 
     def __hash__(self):
         return hash(self.elements)
@@ -86,7 +105,8 @@ class FinSet:
     @staticmethod
     def product(x, y):
         """Cartesian product, lexicographic in (index in x, index in y)."""
-        return _trusted(FinSet, tuple((a, b) for a in x for b in y))
+        return _trusted(FinSet, tuple([(a, b) for a in x.elements
+                                       for b in y.elements]))
 
 
 @dataclass(frozen=True)
@@ -131,11 +151,11 @@ class FinFn:
             )
         mine, theirs = self.assignment, other.assignment
         return _trusted(FinFn, other.domain, self.codomain,
-                        {a: mine[theirs[a]] for a in other.domain})
+                        {a: mine[theirs[a]] for a in other.domain.elements})
 
     @staticmethod
     def identity(x):
-        return _trusted(FinFn, x, x, {a: a for a in x})
+        return _trusted(FinFn, x, x, {a: a for a in x.elements})
 
     @staticmethod
     def constant(domain, codomain, value):
@@ -257,19 +277,20 @@ def compose_spans(b, a, pairs=None):
     a_left, b_right = a.left.assignment, b.right.assignment
     if pairs is None:
         over = {}
-        for c in a.apex:
+        for c in a.apex.elements:
             over.setdefault(a_left[c], []).append(c)
-        apex = _trusted(FinSet, tuple((d, c) for d in b.apex
-                                      for c in over.get(b_right[d], ())))
+        apex = _trusted(FinSet, tuple([(d, c) for d in b.apex.elements
+                                       for c in over.get(b_right[d], ())]))
     else:
         apex = _in_order(pairs, b.apex, a.apex)
-        for (d, c) in apex:
+        for (d, c) in apex.elements:
             if b_right[d] != a_left[c]:
                 raise SpanError("%r is not a matched pair" % ((d, c),))
     b_left, a_right = b.left.assignment, a.right.assignment
-    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in apex})
+    atoms = apex.elements
+    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in atoms})
     right = _trusted(FinFn, apex, a.src,
-                     {(d, c): a_right[c] for (d, c) in apex})
+                     {(d, c): a_right[c] for (d, c) in atoms})
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
@@ -279,7 +300,7 @@ def compose_span_morphisms_h(g, f, pairs=None):
     their images (see compose_spans)."""
     source = compose_spans(g.source, f.source, pairs)
     gm, fm = g.map.assignment, f.map.assignment
-    assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex}
+    assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex.elements}
     target = compose_spans(g.target, f.target,
                            None if pairs is None else assignment.values())
     return _trusted(SpanMorphism, source, target,
@@ -293,10 +314,13 @@ def cartesian_product(a, b, pairs=None):
         _in_order(pairs, a.apex, b.apex)
     src = FinSet.product(a.src, b.src)
     tgt = FinSet.product(a.tgt, b.tgt)
+    a_left, b_left = a.left.assignment, b.left.assignment
+    a_right, b_right = a.right.assignment, b.right.assignment
+    atoms = apex.elements
     left = _trusted(FinFn, apex, tgt,
-                    {(c, d): (a.left(c), b.left(d)) for (c, d) in apex})
+                    {(c, d): (a_left[c], b_left[d]) for (c, d) in atoms})
     right = _trusted(FinFn, apex, src,
-                     {(c, d): (a.right(c), b.right(d)) for (c, d) in apex})
+                     {(c, d): (a_right[c], b_right[d]) for (c, d) in atoms})
     return _trusted(Span, src, tgt, apex, left, right)
 
 

@@ -438,13 +438,13 @@ class Cell2:
 def identity_cell1(x):
     """The identity 1-cell: trivial span, identity labels."""
     span = Span.identity(x.carrier)
-    label = {c: x.backend.id1(x.label[c]) for c in x.carrier}
+    label = {c: x.backend.id1(x.label[c]) for c in x.carrier.elements}
     return _trusted(Cell1, x.backend, x, x, span, label)
 
 
 def identity_cell2(a):
-    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span),
-                    {c: a.backend.id2(a.label[c]) for c in a.span.apex})
+    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span), {
+        c: a.backend.id2(a.label[c]) for c in a.span.apex.elements})
 
 
 def cell2_along(source, target, fn, components):
@@ -455,14 +455,16 @@ def cell2_along(source, target, fn, components):
     constructors that can fail for a map built from fn, in their order
     and with their errors, then builds the cell without the rest."""
     s, t = source.span, target.span
-    fn = {c: fn(c) for c in s.apex}
+    fn = {c: fn(c) for c in s.apex.elements}
     for c, d in fn.items():
         if d not in t.apex:
             raise SpanError("value %r of %r not in codomain %r" % (d, c, t.apex))
     if s.src != t.src or s.tgt != t.tgt:
         raise SpanError("span morphism endpoints must agree")
+    s_left, s_right = s.left.assignment, s.right.assignment
+    t_left, t_right = t.left.assignment, t.right.assignment
     for c, d in fn.items():
-        if t.left(d) != s.left(c) or t.right(d) != s.right(c):
+        if t_left[d] != s_left[c] or t_right[d] != s_right[c]:
             raise SpanError("legs do not commute at %r" % (c,))
     be = source.backend
     if be != target.backend:
@@ -482,14 +484,20 @@ def cell2_along(source, target, fn, components):
 
 
 def vcomp2(second, first):
-    """Vertical composite; component at c is second at f(c) after first at c."""
+    """Vertical composite; component at c is second at f(c) after first at c.
+    Its boundary is compared once: the span maps of equal 1-cells meet
+    on equal spans, so their composite is built without checks."""
     if second.source != first.target:
         raise SpanVError("vertical composition boundary mismatch")
     be = first.backend
-    morphism = first.morphism.then(second.morphism)
-    comps = {c: be.vcomp(second.components[first.morphism.map(c)],
-                         first.components[c])
-             for c in first.source.span.apex}
+    f, g = first.morphism.map, second.morphism.map
+    fm, gm = f.assignment, g.assignment
+    morphism = _trusted(SpanMorphism, first.morphism.source,
+                        second.morphism.target, _trusted(
+                            FinFn, f.domain, g.codomain,
+                            {c: gm[fm[c]] for c in f.domain.elements}))
+    comps = {c: be.vcomp(second.components[fm[c]], first.components[c])
+             for c in f.domain.elements}
     return _trusted(Cell2, first.source, second.target, morphism, comps)
 
 
@@ -505,7 +513,7 @@ def _composite(b, a, span):
         raise SpanVError("horizontal composition boundary mismatch")
     be = a.backend
     label = {(d, c): be.comp1(b.label[d], a.label[c])
-             for (d, c) in span.apex}
+             for (d, c) in span.apex.elements}
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
@@ -518,14 +526,19 @@ def hcomp2(g, f, atoms=None):
     target = _composite(g.target, f.target, morphism.target)
     be = source.backend
     comps = {(d, c): be.comp2(g.components[d], f.components[c])
-             for (d, c) in source.span.apex}
+             for (d, c) in source.span.apex.elements}
     return _trusted(Cell2, source, target, morphism, comps)
 
 
 def unit_cell0(backend):
-    """The monoidal unit 0-cell: singleton carrier labeled by the base unit."""
-    carrier = FinSet.singleton()
-    return Cell0(backend, carrier, {"*": backend.unit0()})
+    """The monoidal unit 0-cell: singleton carrier labeled by the base unit.
+    Built once and kept on the backend, so that the tensor0 products made
+    from it are kept too."""
+    unit = vars(backend).get("_unit0")
+    if unit is None:
+        unit = vars(backend)["_unit0"] = Cell0(
+            backend, FinSet.singleton(), {"*": backend.unit0()})
+    return unit
 
 
 def tensor0(a, b):
@@ -535,7 +548,7 @@ def tensor0(a, b):
         carrier = FinSet.product(a.carrier, b.carrier)
         hit = a._tensors[id(b)] = (b, _trusted(Cell0, a.backend, carrier, {
             (k, l): a.backend.tensor0v(a.label[k], b.label[l])
-            for (k, l) in carrier}))
+            for (k, l) in carrier.elements}))
     return hit[1]
 
 
@@ -543,7 +556,7 @@ def tensor1(a, b, atoms=None):
     be = a.backend
     span = cartesian_product(a.span, b.span, atoms)
     label = {(c, d): be.tensor1v(a.label[c], b.label[d])
-             for (c, d) in span.apex}
+             for (c, d) in span.apex.elements}
     return _trusted(Cell1, be, tensor0(a.src, b.src), tensor0(a.tgt, b.tgt),
                     span, label)
 
@@ -553,12 +566,12 @@ def tensor2(u, v, atoms=None):
     be = source.backend
     fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
     apex = source.span.apex
-    assignment = {(c, d): (fu[c], fv[d]) for (c, d) in apex}
+    assignment = {(c, d): (fu[c], fv[d]) for (c, d) in apex.elements}
     target = tensor1(u.target, v.target,
                      None if atoms is None else assignment.values())
     fn = _trusted(FinFn, apex, target.span.apex, assignment)
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
-             for (c, d) in apex}
+             for (c, d) in apex.elements}
     return _trusted(Cell2, source, target,
                     _trusted(SpanMorphism, source.span, target.span, fn), comps)
 
@@ -569,8 +582,8 @@ def relabel_cell2(source, target, fn):
     image on the nose, as for every re-bracketing or collapse over the
     strict backends."""
     be = source.backend
-    return cell2_along(source, target, fn,
-                       {c: be.id2(source.label[c]) for c in source.span.apex})
+    return cell2_along(source, target, fn, {
+        c: be.id2(source.label[c]) for c in source.span.apex.elements})
 
 
 def regroup(t):

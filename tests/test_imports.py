@@ -212,3 +212,15 @@ def test_from_rows_is_read_outside_the_kernel_only_by_the_matrix_reader():
     found = package_scopes(readers, "_from_rows")
     assert found.pop("vect_backend")
     assert found == FROM_ROWS
+
+
+# The readers of __new__, which makes a value without running its
+# constructor: the builder that finset_span._trusted makes per class,
+# and the kernel's slotted constructors.  Any other reader would be a
+# second unchecked path beside _trusted, out of checking mode's reach.
+NEW = {"finset_span": {"_builder"},
+       "vect_backend": {"VObject.__new__", "VMorphism._from_rows"}}
+
+
+def test_new_is_read_only_by_the_trusted_builder_and_the_kernel():
+    assert package_scopes(readers, "__new__") == NEW

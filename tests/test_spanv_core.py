@@ -33,9 +33,10 @@ def singleton_cell0(backend):
     return unit_cell0(backend)
 
 
-def group_algebra_cell1(backend, labels):
-    """A 1-cell over the singleton carrier with one apex point per label."""
-    x = singleton_cell0(backend)
+def group_algebra_cell1(backend, labels, x=None):
+    """A 1-cell over the singleton carrier (the unit 0-cell unless x is
+    given) with one apex point per label."""
+    x = singleton_cell0(backend) if x is None else x
     apex = FinSet(list(labels))
     span = Span(x.carrier, x.carrier, apex,
                 FinFn.constant(apex, x.carrier, "*"),
@@ -83,8 +84,10 @@ def test_cell_equality_is_by_value():
                              {(s, t): (flip[s], flip[t])
                               for (s, t) in z2.morphisms}))
     assert f != Cell1(be, x, x, span, {"c": swap})
-    a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
-    b = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
+    # The unit 0-cell is one per backend: equal 0-cells built apart.
+    a, b = (group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])},
+                                Cell0(V1, FinSet.singleton(), {"*": "*"}))
+            for _ in range(2))
     assert a is not b and a == b and a.src is not b.src and a.src == b.src
     assert a != group_algebra_cell1(V1, {"g": VObject.ungraded(["e"])})
 

@@ -11,9 +11,13 @@ are built only on the atoms their source reaches, and the cells along
 atom maps and inverses that run only the checks that can fail: on
 broken ones both modes raise the checked constructors' errors.  Mutant
 composites show that the mode catches what the trusted path lets
-through.
+through.  The per-class builders behind ``_trusted`` are compared with
+the checked constructors directly, and the builds of a Frobenius check
+are counted.
 """
 
+import ast
+import dataclasses
 import inspect
 import sys
 
@@ -22,6 +26,8 @@ import pytest
 import test_acceptance
 import test_golden
 import test_hopf_structures
+import test_monoidale_duoidal
+from test_imports import PACKAGE, name_read
 from hopfspan import cat_backend as cb
 from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
@@ -30,16 +36,18 @@ from hopfspan.cat_backend import CatError, FinCategory, FunctorData, \
     NatTransData
 from hopfspan.finset_span import FinFn, FinSet, Span, SpanError
 from hopfspan.spanv_core import (
-    Cell0, Cell1, Cell2, SpanVError, VectBackend, associator_cell2,
-    associator_inv_cell2, cell2_along, hcomp1, hcomp2, identity_cell2,
-    invert_cell2, left_unitor_cell2, left_unitor_inv_cell2, product_functor,
-    product_nat, relabel_cell2, right_unitor_cell2, right_unitor_inv_cell2,
-    tensor2, vcomp2,
+    CatBackend, Cell0, Cell1, Cell2, SpanVError, VectBackend,
+    associator_cell2, associator_inv_cell2, cell2_along, hcomp1, hcomp2,
+    identity_cell2, invert_cell2, left_unitor_cell2, left_unitor_inv_cell2,
+    product_functor, product_nat, relabel_cell2, right_unitor_cell2,
+    right_unitor_inv_cell2, tensor2, vcomp2,
 )
 from hopfspan.vect_backend import BraidParam, VMorphism
+from hopfspan.monoidale_duoidal import check_frobenius
 from rand import (
-    random_composable_vect_cell1s, random_relabeling, random_vect_cell0,
-    random_vect_cell1, random_vect_cell2_from, random_vobject, seeded,
+    random_composable_vect_cell1s, random_finset, random_relabeling,
+    random_vect_cell0, random_vect_cell1, random_vect_cell2_from,
+    random_vobject, seeded,
 )
 
 
@@ -47,13 +55,13 @@ def checking(cls, *values):
     return cls(*values)
 
 
-def enter_checking_mode(monkeypatch):
-    """Route every trusted construction through the public constructor,
-    and forget the product categories kept on the shared unit category,
-    so that they are built again, with checks."""
+def enter_checking_mode(monkeypatch, constructor=checking):
+    """Route every trusted construction through constructor, the public
+    one by default, and forget the product categories kept on the shared
+    unit category, so that they are built again, through it."""
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfspan.") and hasattr(module, "_trusted"):
-            monkeypatch.setattr(module, "_trusted", checking)
+            monkeypatch.setattr(module, "_trusted", constructor)
     monkeypatch.setitem(vars(cb.TERMINAL), "_products", {})
 
 
@@ -89,6 +97,75 @@ def test_acceptance_in_checking_mode(name, checking_mode, tmp_path):
 @pytest.mark.parametrize("n", [3, 4])
 def test_translation_polyad_in_checking_mode(n, checking_mode):
     test_acceptance.translation_polyad_checks(n)
+
+
+def trusted_classes():
+    """The names of the classes the package builds through _trusted."""
+    return {name_read(node.args[0]) for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name_read(node.func) == "_trusted"}
+
+
+def checked_values(seed):
+    """A value of every class built through _trusted, each made by its
+    checked constructor from rand's inputs."""
+    rng = seeded(seed)
+    be = VectBackend(BraidParam(rng.choice([1, -1, 2])))
+    x, y = random_vect_cell0(rng, be), random_vect_cell0(rng, be)
+    u = random_vect_cell2_from(rng, random_vect_cell1(rng, be, x, y))
+    c = FinCategory.indiscrete(random_finset(rng, 3).elements)
+    f = rng.choice(automorphisms(c))
+    n = NatTransData(f, f, {o: c.identities(f.omap(o)) for o in c.objects})
+    return [u, u.source, u.target, u.morphism, u.morphism.map,
+            u.source.span, x, x.carrier, c, f, n]
+
+
+# What a checked value may hold beyond its fields, which a built one
+# computes on first use: a set's index and a category's composable pairs.
+LAZY = {"_index", "_pairs"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_builders_agree_with_the_checked_constructors(seed):
+    values = checked_values(seed)
+    assert {type(value).__name__ for value in values} == trusted_classes()
+    for value in values:
+        cls = type(value)
+        names = [f.name for f in dataclasses.fields(cls)]
+        fields = [getattr(value, name) for name in names]
+        built = fs._trusted(cls, *fields)
+        assert type(built) is cls
+        assert vars(built) == dict(zip(names, fields))
+        assert set(vars(value)) - set(names) <= LAZY
+        assert built == value and value == built
+        assert hash(built) == hash(value)
+        with pytest.raises(TypeError):
+            fs._trusted(cls, *fields[:-1])
+        with pytest.raises(TypeError):
+            fs._trusted(cls, *fields, fields[0])
+
+
+# The _trusted builds of a check_frobenius on a fresh backend with no
+# product categories kept, by carrier size and backend (1587, 1587, 2675
+# and 4420 when the unit 0-cell was built again at each use, so that its
+# tensor0 products were too).
+FROBENIUS_BUILDS = {(1, "vect"): 1583, (2, "vect"): 1583,
+                    (1, "cat"): 2671, (2, "cat"): 4416}
+
+
+@pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
+def test_frobenius_trusted_builds(n, kind, monkeypatch):
+    builds = []
+
+    def counted(cls, *values, _trusted=fs._trusted):
+        builds.append(cls)
+        return _trusted(cls, *values)
+    enter_checking_mode(monkeypatch, counted)
+    be = VectBackend(BraidParam(1)) if kind == "vect" else CatBackend()
+    report = check_frobenius(test_monoidale_duoidal.carrier(n), be)
+    assert report.ok, report.summary()
+    assert len(builds) == FROBENIUS_BUILDS[(n, kind)]
 
 
 def vect_composites(seed):
