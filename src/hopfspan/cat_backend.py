@@ -1,14 +1,18 @@
 """Finite categories, functors, natural transformations, lazy categories.
 
-FinCategory stores a dense composition table keyed by composable morphism
+FinCategory stores a composition table keyed by composable morphism
 pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
 axioms are verified at construction, and check_category collects every
 violation.  The table is never changed after construction, so products
-of a category are shared (spanv_core.product_category), and built without
-the check from factors that passed it.  Likewise functors and natural
-transformations are checked when built by their constructors, while the
-identities and composites of checked ones are not; a composite still
-checks the boundary it composes across.
+of a category are shared (spanv_core.product_category) and built without
+the check from factors that passed it.  A product is never tabulated:
+its table is a ProductTable, which composes componentwise on lookup, and
+the functors out of it map on lookup too (PairMap, ComposedMap).  Every
+check whose domain is a product runs on its generators (f, 1) and
+(1, k): naturality on generators, functoriality on generating_pairs.
+Functors and natural transformations are checked when built by their
+constructors, while the identities and composites of checked ones are
+not; a composite still checks the boundary it composes across.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -16,6 +20,7 @@ only.  This module knows nothing of graded vector spaces: their lazy
 category is built next to the image backend in spanv_core.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .finset_span import FinSet, FinFn, _trusted
@@ -35,11 +40,17 @@ class FinCategory:
     identities: FinFn
     composition: dict = field(compare=False)
 
-    # composable_pairs() once computed; the table never changes.
+    # composable_pairs(), the hom buckets and a product's generators
+    # once computed; the table never changes.
     _pairs = None
+    _homs = None
+    _generators = None
 
     def __post_init__(self):
-        object.__setattr__(self, "composition", dict(self.composition))
+        # A product's table reads its checked factors: a copy would
+        # tabulate it.
+        if type(self.composition) is not ProductTable:
+            object.__setattr__(self, "composition", dict(self.composition))
         report = check_category(self)
         if not report.ok:
             raise CatError(report.summary())
@@ -81,8 +92,15 @@ class FinCategory:
         return buckets
 
     def hom(self, x, y):
-        return [m for m in self.morphisms
-                if self.src(m) == x and self.tgt(m) == y]
+        """The morphisms x -> y in morphism order, bucketed by endpoints
+        once, since the category never changes."""
+        if self._homs is None:
+            homs = {}
+            src, tgt = self.src.assignment, self.tgt.assignment
+            for m in self.morphisms.elements:
+                homs.setdefault((src[m], tgt[m]), []).append(m)
+            object.__setattr__(self, "_homs", homs)
+        return list(self._homs.get((x, y), ()))
 
     def inverse(self, m):
         """The two-sided inverse of m, or None when m has none."""
@@ -163,6 +181,174 @@ def check_category(c):
     return report
 
 
+class _View(Mapping):
+    """A read-only table computed on lookup from the tables it reads,
+    its parts.  Views of one kind on equal parts are equal; otherwise a
+    view equals a mapping with the same entries, compared one entry at
+    a time, never tabulated."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other or (type(other) is type(self)
+                             and self.parts() == other.parts()):
+            return True
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        missing = object()
+        return len(other) == len(self) and all(
+            other.get(key, missing) == value for key, value in self.items())
+
+    def __repr__(self):
+        # The kind and its parts, never the entries.
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(map(repr, self.parts())))
+
+
+class ProductTable(_View):
+    """The composition table of a x b: ((g, h), (f, k)) -> (g after f,
+    h after k), read from the factors' tables.  It iterates as the
+    composable pairs do: lexicographic in the product's morphism order,
+    first in (g, h), then in (f, k)."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, a, b):
+        self.factors = (a, b)
+
+    def parts(self):
+        return self.factors
+
+    def __getitem__(self, key):
+        try:
+            (g, h), (f, k) = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        a, b = self.factors
+        return (a.composition[(g, f)], b.composition[(h, k)])
+
+    def __iter__(self):
+        a, b = self.factors
+        a_into, b_into = a.morphisms_by(a.tgt), b.morphisms_by(b.tgt)
+        for g in a.morphisms.elements:
+            fs = a_into.get(a.src(g), ())
+            for h in b.morphisms.elements:
+                ks = b_into.get(b.src(h), ())
+                for f in fs:
+                    for k in ks:
+                        yield ((g, h), (f, k))
+
+    def __len__(self):
+        # A checked factor's table holds exactly its composable pairs.
+        a, b = self.factors
+        return len(a.composition) * len(b.composition)
+
+
+class _MapOn(_View):
+    """A view whose keys are the atoms of a FinSet, its domain, with
+    the two tables it reads."""
+
+    __slots__ = ("domain", "left", "right")
+
+    def __init__(self, domain, left, right):
+        self.domain, self.left, self.right = domain, left, right
+
+    def parts(self):
+        return (self.domain, self.left, self.right)
+
+    def __repr__(self):
+        # The tables only: the domain lists every atom of a product.
+        return "%s(%r, %r)" % (type(self).__name__, self.left, self.right)
+
+    def __iter__(self):
+        return iter(self.domain.elements)
+
+    def __len__(self):
+        return len(self.domain)
+
+    def __contains__(self, key):
+        return key in self.domain
+
+
+class PairMap(_MapOn):
+    """(m, n) -> (left[m], right[n]) on a product domain."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        try:
+            m, n = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return (self.left[m], self.right[n])
+
+
+class ComposedMap(_MapOn):
+    """a -> left[right[a]]: left after right."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        return self.left[self.right[key]]
+
+
+def product_factors(c):
+    """(a, b) when c is the product a x b, else None."""
+    table = c.composition
+    # A type test: isinstance on a Mapping subclass goes through ABCMeta.
+    return table.factors if type(table) is ProductTable else None
+
+
+def generators(c):
+    """Morphisms of c whose naturality squares imply all of them: every
+    morphism, unless c is a product a x b.  There each (f, k) is
+    (f, 1) after (1, k), and squares paste, so the generators are
+    (g, 1_y) for g a generator of a and y an object of b, then (1_x, k)
+    likewise: 2 |mor| |obj| squares for two factors alike."""
+    factors = product_factors(c)
+    if factors is None:
+        return c.morphisms.elements
+    if c._generators is None:
+        object.__setattr__(c, "_generators", product_generators(*factors))
+    return c._generators
+
+
+def product_generators(a, b):
+    """The generators of a x b, read from its factors, so that a
+    product's generators need no product built over it."""
+    return tuple(
+        [(g, b.identities(y)) for g in generators(a) for y in b.objects]
+        + [(a.identities(x), k) for x in a.objects for k in generators(b)])
+
+
+def generating_pairs(c):
+    """Composable pairs of c whose composites a functor out of c must
+    preserve for it to preserve all: every pair, unless c is a product
+    a x b.  There they are the generating pairs of a at each identity of
+    b and of b at each identity of a (a functor in each variable), and
+    for every f: x -> x' of a and k: y -> y' of b the pairs
+    ((f, 1_y'), (1_x, k)) and ((1_x', k), (f, 1_y)), whose composites are
+    both (f, k).  Together they give F((f', k') (f, k)) =
+    F(f', k') F(f, k), for O(|mor a| |mor b|) pairs instead of every
+    composable pair of the product."""
+    factors = product_factors(c)
+    if factors is None:
+        return c.composable_pairs()
+    a, b = factors
+    ida, idb = a.identities.assignment, b.identities.assignment
+    pairs = [((g, idb[y]), (f, idb[y])) for (g, f) in generating_pairs(a)
+             for y in b.objects]
+    pairs += [((ida[x], h), (ida[x], k)) for x in a.objects
+              for (h, k) in generating_pairs(b)]
+    for f in a.morphisms:
+        x, x2 = a.src(f), a.tgt(f)
+        for k in b.morphisms:
+            y, y2 = b.src(k), b.tgt(k)
+            pairs.append(((f, idb[y2]), (ida[x], k)))
+            pairs.append(((ida[x2], k), (f, idb[y])))
+    return pairs
+
+
 # The unit of the product: one object, so that every unit label and the
 # products cached on it are shared.
 TERMINAL = FinCategory.discrete(["*"])
@@ -183,18 +369,19 @@ class FunctorData:
     mmap: FinFn
 
     def __post_init__(self):
-        for m in self.dom.morphisms:
-            fm = self.mmap(m)
-            if self.cod.src(fm) != self.omap(self.dom.src(m)) or \
-                    self.cod.tgt(fm) != self.omap(self.dom.tgt(m)):
+        dom, cod = self.dom, self.cod
+        omap, mmap = self.omap.assignment, self.mmap.assignment
+        src, tgt = dom.src.assignment, dom.tgt.assignment
+        fsrc, ftgt = cod.src.assignment, cod.tgt.assignment
+        for m in dom.morphisms.elements:
+            fm = mmap[m]
+            if fsrc[fm] != omap[src[m]] or ftgt[fm] != omap[tgt[m]]:
                 raise CatError("functor breaks endpoints at %r" % (m,))
-        for x in self.dom.objects:
-            if self.mmap(self.dom.identities(x)) != \
-                    self.cod.identities(self.omap(x)):
+        for x in dom.objects:
+            if mmap[dom.identities(x)] != cod.identities(omap[x]):
                 raise CatError("functor breaks identity at %r" % (x,))
-        mmap = self.mmap.assignment
-        dom_comp, cod_comp = self.dom.composition, self.cod.composition
-        for (g, f) in self.dom.composable_pairs():
+        dom_comp, cod_comp = dom.composition, cod.composition
+        for (g, f) in generating_pairs(dom):
             if mmap[dom_comp[(g, f)]] != cod_comp[(mmap[g], mmap[f])]:
                 raise CatError("functor breaks composition at %r" % ((g, f),))
 
@@ -204,12 +391,21 @@ class FunctorData:
                         FinFn.identity(c.morphisms))
 
     def then(self, other):
-        """other after self."""
+        """other after self; out of a product, mapped on lookup."""
         if other.dom != self.cod:
             raise CatError("functors are not composable")
-        return _trusted(FunctorData, self.dom, other.cod,
-                        other.omap.compose(self.omap),
-                        other.mmap.compose(self.mmap))
+        if product_factors(self.dom) is None:
+            return _trusted(FunctorData, self.dom, other.cod,
+                            other.omap.compose(self.omap),
+                            other.mmap.compose(self.mmap))
+        dom, cod = self.dom, other.cod
+        omap = ComposedMap(dom.objects, other.omap.assignment,
+                           self.omap.assignment)
+        mmap = ComposedMap(dom.morphisms, other.mmap.assignment,
+                           self.mmap.assignment)
+        return _trusted(FunctorData, dom, cod,
+                        _trusted(FinFn, dom.objects, cod.objects, omap),
+                        _trusted(FinFn, dom.morphisms, cod.morphisms, mmap))
 
 
 @dataclass(frozen=True)
@@ -229,11 +425,11 @@ class NatTransData:
             n = self.components[x]
             if cod.src(n) != F.omap(x) or cod.tgt(n) != G.omap(x):
                 raise CatError("component endpoints at %r" % (x,))
-        for m in F.dom.morphisms:
-            x, y = F.dom.src(m), F.dom.tgt(m)
-            left = cod.composition[(self.components[y], F.mmap(m))]
-            right = cod.composition[(G.mmap(m), self.components[x])]
-            if left != right:
+        src, tgt = F.dom.src.assignment, F.dom.tgt.assignment
+        comps, comp = self.components, cod.composition
+        fm, gm = F.mmap.assignment, G.mmap.assignment
+        for m in generators(F.dom):
+            if comp[(comps[tgt[m]], fm[m])] != comp[(gm[m], comps[src[m]])]:
                 raise CatError("naturality fails at %r" % (m,))
 
     def __eq__(self, other):

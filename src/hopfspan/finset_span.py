@@ -18,7 +18,6 @@ its checks: it calls a builder made for each class on first use, which
 stores the fields straight into the new value.
 """
 
-import functools
 from dataclasses import dataclass, field, fields
 
 
@@ -72,9 +71,18 @@ class FinSet:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", index)
 
-    @functools.cached_property
-    def _index(self):
-        return {a: i for i, a in enumerate(self.elements)}
+    # A set built through _trusted has no index until positions() builds
+    # it.  Not a cached_property, which takes a lock on first use, nor a
+    # __getattr__, which slows every attribute read of every set.
+    _index = None
+
+    def positions(self):
+        """Each atom's index, built on first use."""
+        index = self._index
+        if index is None:
+            index = self.__dict__["_index"] = {
+                a: i for i, a in enumerate(self.elements)}
+        return index
 
     def __iter__(self):
         return iter(self.elements)
@@ -83,10 +91,10 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, atom):
-        return atom in self._index
+        return atom in (self._index or self.positions())
 
     def index(self, atom):
-        return self._index[atom]
+        return self.positions()[atom]
 
     def __repr__(self):
         return "FinSet(%r)" % (list(self.elements),)
@@ -256,8 +264,9 @@ class SpanMorphism:
 def _in_order(pairs, x, y):
     """The set of the distinct pairs of atoms of x and y among pairs,
     lexicographic in (index in x, index in y)."""
+    xi, yi = x.positions(), y.positions()
     return _trusted(FinSet, tuple(sorted(set(pairs), key=lambda p: (
-        x._index[p[0]], y._index[p[1]]))))
+        xi[p[0]], yi[p[1]]))))
 
 
 def compose_spans(b, a, pairs=None):

@@ -285,7 +285,10 @@ class CatBackend(Backend):
 
 
 def product_category(a, b):
-    """Product of finite categories on pair atoms, componentwise.
+    """Product of finite categories on pair atoms, componentwise.  Its
+    objects and morphisms are the FinSet products, and its composition
+    a cb.ProductTable that composes in the factors on lookup, so it is
+    never tabulated.
 
     Built once per pair of operands and kept on a, keyed by b."""
     products = vars(a).setdefault("_products", {})
@@ -305,34 +308,26 @@ def _product_category(a, b):
     identities = FinFn(objects, morphisms,
                        {(x, y): (a.identities(x), b.identities(y))
                         for (x, y) in objects})
-    a_into, b_into = a.morphisms_by(a.tgt), b.morphisms_by(b.tgt)
-    composition = {}
-    for (g, h) in morphisms:
-        ks = b_into.get(b.src(h), ())
-        for f in a_into.get(a.src(g), ()):
-            gf = a.composition[(g, f)]
-            for k in ks:
-                composition[((g, h), (f, k))] = (gf, b.composition[(h, k)])
     return _trusted(cb.FinCategory, objects, morphisms, src, tgt,
-                    identities, composition)
+                    identities, cb.ProductTable(a, b))
 
 
 def product_functor(p, q):
+    """p x q, mapping objects and morphisms on lookup."""
     dom = product_category(p.dom, q.dom)
     cod = product_category(p.cod, q.cod)
-    omap = _trusted(FinFn, dom.objects, cod.objects,
-                    {(x, y): (p.omap(x), q.omap(y)) for (x, y) in dom.objects})
-    mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
-                    {(m, n): (p.mmap(m), q.mmap(n))
-                     for (m, n) in dom.morphisms})
-    return _trusted(cb.FunctorData, dom, cod, omap, mmap)
+    omap = cb.PairMap(dom.objects, p.omap.assignment, q.omap.assignment)
+    mmap = cb.PairMap(dom.morphisms, p.mmap.assignment, q.mmap.assignment)
+    return _trusted(cb.FunctorData, dom, cod,
+                    _trusted(FinFn, dom.objects, cod.objects, omap),
+                    _trusted(FinFn, dom.morphisms, cod.morphisms, mmap))
 
 
 def product_nat(f, g):
+    """f x g, with its components read on lookup."""
     source = product_functor(f.source, g.source)
     target = product_functor(f.target, g.target)
-    comps = {(x, y): (f.components[x], g.components[y])
-             for (x, y) in source.dom.objects}
+    comps = cb.PairMap(source.dom.objects, f.components, g.components)
     return _trusted(cb.NatTransData, source, target, comps)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: fifteen criteria, one pass line each.
+"""Acceptance gate: sixteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -539,7 +539,7 @@ def test_criterion_11_translation_polyad_z3_to_z5():
     start = time.monotonic()
     for n in (3, 4, 5):
         translation_polyad_checks(n)
-    finish(11, "translation polyad over Z_3, Z_4 and Z_5", start, 2.0, 3)
+    finish(11, "translation polyad over Z_3, Z_4 and Z_5", start, 1.0, 3)
 
 
 def test_criterion_12_z8_default_check(tmp_path):
@@ -563,7 +563,7 @@ def test_criterion_13_nichols_e4_hopf_check(tmp_path):
 def test_criterion_14_translation_polyad_z6_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(6)
-    finish(14, "Hopf check of the translation polyad over Z_6", start, 3.0)
+    finish(14, "Hopf check of the translation polyad over Z_6", start, 1.0)
 
 
 def test_criterion_15_nichols_e4_antipode(tmp_path):
@@ -575,3 +575,9 @@ def test_criterion_15_nichols_e4_antipode(tmp_path):
     assert code == 0 and report["status"] == "pass"
     assert report["sigma"] == doc["antipode"]
     finish(15, "antipode of the Nichols algebra E(4)", start, 1.0)
+
+
+def test_criterion_16_translation_polyad_z8_hopf_check():
+    start = time.monotonic()
+    translation_polyad_is_hopf(8)
+    finish(16, "Hopf check of the translation polyad over Z_8", start, 2.0)

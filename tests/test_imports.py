@@ -224,3 +224,46 @@ NEW = {"finset_span": {"_builder"},
 
 def test_new_is_read_only_by_the_trusted_builder_and_the_kernel():
     assert package_scopes(readers, "__new__") == NEW
+
+
+# The package's builders of a FinCategory: the named shapes, the
+# category of actions, and the product, whose composition is the
+# ProductTable that composes in its factors on lookup.  No package
+# module tabulates the composition of a product.
+FIN_CATEGORY = {
+    "cat_backend": {"FinCategory.from_monoid", "FinCategory.indiscrete",
+                    "FinCategory.discrete"},
+    "hopf_structures": {"_category_of_actions"},
+    "spanv_core": {"_product_category"},
+}
+
+
+def builders(source, name):
+    """The enclosing function of every call of name, or of _trusted
+    with name as its class, in source."""
+    return scopes(source, lambda node: isinstance(node, ast.Call) and (
+        name_read(node.func) == name or name_read(node.func) == "_trusted"
+        and name_read(node.args[0]) == name))
+
+
+def test_builders_finds_checked_and_trusted_builds():
+    source = ("def f():\n    return cb.FinCategory(1)\n"
+              "def g():\n    return _trusted(FinCategory, 1)\n"
+              "def h(c: FinCategory):\n    return isinstance(c, FinCategory)\n")
+    assert builders(source, "FinCategory") == {"f", "g"}
+
+
+def test_no_package_module_tabulates_a_product():
+    assert package_scopes(builders, "FinCategory") == FIN_CATEGORY
+    assert package_scopes(callers, "ProductTable") == \
+        {"spanv_core": {"_product_category"}}
+    tree = ast.parse((PACKAGE / "spanv_core.py").read_text())
+    (build,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_product_category"]
+    (call,) = [node for node in ast.walk(build)
+               if isinstance(node, ast.Call)
+               and name_read(node.func) == "_trusted"]
+    table = call.args[-1]
+    assert isinstance(table, ast.Call) and \
+        name_read(table.func) == "ProductTable"

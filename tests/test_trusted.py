@@ -83,7 +83,8 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 # Criteria whose runtime bound holds only with the trusted path; their
 # inputs run below at Z_3 and Z_4.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
-               "test_criterion_14_translation_polyad_z6_hopf_check"}
+               "test_criterion_14_translation_polyad_z6_hopf_check",
+               "test_criterion_16_translation_polyad_z8_hopf_check"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -97,6 +98,22 @@ def test_acceptance_in_checking_mode(name, checking_mode, tmp_path):
 @pytest.mark.parametrize("n", [3, 4])
 def test_translation_polyad_in_checking_mode(n, checking_mode):
     test_acceptance.translation_polyad_checks(n)
+
+
+def test_checking_mode_checks_the_lazy_product(monkeypatch):
+    # The products and the maps out of them stay lazy through the checked
+    # constructors: the category axioms are checked through the product's
+    # table, and functors and transformations on its generators.
+    lazy = []
+
+    def noting(cls, *values):
+        if isinstance(values[-1], (cb.ProductTable, cb.PairMap,
+                                   cb.ComposedMap)):
+            lazy.append(type(values[-1]))
+        return cls(*values)
+    enter_checking_mode(monkeypatch, noting)
+    test_acceptance.translation_polyad_checks(3)
+    assert {cb.ProductTable, cb.PairMap, cb.ComposedMap} <= set(lazy)
 
 
 def trusted_classes():
@@ -117,13 +134,25 @@ def checked_values(seed):
     c = FinCategory.indiscrete(random_finset(rng, 3).elements)
     f = rng.choice(automorphisms(c))
     n = NatTransData(f, f, {o: c.identities(f.omap(o)) for o in c.objects})
+    # A product, a functor out of it and a transformation on it, all
+    # three read on lookup.
+    p = sc.product_category(c, c)
+    pc = FinCategory(p.objects, p.morphisms, p.src, p.tgt, p.identities,
+                     cb.ProductTable(c, c))
+    pf = FunctorData(p, p, FinFn(p.objects, p.objects, cb.PairMap(
+        p.objects, f.omap.assignment, f.omap.assignment)),
+        FinFn(p.morphisms, p.morphisms, cb.PairMap(
+            p.morphisms, f.mmap.assignment, f.mmap.assignment)))
+    pn = NatTransData(pf, pf, cb.PairMap(p.objects, n.components,
+                                         n.components))
     return [u, u.source, u.target, u.morphism, u.morphism.map,
-            u.source.span, x, x.carrier, c, f, n]
+            u.source.span, x, x.carrier, c, f, n, pc, pf, pn]
 
 
 # What a checked value may hold beyond its fields, which a built one
-# computes on first use: a set's index and a category's composable pairs.
-LAZY = {"_index", "_pairs"}
+# computes on first use: a set's index, and a category's composable
+# pairs, hom buckets, generators and the products kept on it.
+LAZY = {"_index", "_pairs", "_homs", "_generators", "_products"}
 
 
 @pytest.mark.parametrize("seed", range(4))
