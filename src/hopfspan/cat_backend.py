@@ -154,7 +154,8 @@ def check_category(c):
         if c.src(i) != x or c.tgt(i) != x:
             report.fail("identity endpoints", x)
     for (g, f) in c.composition:
-        if c.tgt(f) != c.src(g):
+        if g not in c.morphisms or f not in c.morphisms \
+                or c.tgt(f) != c.src(g):
             report.fail("table entry on non-composable pair", (g, f))
     for (g, f) in c.composable_pairs():
         if (g, f) not in c.composition:

@@ -303,26 +303,30 @@ def compose_spans(b, a, pairs=None):
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
-def compose_span_morphisms_h(g, f, pairs=None):
+def compose_span_morphisms_h(g, f, pairs=None, source=None):
     """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)).
     Given pairs, it runs between the sub-spans on those pairs and on
-    their images (see compose_spans)."""
-    source = compose_spans(g.source, f.source, pairs)
+    their images (see compose_spans).  Given source, a sub-span of the
+    composite of their sources built already, it runs from that."""
+    whole = pairs is None and source is None
+    if source is None:
+        source = compose_spans(g.source, f.source, pairs)
     gm, fm = g.map.assignment, f.map.assignment
     assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex.elements}
     target = compose_spans(g.target, f.target,
-                           None if pairs is None else assignment.values())
+                           None if whole else assignment.values())
     return _trusted(SpanMorphism, source, target,
                     _trusted(FinFn, source.apex, target.apex, assignment))
 
 
-def cartesian_product(a, b, pairs=None):
+def cartesian_product(a, b, pairs=None, src=None, tgt=None):
     """Componentwise product span; apex pairs lexicographic in (a, b).
-    Given pairs, the apex is just those (see compose_spans)."""
+    Given pairs, the apex is just those (see compose_spans).  src and
+    tgt, when given, are the products of its endpoints, built already."""
     apex = FinSet.product(a.apex, b.apex) if pairs is None else \
         _in_order(pairs, a.apex, b.apex)
-    src = FinSet.product(a.src, b.src)
-    tgt = FinSet.product(a.tgt, b.tgt)
+    if src is None:
+        src, tgt = FinSet.product(a.src, b.src), FinSet.product(a.tgt, b.tgt)
     a_left, b_left = a.left.assignment, b.left.assignment
     a_right, b_right = a.right.assignment, b.right.assignment
     atoms = apex.elements

@@ -512,12 +512,16 @@ def _composite(b, a, span):
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
-def hcomp2(g, f, atoms=None):
+def hcomp2(g, f, atoms=None, source=None):
     """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
     the composite spans that the span morphism already carries.  Given
-    source atoms, it is built on just those, into their image."""
-    morphism = compose_span_morphisms_h(g.morphism, f.morphism, atoms)
-    source = _composite(g.source, f.source, morphism.source)
+    source atoms, it is built on just those, into their image.  Given
+    source, the composite of g's and f's sources on some atoms, built
+    already (the target of a chain so far), it is built from that 1-cell
+    itself, into the image of its atoms."""
+    morphism = compose_span_morphisms_h(g.morphism, f.morphism, atoms,
+                                        source and source.span)
+    source = source or _composite(g.source, f.source, morphism.source)
     target = _composite(g.target, f.target, morphism.target)
     be = source.backend
     comps = {(d, c): be.comp2(g.components[d], f.components[c])
@@ -548,12 +552,13 @@ def tensor0(a, b):
 
 
 def tensor1(a, b, atoms=None):
+    """a . b on the product 0-cells, whose carriers its span shares."""
     be = a.backend
-    span = cartesian_product(a.span, b.span, atoms)
+    src, tgt = tensor0(a.src, b.src), tensor0(a.tgt, b.tgt)
+    span = cartesian_product(a.span, b.span, atoms, src.carrier, tgt.carrier)
     label = {(c, d): be.tensor1v(a.label[c], b.label[d])
              for (c, d) in span.apex.elements}
-    return _trusted(Cell1, be, tensor0(a.src, b.src), tensor0(a.tgt, b.tgt),
-                    span, label)
+    return _trusted(Cell1, be, src, tgt, span, label)
 
 
 def tensor2(u, v, atoms=None):
@@ -569,6 +574,23 @@ def tensor2(u, v, atoms=None):
              for (c, d) in apex.elements}
     return _trusted(Cell2, source, target,
                     _trusted(SpanMorphism, source.span, target.span, fn), comps)
+
+
+def regroup_cell1(src, tgt, fn, atoms=None):
+    """The 1-cell src -> tgt along fn, a map of carriers that regroups or
+    projects the atoms of products: apex the source carrier (or just the
+    points of it given), right leg the identity, left leg fn, and each
+    label the base reshuffle of its point's label along fn."""
+    be = src.backend
+    apex = src.carrier if atoms is None else \
+        _trusted(FinSet, tuple(dict.fromkeys(atoms)))
+    left = {c: fn(c) for c in apex.elements}
+    span = _trusted(Span, src.carrier, tgt.carrier, apex,
+                    _trusted(FinFn, apex, tgt.carrier, left),
+                    _trusted(FinFn, apex, src.carrier, {c: c for c in left}))
+    return _trusted(Cell1, be, src, tgt, span, {
+        c: be.reshape1(src.label[c], tgt.label[d], fn)
+        for c, d in left.items()})
 
 
 def relabel_cell2(source, target, fn):
@@ -616,34 +638,16 @@ def associator_cell2(c, b, a, atoms=None):
                          regroup)
 
 
-def associator_inv_cell2(c, b, a):
-    """c o (b o a) => (c o b) o a, the inverse of associator_cell2."""
-    return relabel_cell2(hcomp1(c, hcomp1(b, a)), hcomp1(hcomp1(c, b), a),
-                         ungroup)
-
-
 def left_unitor_cell2(a):
     """identity(tgt) o a => a, identity components."""
     return relabel_cell2(hcomp1(identity_cell1(a.tgt), a), a,
                          lambda t: t[1])
 
 
-def left_unitor_inv_cell2(a):
-    """a => identity(tgt) o a, the inverse of left_unitor_cell2."""
-    return relabel_cell2(a, hcomp1(identity_cell1(a.tgt), a),
-                         lambda c: (a.span.left(c), c))
-
-
 def right_unitor_cell2(a):
     """a o identity(src) => a, identity components."""
     return relabel_cell2(hcomp1(a, identity_cell1(a.src)), a,
                          lambda t: t[0])
-
-
-def right_unitor_inv_cell2(a):
-    """a => a o identity(src), the inverse of right_unitor_cell2."""
-    return relabel_cell2(a, hcomp1(a, identity_cell1(a.src)),
-                         lambda c: (c, a.span.right(c)))
 
 
 def interchange_cell2(f, g, h, k, atoms=None, product=tensor1):

@@ -27,9 +27,9 @@ from rand import (
 )
 from test_finset_span import associator_iso, left_unitor_iso, right_unitor_iso
 from hopfspan.spanv_core import (
-    VectBackend, associator_cell2, eq2, hcomp1, hcomp2, identity_cell2,
-    invert_cell2, left_unitor_cell2, product_category, relabel_cell2,
-    right_unitor_cell2, vcomp2,
+    CatBackend, VectBackend, associator_cell2, eq2, hcomp1, hcomp2,
+    identity_cell2, invert_cell2, left_unitor_cell2, product_category,
+    relabel_cell2, right_unitor_cell2, vcomp2,
 )
 from hopfspan.vect_backend import BraidParam, VObject, braiding, determinant
 
@@ -103,8 +103,10 @@ def test_criterion_1_bicategory_coherence():
 
 def test_criterion_2_naturally_frobenius():
     start = time.monotonic()
-    for n in (1, 2, 3):
-        report = check_frobenius(carrier(n), VectBackend(BraidParam(1)))
+    graded = VectBackend(BraidParam(1))
+    for n, backend in [(1, graded), (2, graded), (3, graded), (16, graded),
+                       (8, CatBackend())]:
+        report = check_frobenius(carrier(n), backend)
         assert report.ok, report.summary()
     finish(2, "naturally Frobenius carriers", start, 5.0)
 

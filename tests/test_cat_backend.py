@@ -64,6 +64,25 @@ def test_check_category_missing_composite():
         FinCategory(objects, morphisms, src, tgt, identities, table)
 
 
+def test_table_entry_on_an_atom_outside_the_morphisms():
+    # An entry on an atom that is not a morphism is a violation with the
+    # pair as witness, not a KeyError from reading the atom's endpoints.
+    objects = FinSet(["*"])
+    morphisms = FinSet(["1"])
+    src = FinFn.constant(morphisms, objects, "*")
+    tgt = FinFn.constant(morphisms, objects, "*")
+    identities = FinFn(objects, morphisms, {"*": "1"})
+    for stray in (("x", "1"), ("1", "x")):
+        table = {("1", "1"): "1", stray: "1"}
+        broken = _trusted(FinCategory, objects, morphisms, src, tgt,
+                          identities, table)
+        report = check_category(broken)
+        assert report.failures == [
+            ("table entry on non-composable pair", stray)]
+        with pytest.raises(CatError, match="non-composable pair"):
+            FinCategory(objects, morphisms, src, tgt, identities, table)
+
+
 def test_indiscrete_category_and_groupoid():
     c = FinCategory.indiscrete(["x", "y"])
     assert len(c.morphisms) == 4

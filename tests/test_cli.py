@@ -144,7 +144,11 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # Frobenius check builds each side's cells once for both mate
     # conventions, the assembled antipode chain needs no convolution
     # unit, and each associator cell sits on its own two composites (4
-    # pullbacks, 251 calls in all when it also built its span iso).
+    # pullbacks, 251 calls in all when it also built its span iso).  The
+    # Frobenius chains build each 1-cell once, on the atoms their source
+    # reaches, with each run of coherence steps one relabeling and a
+    # whisker followed by one a single cell (203 calls when each step
+    # built its source again, over whole products).
     # Before that, this check ran monad_cells 10 times,
     # check_category 4 times, induced_monoidale 5 times and compose_spans
     # 688 times; with a whole monoid object per fusion cell,
@@ -163,7 +167,7 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
     assert code == 0
     assert calls == {"monad_cells": 1, "check_category": 1,
-                     "induced_monoidale": 1, "compose_spans": 203}
+                     "induced_monoidale": 1, "compose_spans": 88}
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):

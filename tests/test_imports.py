@@ -108,8 +108,8 @@ TRUSTED = {
     "spanv_core": {"_product_category", "product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
-                   "cell2_along", "restrict1", "_retarget",
-                   "invert_cell2"},
+                   "cell2_along", "regroup_cell1", "restrict1",
+                   "_retarget", "invert_cell2"},
 }
 
 

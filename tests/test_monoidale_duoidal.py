@@ -14,6 +14,7 @@ from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
     identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2, tensor1, tensor2,
     relabel_cell2, left_unitor_cell2, right_unitor_cell2, invert_cell2, eq2,
+    onto_image,
 )
 from hopfspan.monoidale_duoidal import (
     MonoidaleData, induced_monoidale, check_monoidale,
@@ -27,6 +28,7 @@ from hopfspan.monoidale_duoidal import (
     grouplike_comonoid,
     zunino_braiding, zunino_check,
 )
+import frobenius_oracle
 from rand import (
     seeded, random_span, random_vect_cell1, random_vect_cell2_from,
     random_vobject,
@@ -195,11 +197,12 @@ def test_frobenius_builds_each_side_once(monkeypatch):
 def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
                                                      monkeypatch):
     # The triangles, the prefix and the core steps build the inverses of
-    # associators and unitors directly, as reversed relabelings, and
-    # every 2-cell along an atom map is built by cell2_along, without
-    # the Cell2 constructor: left to invert are the two interchange
-    # cells, the reversed coherence and the four comparison cells (23
-    # inversions and 61 checked 2-cells before).
+    # associators and unitors directly, as relabelings, and every 2-cell
+    # along an atom map is built by cell2_along, without the Cell2
+    # constructor: left to invert are the two interchange cells, the
+    # reversed coherence and one comparison cell per side, since the
+    # two conventions agree (7 with every comparison cell inverted, 23
+    # inversions and 61 checked 2-cells before that).
     calls = {"invert_cell2": 0, "Cell2": 0}
 
     def counted_invert(u, _original=md.invert_cell2):
@@ -213,7 +216,7 @@ def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
     monkeypatch.setattr(Cell2, "__post_init__", counted_check)
     report = check_frobenius(carrier(n), backend)
     assert report.ok, report.summary()
-    assert calls["invert_cell2"] == 7 and calls["Cell2"] == 0
+    assert calls["invert_cell2"] == 5 and calls["Cell2"] == 0
 
 
 @pytest.mark.parametrize("backend", [V1, C], ids=["vect", "cat"])
@@ -234,6 +237,100 @@ def test_frobenius_compares_its_0_cells_by_identity(n, backend,
     report = check_frobenius(carrier(n), backend)
     assert report.ok, report.summary()
     assert calls["equal"] == 0
+
+
+def restricted_prefix(adj, mirrored):
+    """A side's prefix, built on the atoms m_star o m reaches."""
+    coherence = md._alpha_reversed(adj) if mirrored else adj.monoidale.alpha
+    outer = md._comparison_target(adj, mirrored)[4]
+    return md._frobenius_shared_prefix(adj, mirrored, coherence.source,
+                                       outer)[0]
+
+
+@pytest.mark.parametrize("backend", [V1, C], ids=["vect", "cat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restricted_frobenius_cells_match_the_unrestricted_oracle(n, backend):
+    # The triangles and the comparison cells run between whole 1-cells,
+    # so they equal the oracle's; a prefix equals the oracle's on the
+    # sub-span of its target that it reaches.
+    adj = opmap_adjunctions(carrier(n), backend)
+    mon = adj.monoidale
+    for left, right, unit, counit in (
+            (adj.m_star, mon.m, adj.m_unit, adj.m_counit),
+            (adj.u_star, mon.u, adj.u_unit, adj.u_counit)):
+        assert md._triangle_left(identity_cell2(left), right, unit,
+                                 counit) == \
+            frobenius_oracle.triangle_left(left, right, unit, counit)
+        assert md._triangle_right(identity_cell2(right), left, unit,
+                                  counit) == \
+            frobenius_oracle.triangle_right(left, right, unit, counit)
+    for mirrored in (False, True):
+        whole = frobenius_oracle.shared_prefix(adj, mirrored)[0]
+        prefix = restricted_prefix(adj, mirrored)
+        assert len(prefix.target.span.apex) == n
+        assert prefix == onto_image(whole)
+    sides = frobenius_comparison_cells(adj)
+    for cells, whole in zip(sides,
+                            frobenius_oracle.frobenius_comparison_cells(adj)):
+        for cell, expected in zip(cells, whole):
+            assert cell == expected
+
+
+@pytest.mark.parametrize("name", ["m_counit", "m_unit", "u_counit",
+                                  "u_unit"])
+def test_a_corrupted_adjunction_fails_as_the_unrestricted_check_does(name):
+    # One component zeroed at one point of a 3-point carrier: the same
+    # laws fail, with the same witnesses, as when every chain is built
+    # whole and both conventions are inverted.
+    X = carrier(3)
+    adj = opmap_adjunctions(X, V1)
+    good = getattr(adj, name)
+    point = good.source.span.apex.elements[1]
+    bad = Cell2(good.source, good.target, good.morphism, {
+        c: f.scale(0) if c == point else f
+        for c, f in good.components.items()})
+    broken = dataclasses.replace(adj, **{name: bad})
+    report = check_frobenius(X, V1, broken)
+    assert not report.ok
+    assert report.failures == frobenius_oracle.check_frobenius(broken).failures
+    laws = {law for law, _ in report.failures}
+    assert {name[0] + "-adjunction left triangle",
+            name[0] + "-adjunction right triangle"} <= laws
+    assert ("left comparison invertible (unit-first)" in laws) == \
+        name.startswith("m")
+
+
+def test_a_given_adjunction_is_compared_with_its_boundaries():
+    # The chains take each unit, counit and alpha to run between the
+    # 1-cells opmap_adjunctions gives them, and are built only on the
+    # atoms their source reaches: the unit of u in place of the unit of
+    # m runs into u o u_star, which agrees with m o m_star on every atom
+    # the chains reach.  So a given adjunction is compared with those
+    # 1-cells first: check_frobenius reports a mismatch as the failed
+    # comparison construction, as the unrestricted check does for the
+    # counit and alpha below, and the other two entry points raise.
+    X = carrier(2)
+    adj = opmap_adjunctions(X, V1)
+    mon = adj.monoidale
+    mismatch = [("comparison construction",
+                 "vertical composition boundary mismatch")]
+    unit_off = dataclasses.replace(adj, m_unit=adj.u_unit)
+    counit_off = dataclasses.replace(adj, m_counit=identity_cell2(
+        adj.m_counit.source))
+    alpha_off = dataclasses.replace(adj, monoidale=dataclasses.replace(
+        mon, alpha=identity_cell2(mon.alpha.source)))
+    for broken in (counit_off, alpha_off):
+        assert frobenius_oracle.check_frobenius(broken).failures == mismatch
+    with pytest.raises(SpanVError, match="boundary mismatch"):
+        frobenius_oracle.check_frobenius(unit_off)
+    for broken in (unit_off, counit_off, alpha_off):
+        assert check_frobenius(X, V1, broken).failures == mismatch
+        with pytest.raises(SpanVError, match="boundary mismatch"):
+            frobenius_comparison_cells(broken)
+    for broken in (unit_off, counit_off):
+        with pytest.raises(SpanVError, match="boundary mismatch"):
+            check_adjunction_triangles(broken)
+    assert check_adjunction_triangles(alpha_off).ok
 
 
 def test_frobenius_locates_corrupted_unit():

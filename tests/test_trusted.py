@@ -37,13 +37,15 @@ from hopfspan.cat_backend import CatError, FinCategory, FunctorData, \
 from hopfspan.finset_span import FinFn, FinSet, Span, SpanError
 from hopfspan.spanv_core import (
     CatBackend, Cell0, Cell1, Cell2, SpanVError, VectBackend,
-    associator_cell2, associator_inv_cell2, cell2_along, hcomp1, hcomp2,
-    identity_cell2, invert_cell2, left_unitor_cell2, left_unitor_inv_cell2,
-    product_functor, product_nat, relabel_cell2, right_unitor_cell2,
-    right_unitor_inv_cell2, tensor2, vcomp2,
+    associator_cell2, cell2_along, hcomp1, hcomp2, identity_cell2,
+    invert_cell2, left_unitor_cell2, product_functor, product_nat,
+    relabel_cell2, right_unitor_cell2, tensor2, vcomp2,
 )
 from hopfspan.vect_backend import BraidParam, VMorphism
 from hopfspan.monoidale_duoidal import check_frobenius
+from frobenius_oracle import (
+    associator_inv_cell2, left_unitor_inv_cell2, right_unitor_inv_cell2,
+)
 from rand import (
     random_composable_vect_cell1s, random_finset, random_relabeling,
     random_vect_cell0, random_vect_cell1, random_vect_cell2_from,
@@ -176,11 +178,15 @@ def test_builders_agree_with_the_checked_constructors(seed):
 
 
 # The _trusted builds of a check_frobenius on a fresh backend with no
-# product categories kept, by carrier size and backend (1587, 1587, 2675
-# and 4420 when the unit 0-cell was built again at each use, so that its
+# product categories kept, by carrier size and backend.  Every chain is
+# built from the 1-cell the one before reaches, on its atoms, each run
+# of coherence steps is one relabeling, and a whisker followed by one is
+# one cell: 1583, 1583, 2671 and 4416 when each step built its source
+# 1-cell again and every composite was built whole (1587, 1587, 2675 and
+# 4420 when the unit 0-cell was built again at each use, so that its
 # tensor0 products were too).
-FROBENIUS_BUILDS = {(1, "vect"): 1583, (2, "vect"): 1583,
-                    (1, "cat"): 2671, (2, "cat"): 4416}
+FROBENIUS_BUILDS = {(1, "vect"): 601, (2, "vect"): 601,
+                    (1, "cat"): 1087, (2, "cat"): 1570}
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
@@ -195,6 +201,27 @@ def test_frobenius_trusted_builds(n, kind, monkeypatch):
     report = check_frobenius(test_monoidale_duoidal.carrier(n), be)
     assert report.ok, report.summary()
     assert len(builds) == FROBENIUS_BUILDS[(n, kind)]
+
+
+@pytest.mark.parametrize("kind", ["vect", "cat"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_frobenius_builds_no_apex_beyond_n_squared(n, kind, monkeypatch):
+    # Over n points the largest spans are the adjunctions' own: the
+    # identity on the carrier's square that the counit lands in, and
+    # u o u_star.  Every chain and comparison target is built on the
+    # atoms its source reaches; built whole, the regrouping 1-cells and
+    # their composites spanned n^3 atoms.
+    apexes = []
+
+    def counted(cls, *values, _trusted=fs._trusted):
+        if cls is Span:
+            apexes.append(len(values[2]))
+        return _trusted(cls, *values)
+    enter_checking_mode(monkeypatch, counted)
+    be = VectBackend(BraidParam(1)) if kind == "vect" else CatBackend()
+    report = check_frobenius(test_monoidale_duoidal.carrier(n), be)
+    assert report.ok, report.summary()
+    assert max(apexes) == n * n
 
 
 def vect_composites(seed):
