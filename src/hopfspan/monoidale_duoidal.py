@@ -35,7 +35,8 @@ from .spanv_core import (
     vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
     regroup_cell1, relabel_cell2, regroup, ungroup, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2,
-    interchange_atoms, invert_cell2, eq2, image_atoms, part,
+    interchange_atoms, invert_cell2, eq2, image_atoms, part, _relabeled,
+    _whiskered,
 )
 
 
@@ -339,45 +340,6 @@ def opmap_adjunctions(X, be):
         u_unit=unique_relabel_cell2(idc, hcomp1(mon.u, u_star)),
         u_counit=unique_relabel_cell2(hcomp1(u_star, mon.u),
                                       identity_cell1(mon.u.src)))
-
-
-# The laws below are vertical chains.  Each step starts from the 1-cell
-# the chain so far lands on, built once, and builds just the sub-span of
-# its target that those atoms reach.  A unit, counit or coherence cell
-# is whiskered onto a 1-cell built from its own source, and a relabeling
-# lands in a 1-cell built from the next cell's source, so every seam is
-# checked where the next step is built (cell2_along).
-
-
-def _relabeled(cell, fn, into):
-    """cell, then the coherence step along the atom map fn from its
-    target into `into`, a 1-cell, or a pair (b, a) of 1-cells for b o a
-    on just the atoms fn reaches.  It is one cell: the step's components
-    are identities, so the composite keeps cell's.  An associator or
-    unitor, whiskered or not, or a run of them, is one such step."""
-    if isinstance(into, tuple):
-        into = hcomp1(*into, [fn(d) for d in cell.target.span.apex.elements])
-    image = cell.morphism.map.assignment
-    return cell2_along(cell.source, into, lambda c: fn(image[c]),
-                       cell.components)
-
-
-def _whiskered(cell, g, f, fn, into):
-    """cell, then g o f from cell's target (the composite of g's and f's
-    sources on its atoms), then the relabeling along fn into `into` (as
-    in _relabeled), as one cell whose components are g o f's after
-    cell's.  The whiskered 1-cell in between is not built: cell2_along
-    checks `into` against those components."""
-    be = cell.backend
-    image = cell.morphism.map.assignment
-    gm, fm = g.morphism.map.assignment, f.morphism.map.assignment
-    if isinstance(into, tuple):
-        into = hcomp1(*into, [fn((gm[d], fm[c]))
-                              for d, c in cell.target.span.apex.elements])
-    comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
-                         cell.components[x]) for x, (d, c) in image.items()}
-    return cell2_along(cell.source, into, lambda x: fn((
-        gm[image[x][0]], fm[image[x][1]])), comps)
 
 
 def _triangle_left(one, right, unit, counit):
@@ -693,14 +655,16 @@ def star1(b, a, atoms=None):
     return Cell1(be, a.src, a.tgt, span, label)
 
 
-def star2(v, u, atoms=None):
+def star2(v, u, source=None):
     """The convolution of parallel 2-cells: (c, h) goes to (v(c), u(h))
-    with component 1_m o (v(c) . u(h)) o 1_d.  Given source atoms, it is
-    built on just those, into their image."""
-    source = star1(v.source, u.source, atoms)
+    with component 1_m o (v(c) . u(h)) o 1_d.  Given source, the
+    convolution of their sources on some atoms built already, it is
+    built on those, into their image."""
+    whole = source is None
+    source = source or star1(v.source, u.source)
     fv, fu = v.morphism.map, u.morphism.map
     fn = lambda t: (fv(t[0]), fu(t[1]))
-    target = star1(v.target, u.target, image_atoms(fn, source, atoms))
+    target = star1(v.target, u.target, image_atoms(fn, source, whole))
     be = source.backend
     m, d = _diagonal_labels(v.source)
     one_m, one_d = be.id2(m), be.id2(d)
@@ -769,16 +733,16 @@ def duoidal_units(X, be):
     return DuoidalUnits(i, j, mu_j, delta_i, iota_ij)
 
 
-def duoidal_interchange(a, b, h, d, atoms=None):
+def duoidal_interchange(a, b, h, d, source=None):
     """(a * b) o (h * d)  =>  (a o h) * (b o d): the interchange cell of
     spanv_core with the convolution as its product, on endo-cells of one
-    carrier.  Given source atoms, it is built on just those, into their
-    image.
-    """
+    carrier.  Given source, the composite of convolutions on some atoms
+    built already, it is built on those, into their image (see
+    interchange_cell2)."""
     for cell in (a, b, h, d):
         if cell.src != a.src or cell.tgt != a.src:
             raise SpanVError("interchange needs endo-cells on one carrier")
-    return interchange_cell2(a, b, h, d, atoms, star1)
+    return interchange_cell2(a, b, h, d, None, star1, source)
 
 
 def _take(cells, n, offset=0):

@@ -22,10 +22,11 @@ invert_cell2 runs only its own.
 
 A 2-cell read at a source atom needs its target only at that atom's
 image.  So the composites and coherence cells a law passes through can
-be built on given source atoms, into the sub-span of their target that
-those atoms reach (a sub-span of a 1-cell, with its legs and labels
-restricted, is a 1-cell: restrict1), and chain composes such stages,
-each on the image of the one before.
+be built on given source atoms, or from a given source 1-cell, into the
+sub-span of their target that those atoms reach.  A law is a vertical
+chain of such steps (_relabeled, _whiskered), each built from the
+1-cell the step before lands on, and the last lands in the law's
+target through cell2_along, which checks that landing.
 """
 
 from dataclasses import dataclass, field
@@ -561,14 +562,18 @@ def tensor1(a, b, atoms=None):
     return _trusted(Cell1, be, src, tgt, span, label)
 
 
-def tensor2(u, v, atoms=None):
-    source = tensor1(u.source, v.source, atoms)
+def tensor2(u, v, atoms=None, source=None):
+    """u . v, componentwise.  Given source atoms, or source, their tensor
+    on some atoms built already, it is built on those, into their image
+    (as hcomp2 is)."""
+    whole = atoms is None and source is None
+    source = source or tensor1(u.source, v.source, atoms)
     be = source.backend
     fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
     apex = source.span.apex
     assignment = {(c, d): (fu[c], fv[d]) for (c, d) in apex.elements}
     target = tensor1(u.target, v.target,
-                     None if atoms is None else assignment.values())
+                     None if whole else assignment.values())
     fn = _trusted(FinFn, apex, target.span.apex, assignment)
     comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
              for (c, d) in apex.elements}
@@ -623,18 +628,15 @@ def part(atoms, i):
     return None if atoms is None else [x[i] for x in atoms]
 
 
-def image_atoms(fn, cell, atoms):
-    """Where fn sends the apex of cell, built on atoms; None (all of the
-    target) when atoms is None."""
-    return None if atoms is None else [fn(x) for x in cell.span.apex]
+def image_atoms(fn, cell, whole):
+    """Where fn sends the apex of cell; None (all of the target) when
+    cell is built whole."""
+    return None if whole else [fn(x) for x in cell.span.apex]
 
 
-def associator_cell2(c, b, a, atoms=None):
-    """(c o b) o a => c o (b o a), identity components; given source
-    atoms, built on just those, into their image."""
-    source = hcomp1(hcomp1(c, b, part(atoms, 0)), a, atoms)
-    onto = image_atoms(regroup, source, atoms)
-    return relabel_cell2(source, hcomp1(c, hcomp1(b, a, part(onto, 1)), onto),
+def associator_cell2(c, b, a):
+    """(c o b) o a => c o (b o a), identity components."""
+    return relabel_cell2(hcomp1(hcomp1(c, b), a), hcomp1(c, hcomp1(b, a)),
                          regroup)
 
 
@@ -650,19 +652,21 @@ def right_unitor_cell2(a):
                          lambda t: t[0])
 
 
-def interchange_cell2(f, g, h, k, atoms=None, product=tensor1):
+def interchange_cell2(f, g, h, k, atoms=None, product=tensor1, source=None):
     """(f . g) o (h . k) => (f o h) . (g o k), where . is product: the
     tensor by default, or the convolution of monoidale_duoidal (see its
     duoidal_interchange).
 
     The span map regroups matched pairs; the component at a regrouped
     element is the base interchange mid4 and is where the braiding of a
-    one-object backend enters.  Given source atoms, it is built on just
-    those, into their image.
+    one-object backend enters.  Given source atoms, or source, the
+    composite of the products on some atoms built already, it is built
+    on those, into their image.
     """
-    lhs = hcomp1(product(f, g, part(atoms, 0)),
-                 product(h, k, part(atoms, 1)), atoms)
-    onto = image_atoms(interchange_atoms, lhs, atoms)
+    lhs = source or hcomp1(product(f, g, part(atoms, 0)),
+                           product(h, k, part(atoms, 1)), atoms)
+    onto = image_atoms(interchange_atoms, lhs,
+                       atoms is None and source is None)
     rhs = product(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
                   onto)
     be = lhs.backend
@@ -672,48 +676,44 @@ def interchange_cell2(f, g, h, k, atoms=None, product=tensor1):
     return cell2_along(lhs, rhs, interchange_atoms, comps)
 
 
-def restrict1(a, atoms):
-    """The sub-span of a on some of its apex atoms, in apex order, with
-    its legs and labels restricted: a 1-cell whenever a is one."""
-    s = a.span
-    apex = _trusted(FinSet, tuple(sorted(set(atoms), key=s.apex.index)))
-    left = _trusted(FinFn, apex, s.tgt, {x: s.left(x) for x in apex})
-    right = _trusted(FinFn, apex, s.src, {x: s.right(x) for x in apex})
-    return _trusted(Cell1, a.backend, a.src, a.tgt,
-                    _trusted(Span, s.src, s.tgt, apex, left, right),
-                    {x: a.label[x] for x in apex})
+# A law is a vertical chain of steps.  Each step starts from the 1-cell
+# the chain so far lands on, built once, so vcomp2 and hcomp2 meet it by
+# identity, and builds just the sub-span of its target that those atoms
+# reach.  A unit, counit or coherence cell is whiskered onto a 1-cell
+# built from its own source, and a relabeling lands in a 1-cell built
+# from the next cell's source, or in the law's target, so every seam is
+# checked where the next step is built (cell2_along).
 
 
-def _retarget(u, target):
-    """u with the same span map and components, into target."""
-    fn = _trusted(FinFn, u.source.span.apex, target.span.apex,
-                  u.morphism.map.assignment)
-    return _trusted(Cell2, u.source, target,
-                    _trusted(SpanMorphism, u.source.span, target.span, fn),
-                    u.components)
+def _relabeled(cell, fn, into):
+    """cell, then the coherence step along the atom map fn from its
+    target into `into`, a 1-cell, or a pair (b, a) of 1-cells for b o a
+    on just the atoms fn reaches.  It is one cell: the step's components
+    are identities, so the composite keeps cell's.  An associator or
+    unitor, whiskered or not, or a run of them, is one such step."""
+    if isinstance(into, tuple):
+        into = hcomp1(*into, [fn(d) for d in cell.target.span.apex.elements])
+    image = cell.morphism.map.assignment
+    return cell2_along(cell.source, into, lambda c: fn(image[c]),
+                       cell.components)
 
 
-def onto_image(u):
-    """u as a 2-cell into the sub-span of its target that it reaches."""
-    return _retarget(u, restrict1(u.target, u.morphism.map.image()))
-
-
-def chain(first, target, *stages):
-    """The vertical composite of first and then stages, landing in target.
-
-    Each stage is a function of source atoms that builds its cell on just
-    those atoms, into the sub-span of its target that they reach; it is
-    applied to the target apex of the composite so far.  So no stage is
-    built where no atom of first's source lands.  The last image must be
-    a sub-span of target, which the result maps into with the same span
-    map and components.
-    """
-    cell = first
-    for stage in stages:
-        cell = vcomp2(stage(cell.target.span.apex), cell)
-    if cell.target != restrict1(target, cell.target.span.apex):
-        raise SpanVError("chain does not land in its target")
-    return _retarget(cell, target)
+def _whiskered(cell, g, f, fn, into):
+    """cell, then g o f from cell's target (the composite of g's and f's
+    sources on its atoms), then the relabeling along fn into `into` (as
+    in _relabeled), as one cell whose components are g o f's after
+    cell's.  The whiskered 1-cell in between is not built: cell2_along
+    checks `into` against those components."""
+    be = cell.backend
+    image = cell.morphism.map.assignment
+    gm, fm = g.morphism.map.assignment, f.morphism.map.assignment
+    if isinstance(into, tuple):
+        into = hcomp1(*into, [fn((gm[d], fm[c]))
+                              for d, c in cell.target.span.apex.elements])
+    comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
+                         cell.components[x]) for x, (d, c) in image.items()}
+    return cell2_along(cell.source, into, lambda x: fn((
+        gm[image[x][0]], fm[image[x][1]])), comps)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,19 @@ the step before it.  That is how ``monoidale_duoidal`` built the
 adjunction triangles, the Frobenius prefix and the comparison cells
 before it built each chain on the atoms its source reaches, each 1-cell
 once.  The differential tests compare the two constructions.  The
-direct inverses of the associator and unitors, which only the tests
-use, live here too.
+direct inverses of the associator and unitors, and the restriction of a
+cell to the sub-span of its target that it reaches, which only the
+tests use, live here too.
 """
 
+from hopfspan.finset_span import FinFn, FinSet, Span, SpanMorphism
 from hopfspan.monoidale_duoidal import (
     tensor_associator_cell1, tensor_associator_inv_cell1,
     unique_relabel_cell2,
 )
 from hopfspan.reporting import CheckReport
 from hopfspan.spanv_core import (
-    SpanVError, associator_cell2, eq2, hcomp1, hcomp2, identity_cell1,
+    Cell1, Cell2, SpanVError, associator_cell2, eq2, hcomp1, hcomp2, identity_cell1,
     identity_cell2, interchange_cell2, invert_cell2, left_unitor_cell2,
     relabel_cell2, right_unitor_cell2, tensor1, tensor2, ungroup, vcomp2,
 )
@@ -38,6 +40,22 @@ def right_unitor_inv_cell2(a):
     """a => a o identity(src), the inverse of right_unitor_cell2."""
     return relabel_cell2(a, hcomp1(a, identity_cell1(a.src)),
                          lambda c: (c, a.span.right(c)))
+
+
+def onto_image(u):
+    """u as a 2-cell into the sub-span of its target that it reaches,
+    built by the checked constructors."""
+    t, reached = u.target, set(u.morphism.map.image())
+    s = t.span
+    apex = FinSet([x for x in s.apex if x in reached])
+    span = Span(s.src, s.tgt, apex,
+                FinFn(apex, s.tgt, {x: s.left(x) for x in apex}),
+                FinFn(apex, s.src, {x: s.right(x) for x in apex}))
+    target = Cell1(t.backend, t.src, t.tgt, span,
+                   {x: t.label[x] for x in apex})
+    return Cell2(u.source, target, SpanMorphism(
+        u.source.span, span, FinFn(u.source.span.apex, apex,
+                                   u.morphism.map.assignment)), u.components)
 
 
 def triangle_left(left, right, unit, counit):

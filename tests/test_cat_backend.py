@@ -90,6 +90,27 @@ def test_indiscrete_category_and_groupoid():
     assert is_groupoid(c)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_indiscrete_equals_the_checked_construction(n):
+    # indiscrete skips check_category; the checked constructor, given
+    # the table written out by hand, must accept it and build the same
+    # category, table included.
+    objects = FinSet(["o%d" % i for i in range(n)])
+    morphisms = FinSet([(x, y) for x in objects for y in objects])
+    checked = FinCategory(
+        objects, morphisms,
+        FinFn(morphisms, objects, {(x, y): x for (x, y) in morphisms}),
+        FinFn(morphisms, objects, {(x, y): y for (x, y) in morphisms}),
+        FinFn(objects, morphisms, {x: (x, x) for x in objects}),
+        {(g, f): (f[0], g[1]) for g in morphisms for f in morphisms
+         if f[1] == g[0]})
+    built = FinCategory.indiscrete(objects.elements)
+    assert built == checked
+    assert built.morphisms.elements == checked.morphisms.elements
+    assert built.composition == checked.composition
+    assert check_category(built).ok
+
+
 def test_groupoid_detection():
     assert is_groupoid(z2_category())
     verdict = is_groupoid(idempotent_monoid_category())

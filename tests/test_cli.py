@@ -148,7 +148,10 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # Frobenius chains build each 1-cell once, on the atoms their source
     # reaches, with each run of coherence steps one relabeling and a
     # whisker followed by one a single cell (203 calls when each step
-    # built its source again, over whole products).
+    # built its source again, over whole products).  The fusion cells and
+    # the bimonoid square are chains of such steps too, each step built
+    # from the 1-cell the one before lands on (88 calls when each stage
+    # built its source again and a whiskered composite on both sides).
     # Before that, this check ran monad_cells 10 times,
     # check_category 4 times, induced_monoidale 5 times and compose_spans
     # 688 times; with a whole monoid object per fusion cell,
@@ -167,7 +170,7 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
     assert code == 0
     assert calls == {"monad_cells": 1, "check_category": 1,
-                     "induced_monoidale": 1, "compose_spans": 88}
+                     "induced_monoidale": 1, "compose_spans": 70}
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):

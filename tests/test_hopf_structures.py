@@ -463,6 +463,34 @@ def test_law_chains_build_no_span_larger_than_their_ends(build, ends,
     assert largest_span_built(monkeypatch, run) == ends
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group_algebra(3, BraidParam(-1), graded=True),
+    lambda: indiscrete_enriched(["x", "y", "z"])],
+    ids=["Z3 graded q=-1", "indiscrete on 3"])
+def test_law_chains_meet_each_seam_by_identity(build, monkeypatch):
+    # Each step of a fusion cell starts from the 1-cell the step before
+    # lands on, so no two distinct 1-cells are compared (4 per cell when
+    # each stage built its source again).  check_opmonoidal's first
+    # square is such a chain too; what it still compares are the seams
+    # and boundaries of the other three, built from whole composites (12
+    # when each stage of the first built its source again).
+    pres = build()
+    mp, c = pres.monad, pres.comonoid_structure()
+    compared = []
+    equal = hs.Cell1.__eq__
+    def counted(a, b):
+        compared.append(a is not b)
+        return equal(a, b)
+    monkeypatch.setattr(hs.Cell1, "__eq__", counted)
+    for fusion in (left_fusion, right_fusion):
+        del compared[:]
+        fusion(mp, c)
+        assert sum(compared) == 0, fusion.__name__
+    del compared[:]
+    check_opmonoidal(mp, c)
+    assert sum(compared) == 8
+
+
 def test_groups_are_hopf_and_braiding_does_not_obstruct():
     for p in (cyclic_group_algebra(2), cyclic_group_algebra(3),
               cyclic_group_algebra(3, q=BraidParam(-1), graded=True)):

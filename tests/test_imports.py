@@ -102,14 +102,13 @@ TRUSTED = {
                     "Span.identity", "SpanMorphism.identity",
                     "SpanMorphism.then", "_in_order", "compose_spans",
                     "compose_span_morphisms_h", "cartesian_product"},
-    "cat_backend": {"FunctorData.identity", "FunctorData.then",
-                    "NatTransData.identity", "NatTransData.vcomp",
-                    "NatTransData.hcomp"},
+    "cat_backend": {"FinCategory.indiscrete", "FunctorData.identity",
+                    "FunctorData.then", "NatTransData.identity",
+                    "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
-                   "cell2_along", "regroup_cell1", "restrict1",
-                   "_retarget", "invert_cell2"},
+                   "cell2_along", "regroup_cell1", "invert_cell2"},
 }
 
 
@@ -182,6 +181,29 @@ def test_no_package_module_calls_the_checked_cell2_constructor():
     # A 2-cell is either a trusted composite or built along its atom map
     # by cell2_along, which runs the constructor's checks that can fail.
     assert package_scopes(callers, "Cell2") == {}
+
+
+# The callers of the chain steps, which build each step of a law from
+# the 1-cell the step before lands on.  They are the package's one way
+# to chain 2-cells: no module defines a second one.
+STEPS = {
+    "_relabeled": {"monoidale_duoidal": {
+        "_triangle_left", "_triangle_right", "_frobenius_shared_prefix",
+        "_core_steps"}, "hopf_structures": {"check_opmonoidal"}},
+    "_whiskered": {"monoidale_duoidal": {
+        "_triangle_left", "_triangle_right", "_alpha_reversed",
+        "_frobenius_shared_prefix", "_comparison_cells"},
+        "hopf_structures": {"_fusion"}},
+}
+
+
+def test_chain_steps_are_the_one_chain_mechanism():
+    for name, expected in STEPS.items():
+        assert package_scopes(callers, name) == expected, name
+    for path in PACKAGE.glob("*.py"):
+        assert "chain" not in {
+            node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, path.stem
 
 
 # The readers of a backend's first_diff: the report's rule for equations

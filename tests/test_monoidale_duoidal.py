@@ -14,7 +14,6 @@ from hopfspan.spanv_core import (
     SpanVError, VectBackend, CatBackend, Cell0, Cell1, Cell2,
     identity_cell1, identity_cell2, vcomp2, hcomp1, hcomp2, tensor1, tensor2,
     relabel_cell2, left_unitor_cell2, right_unitor_cell2, invert_cell2, eq2,
-    onto_image,
 )
 from hopfspan.monoidale_duoidal import (
     MonoidaleData, induced_monoidale, check_monoidale,
@@ -268,7 +267,7 @@ def test_restricted_frobenius_cells_match_the_unrestricted_oracle(n, backend):
         whole = frobenius_oracle.shared_prefix(adj, mirrored)[0]
         prefix = restricted_prefix(adj, mirrored)
         assert len(prefix.target.span.apex) == n
-        assert prefix == onto_image(whole)
+        assert prefix == frobenius_oracle.onto_image(whole)
     sides = frobenius_comparison_cells(adj)
     for cells, whole in zip(sides,
                             frobenius_oracle.frobenius_comparison_cells(adj)):

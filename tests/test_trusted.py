@@ -133,7 +133,9 @@ def checked_values(seed):
     be = VectBackend(BraidParam(rng.choice([1, -1, 2])))
     x, y = random_vect_cell0(rng, be), random_vect_cell0(rng, be)
     u = random_vect_cell2_from(rng, random_vect_cell1(rng, be, x, y))
-    c = FinCategory.indiscrete(random_finset(rng, 3).elements)
+    ind = FinCategory.indiscrete(random_finset(rng, 3).elements)
+    c = FinCategory(ind.objects, ind.morphisms, ind.src, ind.tgt,
+                    ind.identities, ind.composition)
     f = rng.choice(automorphisms(c))
     n = NatTransData(f, f, {o: c.identities(f.omap(o)) for o in c.objects})
     # A product, a functor out of it and a transformation on it, all
