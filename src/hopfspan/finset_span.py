@@ -126,13 +126,14 @@ class FinFn:
     assignment: dict = field(compare=False)
 
     def __post_init__(self):
-        for a in self.domain:
-            if a not in self.assignment:
+        assignment, index = self.assignment, self.codomain.positions()
+        for a in self.domain.elements:
+            if a not in assignment:
                 raise SpanError("no value assigned to %r" % (a,))
-            if self.assignment[a] not in self.codomain:
+            if assignment[a] not in index:
                 raise SpanError(
                     "value %r of %r not in codomain %r"
-                    % (self.assignment[a], a, self.codomain)
+                    % (assignment[a], a, self.codomain)
                 )
 
     def __call__(self, atom):
@@ -206,6 +207,11 @@ class Span:
         if self.right.codomain != self.src:
             raise SpanError("right leg must land in src")
 
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Span) and (
+            self.src, self.tgt, self.apex, self.left, self.right) == (
+            other.src, other.tgt, other.apex, other.left, other.right))
+
     @staticmethod
     def identity(x):
         i = FinFn.identity(x)
@@ -239,8 +245,12 @@ class SpanMorphism:
             raise SpanError("morphism map must go apex to apex")
         if s.src != t.src or s.tgt != t.tgt:
             raise SpanError("span morphism endpoints must agree")
-        for c in s.apex:
-            if t.left(m(c)) != s.left(c) or t.right(m(c)) != s.right(c):
+        image = m.assignment
+        s_left, s_right = s.left.assignment, s.right.assignment
+        t_left, t_right = t.left.assignment, t.right.assignment
+        for c in s.apex.elements:
+            d = image[c]
+            if t_left[d] != s_left[c] or t_right[d] != s_right[c]:
                 raise SpanError("legs do not commute at %r" % (c,))
 
     @staticmethod
@@ -303,14 +313,14 @@ def compose_spans(b, a, pairs=None):
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
-def compose_span_morphisms_h(g, f, pairs=None, source=None):
+def compose_span_morphisms_h(g, f, source=None):
     """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)).
-    Given pairs, it runs between the sub-spans on those pairs and on
-    their images (see compose_spans).  Given source, a sub-span of the
-    composite of their sources built already, it runs from that."""
-    whole = pairs is None and source is None
-    if source is None:
-        source = compose_spans(g.source, f.source, pairs)
+    Given source, a sub-span of the composite of their sources built
+    already, it runs from that into the sub-span on the images of its
+    pairs (see compose_spans)."""
+    whole = source is None
+    if whole:
+        source = compose_spans(g.source, f.source)
     gm, fm = g.map.assignment, f.map.assignment
     assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex.elements}
     target = compose_spans(g.target, f.target,

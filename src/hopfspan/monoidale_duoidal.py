@@ -478,12 +478,14 @@ def _frobenius_shared_prefix(adj, mirrored, lead, outer):
     def order(a, b):
         return (b, a) if mirrored else (a, b)
     right = s0.span.right.assignment
-    pad = tensor2(*order(unit, identity_cell2(idc)),
-                  [right[c] for c in s0.span.apex.elements])
+    pad = tensor2(*order(unit, identity_cell2(idc)), source=tensor1(
+        idc, idc, [right[c] for c in s0.span.apex.elements]))
     fix = (lambda t: ((t[0], t[0]), t[1])) if mirrored else \
         (lambda t: (t[0], (t[1], t[1])))
-    swap = interchange_cell2(*order(m, idc), *order(ms, idc), [
-        interchange_atoms(fix(t)) for t in pad.target.span.apex.elements])
+    atoms = [interchange_atoms(fix(t)) for t in pad.target.span.apex.elements]
+    swap = interchange_cell2(*order(m, idc), *order(ms, idc), source=hcomp1(
+        tensor1(*order(m, idc), part(atoms, 0)),
+        tensor1(*order(ms, idc), part(atoms, 1)), atoms))
     padded = vcomp2(invert_cell2(swap).inverse,
                     _relabeled(pad, fix, swap.target))
     one = identity_cell2(s0)
@@ -742,7 +744,7 @@ def duoidal_interchange(a, b, h, d, source=None):
     for cell in (a, b, h, d):
         if cell.src != a.src or cell.tgt != a.src:
             raise SpanVError("interchange needs endo-cells on one carrier")
-    return interchange_cell2(a, b, h, d, None, star1, source)
+    return interchange_cell2(a, b, h, d, product=star1, source=source)
 
 
 def _take(cells, n, offset=0):

@@ -16,14 +16,16 @@ The cell constructors check labels and boundaries.  Identities and the
 horizontal, vertical and tensor composites of checked cells are built
 without those checks (finset_span._trusted), once the boundary they
 compose across has been checked.  A 2-cell along a given atom map is
-built by cell2_along, which runs just those checks that can fail for it
+built by cell2_along, which builds its map, span morphism and cell
+through _trusted and runs each class's own checks on them
 (relabel_cell2 is cell2_along with identity components), and
 invert_cell2 runs only its own.
 
 A 2-cell read at a source atom needs its target only at that atom's
-image.  So the composites and coherence cells a law passes through can
-be built on given source atoms, or from a given source 1-cell, into the
-sub-span of their target that those atoms reach.  A law is a vertical
+image.  So a 1-cell is restricted by the atoms it is built on, and a
+2-cell only by the 1-cell it starts from: the composites and coherence
+cells a law passes through are built from a given source 1-cell, into
+the sub-span of their target that its atoms reach.  A law is a vertical
 chain of such steps (_relabeled, _whiskered), each built from the
 1-cell the step before lands on, and the last lands in the law's
 target through cell2_along, which checks that landing.
@@ -32,7 +34,7 @@ target through cell2_along, which checks that landing.
 from dataclasses import dataclass, field
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism, SpanError, _trusted,
+    FinSet, FinFn, Span, SpanMorphism, _trusted,
     compose_spans, compose_span_morphisms_h, cartesian_product,
 )
 from .reporting import Verdict
@@ -409,13 +411,14 @@ class Cell2:
             raise SpanVError("span morphism endpoints do not match labels")
         if s.src != t.src or s.tgt != t.tgt:
             raise SpanVError("2-cell 0-cell boundaries must agree")
-        for c in s.span.apex:
-            if c not in self.components:
+        components, image = self.components, self.morphism.map.assignment
+        for c in s.span.apex.elements:
+            if c not in components:
                 raise SpanVError("component missing at %r" % (c,))
-            phi = self.components[c]
+            phi = components[c]
             if not be.eq1(be.src2(phi), s.label[c]):
                 raise SpanVError("component domain mismatch at %r" % (c,))
-            if not be.eq1(be.tgt2(phi), t.label[self.morphism.map(c)]):
+            if not be.eq1(be.tgt2(phi), t.label[image[c]]):
                 raise SpanVError("component codomain mismatch at %r" % (c,))
 
     @property
@@ -447,36 +450,18 @@ def cell2_along(source, target, fn, components):
     """The 2-cell source => target with the given components along fn, a
     map of source apex atoms into the target apex commuting with the legs.
 
-    It runs those checks of the FinFn, SpanMorphism and Cell2
-    constructors that can fail for a map built from fn, in their order
-    and with their errors, then builds the cell without the rest."""
+    It builds the FinFn, the SpanMorphism and the Cell2 through _trusted
+    and runs each class's own checks on it after it is built, in that
+    order: the checked constructors' errors, in their order."""
     s, t = source.span, target.span
-    fn = {c: fn(c) for c in s.apex.elements}
-    for c, d in fn.items():
-        if d not in t.apex:
-            raise SpanError("value %r of %r not in codomain %r" % (d, c, t.apex))
-    if s.src != t.src or s.tgt != t.tgt:
-        raise SpanError("span morphism endpoints must agree")
-    s_left, s_right = s.left.assignment, s.right.assignment
-    t_left, t_right = t.left.assignment, t.right.assignment
-    for c, d in fn.items():
-        if t_left[d] != s_left[c] or t_right[d] != s_right[c]:
-            raise SpanError("legs do not commute at %r" % (c,))
-    be = source.backend
-    if be != target.backend:
-        raise SpanVError("2-cell endpoints use different backends")
-    if source.src != target.src or source.tgt != target.tgt:
-        raise SpanVError("2-cell 0-cell boundaries must agree")
-    for c, d in fn.items():
-        if c not in components:
-            raise SpanVError("component missing at %r" % (c,))
-        phi = components[c]
-        if not be.eq1(be.src2(phi), source.label[c]):
-            raise SpanVError("component domain mismatch at %r" % (c,))
-        if not be.eq1(be.tgt2(phi), target.label[d]):
-            raise SpanVError("component codomain mismatch at %r" % (c,))
-    return _trusted(Cell2, source, target, _trusted(
-        SpanMorphism, s, t, _trusted(FinFn, s.apex, t.apex, fn)), components)
+    image = _trusted(FinFn, s.apex, t.apex,
+                     {c: fn(c) for c in s.apex.elements})
+    FinFn.__post_init__(image)
+    morphism = _trusted(SpanMorphism, s, t, image)
+    SpanMorphism.__post_init__(morphism)
+    cell = _trusted(Cell2, source, target, morphism, components)
+    Cell2.__post_init__(cell)
+    return cell
 
 
 def vcomp2(second, first):
@@ -513,14 +498,13 @@ def _composite(b, a, span):
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
-def hcomp2(g, f, atoms=None, source=None):
+def hcomp2(g, f, source=None):
     """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
     the composite spans that the span morphism already carries.  Given
-    source atoms, it is built on just those, into their image.  Given
     source, the composite of g's and f's sources on some atoms, built
     already (the target of a chain so far), it is built from that 1-cell
     itself, into the image of its atoms."""
-    morphism = compose_span_morphisms_h(g.morphism, f.morphism, atoms,
+    morphism = compose_span_morphisms_h(g.morphism, f.morphism,
                                         source and source.span)
     source = source or _composite(g.source, f.source, morphism.source)
     target = _composite(g.target, f.target, morphism.target)
@@ -562,12 +546,12 @@ def tensor1(a, b, atoms=None):
     return _trusted(Cell1, be, src, tgt, span, label)
 
 
-def tensor2(u, v, atoms=None, source=None):
-    """u . v, componentwise.  Given source atoms, or source, their tensor
-    on some atoms built already, it is built on those, into their image
-    (as hcomp2 is)."""
-    whole = atoms is None and source is None
-    source = source or tensor1(u.source, v.source, atoms)
+def tensor2(u, v, source=None):
+    """u . v, componentwise.  Given source, the tensor of their sources
+    on some atoms built already, it is built from that, into the image
+    of its atoms (as hcomp2 is)."""
+    whole = source is None
+    source = source or tensor1(u.source, v.source)
     be = source.backend
     fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
     apex = source.span.apex
@@ -652,21 +636,19 @@ def right_unitor_cell2(a):
                          lambda t: t[0])
 
 
-def interchange_cell2(f, g, h, k, atoms=None, product=tensor1, source=None):
+def interchange_cell2(f, g, h, k, product=tensor1, source=None):
     """(f . g) o (h . k) => (f o h) . (g o k), where . is product: the
     tensor by default, or the convolution of monoidale_duoidal (see its
     duoidal_interchange).
 
     The span map regroups matched pairs; the component at a regrouped
     element is the base interchange mid4 and is where the braiding of a
-    one-object backend enters.  Given source atoms, or source, the
-    composite of the products on some atoms built already, it is built
-    on those, into their image.
+    one-object backend enters.  Given source, the composite of the
+    products on some atoms built already, it is built from that, into
+    the image of its atoms.
     """
-    lhs = source or hcomp1(product(f, g, part(atoms, 0)),
-                           product(h, k, part(atoms, 1)), atoms)
-    onto = image_atoms(interchange_atoms, lhs,
-                       atoms is None and source is None)
+    lhs = source or hcomp1(product(f, g), product(h, k))
+    onto = image_atoms(interchange_atoms, lhs, source is None)
     rhs = product(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
                   onto)
     be = lhs.backend

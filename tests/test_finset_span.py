@@ -122,6 +122,14 @@ def test_morphism_h_pointwise():
         assert gf.map((d, c)) == (g.map(d), f.map(c))
 
 
+def test_span_morphism_map_must_go_apex_to_apex():
+    a = span_from_legs([0], [0], ["c1", "c2"],
+                       {"c1": 0, "c2": 0}, {"c1": 0, "c2": 0})
+    b = span_from_legs([0], [0], ["d"], {"d": 0}, {"d": 0})
+    with pytest.raises(SpanError, match="morphism map must go apex to apex"):
+        SpanMorphism(a, b, FinFn.identity(b.apex))
+
+
 def test_cartesian_product_unit_and_counts():
     x = FinSet([0, 1])
     a = Span.complete(x)

@@ -179,8 +179,79 @@ def test_callers_finds_calls_only():
 
 def test_no_package_module_calls_the_checked_cell2_constructor():
     # A 2-cell is either a trusted composite or built along its atom map
-    # by cell2_along, which runs the constructor's checks that can fail.
+    # by cell2_along, which runs the constructor's checks on what it builds.
     assert package_scopes(callers, "Cell2") == {}
+
+
+# The classes whose checks cell2_along runs, by module: it builds each
+# value through _trusted and calls the class's own __post_init__ on it,
+# so every message those checks raise is written once.
+CHECKED = {"finset_span": ("FinFn", "SpanMorphism"), "spanv_core": ("Cell2",)}
+
+
+def raised_messages(node):
+    """The message string of every raise under node, as written: the
+    string itself, or the left side of its % formatting."""
+    found = []
+    for raised in ast.walk(node):
+        if isinstance(raised, ast.Raise) and \
+                isinstance(raised.exc, ast.Call) and raised.exc.args:
+            message = raised.exc.args[0]
+            if isinstance(message, ast.BinOp):
+                message = message.left
+            found.append(message.value)
+    return found
+
+
+def test_raised_messages_reads_plain_and_formatted_messages():
+    source = ("def f(a):\n    raise E('plain')\n"
+              "def g(a):\n    raise E('at %r' % (a,))\n")
+    assert raised_messages(ast.parse(source)) == ["plain", "at %r"]
+
+
+def test_each_checked_constructor_message_is_written_once():
+    trees = {module: ast.parse((PACKAGE / (module + ".py")).read_text())
+             for module in CHECKED}
+    strings = [node.value for tree in trees.values()
+               for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    messages = []
+    for module, classes in CHECKED.items():
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                (check,) = [f for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and f.name == "__post_init__"]
+                messages += raised_messages(check)
+    assert len(messages) == 11
+    assert {m: strings.count(m) for m in messages} == \
+        dict.fromkeys(messages, 1)
+    (along,) = [node for node in ast.walk(trees["spanv_core"])
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "cell2_along"]
+    assert not [node for node in ast.walk(along)
+                if isinstance(node, ast.Raise)]
+
+
+# The builders of 2-cells and span morphisms that a chain restricts: a
+# 1-cell is restricted by the atoms it is built on, a 2-cell only by the
+# 1-cell it starts from, so they take a source and no atoms.
+RESTRICTED_BY_SOURCE = {
+    "spanv_core": {"hcomp2", "tensor2", "interchange_cell2"},
+    "finset_span": {"compose_span_morphisms_h"},
+}
+
+
+def test_a_2_cell_is_restricted_only_by_its_source():
+    for module, names in RESTRICTED_BY_SOURCE.items():
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+        found = {node.name: {a.arg for a in node.args.args
+                             + node.args.kwonlyargs}
+                 for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in names}
+        assert set(found) == names
+        for name, params in found.items():
+            assert "source" in params and \
+                not {"atoms", "pairs"} & params, name
 
 
 # The callers of the chain steps, which build each step of a law from

@@ -197,22 +197,23 @@ def test_frobenius_inverts_only_the_cells_it_derives(n, backend,
                                                      monkeypatch):
     # The triangles, the prefix and the core steps build the inverses of
     # associators and unitors directly, as relabelings, and every 2-cell
-    # along an atom map is built by cell2_along, without the Cell2
-    # constructor: left to invert are the two interchange cells, the
-    # reversed coherence and one comparison cell per side, since the
-    # two conventions agree (7 with every comparison cell inverted, 23
-    # inversions and 61 checked 2-cells before that).
+    # along an atom map is built by cell2_along, without the checked Cell2
+    # constructor (it runs Cell2's checks on the value it builds): left to
+    # invert are the two interchange cells, the reversed coherence and
+    # one comparison cell per side, since the two conventions agree (7
+    # with every comparison cell inverted, 23 inversions and 61 checked
+    # 2-cells before that).
     calls = {"invert_cell2": 0, "Cell2": 0}
 
     def counted_invert(u, _original=md.invert_cell2):
         calls["invert_cell2"] += 1
         return _original(u)
 
-    def counted_check(self, _original=Cell2.__post_init__):
+    def counted_init(self, *args, _original=Cell2.__init__):
         calls["Cell2"] += 1
-        _original(self)
+        _original(self, *args)
     monkeypatch.setattr(md, "invert_cell2", counted_invert)
-    monkeypatch.setattr(Cell2, "__post_init__", counted_check)
+    monkeypatch.setattr(Cell2, "__init__", counted_init)
     report = check_frobenius(carrier(n), backend)
     assert report.ok, report.summary()
     assert calls["invert_cell2"] == 5 and calls["Cell2"] == 0

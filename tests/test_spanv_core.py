@@ -60,6 +60,16 @@ def test_cell1_rejects_bad_boundary():
     assert "'c'" in str(err.value)
 
 
+def test_cell2_rejects_a_morphism_between_other_spans():
+    one = VObject.ungraded(["e"])
+    a = group_algebra_cell1(V1, {"g": one})
+    b = group_algebra_cell1(V1, {"h": one})
+    with pytest.raises(SpanVError,
+                       match="span morphism endpoints do not match labels"):
+        Cell2(a, a, SpanMorphism.identity(b.span),
+              {"g": VMorphism.identity(one)})
+
+
 def test_cell_equality_is_by_value():
     """Equal but distinct 0- and 1-cells compare equal, one changed label
     makes them unequal, and a cell equals itself."""

@@ -7,9 +7,10 @@ constructor in every module that binds it, and the goldens, the
 acceptance inputs and generated chains of composites are built again:
 no constructor may raise, and every composite must equal the one the
 trusted path built.  That includes the law chains whose later stages
-are built only on the atoms their source reaches, and the cells along
-atom maps and inverses that run only the checks that can fail: on
-broken ones both modes raise the checked constructors' errors.  Mutant
+are built only on the atoms their source reaches, the cells along atom
+maps, which run their classes' own checks on what they build, and the
+inverses, which run only the checks that can fail: on broken ones both
+modes raise the checked constructors' errors.  Mutant
 composites show that the mode catches what the trusted path lets
 through.  The per-class builders behind ``_trusted`` are compared with
 the checked constructors directly, and the builds of a Frobenius check
@@ -269,8 +270,9 @@ def empty_cell1(be, src, tgt):
 def relabelings(seed):
     """A valid relabeling (source, target, fn) drawn from rand, and the
     broken ones made from it: fn off the target apex, legs that do not
-    commute, a label mismatch, and 0-cell boundaries that differ in
-    their carrier or, on the same carrier, in their labels."""
+    commute, a label mismatch, 0-cell boundaries that differ in their
+    carrier or, on the same carrier, in their labels, and a target on
+    the same carriers over another backend."""
     rng = seeded(seed)
     be = VectBackend(BraidParam(1))
     while True:
@@ -287,11 +289,16 @@ def relabelings(seed):
     relabeled = Cell1(be, x, y, source.span,
                       {**source.label, c: random_vobject(rng)})
     unlabeled = Cell0(be, x.carrier, {p: "#" for p in x.carrier})
+    other = VectBackend(BraidParam(-1))
+    elsewhere = Cell1(other, Cell0(other, x.carrier, x.label),
+                      Cell0(other, y.carrier, y.label), target.span,
+                      target.label)
     broken = [(source, target, {**images, c: "nowhere"}),
               (source, target, {**images, c: astray[0]}),
               (relabeled, target, images),
               (empty_cell1(be, random_vect_cell0(rng, be), y), target, {}),
-              (empty_cell1(be, unlabeled, y), target, {})]
+              (empty_cell1(be, unlabeled, y), target, {}),
+              (source, elsewhere, images)]
     return (source, target, images), broken
 
 
