@@ -3,9 +3,10 @@
 FinCategory stores a composition table keyed by composable morphism
 pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
 axioms are verified at construction, and check_category collects every
-violation.  The table is never changed after construction, so products
-of a category are shared (spanv_core.product_category) and built without
-the check from factors that passed it.  A product is never tabulated:
+violation, deciding the laws on morphism positions.  The table is never
+changed after construction, so products of a category are shared
+(spanv_core.product_category) and built without the check from factors
+that passed it.  A product is never tabulated:
 its table is a ProductTable, which composes componentwise on lookup, and
 the functors out of it map on lookup too (PairMap, ComposedMap).  Every
 check whose domain is a product runs on its generators (f, 1) and
@@ -13,6 +14,9 @@ check whose domain is a product runs on its generators (f, 1) and
 Functors and natural transformations are checked when built by their
 constructors, while the identities and composites of checked ones are
 not; a composite still checks the boundary it composes across.
+Composites and identities are built once per pair of operands and kept
+on the left operand (an identity on its category), and a composite with
+an identity functor is the other operand.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -40,11 +44,12 @@ class FinCategory:
     identities: FinFn
     composition: dict = field(compare=False)
 
-    # composable_pairs(), the hom buckets and a product's generators
-    # once computed; the table never changes.
+    # composable_pairs(), the hom buckets, a product's generators and
+    # the identity functor once computed; the table never changes.
     _pairs = None
     _homs = None
     _generators = None
+    _identity = None
 
     def __post_init__(self):
         # A product's table reads its checked factors: a copy would
@@ -173,17 +178,28 @@ def check_category(c):
             report.fail("composite endpoints", (g, f))
     if not report.ok:
         return report
-    for f in c.morphisms:
-        if c.composition[(c.identities(c.tgt(f)), f)] != f:
+    # Every composite is a morphism: decide the laws on morphism
+    # positions, where after[g][f] is the position of g after f.
+    morphisms, pos = c.morphisms.elements, c.morphisms.positions()
+    after = [{} for _ in morphisms]
+    for (g, f), gf in c.composition.items():
+        after[pos[g]][pos[f]] = pos[gf]
+    src, tgt = c.src.assignment, c.tgt.assignment
+    ids = {x: pos[i] for x, i in c.identities.assignment.items()}
+    for i, f in enumerate(morphisms):
+        if after[ids[tgt[f]]][i] != i:
             report.fail("left identity", f)
-        if c.composition[(f, c.identities(c.src(f)))] != f:
+        if after[i][ids[src[f]]] != i:
             report.fail("right identity", f)
-    out_of = c.morphisms_by(c.src)
+    out_of = {x: [pos[h] for h in hs]
+              for x, hs in c.morphisms_by(c.src).items()}
     for (g, f) in c.composable_pairs():
-        for h in out_of.get(c.tgt(g), ()):
-            if c.composition[(c.composition[(h, g)], f)] != \
-                    c.composition[(h, c.composition[(g, f)])]:
-                report.fail("associativity", (h, g, f))
+        i, j = pos[g], pos[f]
+        gf = after[i][j]
+        for k in out_of.get(tgt[g], ()):
+            hk = after[k]
+            if after[hk[i]][j] != hk[gf]:
+                report.fail("associativity", (morphisms[k], g, f))
     return report
 
 
@@ -393,25 +409,41 @@ class FunctorData:
 
     @staticmethod
     def identity(c):
-        return _trusted(FunctorData, c, c, FinFn.identity(c.objects),
-                        FinFn.identity(c.morphisms))
+        """The identity functor on c, built once and kept on c."""
+        ident = c._identity
+        if ident is None:
+            ident = _trusted(FunctorData, c, c, FinFn.identity(c.objects),
+                             FinFn.identity(c.morphisms))
+            object.__setattr__(c, "_identity", ident)
+        return ident
 
     def then(self, other):
-        """other after self; out of a product, mapped on lookup."""
+        """other after self; out of a product, mapped on lookup.  A
+        composite with an identity functor is the other operand, and
+        any other is built once and kept on self, keyed by other's id
+        and held with other, so that the id is not reused."""
         if other.dom != self.cod:
             raise CatError("functors are not composable")
-        if product_factors(self.dom) is None:
-            return _trusted(FunctorData, self.dom, other.cod,
-                            other.omap.compose(self.omap),
-                            other.mmap.compose(self.mmap))
+        if self is self.dom._identity:
+            return other
+        if other is other.dom._identity:
+            return self
+        composites = vars(self).setdefault("_composites", {})
+        hit = composites.get(id(other))
+        if hit is not None:
+            return hit[1]
         dom, cod = self.dom, other.cod
-        omap = ComposedMap(dom.objects, other.omap.assignment,
-                           self.omap.assignment)
-        mmap = ComposedMap(dom.morphisms, other.mmap.assignment,
-                           self.mmap.assignment)
-        return _trusted(FunctorData, dom, cod,
-                        _trusted(FinFn, dom.objects, cod.objects, omap),
-                        _trusted(FinFn, dom.morphisms, cod.morphisms, mmap))
+        if product_factors(dom) is None:
+            omap = other.omap.compose(self.omap)
+            mmap = other.mmap.compose(self.mmap)
+        else:
+            omap = _trusted(FinFn, dom.objects, cod.objects, ComposedMap(
+                dom.objects, other.omap.assignment, self.omap.assignment))
+            mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, ComposedMap(
+                dom.morphisms, other.mmap.assignment, self.mmap.assignment))
+        composite = _trusted(FunctorData, dom, cod, omap, mmap)
+        composites[id(other)] = (other, composite)
+        return composite
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,22 @@ def _product_category(a, b):
 
 
 def product_functor(p, q):
-    """p x q, mapping objects and morphisms on lookup."""
+    """p x q, mapping objects and morphisms on lookup.
+
+    Built once per pair of operands and kept on p, keyed by q's id and
+    held with q, so that the id is not reused.  An identity functor
+    keeps none: it is kept on its category, and cb.TERMINAL's lives as
+    long as the process."""
+    if p is p.dom._identity:
+        return _product_functor(p, q)
+    products = vars(p).setdefault("_products", {})
+    hit = products.get(id(q))
+    if hit is None:
+        hit = products[id(q)] = (q, _product_functor(p, q))
+    return hit[1]
+
+
+def _product_functor(p, q):
     dom = product_category(p.dom, q.dom)
     cod = product_category(p.cod, q.cod)
     omap = cb.PairMap(dom.objects, p.omap.assignment, q.omap.assignment)

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from hopfspan.finset_span import FinSet, FinFn, _trusted
 from hopfspan.cat_backend import (
-    TERMINAL, FinCategory, FunctorData, NatTransData, CatError,
+    TERMINAL, ComposedMap, FinCategory, FunctorData, NatTransData, CatError,
     check_category, is_groupoid, nat_is_iso,
 )
+from hopfspan.reporting import CheckReport
 from hopfspan.spanv_core import (
-    VectImageBackend, product_category, vect_as_lazy_category,
+    VectImageBackend, product_category, product_functor,
+    vect_as_lazy_category,
 )
 from hopfspan.vect_backend import (
     VObject, VMorphism, BraidParam, braiding, invert, tensor_obj, unit_object,
@@ -381,3 +383,139 @@ def test_associativity_failures_keep_the_nested_scan_order(table, data):
                 for h in c.morphisms if c.tgt(g) == c.src(h)
                 and mul[(mul[(h, g)], f)] != mul[(h, mul[(g, f)])]]
     assert check_category(c).failures == expected
+
+
+# ---------------------------------------------------------------------------
+# check_category on morphism positions against the scan on morphisms.
+
+
+def scanned_check_category(c):
+    """The category axioms decided on the morphisms themselves, every
+    lookup rehashing them: the oracle for check_category's positions."""
+    report = CheckReport("category axioms")
+    for x in c.objects:
+        i = c.identities(x)
+        if c.src(i) != x or c.tgt(i) != x:
+            report.fail("identity endpoints", x)
+    for (g, f) in c.composition:
+        if g not in c.morphisms or f not in c.morphisms \
+                or c.tgt(f) != c.src(g):
+            report.fail("table entry on non-composable pair", (g, f))
+    for (g, f) in c.composable_pairs():
+        if (g, f) not in c.composition:
+            report.fail("missing composite", (g, f))
+            continue
+        gf = c.composition[(g, f)]
+        if gf not in c.morphisms:
+            report.fail("composite not a morphism", (g, f))
+        elif c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
+            report.fail("composite endpoints", (g, f))
+    if not report.ok:
+        return report
+    for f in c.morphisms:
+        if c.composition[(c.identities(c.tgt(f)), f)] != f:
+            report.fail("left identity", f)
+        if c.composition[(f, c.identities(c.src(f)))] != f:
+            report.fail("right identity", f)
+    out_of = c.morphisms_by(c.src)
+    for (g, f) in c.composable_pairs():
+        for h in out_of.get(c.tgt(g), ()):
+            if c.composition[(c.composition[(h, g)], f)] != \
+                    c.composition[(h, c.composition[(g, f)])]:
+                report.fail("associativity", (h, g, f))
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(categories, st.data())
+def test_check_category_reports_as_the_scan_on_one_corrupted_composite(
+        c, data):
+    assert check_category(c).ok and scanned_check_category(c).ok
+    table = dict(c.composition)
+    pair = data.draw(st.sampled_from(c.composable_pairs()))
+    # A morphism with the composite's endpoints, so that the laws are
+    # decided, or any morphism, so that the gate may fail first.
+    keep_endpoints = data.draw(st.booleans())
+    pool = c.hom(c.src(pair[1]), c.tgt(pair[0])) if keep_endpoints \
+        else c.morphisms.elements
+    table[pair] = data.draw(st.sampled_from(pool))
+    broken = _trusted(FinCategory, c.objects, c.morphisms, c.src, c.tgt,
+                      c.identities, table)
+    assert check_category(broken).failures == \
+        scanned_check_category(broken).failures
+
+
+# ---------------------------------------------------------------------------
+# Functor composites, identities and products, built once per pair.
+
+
+def fresh_composite(f, g):
+    """g after f, tabulated through the checked constructor."""
+    return FunctorData(
+        f.dom, g.cod,
+        FinFn(f.dom.objects, g.cod.objects,
+              {x: g.omap(f.omap(x)) for x in f.dom.objects}),
+        FinFn(f.dom.morphisms, g.cod.morphisms,
+              {m: g.mmap(f.mmap(m)) for m in f.dom.morphisms}))
+
+
+def test_composites_are_built_once_and_equal_a_fresh_build():
+    c = s3_category()
+    functors = s3_endofunctors(c)
+    for f in functors:
+        for g in functors:
+            composite = f.then(g)
+            assert f.then(g) is composite
+            assert composite == fresh_composite(f, g)
+    assert len(vars(functors[1])["_composites"]) == len(functors)
+
+
+def test_composites_out_of_a_product_are_built_once_and_read_on_lookup():
+    c = s3_category()
+    functors = s3_endofunctors(c)
+    rng = random.Random(3)
+    for _ in range(12):
+        p = product_functor(rng.choice(functors), rng.choice(functors))
+        q = product_functor(rng.choice(functors), rng.choice(functors))
+        composite = p.then(q)
+        assert p.then(q) is composite
+        assert isinstance(composite.mmap.assignment, ComposedMap)
+        assert composite == fresh_composite(p, q)
+        assert fresh_composite(p, q) == composite
+
+
+def test_a_composite_with_an_identity_is_the_other_operand():
+    c = s3_category()
+    ident = FunctorData.identity(c)
+    assert FunctorData.identity(c) is ident
+    for g in s3_endofunctors(c):
+        assert ident.then(g) is g and g.then(ident) is g
+    assert "_composites" not in vars(ident)
+
+
+def test_composing_after_the_unit_identity_keeps_no_memo_on_it():
+    # The unit category lives as long as the process, and so does the
+    # identity kept on it: a memo there would only grow.
+    c = FinCategory.indiscrete(["a", "b"])
+    ident = FunctorData.identity(TERMINAL)
+    assert FunctorData.identity(TERMINAL) is ident
+    for x in c.objects:
+        point = constant_functor(c, x)
+        assert ident.then(point) is point
+        assert product_functor(ident, point) == \
+            product_functor(ident, point)
+        assert product_functor(point, ident) is product_functor(point, ident)
+    assert "_composites" not in vars(ident)
+    assert "_products" not in vars(ident)
+
+
+def test_products_of_functors_are_shared_per_pair():
+    functors = s3_endofunctors(s3_category())
+    for p in functors:
+        for q in functors:
+            assert product_functor(p, q) is product_functor(p, q)
+    # Keyed by the operand itself: an equal twin has a product of its own.
+    p, q = functors[0], functors[-1]
+    twin = FunctorData(q.dom, q.cod, q.omap, q.mmap)
+    assert product_functor(p, twin) == product_functor(p, q)
+    assert product_functor(p, twin) is not product_functor(p, q)

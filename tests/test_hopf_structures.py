@@ -938,11 +938,14 @@ EXPECTED_COUNTS = {
 # Over the discrete fiber an action along x -> y forces equal objects at
 # x and y (two modules), and a representation's object at a morphism
 # depends only on its source (four).  Over the indiscrete fiber every
-# pair of objects is a module, with one morphism between any two.
+# pair of objects is a module, and every choice of an object at each of
+# the four morphisms a representation (sixteen), with one morphism
+# between any two.
 PAIR_COUNTS = {
     ("pair", "discrete", "modules"): (2, 2),
     ("pair", "discrete", "representations"): (4, 4),
     ("pair", "indiscrete", "modules"): (4, 16),
+    ("pair", "indiscrete", "representations"): (16, 256),
 }
 # The identity polyad over Z_2 on the idempotent monoid {e, z} as a
 # one-object fiber, whose endomorphisms let an action be z.  The laws

@@ -105,7 +105,7 @@ TRUSTED = {
     "cat_backend": {"FinCategory.indiscrete", "FunctorData.identity",
                     "FunctorData.then", "NatTransData.identity",
                     "NatTransData.vcomp", "NatTransData.hcomp"},
-    "spanv_core": {"_product_category", "product_functor", "product_nat",
+    "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
                    "cell2_along", "regroup_cell1", "invert_cell2"},

@@ -60,12 +60,14 @@ def checking(cls, *values):
 
 def enter_checking_mode(monkeypatch, constructor=checking):
     """Route every trusted construction through constructor, the public
-    one by default, and forget the product categories kept on the shared
-    unit category, so that they are built again, through it."""
+    one by default, and forget the product categories and the identity
+    functor kept on the shared unit category, so that they are built
+    again, through it."""
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfspan.") and hasattr(module, "_trusted"):
             monkeypatch.setattr(module, "_trusted", constructor)
     monkeypatch.setitem(vars(cb.TERMINAL), "_products", {})
+    monkeypatch.delitem(vars(cb.TERMINAL), "_identity", raising=False)
 
 
 @pytest.fixture
@@ -155,9 +157,11 @@ def checked_values(seed):
 
 
 # What a checked value may hold beyond its fields, which a built one
-# computes on first use: a set's index, and a category's composable
-# pairs, hom buckets, generators and the products kept on it.
-LAZY = {"_index", "_pairs", "_homs", "_generators", "_products"}
+# computes on first use: a set's index, a category's composable pairs,
+# hom buckets, generators, identity functor and the products kept on it,
+# and a functor's composites and products.
+LAZY = {"_index", "_pairs", "_homs", "_generators", "_identity",
+        "_products", "_composites"}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -187,9 +191,12 @@ def test_builders_agree_with_the_checked_constructors(seed):
 # one cell: 1583, 1583, 2671 and 4416 when each step built its source
 # 1-cell again and every composite was built whole (1587, 1587, 2675 and
 # 4420 when the unit 0-cell was built again at each use, so that its
-# tensor0 products were too).
+# tensor0 products were too).  On Cat each composite of two functors,
+# each identity functor and each product of a non-identity functor is
+# built once per pair of operands: 1087 and 1570 when they were built at
+# every use.
 FROBENIUS_BUILDS = {(1, "vect"): 601, (2, "vect"): 601,
-                    (1, "cat"): 1087, (2, "cat"): 1570}
+                    (1, "cat"): 865, (2, "cat"): 1108}
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
