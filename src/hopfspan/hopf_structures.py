@@ -257,7 +257,7 @@ def _fusion(p, c, fibers, side):
     """
     order = _pair_order(side)
     t, mu2, _ = p.cells
-    m, _ = diagonal_multiplication(p.shape.objects, p.backend, fibers)
+    m = diagonal_multiplication(p.shape.objects, p.backend, fibers)
     idc = identity_cell1(m.tgt)
     pair, paired = tensor1(*order(t, idc)), _paired(t)
     binary = _binary_cell(p, c, m, paired)

@@ -24,7 +24,6 @@ agreement breaks, so nothing outside the class is silently accepted.
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .finset_span import FinSet, FinFn, Span
 from .reporting import Verdict, CheckReport
@@ -118,31 +117,13 @@ def _duplicate_label(be, obj):
     return be.reshape1(obj, be.tensor0v(obj, obj), lambda t: (t, t))
 
 
-class _Diagonal(NamedTuple):
-    """A labeled carrier with what its diagonal spans are made of: its
-    square, the diagonal X -> X x X, the unit 0-cell and the collapse
-    X -> *, and the fiber at each point."""
-
-    base: Cell0
-    square: Cell0
-    diag: FinFn
-    unit: Cell0
-    bang: FinFn
-    fibers: dict
-
-
-def _diagonal(X, be, fibers=None):
-    """The diagonal data on X.  fibers, when given, assigns each point a
-    MonoidalFiber whose tensor must be strict; by default everything is
-    labeled with the base unit."""
+def _labeled(X, be, fibers=None):
+    """X labeled by its fibers' objects, with the fibers.  fibers, when
+    given, assigns each point a MonoidalFiber whose tensor must be
+    strict; by default everything is labeled with the base unit."""
     if fibers is None:
         fibers = dict.fromkeys(X, _trivial_fiber(be))
-    base = Cell0(be, X, {x: fibers[x].obj for x in X})
-    square = tensor0(base, base)
-    unit = unit_cell0(be)
-    return _Diagonal(base, square,
-                     FinFn(X, square.carrier, {x: (x, x) for x in X}),
-                     unit, FinFn.constant(X, unit.carrier, "*"), fibers)
+    return Cell0(be, X, {x: fibers[x].obj for x in X}), fibers
 
 
 @dataclass(frozen=True)
@@ -212,26 +193,38 @@ def _coherence_boundaries(base, m, u):
     ]
 
 
+def _multiplication(base, fibers):
+    """The reversed diagonal span, labeled by the fibers' tensors."""
+    X, square = base.carrier, tensor0(base, base)
+    return Cell1(base.backend, square, base, Span(
+        square.carrier, X, X, FinFn.identity(X),
+        FinFn(X, square.carrier, {x: (x, x) for x in X})),
+        {x: fibers[x].tensor for x in X})
+
+
+def _unit(base, fibers):
+    """The reversed collapse span, labeled by the fibers' units."""
+    X, unit = base.carrier, unit_cell0(base.backend)
+    return Cell1(base.backend, unit, base, Span(
+        unit.carrier, X, X, FinFn.identity(X),
+        FinFn.constant(X, unit.carrier, "*")),
+        {x: fibers[x].unit for x in X})
+
+
 def diagonal_multiplication(X, be, fibers=None):
-    """The multiplication m of the monoid object on X, the reversed
-    diagonal span labeled by the fibers' tensors, with the diagonal data
-    it is read from (see _diagonal); m.tgt is the base."""
-    g = _diagonal(X, be, fibers)
-    return Cell1(be, g.square, g.base,
-                 Span(g.square.carrier, X, X, FinFn.identity(X), g.diag),
-                 {x: g.fibers[x].tensor for x in X}), g
+    """The multiplication m of the monoid object on X (see _labeled):
+    the reversed diagonal span, labeled by the fibers' tensors."""
+    return _multiplication(*_labeled(X, be, fibers))
 
 
 def induced_monoidale(X, be, fibers=None):
     """The monoid object on X: m as in diagonal_multiplication, u the
-    reversed collapse span, labeled by the fibers (see _diagonal)."""
-    m, g = diagonal_multiplication(X, be, fibers)
-    u = Cell1(be, g.unit, g.base,
-              Span(g.unit.carrier, X, X, FinFn.identity(X), g.bang),
-              {x: g.fibers[x].unit for x in X})
-    bounds = _coherence_boundaries(g.base, m, u)
+    reversed collapse span, labeled by the fibers (see _labeled)."""
+    base, fibers = _labeled(X, be, fibers)
+    m, u = _multiplication(base, fibers), _unit(base, fibers)
+    bounds = _coherence_boundaries(base, m, u)
     alpha, lam, rho = (unique_relabel_cell2(s, t) for _, s, t in bounds)
-    return MonoidaleData(g.base, m, u, alpha, lam, rho)
+    return MonoidaleData(base, m, u, alpha, lam, rho)
 
 
 def check_monoidale(mon):
@@ -307,9 +300,13 @@ def check_monoidale(mon):
 
 @dataclass(frozen=True)
 class OpmapAdjunctions:
-    """m_star -| m and u_star -| u for the induced monoid object."""
+    """m_star -| m and u_star -| u for the induced monoid object on
+    base, with alpha, the one coherence cell the Frobenius check reads."""
 
-    monoidale: MonoidaleData
+    base: Cell0
+    m: Cell1
+    u: Cell1
+    alpha: Cell2
     m_star: Cell1
     u_star: Cell1
     m_unit: Cell2
@@ -319,27 +316,27 @@ class OpmapAdjunctions:
 
 
 def opmap_adjunctions(X, be):
-    """The left adjoints of the induced multiplication and unit, with
-    their unit and counit 2-cells (all forced relabelings).
+    """The induced multiplication and unit, alpha, and their left
+    adjoints with their unit and counit 2-cells (all forced relabelings).
 
     The adjoints are the reversed spans, on the monoidale's own 0-cells,
     labeled by the diagonal of each point's label (m_star) and by its
     identity (u_star)."""
-    mon = induced_monoidale(X, be)
-    A = mon.base
-    m_star = Cell1(be, A, mon.m.src, mon.m.span.reverse(),
+    A, fibers = _labeled(X, be)
+    m, u = _multiplication(A, fibers), _unit(A, fibers)
+    m_star = Cell1(be, A, m.src, m.span.reverse(),
                    {x: _duplicate_label(be, A.label[x]) for x in X})
-    u_star = Cell1(be, A, mon.u.src, mon.u.span.reverse(),
+    u_star = Cell1(be, A, u.src, u.span.reverse(),
                    {x: be.id1(A.label[x]) for x in X})
     idc = identity_cell1(A)
     return OpmapAdjunctions(
-        mon, m_star, u_star,
-        m_unit=unique_relabel_cell2(idc, hcomp1(mon.m, m_star)),
-        m_counit=unique_relabel_cell2(hcomp1(m_star, mon.m),
-                                      identity_cell1(mon.m.src)),
-        u_unit=unique_relabel_cell2(idc, hcomp1(mon.u, u_star)),
-        u_counit=unique_relabel_cell2(hcomp1(u_star, mon.u),
-                                      identity_cell1(mon.u.src)))
+        A, m, u, unique_relabel_cell2(*_alpha_boundary(A, m)), m_star, u_star,
+        m_unit=unique_relabel_cell2(idc, hcomp1(m, m_star)),
+        m_counit=unique_relabel_cell2(hcomp1(m_star, m),
+                                      identity_cell1(m.src)),
+        u_unit=unique_relabel_cell2(idc, hcomp1(u, u_star)),
+        u_counit=unique_relabel_cell2(hcomp1(u_star, u),
+                                      identity_cell1(u.src)))
 
 
 def _triangle_left(one, right, unit, counit):
@@ -370,14 +367,13 @@ def _fits(adj, *names):
     1-cells opmap_adjunctions gives them: the unit and counit of the
     adjunction "m" or "u", or the monoidale's "alpha".  A chain whiskers
     such a cell onto 1-cells built from those and takes that as given."""
-    mon = adj.monoidale
     for name in names:
         if name == "alpha":
-            bounds = [(mon.alpha, *_alpha_boundary(mon.base, mon.m))]
+            bounds = [(adj.alpha, *_alpha_boundary(adj.base, adj.m))]
         else:
-            left, right = getattr(adj, name + "_star"), getattr(mon, name)
+            left, right = getattr(adj, name + "_star"), getattr(adj, name)
             bounds = [(getattr(adj, name + "_unit"),
-                       identity_cell1(mon.base), hcomp1(right, left)),
+                       identity_cell1(adj.base), hcomp1(right, left)),
                       (getattr(adj, name + "_counit"),
                        hcomp1(left, right), identity_cell1(right.src))]
         if any(cell.source != source or cell.target != target
@@ -398,10 +394,9 @@ def check_adjunction_triangles(adj):
 def _triangles(adj):
     """check_adjunction_triangles on an adj whose boundaries are right."""
     report = CheckReport("opmap adjunctions")
-    mon = adj.monoidale
     for name, left, right, unit, counit in [
-            ("m", adj.m_star, mon.m, adj.m_unit, adj.m_counit),
-            ("u", adj.u_star, mon.u, adj.u_unit, adj.u_counit)]:
+            ("m", adj.m_star, adj.m, adj.m_unit, adj.m_counit),
+            ("u", adj.u_star, adj.u, adj.u_unit, adj.u_counit)]:
         for side, triangle, one, other in (
                 ("left", _triangle_left, identity_cell2(left), right),
                 ("right", _triangle_right, identity_cell2(right), left)):
@@ -422,14 +417,13 @@ def _alpha_reversed(adj):
     regroup/ungroup pair and the unitor onto m o (1 . m), and the
     composite is inverted.
     """
-    mon = adj.monoidale
-    A, alpha = mon.base, mon.alpha
+    A, alpha = adj.base, adj.alpha
     a_rev = tensor_associator_inv_cell1(
         A, A, A, map(regroup, alpha.source.span.right.assignment.values()))
     res = invert_cell2(_whiskered(
         identity_cell2(hcomp1(alpha.source, a_rev)), alpha,
         identity_cell2(a_rev), lambda t: t[0][0],
-        _over_m(mon.m, adj.m_unit.source, mon.m)))
+        _over_m(adj.m, adj.m_unit.source, adj.m)))
     if not res:
         raise SpanVError("reversed coherence is not invertible: %r"
                          % (res.witness,))
@@ -443,7 +437,7 @@ def _comparison_target(adj, mirrored):
     that both tensors reach, and the tensors on their atoms over those,
     so no factor is built over all of base^3 and the chains are built on
     them."""
-    A, m = adj.monoidale.base, adj.monoidale.m
+    A, m = adj.base, adj.m
     idc, ms = adj.m_unit.source, adj.m_star
     freed, outer = ((m, idc), (idc, ms)) if mirrored else \
         ((idc, m), (ms, idc))
@@ -472,8 +466,7 @@ def _frobenius_shared_prefix(adj, mirrored, lead, outer):
     Returns the prefix 2-cell out of m_star o m, and m_star o lead on
     the atoms its target reaches.
     """
-    mon = adj.monoidale
-    m, ms, unit = mon.m, adj.m_star, adj.m_unit
+    m, ms, unit = adj.m, adj.m_star, adj.m_unit
     idc, s0 = unit.source, adj.m_counit.source
     def order(a, b):
         return (b, a) if mirrored else (a, b)
@@ -545,11 +538,10 @@ def frobenius_comparison_cells(adj):
 
 def _comparison_cells(adj):
     """frobenius_comparison_cells on an adj whose boundaries are right."""
-    mon = adj.monoidale
     one = identity_cell2(adj.m_star)
     sides = []
     for mirrored in (False, True):
-        coherence = _alpha_reversed(adj) if mirrored else mon.alpha
+        coherence = _alpha_reversed(adj) if mirrored else adj.alpha
         target, inner, freed, moved, outer = _comparison_target(
             adj, mirrored)
         prefix, core = _frobenius_shared_prefix(
@@ -726,7 +718,7 @@ class DuoidalUnits:
 def duoidal_units(X, be):
     """I (identity span), J (complete span), the J-multiplication, the
     I-comultiplication, and the diagonal comparison I => J."""
-    base = _diagonal(X, be).base
+    base, _ = _labeled(X, be)
     i = identity_cell1(base)
     j = complete_unit_cell1(base, base)
     mu_j = unique_relabel_cell2(hcomp1(j, j), j)

@@ -319,11 +319,17 @@ def product_functor(p, q):
     """p x q, mapping objects and morphisms on lookup.
 
     Built once per pair of operands and kept on p, keyed by q's id and
-    held with q, so that the id is not reused.  An identity functor
-    keeps none: it is kept on its category, and cb.TERMINAL's lives as
-    long as the process."""
+    held with q, so that the id is not reused.  The product of two
+    identities is the identity of the product, kept on it; an identity
+    functor keeps no other: it is kept on its category, and
+    cb.TERMINAL's lives as long as the process."""
     if p is p.dom._identity:
-        return _product_functor(p, q)
+        if q is not q.dom._identity:
+            return _product_functor(p, q)
+        dom = product_category(p.dom, q.dom)
+        if dom._identity is None:
+            object.__setattr__(dom, "_identity", _product_functor(p, q))
+        return dom._identity
     products = vars(p).setdefault("_products", {})
     hit = products.get(id(q))
     if hit is None:

@@ -82,10 +82,9 @@ def triangle_right(left, right, unit, counit):
 
 def check_adjunction_triangles(adj):
     report = CheckReport("opmap adjunctions")
-    mon = adj.monoidale
     for name, left, right, unit, counit in [
-            ("m", adj.m_star, mon.m, adj.m_unit, adj.m_counit),
-            ("u", adj.u_star, mon.u, adj.u_unit, adj.u_counit)]:
+            ("m", adj.m_star, adj.m, adj.m_unit, adj.m_counit),
+            ("u", adj.u_star, adj.u, adj.u_unit, adj.u_counit)]:
         report.holds(name + "-adjunction left triangle", eq2(
             triangle_left(left, right, unit, counit), identity_cell2(left)))
         report.holds(name + "-adjunction right triangle", eq2(
@@ -94,14 +93,14 @@ def check_adjunction_triangles(adj):
     return report
 
 
-def alpha_reversed(mon):
+def alpha_reversed(adj):
     """m o (1 . m)  =>  (m o (m . 1)) o reverse-assoc, derived from alpha."""
-    A = mon.base
+    A = adj.base
     idc = identity_cell1(A)
     a_fwd = tensor_associator_cell1(A, A, A)
     a_rev = tensor_associator_inv_cell1(A, A, A)
-    right_side = hcomp1(mon.m, tensor1(idc, mon.m))
-    w = hcomp2(mon.alpha, identity_cell2(a_rev))
+    right_side = hcomp1(adj.m, tensor1(idc, adj.m))
+    w = hcomp2(adj.alpha, identity_cell2(a_rev))
     w = vcomp2(associator_cell2(right_side, a_fwd, a_rev), w)
     collapse = unique_relabel_cell2(hcomp1(a_fwd, a_rev),
                                     identity_cell1(a_rev.src))
@@ -117,45 +116,43 @@ def alpha_reversed(mon):
 def shared_prefix(adj, mirrored):
     """The prefix 2-cell of one side and the tensored m_star it ends
     against."""
-    mon = adj.monoidale
-    A = mon.base
+    A = adj.base
     idc = identity_cell1(A)
-    s0 = hcomp1(adj.m_star, mon.m)
-    mm = hcomp1(mon.m, adj.m_star)
+    s0 = hcomp1(adj.m_star, adj.m)
+    mm = hcomp1(adj.m, adj.m_star)
 
     def order(a, b):
         return (b, a) if mirrored else (a, b)
     pad = tensor2(*order(adj.m_unit, identity_cell2(idc)))
     split = invert_cell2(interchange_cell2(
-        *order(mon.m, idc), *order(adj.m_star, idc))).inverse
+        *order(adj.m, idc), *order(adj.m_star, idc))).inverse
     fixup = tensor2(*order(identity_cell2(mm), left_unitor_inv_cell2(idc)))
-    inner = tensor1(*order(mon.m, idc))
+    inner = tensor1(*order(adj.m, idc))
     outer = tensor1(*order(adj.m_star, idc))
     cell = right_unitor_inv_cell2(s0)
     cell = vcomp2(hcomp2(identity_cell2(s0),
                          vcomp2(vcomp2(split, fixup), pad)), cell)
     cell = vcomp2(associator_inv_cell2(s0, inner, outer), cell)
-    cell = vcomp2(hcomp2(associator_cell2(adj.m_star, mon.m, inner),
+    cell = vcomp2(hcomp2(associator_cell2(adj.m_star, adj.m, inner),
                          identity_cell2(outer)), cell)
     return cell, outer
 
 
 def core_steps(adj, mirrored):
-    mon = adj.monoidale
-    A = mon.base
+    A = adj.base
     idc = identity_cell1(A)
     if mirrored:
-        coherence = alpha_reversed(mon)
+        coherence = alpha_reversed(adj)
         regroup = tensor_associator_inv_cell1(A, A, A)
-        freed = tensor1(mon.m, idc)
+        freed = tensor1(adj.m, idc)
     else:
-        coherence = mon.alpha
+        coherence = adj.alpha
         regroup = tensor_associator_cell1(A, A, A)
-        freed = tensor1(idc, mon.m)
+        freed = tensor1(idc, adj.m)
     return [
         hcomp2(identity_cell2(adj.m_star), coherence),
-        associator_inv_cell2(adj.m_star, hcomp1(mon.m, freed), regroup),
-        hcomp2(associator_inv_cell2(adj.m_star, mon.m, freed),
+        associator_inv_cell2(adj.m_star, hcomp1(adj.m, freed), regroup),
+        hcomp2(associator_inv_cell2(adj.m_star, adj.m, freed),
                identity_cell2(regroup)),
         hcomp2(hcomp2(adj.m_counit, identity_cell2(freed)),
                identity_cell2(regroup)),

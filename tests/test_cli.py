@@ -138,8 +138,10 @@ def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
 def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # The presentation builds its shape and monad cells at load; each
     # fusion cell builds only the multiplication 1-cell of its monoid
-    # object, not the coherence cells, so only the Frobenius check builds
-    # a whole monoid object; horizontal composites
+    # object, not the coherence cells, and the Frobenius check only the
+    # multiplication, the unit and alpha, so no whole monoid object is
+    # built (70 compose_spans calls when the Frobenius check built lam
+    # and rho too); horizontal composites
     # of 2-cells sit on the pullbacks their span morphisms carry, the
     # Frobenius check builds each side's cells once for both mate
     # conventions, the assembled antipode chain needs no convolution
@@ -169,8 +171,9 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
             monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli(capsys, "check", Z3_FILE, "--format", "json")
     assert code == 0
-    assert calls == {"monad_cells": 1, "check_category": 1,
-                     "induced_monoidale": 1, "compose_spans": 70}
+    assert calls == collections.Counter({
+        "monad_cells": 1, "check_category": 1, "induced_monoidale": 0,
+        "compose_spans": 68})
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):

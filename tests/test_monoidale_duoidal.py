@@ -241,7 +241,7 @@ def test_frobenius_compares_its_0_cells_by_identity(n, backend,
 
 def restricted_prefix(adj, mirrored):
     """A side's prefix, built on the atoms m_star o m reaches."""
-    coherence = md._alpha_reversed(adj) if mirrored else adj.monoidale.alpha
+    coherence = md._alpha_reversed(adj) if mirrored else adj.alpha
     outer = md._comparison_target(adj, mirrored)[4]
     return md._frobenius_shared_prefix(adj, mirrored, coherence.source,
                                        outer)[0]
@@ -254,10 +254,9 @@ def test_restricted_frobenius_cells_match_the_unrestricted_oracle(n, backend):
     # so they equal the oracle's; a prefix equals the oracle's on the
     # sub-span of its target that it reaches.
     adj = opmap_adjunctions(carrier(n), backend)
-    mon = adj.monoidale
     for left, right, unit, counit in (
-            (adj.m_star, mon.m, adj.m_unit, adj.m_counit),
-            (adj.u_star, mon.u, adj.u_unit, adj.u_counit)):
+            (adj.m_star, adj.m, adj.m_unit, adj.m_counit),
+            (adj.u_star, adj.u, adj.u_unit, adj.u_counit)):
         assert md._triangle_left(identity_cell2(left), right, unit,
                                  counit) == \
             frobenius_oracle.triangle_left(left, right, unit, counit)
@@ -311,14 +310,13 @@ def test_a_given_adjunction_is_compared_with_its_boundaries():
     # counit and alpha below, and the other two entry points raise.
     X = carrier(2)
     adj = opmap_adjunctions(X, V1)
-    mon = adj.monoidale
     mismatch = [("comparison construction",
                  "vertical composition boundary mismatch")]
     unit_off = dataclasses.replace(adj, m_unit=adj.u_unit)
     counit_off = dataclasses.replace(adj, m_counit=identity_cell2(
         adj.m_counit.source))
-    alpha_off = dataclasses.replace(adj, monoidale=dataclasses.replace(
-        mon, alpha=identity_cell2(mon.alpha.source)))
+    alpha_off = dataclasses.replace(adj, alpha=identity_cell2(
+        adj.alpha.source))
     for broken in (counit_off, alpha_off):
         assert frobenius_oracle.check_frobenius(broken).failures == mismatch
     with pytest.raises(SpanVError, match="boundary mismatch"):

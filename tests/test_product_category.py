@@ -144,13 +144,22 @@ def test_hom_matches_the_scan(make):
             assert c.hom(x, y) == scanned_hom(c, x, y)
 
 
+def identity_apart(c):
+    """The identity functor on c built through the checked constructor:
+    equal to FunctorData.identity(c) but not it, so that products of it
+    are built and kept as those of any other functor."""
+    return FunctorData(c, c, FinFn.identity(c.objects),
+                       FinFn.identity(c.morphisms))
+
+
 @settings(max_examples=60, deadline=None)
 @given(leaf_categories(), leaf_categories())
 def test_product_functors_read_as_tabulated_maps(a, b):
     p = product_category(a, b)
-    f = product_functor(FunctorData.identity(a), FunctorData.identity(b))
+    f = product_functor(identity_apart(a), identity_apart(b))
     assert isinstance(f.mmap.assignment, PairMap)
     identity = FunctorData.identity(p)
+    assert f is not identity
     assert f == identity and identity == f and hash(f) == hash(identity)
     twice = f.then(f)
     assert twice == identity and identity == twice
@@ -160,17 +169,50 @@ def test_product_functors_read_as_tabulated_maps(a, b):
                                dict(twice.mmap.assignment))
 
 
+@settings(max_examples=60, deadline=None)
+@given(leaf_categories(), leaf_categories())
+def test_the_product_of_identities_is_the_identity_of_the_product(a, b):
+    ida, idb = FunctorData.identity(a), FunctorData.identity(b)
+    f = product_functor(ida, idb)
+    assert product_functor(ida, idb) is f
+    p = product_category(a, b)
+    assert FunctorData.identity(p) is f
+    assert isinstance(f.omap.assignment, PairMap)
+    assert isinstance(f.mmap.assignment, PairMap)
+    tabulated = FunctorData(p, p, FinFn.identity(p.objects),
+                            FinFn.identity(p.morphisms))
+    assert f == tabulated and tabulated == f
+    assert dict(f.omap.assignment) == tabulated.omap.assignment
+    assert dict(f.mmap.assignment) == tabulated.mmap.assignment
+    assert f.then(f) is f
+
+
+@pytest.mark.parametrize("build", [hs.discrete_monoidal_group,
+                                   hs.indiscrete_monoidal_group])
+def test_identity_polyad_fusion_runs_from_its_target(build):
+    # Every label is the identity, so each family's source and target
+    # are the fiber's tensor after the identity of its square.
+    names, mul, unit = hs.cyclic_group(3)
+    fiber = build(names, mul, unit)
+    opstr = hs.identity_polyad(names, mul, unit, fiber)
+    for side in ("left", "right"):
+        families = hs.polyad_fusion(opstr, side)
+        assert len(families) == 9
+        for nat in families.values():
+            assert nat.source is nat.target is fiber.tensor
+
+
 def test_views_show_their_kind_and_parts_not_their_entries():
     a = FinCategory.indiscrete(["x", "y"])
     p = product_category(a, a)
     assert repr(p.composition) == "ProductTable(%r, %r)" % (a, a)
-    ida = FunctorData.identity(a)
+    ida = identity_apart(a)
     f = product_functor(ida, ida)
     assert repr(f.mmap.assignment) == "PairMap(%r, %r)" % (
         ida.mmap.assignment, ida.mmap.assignment)
     # The same on a twin built apart: no address in it.
     b = FinCategory.indiscrete(["x", "y"])
-    idb = FunctorData.identity(b)
+    idb = identity_apart(b)
     twin = product_functor(idb, idb)
     assert repr(f.then(f)) == repr(twin.then(twin))
     assert repr(product_category(a, p)) == \

@@ -14,10 +14,11 @@ modes raise the checked constructors' errors.  Mutant
 composites show that the mode catches what the trusted path lets
 through.  The per-class builders behind ``_trusted`` are compared with
 the checked constructors directly, and the builds of a Frobenius check
-are counted.
+and of a polyad's Hopf check are counted.
 """
 
 import ast
+import collections
 import dataclasses
 import inspect
 import sys
@@ -194,9 +195,11 @@ def test_builders_agree_with_the_checked_constructors(seed):
 # tensor0 products were too).  On Cat each composite of two functors,
 # each identity functor and each product of a non-identity functor is
 # built once per pair of operands: 1087 and 1570 when they were built at
-# every use.
-FROBENIUS_BUILDS = {(1, "vect"): 601, (2, "vect"): 601,
-                    (1, "cat"): 865, (2, "cat"): 1108}
+# every use.  The check builds alpha alone of the monoid object's
+# coherence cells: 601, 601, 865 and 1108 when it built lam and rho with
+# their boundaries too.
+FROBENIUS_BUILDS = {(1, "vect"): 560, (2, "vect"): 560,
+                    (1, "cat"): 780, (2, "cat"): 979}
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
@@ -211,6 +214,32 @@ def test_frobenius_trusted_builds(n, kind, monkeypatch):
     report = check_frobenius(test_monoidale_duoidal.carrier(n), be)
     assert report.ok, report.summary()
     assert len(builds) == FROBENIUS_BUILDS[(n, kind)]
+
+
+# The _trusted builds of a polyad_is_hopf over Z_3 with the indiscrete
+# fiber, by class, on a polyad built beforehand.  The product of two
+# identity functors is the identity of the product category, kept on it,
+# so the identity polyad builds nothing: 144 FinFn and 72 FunctorData
+# when each fusion family built that product again.
+POLYAD_BUILDS = {"identity": {},
+                 "translation": {"FinFn": 108, "FunctorData": 54}}
+
+
+@pytest.mark.parametrize("kind", sorted(POLYAD_BUILDS))
+def test_polyad_trusted_builds(kind, monkeypatch):
+    names, mul, unit = hs.cyclic_group(3)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    build = hs.identity_polyad if kind == "identity" else \
+        hs.translation_opmonoidal
+    opstr = build(names, mul, unit, fiber)
+    builds = collections.Counter()
+
+    def counted(cls, *values, _trusted=fs._trusted):
+        builds[cls.__name__] += 1
+        return _trusted(cls, *values)
+    enter_checking_mode(monkeypatch, counted)
+    assert hs.polyad_is_hopf(opstr)
+    assert builds == POLYAD_BUILDS[kind]
 
 
 @pytest.mark.parametrize("kind", ["vect", "cat"])
