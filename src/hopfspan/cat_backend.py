@@ -3,12 +3,16 @@
 FinCategory stores a composition table keyed by composable morphism
 pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
 axioms are verified at construction, and check_category collects every
-violation, deciding the laws on morphism positions.  The table is never
-changed after construction, so products of a category are shared
+violation, deciding the laws on morphism positions.  In a thin category
+(is_thin: no two morphisms share their endpoints) every law is decided
+by its endpoints: once they hold, its two sides are parallel and so
+equal, and check_category, the functor check and the naturality check
+into a thin category stop there.  The table is never changed after
+construction, so products of a category are shared
 (spanv_core.product_category) and built without the check from factors
-that passed it.  A product is never tabulated:
-its table is a ProductTable, which composes componentwise on lookup, and
-the functors out of it map on lookup too (PairMap, ComposedMap).  Every
+that passed it.  A product is never tabulated: its table is a
+ProductTable, which composes componentwise on lookup, and the functors
+out of it map on lookup too (PairMap, ComposedMap).  Every
 check whose domain is a product runs on its generators (f, 1) and
 (1, k): naturality on generators, functoriality on generating_pairs.
 Functors and natural transformations are checked when built by their
@@ -44,11 +48,13 @@ class FinCategory:
     identities: FinFn
     composition: dict = field(compare=False)
 
-    # composable_pairs(), the hom buckets, a product's generators and
-    # the identity functor once computed; the table never changes.
+    # composable_pairs(), the hom buckets, a product's generators,
+    # is_thin and the identity functor once computed; the table never
+    # changes.
     _pairs = None
     _homs = None
     _generators = None
+    _thin = None
     _identity = None
 
     def __post_init__(self):
@@ -156,6 +162,24 @@ class FinCategory:
         return FinCategory(objects, morphisms, src, tgt, identities, composition)
 
 
+def is_thin(c):
+    """True when no two morphisms of c share their (src, tgt): then any
+    two parallel morphisms are equal, and a law whose sides are parallel
+    holds.  Computed once and kept on c; a product is thin when both
+    factors are, read from them, so one with an empty factor may read
+    not thin."""
+    if c._thin is None:
+        factors = product_factors(c)
+        if factors is None:
+            src, tgt = c.src.assignment, c.tgt.assignment
+            ends = {(src[m], tgt[m]) for m in c.morphisms.elements}
+            thin = len(ends) == len(c.morphisms)
+        else:
+            thin = all(map(is_thin, factors))
+        object.__setattr__(c, "_thin", thin)
+    return c._thin
+
+
 def check_category(c):
     """Collect every violation of the category axioms in c."""
     report = CheckReport("category axioms")
@@ -176,7 +200,8 @@ def check_category(c):
             report.fail("composite not a morphism", (g, f))
         elif c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
             report.fail("composite endpoints", (g, f))
-    if not report.ok:
+    if not report.ok or is_thin(c):
+        # Both sides of each law are parallel once the endpoints hold.
         return report
     # Every composite is a morphism: decide the laws on morphism
     # positions, where after[g][f] is the position of g after f.
@@ -399,6 +424,8 @@ class FunctorData:
             fm = mmap[m]
             if fsrc[fm] != omap[src[m]] or ftgt[fm] != omap[tgt[m]]:
                 raise CatError("functor breaks endpoints at %r" % (m,))
+        if is_thin(cod):
+            return
         for x in dom.objects:
             if mmap[dom.identities(x)] != cod.identities(omap[x]):
                 raise CatError("functor breaks identity at %r" % (x,))
@@ -463,6 +490,8 @@ class NatTransData:
             n = self.components[x]
             if cod.src(n) != F.omap(x) or cod.tgt(n) != G.omap(x):
                 raise CatError("component endpoints at %r" % (x,))
+        if is_thin(cod):
+            return
         src, tgt = F.dom.src.assignment, F.dom.tgt.assignment
         comps, comp = self.components, cod.composition
         fm, gm = F.mmap.assignment, G.mmap.assignment

@@ -322,18 +322,21 @@ def product_functor(p, q):
     held with q, so that the id is not reused.  The product of two
     identities is the identity of the product, kept on it; an identity
     functor keeps no other: it is kept on its category, and
-    cb.TERMINAL's lives as long as the process."""
+    cb.TERMINAL's lives as long as the process.  Its product with
+    another functor q is kept on q instead, in _left_products, keyed by
+    the identity's id and held with it."""
     if p is p.dom._identity:
-        if q is not q.dom._identity:
-            return _product_functor(p, q)
-        dom = product_category(p.dom, q.dom)
-        if dom._identity is None:
-            object.__setattr__(dom, "_identity", _product_functor(p, q))
-        return dom._identity
-    products = vars(p).setdefault("_products", {})
-    hit = products.get(id(q))
+        if q is q.dom._identity:
+            dom = product_category(p.dom, q.dom)
+            if dom._identity is None:
+                object.__setattr__(dom, "_identity", _product_functor(p, q))
+            return dom._identity
+        products, other = vars(q).setdefault("_left_products", {}), p
+    else:
+        products, other = vars(p).setdefault("_products", {}), q
+    hit = products.get(id(other))
     if hit is None:
-        hit = products[id(q)] = (q, _product_functor(p, q))
+        hit = products[id(other)] = (other, _product_functor(p, q))
     return hit[1]
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: sixteen criteria, one pass line each.
+"""Acceptance gate: seventeen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -582,4 +582,10 @@ def test_criterion_15_nichols_e4_antipode(tmp_path):
 def test_criterion_16_translation_polyad_z8_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(8)
-    finish(16, "Hopf check of the translation polyad over Z_8", start, 2.0)
+    finish(16, "Hopf check of the translation polyad over Z_8", start, 1.0)
+
+
+def test_criterion_17_translation_polyad_z16_hopf_check():
+    start = time.monotonic()
+    translation_polyad_is_hopf(16)
+    finish(17, "Hopf check of the translation polyad over Z_16", start, 4.0)

@@ -502,11 +502,26 @@ def test_composing_after_the_unit_identity_keeps_no_memo_on_it():
     for x in c.objects:
         point = constant_functor(c, x)
         assert ident.then(point) is point
-        assert product_functor(ident, point) == \
-            product_functor(ident, point)
+        assert product_functor(ident, point) is product_functor(ident, point)
         assert product_functor(point, ident) is product_functor(point, ident)
     assert "_composites" not in vars(ident)
     assert "_products" not in vars(ident)
+    assert "_left_products" not in vars(ident)
+
+
+def test_a_product_after_an_identity_is_kept_on_the_other_operand():
+    c = s3_category()
+    functors = [g for g in s3_endofunctors(c)
+                if g is not FunctorData.identity(c)]
+    for ident in (FunctorData.identity(c), FunctorData.identity(TERMINAL)):
+        for g in functors:
+            product = product_functor(ident, g)
+            assert product_functor(ident, g) is product
+            assert vars(g)["_left_products"][id(ident)] == (ident, product)
+            apart = FunctorData(ident.dom, ident.dom, ident.omap, ident.mmap)
+            assert product == product_functor(apart, g)
+        assert "_products" not in vars(ident)
+        assert "_left_products" not in vars(ident)
 
 
 def test_products_of_functors_are_shared_per_pair():

@@ -1,0 +1,489 @@
+"""Laws in a thin category, decided by their endpoints, against the scans.
+
+A category is thin (``cat_backend.is_thin``) when no two of its
+morphisms share their (src, tgt).  There two parallel morphisms are
+equal, so ``check_category``, the functor and naturality checks into a
+thin category, ``MonoidalCatData`` on a thin category and
+``PolyadOpmonoidalStructure`` on thin fibers stop once the endpoints
+hold.  The oracles below are the checks with every equation scanned
+whatever the category; on generated thin and non-thin categories, whole
+and with one endpoint, composite or component corrupted, each check
+must report or raise exactly as its oracle does.
+"""
+
+import collections
+import itertools
+import random
+
+from hopfspan import cat_backend as cb
+from hopfspan import hopf_structures as hs
+from hopfspan.cat_backend import (
+    CatError, FinCategory, FunctorData, NatTransData, check_category,
+    generating_pairs, generators, is_thin,
+)
+from hopfspan.finset_span import FinFn, FinSet, _trusted
+from hopfspan.spanv_core import SpanVError, product_category, product_functor
+from test_cat_backend import scanned_check_category
+
+
+def total_order(n):
+    """0 < 1 < ... < n - 1, one morphism (i, j) for each i <= j."""
+    objects = FinSet(range(n))
+    morphisms = FinSet([(i, j) for i in range(n) for j in range(i, n)])
+    return FinCategory(
+        objects, morphisms,
+        FinFn(morphisms, objects, {m: m[0] for m in morphisms}),
+        FinFn(morphisms, objects, {m: m[1] for m in morphisms}),
+        FinFn(objects, morphisms, {i: (i, i) for i in objects}),
+        {((j, k), (i, j)): (i, k) for (i, j) in morphisms
+         for k in range(j, n)})
+
+
+def monoid(n, op):
+    return FinCategory.from_monoid(
+        range(n), {(g, f): op(g, f) for g in range(n) for f in range(n)}, 0)
+
+
+def cyclic(n):
+    return monoid(n, lambda g, f: (g + f) % n)
+
+
+def left_zero(n):
+    """The unit 0 and left zeros 1, ..., n - 1: g f = g unless g is 0."""
+    return monoid(n, lambda g, f: g or f)
+
+
+THIN = [FinCategory.discrete(range(1)), FinCategory.discrete(range(3)),
+        FinCategory.indiscrete(range(2)), FinCategory.indiscrete(range(3)),
+        total_order(2), total_order(3), cyclic(1)]
+NOT_THIN = [cyclic(2), cyclic(3), left_zero(3),
+            monoid(2, max)]
+LEAVES = THIN + NOT_THIN
+PRODUCTS = [product_category(a, b) for a, b in [
+    (THIN[2], THIN[4]), (THIN[5], THIN[1]), (THIN[3], THIN[0]),
+    (NOT_THIN[0], THIN[2]), (THIN[4], NOT_THIN[2]),
+    (NOT_THIN[0], NOT_THIN[1])]]
+CATEGORIES = LEAVES + PRODUCTS
+
+
+def scanned_thin(c):
+    """No two morphisms of c with the same endpoints, by every pair."""
+    return not any(c.src(m) == c.src(n) and c.tgt(m) == c.tgt(n)
+                   for m, n in itertools.combinations(c.morphisms, 2))
+
+
+def raised(build):
+    """The message build raises as a checked constructor, or None."""
+    try:
+        build()
+    except (CatError, SpanVError) as err:
+        return str(err)
+    return None
+
+
+def kind(c):
+    return "thin" if scanned_thin(c) else "not thin"
+
+
+def test_is_thin_never_reads_thin_where_two_morphisms_are_parallel():
+    empty = FinCategory.discrete([])
+    nested = [product_category(p, c) for p in PRODUCTS[:3]
+              for c in (THIN[2], NOT_THIN[0])]
+    for c in CATEGORIES + nested:
+        assert is_thin(c) == scanned_thin(c), c
+        assert vars(c)["_thin"] is is_thin(c)
+    # A product is read from its factors: with an empty factor it has
+    # no morphisms and reads thin only when both factors do.
+    for c in NOT_THIN:
+        for p in (product_category(empty, c), product_category(c, empty)):
+            assert not p.morphisms and not is_thin(p)
+    assert is_thin(product_category(empty, THIN[3]))
+
+
+def corrupted_categories(c, rng):
+    """The src, tgt, identities and table of c with one composite, one
+    endpoint or one identity moved; a composite to a morphism with its
+    endpoints, or to any."""
+    objects, morphisms = c.objects.elements, c.morphisms.elements
+    table = dict(c.composition)
+    g, f = pair = rng.choice(c.composable_pairs())
+    for pool in (c.hom(c.src(f), c.tgt(g)), morphisms):
+        yield c.src, c.tgt, c.identities, {**table, pair: rng.choice(pool)}
+    m = rng.choice(morphisms)
+    for end in ("src", "tgt"):
+        moved = FinFn(c.morphisms, c.objects, {
+            **getattr(c, end).assignment, m: rng.choice(objects)})
+        ends = {"src": c.src, "tgt": c.tgt, end: moved}
+        yield ends["src"], ends["tgt"], c.identities, table
+    x = rng.choice(objects)
+    ids = FinFn(c.objects, c.morphisms,
+                {**c.identities.assignment, x: rng.choice(morphisms)})
+    yield c.src, c.tgt, ids, table
+
+
+def test_check_category_reports_as_the_scan_thin_or_not():
+    rng = random.Random(0)
+    seen = collections.Counter()
+    for c in CATEGORIES:
+        assert check_category(c).ok and scanned_check_category(c).ok
+        for _ in range(6):
+            for broken in corrupted_categories(c, rng):
+                b = _trusted(FinCategory, c.objects, c.morphisms, *broken)
+                report = check_category(b)
+                assert report.failures == scanned_check_category(b).failures
+                laws = {law for law, _ in report.failures} or {"ok"}
+                seen.update((kind(b), law) for law in laws)
+    # Both kinds pass, fail the gate and, when not thin, fail the laws.
+    assert {("thin", "ok"), ("thin", "composite endpoints"),
+            ("not thin", "ok"), ("not thin", "associativity"),
+            ("not thin", "left identity"),
+            ("thin", "identity endpoints")} <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# Functors and natural transformations into thin categories.
+
+
+def scanned_functor(dom, cod, omap, mmap):
+    """The functor check with every equation scanned."""
+    for m in dom.morphisms:
+        fm = mmap(m)
+        if cod.src(fm) != omap(dom.src(m)) or cod.tgt(fm) != omap(dom.tgt(m)):
+            raise CatError("functor breaks endpoints at %r" % (m,))
+    for x in dom.objects:
+        if mmap(dom.identities(x)) != cod.identities(omap(x)):
+            raise CatError("functor breaks identity at %r" % (x,))
+    for (g, f) in generating_pairs(dom):
+        if mmap(dom.composition[(g, f)]) != \
+                cod.composition[(mmap(g), mmap(f))]:
+            raise CatError("functor breaks composition at %r" % ((g, f),))
+
+
+def endpoint_map(dom, cod, rng):
+    """An object map at random, and each morphism sent to a morphism
+    with the endpoints it asks for, or anywhere when there is none."""
+    omap = {x: rng.choice(cod.objects.elements) for x in dom.objects}
+    mmap = {m: rng.choice(cod.hom(omap[dom.src(m)], omap[dom.tgt(m)])
+                          or cod.morphisms.elements)
+            for m in dom.morphisms}
+    return omap, mmap
+
+
+def functor_inputs(rng):
+    """Maps between the generated categories, whole or with one entry of
+    the identity functor or of a random map moved."""
+    for dom in CATEGORIES:
+        for cod in [dom] + rng.sample(CATEGORIES, 3):
+            for _ in range(2):
+                omap, mmap = endpoint_map(dom, cod, rng) if cod is not dom \
+                    else (dict(FinFn.identity(dom.objects).assignment),
+                          dict(FinFn.identity(dom.morphisms).assignment))
+                yield dom, cod, omap, mmap
+                m = rng.choice(dom.morphisms.elements)
+                yield dom, cod, omap, {**mmap, m: rng.choice(
+                    cod.morphisms.elements)}
+                x = rng.choice(dom.objects.elements)
+                yield dom, cod, {**omap, x: rng.choice(
+                    cod.objects.elements)}, mmap
+
+
+def test_functors_are_checked_as_the_scan_thin_or_not():
+    rng = random.Random(1)
+    seen = collections.Counter()
+    for dom, cod, omap, mmap in functor_inputs(rng):
+        maps = (FinFn(dom.objects, cod.objects, omap),
+                FinFn(dom.morphisms, cod.morphisms, mmap))
+        message = raised(lambda: FunctorData(dom, cod, *maps))
+        assert message == raised(lambda: scanned_functor(dom, cod, *maps))
+        seen[(kind(cod), message and message.split(" at ")[0])] += 1
+    assert {("thin", None), ("thin", "functor breaks endpoints"),
+            ("not thin", None), ("not thin", "functor breaks endpoints"),
+            ("not thin", "functor breaks identity"),
+            ("not thin", "functor breaks composition")} <= set(seen)
+
+
+def scanned_nat(F, G, comps):
+    """The naturality check with every square scanned."""
+    if F.dom != G.dom or F.cod != G.cod:
+        raise CatError("natural transformation endpoints must agree")
+    cod = F.cod
+    for x in F.dom.objects:
+        if x not in comps:
+            raise CatError("component missing at %r" % (x,))
+        if cod.src(comps[x]) != F.omap(x) or cod.tgt(comps[x]) != G.omap(x):
+            raise CatError("component endpoints at %r" % (x,))
+    for m in generators(F.dom):
+        if cod.composition[(comps[F.dom.tgt(m)], F.mmap(m))] != \
+                cod.composition[(G.mmap(m), comps[F.dom.src(m)])]:
+            raise CatError("naturality fails at %r" % (m,))
+
+
+def functors_into(c, rng):
+    """Endofunctors of c: the identity, constants, and random maps that
+    pass the functor check."""
+    found = [FunctorData.identity(c)]
+    for x in c.objects:
+        found.append(FunctorData(
+            c, c, FinFn.constant(c.objects, c.objects, x),
+            FinFn.constant(c.morphisms, c.morphisms, c.identities(x))))
+    for _ in range(6):
+        omap, mmap = endpoint_map(c, c, rng)
+        maps = (FinFn(c.objects, c.objects, omap),
+                FinFn(c.morphisms, c.morphisms, mmap))
+        if raised(lambda: scanned_functor(c, c, *maps)) is None:
+            found.append(FunctorData(c, c, *maps))
+    return found
+
+
+def test_transformations_are_checked_as_the_scan_thin_or_not():
+    rng = random.Random(2)
+    seen = collections.Counter()
+    for c in CATEGORIES:
+        functors = functors_into(c, rng)
+        for _ in range(8):
+            F, G = rng.choice(functors), rng.choice(functors)
+            comps = {x: rng.choice(c.hom(F.omap(x), G.omap(x))
+                                   or c.morphisms.elements)
+                     for x in c.objects}
+            x = rng.choice(c.objects.elements)
+            for family in (comps,
+                           {**comps, x: rng.choice(c.morphisms.elements)},
+                           {y: n for y, n in comps.items() if y != x}):
+                message = raised(lambda: NatTransData(F, G, family))
+                assert message == raised(lambda: scanned_nat(F, G, family))
+                seen[(kind(c), message and message.split(" at ")[0])] += 1
+    assert {("thin", None), ("thin", "component endpoints"),
+            ("thin", "component missing"), ("not thin", None),
+            ("not thin", "naturality fails"),
+            ("not thin", "component endpoints")} <= set(seen)
+
+
+def test_a_polyad_fusion_checks_no_naturality_square_in_a_thin_fiber(
+        monkeypatch):
+    z3 = hs.cyclic_group(3)
+    thin = hs.translation_opmonoidal(*z3, hs.indiscrete_monoidal_group(*z3))
+    not_thin = hs.identity_polyad(*z3, one_object_fiber(3))
+    pairs = len(not_thin.monad.shape.composable_pairs())
+    assert is_thin(thin.fibers["*"].cat) and \
+        not is_thin(not_thin.fibers["*"].cat)
+    squares = []
+
+    def counted(c, _generators=cb.generators):
+        found = _generators(c)
+        squares.append(len(found))
+        return found
+    monkeypatch.setattr(cb, "generators", counted)
+    for side in ("left", "right"):
+        assert len(hs.polyad_fusion(thin, side)) == 9
+    assert squares == []
+    for side in ("left", "right"):
+        assert len(hs.polyad_fusion(not_thin, side)) == pairs
+    assert len(squares) == 2 * pairs
+    assert all(count > 0 for count in squares)
+
+
+# ---------------------------------------------------------------------------
+# Strict monoidal fibers and the opmonoidal structure of a polyad.
+
+
+def one_object_fiber(n):
+    """The cyclic group of order n as a one-object category, tensored by
+    its multiplication: a strict monoidal category that is not thin."""
+    names, mul, unit = hs.cyclic_group(n)
+    c = FinCategory.from_monoid(names, mul, unit)
+    p = product_category(c, c)
+    return hs.MonoidalCatData(c, FunctorData(
+        p, c, FinFn(p.objects, c.objects, {("*", "*"): "*"}),
+        FinFn(p.morphisms, c.morphisms, {pair: mul[pair]
+                                         for pair in p.morphisms})), "*")
+
+
+def scanned_monoidal(c, t, unit):
+    """MonoidalCatData's check with every equation scanned."""
+    if t.dom != product_category(c, c) or t.cod != c:
+        raise SpanVError("tensor must be a functor from the product "
+                         "category back to the category")
+    if unit not in c.objects:
+        raise SpanVError("unit object %r not present" % (unit,))
+    e = c.identities(unit)
+    for x in c.objects:
+        if t.omap((unit, x)) != x or t.omap((x, unit)) != x:
+            raise SpanVError("unit law fails at %r" % (x,))
+    for m in c.morphisms:
+        if t.mmap((e, m)) != m or t.mmap((m, e)) != m:
+            raise SpanVError("unit law fails at morphism %r" % (m,))
+    for x, y, z in itertools.product(c.objects, repeat=3):
+        if t.omap((t.omap((x, y)), z)) != t.omap((x, t.omap((y, z)))):
+            raise SpanVError("tensor not associative at %r" % ((x, y, z),))
+    tm = t.mmap.assignment
+    for ((a, b), o) in cb.product_generators(t.dom, c):
+        if tm[(tm[(a, b)], o)] != tm[(a, tm[(b, o)])]:
+            raise SpanVError("tensor not associative at %r" % ((a, b, o),))
+
+
+def tensors_on(c, rng):
+    """Functors c x c -> c: both projections, and for a thin c the ones
+    random tables of objects unital at a random object determine."""
+    p = product_category(c, c)
+    found = [FunctorData(p, c, FinFn(p.objects, c.objects,
+                                     {o: o[side] for o in p.objects}),
+                         FinFn(p.morphisms, c.morphisms,
+                               {m: m[side] for m in p.morphisms}))
+             for side in (0, 1)]
+    for _ in range(4 if is_thin(c) else 0):
+        u = rng.choice(c.objects.elements)
+        table = {(x, y): y if x == u else x if y == u
+                 else rng.choice(c.objects.elements) for (x, y) in p.objects}
+        mmap = {m: c.hom(table[p.src(m)], table[p.tgt(m)])[0]
+                for m in p.morphisms}
+        found.append(FunctorData(p, c, FinFn(p.objects, c.objects, table),
+                                 FinFn(p.morphisms, c.morphisms, mmap)))
+    return found
+
+
+def monoidal_fibers(n):
+    names, mul, unit = hs.cyclic_group(n)
+    return [hs.discrete_monoidal_group(names, mul, unit),
+            hs.indiscrete_monoidal_group(names, mul, unit),
+            one_object_fiber(n)]
+
+
+def test_monoidal_fibers_are_checked_as_the_scan_thin_or_not():
+    rng = random.Random(3)
+    seen = collections.Counter()
+    for fiber in monoidal_fibers(2) + monoidal_fibers(3):
+        c = fiber.cat
+        for tensor in [fiber.tensor] + tensors_on(c, rng):
+            for unit in c.objects:
+                message = raised(lambda: hs.MonoidalCatData(c, tensor, unit))
+                assert message == raised(
+                    lambda: scanned_monoidal(c, tensor, unit))
+                seen[(kind(c), message and message.split(" at ")[0])] += 1
+    assert {("thin", None), ("thin", "unit law fails"),
+            ("thin", "tensor not associative"), ("not thin", None),
+            ("not thin", "unit law fails")} <= set(seen)
+
+
+def scanned_opmonoidal(monad, fibers, d2, d0):
+    """PolyadOpmonoidalStructure's check with every equation scanned."""
+    p, d = monad, monad.shape
+    for h in d.morphisms:
+        fs, ft = fibers[d.src(h)], fibers[d.tgt(h)]
+        f = p.mor_label[h]
+        if d2[h].source != fs.tensor.then(f) or \
+                d2[h].target != product_functor(f, f).then(ft.tensor):
+            raise SpanVError("binary structure boundary at %r" % (h,))
+        cod, z, comps = ft.cat, d0[h], d2[h].components
+        if cod.src(z) != f.omap(fs.unit) or cod.tgt(z) != ft.unit:
+            raise SpanVError("nullary structure boundary at %r" % (h,))
+        for a, b, c0 in itertools.product(fs.cat.objects, repeat=3):
+            left = cod.compose(ft.mor_tensor(
+                comps[(a, b)], cod.identities(f.omap(c0))),
+                comps[(fs.obj_tensor(a, b), c0)])
+            right = cod.compose(ft.mor_tensor(
+                cod.identities(f.omap(a)), comps[(b, c0)]),
+                comps[(a, fs.obj_tensor(b, c0))])
+            if left != right:
+                raise SpanVError("binary structure not coassociative at %r"
+                                 % ((h, a, b, c0),))
+        for a in fs.cat.objects:
+            one = cod.identities(f.omap(a))
+            if cod.compose(ft.mor_tensor(one, z), comps[(a, fs.unit)]) \
+                    != one or cod.compose(ft.mor_tensor(z, one),
+                                          comps[(fs.unit, a)]) != one:
+                raise SpanVError("nullary structure not counital at %r"
+                                 % ((h, a),))
+    for (h, k) in d.composable_pairs():
+        fs, ft = fibers[d.src(k)], fibers[d.tgt(h)]
+        fh, hk = p.mor_label[h], d.compose(h, k)
+        fk, mu, cod = p.mor_label[k], p.mu[(h, k)].components, ft.cat
+        for a, b in itertools.product(fs.cat.objects, repeat=2):
+            lhs = cod.compose(d2[hk].components[(a, b)],
+                              mu[fs.obj_tensor(a, b)])
+            rhs = cod.compose(ft.mor_tensor(mu[a], mu[b]), cod.compose(
+                d2[h].components[(fk.omap(a), fk.omap(b))],
+                fh.mmap(d2[k].components[(a, b)])))
+            if lhs != rhs:
+                raise SpanVError("multiplication not compatible with binary "
+                                 "structure at %r" % ((h, k, a, b),))
+        if cod.compose(d0[hk], mu[fs.unit]) != \
+                cod.compose(d0[h], fh.mmap(d0[k])):
+            raise SpanVError("multiplication not compatible with nullary "
+                             "structure at %r" % ((h, k),))
+    for x in d.objects:
+        fx, e = fibers[x], d.identities(x)
+        eta, cod = p.eta[x].components, fibers[x].cat
+        for a, b in itertools.product(fx.cat.objects, repeat=2):
+            if cod.compose(d2[e].components[(a, b)],
+                           eta[fx.obj_tensor(a, b)]) != \
+                    fx.mor_tensor(eta[a], eta[b]):
+                raise SpanVError("unit not compatible with binary "
+                                 "structure at %r" % ((x, a, b),))
+        if cod.compose(d0[e], eta[fx.unit]) != cod.identities(fx.unit):
+            raise SpanVError("unit not compatible with nullary structure "
+                             "at %r" % (x,))
+
+
+def opmonoidal_polyads(n):
+    names, mul, unit = hs.cyclic_group(n)
+    for fiber in monoidal_fibers(n):
+        yield hs.identity_polyad(names, mul, unit, fiber)
+    yield hs.translation_opmonoidal(
+        names, mul, unit, hs.indiscrete_monoidal_group(names, mul, unit))
+
+
+def twisted(nat, rng):
+    """nat with one component moved to another morphism, checked, or
+    None when the family is not natural."""
+    cod = nat.source.cod
+    x = rng.choice(nat.source.dom.objects.elements)
+    comps = {**nat.components, x: rng.choice(cod.morphisms.elements)}
+    try:
+        return NatTransData(nat.source, nat.target, comps)
+    except CatError:
+        return None
+
+
+def corrupted_structures(opstr, rng):
+    """The structure's data whole, with one d0 or d2 entry moved, and
+    with one component of mu or eta moved in a rebuilt monad."""
+    p, d = opstr.monad, opstr.monad.shape
+    d2, d0 = dict(opstr.d2), dict(opstr.d0)
+    yield p, d2, d0
+    h, k = rng.choice(d.morphisms.elements), rng.choice(d.morphisms.elements)
+    cat = opstr.fibers[d.tgt(h)].cat
+    yield p, d2, {**d0, h: rng.choice(cat.morphisms.elements)}
+    yield p, {**d2, h: d2[k]}, d0
+    moved = twisted(d2[h], rng)
+    if moved is not None:
+        yield p, {**d2, h: moved}, d0
+    pair = rng.choice(d.composable_pairs())
+    x = rng.choice(d.objects.elements)
+    for mu, eta in (({**p.mu, pair: twisted(p.mu[pair], rng)}, p.eta),
+                    (p.mu, {**p.eta, x: twisted(p.eta[x], rng)})):
+        if None not in mu.values() and None not in eta.values():
+            yield hs.MonadPresentation(p.backend, d, p.base_label,
+                                       p.mor_label, mu, eta), d2, d0
+
+
+def test_opmonoidal_structures_are_checked_as_the_scan_thin_or_not():
+    rng = random.Random(4)
+    seen = collections.Counter()
+    for n in (2, 3):
+        for opstr in opmonoidal_polyads(n):
+            fibers, fiber_kind = opstr.fibers, kind(opstr.fibers["*"].cat)
+            for _ in range(4):
+                for monad, d2, d0 in corrupted_structures(opstr, rng):
+                    message = raised(lambda: hs.PolyadOpmonoidalStructure(
+                        monad, fibers, d2, d0))
+                    assert message == raised(
+                        lambda: scanned_opmonoidal(monad, fibers, d2, d0))
+                    seen[(fiber_kind,
+                          message and message.split(" at ")[0])] += 1
+    assert {("thin", None), ("thin", "binary structure boundary"),
+            ("thin", "nullary structure boundary"), ("not thin", None),
+            ("not thin", "nullary structure not counital"),
+            ("not thin", "multiplication not compatible with binary "
+                         "structure"),
+            ("not thin", "unit not compatible with binary structure")} \
+        <= set(seen)
