@@ -7,8 +7,9 @@ violation, deciding the laws on morphism positions.  In a thin category
 (is_thin: no two morphisms share their endpoints) every law is decided
 by its endpoints: once they hold, its two sides are parallel and so
 equal, and check_category, the functor check and the naturality check
-into a thin category stop there.  The table is never changed after
-construction, so products of a category are shared
+into a thin category stop there; the inverse of m: x -> y is the one
+morphism y -> x, if any, read without composing.  The table is never
+changed after construction, so products of a category are shared
 (spanv_core.product_category) and built without the check from factors
 that passed it.  A product is never tabulated: its table is a
 ProductTable, which composes componentwise on lookup, and the functors
@@ -103,19 +104,28 @@ class FinCategory:
         return buckets
 
     def hom(self, x, y):
-        """The morphisms x -> y in morphism order, bucketed by endpoints
-        once, since the category never changes."""
+        """The morphisms x -> y in morphism order."""
+        return list(self._homs_by_ends().get((x, y), ()))
+
+    def _homs_by_ends(self):
+        """The morphisms bucketed by (src, tgt), once, since the category
+        never changes."""
         if self._homs is None:
             homs = {}
             src, tgt = self.src.assignment, self.tgt.assignment
             for m in self.morphisms.elements:
                 homs.setdefault((src[m], tgt[m]), []).append(m)
             object.__setattr__(self, "_homs", homs)
-        return list(self._homs.get((x, y), ()))
+        return self._homs
 
     def inverse(self, m):
-        """The two-sided inverse of m, or None when m has none."""
+        """The two-sided inverse of m, or None when m has none.  In a
+        thin category that is the one morphism of hom(y, x) for m: x -> y,
+        if any: both composites are then endomorphisms, so identities."""
         x, y = self.src(m), self.tgt(m)
+        if is_thin(self):
+            back = self._homs_by_ends().get((y, x))
+            return back[0] if back else None
         return next((n for n in self.hom(y, x)
                      if self.composition.get((n, m)) == self.identities(x)
                      and self.composition.get((m, n)) == self.identities(y)),

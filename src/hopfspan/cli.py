@@ -460,14 +460,18 @@ def canonical_json(value):
 def _fusion_determinants(left, right):
     """Component determinants of both built fusion 2-cells, keyed by the
     pair of shape morphisms being fused; off-square components print
-    null."""
-    out = {}
+    null.  Each distinct component matrix is reduced once, keyed by its
+    id and held with it."""
+    out, dets = {}, {}
     for side, cell in (("left", left), ("right", right)):
         rows = []
         for pair, mor in hs.fusion_components(cell, side).items():
-            square = mor.dom.dim == mor.cod.dim
-            rows.append([repr(pair),
-                         str(vb.determinant(mor)) if square else None])
+            hit = dets.get(id(mor))
+            if hit is None:
+                square = mor.dom.dim == mor.cod.dim
+                hit = dets[id(mor)] = (
+                    mor, str(vb.determinant(mor)) if square else None)
+            rows.append([repr(pair), hit[1]])
         rows.sort(key=lambda item: item[0])
         out[side] = rows
     return out

@@ -9,6 +9,9 @@ axiom reduces to one base equation per composable triple or morphism.
 Every law equation here is recorded through CheckReport, which decides
 a base equation once per distinct pair of operands: the triples of a
 presentation whose mu entries are one shared matrix are one decision.
+The law loops walk only the tuples they decide (associativity only the
+composable triples) and build each side once per distinct operands,
+keyed by the ids of the mu entries, labels and structure maps it reads.
 
 Over the one-object graded base, labels with per-morphism comonoid
 structure make the presentation an opmonoidal monad on the induced
@@ -133,26 +136,48 @@ def monad_cells(p):
 
 
 def check_monad(p):
-    """Associativity over composable triples, unitality over morphisms."""
+    """Associativity over composable triples, unitality over morphisms.
+
+    l runs over the morphisms into src(k) in morphism order, read with
+    what (k, l) gives once per composable pair (the tails of k).  Each
+    side is built once per distinct mu entries and labels, keyed by
+    their ids: CheckReport.once, inlined for the n^4 triples of an
+    n-object shape."""
     report = CheckReport("monad axioms")
-    be, d = p.backend, p.shape
-    lab = p.mor_label
+    be, d, lab, mu, eta = p.backend, p.shape, p.mor_label, p.mu, p.eta
+    comp, src, tgt = d.composition, d.src.assignment, d.tgt.assignment
+
+    def associativity(hk_l, h_k, l, h_kl, h, k_l):
+        return (be.vcomp(hk_l, be.comp2(h_k, be.id2(l))),
+                be.vcomp(h_kl, be.comp2(be.id2(h), k_l)))
+
+    def units(y_h, unit_y, h_x, unit_x, h):
+        one = be.id2(h)
+        return (be.vcomp(y_h, be.comp2(unit_y, one)),
+                be.vcomp(h_x, be.comp2(one, unit_x)), one)
+
+    mid = {pair: id(f) for pair, f in mu.items()}
+    tails, built = {}, {}
+    for (k, l) in d.composable_pairs():
+        tails.setdefault(k, []).append(
+            (l, comp[(k, l)], mid[(k, l)], id(lab[l])))
     for (h, k) in d.composable_pairs():
-        for l in d.morphisms:
-            if d.src(k) == d.tgt(l):
-                report.equal(
-                    "associativity", (h, k, l), be,
-                    be.vcomp(p.mu[(d.compose(h, k), l)],
-                             be.comp2(p.mu[(h, k)], be.id2(lab[l]))),
-                    be.vcomp(p.mu[(h, d.compose(k, l))],
-                             be.comp2(be.id2(lab[h]), p.mu[(k, l)])))
+        i_hk, hk, i_h = mid[(h, k)], comp[(h, k)], id(lab[h])
+        for l, kl, i_kl, i_l in tails.get(k, ()):
+            key = (mid[(hk, l)], i_hk, i_l, mid[(h, kl)], i_h, i_kl)
+            hit = built.get(key)
+            if hit is None:
+                operands = (mu[(hk, l)], mu[(h, k)], lab[l], mu[(h, kl)],
+                            lab[h], mu[(k, l)])
+                hit = built[key] = (operands, associativity(*operands))
+            report.equal("associativity", (h, k, l), be, *hit[1])
+    ident = d.identities.assignment
     for h in d.morphisms:
-        one = be.id2(lab[h])
-        x, y = d.src(h), d.tgt(h)
-        report.equal("left unit", h, be, be.vcomp(
-            p.mu[(d.identities(y), h)], be.comp2(p.eta[y], one)), one)
-        report.equal("right unit", h, be, be.vcomp(
-            p.mu[(h, d.identities(x))], be.comp2(one, p.eta[x])), one)
+        x, y = src[h], tgt[h]
+        left, right, one = report.once(units, mu[(ident[y], h)], eta[y],
+                                       mu[(h, ident[x])], eta[x], lab[h])
+        report.equal("left unit", h, be, left, one)
+        report.equal("right unit", h, be, right, one)
     return report
 
 
@@ -334,36 +359,38 @@ class AntipodeResult:
 _SQUARE_LAWS = ("(1, sigma) square", "(sigma, 1) square")
 
 
-def _antipode_squares(p, c, h, g, sigma):
-    """Both antipode squares at h, whose shape inverse is g, for sigma
-    from the label of h to the label of g: mu (1 . sigma) delta with its
-    target eta eps at tgt(h), then mu (sigma . 1) delta with eta eps at
-    src(h)."""
-    be, d = p.backend, p.shape
-    one = be.id2(p.mor_label[h])
-    return ((be.vcomp(p.mu[(h, g)],
-                      be.vcomp(be.tensor2v(one, sigma), c.delta[h])),
-             be.vcomp(p.eta[d.tgt(h)], c.eps[h])),
-            (be.vcomp(p.mu[(g, h)],
-                      be.vcomp(be.tensor2v(sigma, one), c.delta[h])),
-             be.vcomp(p.eta[d.src(h)], c.eps[h])))
+def _antipode_squares(be, h_g, g_h, label, sigma, delta, eps, unit_y,
+                      unit_x):
+    """Both antipode squares at h: x -> y with shape inverse g, from
+    h_g = mu[(h, g)], g_h = mu[(g, h)], the label, sigma, delta and eps
+    at h and eta at y and x: mu (1 . sigma) delta with its target
+    eta eps at y, then mu (sigma . 1) delta with eta eps at x."""
+    one = be.id2(label)
+    return ((be.vcomp(h_g, be.vcomp(be.tensor2v(one, sigma), delta)),
+             be.vcomp(unit_y, eps)),
+            (be.vcomp(g_h, be.vcomp(be.tensor2v(sigma, one), delta)),
+             be.vcomp(unit_x, eps)))
 
 
 def _antipode_axioms(p, c, sigma):
-    """The two unit-counit composites per morphism, against eta o eps.
+    """The two unit-counit composites per morphism, against eta o eps,
+    both built once per distinct operands.
 
     sigma is keyed by shape morphisms, each entry from the label of the
     morphism to the label of its shape inverse; a missing inverse is a
     failure of the shape, not of the family.
     """
     report = CheckReport("antipode axioms")
-    be, d = p.backend, p.shape
+    be, d, mu, eta = p.backend, p.shape, p.mu, p.eta
+    src, tgt = d.src.assignment, d.tgt.assignment
     for h in d.morphisms:
         g = d.inverse(h)
         if g is None:
             report.fail("no shape inverse", h)
             continue
-        squares = _antipode_squares(p, c, h, g, sigma[h])
+        squares = report.once(_antipode_squares, be, mu[(h, g)], mu[(g, h)],
+                              p.mor_label[h], sigma[h], c.delta[h], c.eps[h],
+                              eta[tgt[h]], eta[src[h]])
         for law, (lhs, unit) in zip(_SQUARE_LAWS, squares):
             report.equal(law, h, be, lhs, unit)
     return report
@@ -1465,19 +1492,32 @@ class EnrichedModule:
     psi: dict
 
 
+def _module_associativity(xz_u, xy_z, zu, xy_u, xy, yz_u):
+    """Both sides of the associativity square at (x, y, z, u) from the
+    action maps psi at (x, z, u), (x, y, u) and (y, z, u), mu at
+    (x, y, z) and the objects v[(z, u)] and hom[(x, y)]."""
+    return (xz_u.compose(vb.tensor_mor(xy_z, vb.VMorphism.identity(zu))),
+            xy_u.compose(vb.tensor_mor(vb.VMorphism.identity(xy), yz_u)))
+
+
+def _module_unit(xx_y, unit_x, xy):
+    one = vb.VMorphism.identity(xy)
+    return xx_y.compose(vb.tensor_mor(unit_x, one)), one
+
+
 def _enriched_module_squares(e, m, report, tag):
-    X, be = e.objects, e.backend
+    """Every associativity and unit square of m, each side built once
+    per distinct operands."""
+    X, be, psi, v = e.objects, e.backend, m.psi, m.v
     for x, y, z, u in itertools.product(X, repeat=4):
-        report.equal(tag + " associativity", (x, y, z, u), be,
-                     m.psi[(x, z, u)].compose(vb.tensor_mor(
-                         e.mu[(x, y, z)], vb.VMorphism.identity(m.v[(z, u)]))),
-                     m.psi[(x, y, u)].compose(vb.tensor_mor(
-                         vb.VMorphism.identity(e.hom[(x, y)]),
-                         m.psi[(y, z, u)])))
+        lhs, rhs = report.once(_module_associativity, psi[(x, z, u)],
+                               e.mu[(x, y, z)], v[(z, u)], psi[(x, y, u)],
+                               e.hom[(x, y)], psi[(y, z, u)])
+        report.equal(tag + " associativity", (x, y, z, u), be, lhs, rhs)
     for x, y in itertools.product(X, repeat=2):
-        one = vb.VMorphism.identity(m.v[(x, y)])
-        report.equal(tag + " unit", (x, y), be, m.psi[(x, x, y)].compose(
-            vb.tensor_mor(e.eta[x], one)), one)
+        lhs, one = report.once(_module_unit, psi[(x, x, y)], e.eta[x],
+                               v[(x, y)])
+        report.equal(tag + " unit", (x, y), be, lhs, one)
 
 
 def enriched_module_product(e, a, b):

@@ -865,21 +865,29 @@ class ComonoidLabeledCell:
                 raise SpanVError("counit boundary at %r" % (h,))
 
 
+_COMONOID_LAWS = ("coassociativity", "left counit", "right counit")
+
+
+def _comonoid_sides(be, label, d, e):
+    """Both sides of each comonoid law on one label with comultiplication
+    d and counit e."""
+    one = be.id2(label)
+    return ((be.vcomp(be.tensor2v(d, one), d),
+             be.vcomp(be.tensor2v(one, d), d)),
+            (be.vcomp(be.tensor2v(e, one), d), one),
+            (be.vcomp(be.tensor2v(one, e), d), one))
+
+
 def check_comonoid(com):
-    """Coassociativity and both counit laws, per apex element."""
+    """Coassociativity and both counit laws, per apex element, each side
+    built once per distinct label, delta and eps."""
     report = CheckReport("comonoid labels")
     be = com.cell.backend
     for h in com.cell.span.apex:
-        p = com.cell.label[h]
-        d, e = com.delta[h], com.eps[h]
-        one = be.id2(p)
-        report.equal("coassociativity", h, be,
-                     be.vcomp(be.tensor2v(d, one), d),
-                     be.vcomp(be.tensor2v(one, d), d))
-        report.equal("left counit", h, be,
-                     be.vcomp(be.tensor2v(e, one), d), one)
-        report.equal("right counit", h, be,
-                     be.vcomp(be.tensor2v(one, e), d), one)
+        sides = report.once(_comonoid_sides, be, com.cell.label[h],
+                            com.delta[h], com.eps[h])
+        for law, (lhs, rhs) in zip(_COMONOID_LAWS, sides):
+            report.equal(law, h, be, lhs, rhs)
     return report
 
 

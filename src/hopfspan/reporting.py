@@ -1,7 +1,11 @@
 """Small result types shared by the checkers, and the one rule every law
 equation goes through: CheckReport.holds records a 2-cell verdict of
 spanv_core.eq2, and CheckReport.equal decides an equation on base values
-once per distinct pair of operands."""
+once per distinct pair of operands.  The law loops on base values walk
+only the tuples they decide and build each side through
+CheckReport.once, once per distinct operands, so a shape whose structure
+maps are a few shared values builds a few sides however many tuples it
+has, and still records every tuple in loop order."""
 
 from dataclasses import dataclass, field
 
@@ -20,12 +24,14 @@ class Verdict:
 @dataclass
 class CheckReport:
     """Outcome of an axiom suite: named failures with located witnesses.
-    _decided keys equal by the ids of its operands and holds both, so
-    an id is not reused while the report lives."""
+    _decided keys equal, and _built keys once, by the ids of their
+    operands and holds them, so an id is not reused while the report
+    lives."""
 
     name: str
     failures: list = field(default_factory=list)
     _decided: dict = field(default_factory=dict, repr=False, compare=False)
+    _built: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -45,14 +51,26 @@ class CheckReport:
 
     def equal(self, law, key, be, lhs, rhs):
         """The law lhs = rhs on base values at key, decided by backend be
-        once per distinct (lhs, rhs) pair and recorded by holds."""
+        once per distinct (lhs, rhs) pair and recorded as holds does."""
         pair = (id(lhs), id(rhs))
         hit = self._decided.get(pair)
         if hit is None:
             ok = bool(be.eq2(lhs, rhs))
             hit = self._decided[pair] = (lhs, rhs, Verdict(
                 ok, None if ok else be.first_diff(lhs, rhs)))
-        self.holds(law, hit[2], key)
+        verdict = hit[2]
+        if not verdict.ok:
+            self.fail(law, (key, verdict.witness))
+
+    def once(self, build, *operands):
+        """build(*operands), built once per build and distinct operands:
+        a loop reads the sides of each tuple from here and still records
+        every tuple through equal."""
+        key = (build, *map(id, operands))
+        hit = self._built.get(key)
+        if hit is None:
+            hit = self._built[key] = (operands, build(*operands))
+        return hit[1]
 
     def merge(self, other):
         self.failures.extend(other.failures)

@@ -1,4 +1,4 @@
-"""Acceptance gate: seventeen criteria, one pass line each.
+"""Acceptance gate: eighteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -589,3 +589,11 @@ def test_criterion_17_translation_polyad_z16_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(16)
     finish(17, "Hopf check of the translation polyad over Z_16", start, 4.0)
+
+
+def test_criterion_18_indiscrete_20_monad_check():
+    start = time.monotonic()
+    e = hs.indiscrete_enriched(["x%d" % k for k in range(20)])
+    assert hs.check_monad(e.monad).ok
+    finish(18, "monad laws of the indiscrete presentation on 20 objects",
+           start, 0.6, 20 ** 4)

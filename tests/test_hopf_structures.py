@@ -585,12 +585,20 @@ def stack(rows, mors, column):
         offset += mor.cod.dim * mor.dom.dim
 
 
+def antipode_squares(p, c, h, g, sigma):
+    """Both antipode squares at h, whose shape inverse is g."""
+    d = p.shape
+    return hs._antipode_squares(p.backend, p.mu[(h, g)], p.mu[(g, h)],
+                                p.mor_label[h], sigma, c.delta[h], c.eps[h],
+                                p.eta[d.tgt(h)], p.eta[d.src(h)])
+
+
 def antipode_rows_by_composites(p, c, h, g):
     """The oracle for _antipode_rows: both squares composed out for each
     matrix unit of sigma in turn, one column of the system each."""
     lab_h, lab_g = p.mor_label[h], p.mor_label[g]
     width = lab_g.dim * lab_h.dim
-    targets = [unit for _, unit in hs._antipode_squares(
+    targets = [unit for _, unit in antipode_squares(
         p, c, h, g, VMorphism.zero(lab_h, lab_g))]
     rows = [{} for t in targets for _ in range(t.cod.dim * t.dom.dim)]
     stack(rows, targets, width)
@@ -598,7 +606,7 @@ def antipode_rows_by_composites(p, c, h, g):
         for j in range(lab_h.dim):
             unit = VMorphism._from_rows(lab_h, lab_g, [
                 {j: ONE} if r == i else {} for r in range(lab_g.dim)])
-            (one_sigma, _), (sigma_one, _) = hs._antipode_squares(
+            (one_sigma, _), (sigma_one, _) = antipode_squares(
                 p, c, h, g, unit)
             stack(rows, (one_sigma, sigma_one), i * lab_h.dim + j)
     return rows

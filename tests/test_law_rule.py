@@ -1,11 +1,14 @@
 """The one law rule of CheckReport against the per-key loops it replaced.
 
-The oracles below decide every key's equation afresh, the way the
-checkers did before they went through CheckReport.equal.  The rule
-decides each distinct pair of operands once, so the two must name the
-same failures, in the same order, with the same witnesses, whether the
-structure maps are shared or not, on every backend the checkers run on:
-the graded base, its image in Cat and the finite-category base.
+The oracles below walk every tuple and decide its equation afresh, the
+way the checkers did before they went through CheckReport.  The
+checkers walk only the tuples they decide, build each side once per
+distinct operands (CheckReport.once) and decide each distinct pair of
+sides once (CheckReport.equal), so the two must name the same failures,
+in the same order, with the same witnesses, whether the structure maps
+are shared or not, on one-object and many-object shapes, and on every
+backend the checkers run on: the graded base, its image in Cat and the
+finite-category base.
 """
 
 import dataclasses
@@ -23,7 +26,8 @@ from hopfspan import vect_backend as vb
 from hopfspan.vect_backend import VMorphism, VObject, unit_object
 
 from rand import random_vmorphism, seeded
-from test_acceptance import group_algebra_document
+from test_acceptance import Z2, group_algebra_document
+from hopfspan.spanv_core import product_category
 
 PROBES = (unit_object(), VObject([(("m",), 1)]))
 
@@ -78,7 +82,14 @@ def naive_antipode(p, c, sigma):
     failures = []
     be, d = p.backend, p.shape
     for h in d.morphisms:
-        squares = hs._antipode_squares(p, c, h, d.inverse(h), sigma[h])
+        g, one = d.inverse(h), be.id2(p.mor_label[h])
+        squares = (
+            (be.vcomp(p.mu[(h, g)], be.vcomp(be.tensor2v(one, sigma[h]),
+                                             c.delta[h])),
+             be.vcomp(p.eta[d.tgt(h)], c.eps[h])),
+            (be.vcomp(p.mu[(g, h)], be.vcomp(be.tensor2v(sigma[h], one),
+                                             c.delta[h])),
+             be.vcomp(p.eta[d.src(h)], c.eps[h])))
         for law, (lhs, unit) in zip(hs._SQUARE_LAWS, squares):
             if not be.eq2(lhs, unit):
                 failures.append((law, (h, be.first_diff(lhs, unit))))
@@ -148,6 +159,55 @@ def vect_cases(seed):
             for shared in (True, False):
                 yield dataclasses.replace(pres, mu=placed(
                     pres.mu, mult, wrong, broken, shared)), rng, shared
+
+
+def enriched_cases(seed):
+    """Indiscrete presentations on 3 and 4 objects and the torsor
+    I_3 x Z_2 with zero, one, two or every mu entry replaced by a random
+    matrix, one per distinct entry it replaces, shared as the loader
+    shares them and unshared."""
+    rng = seeded(seed)
+    torsor = hs.enriched_from_groupoid(product_category(
+        FinCategory.indiscrete(["x", "y", "z"]), FinCategory.from_monoid(*Z2)))
+    for e in (hs.indiscrete_enriched(range(3)), hs.indiscrete_enriched(range(4)),
+              torsor):
+        wrong = {}
+        for f in e.mu.values():
+            wrong.setdefault(id(f), random_vmorphism(rng, f.dom, f.cod))
+        for broken in broken_sets(rng, e.mu):
+            for shared in (True, False):
+                def entry(slot, f):
+                    f = wrong[id(f)] if slot in broken else f
+                    return f if shared else VMorphism(f.dom, f.cod, f.entries)
+                yield dataclasses.replace(e, mu={
+                    slot: entry(slot, f) for slot, f in e.mu.items()}), rng
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_monad_rule_matches_the_oracle_on_many_objects(seed):
+    failing = 0
+    for e, _ in enriched_cases(seed):
+        expected = naive_monad(e.monad)
+        assert hs.check_monad(e.monad).failures == expected
+        failing += bool(expected)
+    assert failing
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_antipode_rule_matches_the_oracle_on_many_objects(seed):
+    failing = 0
+    for e, rng in enriched_cases(seed):
+        sigma = e.antipode.sigma
+        broken = rng.sample(sorted(sigma), rng.randint(0, 2))
+        fam = {pair: random_vmorphism(rng, f.dom, f.cod) if pair in broken
+               else f for pair, f in sigma.items()}
+        p, c = e.monad, e.comonoid_structure()
+        expected = naive_antipode(p, c, e.sigma_by_shape(
+            hs.AntipodeFamily(fam)))
+        assert hs.check_antipode_group(
+            e, hs.AntipodeFamily(fam)).failures == expected
+        failing += bool(expected)
+    assert failing
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -297,6 +357,23 @@ def test_a_shared_mu_decides_each_monad_law_once(n, monkeypatch):
     assert hs.check_monad(pres.monad).ok
     # One pair of operands per law: associativity, left and right unit.
     assert len(calls) == 3
+
+    # On n objects every hom is one object and every mu entry one
+    # matrix: each side is built once for all n^4 triples and n^2
+    # morphisms, two composites for associativity and two for the units.
+    # Every map is the identity of K, and every side comes out as that
+    # one matrix, so the three laws are one decision.
+    built = []
+    raw_vcomp = VectBackend.vcomp
+
+    def counted_vcomp(self, second, first):
+        built.append((second, first))
+        return raw_vcomp(self, second, first)
+
+    monkeypatch.setattr(VectBackend, "vcomp", counted_vcomp)
+    calls.clear()
+    assert hs.check_monad(hs.indiscrete_enriched(range(n)).monad).ok
+    assert len(calls) == 1 and len(built) == 4
 
 
 # ---------------------------------------------------------------------------

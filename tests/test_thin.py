@@ -5,7 +5,7 @@ morphisms share their (src, tgt).  There two parallel morphisms are
 equal, so ``check_category``, the functor and naturality checks into a
 thin category, ``MonoidalCatData`` on a thin category and
 ``PolyadOpmonoidalStructure`` on thin fibers stop once the endpoints
-hold.  The oracles below are the checks with every equation scanned
+hold, and the inverse of m: x -> y is the one morphism y -> x, if any.  The oracles below are the checks with every equation scanned
 whatever the category; on generated thin and non-thin categories, whole
 and with one endpoint, composite or component corrupted, each check
 must report or raise exactly as its oracle does.
@@ -256,6 +256,66 @@ def test_transformations_are_checked_as_the_scan_thin_or_not():
             ("thin", "component missing"), ("not thin", None),
             ("not thin", "naturality fails"),
             ("not thin", "component endpoints")} <= set(seen)
+
+
+def searched_inverse(c, m):
+    """The two-sided inverse of m, by composing m with every morphism."""
+    x, y = c.src(m), c.tgt(m)
+    return next((n for n in c.morphisms
+                 if c.src(n) == y and c.tgt(n) == x
+                 and c.composition[(n, m)] == c.identities(x)
+                 and c.composition[(m, n)] == c.identities(y)), None)
+
+
+class UnreadTable(dict):
+    """A composition table that fails the test when it is read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("composed %r" % (key,))
+
+    get = __getitem__
+
+
+def test_inverses_are_the_searched_ones_thin_or_not():
+    rng = random.Random(3)
+    seen = collections.Counter()
+    for c in CATEGORIES:
+        for m in c.morphisms:
+            back = searched_inverse(c, m)
+            assert c.inverse(m) == back, (c, m)
+            seen[(kind(c), back is not None)] += 1
+        groupoid = cb.is_groupoid(c)
+        assert bool(groupoid) == all(searched_inverse(c, m) is not None
+                                     for m in c.morphisms)
+        assert groupoid or searched_inverse(c, groupoid.witness) is None
+        functors = functors_into(c, rng)
+        for _ in range(8):
+            F, G = rng.choice(functors), rng.choice(functors)
+            comps = {x: c.hom(F.omap(x), G.omap(x)) for x in c.objects}
+            if not all(comps.values()):
+                continue
+            family = {x: rng.choice(hom) for x, hom in comps.items()}
+            if raised(lambda: scanned_nat(F, G, family)) is not None:
+                continue
+            n = NatTransData(F, G, family)
+            iso = cb.nat_is_iso(n)
+            assert bool(iso) == all(
+                searched_inverse(c, n.components[x]) is not None
+                for x in c.objects)
+            seen[(kind(c), "natural iso", bool(iso))] += 1
+    assert {("thin", True), ("thin", False), ("not thin", True),
+            ("not thin", False), ("thin", "natural iso", True),
+            ("thin", "natural iso", False), ("not thin", "natural iso", True),
+            ("not thin", "natural iso", False)} <= set(seen)
+
+
+def test_a_thin_inverse_composes_nothing():
+    for c in (FinCategory.indiscrete(range(3)), total_order(3),
+              FinCategory.discrete(range(2))):
+        unread = _trusted(FinCategory, c.objects, c.morphisms, c.src, c.tgt,
+                          c.identities, UnreadTable(c.composition))
+        assert [unread.inverse(m) for m in c.morphisms] == \
+            [searched_inverse(c, m) for m in c.morphisms]
 
 
 def test_a_polyad_fusion_checks_no_naturality_square_in_a_thin_fiber(

@@ -87,11 +87,12 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4.
+# inputs run below at Z_3 and Z_4, and on 4 objects.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
                "test_criterion_16_translation_polyad_z8_hopf_check",
-               "test_criterion_17_translation_polyad_z16_hopf_check"}
+               "test_criterion_17_translation_polyad_z16_hopf_check",
+               "test_criterion_18_indiscrete_20_monad_check"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -105,6 +106,10 @@ def test_acceptance_in_checking_mode(name, checking_mode, tmp_path):
 @pytest.mark.parametrize("n", [3, 4])
 def test_translation_polyad_in_checking_mode(n, checking_mode):
     test_acceptance.translation_polyad_checks(n)
+
+
+def test_indiscrete_monad_check_in_checking_mode(checking_mode):
+    assert hs.check_monad(hs.indiscrete_enriched(range(4)).monad).ok
 
 
 def test_checking_mode_checks_the_lazy_product(monkeypatch):
