@@ -82,6 +82,8 @@ from .spanv_core import (
     unit_cell0,
     vcomp2,
     vect_to_cat_functor,
+    _fill,
+    _marked,
     _relabeled,
     _whiskered,
 )
@@ -188,10 +190,15 @@ def check_monad(p):
 @dataclass(frozen=True)
 class ComonoidStructure:
     """Per-morphism comultiplication and counit on the 1-cell labels,
-    keyed by shape morphisms."""
+    keyed by shape morphisms.  The comultiplication is a Uniform when it
+    is one matrix at every morphism, so that the binary structure cell
+    is built once."""
 
     delta: dict
     eps: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", _marked(self.delta))
 
 
 def _paired(t):
@@ -210,9 +217,11 @@ def _binary_cell(p, c, m, paired=None):
     d, t = p.shape, p.cells[0]
     source = hcomp1(t, m)
     target = hcomp1(m, paired or _paired(t))
+    atoms = source.span.apex.elements
     return cell2_along(source, target,
                        lambda hx: (d.tgt(hx[0]), (hx[0], hx[0])),
-                       {(h, x): c.delta[h] for (h, x) in source.span.apex})
+                       _fill(atoms, lambda delta: delta, c.delta)
+                       or {(h, x): c.delta[h] for (h, x) in atoms})
 
 
 def check_opmonoidal(p, c):

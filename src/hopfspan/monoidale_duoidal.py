@@ -35,7 +35,7 @@ from .spanv_core import (
     regroup_cell1, relabel_cell2, regroup, ungroup, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2,
     interchange_atoms, invert_cell2, eq2, image_atoms, part, _relabeled,
-    _whiskered,
+    _whiskered, _fill,
 )
 
 
@@ -643,9 +643,11 @@ def star1(b, a, atoms=None):
     span = Span(a.src.carrier, a.tgt.carrier, apex,
                 FinFn(apex, a.tgt.carrier, {p: b_left[p[0]] for p in apex}),
                 FinFn(apex, a.src.carrier, {p: b_right[p[0]] for p in apex}))
-    label = {(c, h): be.comp1(be.comp1(m, be.tensor1v(b.label[c],
-                                                      a.label[h])), d)
-             for (c, h) in apex}
+    label = _fill(apex.elements, lambda p, q: be.comp1(be.comp1(
+        m, be.tensor1v(p, q)), d), b.label, a.label) or {
+            (c, h): be.comp1(be.comp1(m, be.tensor1v(b.label[c],
+                                                     a.label[h])), d)
+            for (c, h) in apex}
     return Cell1(be, a.src, a.tgt, span, label)
 
 
@@ -662,10 +664,12 @@ def star2(v, u, source=None):
     be = source.backend
     m, d = _diagonal_labels(v.source)
     one_m, one_d = be.id2(m), be.id2(d)
-    comps = {(c, h): be.comp2(be.comp2(one_m, be.tensor2v(v.components[c],
-                                                          u.components[h])),
-                              one_d)
-             for (c, h) in source.span.apex}
+    atoms = source.span.apex.elements
+    comps = _fill(atoms, lambda f, g: be.comp2(be.comp2(
+        one_m, be.tensor2v(f, g)), one_d), v.components, u.components) or {
+            (c, h): be.comp2(be.comp2(one_m, be.tensor2v(
+                v.components[c], u.components[h])), one_d)
+            for (c, h) in atoms}
     return cell2_along(source, target, fn, comps)
 
 
@@ -926,8 +930,9 @@ def zunino_braiding(a, b):
     if not isinstance(be, VectBackend):
         raise SpanVError("the braiding needs a one-object graded base")
     lhs, rhs = star1(a, b), star1(b, a)
-    comps = {(c, h): be.braid1(a.label[c], b.label[h])
-             for (c, h) in lhs.span.apex}
+    atoms = lhs.span.apex.elements
+    comps = _fill(atoms, be.braid1, a.label, b.label) or {
+        (c, h): be.braid1(a.label[c], b.label[h]) for (c, h) in atoms}
     return cell2_along(lhs, rhs, lambda t: (t[1], t[0]), comps)
 
 

@@ -29,9 +29,21 @@ the sub-span of their target that its atoms reach.  A law is a vertical
 chain of such steps (_relabeled, _whiskered), each built from the
 1-cell the step before lands on, and the last lands in the law's
 target through cell2_along, which checks that landing.
+
+A cell whose atoms all carry one label or component object is built
+and checked once, any other cell atom by atom.  Where a cell is checked
+(the Cell0 and Cell1 constructors and cell2_along), a label or component
+dict holding one object at every key, compared by identity, becomes a
+Uniform: a dict that carries that value.  A builder whose operand dicts
+are all Uniform computes one base value from theirs and fills its dict
+with it (_fill), and the checks compare the one value once, falling
+back to the atom-by-atom loop, and its errors and witnesses, whenever
+anything differs.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_
 
 from .finset_span import (
     FinSet, FinFn, Span, SpanMorphism, _trusted,
@@ -44,6 +56,57 @@ from . import cat_backend as cb
 
 class SpanVError(ValueError):
     """Raised for ill-formed labeled cells and mismatched boundaries."""
+
+
+class Uniform(dict):
+    """A label or component dict holding one object, its value, at every
+    key.  It reads as any dict does; only builders and checks look at
+    the mark."""
+
+    __slots__ = ("value",)
+
+
+def _uniform(keys, value):
+    marked = Uniform.fromkeys(keys, value)
+    marked.value = value
+    return marked
+
+
+def _marked(values):
+    """values as a Uniform when it is not empty and every value in it is
+    one object, compared by identity; values itself otherwise.  Decided
+    where a cell is checked, never in a builder."""
+    if type(values) is Uniform or not values:
+        return values
+    first = next(iter(values.values()))
+    if all(map(is_, values.values(), repeat(first))):
+        return _uniform(values, first)
+    return values
+
+
+def _fill(keys, op, *operands):
+    """The Uniform on keys holding op of the operands' values, when keys
+    is not empty and every operand dict is a Uniform; None otherwise, for
+    the builder to build its dict atom by atom instead."""
+    for operand in operands:
+        if type(operand) is not Uniform:
+            return None
+    if keys:
+        return _uniform(keys, op(*[operand.value for operand in operands]))
+    return None
+
+
+def _covers(values, atoms):
+    """Whether values has a key at each of atoms."""
+    return all(map(values.__contains__, atoms))
+
+
+def _agree_once(eq, mine, theirs, atoms):
+    """Whether mine and theirs are Uniforms with a key at each of atoms
+    whose values agree under eq: the one comparison for all of atoms."""
+    return type(mine) is Uniform and type(theirs) is Uniform \
+        and eq(mine.value, theirs.value) \
+        and _covers(mine, atoms) and _covers(theirs, atoms)
 
 
 class Backend:
@@ -367,16 +430,20 @@ class Cell0:
     label: dict = field(compare=False)
 
     def __post_init__(self):
-        for x in self.carrier:
-            if x not in self.label:
-                raise SpanVError("0-cell label missing at %r" % (x,))
+        if not _covers(self.label, self.carrier.elements):
+            for x in self.carrier:
+                if x not in self.label:
+                    raise SpanVError("0-cell label missing at %r" % (x,))
+        object.__setattr__(self, "label", _marked(self.label))
 
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Cell0) and self.backend == other.backend
             and self.carrier == other.carrier
-            and all(self.backend.eq0(self.label[x], other.label[x])
-                    for x in self.carrier))
+            and (_agree_once(self.backend.eq0, self.label, other.label,
+                             self.carrier.elements)
+                 or all(self.backend.eq0(self.label[x], other.label[x])
+                        for x in self.carrier)))
 
     def __hash__(self):
         return hash(self.carrier)
@@ -396,6 +463,15 @@ class Cell1:
         be = self.backend
         if self.span.src != self.src.carrier or self.span.tgt != self.tgt.carrier:
             raise SpanVError("span boundary does not match 0-cell carriers")
+        label = _marked(self.label)
+        object.__setattr__(self, "label", label)
+        src, tgt = self.src.label, self.tgt.label
+        if type(label) is Uniform and type(src) is Uniform \
+                and type(tgt) is Uniform \
+                and _covers(label, self.span.apex.elements) \
+                and be.eq0(be.src1(label.value), src.value) \
+                and be.eq0(be.tgt1(label.value), tgt.value):
+            return
         for c in self.span.apex:
             if c not in self.label:
                 raise SpanVError("1-cell label missing at %r" % (c,))
@@ -410,8 +486,10 @@ class Cell1:
             isinstance(other, Cell1) and self.backend == other.backend
             and self.src == other.src and self.tgt == other.tgt
             and self.span == other.span
-            and all(self.backend.eq1(self.label[c], other.label[c])
-                    for c in self.span.apex))
+            and (_agree_once(self.backend.eq1, self.label, other.label,
+                             self.span.apex.elements)
+                 or all(self.backend.eq1(self.label[c], other.label[c])
+                        for c in self.span.apex)))
 
     def __hash__(self):
         return hash(self.span)
@@ -436,6 +514,12 @@ class Cell2:
         if s.src != t.src or s.tgt != t.tgt:
             raise SpanVError("2-cell 0-cell boundaries must agree")
         components, image = self.components, self.morphism.map.assignment
+        if type(components) is Uniform and type(s.label) is Uniform \
+                and type(t.label) is Uniform \
+                and _covers(components, s.span.apex.elements) \
+                and be.eq1(be.src2(components.value), s.label.value) \
+                and be.eq1(be.tgt2(components.value), t.label.value):
+            return
         for c in s.span.apex.elements:
             if c not in components:
                 raise SpanVError("component missing at %r" % (c,))
@@ -460,14 +544,17 @@ class Cell2:
 
 def identity_cell1(x):
     """The identity 1-cell: trivial span, identity labels."""
-    span = Span.identity(x.carrier)
-    label = {c: x.backend.id1(x.label[c]) for c in x.carrier.elements}
-    return _trusted(Cell1, x.backend, x, x, span, label)
+    span, be, atoms = Span.identity(x.carrier), x.backend, x.carrier.elements
+    label = _fill(atoms, be.id1, x.label) or {
+        c: be.id1(x.label[c]) for c in atoms}
+    return _trusted(Cell1, be, x, x, span, label)
 
 
 def identity_cell2(a):
-    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span), {
-        c: a.backend.id2(a.label[c]) for c in a.span.apex.elements})
+    be, atoms = a.backend, a.span.apex.elements
+    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span),
+                    _fill(atoms, be.id2, a.label)
+                    or {c: be.id2(a.label[c]) for c in atoms})
 
 
 def cell2_along(source, target, fn, components):
@@ -476,14 +563,15 @@ def cell2_along(source, target, fn, components):
 
     It builds the FinFn, the SpanMorphism and the Cell2 through _trusted
     and runs each class's own checks on it after it is built, in that
-    order: the checked constructors' errors, in their order."""
+    order: the checked constructors' errors, in their order.  It decides
+    whether the components are Uniform."""
     s, t = source.span, target.span
     image = _trusted(FinFn, s.apex, t.apex,
                      {c: fn(c) for c in s.apex.elements})
     FinFn.__post_init__(image)
     morphism = _trusted(SpanMorphism, s, t, image)
     SpanMorphism.__post_init__(morphism)
-    cell = _trusted(Cell2, source, target, morphism, components)
+    cell = _trusted(Cell2, source, target, morphism, _marked(components))
     Cell2.__post_init__(cell)
     return cell
 
@@ -501,8 +589,10 @@ def vcomp2(second, first):
                         second.morphism.target, _trusted(
                             FinFn, f.domain, g.codomain,
                             {c: gm[fm[c]] for c in f.domain.elements}))
-    comps = {c: be.vcomp(second.components[fm[c]], first.components[c])
-             for c in f.domain.elements}
+    atoms = f.domain.elements
+    comps = _fill(atoms, be.vcomp, second.components, first.components) or {
+        c: be.vcomp(second.components[fm[c]], first.components[c])
+        for c in atoms}
     return _trusted(Cell2, first.source, second.target, morphism, comps)
 
 
@@ -516,9 +606,9 @@ def _composite(b, a, span):
     """b after a on span, their pullback composite computed elsewhere."""
     if b.src != a.tgt:
         raise SpanVError("horizontal composition boundary mismatch")
-    be = a.backend
-    label = {(d, c): be.comp1(b.label[d], a.label[c])
-             for (d, c) in span.apex.elements}
+    be, atoms = a.backend, span.apex.elements
+    label = _fill(atoms, be.comp1, b.label, a.label) or {
+        (d, c): be.comp1(b.label[d], a.label[c]) for (d, c) in atoms}
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
@@ -532,9 +622,10 @@ def hcomp2(g, f, source=None):
                                         source and source.span)
     source = source or _composite(g.source, f.source, morphism.source)
     target = _composite(g.target, f.target, morphism.target)
-    be = source.backend
-    comps = {(d, c): be.comp2(g.components[d], f.components[c])
-             for (d, c) in source.span.apex.elements}
+    be, atoms = source.backend, source.span.apex.elements
+    comps = _fill(atoms, be.comp2, g.components, f.components) or {
+        (d, c): be.comp2(g.components[d], f.components[c])
+        for (d, c) in atoms}
     return _trusted(Cell2, source, target, morphism, comps)
 
 
@@ -553,10 +644,11 @@ def tensor0(a, b):
     """The product 0-cell, kept on a by b's identity: checks on it hit is."""
     hit = vars(a).setdefault("_tensors", {}).get(id(b))
     if hit is None:
-        carrier = FinSet.product(a.carrier, b.carrier)
-        hit = a._tensors[id(b)] = (b, _trusted(Cell0, a.backend, carrier, {
-            (k, l): a.backend.tensor0v(a.label[k], b.label[l])
-            for (k, l) in carrier.elements}))
+        be, carrier = a.backend, FinSet.product(a.carrier, b.carrier)
+        atoms = carrier.elements
+        label = _fill(atoms, be.tensor0v, a.label, b.label) or {
+            (k, l): be.tensor0v(a.label[k], b.label[l]) for (k, l) in atoms}
+        hit = a._tensors[id(b)] = (b, _trusted(Cell0, be, carrier, label))
     return hit[1]
 
 
@@ -565,8 +657,9 @@ def tensor1(a, b, atoms=None):
     be = a.backend
     src, tgt = tensor0(a.src, b.src), tensor0(a.tgt, b.tgt)
     span = cartesian_product(a.span, b.span, atoms, src.carrier, tgt.carrier)
-    label = {(c, d): be.tensor1v(a.label[c], b.label[d])
-             for (c, d) in span.apex.elements}
+    pairs = span.apex.elements
+    label = _fill(pairs, be.tensor1v, a.label, b.label) or {
+        (c, d): be.tensor1v(a.label[c], b.label[d]) for (c, d) in pairs}
     return _trusted(Cell1, be, src, tgt, span, label)
 
 
@@ -583,8 +676,10 @@ def tensor2(u, v, source=None):
     target = tensor1(u.target, v.target,
                      None if whole else assignment.values())
     fn = _trusted(FinFn, apex, target.span.apex, assignment)
-    comps = {(c, d): be.tensor2v(u.components[c], v.components[d])
-             for (c, d) in apex.elements}
+    comps = _fill(apex.elements, be.tensor2v, u.components,
+                  v.components) or {
+        (c, d): be.tensor2v(u.components[c], v.components[d])
+        for (c, d) in apex.elements}
     return _trusted(Cell2, source, target,
                     _trusted(SpanMorphism, source.span, target.span, fn), comps)
 
@@ -601,9 +696,10 @@ def regroup_cell1(src, tgt, fn, atoms=None):
     span = _trusted(Span, src.carrier, tgt.carrier, apex,
                     _trusted(FinFn, apex, tgt.carrier, left),
                     _trusted(FinFn, apex, src.carrier, {c: c for c in left}))
-    return _trusted(Cell1, be, src, tgt, span, {
-        c: be.reshape1(src.label[c], tgt.label[d], fn)
-        for c, d in left.items()})
+    return _trusted(Cell1, be, src, tgt, span, _fill(
+        apex.elements, lambda x, y: be.reshape1(x, y, fn), src.label,
+        tgt.label) or {c: be.reshape1(src.label[c], tgt.label[d], fn)
+                       for c, d in left.items()})
 
 
 def relabel_cell2(source, target, fn):
@@ -611,9 +707,10 @@ def relabel_cell2(source, target, fn):
     cell2_along).  Valid when each source label equals the label of its
     image on the nose, as for every re-bracketing or collapse over the
     strict backends."""
-    be = source.backend
-    return cell2_along(source, target, fn, {
-        c: be.id2(source.label[c]) for c in source.span.apex.elements})
+    be, atoms = source.backend, source.span.apex.elements
+    return cell2_along(source, target, fn, _fill(
+        atoms, be.id2, source.label) or {
+            c: be.id2(source.label[c]) for c in atoms})
 
 
 def regroup(t):
@@ -675,10 +772,11 @@ def interchange_cell2(f, g, h, k, product=tensor1, source=None):
     onto = image_atoms(interchange_atoms, lhs, source is None)
     rhs = product(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
                   onto)
-    be = lhs.backend
-    comps = {((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2],
-                                         h.label[c], k.label[c2])
-             for ((d, d2), (c, c2)) in lhs.span.apex}
+    be, atoms = lhs.backend, lhs.span.apex.elements
+    comps = _fill(atoms, be.mid4, f.label, g.label, h.label, k.label) or {
+        ((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2], h.label[c],
+                                    k.label[c2])
+        for ((d, d2), (c, c2)) in atoms}
     return cell2_along(lhs, rhs, interchange_atoms, comps)
 
 
@@ -716,8 +814,10 @@ def _whiskered(cell, g, f, fn, into):
     if isinstance(into, tuple):
         into = hcomp1(*into, [fn((gm[d], fm[c]))
                               for d, c in cell.target.span.apex.elements])
-    comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
-                         cell.components[x]) for x, (d, c) in image.items()}
+    comps = _fill(image, lambda gd, fc, x: be.vcomp(be.comp2(gd, fc), x),
+                  g.components, f.components, cell.components) or {
+        x: be.vcomp(be.comp2(g.components[d], f.components[c]),
+                    cell.components[x]) for x, (d, c) in image.items()}
     return cell2_along(cell.source, into, lambda x: fn((
         gm[image[x][0]], fm[image[x][1]])), comps)
 
@@ -729,6 +829,10 @@ class InverseCellResult:
 
     def __bool__(self):
         return self.inverse is not None
+
+
+class _NotInvertible(Exception):
+    """A component without an inverse; its argument is the witness."""
 
 
 def invert_cell2(u):
@@ -746,12 +850,19 @@ def invert_cell2(u):
                     None, ("span map not injective", (seen[d], c)))
             seen[d] = c
     be, fn = u.backend, u.morphism.map
-    comps = {}
-    for c in u.source.span.apex:
-        inv, witness = be.invert2(u.components[c])
+    image, atoms = fn.assignment, u.source.span.apex.elements
+
+    def inverse(phi, c):
+        inv, witness = be.invert2(phi)
         if inv is None:
-            return InverseCellResult(None, ("component not invertible", c, witness))
-        comps[fn(c)] = inv
+            raise _NotInvertible(("component not invertible", c, witness))
+        return inv
+    try:
+        comps = _fill(map(image.__getitem__, atoms) if atoms else (),
+                      lambda phi: inverse(phi, atoms[0]), u.components) or {
+            image[c]: inverse(u.components[c], c) for c in atoms}
+    except _NotInvertible as failure:
+        return InverseCellResult(None, failure.args[0])
     return InverseCellResult(_trusted(Cell2, u.target, u.source, _trusted(
         SpanMorphism, u.morphism.target, u.morphism.source, _trusted(
             FinFn, fn.codomain, fn.domain, {fn(c): c for c in fn.domain})),
@@ -773,6 +884,10 @@ def eq2(u, v, transport=()):
     be = u.backend
     if u.source != v.source or u.target != v.target:
         return Verdict(False, witness="boundary mismatch")
+    if _agree_once(be.eq2, u.components, v.components,
+                   u.source.span.apex.elements) \
+            and u.morphism.map == v.morphism.map:
+        return Verdict(True)
     for c in u.source.span.apex:
         if u.morphism.map(c) != v.morphism.map(c):
             return Verdict(False, witness=("span map", c))
