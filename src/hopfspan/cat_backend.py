@@ -21,7 +21,10 @@ constructors, while the identities and composites of checked ones are
 not; a composite still checks the boundary it composes across.
 Composites and identities are built once per pair of operands and kept
 on the left operand (an identity on its category), and a composite with
-an identity functor is the other operand.
+an identity functor is the other operand.  Likewise the identity
+transformation on a functor is built once and kept on it: a vertical
+composite with it is the other operand, and the horizontal composite
+of two is the identity on the composite functor.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -425,6 +428,9 @@ class FunctorData:
     omap: FinFn
     mmap: FinFn
 
+    # The identity transformation on this functor, once built.
+    _id2 = None
+
     def __post_init__(self):
         dom, cod = self.dom, self.cod
         omap, mmap = self.omap.assignment, self.mmap.assignment
@@ -443,6 +449,14 @@ class FunctorData:
         for (g, f) in generating_pairs(dom):
             if mmap[dom_comp[(g, f)]] != cod_comp[(mmap[g], mmap[f])]:
                 raise CatError("functor breaks composition at %r" % ((g, f),))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not FunctorData:
+            return NotImplemented
+        return (self.dom, self.cod, self.omap, self.mmap) == \
+            (other.dom, other.cod, other.omap, other.mmap)
 
     @staticmethod
     def identity(c):
@@ -510,23 +524,34 @@ class NatTransData:
                 raise CatError("naturality fails at %r" % (m,))
 
     def __eq__(self, other):
-        return (isinstance(other, NatTransData)
-                and self.source == other.source and self.target == other.target
-                and all(self.components[x] == other.components[x]
-                        for x in self.source.dom.objects))
+        return self is other or (
+            isinstance(other, NatTransData)
+            and self.source == other.source and self.target == other.target
+            and all(self.components[x] == other.components[x]
+                    for x in self.source.dom.objects))
 
     def __hash__(self):
         return hash((self.source, self.target))
 
     @staticmethod
     def identity(F):
-        return _trusted(NatTransData, F, F, {x: F.cod.identities(F.omap(x))
-                                             for x in F.dom.objects})
+        """The identity transformation on F, built once and kept on F."""
+        ident = F._id2
+        if ident is None:
+            ident = _trusted(NatTransData, F, F, {
+                x: F.cod.identities(F.omap(x)) for x in F.dom.objects})
+            object.__setattr__(F, "_id2", ident)
+        return ident
 
     def vcomp(self, other):
-        """other after self (same functor boundary chain)."""
+        """other after self (same functor boundary chain).  An identity
+        on either side gives the other operand."""
         if self.target != other.source:
             raise CatError("vertical composition boundary mismatch")
+        if self is self.source._id2:
+            return other
+        if other is other.source._id2:
+            return self
         cod = self.source.cod
         comps = {x: cod.composition[(other.components[x], self.components[x])]
                  for x in self.source.dom.objects}
@@ -534,9 +559,12 @@ class NatTransData:
 
     def hcomp(self, other):
         """Horizontal composite: self: F => G on C -> D, other: H => K on
-        D -> E; result H.F => K.G with component K(self_x) after other_{F x}."""
+        D -> E; result H.F => K.G with component K(self_x) after other_{F x}.
+        Of two identities it is the identity on H.F."""
         F, G = self.source, self.target
         H, K = other.source, other.target
+        if self is F._id2 and other is H._id2:
+            return NatTransData.identity(F.then(H))
         E = H.cod
         comps = {x: E.composition[(K.mmap(self.components[x]),
                                    other.components[F.omap(x)])]

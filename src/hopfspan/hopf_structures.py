@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from . import cat_backend as cb
 from . import vect_backend as vb
-from .finset_span import FinFn, FinSet, Span
+from .finset_span import FinFn, FinSet, Span, compose_spans
 from .monoidale_duoidal import (
     ComonoidLabeledCell,
     MonoidalFiber,
@@ -58,10 +58,10 @@ from .spanv_core import (
     CatBackend,
     Cell0,
     Cell1,
+    Cell2,
     SpanVError,
     VectBackend,
     apply_span_F,
-    associator_cell2,
     cell2_along,
     eq2,
     hcomp1,
@@ -70,7 +70,6 @@ from .spanv_core import (
     identity_cell2,
     interchange_cell2,
     invert_cell2,
-    left_unitor_cell2,
     part,
     product_category,
     product_functor,
@@ -82,6 +81,7 @@ from .spanv_core import (
     unit_cell0,
     vcomp2,
     vect_to_cat_functor,
+    _composite,
     _fill,
     _marked,
     _relabeled,
@@ -1349,10 +1349,11 @@ def enumerate_representations(p):
 
 def _category_of_actions(p, shape, objects, arrows):
     """Assemble actions and their morphisms, one fiber morphism per key,
-    into a finite category."""
+    into a finite category.  Each key's fiber is looked up once."""
     objects_f = FinSet(objects)
     morphisms_f = FinSet(arrows)
-    identities = {a: (a, a, tuple((c, shape.fiber(p, c).identities(x))
+    fiber = {c: shape.fiber(p, c) for c in shape.keys}
+    identities = {a: (a, a, tuple((c, fiber[c].identities(x))
                                   for (c, x) in a.objects))
                   for a in objects}
     into = {}
@@ -1363,7 +1364,7 @@ def _category_of_actions(p, shape, objects, arrows):
         left = dict(m2[2])
         for m1 in into.get(m2[0], ()):
             composition[(m2, m1)] = (m1[0], m2[1], tuple(
-                (c, shape.fiber(p, c).compose(left[c], right))
+                (c, fiber[c].compose(left[c], right))
                 for (c, right) in m1[2]))
     return cb.FinCategory(objects_f, morphisms_f,
                           FinFn(morphisms_f, objects_f,
@@ -1388,34 +1389,86 @@ class RestrictedAlgebraComparison:
     report: CheckReport
 
 
-def _restricted_carrier(p, shape, q):
-    """The 1-cell from the unit 0-cell whose apex is the keys, with the
-    point functor at q[c] as the label at c."""
+class _Carrier(NamedTuple):
+    """A restricted carrier 1-cell q with the composite t o q its
+    actions start from, and the steps that every action on it shares:
+    the associator (t o t) o q => t o (t o q) and mu o 1_q, both from
+    (t o t) o q, eta o 1_q and the left unitor, both from id o q, and
+    the identity on t o q, where a morphism's equation starts."""
+
+    q: Cell1
+    tq: Cell1
+    assoc: Cell2
+    mult: Cell2
+    unit: Cell2
+    unitor: Cell2
+    start: Cell2
+
+
+def _restricted_carriers(p, shape):
+    """The carrier at each choice q of one fiber object per key, as a
+    function of q: the 1-cell from the unit 0-cell whose apex is the
+    keys, with the point functor at q[c] as the label at c.
+
+    Every carrier sits on one span, and its composites with t, t o t
+    and the identity on the spans composed from it, each built once per
+    call.  A point functor is built once per fiber object, so carriers
+    share their labels and the functor composites kept on them."""
     be, d = p.backend, p.shape
+    t, mu2, eta2 = p.cells
     one0 = unit_cell0(be)
     span = Span(one0.carrier, d.objects, shape.keys, shape.left,
                 FinFn.constant(shape.keys, one0.carrier, "*"))
-    label = {c: _point_functor(shape.fiber(p, c), q[c]) for c in shape.keys}
-    return Cell1(be, one0, p.cells[0].src, span, label)
+    t_q = compose_spans(t.span, span)
+    tt_q = compose_spans(mu2.source.span, span)
+    t_tq = compose_spans(t.span, t_q)
+    i_q = compose_spans(eta2.source.span, span)
+    points = {(x, y): _point_functor(cat, y)
+              for x, cat in p.base_label.items() for y in cat.objects}
+
+    def carrier(q):
+        q1 = Cell1(be, one0, t.src, span, {
+            c: points[(shape.left(c), q[c])] for c in shape.keys})
+        tq = _composite(t, q1, t_q)
+        ttq, iq = _composite(mu2.source, q1, tt_q), \
+            _composite(eta2.source, q1, i_q)
+        from_ttq, from_iq = identity_cell2(ttq), identity_cell2(iq)
+        idq = identity_cell2(q1)
+        return _Carrier(
+            q1, tq, _relabeled(from_ttq, regroup, _composite(t, tq, t_tq)),
+            _whiskered(from_ttq, mu2, idq, lambda d: d, tq),
+            _whiskered(from_iq, eta2, idq, lambda d: d, tq),
+            _relabeled(from_iq, lambda d: d[1], q1), identity_cell2(tq))
+    return carrier
 
 
-def _algebra_cell(shape, composite, carrier1, rho):
-    """The action 2-cell from composite = t o carrier1 to carrier1,
-    sending slot s to out[s] with component rho[s]."""
-    comps = {s: cb.NatTransData(composite.label[s],
-                                carrier1.label[shape.out[s]], {"*": rho[s]})
-             for s in composite.span.apex}
-    return cell2_along(composite, carrier1, shape.out.__getitem__, comps)
+def _algebra_cell(shape, carrier, rho):
+    """The action 2-cell from t o q to q, sending slot s to out[s] with
+    component rho[s]."""
+    tq, q1 = carrier.tq, carrier.q
+    comps = {s: cb.NatTransData(tq.label[s], q1.label[shape.out[s]],
+                                {"*": rho[s]})
+             for s in tq.span.apex}
+    return cell2_along(tq, q1, shape.out.__getitem__, comps)
 
 
-def _algebra_laws_hold(t, mu2, eta2, q, xi):
-    lhs = vcomp2(xi, vcomp2(hcomp2(identity_cell2(t), xi),
-                            associator_cell2(t, t, q)))
-    rhs = vcomp2(xi, hcomp2(mu2, identity_cell2(q)))
-    if not eq2(lhs, rhs):
+def _algebra_laws_hold(idt, carrier, xi):
+    """Associativity and the unit law of xi, each side a chain from
+    (t o t) o q or id o q: xi (1_t o xi) alpha against xi (mu o 1_q),
+    and xi (eta o 1_q) against the left unitor."""
+    lhs = vcomp2(xi, _whiskered(carrier.assoc, idt, xi, lambda d: d,
+                                carrier.tq))
+    if not eq2(lhs, vcomp2(xi, carrier.mult)):
         return False
-    unit = vcomp2(xi, hcomp2(eta2, identity_cell2(q)))
-    return bool(eq2(unit, left_unitor_cell2(q)))
+    return bool(eq2(vcomp2(xi, carrier.unit), carrier.unitor))
+
+
+def _arrow_holds(idt, a, a_xi, b, b_xi, cell):
+    """cell, from carrier a's q to b's, respects the actions: b_xi
+    (1_t o cell) against cell a_xi, both chains from a's t o q."""
+    return bool(eq2(vcomp2(b_xi, _whiskered(a.start, idt, cell,
+                                            lambda d: d, b.tq)),
+                    vcomp2(cell, a_xi)))
 
 
 def _inclusion_functor(src, tgt):
@@ -1433,31 +1486,36 @@ def em_algebras_restricted(p, kind="modules"):
     the apex, matching the enumerated morphisms, which are one component
     per key.  Both sides take their candidates from _action_candidates
     and _arrow_candidates, but decide them independently: the search in
-    the fibers, the algebras with eq2 on assembled 2-cells.
+    the fibers, the algebras with eq2 on assembled 2-cells.  Every
+    carrier sits on one shared span, as do its composites with t, t o t
+    and the identity, and each law is a chain from its source through
+    the _relabeled and _whiskered steps (_restricted_carriers).  The
+    identity transformations those chains compose with are kept on
+    their functors, where composing with one gives the other operand.
     """
     shape = _action_shape(p, kind)
     if not isinstance(p.backend, CatBackend):
         raise SpanVError("restricted algebras live over the finite-"
                          "category base")
-    t, mu2, eta2 = p.cells
+    idt = identity_cell2(p.cells[0])
+    carrier_at = _restricted_carriers(p, shape)
     algebras = []
     for q, rhos in _action_candidates(p, shape):
-        carrier1 = _restricted_carrier(p, shape, q)
-        composite = hcomp1(t, carrier1)
+        carrier = carrier_at(q)
         for rho in rhos:
-            xi = _algebra_cell(shape, composite, carrier1, rho)
-            if _algebra_laws_hold(t, mu2, eta2, carrier1, xi):
-                algebras.append((_action_of(shape, q, rho), carrier1, xi))
+            xi = _algebra_cell(shape, carrier, rho)
+            if _algebra_laws_hold(idt, carrier, xi):
+                algebras.append((_action_of(shape, q, rho), carrier, xi))
     arrows = []
-    for (a, a_q, a_xi) in algebras:
-        for (b, b_q, b_xi) in algebras:
+    for (a, a_c, a_xi) in algebras:
+        for (b, b_c, b_xi) in algebras:
             for chi in _arrow_candidates(p, shape, a, b):
-                cell = cell2_along(a_q, b_q, lambda c: c,
-                                   {c: cb.NatTransData(a_q.label[c],
-                                                       b_q.label[c], {"*": m})
+                cell = cell2_along(a_c.q, b_c.q, lambda c: c,
+                                   {c: cb.NatTransData(a_c.q.label[c],
+                                                       b_c.q.label[c],
+                                                       {"*": m})
                                     for (c, m) in chi})
-                if eq2(vcomp2(b_xi, hcomp2(identity_cell2(t), cell)),
-                       vcomp2(cell, a_xi)):
+                if _arrow_holds(idt, a_c, a_xi, b_c, b_xi, cell):
                     arrows.append((a, b, chi))
     algebra_cat = _category_of_actions(p, shape, [a for (a, _, _) in algebras],
                                        arrows)

@@ -597,3 +597,16 @@ def test_criterion_18_indiscrete_20_monad_check():
     assert hs.check_monad(e.monad).ok
     finish(18, "monad laws of the indiscrete presentation on 20 objects",
            start, 0.6, 20 ** 4)
+
+
+def test_criterion_19_translation_polyad_z12_modules():
+    start = time.monotonic()
+    names, mul, unit = hs.cyclic_group(12)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    comparison = hs.em_algebras_restricted(
+        hs.translation_polyad(names, mul, unit, fiber), "modules")
+    assert comparison.report.ok, comparison.report.summary()
+    assert len(comparison.algebras.objects) == 12
+    assert len(comparison.algebras.morphisms) == 144
+    finish(19, "modules of the translation polyad over Z_12", start, 1.5,
+           12)

@@ -11,7 +11,7 @@ from hopfspan.cat_backend import (
 )
 from hopfspan.reporting import CheckReport
 from hopfspan.spanv_core import (
-    VectImageBackend, product_category, product_functor,
+    VectImageBackend, product_category, product_functor, product_nat,
     vect_as_lazy_category,
 )
 from hopfspan.vect_backend import (
@@ -534,3 +534,141 @@ def test_products_of_functors_are_shared_per_pair():
     twin = FunctorData(q.dom, q.cod, q.omap, q.mmap)
     assert product_functor(p, twin) == product_functor(p, q)
     assert product_functor(p, twin) is not product_functor(p, q)
+
+
+def componentwise_vcomp(first, second):
+    """second after first, composed component by component and built
+    through the checked constructor."""
+    cod = first.source.cod
+    return NatTransData(first.source, second.target, {
+        x: cod.compose(second.components[x], first.components[x])
+        for x in first.source.dom.objects})
+
+
+def componentwise_hcomp(inner, outer):
+    """outer o inner, composed component by component and built through
+    the checked constructor."""
+    F, G, H, K = inner.source, inner.target, outer.source, outer.target
+    return NatTransData(fresh_composite(F, H), fresh_composite(G, K), {
+        x: H.cod.compose(K.mmap(inner.components[x]),
+                         outer.components[F.omap(x)])
+        for x in F.dom.objects})
+
+
+def same_components(n, m):
+    objects = n.source.dom.objects
+    return [n.components[x] for x in objects] == \
+        [m.components[x] for x in objects]
+
+
+def discrete_case():
+    c = FinCategory.discrete(["a", "b"])
+    swap = FunctorData(
+        c, c, FinFn(c.objects, c.objects, {"a": "b", "b": "a"}),
+        FinFn(c.morphisms, c.morphisms,
+              {("id", "a"): ("id", "b"), ("id", "b"): ("id", "a")}))
+    return [FunctorData.identity(c), swap], [
+        NatTransData(swap, swap, {x: ("id", swap.omap(x)) for x in "ab"})]
+
+
+def indiscrete_case():
+    c = FinCategory.indiscrete(["a", "b", "c"])
+    maps = [dict(zip("abc", images))
+            for images in itertools.product("abc", repeat=3)][::4]
+    functors = [FunctorData(
+        c, c, FinFn(c.objects, c.objects, f),
+        FinFn(c.morphisms, c.morphisms,
+              {(x, y): (f[x], f[y]) for (x, y) in c.morphisms}))
+        for f in maps]
+    return functors, [NatTransData(f, g, {x: (f.omap(x), g.omap(x))
+                                          for x in "abc"})
+                      for f in functors for g in functors]
+
+
+def monoid_functors(c):
+    """The identity first, then every other endomorphism of c."""
+    ident = FunctorData.identity(c)
+    return [ident] + [f for f in s3_endofunctors(c) if f != ident]
+
+
+def monoid_case():
+    c = idempotent_monoid_category()
+    functors = monoid_functors(c)
+    return functors, all_nats(c, functors)
+
+
+def product_case():
+    a, b = idempotent_monoid_category(), s3_category()
+    left, right = monoid_functors(a), monoid_functors(b)[:3]
+    return ([product_functor(f, g) for f in left for g in right],
+            [product_nat(n, m) for n in all_nats(a, left)
+             for m in all_nats(b, right)[::7]])
+
+
+# Endofunctors and transformations between them, with the identity
+# transformation on each functor added; the monoid and the product are
+# not thin, and carry non-identity endo-transformations.
+SHORTCUT_CASES = {"discrete": discrete_case, "indiscrete": indiscrete_case,
+                  "monoid": monoid_case, "product": product_case}
+
+
+@pytest.mark.parametrize("case", sorted(SHORTCUT_CASES))
+def test_identity_shortcuts_match_componentwise_composites(case):
+    functors, nats = SHORTCUT_CASES[case]()
+    nats += [NatTransData.identity(f) for f in functors]
+    if case in ("monoid", "product"):
+        assert any(n.source == n.target and not same_components(
+            n, NatTransData.identity(n.source)) for n in nats)
+    for F in functors:
+        assert NatTransData.identity(F) is NatTransData.identity(F)
+    for n in nats:
+        before = NatTransData.identity(n.source)
+        after = NatTransData.identity(n.target)
+        assert before.vcomp(n) is n and n.vcomp(after) is n
+        assert same_components(before.vcomp(n),
+                               componentwise_vcomp(before, n))
+        assert same_components(n.vcomp(after), componentwise_vcomp(n, after))
+        for m in nats:
+            if m.source == n.target:
+                composite = n.vcomp(m)
+                assert (composite.source, composite.target) == \
+                    (n.source, m.target)
+                assert same_components(composite, componentwise_vcomp(n, m))
+            composite, fresh = n.hcomp(m), componentwise_hcomp(n, m)
+            assert (composite.source, composite.target) == \
+                (fresh.source, fresh.target)
+            assert same_components(composite, fresh)
+    for F in functors:
+        for H in functors:
+            both = NatTransData.identity(F).hcomp(NatTransData.identity(H))
+            assert both is NatTransData.identity(F.then(H))
+            assert same_components(both, componentwise_hcomp(
+                NatTransData.identity(F), NatTransData.identity(H)))
+
+
+def test_identity_shortcuts_keep_nothing_on_the_unit_identity():
+    # Only the unit identity's own identity transformation is kept on
+    # it: composing with it keeps no memo there.
+    c = FinCategory.indiscrete(["a", "b"])
+    ident = FunctorData.identity(TERMINAL)
+    one = NatTransData.identity(ident)
+    for x in c.objects:
+        point = constant_functor(c, x)
+        at = NatTransData.identity(point)
+        assert one.hcomp(at) is at
+        to = NatTransData(point, constant_functor(c, "b"),
+                          {"*": (x, "b")})
+        assert one.hcomp(to).components == to.components
+        assert to.vcomp(NatTransData.identity(to.target)) is to
+    assert set(vars(ident)) == {"dom", "cod", "omap", "mmap", "_id2"}
+    assert set(vars(one)) == {"source", "target", "components"}
+
+
+def test_functor_and_transformation_equality_start_with_identity():
+    c = s3_category()
+    f = s3_endofunctors(c)[1]
+    twin = FunctorData(f.dom, f.cod, f.omap, f.mmap)
+    assert f == f and f == twin and twin == f and hash(twin) == hash(f)
+    assert f != FunctorData.identity(c) and f != "f"
+    n = NatTransData.identity(f)
+    assert n == n and n == NatTransData(f, f, dict(n.components))

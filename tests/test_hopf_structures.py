@@ -3,13 +3,15 @@ import itertools
 import pathlib
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan.cli import load_document, load_path
-from hopfspan.finset_span import FinSet, FinFn, SpanMorphism
+from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
+from hopfspan.reporting import CheckReport
 from hopfspan.vect_backend import ONE, BraidParam, VMorphism, VObject, \
     braiding, tensor_obj, unit_object
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
@@ -18,10 +20,10 @@ from hopfspan.monoidale_duoidal import (
     induced_monoidale, star2,
 )
 from hopfspan.spanv_core import (
-    SpanVError, CatBackend, VectBackend, Cell2, associator_cell2,
-    cell2_along, eq2, hcomp1, hcomp2, right_unitor_cell2,
+    SpanVError, CatBackend, VectBackend, Cell1, Cell2, associator_cell2,
+    cell2_along, eq2, hcomp1, hcomp2, left_unitor_cell2, right_unitor_cell2,
     identity_cell1, identity_cell2, interchange_cell2, invert_cell2,
-    product_category, relabel_cell2, tensor1, tensor2, vcomp2,
+    product_category, relabel_cell2, tensor1, tensor2, unit_cell0, vcomp2,
 )
 from hopfspan.hopf_structures import (
     AntipodeFamily, ComonoidStructure, EnrichedCatPresentation,
@@ -1034,6 +1036,187 @@ def test_restricted_algebras_reject_unknown_kinds():
         em_algebras_restricted(polyad_fixture("identity", "discrete"),
                                "comodules")
     assert "unknown kind" in str(err.value)
+
+
+# The whole-cell law formulas that the chains of em_algebras_restricted
+# replaced, kept as their oracle: each candidate's carrier on a span of
+# its own, its action on the whole composite t o q, and each law through
+# the whole associator and left unitor and hcomp2 with identity 2-cells.
+
+
+def whole_cell_carrier(p, shape, q):
+    be, d = p.backend, p.shape
+    one0 = unit_cell0(be)
+    span = Span(one0.carrier, d.objects, shape.keys, shape.left,
+                FinFn.constant(shape.keys, one0.carrier, "*"))
+    return Cell1(be, one0, p.cells[0].src, span,
+                 {c: hs._point_functor(shape.fiber(p, c), q[c])
+                  for c in shape.keys})
+
+
+def whole_cell_action(shape, t, q1, rho):
+    composite = hcomp1(t, q1)
+    return cell2_along(composite, q1, shape.out.__getitem__, {
+        s: NatTransData(composite.label[s], q1.label[shape.out[s]],
+                        {"*": rho[s]}) for s in composite.span.apex})
+
+
+def whole_cell_laws_hold(p, q1, xi):
+    t, mu2, eta2 = p.cells
+    lhs = vcomp2(xi, vcomp2(hcomp2(identity_cell2(t), xi),
+                            associator_cell2(t, t, q1)))
+    if not eq2(lhs, vcomp2(xi, hcomp2(mu2, identity_cell2(q1)))):
+        return False
+    unit = vcomp2(xi, hcomp2(eta2, identity_cell2(q1)))
+    return bool(eq2(unit, left_unitor_cell2(q1)))
+
+
+def whole_cell_arrow_holds(p, a_q, a_xi, b_q, b_xi, chi):
+    cell = cell2_along(a_q, b_q, lambda c: c, {
+        c: NatTransData(a_q.label[c], b_q.label[c], {"*": m})
+        for (c, m) in chi})
+    return bool(eq2(vcomp2(b_xi, hcomp2(identity_cell2(p.cells[0]), cell)),
+                    vcomp2(cell, a_xi)))
+
+
+def whole_cell_em_algebras(p, kind):
+    """em_algebras_restricted with every law on whole cells."""
+    shape = hs._action_shape(p, kind)
+    algebras = []
+    for q, rhos in hs._action_candidates(p, shape):
+        q1 = whole_cell_carrier(p, shape, q)
+        for rho in rhos:
+            xi = whole_cell_action(shape, p.cells[0], q1, rho)
+            if whole_cell_laws_hold(p, q1, xi):
+                algebras.append((hs._action_of(shape, q, rho), q1, xi))
+    arrows = [(a, b, chi) for (a, a_q, a_xi) in algebras
+              for (b, b_q, b_xi) in algebras
+              for chi in hs._arrow_candidates(p, shape, a, b)
+              if whole_cell_arrow_holds(p, a_q, a_xi, b_q, b_xi, chi)]
+    return [a for (a, _, _) in algebras], arrows
+
+
+class Decided(NamedTuple):
+    """A candidate action on both routes, with both law verdicts."""
+
+    action: object
+    carrier: object
+    xi: object
+    whole_q: object
+    whole_xi: object
+    chain: bool
+    whole: bool
+
+
+def decide_both_ways(p, shape, carrier_at, q, rho):
+    carrier, q1 = carrier_at(q), whole_cell_carrier(p, shape, q)
+    xi = hs._algebra_cell(shape, carrier, rho)
+    whole = whole_cell_action(shape, p.cells[0], q1, rho)
+    return Decided(hs._action_of(shape, q, rho), carrier, xi, q1, whole,
+                   hs._algebra_laws_hold(identity_cell2(p.cells[0]),
+                                         carrier, xi),
+                   whole_cell_laws_hold(p, q1, whole))
+
+
+def assert_chains_match_whole_cells(p, kind, corrupt=None):
+    """Candidate by candidate, the same verdict on both routes: the
+    algebra laws of every candidate action, then, given corrupt, of each
+    lawful one with corrupt applied to its actions, and the arrow
+    equation between every two of those of which one is lawful.
+    Returns the decided candidates and the arrow verdicts."""
+    shape = hs._action_shape(p, kind)
+    idt = identity_cell2(p.cells[0])
+    carrier_at = hs._restricted_carriers(p, shape)
+    found = [decide_both_ways(p, shape, carrier_at, q, rho)
+             for q, rhos in hs._action_candidates(p, shape) for rho in rhos]
+    if corrupt:
+        found += [decide_both_ways(p, shape, carrier_at,
+                                   dict(c.action.objects),
+                                   corrupt(dict(c.action.actions)))
+                  for c in found if c.chain]
+    assert [c.chain for c in found] == [c.whole for c in found]
+    arrows = []
+    for a in found:
+        for b in found:
+            if not (a.chain or b.chain):
+                continue
+            for chi in hs._arrow_candidates(p, shape, a.action, b.action):
+                cell = cell2_along(a.carrier.q, b.carrier.q, lambda c: c, {
+                    c: NatTransData(a.carrier.q.label[c],
+                                    b.carrier.q.label[c], {"*": m})
+                    for (c, m) in chi})
+                chain = hs._arrow_holds(idt, a.carrier, a.xi, b.carrier,
+                                        b.xi, cell)
+                assert chain == whole_cell_arrow_holds(
+                    p, a.whole_q, a.whole_xi, b.whole_q, b.whole_xi, chi)
+                arrows.append(chain)
+    return found, arrows
+
+
+def assert_same_comparison(p, kind):
+    cmp = em_algebras_restricted(p, kind)
+    objects, arrows = whole_cell_em_algebras(p, kind)
+    assert cmp.algebras.objects.elements == tuple(objects)
+    assert cmp.algebras.morphisms.elements == tuple(arrows)
+    enumerated = hs._enumerate_actions(p, kind)
+    report = CheckReport("restricted algebras (%s)" % kind)
+    if len(enumerated.objects) != len(objects):
+        report.fail("object count", (len(enumerated.objects), len(objects)))
+    if len(enumerated.morphisms) != len(arrows):
+        report.fail("morphism count", (len(enumerated.morphisms),
+                                       len(arrows)))
+    assert cmp.report == report
+    if report.ok:
+        assert (cmp.forward.omap, cmp.forward.mmap) == (
+            FinFn.identity(enumerated.objects),
+            FinFn.identity(enumerated.morphisms))
+        assert (cmp.backward.omap, cmp.backward.mmap) == (
+            FinFn.identity(cmp.algebras.objects),
+            FinFn.identity(cmp.algebras.morphisms))
+    return cmp
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_law_chains_match_the_whole_cell_formulas(name, fiber_kind, kind):
+    p = polyad_fixture(name, fiber_kind)
+    found, arrows = assert_chains_match_whole_cells(p, kind)
+    objs, mors = COUNTS[(name, fiber_kind, kind)]
+    assert sum(c.chain for c in found) == objs
+    if fiber_kind == "endomorphisms":
+        # The fiber is not thin: candidates fail, and so do arrows.
+        assert not all(c.chain for c in found) and not all(arrows)
+    assert_same_comparison(p, kind)
+
+
+def corrupted_mu(p):
+    """p with the multiplication at (b, b) acting by z, natural since
+    the idempotent monoid is commutative: its cells build, but its laws
+    read a wrong component."""
+    ident = p.mor_label["b"]
+    mu = dict(p.mu)
+    mu[("b", "b")] = NatTransData(ident, ident, {"*": "z"})
+    return MonadPresentation(p.backend, p.shape, p.base_label, p.mor_label,
+                             mu, p.eta)
+
+
+@pytest.mark.parametrize("kind", ["modules", "representations"])
+def test_law_chains_match_with_one_mu_component_corrupted(kind):
+    p = corrupted_mu(polyad_fixture("identity", "endomorphisms"))
+    found, _ = assert_chains_match_whole_cells(p, kind)
+    assert not all(c.chain for c in found)
+    assert_same_comparison(p, kind)
+
+
+def test_law_chains_match_with_one_action_corrupted():
+    # Every lawful module acts by e; acting by z along b instead breaks
+    # associativity at (b, b) on both routes, and the arrow equations
+    # into and out of it are decided alike.
+    p = polyad_fixture("identity", "endomorphisms")
+    found, arrows = assert_chains_match_whole_cells(
+        p, "modules", lambda rho: {**rho, ("b", "*"): "z"})
+    lawful = sum(c.chain for c in found[:-1])
+    assert lawful == 1 and not found[-1].chain and not found[-1].whole
+    assert True in arrows and False in arrows
 
 
 # The per-kind enumeration that the single action enumeration replaced,

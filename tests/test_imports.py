@@ -260,11 +260,13 @@ def test_a_2_cell_is_restricted_only_by_its_source():
 STEPS = {
     "_relabeled": {"monoidale_duoidal": {
         "_triangle_left", "_triangle_right", "_frobenius_shared_prefix",
-        "_core_steps"}, "hopf_structures": {"check_opmonoidal"}},
+        "_core_steps"}, "hopf_structures": {
+            "check_opmonoidal", "_restricted_carriers.carrier"}},
     "_whiskered": {"monoidale_duoidal": {
         "_triangle_left", "_triangle_right", "_alpha_reversed",
         "_frobenius_shared_prefix", "_comparison_cells"},
-        "hopf_structures": {"_fusion"}},
+        "hopf_structures": {"_fusion", "_restricted_carriers.carrier",
+                            "_algebra_laws_hold", "_arrow_holds"}},
 }
 
 
