@@ -19,12 +19,9 @@ check whose domain is a product runs on its generators (f, 1) and
 Functors and natural transformations are checked when built by their
 constructors, while the identities and composites of checked ones are
 not; a composite still checks the boundary it composes across.
-Composites and identities are built once per pair of operands and kept
-on the left operand (an identity on its category), and a composite with
-an identity functor is the other operand.  Likewise the identity
-transformation on a functor is built once and kept on it: a vertical
-composite with it is the other operand, and the horizontal composite
-of two is the identity on the composite functor.
+A composite with an identity functor, or a vertical one with an
+identity transformation, is the other operand, and the horizontal
+composite of two identities is the identity on the composite functor.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -35,7 +32,7 @@ category is built next to the image backend in spanv_core.
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .finset_span import FinSet, FinFn, _trusted
+from .finset_span import FinSet, FinFn, _kept, _owns_no_memo, _trusted
 from .reporting import CheckReport, Verdict
 
 
@@ -409,9 +406,8 @@ def generating_pairs(c):
     return pairs
 
 
-# The unit of the product: one object, so that every unit label and the
-# products cached on it are shared.
-TERMINAL = FinCategory.discrete(["*"])
+# The unit of the product, one object: every unit label shares it.
+TERMINAL = _owns_no_memo(FinCategory.discrete(["*"]), process_wide=True)
 
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse."""
@@ -463,26 +459,24 @@ class FunctorData:
         """The identity functor on c, built once and kept on c."""
         ident = c._identity
         if ident is None:
-            ident = _trusted(FunctorData, c, c, FinFn.identity(c.objects),
-                             FinFn.identity(c.morphisms))
+            ident = _owns_no_memo(_trusted(
+                FunctorData, c, c, FinFn.identity(c.objects),
+                FinFn.identity(c.morphisms)))
             object.__setattr__(c, "_identity", ident)
         return ident
 
     def then(self, other):
         """other after self; out of a product, mapped on lookup.  A
-        composite with an identity functor is the other operand, and
-        any other is built once and kept on self, keyed by other's id
-        and held with other, so that the id is not reused."""
+        composite with an identity functor is the other operand."""
         if other.dom != self.cod:
             raise CatError("functors are not composable")
         if self is self.dom._identity:
             return other
         if other is other.dom._identity:
             return self
-        composites = vars(self).setdefault("_composites", {})
-        hit = composites.get(id(other))
-        if hit is not None:
-            return hit[1]
+        return _kept(FunctorData._composite, self, other)
+
+    def _composite(self, other):
         dom, cod = self.dom, other.cod
         if product_factors(dom) is None:
             omap = other.omap.compose(self.omap)
@@ -492,9 +486,7 @@ class FunctorData:
                 dom.objects, other.omap.assignment, self.omap.assignment))
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, ComposedMap(
                 dom.morphisms, other.mmap.assignment, self.mmap.assignment))
-        composite = _trusted(FunctorData, dom, cod, omap, mmap)
-        composites[id(other)] = (other, composite)
-        return composite
+        return _trusted(FunctorData, dom, cod, omap, mmap)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ stores the fields straight into the new value.
 """
 
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 
 class SpanError(ValueError):
@@ -53,6 +54,54 @@ def _builder(cls):
     scope = {"new": object.__new__, "cls": cls}
     exec("\n".join(lines), scope)
     return scope[cls.__name__]
+
+
+# The memos of the values that own none (see _kept), and that of the
+# values built of process-wide values alone, which live as long as those.
+_NO_MEMO = MappingProxyType({})
+_PROCESS_WIDE = MappingProxyType({})
+_PROCESS_WIDE_MEMO = {}
+
+
+def _kept(build, *operands):
+    """build(*operands), built once per tuple of operands: the one
+    keep-rule of the package.  The result is kept in the memo of the
+    first operand that may own one (its _memo, a dict set on first
+    use), keyed by build and the operands' ids and holding the other
+    operands, so that no id is reused while it lives.  An identity owns
+    no memo, nor does a value that lives as long as the process
+    (cat_backend.TERMINAL, vect_backend._UNIT), where a memo would keep
+    every operand it met alive: _owns_no_memo marks them.  What is built
+    of process-wide values alone is one too, kept in _PROCESS_WIDE_MEMO;
+    with no owner otherwise, the result is built at every call."""
+    # Most calls have two operands; map would cost more than the lookup.
+    key = (build, id(operands[0]), id(operands[1])) if len(operands) == 2 \
+        else (build, *map(id, operands))
+    for owner in operands:
+        memo = getattr(owner, "_memo", None)
+        if memo is None:
+            object.__setattr__(owner, "_memo", memo := {})
+        if type(memo) is dict:
+            break
+    else:
+        if any(operand._memo is not _PROCESS_WIDE for operand in operands):
+            return build(*operands)
+        memo, owner = _PROCESS_WIDE_MEMO, None
+    hit = memo.get(key)
+    if hit is None:
+        held = tuple(operand for operand in operands if operand is not owner)
+        hit = memo[key] = (held, build(*operands))
+        if owner is None:
+            _owns_no_memo(hit[1], process_wide=True)
+    return hit[1]
+
+
+def _owns_no_memo(value, process_wide=False):
+    """value, an identity or a value that lives as long as the process,
+    marked as owning no memo (see _kept)."""
+    object.__setattr__(value, "_memo",
+                       _PROCESS_WIDE if process_wide else _NO_MEMO)
+    return value
 
 
 @dataclass(frozen=True)

@@ -1489,9 +1489,7 @@ def em_algebras_restricted(p, kind="modules"):
     the fibers, the algebras with eq2 on assembled 2-cells.  Every
     carrier sits on one shared span, as do its composites with t, t o t
     and the identity, and each law is a chain from its source through
-    the _relabeled and _whiskered steps (_restricted_carriers).  The
-    identity transformations those chains compose with are kept on
-    their functors, where composing with one gives the other operand.
+    the _relabeled and _whiskered steps (_restricted_carriers).
     """
     shape = _action_shape(p, kind)
     if not isinstance(p.backend, CatBackend):

@@ -46,7 +46,7 @@ from itertools import repeat
 from operator import is_
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism, _trusted,
+    FinSet, FinFn, Span, SpanMorphism, _kept, _owns_no_memo, _trusted,
     compose_spans, compose_span_morphisms_h, cartesian_product,
 )
 from .reporting import Verdict
@@ -225,13 +225,9 @@ class VectBackend(_GradedCells):
 
     Horizontal composition and tensor coincide (both are the Kronecker
     tensor); mid4 is 1 tensor braiding tensor 1 and genuinely depends on q.
-    It is memoized on this backend, keyed by the identities of its four
-    (hash-consed) labels.
     """
 
     q: vb.BraidParam
-    _mid4: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def src1(self, p):
         return "*"
@@ -259,14 +255,11 @@ class VectBackend(_GradedCells):
         return vb.unit_object()
 
     def mid4(self, p, q, r, s):
-        key = (id(p), id(q), id(r), id(s))
-        hit = self._mid4.get(key)
-        if hit is None:
-            hit = self._mid4[key] = ((p, q, r, s), vb.tensor_mor(
-                vb.VMorphism.identity(p),
-                vb.tensor_mor(vb.braiding(q, r, self.q),
-                              vb.VMorphism.identity(s))))
-        return hit[1]
+        return _kept(VectBackend._braided_middle, self, p, q, r, s)
+
+    def _braided_middle(self, p, q, r, s):
+        return vb.tensor_mor(vb.VMorphism.identity(p), vb.tensor_mor(
+            vb.braiding(q, r, self.q), vb.VMorphism.identity(s)))
 
 
 class CatBackend(Backend):
@@ -354,14 +347,8 @@ def product_category(a, b):
     """Product of finite categories on pair atoms, componentwise.  Its
     objects and morphisms are the FinSet products, and its composition
     a cb.ProductTable that composes in the factors on lookup, so it is
-    never tabulated.
-
-    Built once per pair of operands and kept on a, keyed by b."""
-    products = vars(a).setdefault("_products", {})
-    p = products.get(b)
-    if p is None:
-        p = products[b] = _product_category(a, b)
-    return p
+    never tabulated."""
+    return _kept(_product_category, a, b)
 
 
 def _product_category(a, b):
@@ -379,28 +366,15 @@ def _product_category(a, b):
 
 
 def product_functor(p, q):
-    """p x q, mapping objects and morphisms on lookup.
-
-    Built once per pair of operands and kept on p, keyed by q's id and
-    held with q, so that the id is not reused.  The product of two
-    identities is the identity of the product, kept on it; an identity
-    functor keeps no other: it is kept on its category, and
-    cb.TERMINAL's lives as long as the process.  Its product with
-    another functor q is kept on q instead, in _left_products, keyed by
-    the identity's id and held with it."""
-    if p is p.dom._identity:
-        if q is q.dom._identity:
-            dom = product_category(p.dom, q.dom)
-            if dom._identity is None:
-                object.__setattr__(dom, "_identity", _product_functor(p, q))
-            return dom._identity
-        products, other = vars(q).setdefault("_left_products", {}), p
-    else:
-        products, other = vars(p).setdefault("_products", {}), q
-    hit = products.get(id(other))
-    if hit is None:
-        hit = products[id(other)] = (other, _product_functor(p, q))
-    return hit[1]
+    """p x q, mapping objects and morphisms on lookup.  The product of
+    two identities is the identity of the product, kept on it."""
+    if p is p.dom._identity and q is q.dom._identity:
+        dom = product_category(p.dom, q.dom)
+        if dom._identity is None:
+            object.__setattr__(dom, "_identity",
+                               _owns_no_memo(_product_functor(p, q)))
+        return dom._identity
+    return _kept(_product_functor, p, q)
 
 
 def _product_functor(p, q):
@@ -641,15 +615,16 @@ def unit_cell0(backend):
 
 
 def tensor0(a, b):
-    """The product 0-cell, kept on a by b's identity: checks on it hit is."""
-    hit = vars(a).setdefault("_tensors", {}).get(id(b))
-    if hit is None:
-        be, carrier = a.backend, FinSet.product(a.carrier, b.carrier)
-        atoms = carrier.elements
-        label = _fill(atoms, be.tensor0v, a.label, b.label) or {
-            (k, l): be.tensor0v(a.label[k], b.label[l]) for (k, l) in atoms}
-        hit = a._tensors[id(b)] = (b, _trusted(Cell0, be, carrier, label))
-    return hit[1]
+    """The product 0-cell, shared: checks on it hit is."""
+    return _kept(_tensor0, a, b)
+
+
+def _tensor0(a, b):
+    be, carrier = a.backend, FinSet.product(a.carrier, b.carrier)
+    atoms = carrier.elements
+    label = _fill(atoms, be.tensor0v, a.label, b.label) or {
+        (k, l): be.tensor0v(a.label[k], b.label[l]) for (k, l) in atoms}
+    return _trusted(Cell0, be, carrier, label)
 
 
 def tensor1(a, b, atoms=None):

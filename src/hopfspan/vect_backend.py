@@ -5,18 +5,15 @@ atoms) carrying integer grades.  Tensor concatenates words and adds grades,
 so the tensor is strictly associative and the one-dimensional empty-word
 object K is a strict unit.
 
-Equal values are shared and the kernel is memoized on operand identity,
-so its work grows with the number of distinct matrices, not with the
-places they appear.  VObject construction is hash-consed through a weak
-table keyed by the normalized basis, so equal objects are one object and
-compare by identity; the table keeps nothing alive.  tensor_obj,
-tensor_mor, compose and VMorphism.identity keep each result on the left
-operand (on the object, for an identity), keyed by the id of the right
-one and holding it, so that id is not reused while the entry lives.  An
-identity on either side of compose, or the identity on K on either side
-of tensor_mor, gives back the other operand, so the identity on K, which
-lives as long as K, never holds an entry.  Morphisms built apart compare
-by exact Fraction equality.
+Equal values are shared and the kernel is memoized on operand identity
+(finset_span._kept), so its work grows with the number of distinct
+matrices, not with the places they appear.  VObject construction is
+hash-consed through a weak table keyed by the normalized basis, so equal
+objects are one object and compare by identity; the table keeps nothing
+alive.  An identity on either side of compose, or the identity on K on
+either side of tensor_mor, gives back the other operand, and the tensor
+of two identities is the identity on their tensor.  Morphisms built
+apart compare by exact Fraction equality.
 
 A morphism is a matrix of exact rationals (fractions.Fraction), rows
 indexed by the codomain basis, stored as the nonzero entries of each row:
@@ -45,6 +42,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .finset_span import _kept, _owns_no_memo
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -72,7 +71,7 @@ class VObject:
     that basis again returns it.  Equality is therefore identity (the
     inherited object equality); the hash is the basis hash."""
 
-    __slots__ = ("basis", "_index", "_hash", "_tensors", "_identity",
+    __slots__ = ("basis", "_index", "_hash", "_memo", "_identity",
                  "__weakref__")
 
     def __new__(cls, basis):
@@ -85,8 +84,7 @@ class VObject:
             raise ValueError("duplicate basis labels")
         self = object.__new__(cls)
         for name, value in (("basis", basis), ("_index", index),
-                            ("_hash", hash(basis)), ("_tensors", {}),
-                            ("_identity", None)):
+                            ("_hash", hash(basis)), ("_identity", None)):
             object.__setattr__(self, name, value)
         _OBJECTS[basis] = self
         return self
@@ -117,8 +115,12 @@ class VObject:
     def ungraded(labels):
         return VObject([(label, 0) for label in labels])
 
+    def _tensor(self, other):
+        return VObject([(la + lb, ga + gb) for (la, ga) in self.basis
+                        for (lb, gb) in other.basis])
 
-_UNIT = VObject([((), 0)])
+
+_UNIT = _owns_no_memo(VObject([((), 0)]), process_wide=True)
 
 
 def unit_object():
@@ -128,19 +130,12 @@ def unit_object():
 
 def tensor_obj(a, b):
     """Concatenate label words and add grades; a-index major order.
-
-    K tensor b is b itself and a tensor K is a.  Any other product is
-    memoized on a, keyed by b's identity."""
+    K tensor b is b itself and a tensor K is a."""
     if a is _UNIT:
         return b
     if b is _UNIT:
         return a
-    hit = a._tensors.get(id(b))
-    if hit is None:
-        hit = a._tensors[id(b)] = (b, VObject([(la + lb, ga + gb)
-                                               for (la, ga) in a.basis
-                                               for (lb, gb) in b.basis]))
-    return hit[1]
+    return _kept(VObject._tensor, a, b)
 
 
 class VMorphism:
@@ -151,13 +146,11 @@ class VMorphism:
     share them.  The constructor takes dense rows and checks their shape;
     the kernel builds its results through _from_rows, and so does the
     file loader's matrix reader, from rows of nonzeros it has parsed and
-    checked itself (no zero stored, every 1 stored as ONE).  _composites and
-    _tensors are the memos of compose and tensor_mor with this morphism
-    on the left, and _inverse the result of invert.
+    checked itself (no zero stored, every 1 stored as ONE).  _inverse is
+    the result of invert.
     """
 
-    __slots__ = ("dom", "cod", "rows", "_composites", "_tensors",
-                 "_inverse")
+    __slots__ = ("dom", "cod", "rows", "_memo", "_inverse")
 
     def __init__(self, dom, cod, entries):
         entries = [tuple(row) for row in entries]
@@ -185,7 +178,6 @@ class VMorphism:
 
     def _set(self, dom, cod, rows):
         for name, value in (("dom", dom), ("cod", cod), ("rows", tuple(rows)),
-                            ("_composites", {}), ("_tensors", {}),
                             ("_inverse", None)):
             object.__setattr__(self, name, value)
 
@@ -216,20 +208,15 @@ class VMorphism:
         return "VMorphism(%d x %d)" % (self.cod.dim, self.dom.dim)
 
     def compose(self, other):
-        """self after other (matrix product).
-
-        An identity on either side gives the other operand; any other
-        product is memoized on self, keyed by other's identity."""
+        """self after other (matrix product).  An identity on either
+        side gives the other operand."""
         if other.cod is not self.dom:
             raise ValueError("composition mismatch: %r then %r" % (other, self))
         if self is self.dom._identity:
             return other
         if other is other.dom._identity:
             return self
-        hit = self._composites.get(id(other))
-        if hit is None:
-            hit = self._composites[id(other)] = (other, self._product(other))
-        return hit[1]
+        return _kept(VMorphism._product, self, other)
 
     def _product(self, other):
         right = other.rows
@@ -298,8 +285,8 @@ class VMorphism:
         """The identity on obj, built once and kept on obj."""
         f = obj._identity
         if f is None:
-            f = VMorphism._from_rows(obj, obj,
-                                     [{i: ONE} for i in range(obj.dim)])
+            f = _owns_no_memo(VMorphism._from_rows(
+                obj, obj, [{i: ONE} for i in range(obj.dim)]))
             object.__setattr__(obj, "_identity", f)
         return f
 
@@ -329,20 +316,17 @@ class BraidParam:
 
 
 def tensor_mor(f, g):
-    """Kronecker product, row-major: row r1*n2+r2, column c1*m2+c2.
-
-    The identity on K on either side gives the other operand; any other
-    product is computed by _kronecker once, memoized on f, keyed by g's
-    identity."""
+    """Kronecker product, row-major: row r1*n2+r2, column c1*m2+c2.  The
+    identity on K on either side gives the other operand, and the product
+    of two identities is the identity on the tensor of their objects."""
     k = _UNIT._identity
     if f is k:
         return g
     if g is k:
         return f
-    hit = f._tensors.get(id(g))
-    if hit is None:
-        hit = f._tensors[id(g)] = (g, _kronecker(f, g))
-    return hit[1]
+    if f is f.dom._identity and g is g.dom._identity:
+        return VMorphism.identity(tensor_obj(f.dom, g.dom))
+    return _kept(_kronecker, f, g)
 
 
 def _kronecker(f, g):

@@ -1,4 +1,4 @@
-"""Acceptance gate: eighteen criteria, one pass line each.
+"""Acceptance gate: nineteen criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails

@@ -449,6 +449,12 @@ def test_check_category_reports_as_the_scan_on_one_corrupted_composite(
 # Functor composites, identities and products, built once per pair.
 
 
+def kept(owner):
+    """The entries of owner's memo (finset_span._kept): the other
+    operands each one holds, and its result."""
+    return list((getattr(owner, "_memo", None) or {}).values())
+
+
 def fresh_composite(f, g):
     """g after f, tabulated through the checked constructor."""
     return FunctorData(
@@ -467,7 +473,7 @@ def test_composites_are_built_once_and_equal_a_fresh_build():
             composite = f.then(g)
             assert f.then(g) is composite
             assert composite == fresh_composite(f, g)
-    assert len(vars(functors[1])["_composites"]) == len(functors)
+    assert len(kept(functors[1])) == len(functors)
 
 
 def test_composites_out_of_a_product_are_built_once_and_read_on_lookup():
@@ -490,7 +496,7 @@ def test_a_composite_with_an_identity_is_the_other_operand():
     assert FunctorData.identity(c) is ident
     for g in s3_endofunctors(c):
         assert ident.then(g) is g and g.then(ident) is g
-    assert "_composites" not in vars(ident)
+    assert not kept(ident)
 
 
 def test_composing_after_the_unit_identity_keeps_no_memo_on_it():
@@ -504,9 +510,7 @@ def test_composing_after_the_unit_identity_keeps_no_memo_on_it():
         assert ident.then(point) is point
         assert product_functor(ident, point) is product_functor(ident, point)
         assert product_functor(point, ident) is product_functor(point, ident)
-    assert "_composites" not in vars(ident)
-    assert "_products" not in vars(ident)
-    assert "_left_products" not in vars(ident)
+    assert not kept(ident) and not kept(TERMINAL)
 
 
 def test_a_product_after_an_identity_is_kept_on_the_other_operand():
@@ -517,11 +521,10 @@ def test_a_product_after_an_identity_is_kept_on_the_other_operand():
         for g in functors:
             product = product_functor(ident, g)
             assert product_functor(ident, g) is product
-            assert vars(g)["_left_products"][id(ident)] == (ident, product)
+            assert ((ident,), product) in kept(g)
             apart = FunctorData(ident.dom, ident.dom, ident.omap, ident.mmap)
             assert product == product_functor(apart, g)
-        assert "_products" not in vars(ident)
-        assert "_left_products" not in vars(ident)
+        assert not kept(ident)
 
 
 def test_products_of_functors_are_shared_per_pair():
@@ -648,7 +651,8 @@ def test_identity_shortcuts_match_componentwise_composites(case):
 
 def test_identity_shortcuts_keep_nothing_on_the_unit_identity():
     # Only the unit identity's own identity transformation is kept on
-    # it: composing with it keeps no memo there.
+    # it, beside the mark of a value that owns no memo: composing with
+    # it keeps no memo there.
     c = FinCategory.indiscrete(["a", "b"])
     ident = FunctorData.identity(TERMINAL)
     one = NatTransData.identity(ident)
@@ -660,7 +664,9 @@ def test_identity_shortcuts_keep_nothing_on_the_unit_identity():
                           {"*": (x, "b")})
         assert one.hcomp(to).components == to.components
         assert to.vcomp(NatTransData.identity(to.target)) is to
-    assert set(vars(ident)) == {"dom", "cod", "omap", "mmap", "_id2"}
+    assert set(vars(ident)) == {"dom", "cod", "omap", "mmap", "_id2",
+                                "_memo"}
+    assert not kept(ident)
     assert set(vars(one)) == {"source", "target", "components"}
 
 

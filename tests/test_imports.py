@@ -103,11 +103,11 @@ TRUSTED = {
                     "SpanMorphism.then", "_in_order", "compose_spans",
                     "compose_span_morphisms_h", "cartesian_product"},
     "cat_backend": {"FinCategory.indiscrete", "FunctorData.identity",
-                    "FunctorData.then", "NatTransData.identity",
+                    "FunctorData._composite", "NatTransData.identity",
                     "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
-                   "_composite", "hcomp2", "tensor0", "tensor1", "tensor2",
+                   "_composite", "hcomp2", "_tensor0", "tensor1", "tensor2",
                    "cell2_along", "regroup_cell1", "invert_cell2"},
 }
 
@@ -167,6 +167,23 @@ def test_trusted_constructors_are_called_only_where_listed():
     found = package_scopes(readers, "_trusted")
     assert found == TRUSTED
     assert not set(found) & {"hopf_structures", "monoidale_duoidal", "cli"}
+
+
+def mentions(source, name):
+    """The enclosing function of every read of name in source, and of
+    every string equal to it (getattr's and setattr's)."""
+    return readers(source, name) | scopes(
+        source, lambda node: isinstance(node, ast.Constant)
+        and node.value == name)
+
+
+def test_only_the_keep_rule_touches_a_memo():
+    # Every value built once per tuple of operands is kept by
+    # finset_span._kept, the one place that decides where it lives; the
+    # kernel's slotted classes only declare the slot.
+    assert package_scopes(mentions, "_memo") == {
+        "finset_span": {"_kept", "_owns_no_memo"},
+        "vect_backend": {"VObject", "VMorphism"}}
 
 
 def test_callers_finds_calls_only():

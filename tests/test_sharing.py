@@ -12,18 +12,23 @@ shared or not.
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
 from hopfspan import cli
+from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan import vect_backend as vb
-from hopfspan.cat_backend import FinCategory
-from hopfspan.finset_span import FinSet
-from hopfspan.monoidale_duoidal import check_frobenius
-from hopfspan.spanv_core import CatBackend, VectBackend
+from hopfspan.cat_backend import TERMINAL, FinCategory, FunctorData
+from hopfspan.finset_span import FinFn, FinSet
+from hopfspan.monoidale_duoidal import check_frobenius, induced_monoidale
+from hopfspan.spanv_core import (
+    CatBackend, VectBackend, product_category, product_functor,
+)
 
 # Every check that reads the structure maps; frobenius reads only the
 # carrier.
@@ -168,3 +173,53 @@ def test_the_category_base_has_one_unit_category():
         fresh_report = check_frobenius(X, FreshUnitCatBackend())
         assert (fresh_report.ok, fresh_report.failures) == \
             (shared.ok, shared.failures)
+
+
+def point_functor(c, x):
+    """The functor from the unit category picking the object x of c."""
+    return FunctorData(TERMINAL, c, FinFn(TERMINAL.objects, c.objects,
+                                          {"*": x}),
+                       FinFn(TERMINAL.morphisms, c.morphisms,
+                             {("id", "*"): c.identities(x)}))
+
+
+def test_process_wide_values_keep_no_operand_alive():
+    # A memo on the unit category or on its identity functor, which live
+    # as long as the process, would keep every category that met them.
+    unit = FunctorData.identity(TERMINAL)
+    cats = []
+    for n in range(2, 7):
+        names, mul, e = hs.cyclic_group(n)
+        fiber = hs.indiscrete_monoidal_group(names, mul, e).fiber()
+        induced_monoidale(FinSet(["p"]), CatBackend(), {"p": fiber})
+        cats.append(weakref.ref(fiber.obj))
+        c = FinCategory.indiscrete(["q%d" % k for k in range(n)])
+        point = point_functor(c, "q0")
+        assert product_functor(unit, point) is product_functor(unit, point)
+        cats.append(weakref.ref(c))
+    del fiber, c, point
+    gc.collect()
+    assert [ref() for ref in cats] == [None] * len(cats)
+
+
+def test_process_wide_values_hold_no_memo():
+    names, mul, unit = hs.cyclic_group(2)
+    pres = hs.grouplike_monoid_algebra(names, mul, unit,
+                                       q=vb.BraidParam(-1),
+                                       grades={names[0]: 0, names[1]: 1})
+    report_bytes("group_monoid", pres)
+    names, mul, unit = hs.cyclic_group(3)
+    assert hs.polyad_is_hopf(hs.translation_opmonoidal(
+        names, mul, unit, hs.indiscrete_monoidal_group(names, mul, unit)))
+    assert check_frobenius(FinSet(["x", "y"]), CatBackend()).ok
+    square = product_category(TERMINAL, TERMINAL)
+    assert product_category(TERMINAL, TERMINAL) is square
+    for value in (TERMINAL, FunctorData.identity(TERMINAL), vb._UNIT,
+                  vb.VMorphism.identity(vb._UNIT), square,
+                  FunctorData.identity(square)):
+        assert value._memo is fs._PROCESS_WIDE or value._memo is fs._NO_MEMO
+        assert not value._memo
+    # What is built of process-wide values alone is process-wide too.
+    for operands, result in fs._PROCESS_WIDE_MEMO.values():
+        for value in operands + (result,):
+            assert value._memo is fs._PROCESS_WIDE

@@ -61,13 +61,14 @@ def checking(cls, *values):
 
 def enter_checking_mode(monkeypatch, constructor=checking):
     """Route every trusted construction through constructor, the public
-    one by default, and forget the product categories and the identity
-    functor kept on the shared unit category, so that they are built
-    again, through it."""
+    one by default, and forget the values built of process-wide ones
+    (the unit category's products with itself) and the identity functor
+    kept on the unit category, so that they are built again, through
+    it."""
     for name, module in list(sys.modules.items()):
         if name.startswith("hopfspan.") and hasattr(module, "_trusted"):
             monkeypatch.setattr(module, "_trusted", constructor)
-    monkeypatch.setitem(vars(cb.TERMINAL), "_products", {})
+    monkeypatch.setattr(fs, "_PROCESS_WIDE_MEMO", {})
     monkeypatch.delitem(vars(cb.TERMINAL), "_identity", raising=False)
 
 
@@ -166,11 +167,11 @@ def checked_values(seed):
 
 # What a checked value may hold beyond its fields, which a built one
 # computes on first use: a set's index, a category's composable pairs,
-# hom buckets, generators, thinness, identity functor and the products
-# kept on it, and a functor's composites and products, with an identity
-# on either side, and its identity transformation.
+# hom buckets, generators, thinness and identity functor, a functor's
+# identity transformation, and the memo (finset_span._kept) of a
+# category or functor.
 LAZY = {"_index", "_pairs", "_homs", "_generators", "_thin", "_identity",
-        "_products", "_left_products", "_composites", "_id2"}
+        "_id2", "_memo"}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -542,7 +542,7 @@ def test_tensor_obj_is_built_once_per_pair():
     assert hash(tensor_obj(a, b)) == hash(VObject(tensor_obj(a, b).basis))
     k = unit_object()
     assert tensor_obj(a, k) is a and tensor_obj(k, a) is a
-    assert not k._tensors
+    assert not k._memo
 
 
 def test_objects_are_hash_consed():
