@@ -1,15 +1,17 @@
 """Finite categories, functors, natural transformations, lazy categories.
 
-FinCategory stores a composition table keyed by composable morphism
-pairs (g, f) with tgt(f) = src(g); the table value is g after f.  Category
-axioms are verified at construction, and check_category collects every
-violation, deciding the laws on morphism positions.  In a thin category
-(is_thin: no two morphisms share their endpoints) every law is decided
-by its endpoints: once they hold, its two sides are parallel and so
-equal, and check_category, the functor check and the naturality check
-into a thin category stop there; the inverse of m: x -> y is the one
-morphism y -> x, if any, read without composing.  The table is never
-changed after construction, so products of a category are shared
+FinCategory's composition maps composable morphism pairs (g, f) with
+tgt(f) = src(g) to g after f.  Category axioms are verified at
+construction, and check_category collects every violation, deciding the
+laws on morphism positions.  In a thin category (is_thin: no two
+morphisms share their endpoints) every law is decided by its endpoints:
+once they hold, its two sides are parallel and so equal, and
+check_category, the functor check and the naturality check into a thin
+category stop there; the inverse of m: x -> y is the one morphism
+y -> x, if any, read without composing.  A thin category may store no
+composite (the discrete and indiscrete ones do not): on a ThinTable, g
+after f is the one morphism between their ends.  The composition is
+never changed after construction, so products are shared
 (spanv_core.product_category) and built without the check from factors
 that passed it.  A product is never tabulated: its table is a
 ProductTable, which composes componentwise on lookup, and the functors
@@ -59,9 +61,9 @@ class FinCategory:
     _identity = None
 
     def __post_init__(self):
-        # A product's table reads its checked factors: a copy would
-        # tabulate it.
-        if type(self.composition) is not ProductTable:
+        # A product's table reads its checked factors, and a thin one
+        # its buckets: a copy would tabulate them.
+        if type(self.composition) not in (ProductTable, ThinTable):
             object.__setattr__(self, "composition", dict(self.composition))
         report = check_category(self)
         if not report.ok:
@@ -108,14 +110,13 @@ class FinCategory:
         return list(self._homs_by_ends().get((x, y), ()))
 
     def _homs_by_ends(self):
-        """The morphisms bucketed by (src, tgt), once, since the category
-        never changes."""
+        """The morphisms bucketed by (src, tgt), as a thin table holds
+        them, once, since the category never changes."""
         if self._homs is None:
-            homs = {}
-            src, tgt = self.src.assignment, self.tgt.assignment
-            for m in self.morphisms.elements:
-                homs.setdefault((src[m], tgt[m]), []).append(m)
-            object.__setattr__(self, "_homs", homs)
+            table = self.composition
+            if type(table) is not ThinTable:
+                table = ThinTable(self.src, self.tgt)
+            object.__setattr__(self, "_homs", table.homs)
         return self._homs
 
     def inverse(self, m):
@@ -144,32 +145,25 @@ class FinCategory:
 
     @staticmethod
     def indiscrete(objects):
-        """Exactly one morphism (x, y): x -> y between any two objects.
-        Its laws hold by construction, so it is built without checking
-        them over all n^4 composable triples."""
+        """Exactly one morphism (x, y): x -> y between any two objects,
+        on a thin table."""
         objects = FinSet(objects)
         morphisms = FinSet.product(objects, objects)
-        atoms = objects.elements
-        return _trusted(
-            FinCategory, objects, morphisms,
-            _trusted(FinFn, morphisms, objects,
-                     {(x, y): x for (x, y) in morphisms.elements}),
-            _trusted(FinFn, morphisms, objects,
-                     {(x, y): y for (x, y) in morphisms.elements}),
-            _trusted(FinFn, objects, morphisms, {x: (x, x) for x in atoms}),
-            {((y, z), (x, y)): (x, z) for y in atoms for z in atoms
-             for x in atoms})
+        src = FinFn(morphisms, objects, {m: m[0] for m in morphisms})
+        tgt = FinFn(morphisms, objects, {m: m[1] for m in morphisms})
+        identities = FinFn(objects, morphisms, {x: (x, x) for x in objects})
+        return FinCategory(objects, morphisms, src, tgt, identities,
+                           ThinTable(src, tgt))
 
     @staticmethod
     def discrete(objects):
-        """Identity morphisms only."""
+        """Identity morphisms only, on a thin table."""
         objects = FinSet(objects)
         morphisms = FinSet([("id", x) for x in objects])
-        src = FinFn(morphisms, objects, {m: m[1] for m in morphisms})
-        tgt = FinFn(morphisms, objects, {m: m[1] for m in morphisms})
+        ends = FinFn(morphisms, objects, {m: m[1] for m in morphisms})
         identities = FinFn(objects, morphisms, {x: ("id", x) for x in objects})
-        composition = {(m, m): m for m in morphisms}
-        return FinCategory(objects, morphisms, src, tgt, identities, composition)
+        return FinCategory(objects, morphisms, ends, ends, identities,
+                           ThinTable(ends, ends))
 
 
 def is_thin(c):
@@ -181,9 +175,7 @@ def is_thin(c):
     if c._thin is None:
         factors = product_factors(c)
         if factors is None:
-            src, tgt = c.src.assignment, c.tgt.assignment
-            ends = {(src[m], tgt[m]) for m in c.morphisms.elements}
-            thin = len(ends) == len(c.morphisms)
+            thin = len(c._homs_by_ends()) == len(c.morphisms)
         else:
             thin = all(map(is_thin, factors))
         object.__setattr__(c, "_thin", thin)
@@ -197,6 +189,8 @@ def check_category(c):
         i = c.identities(x)
         if c.src(i) != x or c.tgt(i) != x:
             report.fail("identity endpoints", x)
+    if type(c.composition) is ThinTable:
+        return _check_thin(c, report)
     for (g, f) in c.composition:
         if g not in c.morphisms or f not in c.morphisms \
                 or c.tgt(f) != c.src(g):
@@ -235,6 +229,27 @@ def check_category(c):
             hk = after[k]
             if after[hk[i]][j] != hk[gf]:
                 report.fail("associativity", (morphisms[k], g, f))
+    return report
+
+
+def _check_thin(c, report):
+    """The laws on a thin table: no two morphisms share their ends, and
+    the hom relation is transitive, one set test per morphism x -> y:
+    what y reaches, x reaches.  Failing that, the composable pairs with
+    no morphism between their ends are reported, as a table's would."""
+    table, reach = c.composition, {}
+    if (table.src, table.tgt) != (c.src, c.tgt):
+        report.fail("table endpoints", None)
+        return report
+    for (x, y), ms in table.homs.items():
+        if len(ms) > 1:
+            report.fail("parallel morphisms", tuple(ms))
+        reach.setdefault(x, set()).add(y)
+    if not all(reach[x].issuperset(reach.get(y, ()))
+               for (x, y) in table.homs):
+        for pair in c.composable_pairs():
+            if pair not in table:
+                report.fail("missing composite", pair)
     return report
 
 
@@ -299,6 +314,43 @@ class ProductTable(_View):
         # A checked factor's table holds exactly its composable pairs.
         a, b = self.factors
         return len(a.composition) * len(b.composition)
+
+
+class ThinTable(_View):
+    """The composition of a thin category on its end maps: (g, f) -> the
+    one morphism from src(f) to tgt(g), read from homs, the morphisms
+    bucketed by (src, tgt).  It iterates as the composable pairs do."""
+
+    __slots__ = ("src", "tgt", "homs")
+
+    def __init__(self, src, tgt):
+        self.src, self.tgt, self.homs = src, tgt, {}
+        for m in src.domain.elements:
+            self.homs.setdefault((src(m), tgt(m)), []).append(m)
+
+    def parts(self):
+        return (self.src, self.tgt)
+
+    def __getitem__(self, key):
+        src, tgt = self.src.assignment, self.tgt.assignment
+        try:
+            g, f = key
+            if tgt[f] == src[g]:
+                return self.homs[(src[f], tgt[g])][0]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        morphisms, into = self.src.domain.elements, {}
+        for f in morphisms:
+            into.setdefault(self.tgt(f), []).append(f)
+        for g in morphisms:
+            for f in into.get(self.src(g), ()):
+                yield (g, f)
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 class _MapOn(_View):

@@ -1323,8 +1323,8 @@ def _action_morphism_ok(p, shape, a, b, chi):
 
 
 def _enumerate_actions(p, kind):
-    """Exhaustive search for actions and their morphisms; returns the
-    finite category they form, revalidated on construction."""
+    """Exhaustive search for actions and their morphisms, composing in
+    the fibers; returns the finite category they form, revalidated."""
     shape = _action_shape(p, kind)
     actions = [_action_of(shape, q, rho)
                for q, rhos in _action_candidates(p, shape) for rho in rhos
@@ -1349,28 +1349,30 @@ def enumerate_representations(p):
 
 def _category_of_actions(p, shape, objects, arrows):
     """Assemble actions and their morphisms, one fiber morphism per key,
-    into a finite category.  Each key's fiber is looked up once."""
+    into a finite category, on a thin table over thin fibers.  Each
+    key's fiber is looked up once."""
     objects_f = FinSet(objects)
     morphisms_f = FinSet(arrows)
     fiber = {c: shape.fiber(p, c) for c in shape.keys}
+    src = FinFn(morphisms_f, objects_f, {m: m[0] for m in arrows})
+    tgt = FinFn(morphisms_f, objects_f, {m: m[1] for m in arrows})
     identities = {a: (a, a, tuple((c, fiber[c].identities(x))
                                   for (c, x) in a.objects))
                   for a in objects}
-    into = {}
-    for m1 in arrows:
-        into.setdefault(m1[1], []).append(m1)
-    composition = {}
-    for m2 in arrows:
-        left = dict(m2[2])
-        for m1 in into.get(m2[0], ()):
-            composition[(m2, m1)] = (m1[0], m2[1], tuple(
-                (c, fiber[c].compose(left[c], right))
-                for (c, right) in m1[2]))
-    return cb.FinCategory(objects_f, morphisms_f,
-                          FinFn(morphisms_f, objects_f,
-                                {m: m[0] for m in arrows}),
-                          FinFn(morphisms_f, objects_f,
-                                {m: m[1] for m in arrows}),
+    if all(map(cb.is_thin, fiber.values())):
+        composition = cb.ThinTable(src, tgt)
+    else:
+        into = {}
+        for m1 in arrows:
+            into.setdefault(m1[1], []).append(m1)
+        composition = {}
+        for m2 in arrows:
+            left = dict(m2[2])
+            for m1 in into.get(m2[0], ()):
+                composition[(m2, m1)] = (m1[0], m2[1], tuple(
+                    (c, fiber[c].compose(left[c], right))
+                    for (c, right) in m1[2]))
+    return cb.FinCategory(objects_f, morphisms_f, src, tgt,
                           FinFn(objects_f, morphisms_f, identities),
                           composition)
 
@@ -1463,9 +1465,13 @@ def _algebra_laws_hold(idt, carrier, xi):
     return bool(eq2(vcomp2(xi, carrier.unit), carrier.unitor))
 
 
-def _arrow_holds(idt, a, a_xi, b, b_xi, cell):
-    """cell, from carrier a's q to b's, respects the actions: b_xi
-    (1_t o cell) against cell a_xi, both chains from a's t o q."""
+def _arrow_holds(idt, a, a_xi, b, b_xi, chi):
+    """The cell with components chi, from carrier a's q to b's, respects
+    the actions: b_xi (1_t o cell) against cell a_xi, both chains from
+    a's t o q."""
+    cell = cell2_along(a.q, b.q, lambda c: c, {
+        c: cb.NatTransData(a.q.label[c], b.q.label[c], {"*": m})
+        for (c, m) in chi})
     return bool(eq2(vcomp2(b_xi, _whiskered(a.start, idt, cell,
                                             lambda d: d, b.tq)),
                     vcomp2(cell, a_xi)))
@@ -1485,8 +1491,10 @@ def em_algebras_restricted(p, kind="modules"):
     The carrier morphisms are restricted to the identity reindexing of
     the apex, matching the enumerated morphisms, which are one component
     per key.  Both sides take their candidates from _action_candidates
-    and _arrow_candidates, but decide them independently: the search in
-    the fibers, the algebras with eq2 on assembled 2-cells.  Every
+    and _arrow_candidates, and decide them independently, the search in
+    the fibers and the algebras with eq2 on assembled 2-cells, except
+    that over thin fibers every arrow candidate is an arrow: its
+    endpoints are right, so its equation's sides are parallel.  Every
     carrier sits on one shared span, as do its composites with t, t o t
     and the identity, and each law is a chain from its source through
     the _relabeled and _whiskered steps (_restricted_carriers).
@@ -1504,17 +1512,11 @@ def em_algebras_restricted(p, kind="modules"):
             xi = _algebra_cell(shape, carrier, rho)
             if _algebra_laws_hold(idt, carrier, xi):
                 algebras.append((_action_of(shape, q, rho), carrier, xi))
-    arrows = []
-    for (a, a_c, a_xi) in algebras:
-        for (b, b_c, b_xi) in algebras:
-            for chi in _arrow_candidates(p, shape, a, b):
-                cell = cell2_along(a_c.q, b_c.q, lambda c: c,
-                                   {c: cb.NatTransData(a_c.q.label[c],
-                                                       b_c.q.label[c],
-                                                       {"*": m})
-                                    for (c, m) in chi})
-                if _arrow_holds(idt, a_c, a_xi, b_c, b_xi, cell):
-                    arrows.append((a, b, chi))
+    thin = all(cb.is_thin(shape.fiber(p, c)) for c in shape.keys)
+    arrows = [(a, b, chi) for (a, a_c, a_xi) in algebras
+              for (b, b_c, b_xi) in algebras
+              for chi in _arrow_candidates(p, shape, a, b)
+              if thin or _arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
     algebra_cat = _category_of_actions(p, shape, [a for (a, _, _) in algebras],
                                        arrows)
     enumerated = _enumerate_actions(p, kind)

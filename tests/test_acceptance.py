@@ -1,4 +1,4 @@
-"""Acceptance gate: nineteen criteria, one pass line each.
+"""Acceptance gate: twenty criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -610,3 +610,16 @@ def test_criterion_19_translation_polyad_z12_modules():
     assert len(comparison.algebras.morphisms) == 144
     finish(19, "modules of the translation polyad over Z_12", start, 1.5,
            12)
+
+
+def test_criterion_20_translation_polyad_z3_representations():
+    start = time.monotonic()
+    names, mul, unit = hs.cyclic_group(3)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    comparison = hs.em_algebras_restricted(
+        hs.translation_polyad(names, mul, unit, fiber), "representations")
+    assert comparison.report.ok, comparison.report.summary()
+    assert len(comparison.algebras.objects) == 27
+    assert len(comparison.algebras.morphisms) == 729
+    finish(20, "representations of the translation polyad over Z_3", start,
+           0.5, 27)

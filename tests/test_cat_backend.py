@@ -94,9 +94,9 @@ def test_indiscrete_category_and_groupoid():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_indiscrete_equals_the_checked_construction(n):
-    # indiscrete skips check_category; the checked constructor, given
-    # the table written out by hand, must accept it and build the same
-    # category, table included.
+    # indiscrete is held by its hom relation on a thin table; the
+    # checked constructor, given the table written out by hand, must
+    # accept it and build the same category, table included.
     objects = FinSet(["o%d" % i for i in range(n)])
     morphisms = FinSet([(x, y) for x in objects for y in objects])
     checked = FinCategory(

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
+from hopfspan import cat_backend as cb
 from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
 from hopfspan.cli import load_document, load_path
@@ -1141,12 +1142,8 @@ def assert_chains_match_whole_cells(p, kind, corrupt=None):
             if not (a.chain or b.chain):
                 continue
             for chi in hs._arrow_candidates(p, shape, a.action, b.action):
-                cell = cell2_along(a.carrier.q, b.carrier.q, lambda c: c, {
-                    c: NatTransData(a.carrier.q.label[c],
-                                    b.carrier.q.label[c], {"*": m})
-                    for (c, m) in chi})
                 chain = hs._arrow_holds(idt, a.carrier, a.xi, b.carrier,
-                                        b.xi, cell)
+                                        b.xi, chi)
                 assert chain == whole_cell_arrow_holds(
                     p, a.whole_q, a.whole_xi, b.whole_q, b.whole_xi, chi)
                 arrows.append(chain)
@@ -1217,6 +1214,124 @@ def test_law_chains_match_with_one_action_corrupted():
     lawful = sum(c.chain for c in found[:-1])
     assert lawful == 1 and not found[-1].chain and not found[-1].whole
     assert True in arrows and False in arrows
+
+
+# The tabulated category of actions and the per-arrow equation that
+# em_algebras_restricted no longer builds over thin fibers, kept as its
+# oracle: every composite composed in the fibers and tabulated, and
+# every arrow candidate decided with eq2 on its chains (hs._arrow_holds).
+
+
+def tabulated_category_of_actions(p, shape, objects, arrows):
+    objects_f, morphisms_f = FinSet(objects), FinSet(arrows)
+    fiber = {c: shape.fiber(p, c) for c in shape.keys}
+    identities = {a: (a, a, tuple((c, fiber[c].identities(x))
+                                  for (c, x) in a.objects))
+                  for a in objects}
+    composition = {}
+    for m2 in arrows:
+        left = dict(m2[2])
+        for m1 in arrows:
+            if m1[1] == m2[0]:
+                composition[(m2, m1)] = (m1[0], m2[1], tuple(
+                    (c, fiber[c].compose(left[c], right))
+                    for (c, right) in m1[2]))
+    return FinCategory(objects_f, morphisms_f,
+                       FinFn(morphisms_f, objects_f, {m: m[0] for m in arrows}),
+                       FinFn(morphisms_f, objects_f, {m: m[1] for m in arrows}),
+                       FinFn(objects_f, morphisms_f, identities), composition)
+
+
+def tabulated_em_algebras(p, kind):
+    """em_algebras_restricted with every arrow equation decided and both
+    categories tabulated."""
+    shape = hs._action_shape(p, kind)
+    idt = identity_cell2(p.cells[0])
+    carrier_at = hs._restricted_carriers(p, shape)
+    algebras = []
+    for q, rhos in hs._action_candidates(p, shape):
+        carrier = carrier_at(q)
+        for rho in rhos:
+            xi = hs._algebra_cell(shape, carrier, rho)
+            if hs._algebra_laws_hold(idt, carrier, xi):
+                algebras.append((hs._action_of(shape, q, rho), carrier, xi))
+    arrows = []
+    for (a, a_c, a_xi) in algebras:
+        for (b, b_c, b_xi) in algebras:
+            for chi in hs._arrow_candidates(p, shape, a, b):
+                if hs._arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi):
+                    arrows.append((a, b, chi))
+    algebra_cat = tabulated_category_of_actions(
+        p, shape, [a for (a, _, _) in algebras], arrows)
+    actions = [hs._action_of(shape, q, rho)
+               for q, rhos in hs._action_candidates(p, shape) for rho in rhos
+               if hs._action_laws_hold(p, shape, q, rho)]
+    enumerated = tabulated_category_of_actions(p, shape, actions, [
+        (a, b, chi) for a in actions for b in actions
+        for chi in hs._arrow_candidates(p, shape, a, b)
+        if hs._action_morphism_ok(p, shape, a, b, dict(chi))])
+    report = CheckReport("restricted algebras (%s)" % kind)
+    if (len(enumerated.objects), len(enumerated.morphisms)) != \
+            (len(algebras), len(arrows)):
+        report.fail("count", None)
+    forward = backward = None
+    if report.ok and set(enumerated.morphisms) == set(arrows):
+        forward = hs._inclusion_functor(enumerated, algebra_cat)
+        backward = hs._inclusion_functor(algebra_cat, enumerated)
+    return hs.RestrictedAlgebraComparison(kind, algebra_cat, enumerated,
+                                          forward, backward, report)
+
+
+def assert_same_as_tabulated(p, kind):
+    cmp, oracle = em_algebras_restricted(p, kind), tabulated_em_algebras(p, kind)
+    assert cmp.report == oracle.report
+    for mine, theirs in [(cmp.algebras, oracle.algebras),
+                         (cmp.enumerated, oracle.enumerated)]:
+        assert mine.objects.elements == theirs.objects.elements
+        assert mine.morphisms.elements == theirs.morphisms.elements
+        assert (mine.src, mine.tgt, mine.identities) == \
+            (theirs.src, theirs.tgt, theirs.identities)
+        assert mine.composition == theirs.composition
+        assert theirs.composition == mine.composition
+    for mine, theirs in [(cmp.forward, oracle.forward),
+                         (cmp.backward, oracle.backward)]:
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert (mine.omap, mine.mmap) == (theirs.omap, theirs.mmap)
+    return cmp
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_restricted_algebras_match_the_tabulated_oracle(name, fiber_kind,
+                                                        kind):
+    p = polyad_fixture(name, fiber_kind)
+    cmp = assert_same_as_tabulated(p, kind)
+    thin = fiber_kind != "endomorphisms"
+    for c in (cmp.algebras, cmp.enumerated):
+        assert (type(c.composition) is cb.ThinTable) == thin
+
+
+@pytest.mark.parametrize("kind", ["modules", "representations"])
+def test_restricted_algebras_match_the_tabulated_oracle_with_mu_corrupted(
+        kind):
+    assert_same_as_tabulated(
+        corrupted_mu(polyad_fixture("identity", "endomorphisms")), kind)
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_over_thin_fibers_every_arrow_candidate_holds(name, fiber_kind, kind):
+    # The premise of taking every arrow candidate as an arrow over thin
+    # fibers: there every candidate action is lawful, and the equation
+    # holds between any two.  Over the endomorphisms fiber it fails
+    # between some, and between more once every action is z.
+    p = polyad_fixture(name, fiber_kind)
+    _, arrows = assert_chains_match_whole_cells(p, kind)
+    if fiber_kind != "endomorphisms":
+        assert all(arrows)
+        return
+    _, corrupted = assert_chains_match_whole_cells(
+        p, kind, lambda rho: {s: "z" for s in rho})
+    assert not all(arrows) and corrupted.count(False) > arrows.count(False)
 
 
 # The per-kind enumeration that the single action enumeration replaced,

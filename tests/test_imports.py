@@ -102,9 +102,9 @@ TRUSTED = {
                     "Span.identity", "SpanMorphism.identity",
                     "SpanMorphism.then", "_in_order", "compose_spans",
                     "compose_span_morphisms_h", "cartesian_product"},
-    "cat_backend": {"FinCategory.indiscrete", "FunctorData.identity",
-                    "FunctorData._composite", "NatTransData.identity",
-                    "NatTransData.vcomp", "NatTransData.hcomp"},
+    "cat_backend": {"FunctorData.identity", "FunctorData._composite",
+                    "NatTransData.identity", "NatTransData.vcomp",
+                    "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "_tensor0", "tensor1", "tensor2",

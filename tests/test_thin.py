@@ -15,6 +15,9 @@ import collections
 import itertools
 import random
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from hopfspan import cat_backend as cb
 from hopfspan import hopf_structures as hs
 from hopfspan.cat_backend import (
@@ -547,3 +550,140 @@ def test_opmonoidal_structures_are_checked_as_the_scan_thin_or_not():
                          "structure"),
             ("not thin", "unit not compatible with binary structure")} \
         <= set(seen)
+
+
+# ---------------------------------------------------------------------------
+# A thin category held by its hom relation (cb.ThinTable) against the
+# same category with its composition tabulated.
+
+
+@st.composite
+def relations(draw):
+    """A hom relation on up to four objects, drawn in any order, with
+    its morphisms in any order: a preorder, or one that lacks the loop
+    at an object, or one that lacks x -> z though x -> y -> z."""
+    kind = draw(st.sampled_from(["preorder", "no loop", "not transitive"]))
+    n = draw(st.integers(3 if kind == "not transitive" else 1, 4))
+    objects = draw(st.permutations(range(n)))
+    x, y, z = objects[:3] if n >= 3 else (None, None, None)
+    pairs = set(draw(st.lists(st.sampled_from(
+        [(u, v) for u in range(n) for v in range(n)]))))
+    pairs |= {(u, u) for u in range(n)}
+    if kind == "not transitive":
+        pairs |= {(x, y), (y, z)}
+    closed = set(pairs)
+    while True:
+        more = {(u, w) for (u, v) in closed for (v2, w) in closed if v == v2}
+        if more <= closed:
+            break
+        closed |= more
+    if kind == "no loop":
+        closed.discard((objects[0], objects[0]))
+    elif kind == "not transitive":
+        closed.discard((x, z))
+    assume(closed)
+    return kind, objects, draw(st.permutations(sorted(closed)))
+
+
+def ends_of(objects, edges):
+    """The objects, morphisms, end maps and identities of a relation:
+    each pair (x, y) a morphism x -> y, and an object without a loop
+    given the first morphism as its identity."""
+    objects = FinSet(objects)
+    morphisms = FinSet([("m",) + e for e in edges])
+    src = FinFn(morphisms, objects, {m: m[1] for m in morphisms})
+    tgt = FinFn(morphisms, objects, {m: m[2] for m in morphisms})
+    ids = FinFn(objects, morphisms, {
+        x: ("m", x, x) if ("m", x, x) in morphisms else morphisms.elements[0]
+        for x in objects})
+    return objects, morphisms, src, tgt, ids
+
+
+def tabulated(objects, morphisms, src, tgt, ids):
+    """The composites of a relation written out: each composable pair to
+    the one morphism between its ends, where there is one."""
+    ends = {(src(m), tgt(m)): m for m in morphisms}
+    return {(g, f): ends[(src(f), tgt(g))] for g in morphisms
+            for f in morphisms
+            if tgt(f) == src(g) and (src(f), tgt(g)) in ends}
+
+
+def assert_same_category(thin, table):
+    assert thin == table and table == thin
+    assert thin.composition == table.composition
+    assert table.composition == thin.composition
+    assert list(thin.composition) == list(table.composition)
+    assert len(thin.composition) == len(table.composition)
+    assert thin.composable_pairs() == table.composable_pairs()
+    assert is_thin(thin) == is_thin(table)
+    for (g, f) in table.composable_pairs():
+        assert thin.compose(g, f) == table.compose(g, f)
+    for x in table.objects:
+        assert thin.identities(x) == table.identities(x)
+        for y in table.objects:
+            assert thin.hom(x, y) == table.hom(x, y)
+    for m in table.morphisms:
+        assert thin.inverse(m) == table.inverse(m)
+    assert cb.is_groupoid(thin) == cb.is_groupoid(table)
+    assert check_category(thin).failures == check_category(table).failures
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(relations(), st.sampled_from(range(len(LEAVES))))
+def test_thin_table_reads_as_the_tabulated_category(relation, other):
+    kind, objects, edges = relation
+    parts = ends_of(objects, edges)
+    src, tgt = parts[2], parts[3]
+    thin = raised(lambda: FinCategory(*parts, cb.ThinTable(src, tgt)))
+    table = raised(lambda: FinCategory(*parts, tabulated(*parts)))
+    assert thin == table
+    assert (thin is None) == (kind == "preorder")
+    if thin is not None:
+        law = "identity endpoints" if kind == "no loop" \
+            else "missing composite"
+        assert "first %s at" % law in thin
+        return
+    thin = FinCategory(*parts, cb.ThinTable(src, tgt))
+    table = FinCategory(*parts, tabulated(*parts))
+    assert is_thin(thin)
+    assert_same_category(thin, table)
+    # Products with thin and non-thin factors, on either side.
+    leaf = LEAVES[other]
+    assert_same_category(product_category(thin, leaf),
+                         product_category(table, leaf))
+    assert_same_category(product_category(leaf, thin),
+                         product_category(leaf, table))
+
+
+@pytest.mark.parametrize("c", NOT_THIN + [PRODUCTS[3], PRODUCTS[5]],
+                         ids=repr)
+def test_a_thin_table_refuses_parallel_morphisms(c):
+    # The non-thin controls: their tables are accepted, while their
+    # ends on a thin table are refused, two morphisms sharing them.
+    assert not is_thin(c) and check_category(c).ok
+    thin = _trusted(FinCategory, c.objects, c.morphisms, c.src, c.tgt,
+                    c.identities, cb.ThinTable(c.src, c.tgt))
+    assert thin != c and c != thin
+    assert not is_thin(thin)
+    assert "parallel morphisms" in {law for law, _ in
+                                    check_category(thin).failures}
+    with pytest.raises(CatError, match="parallel morphisms"):
+        FinCategory(c.objects, c.morphisms, c.src, c.tgt, c.identities,
+                    cb.ThinTable(c.src, c.tgt))
+
+
+def test_a_thin_table_on_other_ends_is_refused():
+    c = FinCategory.indiscrete(range(2))
+    flipped = cb.ThinTable(c.tgt, c.src)
+    with pytest.raises(CatError, match="table endpoints"):
+        FinCategory(c.objects, c.morphisms, c.src, c.tgt, c.identities,
+                    flipped)
+
+
+def test_a_thin_table_raises_key_error_off_its_composable_pairs():
+    table = FinCategory.indiscrete(range(2)).composition
+    assert table[((0, 1), (1, 0))] == (1, 1)
+    for key in [((0, 1), (0, 1)), ((0, 1), (5, 5)), "x", ("x",), [1, 2]]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
