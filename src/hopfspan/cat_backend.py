@@ -24,6 +24,11 @@ not; a composite still checks the boundary it composes across.
 A composite with an identity functor, or a vertical one with an
 identity transformation, is the other operand, and the horizontal
 composite of two identities is the identity on the composite functor.
+Into a thin category there is at most one transformation F => G, so
+one may be held by its two functors: its component at a is the one
+morphism F a -> G a, read on lookup (ThinComponents), and two
+transformations into a thin category are equal when their functors
+are.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -52,12 +57,13 @@ class FinCategory:
     composition: dict = field(compare=False)
 
     # composable_pairs(), the hom buckets, a product's generators,
-    # is_thin and the identity functor once computed; the table never
-    # changes.
+    # is_thin, is_groupoid and the identity functor once computed; the
+    # table never changes.
     _pairs = None
     _homs = None
     _generators = None
     _thin = None
+    _groupoid = None
     _identity = None
 
     def __post_init__(self):
@@ -401,6 +407,24 @@ class ComposedMap(_MapOn):
         return self.left[self.right[key]]
 
 
+class ThinComponents(_MapOn):
+    """The components of the one transformation left => right (two
+    functors) into a thin category: a -> the one morphism left(a) ->
+    right(a), read from the codomain's hom buckets on lookup.  Its keys
+    are the objects of the functors' domain; NatTransData checks at
+    construction that every component exists."""
+
+    __slots__ = ("homs",)
+
+    def __init__(self, source, target):
+        super().__init__(source.dom.objects, source, target)
+        self.homs = source.cod._homs_by_ends()
+
+    def __getitem__(self, key):
+        return self.homs[(self.left.omap.assignment[key],
+                          self.right.omap.assignment[key])][0]
+
+
 def product_factors(c):
     """(a, b) when c is the product a x b, else None."""
     table = c.composition
@@ -462,11 +486,15 @@ def generating_pairs(c):
 TERMINAL = _owns_no_memo(FinCategory.discrete(["*"]), process_wide=True)
 
 def is_groupoid(c):
-    """True iff every morphism has a two-sided inverse."""
-    for m in c.morphisms:
-        if c.inverse(m) is None:
-            return Verdict(False, witness=m)
-    return Verdict(True)
+    """True iff every morphism has a two-sided inverse; else the first
+    morphism without one is the witness.  Decided once and kept on c; in
+    a thin c each inverse is read from the hom buckets."""
+    if c._groupoid is None:
+        witness = next((m for m in c.morphisms if c.inverse(m) is None),
+                       None)
+        object.__setattr__(c, "_groupoid",
+                           Verdict(witness is None, witness=witness))
+    return c._groupoid
 
 
 @dataclass(frozen=True)
@@ -520,7 +548,7 @@ class FunctorData:
     def then(self, other):
         """other after self; out of a product, mapped on lookup.  A
         composite with an identity functor is the other operand."""
-        if other.dom != self.cod:
+        if other.dom is not self.cod and other.dom != self.cod:
             raise CatError("functors are not composable")
         if self is self.dom._identity:
             return other
@@ -543,6 +571,16 @@ class FunctorData:
 
 @dataclass(frozen=True)
 class NatTransData:
+    """A natural transformation source => target, by its components: a
+    dict, or a view read on lookup.  Checked at construction: every
+    component's endpoints, then naturality on the generators of the
+    domain unless the codomain is thin.  Into a thin codomain it may be
+    held by its functors, its components a ThinComponents view on them:
+    then no component is stored or checked, and it exists when every
+    hom(source a, target a) is non-empty, decided once when the
+    codomain has a morphism between any two objects, and per object
+    otherwise."""
+
     source: FunctorData
     target: FunctorData
     components: dict = field(compare=False)
@@ -552,6 +590,18 @@ class NatTransData:
         if F.dom != G.dom or F.cod != G.cod:
             raise CatError("natural transformation endpoints must agree")
         cod = F.cod
+        if type(self.components) is ThinComponents:
+            held = self.components
+            if (held.left, held.right) != (F, G) or not is_thin(cod):
+                raise CatError("components held by other functors "
+                               "or not into a thin category")
+            homs = held.homs
+            if len(homs) < len(cod.objects) ** 2:
+                fo, go = F.omap.assignment, G.omap.assignment
+                for x in F.dom.objects:
+                    if (fo[x], go[x]) not in homs:
+                        raise CatError("component missing at %r" % (x,))
+            return
         for x in F.dom.objects:
             if x not in self.components:
                 raise CatError("component missing at %r" % (x,))
@@ -568,11 +618,14 @@ class NatTransData:
                 raise CatError("naturality fails at %r" % (m,))
 
     def __eq__(self, other):
+        # Into a thin category there is at most one transformation
+        # between two functors.
         return self is other or (
             isinstance(other, NatTransData)
             and self.source == other.source and self.target == other.target
-            and all(self.components[x] == other.components[x]
-                    for x in self.source.dom.objects))
+            and (is_thin(self.source.cod)
+                 or all(self.components[x] == other.components[x]
+                        for x in self.source.dom.objects)))
 
     def __hash__(self):
         return hash((self.source, self.target))
@@ -617,8 +670,12 @@ class NatTransData:
 
 
 def nat_is_iso(n):
-    """True iff every component has a two-sided inverse in the codomain."""
+    """True iff every component has a two-sided inverse in the codomain,
+    else the first object whose component has none.  Into a thin
+    groupoid every morphism has one, so no component is read."""
     cod = n.source.cod
+    if is_thin(cod) and is_groupoid(cod):
+        return Verdict(True)
     for x in n.source.dom.objects:
         if cod.inverse(n.components[x]) is None:
             return Verdict(False, witness=x)

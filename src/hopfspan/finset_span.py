@@ -63,20 +63,32 @@ _PROCESS_WIDE = MappingProxyType({})
 _PROCESS_WIDE_MEMO = {}
 
 
-def _kept(build, *operands):
+def _kept(build, first, second, *more):
     """build(*operands), built once per tuple of operands: the one
     keep-rule of the package.  The result is kept in the memo of the
     first operand that may own one (its _memo, a dict set on first
-    use), keyed by build and the operands' ids and holding the other
-    operands, so that no id is reused while it lives.  An identity owns
-    no memo, nor does a value that lives as long as the process
+    use), under build and the other operands' ids (all the operands'
+    ids when the owner is not the first), holding the other operands,
+    so that no id is reused while it lives.  An identity owns no memo,
+    nor does a value that lives as long as the process
     (cat_backend.TERMINAL, vect_backend._UNIT), where a memo would keep
     every operand it met alive: _owns_no_memo marks them.  What is built
-    of process-wide values alone is one too, kept in _PROCESS_WIDE_MEMO;
-    with no owner otherwise, the result is built at every call."""
-    # Most calls have two operands; map would cost more than the lookup.
-    key = (build, id(operands[0]), id(operands[1])) if len(operands) == 2 \
-        else (build, *map(id, operands))
+    of process-wide values alone is one too, kept in _PROCESS_WIDE_MEMO
+    under build and all the ids; with no owner otherwise, the result is
+    built at every call."""
+    # The hit on the first operand's memo comes first, with no tuple
+    # built when there are two operands, as there are at most sites.
+    try:
+        memo = first._memo
+    except AttributeError:
+        memo = _NO_MEMO
+    rest = (id(second), *map(id, more)) if more else id(second)
+    memo = memo.get(build)
+    if memo is not None:
+        hit = memo.get(rest)
+        if hit is not None:
+            return hit[1]
+    operands = (first, second, *more)
     for owner in operands:
         memo = getattr(owner, "_memo", None)
         if memo is None:
@@ -87,6 +99,12 @@ def _kept(build, *operands):
         if any(operand._memo is not _PROCESS_WIDE for operand in operands):
             return build(*operands)
         memo, owner = _PROCESS_WIDE_MEMO, None
+    if owner is first:
+        memo, key = memo.setdefault(build, {}), rest
+    elif owner is None:
+        key = (build, *map(id, operands))
+    else:
+        memo, key = memo.setdefault(build, {}), tuple(map(id, operands))
     hit = memo.get(key)
     if hit is None:
         held = tuple(operand for operand in operands if operand is not owner)

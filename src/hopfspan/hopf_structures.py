@@ -29,7 +29,10 @@ solution is reported as ("underdetermined", first pivot-free column) or
 extraction from the inverted right fusion cell.
 
 Over the finite-category base the same shape data is a polyad: labels
-are functors and multiplication is natural.  Modules and representations
+are functors and multiplication is natural.  It is Hopf when its shape
+is a groupoid and its fusion families are invertible; into a thin
+fiber each family is held by its two functors, with no component
+composed.  Modules and representations
 are enumerated exhaustively and compared, through a validated functor
 pair, with the algebra 2-cells over restricted carrier 1-cells.  A final
 section pushes one-object presentations along the tensoring functor into
@@ -1079,12 +1082,15 @@ class PolyadOpmonoidalStructure:
 def polyad_fusion(opstr, side="left"):
     """One transformation per composable pair: the outer label's binary
     structure followed by multiplication on the first (left) or second
-    (right) tensor factor.  Each family is built by the public
-    NatTransData constructor, since its components are new data; its
-    source and target are composites of checked functors, built without
-    checks.  The constructor checks the components' endpoints, and
-    naturality only when the fiber is not thin: in a thin one it is
-    decided by those endpoints."""
+    (right) tensor factor.  Its source and target are composites of
+    checked functors, built without checks.  Into a thin fiber it is
+    the one transformation between them, held by the two functors
+    (cb.ThinComponents): no component is composed, and the
+    constructor decides only that every component exists, once for the
+    whole family when the fiber has a morphism between any two objects.
+    Into any other fiber its components are composed from mu and d2
+    and built by the public NatTransData constructor, which checks their
+    endpoints and naturality."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
     out = {}
@@ -1093,12 +1099,16 @@ def polyad_fusion(opstr, side="left"):
         ftop = opstr.fibers[d.tgt(h)]
         fh, fk = p.mor_label[h], p.mor_label[k]
         fhk = p.mor_label[d.compose(h, k)]
-        mu = p.mu[(h, k)].components
-        d2 = opstr.d2[h].components
         cod = ftop.cat
         ident = cb.FunctorData.identity(fmid.cat)
         source = product_functor(*order(fk, ident)).then(fmid.tensor).then(fh)
         target = product_functor(*order(fhk, fh)).then(ftop.tensor)
+        if cb.is_thin(cod):
+            out[(h, k)] = cb.NatTransData(
+                source, target, cb.ThinComponents(source, target))
+            continue
+        mu = p.mu[(h, k)].components
+        d2 = opstr.d2[h].components
         comps = {}
         for pair in source.dom.objects:
             a, c0 = order(*pair)
@@ -1111,7 +1121,10 @@ def polyad_fusion(opstr, side="left"):
 
 def polyad_is_hopf(opstr):
     """Shape a groupoid and every component of both fusion families an
-    isomorphism in its fiber."""
+    isomorphism in its fiber.  Over a thin fiber that is a groupoid (an
+    indiscrete one) each family is decided at once, with no component
+    read: it exists, and every morphism there is invertible.  The
+    witness names the first failing side, pair and fiber object."""
     verdict = cb.is_groupoid(opstr.monad.shape)
     if not verdict:
         return Verdict(False,

@@ -588,7 +588,7 @@ def test_criterion_16_translation_polyad_z8_hopf_check():
 def test_criterion_17_translation_polyad_z16_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(16)
-    finish(17, "Hopf check of the translation polyad over Z_16", start, 4.0)
+    finish(17, "Hopf check of the translation polyad over Z_16", start, 1.5)
 
 
 def test_criterion_18_indiscrete_20_monad_check():

@@ -450,9 +450,10 @@ def test_check_category_reports_as_the_scan_on_one_corrupted_composite(
 
 
 def kept(owner):
-    """The entries of owner's memo (finset_span._kept): the other
-    operands each one holds, and its result."""
-    return list((getattr(owner, "_memo", None) or {}).values())
+    """The entries of owner's memo (finset_span._kept), under every
+    site: the other operands each one holds, and its result."""
+    return [entry for site in (getattr(owner, "_memo", None) or {}).values()
+            for entry in site.values()]
 
 
 def fresh_composite(f, g):

@@ -26,6 +26,7 @@ from hopfspan.cat_backend import (
 )
 from hopfspan.finset_span import FinFn, FinSet, _trusted
 from hopfspan.spanv_core import SpanVError, product_category, product_functor
+from fusion_oracle import composed_fusion
 from test_cat_backend import scanned_check_category
 
 
@@ -687,3 +688,176 @@ def test_a_thin_table_raises_key_error_off_its_composable_pairs():
         with pytest.raises(KeyError):
             table[key]
         assert table.get(key) is None
+
+
+# ---------------------------------------------------------------------------
+# Transformations into a thin category held by their two functors
+# (cb.ThinComponents) against the same families with their components
+# composed, or listed, and checked one by one.
+
+
+def held_by(F, G):
+    return NatTransData(F, G, cb.ThinComponents(F, G))
+
+
+def fusion_polyads(n):
+    """The identity polyad over the discrete and the indiscrete fiber of
+    Z_n, the translation polyad over the indiscrete one, and the
+    identity polyad over the one-object fiber, which is not thin."""
+    names, mul, unit = hs.cyclic_group(n)
+    discrete = hs.discrete_monoidal_group(names, mul, unit)
+    indiscrete = hs.indiscrete_monoidal_group(names, mul, unit)
+    return [("identity", "discrete",
+             hs.identity_polyad(names, mul, unit, discrete)),
+            ("identity", "indiscrete",
+             hs.identity_polyad(names, mul, unit, indiscrete)),
+            ("translation", "indiscrete",
+             hs.translation_opmonoidal(names, mul, unit, indiscrete)),
+            ("identity", "one object",
+             hs.identity_polyad(names, mul, unit, one_object_fiber(n)))]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fusion_families_match_the_composed_oracle(n):
+    for _, fiber, opstr in fusion_polyads(n):
+        thin = fiber != "one object"
+        assert is_thin(opstr.fibers["*"].cat) == thin
+        for side in ("left", "right"):
+            families = hs.polyad_fusion(opstr, side)
+            oracle = composed_fusion(opstr, side)
+            assert list(families) == list(oracle)
+            for pair, nat in families.items():
+                other = oracle[pair]
+                assert nat.source is other.source
+                assert nat.target is other.target
+                assert (type(nat.components) is cb.ThinComponents) == thin
+                objects = nat.source.dom.objects
+                assert list(nat.components) == list(objects)
+                assert len(nat.components) == len(objects)
+                for x in objects:
+                    assert x in nat.components
+                    assert nat.components[x] == other.components[x]
+                assert nat == other and other == nat
+                assert dict(nat.components) == other.components
+                assert cb.nat_is_iso(nat) == cb.nat_is_iso(other)
+
+
+def test_a_hopf_check_over_a_thin_groupoid_reads_no_component(monkeypatch):
+    def unread(*args):
+        raise AssertionError("read %r" % (args[1:],))
+    monkeypatch.setattr(cb.ThinComponents, "__getitem__", unread)
+    monkeypatch.setattr(cb.ThinTable, "__getitem__", unread)
+    for _, fiber, opstr in fusion_polyads(4):
+        if fiber != "one object":
+            assert hs.polyad_is_hopf(opstr)
+
+
+def first_without(objects, found):
+    """The first object at which found(x) is false, or None."""
+    return next((x for x in objects if not found(x)), None)
+
+
+def test_transformations_held_by_their_functors_read_as_listed_ones():
+    rng = random.Random(5)
+    seen = collections.Counter()
+    for c in THIN + [total_order(4), FinCategory.indiscrete(range(4))]:
+        functors = functors_into(c, rng)
+        for F, G in itertools.product(functors, repeat=2):
+            homs = {x: c.hom(F.omap(x), G.omap(x)) for x in c.objects}
+            missing = first_without(c.objects, homs.get)
+            message = raised(lambda: held_by(F, G))
+            assert message == raised(lambda: NatTransData(
+                F, G, {x: hom[0] for x, hom in homs.items() if hom}))
+            if missing is not None:
+                assert message == "component missing at %r" % (missing,)
+                seen["missing"] += 1
+                continue
+            held = held_by(F, G)
+            listed = NatTransData(F, G, {x: hom[0]
+                                         for x, hom in homs.items()})
+            assert [held.components[x] for x in c.objects] == \
+                [listed.components[x] for x in c.objects]
+            assert held == listed and listed == held
+            assert (held == NatTransData.identity(F)) == (F == G)
+            iso = cb.nat_is_iso(held)
+            witness = first_without(c.objects, lambda x: searched_inverse(
+                c, held.components[x]) is not None)
+            assert iso == cb.nat_is_iso(listed)
+            assert bool(iso) == (witness is None)
+            assert iso.witness == witness
+            seen[(bool(cb.is_groupoid(c)), bool(iso))] += 1
+    # The total orders are thin but not groupoids: there a family is
+    # an isomorphism only where each component is an identity.
+    assert {"missing", (True, True), (False, True), (False, False)} \
+        <= set(seen)
+
+
+def test_transformations_between_two_functors_differ_only_outside_thin():
+    # Every element of an abelian group is a natural endotransformation
+    # of its identity functor, each one different; into a thin category
+    # the only one is the identity.
+    c = cyclic(3)
+    ident = FunctorData.identity(c)
+    family = [NatTransData(ident, ident, {"*": g}) for g in c.morphisms]
+    assert [[n == m for m in family] for n in family] == \
+        [[n is m for m in family] for n in family]
+    d = total_order(3)
+    ident = FunctorData.identity(d)
+    assert held_by(ident, ident) == NatTransData.identity(ident)
+
+
+def test_a_transformation_is_held_by_its_functors_only_into_a_thin_category():
+    c = cyclic(2)
+    ident = FunctorData.identity(c)
+    with pytest.raises(CatError, match="not into a thin category"):
+        held_by(ident, ident)
+    d = total_order(2)
+    F = FunctorData.identity(d)
+    G = FunctorData(d, d, FinFn.constant(d.objects, d.objects, 1),
+                    FinFn.constant(d.morphisms, d.morphisms, (1, 1)))
+    with pytest.raises(CatError, match="held by other functors"):
+        NatTransData(F, F, cb.ThinComponents(F, G))
+    with pytest.raises(CatError, match="component missing at 0"):
+        held_by(G, F)
+    assert repr(held_by(F, G).components) == \
+        "ThinComponents(%r, %r)" % (F, G)
+
+
+def corrupted(nat, x):
+    """nat's components with the one at x moved to a morphism with other
+    endpoints."""
+    cod, n = nat.source.cod, nat.components[x]
+    other = next(m for m in cod.morphisms
+                 if (cod.src(m), cod.tgt(m)) != (cod.src(n), cod.tgt(n)))
+    return {**nat.components, x: other}
+
+
+@pytest.mark.parametrize("fiber", ["discrete", "indiscrete"])
+def test_a_d2_or_mu_corrupted_at_one_component_is_refused_when_built(fiber):
+    # The fusion families over a thin fiber read no component of mu or
+    # d2, so a corrupted one must not get that far: it is refused by the
+    # NatTransData constructor, before the polyad is built.
+    rng = random.Random(6)
+    for n in (2, 3):
+        for polyad, kind_, opstr in fusion_polyads(n):
+            if kind_ != fiber:
+                continue
+            p, d = opstr.monad, opstr.monad.shape
+            for _ in range(3):
+                h = rng.choice(d.morphisms.elements)
+                pair = rng.choice(d.composable_pairs())
+                a = rng.choice(opstr.d2[h].source.dom.objects.elements)
+                x = rng.choice(opstr.fibers["*"].cat.objects.elements)
+                nat = opstr.d2[h]
+                message = raised(lambda: hs.PolyadOpmonoidalStructure(
+                    p, opstr.fibers, {**opstr.d2, h: NatTransData(
+                        nat.source, nat.target, corrupted(nat, a))},
+                    opstr.d0))
+                assert message == "component endpoints at %r" % (a,)
+                nat = p.mu[pair]
+                message = raised(lambda: hs.MonadPresentation(
+                    p.backend, d, p.base_label, p.mor_label,
+                    {**p.mu, pair: NatTransData(nat.source, nat.target,
+                                                corrupted(nat, x))},
+                    p.eta))
+                assert message == "component endpoints at %r" % (x,)

@@ -167,11 +167,11 @@ def checked_values(seed):
 
 # What a checked value may hold beyond its fields, which a built one
 # computes on first use: a set's index, a category's composable pairs,
-# hom buckets, generators, thinness and identity functor, a functor's
-# identity transformation, and the memo (finset_span._kept) of a
-# category or functor.
-LAZY = {"_index", "_pairs", "_homs", "_generators", "_thin", "_identity",
-        "_id2", "_memo"}
+# hom buckets, generators, thinness, groupoid verdict and identity
+# functor, a functor's identity transformation, and the memo
+# (finset_span._kept) of a category or functor.
+LAZY = {"_index", "_pairs", "_homs", "_generators", "_thin", "_groupoid",
+        "_identity", "_id2", "_memo"}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -260,6 +260,46 @@ def test_polyad_trusted_builds(kind, monkeypatch):
     enter_checking_mode(monkeypatch, counted)
     assert hs.polyad_is_hopf(opstr)
     assert builds == POLYAD_BUILDS[kind]
+
+
+def test_checking_mode_checks_every_component_of_each_family_it_builds(
+        monkeypatch):
+    # Every transformation built through _trusted while two polyads are
+    # built and checked is rebuilt by the constructor in checking mode,
+    # which must refuse it with any one component moved to a morphism
+    # with other endpoints.  The fusion families into a thin fiber hold
+    # no component and are built by the constructor in both modes.
+    families = []
+
+    def recorded(cls, *values):
+        value = cls(*values)
+        if cls is NatTransData:
+            families.append(value)
+        return value
+    enter_checking_mode(monkeypatch, recorded)
+    names, mul, unit = hs.cyclic_group(3)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    assert hs.polyad_is_hopf(hs.identity_polyad(
+        names, mul, unit, hs.discrete_monoidal_group(names, mul, unit)))
+    for build in (hs.identity_polyad, hs.translation_opmonoidal):
+        assert hs.polyad_is_hopf(build(names, mul, unit, fiber))
+    assert hs.em_algebras_restricted(hs.translation_polyad(
+        names, mul, unit, fiber), "modules").report.ok
+    assert len(families) > 150
+    assert not any(type(nat.components) is cb.ThinComponents
+                   for nat in families)
+    for nat in families:
+        cod = nat.source.cod
+        for x in nat.source.dom.objects:
+            n = nat.components[x]
+            moved = next((m for m in cod.morphisms
+                          if (cod.src(m), cod.tgt(m))
+                          != (cod.src(n), cod.tgt(n))), None)
+            if moved is None:
+                continue
+            with pytest.raises(CatError, match="component endpoints at"):
+                NatTransData(nat.source, nat.target,
+                             {**nat.components, x: moved})
 
 
 # The _trusted builds of one em_algebras_restricted on the translation
