@@ -28,7 +28,12 @@ Into a thin category there is at most one transformation F => G, so
 one may be held by its two functors: its component at a is the one
 morphism F a -> G a, read on lookup (ThinComponents), and two
 transformations into a thin category are equal when their functors
-are.
+are.  Likewise a functor into a thin category may be held by its
+object map: m goes to the one morphism between the images of its ends,
+read on lookup (ThinMorphisms).  A point functor, out of the unit
+category TERMINAL, is built once per object (point_functor), and a
+composite of one is the point at its image, so composites of points
+compare by identity.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -425,6 +430,28 @@ class ThinComponents(_MapOn):
                           self.right.omap.assignment[key])][0]
 
 
+class ThinMorphisms(_MapOn):
+    """The morphism map of the one functor from dom into a thin category
+    cod with a given object map: m -> the one morphism omap(src m) ->
+    omap(tgt m), read from cod's hom buckets on lookup.  Its keys are
+    the morphisms of dom; FunctorData checks at construction that every
+    hom it reads is non-empty."""
+
+    __slots__ = ("dom", "homs")
+
+    def __init__(self, dom, cod, omap):
+        super().__init__(dom.morphisms, omap, cod)
+        self.dom, self.homs = dom, cod._homs_by_ends()
+
+    def parts(self):
+        return (self.dom, self.left, self.right)
+
+    def __getitem__(self, key):
+        dom, omap = self.dom, self.left.assignment
+        return self.homs[(omap[dom.src.assignment[key]],
+                          omap[dom.tgt.assignment[key]])][0]
+
+
 def product_factors(c):
     """(a, b) when c is the product a x b, else None."""
     table = c.composition
@@ -499,6 +526,18 @@ def is_groupoid(c):
 
 @dataclass(frozen=True)
 class FunctorData:
+    """A functor by its object and morphism maps, checked at
+    construction: every morphism's endpoints, then identities and
+    composition on the generating pairs of the domain unless the
+    codomain is thin.  Into a thin codomain it may be held by its object
+    map (FunctorData.held), its morphism map a ThinMorphisms view on it:
+    then no morphism's image is stored or compared, and it exists when
+    every hom(omap(src m), omap(tgt m)) is non-empty, decided once when
+    the codomain has a morphism between any two objects, and per
+    morphism otherwise.  A functor out of the unit category TERMINAL,
+    a point, composes to the point at its image, built once per object
+    of the codomain (point_functor)."""
+
     dom: FinCategory
     cod: FinCategory
     omap: FinFn
@@ -511,6 +550,17 @@ class FunctorData:
         dom, cod = self.dom, self.cod
         omap, mmap = self.omap.assignment, self.mmap.assignment
         src, tgt = dom.src.assignment, dom.tgt.assignment
+        if type(mmap) is ThinMorphisms:
+            if mmap.parts() != (dom, self.omap, cod) or not is_thin(cod):
+                raise CatError("morphisms held by another object map "
+                               "or not into a thin category")
+            homs = mmap.homs
+            if len(homs) < len(cod.objects) ** 2:
+                for m in dom.morphisms.elements:
+                    if (omap[src[m]], omap[tgt[m]]) not in homs:
+                        raise CatError("functor breaks endpoints at %r"
+                                       % (m,))
+            return
         fsrc, ftgt = cod.src.assignment, cod.tgt.assignment
         for m in dom.morphisms.elements:
             fm = mmap[m]
@@ -545,28 +595,67 @@ class FunctorData:
             object.__setattr__(c, "_identity", ident)
         return ident
 
+    @staticmethod
+    def held(dom, cod, omap):
+        """The functor from dom into the thin category cod with object
+        map omap, held by it: its morphism map is a ThinMorphisms view,
+        and the constructor checks that every hom it reads is
+        non-empty."""
+        return FunctorData(dom, cod, omap, _trusted(
+            FinFn, dom.morphisms, cod.morphisms,
+            ThinMorphisms(dom, cod, omap)))
+
     def then(self, other):
         """other after self; out of a product, mapped on lookup.  A
-        composite with an identity functor is the other operand."""
+        composite with an identity functor is the other operand, that of
+        a point the point at its image, and a composite is held by its
+        object map when other is."""
         if other.dom is not self.cod and other.dom != self.cod:
             raise CatError("functors are not composable")
         if self is self.dom._identity:
             return other
         if other is other.dom._identity:
             return self
+        if self.dom is TERMINAL:
+            return point_functor(other.cod, other.omap.assignment[
+                self.omap.assignment["*"]])
         return _kept(FunctorData._composite, self, other)
 
     def _composite(self, other):
         dom, cod = self.dom, other.cod
         if product_factors(dom) is None:
             omap = other.omap.compose(self.omap)
-            mmap = other.mmap.compose(self.mmap)
+            if type(other.mmap.assignment) is ThinMorphisms:
+                mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
+                                ThinMorphisms(dom, cod, omap))
+            else:
+                mmap = other.mmap.compose(self.mmap)
         else:
             omap = _trusted(FinFn, dom.objects, cod.objects, ComposedMap(
                 dom.objects, other.omap.assignment, self.omap.assignment))
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, ComposedMap(
                 dom.morphisms, other.mmap.assignment, self.mmap.assignment))
         return _trusted(FunctorData, dom, cod, omap, mmap)
+
+
+def point_functor(c, x):
+    """The functor from TERMINAL picking the object x of c, built once
+    per object and kept on c, keyed by x as c.objects holds it.  The
+    point of TERMINAL is its identity functor, so nothing is kept on
+    TERMINAL."""
+    if c is TERMINAL:
+        return FunctorData.identity(c)
+    index = c.objects.positions().get(x)
+    if index is not None:
+        x = c.objects.elements[index]
+    return _kept(_point_functor, c, x)
+
+
+def _point_functor(c, x):
+    return FunctorData(TERMINAL, c, FinFn(TERMINAL.objects, c.objects,
+                                          {"*": x}),
+                       FinFn(TERMINAL.morphisms, c.morphisms,
+                             {("id", "*"): c.identities(x)}))
 
 
 @dataclass(frozen=True)

@@ -72,35 +72,51 @@ def _kept(build, first, second, *more):
     so that no id is reused while it lives.  An identity owns no memo,
     nor does a value that lives as long as the process
     (cat_backend.TERMINAL, vect_backend._UNIT), where a memo would keep
-    every operand it met alive: _owns_no_memo marks them.  What is built
-    of process-wide values alone is one too, kept in _PROCESS_WIDE_MEMO
-    under build and all the ids; with no owner otherwise, the result is
-    built at every call."""
-    # The hit on the first operand's memo comes first, with no tuple
-    # built when there are two operands, as there are at most sites.
+    every operand it met alive: _owns_no_memo marks them; nor does an
+    atom, which takes no attribute.  What is built of process-wide
+    values and atoms alone is process-wide too, kept in
+    _PROCESS_WIDE_MEMO under build and all the ids; with no owner
+    otherwise, the result is built at every call."""
+    # A hit comes first, with no tuple built when there are two
+    # operands, as there are at most sites: on the first operand's memo,
+    # or, when the first owns none, on the second's, under all the ids.
     try:
         memo = first._memo
     except AttributeError:
-        memo = _NO_MEMO
-    rest = (id(second), *map(id, more)) if more else id(second)
-    memo = memo.get(build)
-    if memo is not None:
-        hit = memo.get(rest)
-        if hit is not None:
-            return hit[1]
+        memo = None
+    if type(memo) is dict:
+        rest = (id(second), *map(id, more)) if more else id(second)
+        memo = memo.get(build)
+        if memo is not None:
+            hit = memo.get(rest)
+            if hit is not None:
+                return hit[1]
+    elif memo is not None:
+        memo = getattr(second, "_memo", None)
+        if type(memo) is dict:
+            memo = memo.get(build)
+            if memo is not None:
+                hit = memo.get((id(first), id(second), *map(id, more)))
+                if hit is not None:
+                    return hit[1]
     operands = (first, second, *more)
     for owner in operands:
         memo = getattr(owner, "_memo", None)
         if memo is None:
-            object.__setattr__(owner, "_memo", memo := {})
+            try:
+                object.__setattr__(owner, "_memo", memo := {})
+            except AttributeError:
+                continue
         if type(memo) is dict:
             break
     else:
-        if any(operand._memo is not _PROCESS_WIDE for operand in operands):
+        if any(getattr(operand, "_memo", _PROCESS_WIDE)
+               is not _PROCESS_WIDE for operand in operands):
             return build(*operands)
         memo, owner = _PROCESS_WIDE_MEMO, None
     if owner is first:
-        memo, key = memo.setdefault(build, {}), rest
+        key = (id(second), *map(id, more)) if more else id(second)
+        memo = memo.setdefault(build, {})
     elif owner is None:
         key = (build, *map(id, operands))
     else:

@@ -904,39 +904,32 @@ class MonoidalCatData:
     def fiber(self):
         """The fiber triple used by the induced monoid object."""
         return MonoidalFiber(self.cat, self.tensor,
-                             _point_functor(self.cat, self.unit))
+                             cb.point_functor(self.cat, self.unit))
 
 
-def _point_functor(cat, x):
-    one = cb.TERMINAL
-    return cb.FunctorData(one, cat,
-                          FinFn(one.objects, cat.objects, {"*": x}),
-                          FinFn(one.morphisms, cat.morphisms,
-                                {("id", "*"): cat.identities(x)}))
+def _thin_monoidal_group(c, mul, unit):
+    """The thin category c on a monoid, tensored by the table on
+    objects: into a thin category the tensor is held by its object map
+    (cb.FunctorData.held), so no morphism of the product is mapped."""
+    prod = product_category(c, c)
+    omap = FinFn(prod.objects, c.objects,
+                 {(x, y): mul[(x, y)] for (x, y) in prod.objects})
+    return MonoidalCatData(c, cb.FunctorData.held(prod, c, omap), unit)
 
 
 def discrete_monoidal_group(elements, mul, unit):
-    """The discrete category on a monoid, tensored by the table."""
-    c = cb.FinCategory.discrete(list(elements))
-    prod = product_category(c, c)
-    omap = FinFn(prod.objects, c.objects,
-                 {(x, y): mul[(x, y)] for (x, y) in prod.objects})
-    mmap = FinFn(prod.morphisms, c.morphisms,
-                 {(m, n): ("id", mul[(m[1], n[1])])
-                  for (m, n) in prod.morphisms})
-    return MonoidalCatData(c, cb.FunctorData(prod, c, omap, mmap), unit)
+    """The discrete category on a monoid, tensored by the table, the
+    tensor held by its object map."""
+    return _thin_monoidal_group(cb.FinCategory.discrete(list(elements)),
+                                mul, unit)
 
 
 def indiscrete_monoidal_group(elements, mul, unit):
-    """The indiscrete category on a monoid, tensored componentwise."""
-    c = cb.FinCategory.indiscrete(list(elements))
-    prod = product_category(c, c)
-    omap = FinFn(prod.objects, c.objects,
-                 {(x, y): mul[(x, y)] for (x, y) in prod.objects})
-    mmap = FinFn(prod.morphisms, c.morphisms,
-                 {(m, n): (mul[(m[0], n[0])], mul[(m[1], n[1])])
-                  for (m, n) in prod.morphisms})
-    return MonoidalCatData(c, cb.FunctorData(prod, c, omap, mmap), unit)
+    """The indiscrete category on a monoid, tensored componentwise, the
+    tensor held by its object map: the product category's n^4
+    morphisms are never mapped one by one."""
+    return _thin_monoidal_group(cb.FinCategory.indiscrete(list(elements)),
+                                mul, unit)
 
 
 @dataclass(frozen=True)
@@ -1069,8 +1062,8 @@ class PolyadOpmonoidalStructure:
         for h in d.morphisms:
             fs, ft = self.fibers[d.src(h)], self.fibers[d.tgt(h)]
             eps[h] = cb.NatTransData(
-                _point_functor(fs.cat, fs.unit).then(p.mor_label[h]),
-                _point_functor(ft.cat, ft.unit),
+                cb.point_functor(fs.cat, fs.unit).then(p.mor_label[h]),
+                cb.point_functor(ft.cat, ft.unit),
                 {"*": self.d0[h]})
         return ComonoidStructure(dict(self.d2), eps)
 
@@ -1158,13 +1151,20 @@ def identity_polyad(elements, mul, unit, fiber):
 def translation_polyad(elements, mul, unit, fiber):
     """Labels translate the fiber by the acting element; the fiber's
     objects must be the monoid elements and every relevant hom must be a
-    singleton for the morphism part to be determined."""
+    singleton for the morphism part to be determined.  On a thin fiber
+    each label is held by its object map (cb.FunctorData.held, which
+    refuses a label that misses a hom), and mu and eta by their functors
+    (cb.ThinComponents): no morphism or component is looked up."""
     shape = cb.FinCategory.from_monoid(list(elements), mul, unit)
     c = fiber.cat
+    thin = cb.is_thin(c)
     mor_label = {}
     for u in shape.morphisms:
         omap = FinFn(c.objects, c.objects,
                      {a: mul[(u, a)] for a in c.objects})
+        if thin:
+            mor_label[u] = cb.FunctorData.held(c, c, omap)
+            continue
         mmap = {}
         for m in c.morphisms:
             pool = c.hom(omap(c.src(m)), omap(c.tgt(m)))
@@ -1174,16 +1174,28 @@ def translation_polyad(elements, mul, unit, fiber):
             mmap[m] = pool[0]
         mor_label[u] = cb.FunctorData(c, c, omap,
                                       FinFn(c.morphisms, c.morphisms, mmap))
-    mu = {}
-    for (u, v) in shape.composable_pairs():
-        source = mor_label[v].then(mor_label[u])
-        mu[(u, v)] = cb.NatTransData(
-            source, mor_label[mul[(u, v)]],
-            {a: c.identities(source.omap(a)) for a in c.objects})
-    eta = cb.NatTransData(cb.FunctorData.identity(c), mor_label[unit],
-                          {a: c.identities(a) for a in c.objects})
+
+    def strict(source, target):
+        # Translation is strict, so each component is an identity.
+        return cb.NatTransData(source, target, cb.ThinComponents(
+            source, target) if thin else {
+                a: c.identities(source.omap(a)) for a in c.objects})
+    mu = {(u, v): strict(mor_label[v].then(mor_label[u]),
+                         mor_label[mul[(u, v)]])
+          for (u, v) in shape.composable_pairs()}
+    eta = strict(cb.FunctorData.identity(c), mor_label[unit])
     return MonadPresentation(CatBackend(), shape, {"*": c}, mor_label, mu,
                              {"*": eta})
+
+
+def _held(source, target):
+    """The one transformation source => target into a thin category,
+    held by its functors, or None when a component is missing."""
+    try:
+        return cb.NatTransData(source, target,
+                               cb.ThinComponents(source, target))
+    except cb.CatError:
+        return None
 
 
 def translation_opmonoidal(elements, mul, unit, fiber):
@@ -1191,24 +1203,29 @@ def translation_opmonoidal(elements, mul, unit, fiber):
     fiber admits one: each d2 component must be the unique morphism from
     the translated tensor to the tensor of translates, which exists in
     the indiscrete fiber but not in the discrete one away from the
-    unit."""
+    unit.  On a thin fiber each d2 is held by its functors
+    (cb.ThinComponents), its components looked up only to name the
+    first missing one."""
     p = translation_polyad(elements, mul, unit, fiber)
     c = fiber.cat
     d2, d0 = {}, {}
     for u in p.shape.morphisms:
         f = p.mor_label[u]
-        comps = {}
-        for (a, b) in product_category(c, c).objects:
-            pool = c.hom(f.omap(fiber.obj_tensor(a, b)),
-                         fiber.obj_tensor(f.omap(a), f.omap(b)))
-            if len(pool) != 1:
-                raise SpanVError(
-                    "no comparison morphism for translation by %r at %r"
-                    % (u, (a, b)))
-            comps[(a, b)] = pool[0]
-        d2[u] = cb.NatTransData(fiber.tensor.then(f),
-                                product_functor(f, f).then(fiber.tensor),
-                                comps)
+        source = fiber.tensor.then(f)
+        target = product_functor(f, f).then(fiber.tensor)
+        nat = _held(source, target) if cb.is_thin(c) else None
+        if nat is None:
+            comps = {}
+            for (a, b) in source.dom.objects:
+                pool = c.hom(f.omap(fiber.obj_tensor(a, b)),
+                             fiber.obj_tensor(f.omap(a), f.omap(b)))
+                if len(pool) != 1:
+                    raise SpanVError(
+                        "no comparison morphism for translation by %r at "
+                        "%r" % (u, (a, b)))
+                comps[(a, b)] = pool[0]
+            nat = cb.NatTransData(source, target, comps)
+        d2[u] = nat
         pool = c.hom(f.omap(fiber.unit), fiber.unit)
         if len(pool) != 1:
             raise SpanVError("no comparison morphism for translation by "
@@ -1427,8 +1444,10 @@ def _restricted_carriers(p, shape):
 
     Every carrier sits on one span, and its composites with t, t o t
     and the identity on the spans composed from it, each built once per
-    call.  A point functor is built once per fiber object, so carriers
-    share their labels and the functor composites kept on them."""
+    call.  A point functor is built once per fiber object, and so is
+    each composite of one (cb.point_functor), so carriers share their
+    labels, and the two bracketings of a label composite are one
+    object."""
     be, d = p.backend, p.shape
     t, mu2, eta2 = p.cells
     one0 = unit_cell0(be)
@@ -1438,12 +1457,11 @@ def _restricted_carriers(p, shape):
     tt_q = compose_spans(mu2.source.span, span)
     t_tq = compose_spans(t.span, t_q)
     i_q = compose_spans(eta2.source.span, span)
-    points = {(x, y): _point_functor(cat, y)
-              for x, cat in p.base_label.items() for y in cat.objects}
 
     def carrier(q):
         q1 = Cell1(be, one0, t.src, span, {
-            c: points[(shape.left(c), q[c])] for c in shape.keys})
+            c: cb.point_functor(p.base_label[shape.left(c)], q[c])
+            for c in shape.keys})
         tq = _composite(t, q1, t_q)
         ttq, iq = _composite(mu2.source, q1, tt_q), \
             _composite(eta2.source, q1, i_q)
@@ -1491,6 +1509,12 @@ def _arrow_holds(idt, a, a_xi, b, b_xi, chi):
 
 
 def _inclusion_functor(src, tgt):
+    """The functor sending each object and morphism of src to itself in
+    tgt: by the identity maps when both hold the same object and
+    morphism sets."""
+    if src.objects == tgt.objects and src.morphisms == tgt.morphisms:
+        return cb.FunctorData(src, tgt, FinFn.identity(src.objects),
+                              FinFn.identity(src.morphisms))
     return cb.FunctorData(
         src, tgt, FinFn(src.objects, tgt.objects, {x: x for x in src.objects}),
         FinFn(src.morphisms, tgt.morphisms, {m: m for m in src.morphisms}))

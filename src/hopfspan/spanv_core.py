@@ -345,24 +345,23 @@ class CatBackend(Backend):
 
 def product_category(a, b):
     """Product of finite categories on pair atoms, componentwise.  Its
-    objects and morphisms are the FinSet products, and its composition
-    a cb.ProductTable that composes in the factors on lookup, so it is
-    never tabulated."""
+    objects and morphisms are the FinSet products; its src, tgt and
+    identities cb.PairMap views on the factors' maps, and its
+    composition a cb.ProductTable that composes in the factors, each
+    read on lookup, so none is tabulated."""
     return _kept(_product_category, a, b)
 
 
 def _product_category(a, b):
     objects = FinSet.product(a.objects, b.objects)
     morphisms = FinSet.product(a.morphisms, b.morphisms)
-    src = FinFn(morphisms, objects,
-                {(m, n): (a.src(m), b.src(n)) for (m, n) in morphisms})
-    tgt = FinFn(morphisms, objects,
-                {(m, n): (a.tgt(m), b.tgt(n)) for (m, n) in morphisms})
-    identities = FinFn(objects, morphisms,
-                       {(x, y): (a.identities(x), b.identities(y))
-                        for (x, y) in objects})
-    return _trusted(cb.FinCategory, objects, morphisms, src, tgt,
-                    identities, cb.ProductTable(a, b))
+    src, tgt, ids = [_trusted(FinFn, dom, cod, cb.PairMap(
+        dom, left.assignment, right.assignment)) for dom, cod, left, right in (
+            (morphisms, objects, a.src, b.src),
+            (morphisms, objects, a.tgt, b.tgt),
+            (objects, morphisms, a.identities, b.identities))]
+    return _trusted(cb.FinCategory, objects, morphisms, src, tgt, ids,
+                    cb.ProductTable(a, b))
 
 
 def product_functor(p, q):

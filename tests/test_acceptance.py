@@ -1,4 +1,4 @@
-"""Acceptance gate: twenty criteria, one pass line each.
+"""Acceptance gate: twenty-one criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -10,7 +10,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -588,7 +591,7 @@ def test_criterion_16_translation_polyad_z8_hopf_check():
 def test_criterion_17_translation_polyad_z16_hopf_check():
     start = time.monotonic()
     translation_polyad_is_hopf(16)
-    finish(17, "Hopf check of the translation polyad over Z_16", start, 1.5)
+    finish(17, "Hopf check of the translation polyad over Z_16", start, 0.4)
 
 
 def test_criterion_18_indiscrete_20_monad_check():
@@ -623,3 +626,31 @@ def test_criterion_20_translation_polyad_z3_representations():
     assert len(comparison.algebras.morphisms) == 729
     finish(20, "representations of the translation polyad over Z_3", start,
            0.5, 27)
+
+
+# The Z_32 check in a child process of its own, capped at 3 GB of
+# address space, so that its peak RSS is its own.
+Z32_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from hopfspan import hopf_structures as hs
+start = time.monotonic()
+names, mul, unit = hs.cyclic_group(32)
+fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+assert hs.polyad_is_hopf(hs.translation_opmonoidal(names, mul, unit, fiber))
+print(time.monotonic() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_criterion_21_translation_polyad_z32_hopf_check():
+    package = pathlib.Path(hs.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    child = subprocess.run([sys.executable, "-c", Z32_CHILD], env=env,
+                           capture_output=True, text=True, check=True)
+    elapsed, peak_mib = map(float, child.stdout.split())
+    print("criterion 21: peak RSS %.0f MiB of 200 MiB" % peak_mib)
+    finish(21, "Hopf check of the translation polyad over Z_32, fiber "
+           "build included", time.monotonic() - elapsed, 1.5)
+    assert peak_mib < 200

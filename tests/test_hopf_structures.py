@@ -1051,7 +1051,7 @@ def whole_cell_carrier(p, shape, q):
     span = Span(one0.carrier, d.objects, shape.keys, shape.left,
                 FinFn.constant(shape.keys, one0.carrier, "*"))
     return Cell1(be, one0, p.cells[0].src, span,
-                 {c: hs._point_functor(shape.fiber(p, c), q[c])
+                 {c: cb.point_functor(shape.fiber(p, c), q[c])
                   for c in shape.keys})
 
 

@@ -102,9 +102,9 @@ TRUSTED = {
                     "Span.identity", "SpanMorphism.identity",
                     "SpanMorphism.then", "_in_order", "compose_spans",
                     "compose_span_morphisms_h", "cartesian_product"},
-    "cat_backend": {"FunctorData.identity", "FunctorData._composite",
-                    "NatTransData.identity", "NatTransData.vcomp",
-                    "NatTransData.hcomp"},
+    "cat_backend": {"FunctorData.identity", "FunctorData.held",
+                    "FunctorData._composite", "NatTransData.identity",
+                    "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
                    "_composite", "hcomp2", "_tensor0", "tensor1", "tensor2",
@@ -340,8 +340,9 @@ def test_new_is_read_only_by_the_trusted_builder_and_the_kernel():
 
 # The package's builders of a FinCategory: the named shapes, the
 # category of actions, and the product, whose composition is the
-# ProductTable that composes in its factors on lookup.  No package
-# module tabulates the composition of a product.
+# ProductTable that composes in its factors on lookup, and whose src,
+# tgt and identities are PairMap views on the factors' maps.  No package
+# module tabulates the composition or the end maps of a product.
 FIN_CATEGORY = {
     "cat_backend": {"FinCategory.from_monoid", "FinCategory.indiscrete",
                     "FinCategory.discrete"},
@@ -373,9 +374,15 @@ def test_no_package_module_tabulates_a_product():
     (build,) = [node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "_product_category"]
-    (call,) = [node for node in ast.walk(build)
+    trusted = [node for node in ast.walk(build)
                if isinstance(node, ast.Call)
                and name_read(node.func) == "_trusted"]
+    (call,) = [node for node in trusted
+               if name_read(node.args[0]) == "FinCategory"]
     table = call.args[-1]
     assert isinstance(table, ast.Call) and \
         name_read(table.func) == "ProductTable"
+    (maps,) = [node for node in trusted if name_read(node.args[0]) == "FinFn"]
+    assert name_read(maps.args[-1].func) == "PairMap"
+    assert not [node for node in ast.walk(build)
+                if isinstance(node, (ast.Dict, ast.DictComp))]

@@ -151,6 +151,29 @@ def test_a_z5_opmonoidal_check_makes_each_product_once(tmp_path,
     assert len({(f, g) for f, g in products}) == len(products) == 10
 
 
+def test_an_identity_first_product_is_read_from_the_second_operand(
+        monkeypatch):
+    # An identity owns no memo, so its Kronecker product with g is kept
+    # on g under both operands' ids, and a later call reads it there:
+    # it returns the kept product and builds nothing.
+    a = vb.VObject([("x", 0), ("y", 1)])
+    b = vb.VObject([("u", 0), ("v", 0)])
+    ident = vb.VMorphism.identity(a)
+    g = vb.VMorphism(b, b, [[0, 1], [1, 0]])
+    kept = vb.tensor_mor(ident, g)
+    built = []
+    raw = vb.VMorphism._from_rows.__func__
+
+    def counted(cls, *values):
+        built.append(values)
+        return raw(cls, *values)
+    monkeypatch.setattr(vb.VMorphism, "_from_rows", classmethod(counted))
+    assert vb.tensor_mor(ident, g) is kept
+    assert built == []
+    assert ident._memo is fs._NO_MEMO and not ident._memo
+    assert g._memo[vb._kronecker] == {(id(ident), id(g)): ((ident,), kept)}
+
+
 class FreshUnitCatBackend(CatBackend):
     """The finite-category base with a new one-object unit category on
     every call, equal to the shared one but not the same object."""
@@ -219,7 +242,11 @@ def test_process_wide_values_hold_no_memo():
                   FunctorData.identity(square)):
         assert value._memo is fs._PROCESS_WIDE or value._memo is fs._NO_MEMO
         assert not value._memo
-    # What is built of process-wide values alone is process-wide too.
+    # What is built of process-wide values alone is process-wide too;
+    # an atom among its operands (the object of a point functor into
+    # the unit category's square) takes no attribute, so owns no memo.
     for operands, result in fs._PROCESS_WIDE_MEMO.values():
         for value in operands + (result,):
+            if isinstance(value, (str, tuple)):
+                continue
             assert value._memo is fs._PROCESS_WIDE

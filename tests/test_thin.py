@@ -861,3 +861,162 @@ def test_a_d2_or_mu_corrupted_at_one_component_is_refused_when_built(fiber):
                                                 corrupted(nat, x))},
                     p.eta))
                 assert message == "component endpoints at %r" % (x,)
+
+
+# ---------------------------------------------------------------------------
+# Functors into a thin category held by their object maps
+# (FunctorData.held, a cb.ThinMorphisms view), and point functors built
+# once per object, against the same functors with their morphism maps
+# listed, or composed by FunctorData._composite.
+
+
+def listed(dom, cod, omap):
+    """The functor with object map omap, each morphism sent to the first
+    morphism with the endpoints it asks for, or anywhere when there is
+    none, built by the checked constructor."""
+    mmap = {m: (cod.hom(omap(dom.src(m)), omap(dom.tgt(m)))
+                or cod.morphisms.elements)[0] for m in dom.morphisms}
+    return FunctorData(dom, cod, omap, FinFn(dom.morphisms, cod.morphisms,
+                                             mmap))
+
+
+def assert_same_functor(held, other):
+    assert type(held.mmap.assignment) is cb.ThinMorphisms
+    assert held == other and other == held
+    assert held.omap == other.omap
+    assert [held.mmap(m) for m in held.dom.morphisms] == \
+        [other.mmap(m) for m in other.dom.morphisms]
+    assert list(held.mmap.assignment) == list(held.dom.morphisms)
+    assert len(held.mmap.assignment) == len(held.dom.morphisms)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_held_tensors_read_as_the_listed_ones(n):
+    names, mul, unit = hs.cyclic_group(n)
+    for build in (hs.discrete_monoidal_group, hs.indiscrete_monoidal_group):
+        fiber = build(names, mul, unit)
+        t = fiber.tensor
+        assert_same_functor(t, listed(t.dom, t.cod, t.omap))
+        assert t.mmap.assignment.dom is product_category(fiber.cat,
+                                                         fiber.cat)
+
+
+def listed_translation(names, mul, unit, fiber):
+    """translation_polyad's labels, mu and eta, each morphism and
+    component looked up in the fiber and listed."""
+    c = fiber.cat
+    labels = {}
+    for u in names:
+        omap = FinFn(c.objects, c.objects, {a: mul[(u, a)] for a in c.objects})
+        labels[u] = FunctorData(c, c, omap, FinFn(c.morphisms, c.morphisms, {
+            m: c.hom(omap(c.src(m)), omap(c.tgt(m)))[0]
+            for m in c.morphisms}))
+    mu = {(u, v): NatTransData(labels[v].then(labels[u]),
+                               labels[mul[(u, v)]],
+                               {a: c.identities(mul[(u, mul[(v, a)])])
+                                for a in c.objects})
+          for u in names for v in names}
+    eta = NatTransData(FunctorData.identity(c), labels[unit],
+                       {a: c.identities(a) for a in c.objects})
+    return labels, mu, eta
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_held_translation_labels_read_as_the_listed_ones(n):
+    names, mul, unit = hs.cyclic_group(n)
+    for build in (hs.discrete_monoidal_group, hs.indiscrete_monoidal_group):
+        fiber = build(names, mul, unit)
+        p = hs.translation_polyad(names, mul, unit, fiber)
+        labels, mu, eta = listed_translation(names, mul, unit, fiber)
+        assert list(p.mor_label) == list(labels)
+        for u, label in p.mor_label.items():
+            assert_same_functor(label, labels[u])
+        for held, other in [(p.eta["*"], eta)] + [
+                (p.mu[pair], mu[pair]) for pair in p.shape.composable_pairs()]:
+            assert type(held.components) is cb.ThinComponents
+            assert held == other and other == held
+            assert dict(held.components) == other.components
+            assert type(held.source.mmap.assignment) is cb.ThinMorphisms \
+                or held.source is FunctorData.identity(fiber.cat)
+
+
+def test_held_functors_are_checked_as_the_listed_ones():
+    # Into a thin category a functor is fixed by its object map, and
+    # exists when every hom it reads is non-empty: decided once into an
+    # indiscrete category, and at each morphism, in order, otherwise.
+    rng = random.Random(7)
+    seen = collections.Counter()
+    for cod in THIN + [total_order(4), FinCategory.indiscrete(range(4))]:
+        for dom in [cod] + rng.sample(CATEGORIES, 3):
+            for _ in range(6):
+                omap = FinFn(dom.objects, cod.objects, {
+                    x: rng.choice(cod.objects.elements) for x in dom.objects})
+                message = raised(lambda: FunctorData.held(dom, cod, omap))
+                assert message == raised(lambda: listed(dom, cod, omap))
+                if message is None:
+                    assert_same_functor(FunctorData.held(dom, cod, omap),
+                                        listed(dom, cod, omap))
+                seen[message and message.split(" at ")[0]] += 1
+    assert {None, "functor breaks endpoints"} <= set(seen)
+
+
+def test_a_held_functor_that_misses_a_hom_is_refused():
+    d = total_order(3)
+    backwards = FinFn(d.objects, d.objects, {0: 2, 1: 1, 2: 0})
+    message = "functor breaks endpoints at (0, 1)"
+    assert raised(lambda: FunctorData.held(d, d, backwards)) == message
+    assert raised(lambda: listed(d, d, backwards)) == message
+    ident = FunctorData.identity(d)
+    with pytest.raises(CatError, match="held by another object map"):
+        FunctorData(d, d, ident.omap, _trusted(
+            FinFn, d.morphisms, d.morphisms,
+            cb.ThinMorphisms(d, d, FinFn.constant(d.objects, d.objects, 2))))
+    held = FunctorData.held(d, d, FinFn(d.objects, d.objects,
+                                        {0: 0, 1: 1, 2: 2}))
+    assert held == ident and ident == held
+    c = cyclic(2)
+    with pytest.raises(CatError, match="not into a thin category"):
+        FunctorData.held(c, c, FinFn.identity(c.objects))
+
+
+def point_fibers():
+    """The discrete and indiscrete fibers of Z_3 and the one-object
+    fiber of endomorphisms of the idempotent monoid {e, z}, which is not
+    thin, each with endofunctors to compose points with."""
+    rng = random.Random(8)
+    names, mul, unit = hs.cyclic_group(3)
+    found = []
+    for build in (hs.discrete_monoidal_group, hs.indiscrete_monoidal_group):
+        c = build(names, mul, unit).cat
+        p = hs.translation_polyad(names, mul, unit, build(names, mul, unit))
+        found.append((c, functors_into(c, rng)))
+        found.append((p.base_label["*"], list(p.mor_label.values())))
+    endo = monoid(2, max)
+    found.append((endo, functors_into(endo, rng)))
+    return found
+
+
+def test_point_composites_are_the_points_at_their_images():
+    for c, functors in point_fibers():
+        for x in c.objects:
+            point = cb.point_functor(c, x)
+            assert point is cb.point_functor(c, x)
+            assert point.dom is cb.TERMINAL and point.omap("*") == x
+            for k in functors:
+                composite = point.then(k)
+                assert composite is cb.point_functor(c, k.omap(x))
+                # The composed functor, as then built it before.
+                oracle = point._composite(k)
+                assert composite == oracle and oracle == composite
+                assert composite.mmap(("id", "*")) == \
+                    oracle.mmap(("id", "*"))
+                for h in functors:
+                    assert point.then(k.then(h)) is point.then(k).then(h)
+                    assert point.then(k.then(h)) == \
+                        point._composite(k)._composite(h)
+
+
+def test_the_point_of_the_unit_category_is_its_identity():
+    unit = cb.TERMINAL
+    assert cb.point_functor(unit, "*") is FunctorData.identity(unit)
+    assert not unit._memo
