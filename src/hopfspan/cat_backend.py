@@ -623,18 +623,20 @@ class FunctorData:
 
     def _composite(self, other):
         dom, cod = self.dom, other.cod
-        if product_factors(dom) is None:
-            omap = other.omap.compose(self.omap)
-            if type(other.mmap.assignment) is ThinMorphisms:
-                mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
-                                ThinMorphisms(dom, cod, omap))
-            else:
-                mmap = other.mmap.compose(self.mmap)
-        else:
+        product = product_factors(dom) is not None
+        if product:
             omap = _trusted(FinFn, dom.objects, cod.objects, ComposedMap(
                 dom.objects, other.omap.assignment, self.omap.assignment))
+        else:
+            omap = other.omap.compose(self.omap)
+        if type(other.mmap.assignment) is ThinMorphisms:
+            mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
+                            ThinMorphisms(dom, cod, omap))
+        elif product:
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, ComposedMap(
                 dom.morphisms, other.mmap.assignment, self.mmap.assignment))
+        else:
+            mmap = other.mmap.compose(self.mmap)
         return _trusted(FunctorData, dom, cod, omap, mmap)
 
 

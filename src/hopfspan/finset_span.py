@@ -77,28 +77,18 @@ def _kept(build, first, second, *more):
     values and atoms alone is process-wide too, kept in
     _PROCESS_WIDE_MEMO under build and all the ids; with no owner
     otherwise, the result is built at every call."""
-    # A hit comes first, with no tuple built when there are two
-    # operands, as there are at most sites: on the first operand's memo,
-    # or, when the first owns none, on the second's, under all the ids.
+    # The hit on the first operand's memo comes first, with no tuple
+    # built when there are two operands, as there are at most sites.
     try:
         memo = first._memo
     except AttributeError:
-        memo = None
-    if type(memo) is dict:
-        rest = (id(second), *map(id, more)) if more else id(second)
-        memo = memo.get(build)
-        if memo is not None:
-            hit = memo.get(rest)
-            if hit is not None:
-                return hit[1]
-    elif memo is not None:
-        memo = getattr(second, "_memo", None)
-        if type(memo) is dict:
-            memo = memo.get(build)
-            if memo is not None:
-                hit = memo.get((id(first), id(second), *map(id, more)))
-                if hit is not None:
-                    return hit[1]
+        memo = _NO_MEMO
+    rest = (id(second), *map(id, more)) if more else id(second)
+    memo = memo.get(build)
+    if memo is not None:
+        hit = memo.get(rest)
+        if hit is not None:
+            return hit[1]
     operands = (first, second, *more)
     for owner in operands:
         memo = getattr(owner, "_memo", None)
@@ -106,6 +96,8 @@ def _kept(build, first, second, *more):
             try:
                 object.__setattr__(owner, "_memo", memo := {})
             except AttributeError:
+                if not isinstance(owner, (str, int, tuple)):
+                    raise
                 continue
         if type(memo) is dict:
             break
@@ -115,8 +107,7 @@ def _kept(build, first, second, *more):
             return build(*operands)
         memo, owner = _PROCESS_WIDE_MEMO, None
     if owner is first:
-        key = (id(second), *map(id, more)) if more else id(second)
-        memo = memo.setdefault(build, {})
+        memo, key = memo.setdefault(build, {}), rest
     elif owner is None:
         key = (build, *map(id, operands))
     else:

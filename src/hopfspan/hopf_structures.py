@@ -1152,8 +1152,9 @@ def translation_polyad(elements, mul, unit, fiber):
     """Labels translate the fiber by the acting element; the fiber's
     objects must be the monoid elements and every relevant hom must be a
     singleton for the morphism part to be determined.  On a thin fiber
-    each label is held by its object map (cb.FunctorData.held, which
-    refuses a label that misses a hom), and mu and eta by their functors
+    each label is held by its object map (cb.FunctorData.held; a label
+    that misses a hom is refused as undetermined at the first morphism
+    it misses), and mu and eta by their functors
     (cb.ThinComponents): no morphism or component is looked up."""
     shape = cb.FinCategory.from_monoid(list(elements), mul, unit)
     c = fiber.cat
@@ -1163,8 +1164,11 @@ def translation_polyad(elements, mul, unit, fiber):
         omap = FinFn(c.objects, c.objects,
                      {a: mul[(u, a)] for a in c.objects})
         if thin:
-            mor_label[u] = cb.FunctorData.held(c, c, omap)
-            continue
+            try:
+                mor_label[u] = cb.FunctorData.held(c, c, omap)
+                continue
+            except cb.CatError:
+                pass  # the listing below names the first missing hom
         mmap = {}
         for m in c.morphisms:
             pool = c.hom(omap(c.src(m)), omap(c.tgt(m)))
@@ -1510,14 +1514,10 @@ def _arrow_holds(idt, a, a_xi, b, b_xi, chi):
 
 def _inclusion_functor(src, tgt):
     """The functor sending each object and morphism of src to itself in
-    tgt: by the identity maps when both hold the same object and
-    morphism sets."""
-    if src.objects == tgt.objects and src.morphisms == tgt.morphisms:
-        return cb.FunctorData(src, tgt, FinFn.identity(src.objects),
-                              FinFn.identity(src.morphisms))
-    return cb.FunctorData(
-        src, tgt, FinFn(src.objects, tgt.objects, {x: x for x in src.objects}),
-        FinFn(src.morphisms, tgt.morphisms, {m: m for m in src.morphisms}))
+    tgt, which holds the same object and morphism sets: by the identity
+    maps."""
+    return cb.FunctorData(src, tgt, FinFn.identity(src.objects),
+                          FinFn.identity(src.morphisms))
 
 
 def em_algebras_restricted(p, kind="modules"):

@@ -15,8 +15,10 @@ import dataclasses
 import gc
 import io
 import json
+import types
 import weakref
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfspan import cli
@@ -250,3 +252,23 @@ def test_process_wide_values_hold_no_memo():
             if isinstance(value, (str, tuple)):
                 continue
             assert value._memo is fs._PROCESS_WIDE
+
+
+def test_only_atoms_are_skipped_as_owning_no_memo():
+    # An atom takes no attribute and owns no memo; any other value that
+    # takes no _memo is refused rather than counted process-wide, where
+    # its result and operands would be kept for the life of the process.
+    class Slotted:
+        __slots__ = ()
+
+    def pair(*operands):
+        return types.SimpleNamespace(operands=operands)
+    kept = dict(fs._PROCESS_WIDE_MEMO)
+    with pytest.raises(AttributeError):
+        fs._kept(pair, TERMINAL, Slotted())
+    with pytest.raises(AttributeError):
+        fs._kept(pair, "x", Slotted())
+    assert fs._PROCESS_WIDE_MEMO == kept
+    assert fs._kept(pair, TERMINAL, "x") is fs._kept(pair, TERMINAL, "x")
+    fs._PROCESS_WIDE_MEMO.pop((pair, id(TERMINAL), id("x")))
+    assert fs._PROCESS_WIDE_MEMO == kept

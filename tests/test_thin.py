@@ -979,6 +979,22 @@ def test_a_held_functor_that_misses_a_hom_is_refused():
         FunctorData.held(c, c, FinFn.identity(c.objects))
 
 
+def test_a_translation_that_misses_a_hom_is_not_determined():
+    # The total order 0 < 1 < 2, tensored by max, on the elements of
+    # Z_3: translation by 1 sends (0, 2) to 1 -> 0, which is not there,
+    # so the label is refused with the listing's error, not the held
+    # functor's.
+    d = total_order(3)
+    fiber = hs.MonoidalCatData(d, FunctorData.held(
+        product_category(d, d), d, FinFn(
+            product_category(d, d).objects, d.objects,
+            {(x, y): max(x, y) for x in range(3) for y in range(3)})), 0)
+    mul = {(u, a): (u + a) % 3 for u in range(3) for a in range(3)}
+    with pytest.raises(SpanVError) as err:
+        hs.translation_polyad(range(3), mul, 0, fiber)
+    assert str(err.value) == "translation by 1 is not determined at (0, 2)"
+
+
 def point_fibers():
     """The discrete and indiscrete fibers of Z_3 and the one-object
     fiber of endomorphisms of the idempotent monoid {e, z}, which is not
