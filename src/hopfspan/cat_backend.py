@@ -43,6 +43,7 @@ category is built next to the image backend in spanv_core.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import is_
 
 from .finset_span import FinSet, FinFn, _kept, _owns_no_memo, _trusted
 from .reporting import CheckReport, Verdict
@@ -524,6 +525,14 @@ def is_groupoid(c):
     return c._groupoid
 
 
+def _identity_on(fn, atoms):
+    """Whether fn is the identity of the FinSet atoms: that set at both
+    ends, and every atom sent to itself, compared by identity."""
+    image = fn.assignment
+    return fn.domain is atoms is fn.codomain and len(image) == len(atoms) \
+        and all(map(is_, image, image.values()))
+
+
 @dataclass(frozen=True)
 class FunctorData:
     """A functor by its object and morphism maps, checked at
@@ -534,9 +543,13 @@ class FunctorData:
     then no morphism's image is stored or compared, and it exists when
     every hom(omap(src m), omap(tgt m)) is non-empty, decided once when
     the codomain has a morphism between any two objects, and per
-    morphism otherwise.  A functor out of the unit category TERMINAL,
-    a point, composes to the point at its image, built once per object
-    of the codomain (point_functor)."""
+    morphism otherwise.  When its maps are the identities of the
+    codomain's own object and morphism sets, each morphism keeps its
+    ends exactly when the two categories' src and tgt assignments agree,
+    one comparison; the loop over the morphisms runs only when they do
+    not, to name the first that breaks.  A functor out of the unit
+    category TERMINAL, a point, composes to the point at its image,
+    built once per object of the codomain (point_functor)."""
 
     dom: FinCategory
     cod: FinCategory
@@ -562,10 +575,13 @@ class FunctorData:
                                        % (m,))
             return
         fsrc, ftgt = cod.src.assignment, cod.tgt.assignment
-        for m in dom.morphisms.elements:
-            fm = mmap[m]
-            if fsrc[fm] != omap[src[m]] or ftgt[fm] != omap[tgt[m]]:
-                raise CatError("functor breaks endpoints at %r" % (m,))
+        if not (_identity_on(self.omap, cod.objects)
+                and _identity_on(self.mmap, cod.morphisms)
+                and (src, tgt) == (fsrc, ftgt)):
+            for m in dom.morphisms.elements:
+                fm = mmap[m]
+                if fsrc[fm] != omap[src[m]] or ftgt[fm] != omap[tgt[m]]:
+                    raise CatError("functor breaks endpoints at %r" % (m,))
         if is_thin(cod):
             return
         for x in dom.objects:
@@ -686,12 +702,9 @@ class NatTransData:
             if (held.left, held.right) != (F, G) or not is_thin(cod):
                 raise CatError("components held by other functors "
                                "or not into a thin category")
-            homs = held.homs
-            if len(homs) < len(cod.objects) ** 2:
-                fo, go = F.omap.assignment, G.omap.assignment
-                for x in F.dom.objects:
-                    if (fo[x], go[x]) not in homs:
-                        raise CatError("component missing at %r" % (x,))
+            gap = thin_gap(F, G)
+            if gap is not None:
+                raise CatError("component missing at %r" % (gap,))
             return
         for x in F.dom.objects:
             if x not in self.components:
@@ -758,6 +771,22 @@ class NatTransData:
                                    other.components[F.omap(x)])]
                  for x in F.dom.objects}
         return _trusted(NatTransData, F.then(H), G.then(K), comps)
+
+
+def thin_gap(F, G):
+    """The first object a of the domain of F and G, two parallel
+    functors into a thin category, with no morphism F a -> G a, or None
+    when there is one at every object: then the one transformation
+    F => G exists.  Decided once when the codomain has a morphism
+    between any two objects, per object otherwise."""
+    cod = F.cod
+    homs = cod._homs or cod._homs_by_ends()
+    if len(homs) < len(cod.objects) ** 2:
+        fo, go = F.omap.assignment, G.omap.assignment
+        for x in F.dom.objects.elements:
+            if (fo[x], go[x]) not in homs:
+                return x
+    return None
 
 
 def nat_is_iso(n):

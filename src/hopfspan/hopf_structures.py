@@ -1515,9 +1515,10 @@ def _arrow_holds(idt, a, a_xi, b, b_xi, chi):
 def _inclusion_functor(src, tgt):
     """The functor sending each object and morphism of src to itself in
     tgt, which holds the same object and morphism sets: by the identity
-    maps."""
-    return cb.FunctorData(src, tgt, FinFn.identity(src.objects),
-                          FinFn.identity(src.morphisms))
+    maps of tgt's own sets, so that the constructor decides every
+    morphism's ends by comparing the two categories' src and tgt."""
+    return cb.FunctorData(src, tgt, FinFn.identity(tgt.objects),
+                          FinFn.identity(tgt.morphisms))
 
 
 def em_algebras_restricted(p, kind="modules"):

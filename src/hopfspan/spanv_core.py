@@ -39,6 +39,21 @@ are all Uniform computes one base value from theirs and fills its dict
 with it (_fill), and the checks compare the one value once, falling
 back to the atom-by-atom loop, and its errors and witnesses, whenever
 anything differs.
+
+On the Cat base, a 2-cell whose target's labels land in thin
+categories holds its components by its 1-cells (HeldCells): into a
+thin category there is at most one transformation between two
+functors, so the component at c is the one from the source label at c
+to the target label at c's image, read on lookup.  Where Uniform is
+decided (cell2_along and identity_cell2), a cell whose components are
+not one object becomes such a cell, once its given components are
+checked one by one; one is_thin test decides it when the target's
+0-cell label is a Uniform.  vcomp2, hcomp2, _whiskered, _relabeled and
+invert_cell2 build held cells from held cells and compose no
+transformation: each seam is checked atom by atom by comparing label
+functors, which are kept composites, so equal ones are one object.  eq2
+compares two such cells by their boundaries and span maps.  Into other
+categories, and over the graded base, the components stay a dict.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +89,10 @@ def _uniform(keys, value):
 
 def _marked(values):
     """values as a Uniform when it is not empty and every value in it is
-    one object, compared by identity; values itself otherwise.  Decided
-    where a cell is checked, never in a builder."""
-    if type(values) is Uniform or not values:
+    one object, compared by identity; values itself otherwise, and a
+    HeldCells as it is, no component read.  Decided where a cell is
+    checked, never in a builder."""
+    if type(values) is Uniform or type(values) is HeldCells or not values:
         return values
     first = next(iter(values.values()))
     if all(map(is_, values.values(), repeat(first))):
@@ -107,6 +123,68 @@ def _agree_once(eq, mine, theirs, atoms):
     return type(mine) is Uniform and type(theirs) is Uniform \
         and eq(mine.value, theirs.value) \
         and _covers(mine, atoms) and _covers(theirs, atoms)
+
+
+class HeldCells(cb._View):
+    """The components of a 2-cell into thin categories, held by its
+    1-cells: at a source atom c, the one transformation from
+    source.label[c] to the label that c's image reaches in target, a
+    1-cell, or a pair (b, a) of 1-cells for b o a on pairs of atoms (as
+    `into` in _relabeled).  Each is read on lookup, held by its two
+    functors (cb.ThinComponents); its keys are the source apex atoms,
+    and image maps them into the target apex."""
+
+    __slots__ = ("source", "target", "image")
+
+    def __init__(self, source, target, image):
+        self.source, self.target, self.image = source, target, image
+
+    def parts(self):
+        return (self.source, self.target, self.image)
+
+    def __repr__(self):
+        # The atom map only: the 1-cells list every label.
+        return "HeldCells(%r)" % (self.image,)
+
+    def ends(self, c):
+        """The functors the component at c runs between, or None when no
+        transformation runs between them."""
+        F, d, target = self.source.label[c], self.image[c], self.target
+        if type(target) is tuple:
+            b, a = target
+            G = b.backend.comp1(b.label[d[0]], a.label[d[1]])
+        else:
+            G = target.label[d]
+        return None if F is not G and cb.thin_gap(F, G) is not None \
+            else (F, G)
+
+    def __getitem__(self, c):
+        F, G = self.ends(c)
+        return cb.NatTransData(F, G, cb.ThinComponents(F, G))
+
+    def __iter__(self):
+        return iter(self.source.span.apex.elements)
+
+    def __len__(self):
+        return len(self.source.span.apex)
+
+    def __contains__(self, c):
+        return c in self.source.span.apex
+
+
+def _thin_labels(a):
+    """Whether a's labels land in thin categories: on the Cat base, each
+    category labeling a's target 0-cell is thin."""
+    return type(a.backend) is CatBackend and _each_target(a, cb.is_thin)
+
+
+def _each_target(a, test):
+    """Whether test holds of each category labeling a's target 0-cell:
+    one test when that label is a Uniform."""
+    label = a.tgt.label
+    if type(label) is Uniform:
+        return bool(test(label.value))
+    return all(map(test, label.values()))
 
 
 class Backend:
@@ -487,19 +565,32 @@ class Cell2:
         if s.src != t.src or s.tgt != t.tgt:
             raise SpanVError("2-cell 0-cell boundaries must agree")
         components, image = self.components, self.morphism.map.assignment
-        if type(components) is Uniform and type(s.label) is Uniform \
+        held = type(components) is HeldCells
+        if held:
+            if components.source != s or not _thin_labels(t):
+                raise SpanVError("components held from another 1-cell "
+                                 "or not into thin categories")
+        elif type(components) is Uniform and type(s.label) is Uniform \
                 and type(t.label) is Uniform \
                 and _covers(components, s.span.apex.elements) \
                 and be.eq1(be.src2(components.value), s.label.value) \
                 and be.eq1(be.tgt2(components.value), t.label.value):
             return
+        src, tgt, eq1 = s.label, t.label, be.eq1
         for c in s.span.apex.elements:
-            if c not in components:
+            if held:
+                pair = components.ends(c)
+            elif c in components:
+                phi = components[c]
+                pair = be.src2(phi), be.tgt2(phi)
+            else:
+                pair = None
+            if pair is None:
                 raise SpanVError("component missing at %r" % (c,))
-            phi = components[c]
-            if not be.eq1(be.src2(phi), s.label[c]):
+            p, q = src[c], tgt[image[c]]
+            if pair[0] is not p and not eq1(pair[0], p):
                 raise SpanVError("component domain mismatch at %r" % (c,))
-            if not be.eq1(be.tgt2(phi), t.label[image[c]]):
+            if pair[1] is not q and not eq1(pair[1], q):
                 raise SpanVError("component codomain mismatch at %r" % (c,))
 
     @property
@@ -524,10 +615,15 @@ def identity_cell1(x):
 
 
 def identity_cell2(a):
+    """The identity 2-cell; its components held by a (HeldCells) when
+    a's labels land in thin categories and are not one functor."""
     be, atoms = a.backend, a.span.apex.elements
-    return _trusted(Cell2, a, a, SpanMorphism.identity(a.span),
-                    _fill(atoms, be.id2, a.label)
-                    or {c: be.id2(a.label[c]) for c in atoms})
+    morphism = SpanMorphism.identity(a.span)
+    comps = _fill(atoms, be.id2, a.label)
+    if comps is None:
+        comps = HeldCells(a, a, morphism.map.assignment) \
+            if _thin_labels(a) else {c: be.id2(a.label[c]) for c in atoms}
+    return _trusted(Cell2, a, a, morphism, comps)
 
 
 def cell2_along(source, target, fn, components):
@@ -537,22 +633,32 @@ def cell2_along(source, target, fn, components):
     It builds the FinFn, the SpanMorphism and the Cell2 through _trusted
     and runs each class's own checks on it after it is built, in that
     order: the checked constructors' errors, in their order.  It decides
-    whether the components are Uniform."""
+    whether the components are Uniform, and otherwise, once they are
+    checked, whether target's labels land in thin categories: then the
+    cell holds its components by its 1-cells (HeldCells).  Components
+    held already, from source into another target, are checked by the
+    labels they land on, and none is composed."""
     s, t = source.span, target.span
     image = _trusted(FinFn, s.apex, t.apex,
                      {c: fn(c) for c in s.apex.elements})
     FinFn.__post_init__(image)
     morphism = _trusted(SpanMorphism, s, t, image)
     SpanMorphism.__post_init__(morphism)
-    cell = _trusted(Cell2, source, target, morphism, _marked(components))
+    components = _marked(components)
+    cell = _trusted(Cell2, source, target, morphism, components)
     Cell2.__post_init__(cell)
+    if type(components) is not Uniform and _thin_labels(target):
+        object.__setattr__(cell, "components",
+                           HeldCells(source, target, image.assignment))
     return cell
 
 
 def vcomp2(second, first):
     """Vertical composite; component at c is second at f(c) after first at c.
     Its boundary is compared once: the span maps of equal 1-cells meet
-    on equal spans, so their composite is built without checks."""
+    on equal spans, so their composite is built without checks.  When
+    either holds its components by its 1-cells, so does the composite:
+    both land in the same thin categories, and none is composed."""
     if second.source != first.target:
         raise SpanVError("vertical composition boundary mismatch")
     be = first.backend
@@ -563,9 +669,14 @@ def vcomp2(second, first):
                             FinFn, f.domain, g.codomain,
                             {c: gm[fm[c]] for c in f.domain.elements}))
     atoms = f.domain.elements
-    comps = _fill(atoms, be.vcomp, second.components, first.components) or {
-        c: be.vcomp(second.components[fm[c]], first.components[c])
-        for c in atoms}
+    comps = _fill(atoms, be.vcomp, second.components, first.components)
+    if comps is None:
+        comps = HeldCells(first.source, second.target,
+                          morphism.map.assignment) \
+            if HeldCells in (type(first.components),
+                             type(second.components)) else {
+            c: be.vcomp(second.components[fm[c]], first.components[c])
+            for c in atoms}
     return _trusted(Cell2, first.source, second.target, morphism, comps)
 
 
@@ -590,15 +701,19 @@ def hcomp2(g, f, source=None):
     the composite spans that the span morphism already carries.  Given
     source, the composite of g's and f's sources on some atoms, built
     already (the target of a chain so far), it is built from that 1-cell
-    itself, into the image of its atoms."""
+    itself, into the image of its atoms.  When g holds its components by
+    its 1-cells, so does the composite, which lands where g does."""
     morphism = compose_span_morphisms_h(g.morphism, f.morphism,
                                         source and source.span)
     source = source or _composite(g.source, f.source, morphism.source)
     target = _composite(g.target, f.target, morphism.target)
     be, atoms = source.backend, source.span.apex.elements
-    comps = _fill(atoms, be.comp2, g.components, f.components) or {
-        (d, c): be.comp2(g.components[d], f.components[c])
-        for (d, c) in atoms}
+    comps = _fill(atoms, be.comp2, g.components, f.components)
+    if comps is None:
+        comps = HeldCells(source, target, morphism.map.assignment) \
+            if type(g.components) is HeldCells else {
+            (d, c): be.comp2(g.components[d], f.components[c])
+            for (d, c) in atoms}
     return _trusted(Cell2, source, target, morphism, comps)
 
 
@@ -781,7 +896,14 @@ def _whiskered(cell, g, f, fn, into):
     sources on its atoms), then the relabeling along fn into `into` (as
     in _relabeled), as one cell whose components are g o f's after
     cell's.  The whiskered 1-cell in between is not built: cell2_along
-    checks `into` against those components."""
+    checks `into` against those components.  When g or cell holds its
+    components by its 1-cells, both land in the same thin categories
+    (cell's target is g's source on those atoms), and no component is
+    composed: each atom's seam, cell's target label against g's and f's
+    source labels, is compared as functors (composites of functors are
+    kept, so equal ones are one object), and the cell's components are
+    held from its source into g's and f's targets, whose labels
+    cell2_along checks against `into`."""
     be = cell.backend
     image = cell.morphism.map.assignment
     gm, fm = g.morphism.map.assignment, f.morphism.map.assignment
@@ -789,9 +911,21 @@ def _whiskered(cell, g, f, fn, into):
         into = hcomp1(*into, [fn((gm[d], fm[c]))
                               for d, c in cell.target.span.apex.elements])
     comps = _fill(image, lambda gd, fc, x: be.vcomp(be.comp2(gd, fc), x),
-                  g.components, f.components, cell.components) or {
-        x: be.vcomp(be.comp2(g.components[d], f.components[c]),
-                    cell.components[x]) for x, (d, c) in image.items()}
+                  g.components, f.components, cell.components)
+    if comps is None and HeldCells in (type(g.components),
+                                       type(cell.components)):
+        gs, fs, seams = g.source.label, f.source.label, cell.target.label
+        comp1, eq1 = be.comp1, be.eq1
+        for d, c in image.values():
+            seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
+            if seam is not label and not eq1(seam, label):
+                raise cb.CatError("vertical composition boundary mismatch")
+        comps = HeldCells(cell.source, (g.target, f.target), {
+            x: (gm[d], fm[c]) for x, (d, c) in image.items()})
+    elif comps is None:
+        comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
+                             cell.components[x])
+                 for x, (d, c) in image.items()}
     return cell2_along(cell.source, into, lambda x: fn((
         gm[image[x][0]], fm[image[x][1]])), comps)
 
@@ -810,7 +944,11 @@ class _NotInvertible(Exception):
 
 
 def invert_cell2(u):
-    """Invert the span map and every component, or report what fails."""
+    """Invert the span map and every component, or report what fails.
+    A cell that holds its components by its 1-cells inverts to one that
+    holds them too: each component is invertible when the reverse homs
+    exist, decided once when the categories its labels land in are thin
+    groupoids, atom by atom otherwise, and none is inverted."""
     if not u.morphism.map.is_bijection():
         img = u.morphism.map.image()
         missed = [d for d in u.target.span.apex if d not in img]
@@ -831,16 +969,28 @@ def invert_cell2(u):
         if inv is None:
             raise _NotInvertible(("component not invertible", c, witness))
         return inv
-    try:
-        comps = _fill(map(image.__getitem__, atoms) if atoms else (),
-                      lambda phi: inverse(phi, atoms[0]), u.components) or {
-            image[c]: inverse(u.components[c], c) for c in atoms}
-    except _NotInvertible as failure:
-        return InverseCellResult(None, failure.args[0])
+    held = type(u.components) is HeldCells
+    if held and not _each_target(u.target, cb.is_groupoid):
+        labels, ends = u.source.label, u.target.label
+        for c in atoms:
+            gap = cb.thin_gap(ends[image[c]], labels[c])
+            if gap is not None:
+                return InverseCellResult(
+                    None, ("component not invertible", c, gap))
+    elif not held:
+        try:
+            comps = _fill(map(image.__getitem__, atoms) if atoms else (),
+                          lambda phi: inverse(phi, atoms[0]),
+                          u.components) or {
+                image[c]: inverse(u.components[c], c) for c in atoms}
+        except _NotInvertible as failure:
+            return InverseCellResult(None, failure.args[0])
+    back = _trusted(FinFn, fn.codomain, fn.domain,
+                    {fn(c): c for c in fn.domain})
+    if held:
+        comps = HeldCells(u.target, u.source, back.assignment)
     return InverseCellResult(_trusted(Cell2, u.target, u.source, _trusted(
-        SpanMorphism, u.morphism.target, u.morphism.source, _trusted(
-            FinFn, fn.codomain, fn.domain, {fn(c): c for c in fn.domain})),
-        comps))
+        SpanMorphism, u.morphism.target, u.morphism.source, back), comps))
 
 
 def eq2(u, v, transport=()):
@@ -849,7 +999,10 @@ def eq2(u, v, transport=()):
     Each transport cell must be invertible; they are composed vertically
     onto u in the given order before the comparison.  The verdict witness
     locates the first difference: a span-map disagreement or a component
-    difference with its backend-specific position.
+    difference with its backend-specific position.  When either cell
+    holds its components by its 1-cells, both land in thin categories,
+    where a component is fixed by its two functors: the cells are equal
+    when their boundaries and span maps are, and no component is read.
     """
     for t in transport:
         if not invert_cell2(t):
@@ -858,13 +1011,16 @@ def eq2(u, v, transport=()):
     be = u.backend
     if u.source != v.source or u.target != v.target:
         return Verdict(False, witness="boundary mismatch")
-    if _agree_once(be.eq2, u.components, v.components,
-                   u.source.span.apex.elements) \
+    held = HeldCells in (type(u.components), type(v.components))
+    if (held or _agree_once(be.eq2, u.components, v.components,
+                            u.source.span.apex.elements)) \
             and u.morphism.map == v.morphism.map:
         return Verdict(True)
     for c in u.source.span.apex:
         if u.morphism.map(c) != v.morphism.map(c):
             return Verdict(False, witness=("span map", c))
+        if held:
+            continue
         if not be.eq2(u.components[c], v.components[c]):
             return Verdict(
                 False,

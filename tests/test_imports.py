@@ -239,7 +239,7 @@ def test_each_checked_constructor_message_is_written_once():
                             if isinstance(f, ast.FunctionDef)
                             and f.name == "__post_init__"]
                 messages += raised_messages(check)
-    assert len(messages) == 11
+    assert len(messages) == 12
     assert {m: strings.count(m) for m in messages} == \
         dict.fromkeys(messages, 1)
     (along,) = [node for node in ast.walk(trees["spanv_core"])

@@ -25,6 +25,7 @@ from hopfspan.cat_backend import (
     generating_pairs, generators, is_thin,
 )
 from hopfspan.finset_span import FinFn, FinSet, _trusted
+from hopfspan import spanv_core as sc
 from hopfspan.spanv_core import SpanVError, product_category, product_functor
 from fusion_oracle import composed_fusion
 from test_cat_backend import scanned_check_category
@@ -1036,3 +1037,218 @@ def test_the_point_of_the_unit_category_is_its_identity():
     unit = cb.TERMINAL
     assert cb.point_functor(unit, "*") is FunctorData.identity(unit)
     assert not unit._memo
+
+
+# ---------------------------------------------------------------------------
+# 2-cells into thin categories held by their 1-cells (spanv_core.HeldCells)
+# against the same cells with every component composed, built again with
+# the view switched off.  The cells are generated over the thin
+# categories above, a total order on four objects (thin, not a groupoid)
+# and the indiscrete ones, with labels held endofunctors.
+
+THIN_FIBERS = THIN + [total_order(4)]
+
+
+def held_endofunctors(c, rng, count=4):
+    """The identity of c and endofunctors of c held by random object
+    maps that keep every hom, as many as count where c has them."""
+    found = [FunctorData.identity(c)]
+    objects = c.objects.elements
+    for _ in range(60):
+        if len(found) == count:
+            break
+        omap = {x: rng.choice(objects) for x in objects}
+        if all(c.hom(omap[c.src(m)], omap[c.tgt(m)]) for m in c.morphisms):
+            found.append(FunctorData.held(
+                c, c, FinFn(c.objects, c.objects, omap)))
+    return found
+
+
+def listed_from(F, G):
+    """The transformation F => G with its components listed."""
+    c = F.cod
+    return NatTransData(F, G, {x: c.hom(F.omap(x), G.omap(x))[0]
+                               for x in F.dom.objects})
+
+
+class ThinCells:
+    """Cells over the Cat base whose 0-cells are labeled by the thin
+    category c, built from a seeded rng: each build names its atoms
+    alike, so that two builds can be compared atom by atom."""
+
+    def __init__(self, c, seed):
+        self.c, self.rng = c, random.Random(seed)
+        self.be = sc.CatBackend()
+        self.functors = held_endofunctors(c, self.rng)
+        self.count = itertools.count()
+
+    def cell0(self, size=2):
+        carrier = FinSet(["p%d" % next(self.count) for _ in range(size)])
+        return sc.Cell0(self.be, carrier, {x: self.c for x in carrier})
+
+    def cell1(self, src, tgt, ends, labels, name="c"):
+        """The 1-cell with one apex atom per (left, right) of ends,
+        labeled in order."""
+        apex = FinSet(["%s%d" % (name, next(self.count)) for _ in ends])
+        return sc.Cell1(self.be, src, tgt, sc.Span(
+            src.carrier, tgt.carrier, apex,
+            FinFn(apex, tgt.carrier, dict(zip(apex, [e[0] for e in ends]))),
+            FinFn(apex, src.carrier, dict(zip(apex, [e[1] for e in ends])))),
+            dict(zip(apex, labels)))
+
+    def mixed(self, src, tgt, size=3):
+        """A 1-cell on random legs whose labels cycle through the
+        functors."""
+        rng = self.rng
+        return self.cell1(src, tgt, [
+            (rng.choice(tgt.carrier.elements), rng.choice(src.carrier.elements))
+            for _ in range(size)],
+            [self.functors[i % len(self.functors)] for i in range(size)])
+
+    def onto(self, target, order=None):
+        """A 2-cell into target along a bijection of apexes (shuffled, or
+        the given order of target atoms), each source label one with a
+        transformation into its image's label, each component listed."""
+        span, rng = target.span, self.rng
+        atoms = order or rng.sample(span.apex.elements, len(span.apex))
+        source = self.cell1(
+            target.src, target.tgt, [(span.left(d), span.right(d))
+                                     for d in atoms],
+            [rng.choice([F for F in self.functors
+                         if cb.thin_gap(F, target.label[d]) is None])
+             for d in atoms], "s")
+        images = dict(zip(source.span.apex, atoms))
+        return sc.cell2_along(source, target, images.__getitem__, {
+            s: listed_from(source.label[s], target.label[d])
+            for s, d in images.items()})
+
+
+def thin_builds(c, seed):
+    """Every builder of 2-cells on cells over c: identities, vertical and
+    horizontal composites, whiskers, relabelings and inverses, and the
+    verdicts of eq2 on equal cells and on two that differ in their span
+    maps alone."""
+    g = ThinCells(c, seed)
+    x, y, z = g.cell0(), g.cell0(), g.cell0()
+    a, b = g.mixed(x, y), g.mixed(y, z)
+    u, v = g.onto(a), g.onto(b)
+    below = g.onto(u.source)
+    composite = sc.hcomp1(v.source, u.source)
+    whisker = sc._whiskered(sc.identity_cell2(composite), v, u,
+                            lambda d: d, (v.target, u.target))
+    # Two atoms on the same legs with the same label, so that two span
+    # maps run between one pair of 1-cells.
+    first = g.functors[-1]
+    twin = g.cell1(x, y, [(y.carrier.elements[0], x.carrier.elements[0])]
+                   * 3, [first, first, g.functors[0]])
+    atoms = twin.span.apex.elements
+    straight = g.onto(twin, list(atoms))
+    images = dict(zip(straight.source.span.apex,
+                      [atoms[1], atoms[0], atoms[2]]))
+    crossed = sc.cell2_along(straight.source, twin, images.__getitem__,
+                             dict(straight.components))
+    vertical = sc.vcomp2(u, below)
+    cells = [sc.identity_cell2(a), vertical, sc.hcomp2(v, u), whisker,
+             sc._relabeled(u, lambda d: d, a),
+             sc.relabel_cell2(u.source, u.source, lambda s: s),
+             straight, crossed]
+    inverses = [sc.invert_cell2(cell) for cell in cells[:-2] + [u]]
+    verdicts = [sc.eq2(u, u), sc.eq2(vertical, sc.vcomp2(u, below)),
+                sc.eq2(straight, crossed), sc.eq2(crossed, straight),
+                sc.eq2(whisker, whisker)]
+    return cells, inverses, verdicts
+
+
+def dict_path(monkeypatch):
+    """Switch the view off: no 1-cell's labels read as thin, so every
+    cell lists its components and every builder composes them."""
+    monkeypatch.setattr(sc, "_thin_labels", lambda a: False)
+
+
+def listed_components(cell):
+    """Each source atom's image and the morphisms of its component, in
+    apex order (an inverse's dict is keyed in the order of the atoms it
+    inverts)."""
+    comps = cell.components
+    assert set(comps) == set(cell.source.span.apex)
+    return [(c, cell.morphism.map(c), [comps[c].components[x]
+                                       for x in comps[c].source.dom.objects])
+            for c in cell.source.span.apex]
+
+
+def assert_same_cells(held, listed):
+    assert listed_components(held) == listed_components(listed)
+    for c in listed.source.span.apex:
+        assert held.components[c] == listed.components[c]
+        assert listed.components[c] == held.components[c]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("c", THIN_FIBERS, ids=kind)
+def test_held_cells_read_as_the_composed_ones(c, seed, monkeypatch):
+    cells, inverses, verdicts = thin_builds(c, seed)
+    dict_path(monkeypatch)
+    plain_cells, plain_inverses, plain_verdicts = thin_builds(c, seed)
+    several = len(held_endofunctors(c, random.Random(seed))) > 1
+    kinds = {type(cell.components) for cell in cells}
+    assert kinds <= {sc.HeldCells, sc.Uniform}
+    assert (sc.HeldCells in kinds) == several
+    for held, listed in zip(cells, plain_cells):
+        assert type(listed.components) is not sc.HeldCells
+        assert_same_cells(held, listed)
+        assert held == listed and listed == held
+    assert [(bool(r), r.witness) for r in inverses] == \
+        [(bool(r), r.witness) for r in plain_inverses]
+    for held, listed in zip(inverses, plain_inverses):
+        if held:
+            assert_same_cells(held.inverse, listed.inverse)
+    assert [(bool(r), r.witness) for r in verdicts] == \
+        [(bool(r), r.witness) for r in plain_verdicts]
+    assert [bool(r) for r in verdicts] == [True, True, False, False, True]
+    assert verdicts[2].witness[0] == "span map"
+
+
+def test_a_held_inverse_into_an_order_names_the_first_missing_hom():
+    # In a total order a transformation between different functors has
+    # a component with no inverse; the witness is the dict path's.
+    cells, inverses, _ = thin_builds(total_order(4), 0)
+    witnesses = [r.witness for r in inverses if not r]
+    assert witnesses
+    assert all(w[0] == "component not invertible" for w in witnesses)
+
+
+def wrong_landings(c, seed):
+    """The ways a chain over c lands wrong: a relabeling and a whisker
+    into a 1-cell with one label changed, and a whisker whose cell does
+    not end where the whiskered cells start.  The message each raises."""
+    g = ThinCells(c, seed)
+    x, y, z = g.cell0(), g.cell0(), g.cell0()
+    a, b = g.mixed(x, y), g.mixed(y, z)
+    u, v = g.onto(a), g.onto(b)
+
+    def changed(cell):
+        # cell with its first label changed to a functor not equal to it
+        atom = cell.span.apex.elements[0]
+        other = next(F for F in g.functors if F != cell.label[atom])
+        return sc.Cell1(g.be, cell.src, cell.tgt, cell.span,
+                        {**cell.label, atom: other})
+    source = sc.hcomp1(v.source, u.source)
+    found = []
+    for build in (lambda: sc._relabeled(u, lambda d: d, changed(a)),
+                  lambda: sc._whiskered(sc.identity_cell2(source), v, u,
+                                        lambda d: d,
+                                        changed(sc.hcomp1(b, a))),
+                  lambda: sc._whiskered(sc.identity_cell2(changed(source)),
+                                        v, u, lambda d: d, (b, a))):
+        found.append(raised(build))
+    return found
+
+
+@pytest.mark.parametrize("c", [THIN[2], THIN[3], total_order(4)], ids=kind)
+def test_a_chain_landing_in_a_wrong_target_is_refused(c, monkeypatch):
+    held = wrong_landings(c, 1)
+    dict_path(monkeypatch)
+    assert held == wrong_landings(c, 1)
+    assert held[0].startswith("component codomain mismatch at")
+    assert held[1].startswith("component codomain mismatch at")
+    assert held[2] == "vertical composition boundary mismatch"

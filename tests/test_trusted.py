@@ -29,6 +29,7 @@ import test_acceptance
 import test_golden
 import test_hopf_structures
 import test_monoidale_duoidal
+import test_thin
 from test_imports import PACKAGE, name_read
 from hopfspan import cat_backend as cb
 from hopfspan import finset_span as fs
@@ -88,15 +89,16 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4, and on 4 objects.  Criterion 21 runs
-# in a child process, which checking mode does not reach.
+# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 and 22
+# run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
                "test_criterion_16_translation_polyad_z8_hopf_check",
                "test_criterion_17_translation_polyad_z16_hopf_check",
                "test_criterion_18_indiscrete_20_monad_check",
                "test_criterion_19_translation_polyad_z12_modules",
-               "test_criterion_21_translation_polyad_z32_hopf_check"}
+               "test_criterion_21_translation_polyad_z32_hopf_check",
+               "test_criterion_22_translation_polyad_z24_modules"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -223,9 +225,13 @@ def test_builders_agree_with_the_checked_constructors(seed):
 # maps: 716 and 822 on Cat when each composite of a point was built
 # (4 and 8 FunctorData, 8 and 16 FinFn, and at 2 points one identity
 # transformation) and the products' three maps were tabulated through
-# the checked FinFn constructor (9 FinFn, not counted here).
+# the checked FinFn constructor (9 FinFn, not counted here).  A cell into
+# thin categories whose components are not one object holds them by its
+# 1-cells (spanv_core.HeldCells), and its composites, whiskers and
+# inverses compose no transformation: 806 on Cat over 2 points when each
+# built its components one by one.
 FROBENIUS_BUILDS = {(1, "vect"): 560, (2, "vect"): 560,
-                    (1, "cat"): 713, (2, "cat"): 806}
+                    (1, "cat"): 713, (2, "cat"): 771}
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
@@ -285,6 +291,10 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
     # are built by the constructor in both modes.  Carriers share the
     # composites of their point functors, so Z_3 modules build fewer
     # families than they did, and Z_2 representations are checked too.
+    # Over a thin fiber the law chains' cells hold their components by
+    # their 1-cells and build no family at all, so the modules of the
+    # identity polyad on a fiber that is not thin, with two objects so
+    # that a component can move, are checked as well.
     families = []
 
     def recorded(cls, *values):
@@ -305,6 +315,11 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
     assert hs.em_algebras_restricted(hs.translation_polyad(
         names, mul, unit, hs.indiscrete_monoidal_group(names, mul, unit)),
         "representations").report.ok
+    torsor = sc.product_category(FinCategory.indiscrete(["x", "y"]),
+                                 FinCategory.from_monoid(names, mul, unit))
+    assert hs.em_algebras_restricted(test_hopf_structures.identity_polyad_over(
+        FinCategory.from_monoid(names, mul, unit), torsor),
+        "modules").report.ok
     assert len(families) > 150
     assert not any(type(nat.components) is cb.ThinComponents
                    for nat in families)
@@ -320,6 +335,54 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
             with pytest.raises(CatError, match="component endpoints at"):
                 NatTransData(nat.source, nat.target,
                              {**nat.components, x: moved})
+
+
+def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
+    # Every 2-cell whose components are held by its 1-cells
+    # (spanv_core.HeldCells) and built through _trusted is built by the
+    # Cell2 constructor in checking mode: the law chains of modules and
+    # representations over a thin fiber, a Frobenius check on Cat and
+    # every builder on cells over the thin categories of test_thin,
+    # whiskers that land on a pair of 1-cells included.  The constructor
+    # compares each component's ends with the labels and asks that a
+    # transformation run between them, so it refuses a cell turned round
+    # in a total order, a cell held from another 1-cell and one whose
+    # labels do not land in thin categories.
+    held = []
+
+    def recorded(cls, *values):
+        if cls is Cell2 and type(values[-1]) is sc.HeldCells:
+            held.append(values[-1])
+        return cls(*values)
+    enter_checking_mode(monkeypatch, recorded)
+    test_acceptance.translation_polyad_checks(3)
+    names, mul, unit = hs.cyclic_group(2)
+    assert hs.em_algebras_restricted(hs.translation_polyad(
+        names, mul, unit, hs.indiscrete_monoidal_group(names, mul, unit)),
+        "representations").report.ok
+    assert check_frobenius(test_monoidale_duoidal.carrier(2),
+                           CatBackend()).ok
+    for c in test_thin.THIN_FIBERS:
+        test_thin.thin_builds(c, 0)
+    assert len(held) > 150
+    assert any(type(view.target) is tuple for view in held)
+    order = test_thin.total_order(4)
+    cells, _, _ = test_thin.thin_builds(order, 0)
+    u = cells[1]
+    back = FinFn(u.morphism.map.codomain, u.morphism.map.domain, {
+        d: c for c, d in u.morphism.map.assignment.items()})
+    turned = fs.SpanMorphism(u.target.span, u.source.span, back)
+    with pytest.raises(SpanVError, match="component missing at"):
+        Cell2(u.target, u.source, turned,
+              sc.HeldCells(u.target, u.source, back.assignment))
+    with pytest.raises(SpanVError, match="held from another 1-cell"):
+        Cell2(u.source, u.target, u.morphism,
+              sc.HeldCells(u.target, u.target, u.morphism.map.assignment))
+    endo = test_hopf_structures.polyad_fixture("identity", "endomorphisms")
+    t = endo.cells[0]
+    with pytest.raises(SpanVError, match="not into thin categories"):
+        Cell2(t, t, fs.SpanMorphism.identity(t.span), sc.HeldCells(
+            t, t, {h: h for h in t.span.apex}))
 
 
 # The _trusted builds of one em_algebras_restricted on the translation
@@ -342,14 +405,18 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
 # and 109, 24 and 158 for Z_2 representations, when each composite of
 # a point was built with its own identity transformation.  The closing
 # functor pair maps by FinFn.identity (4 of the FinFn here), where it
-# built and checked a dict of each set.
+# built and checked a dict of each set.  The fiber is thin, so every
+# cell of a law chain holds its components by its 1-cells
+# (spanv_core.HeldCells), and no whisker, composite or identity builds
+# a transformation: 120 NatTransData for Z_3 modules and 146 for Z_2
+# representations when each built its components one by one.
 EM_BUILDS = {
     (3, "modules"): {"Cell1": 12, "Cell2": 40, "FinFn": 62, "FinSet": 4,
-                     "FunctorData": 4, "NatTransData": 120, "Span": 4,
+                     "FunctorData": 4, "NatTransData": 6, "Span": 4,
                      "SpanMorphism": 40},
     (2, "representations"): {"Cell1": 16, "Cell2": 53, "FinFn": 73,
                              "FinSet": 4, "FunctorData": 4,
-                             "NatTransData": 146, "Span": 4,
+                             "NatTransData": 4, "Span": 4,
                              "SpanMorphism": 53},
 }
 

@@ -12,6 +12,7 @@ atom, and eq2 must give the same witness.
 """
 
 import itertools
+from collections.abc import Mapping
 
 import pytest
 
@@ -216,8 +217,9 @@ def dicts(value):
 
 
 def readable(values):
-    """What every dict of values reads as: its items in order."""
-    return [[list(d.items()) if isinstance(d, dict) else d
+    """What every dict of values reads as: its items in order (a view of
+    components held by their 1-cells as the transformations it reads)."""
+    return [[list(d.items()) if isinstance(d, Mapping) else d
              for d in dicts(value)] for value in values]
 
 
