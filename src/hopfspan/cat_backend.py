@@ -30,10 +30,11 @@ morphism F a -> G a, read on lookup (ThinComponents), and two
 transformations into a thin category are equal when their functors
 are.  Likewise a functor into a thin category may be held by its
 object map: m goes to the one morphism between the images of its ends,
-read on lookup (ThinMorphisms).  A point functor, out of the unit
-category TERMINAL, is built once per object (point_functor), and a
-composite of one is the point at its image, so composites of points
-compare by identity.
+read on lookup (ThinMorphisms), once every hom it reads is decided
+non-empty.  A point functor, out of the unit category TERMINAL, is
+built once per object (point_functor, points), and a composite of one
+is the point at its image, so composites of points compare by
+identity.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -71,6 +72,7 @@ class FinCategory:
     _thin = None
     _groupoid = None
     _identity = None
+    _points = None
 
     def __post_init__(self):
         # A product's table reads its checked factors, and a thin one
@@ -247,8 +249,9 @@ def check_category(c):
 def _check_thin(c, report):
     """The laws on a thin table: no two morphisms share their ends, and
     the hom relation is transitive, one set test per morphism x -> y:
-    what y reaches, x reaches.  Failing that, the composable pairs with
-    no morphism between their ends are reported, as a table's would."""
+    what y reaches, x reaches; none when every hom is non-empty.
+    Failing that, the composable pairs with no morphism between their
+    ends are reported, as a table's would."""
     table, reach = c.composition, {}
     if (table.src, table.tgt) != (c.src, c.tgt):
         report.fail("table endpoints", None)
@@ -257,8 +260,8 @@ def _check_thin(c, report):
         if len(ms) > 1:
             report.fail("parallel morphisms", tuple(ms))
         reach.setdefault(x, set()).add(y)
-    if not all(reach[x].issuperset(reach.get(y, ()))
-               for (x, y) in table.homs):
+    if len(table.homs) < len(c.objects) ** 2 and not all(
+            reach[x].issuperset(reach.get(y, ())) for (x, y) in table.homs):
         for pair in c.composable_pairs():
             if pair not in table:
                 report.fail("missing composite", pair)
@@ -337,8 +340,9 @@ class ThinTable(_View):
 
     def __init__(self, src, tgt):
         self.src, self.tgt, self.homs = src, tgt, {}
+        ends, into = src.assignment, tgt.assignment
         for m in src.domain.elements:
-            self.homs.setdefault((src(m), tgt(m)), []).append(m)
+            self.homs.setdefault((ends[m], into[m]), []).append(m)
 
     def parts(self):
         return (self.src, self.tgt)
@@ -567,12 +571,7 @@ class FunctorData:
             if mmap.parts() != (dom, self.omap, cod) or not is_thin(cod):
                 raise CatError("morphisms held by another object map "
                                "or not into a thin category")
-            homs = mmap.homs
-            if len(homs) < len(cod.objects) ** 2:
-                for m in dom.morphisms.elements:
-                    if (omap[src[m]], omap[tgt[m]]) not in homs:
-                        raise CatError("functor breaks endpoints at %r"
-                                       % (m,))
+            _refuse_gap(dom, cod, omap)
             return
         fsrc, ftgt = cod.src.assignment, cod.tgt.assignment
         if not (_identity_on(self.omap, cod.objects)
@@ -615,8 +614,10 @@ class FunctorData:
     def held(dom, cod, omap):
         """The functor from dom into the thin category cod with object
         map omap, held by it: its morphism map is a ThinMorphisms view,
-        and the constructor checks that every hom it reads is
-        non-empty."""
+        built once every hom it reads is decided non-empty, as the
+        constructor decides it, so that no checked FinFn reads a gap."""
+        if is_thin(cod):
+            _refuse_gap(dom, cod, omap.assignment)
         return FunctorData(dom, cod, omap, _trusted(
             FinFn, dom.morphisms, cod.morphisms,
             ThinMorphisms(dom, cod, omap)))
@@ -667,6 +668,15 @@ def point_functor(c, x):
     if index is not None:
         x = c.objects.elements[index]
     return _kept(_point_functor, c, x)
+
+
+def points(c):
+    """Each object's point_functor, in one dict kept on c, for labels
+    held by their objects to read (ComposedMap)."""
+    if c._points is None:
+        object.__setattr__(c, "_points", {
+            x: point_functor(c, x) for x in c.objects.elements})
+    return c._points
 
 
 def _point_functor(c, x):
@@ -779,14 +789,26 @@ def thin_gap(F, G):
     when there is one at every object: then the one transformation
     F => G exists.  Decided once when the codomain has a morphism
     between any two objects, per object otherwise."""
-    cod = F.cod
+    fo, go = F.omap.assignment, G.omap.assignment
+    return _first_gap(F.cod, F.dom.objects, lambda x: (fo[x], go[x]))
+
+
+def _first_gap(cod, keys, ends):
+    """The first of keys whose ends, two objects of cod, bound no
+    morphism, or None; no key is read when every hom is non-empty."""
     homs = cod._homs or cod._homs_by_ends()
-    if len(homs) < len(cod.objects) ** 2:
-        fo, go = F.omap.assignment, G.omap.assignment
-        for x in F.dom.objects.elements:
-            if (fo[x], go[x]) not in homs:
-                return x
-    return None
+    return None if len(homs) == len(cod.objects) ** 2 else next(
+        (key for key in keys if ends(key) not in homs), None)
+
+
+def _refuse_gap(dom, cod, omap):
+    """Refuse an object assignment omap from dom into the thin cod at
+    the first morphism it sends to an empty hom."""
+    src, tgt = dom.src.assignment, dom.tgt.assignment
+    gap = _first_gap(cod, dom.morphisms, lambda m: (omap[src[m]],
+                                                    omap[tgt[m]]))
+    if gap is not None:
+        raise CatError("functor breaks endpoints at %r" % (gap,))
 
 
 def nat_is_iso(n):

@@ -191,6 +191,26 @@ class FinSet:
                                        for b in y.elements]))
 
 
+class _Pairs(FinSet):
+    """FinSet.product(x, y), listed when its elements are first read
+    (the one attribute lookup that misses); membership is read from x
+    and y.  A product category's morphisms are one."""
+
+    def __init__(self, x, y):
+        self.__dict__["factors"] = (x, y)
+
+    def __getattr__(self, name):
+        if name != "elements":
+            raise AttributeError(name)
+        self.__dict__[name] = FinSet.product(*self.factors).elements
+        return self.__dict__[name]
+
+    def __contains__(self, atom):
+        x, y = self.factors
+        return type(atom) is tuple and len(atom) == 2 \
+            and atom[0] in x and atom[1] in y
+
+
 @dataclass(frozen=True)
 class FinFn:
     """A total function between finite sets, stored as an assignment dict."""

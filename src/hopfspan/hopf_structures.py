@@ -63,6 +63,7 @@ from .spanv_core import (
     Cell1,
     Cell2,
     SpanVError,
+    Uniform,
     VectBackend,
     apply_span_F,
     cell2_along,
@@ -877,11 +878,11 @@ class MonoidalCatData:
             for m in c.morphisms:
                 if t.mmap((e, m)) != m or t.mmap((m, e)) != m:
                     raise SpanVError("unit law fails at morphism %r" % (m,))
+        to = t.omap.assignment
         for x in c.objects:
             for y in c.objects:
                 for z in c.objects:
-                    if t.omap((t.omap((x, y)), z)) != \
-                            t.omap((x, t.omap((y, z)))):
+                    if to[(to[(x, y)], z)] != to[(x, to[(y, z)])]:
                         raise SpanVError("tensor not associative at %r"
                                          % ((x, y, z),))
         if thin:
@@ -1261,6 +1262,9 @@ class _ActionShape:
     def fiber(self, p, c):
         return p.base_label[self.left(c)]
 
+    def thin(self, p):
+        return all(cb.is_thin(self.fiber(p, c)) for c in self.keys)
+
 
 def _action_shape(p, kind):
     """Modules: the shape objects with the identity leg, and f acting at
@@ -1288,33 +1292,43 @@ class PolyadAction(NamedTuple):
     objects: tuple
     actions: tuple
 
-    def obj(self, c):
-        return dict(self.objects)[c]
 
-
-def _action_candidates(p, shape):
-    """Each choice q of one fiber object per key, with an iterator over
-    the choices of one fiber hom per slot (f, c), from f applied to q[c]
-    into q[out(f, c)]."""
-    d = p.shape
-    keys = list(shape.keys)
+def _candidates(p, shape):
+    """Every candidate action as (q, rho, atom): each choice q of one
+    fiber object per key, then each choice rho of one fiber hom per slot
+    (f, c), from f applied to q[c] into q[out(f, c)], with its atom,
+    built once, so that both sides of em_algebras_restricted decide the
+    same atoms.  The candidates on one q share it."""
+    d, keys, found = p.shape, list(shape.keys), []
     for combo in itertools.product(*[list(shape.fiber(p, c).objects)
                                      for c in keys]):
         q = dict(zip(keys, combo))
         pools = [p.base_label[d.tgt(f)].hom(p.mor_label[f].omap(q[c]),
                                             q[shape.out[(f, c)]])
                  for (f, c) in shape.slots]
-        yield q, (dict(zip(shape.slots, acts))
-                  for acts in itertools.product(*pools))
+        for acts in itertools.product(*pools):
+            rho = dict(zip(shape.slots, acts))
+            found.append((q, rho, _action_of(shape, q, rho)))
+    return found
 
 
-def _arrow_candidates(p, shape, a, b):
-    """Each family of one fiber hom per key from a's object to b's."""
-    keys = list(shape.keys)
-    for combo in itertools.product(*[shape.fiber(p, c).hom(a.obj(c),
-                                                           b.obj(c))
-                                     for c in keys]):
-        yield tuple(zip(keys, combo))
+def _arrow_candidates(p, shape, a, b, homs=None):
+    """Each family of one fiber hom per key from a's object to b's, read
+    from each key's fiber hom buckets (homs, in key order, if given)."""
+    homs = homs or [shape.fiber(p, c)._homs_by_ends() for c in shape.keys]
+    for combo in itertools.product(*[
+            hom.get((x, y), ()) for hom, (_, x), (_, y)
+            in zip(homs, a.objects, b.objects)]):
+        yield tuple(zip(shape.keys.elements, combo))
+
+
+def _arrows(p, shape, actions, holds=None):
+    """Every arrow candidate (a, b, chi) between two of actions, in
+    order, that holds(a, b, chi) accepts, if given."""
+    homs = [shape.fiber(p, c)._homs_by_ends() for c in shape.keys]
+    return [(a, b, chi) for a in actions for b in actions
+            for chi in _arrow_candidates(p, shape, a, b, homs)
+            if holds is None or holds(a, b, chi)]
 
 
 def _action_of(shape, q, rho):
@@ -1356,17 +1370,24 @@ def _action_morphism_ok(p, shape, a, b, chi):
     return True
 
 
-def _enumerate_actions(p, kind):
-    """Exhaustive search for actions and their morphisms, composing in
-    the fibers; returns the finite category they form, revalidated."""
+def _enumerate_actions(p, kind, candidates=None):
+    """Exhaustive search for actions and their morphisms among the
+    candidates (_candidates); returns the finite category they form,
+    revalidated.  Over thin fibers, where both sides of each equation
+    are parallel, an action is an object family with a non-empty hom at
+    every slot and every arrow candidate is an arrow; elsewhere each
+    law is composed in the fibers."""
     shape = _action_shape(p, kind)
-    actions = [_action_of(shape, q, rho)
-               for q, rhos in _action_candidates(p, shape) for rho in rhos
-               if _action_laws_hold(p, shape, q, rho)]
-    arrows = [(a, b, chi) for a in actions for b in actions
-              for chi in _arrow_candidates(p, shape, a, b)
-              if _action_morphism_ok(p, shape, a, b, dict(chi))]
-    return _category_of_actions(p, shape, actions, arrows)
+    candidates = candidates or _candidates(p, shape)
+    if shape.thin(p):
+        actions, holds = [atom for (_, _, atom) in candidates], None
+    else:
+        actions = [atom for (q, rho, atom) in candidates
+                   if _action_laws_hold(p, shape, q, rho)]
+        holds = lambda a, b, chi: _action_morphism_ok(p, shape, a, b,
+                                                      dict(chi))
+    return _category_of_actions(p, shape, actions,
+                                _arrows(p, shape, actions, holds))
 
 
 def enumerate_modules(p):
@@ -1444,14 +1465,15 @@ class _Carrier(NamedTuple):
 def _restricted_carriers(p, shape):
     """The carrier at each choice q of one fiber object per key, as a
     function of q: the 1-cell from the unit 0-cell whose apex is the
-    keys, with the point functor at q[c] as the label at c.
+    keys, with the point at q[c] as the label at c, held by q itself
+    when the fibers are one category (cb.points).
 
     Every carrier sits on one span, and its composites with t, t o t
     and the identity on the spans composed from it, each built once per
-    call.  A point functor is built once per fiber object, and so is
-    each composite of one (cb.point_functor), so carriers share their
-    labels, and the two bracketings of a label composite are one
-    object."""
+    call, as are its four steps' span morphisms: later carriers take
+    the first one's.  A point-labeled carrier's composites are
+    point-labeled on the objects t's object maps send q to, no functor
+    composed, and its chains' seams and landings compare objects."""
     be, d = p.backend, p.shape
     t, mu2, eta2 = p.cells
     one0 = unit_cell0(be)
@@ -1461,21 +1483,30 @@ def _restricted_carriers(p, shape):
     tt_q = compose_spans(mu2.source.span, span)
     t_tq = compose_spans(t.span, t_q)
     i_q = compose_spans(eta2.source.span, span)
+    first = []
 
     def carrier(q):
-        q1 = Cell1(be, one0, t.src, span, {
-            c: cb.point_functor(p.base_label[shape.left(c)], q[c])
-            for c in shape.keys})
+        cats = t.src.label
+        q1 = Cell1(be, one0, t.src, span, cb.ComposedMap(
+            span.apex, cb.points(cats.value), q) if type(cats) is Uniform
+            else {c: cb.point_functor(shape.fiber(p, c), q[c])
+                  for c in shape.keys})
         tq = _composite(t, q1, t_q)
         ttq, iq = _composite(mu2.source, q1, tt_q), \
             _composite(eta2.source, q1, i_q)
         from_ttq, from_iq = identity_cell2(ttq), identity_cell2(iq)
         idq = identity_cell2(q1)
-        return _Carrier(
-            q1, tq, _relabeled(from_ttq, regroup, _composite(t, tq, t_tq)),
-            _whiskered(from_ttq, mu2, idq, lambda d: d, tq),
-            _whiskered(from_iq, eta2, idq, lambda d: d, tq),
-            _relabeled(from_iq, lambda d: d[1], q1), identity_cell2(tq))
+        # The span morphisms of the first carrier's four steps.
+        along = [c.morphism for c in first[0][2:6]] if first else [None] * 4
+        made = _Carrier(
+            q1, tq, _relabeled(from_ttq, regroup, _composite(t, tq, t_tq),
+                               along[0]),
+            _whiskered(from_ttq, mu2, idq, lambda d: d, tq, along[1]),
+            _whiskered(from_iq, eta2, idq, lambda d: d, tq, along[2]),
+            _relabeled(from_iq, lambda d: d[1], q1, along[3]),
+            identity_cell2(tq))
+        first[:] = first or [made]
+        return made
     return carrier
 
 
@@ -1516,7 +1547,10 @@ def _inclusion_functor(src, tgt):
     """The functor sending each object and morphism of src to itself in
     tgt, which holds the same object and morphism sets: by the identity
     maps of tgt's own sets, so that the constructor decides every
-    morphism's ends by comparing the two categories' src and tgt."""
+    morphism's ends by comparing the two categories' src and tgt; the
+    identity functor when they are one category."""
+    if src is tgt:
+        return cb.FunctorData.identity(src)
     return cb.FunctorData(src, tgt, FinFn.identity(tgt.objects),
                           FinFn.identity(tgt.morphisms))
 
@@ -1528,14 +1562,15 @@ def em_algebras_restricted(p, kind="modules"):
 
     The carrier morphisms are restricted to the identity reindexing of
     the apex, matching the enumerated morphisms, which are one component
-    per key.  Both sides take their candidates from _action_candidates
-    and _arrow_candidates, and decide them independently, the search in
-    the fibers and the algebras with eq2 on assembled 2-cells, except
-    that over thin fibers every arrow candidate is an arrow: its
-    endpoints are right, so its equation's sides are parallel.  Every
-    carrier sits on one shared span, as do its composites with t, t o t
-    and the identity, and each law is a chain from its source through
-    the _relabeled and _whiskered steps (_restricted_carriers).
+    per key.  Both sides decide the same candidate atoms (_candidates,
+    _arrow_candidates) independently, the search on objects over thin
+    fibers and in the fibers elsewhere (_enumerate_actions), the
+    algebras with eq2 on assembled 2-cells, except that over thin
+    fibers every arrow candidate is an arrow: its equation's sides are
+    parallel.  There, when both accept the same atoms, they are one
+    category, and the functor pair its identity.  Each law is a chain
+    from its source through the _relabeled and _whiskered steps, on
+    point-labeled carriers (_restricted_carriers).
     """
     shape = _action_shape(p, kind)
     if not isinstance(p.backend, CatBackend):
@@ -1543,21 +1578,25 @@ def em_algebras_restricted(p, kind="modules"):
                          "category base")
     idt = identity_cell2(p.cells[0])
     carrier_at = _restricted_carriers(p, shape)
-    algebras = []
-    for q, rhos in _action_candidates(p, shape):
-        carrier = carrier_at(q)
-        for rho in rhos:
-            xi = _algebra_cell(shape, carrier, rho)
-            if _algebra_laws_hold(idt, carrier, xi):
-                algebras.append((_action_of(shape, q, rho), carrier, xi))
-    thin = all(cb.is_thin(shape.fiber(p, c)) for c in shape.keys)
-    arrows = [(a, b, chi) for (a, a_c, a_xi) in algebras
-              for (b, b_c, b_xi) in algebras
-              for chi in _arrow_candidates(p, shape, a, b)
-              if thin or _arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
-    algebra_cat = _category_of_actions(p, shape, [a for (a, _, _) in algebras],
-                                       arrows)
-    enumerated = _enumerate_actions(p, kind)
+    candidates = _candidates(p, shape)
+    algebras, decided = {}, None
+    for q, rho, atom in candidates:
+        if q is not decided:
+            carrier, decided = carrier_at(q), q
+        xi = _algebra_cell(shape, carrier, rho)
+        if _algebra_laws_hold(idt, carrier, xi):
+            algebras[atom] = (carrier, xi)
+    enumerated = _enumerate_actions(p, kind, candidates)
+    objects, thin = list(algebras), shape.thin(p)
+    if thin and list(map(id, objects)) == list(map(id, enumerated.objects)):
+        # The same atoms, and every arrow candidate between them an
+        # arrow on both sides: one category.
+        algebra_cat = enumerated
+    else:
+        algebra_cat = _category_of_actions(p, shape, objects, _arrows(
+            p, shape, objects, None if thin else lambda a, b, chi:
+            _arrow_holds(idt, *algebras[a], *algebras[b], chi)))
+    arrows = algebra_cat.morphisms
     report = CheckReport("restricted algebras (%s)" % kind)
     if len(enumerated.objects) != len(algebras):
         report.fail("object count", (len(enumerated.objects), len(algebras)))
@@ -1570,7 +1609,8 @@ def em_algebras_restricted(p, kind="modules"):
                    if m not in algebra_cat.objects]
         if missing:
             report.fail("object missing on the algebra side", missing[0])
-        elif set(enumerated.morphisms) != set(arrows):
+        elif algebra_cat is not enumerated and \
+                set(enumerated.morphisms) != set(arrows):
             report.fail("morphism mismatch", None)
         else:
             forward = _inclusion_functor(enumerated, algebra_cat)

@@ -52,16 +52,20 @@ checked one by one; one is_thin test decides it when the target's
 invert_cell2 build held cells from held cells and compose no
 transformation: each seam is checked atom by atom by comparing label
 functors, which are kept composites, so equal ones are one object.  eq2
-compares two such cells by their boundaries and span maps.  Into other
-categories, and over the graded base, the components stay a dict.
+compares two such cells by their boundaries and span maps.  A 1-cell
+out of the unit 0-cell whose labels are points of one category holds
+them by their objects (_points); its composites are point-labeled and
+kept, and the landings between such 1-cells are compared on objects
+(HeldCells.lands).  Into other categories, and over the graded base,
+the components stay a dict.
 """
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import is_
+from operator import is_, ne
 
 from .finset_span import (
-    FinSet, FinFn, Span, SpanMorphism, _kept, _owns_no_memo, _trusted,
+    FinSet, FinFn, Span, SpanMorphism, _Pairs, _kept, _owns_no_memo, _trusted,
     compose_spans, compose_span_morphisms_h, cartesian_product,
 )
 from .reporting import Verdict
@@ -90,9 +94,9 @@ def _uniform(keys, value):
 def _marked(values):
     """values as a Uniform when it is not empty and every value in it is
     one object, compared by identity; values itself otherwise, and a
-    HeldCells as it is, no component read.  Decided where a cell is
-    checked, never in a builder."""
-    if type(values) is Uniform or type(values) is HeldCells or not values:
+    HeldCells or point labels (_points) as they are, nothing read.
+    Decided where a cell is checked, never in a builder."""
+    if type(values) in (Uniform, HeldCells, cb.ComposedMap) or not values:
         return values
     first = next(iter(values.values()))
     if all(map(is_, values.values(), repeat(first))):
@@ -170,6 +174,47 @@ class HeldCells(cb._View):
 
     def __contains__(self, c):
         return c in self.source.span.apex
+
+    def lands(self, into, image):
+        """Whether every component exists and lands on into's label at
+        image[c], decided on objects when the labels are points of one
+        category (_points), with no hom test when every hom is non-empty;
+        None otherwise, for the atom-by-atom check."""
+        b, a = self.target if type(self.target) is tuple else (None,
+                                                                self.target)
+        xs, ys, objects = map(_points, (self.source.label, into.label,
+                                        a.label))
+        cat = into.tgt.label
+        if xs is None or ys is None or objects is None \
+                or type(cat) is not Uniform:
+            return None
+        ends = {c: objects[d] for c, d in self.image.items()} if b is None \
+            else {c: b.label[d].omap.assignment[objects[e]]
+                  for c, (d, e) in self.image.items()}
+        if any(map(ne, map(ends.__getitem__, image),
+                   map(ys.__getitem__, image.values()))):
+            return False
+        homs = cat.value._homs_by_ends()
+        return len(homs) == len(cat.value.objects) ** 2 or all(
+            (xs[c], ends[c]) in homs for c in image)
+
+
+def _points(label):
+    """The object assignment of labels held as points of one category,
+    a cb.ComposedMap of cb.points after it: the label at c is the point
+    at objects[c], read on lookup.  None for other labels."""
+    return label.right if type(label) is cb.ComposedMap else None
+
+
+def _after_points(b, a, span):
+    """b o a on span, a's labels points (_points) and b's landing in one
+    category: the points at b's object maps applied to a's objects.
+    Kept (_composite), so that a seam against it meets by identity."""
+    objects, labels = _points(a.label), b.label
+    return _trusted(Cell1, a.backend, a.src, b.tgt, span, cb.ComposedMap(
+        span.apex, cb.points(b.tgt.label.value), {
+            (d, c): labels[d].omap.assignment[objects[c]]
+            for (d, c) in span.apex.elements}))
 
 
 def _thin_labels(a):
@@ -432,7 +477,7 @@ def product_category(a, b):
 
 def _product_category(a, b):
     objects = FinSet.product(a.objects, b.objects)
-    morphisms = FinSet.product(a.morphisms, b.morphisms)
+    morphisms = _Pairs(a.morphisms, b.morphisms)
     src, tgt, ids = [_trusted(FinFn, dom, cod, cb.PairMap(
         dom, left.assignment, right.assignment)) for dom, cod, left, right in (
             (morphisms, objects, a.src, b.src),
@@ -570,6 +615,8 @@ class Cell2:
             if components.source != s or not _thin_labels(t):
                 raise SpanVError("components held from another 1-cell "
                                  "or not into thin categories")
+            if components.lands(t, image):
+                return
         elif type(components) is Uniform and type(s.label) is Uniform \
                 and type(t.label) is Uniform \
                 and _covers(components, s.span.apex.elements) \
@@ -637,19 +684,24 @@ def cell2_along(source, target, fn, components):
     checked, whether target's labels land in thin categories: then the
     cell holds its components by its 1-cells (HeldCells).  Components
     held already, from source into another target, are checked by the
-    labels they land on, and none is composed."""
+    labels they land on, and none is composed.  fn may be a span
+    morphism between the two spans, built and checked already, as a step
+    on the same spans builds it again: it is taken as it is."""
     s, t = source.span, target.span
-    image = _trusted(FinFn, s.apex, t.apex,
-                     {c: fn(c) for c in s.apex.elements})
-    FinFn.__post_init__(image)
-    morphism = _trusted(SpanMorphism, s, t, image)
-    SpanMorphism.__post_init__(morphism)
+    if type(fn) is SpanMorphism and fn.source is s and fn.target is t:
+        morphism = fn
+    else:
+        image = _trusted(FinFn, s.apex, t.apex,
+                         {c: fn(c) for c in s.apex.elements})
+        FinFn.__post_init__(image)
+        morphism = _trusted(SpanMorphism, s, t, image)
+        SpanMorphism.__post_init__(morphism)
     components = _marked(components)
     cell = _trusted(Cell2, source, target, morphism, components)
     Cell2.__post_init__(cell)
     if type(components) is not Uniform and _thin_labels(target):
-        object.__setattr__(cell, "components",
-                           HeldCells(source, target, image.assignment))
+        object.__setattr__(cell, "components", HeldCells(
+            source, target, morphism.map.assignment))
     return cell
 
 
@@ -690,6 +742,8 @@ def _composite(b, a, span):
     """b after a on span, their pullback composite computed elsewhere."""
     if b.src != a.tgt:
         raise SpanVError("horizontal composition boundary mismatch")
+    if type(a.label) is cb.ComposedMap and type(b.tgt.label) is Uniform:
+        return _kept(_after_points, b, a, span)
     be, atoms = a.backend, span.apex.elements
     label = _fill(atoms, be.comp1, b.label, a.label) or {
         (d, c): be.comp1(b.label[d], a.label[c]) for (d, c) in atoms}
@@ -878,20 +932,22 @@ def interchange_cell2(f, g, h, k, product=tensor1, source=None):
 # checked where the next step is built (cell2_along).
 
 
-def _relabeled(cell, fn, into):
+def _relabeled(cell, fn, into, along=None):
     """cell, then the coherence step along the atom map fn from its
     target into `into`, a 1-cell, or a pair (b, a) of 1-cells for b o a
     on just the atoms fn reaches.  It is one cell: the step's components
     are identities, so the composite keeps cell's.  An associator or
-    unitor, whiskered or not, or a run of them, is one such step."""
+    unitor, whiskered or not, or a run of them, is one such step.  Given
+    along, the span morphism of this step on the same spans, built
+    before, it is taken in place of fn's (cell2_along)."""
     if isinstance(into, tuple):
         into = hcomp1(*into, [fn(d) for d in cell.target.span.apex.elements])
     image = cell.morphism.map.assignment
-    return cell2_along(cell.source, into, lambda c: fn(image[c]),
-                       cell.components)
+    return cell2_along(cell.source, into, along or (
+        lambda c: fn(image[c])), cell.components)
 
 
-def _whiskered(cell, g, f, fn, into):
+def _whiskered(cell, g, f, fn, into, along=None):
     """cell, then g o f from cell's target (the composite of g's and f's
     sources on its atoms), then the relabeling along fn into `into` (as
     in _relabeled), as one cell whose components are g o f's after
@@ -910,24 +966,27 @@ def _whiskered(cell, g, f, fn, into):
     if isinstance(into, tuple):
         into = hcomp1(*into, [fn((gm[d], fm[c]))
                               for d, c in cell.target.span.apex.elements])
+    reach = {x: (gm[d], fm[c]) for x, (d, c) in image.items()}
     comps = _fill(image, lambda gd, fc, x: be.vcomp(be.comp2(gd, fc), x),
                   g.components, f.components, cell.components)
     if comps is None and HeldCells in (type(g.components),
                                        type(cell.components)):
         gs, fs, seams = g.source.label, f.source.label, cell.target.label
-        comp1, eq1 = be.comp1, be.eq1
-        for d, c in image.values():
-            seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
-            if seam is not label and not eq1(seam, label):
-                raise cb.CatError("vertical composition boundary mismatch")
-        comps = HeldCells(cell.source, (g.target, f.target), {
-            x: (gm[d], fm[c]) for x, (d, c) in image.items()})
+        if type(fs) is not cb.ComposedMap or cell.target is not _composite(
+                g.source, f.source, cell.target.span):
+            comp1, eq1 = be.comp1, be.eq1
+            for d, c in image.values():
+                seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
+                if seam is not label and not eq1(seam, label):
+                    raise cb.CatError(
+                        "vertical composition boundary mismatch")
+        comps = HeldCells(cell.source, (g.target, f.target), reach)
     elif comps is None:
         comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
                              cell.components[x])
                  for x, (d, c) in image.items()}
-    return cell2_along(cell.source, into, lambda x: fn((
-        gm[image[x][0]], fm[image[x][1]])), comps)
+    return cell2_along(cell.source, into, along or (
+        lambda x: fn(reach[x])), comps)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Acceptance gate: twenty-two criteria, one pass line each.
+"""Acceptance gate: twenty-three criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -656,29 +656,39 @@ def test_criterion_21_translation_polyad_z32_hopf_check():
     assert peak_mib < 200
 
 
-# The Z_24 modules in a child process of their own, so that no fiber,
+# The Z_n modules in a child process of their own, so that no fiber,
 # polyad or composite built by an earlier test is reused.
-Z24_CHILD = """
-import time
+MODULES_CHILD = """
+import sys, time
 from hopfspan import hopf_structures as hs
+n = int(sys.argv[1])
 start = time.monotonic()
-names, mul, unit = hs.cyclic_group(24)
+names, mul, unit = hs.cyclic_group(n)
 fiber = hs.indiscrete_monoidal_group(names, mul, unit)
 comparison = hs.em_algebras_restricted(
     hs.translation_polyad(names, mul, unit, fiber), "modules")
 assert comparison.report.ok, comparison.report.summary()
-assert len(comparison.algebras.objects) == 24
-assert len(comparison.algebras.morphisms) == 24 * 24
+assert len(comparison.algebras.objects) == n
+assert len(comparison.algebras.morphisms) == n * n
 print(time.monotonic() - start)
 """
 
 
-def test_criterion_22_translation_polyad_z24_modules():
+def modules_in_a_child(n, number, bound):
     package = pathlib.Path(hs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    child = subprocess.run([sys.executable, "-c", Z24_CHILD], env=env,
-                           capture_output=True, text=True, check=True)
+    child = subprocess.run([sys.executable, "-c", MODULES_CHILD, str(n)],
+                           env=env, capture_output=True, text=True,
+                           check=True)
     elapsed = float(child.stdout)
-    finish(22, "modules of the translation polyad over Z_24, fiber and "
-           "polyad build included", time.monotonic() - elapsed, 1.0, 24)
+    finish(number, "modules of the translation polyad over Z_%d, fiber and "
+           "polyad build included" % n, time.monotonic() - elapsed, bound, n)
+
+
+def test_criterion_22_translation_polyad_z24_modules():
+    modules_in_a_child(24, 22, 0.3)
+
+
+def test_criterion_23_translation_polyad_z48_modules():
+    modules_in_a_child(48, 23, 1.8)

@@ -10,6 +10,7 @@ import pytest
 from hopfspan import cat_backend as cb
 from hopfspan import finset_span as fs
 from hopfspan import hopf_structures as hs
+from hopfspan import spanv_core as sc
 from hopfspan.cli import load_document, load_path
 from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
 from hopfspan.reporting import CheckReport
@@ -45,6 +46,7 @@ from hopfspan.hopf_structures import (
 from test_acceptance import dual_group_document, nichols_document, \
     symmetric3
 from test_finset_span import associator_iso, right_unitor_iso
+import test_thin
 
 Z2 = (["e", "b"],
       {("e", "e"): "e", ("e", "b"): "b", ("b", "e"): "b", ("b", "b"): "e"},
@@ -1084,12 +1086,11 @@ def whole_cell_em_algebras(p, kind):
     """em_algebras_restricted with every law on whole cells."""
     shape = hs._action_shape(p, kind)
     algebras = []
-    for q, rhos in hs._action_candidates(p, shape):
+    for q, rho, _ in hs._candidates(p, shape):
         q1 = whole_cell_carrier(p, shape, q)
-        for rho in rhos:
-            xi = whole_cell_action(shape, p.cells[0], q1, rho)
-            if whole_cell_laws_hold(p, q1, xi):
-                algebras.append((hs._action_of(shape, q, rho), q1, xi))
+        xi = whole_cell_action(shape, p.cells[0], q1, rho)
+        if whole_cell_laws_hold(p, q1, xi):
+            algebras.append((hs._action_of(shape, q, rho), q1, xi))
     arrows = [(a, b, chi) for (a, a_q, a_xi) in algebras
               for (b, b_q, b_xi) in algebras
               for chi in hs._arrow_candidates(p, shape, a, b)
@@ -1129,7 +1130,7 @@ def assert_chains_match_whole_cells(p, kind, corrupt=None):
     idt = identity_cell2(p.cells[0])
     carrier_at = hs._restricted_carriers(p, shape)
     found = [decide_both_ways(p, shape, carrier_at, q, rho)
-             for q, rhos in hs._action_candidates(p, shape) for rho in rhos]
+             for q, rho, _ in hs._candidates(p, shape)]
     if corrupt:
         found += [decide_both_ways(p, shape, carrier_at,
                                    dict(c.action.objects),
@@ -1249,12 +1250,11 @@ def tabulated_em_algebras(p, kind):
     idt = identity_cell2(p.cells[0])
     carrier_at = hs._restricted_carriers(p, shape)
     algebras = []
-    for q, rhos in hs._action_candidates(p, shape):
+    for q, rho, _ in hs._candidates(p, shape):
         carrier = carrier_at(q)
-        for rho in rhos:
-            xi = hs._algebra_cell(shape, carrier, rho)
-            if hs._algebra_laws_hold(idt, carrier, xi):
-                algebras.append((hs._action_of(shape, q, rho), carrier, xi))
+        xi = hs._algebra_cell(shape, carrier, rho)
+        if hs._algebra_laws_hold(idt, carrier, xi):
+            algebras.append((hs._action_of(shape, q, rho), carrier, xi))
     arrows = []
     for (a, a_c, a_xi) in algebras:
         for (b, b_c, b_xi) in algebras:
@@ -1264,7 +1264,7 @@ def tabulated_em_algebras(p, kind):
     algebra_cat = tabulated_category_of_actions(
         p, shape, [a for (a, _, _) in algebras], arrows)
     actions = [hs._action_of(shape, q, rho)
-               for q, rhos in hs._action_candidates(p, shape) for rho in rhos
+               for q, rho, _ in hs._candidates(p, shape)
                if hs._action_laws_hold(p, shape, q, rho)]
     enumerated = tabulated_category_of_actions(p, shape, actions, [
         (a, b, chi) for a in actions for b in actions
@@ -1332,6 +1332,196 @@ def test_over_thin_fibers_every_arrow_candidate_holds(name, fiber_kind, kind):
     _, corrupted = assert_chains_match_whole_cells(
         p, kind, lambda rho: {s: "z" for s in rho})
     assert not all(arrows) and corrupted.count(False) > arrows.count(False)
+
+
+# The per-atom path that carriers held by their points replaced, kept
+# as its oracle: each carrier's labels a dict of point functors, each
+# label of a composite a functor composed, the search composing every
+# law and arrow equation in the fibers, and the two sides' categories
+# built apart and compared through two inclusion functors composed
+# both ways.
+
+
+def per_atom_carriers(p, shape):
+    be, d = p.backend, p.shape
+    t, mu2, eta2 = p.cells
+    one0 = unit_cell0(be)
+    span = Span(one0.carrier, d.objects, shape.keys, shape.left,
+                FinFn.constant(shape.keys, one0.carrier, "*"))
+    t_q, tt_q, i_q = [fs.compose_spans(b.span, span)
+                      for b in (t, mu2.source, eta2.source)]
+    t_tq = fs.compose_spans(t.span, t_q)
+
+    def carrier(q):
+        q1 = Cell1(be, one0, t.src, span, {
+            c: cb.point_functor(shape.fiber(p, c), q[c]) for c in shape.keys})
+        tq = sc._composite(t, q1, t_q)
+        ttq, iq = sc._composite(mu2.source, q1, tt_q), \
+            sc._composite(eta2.source, q1, i_q)
+        from_ttq, from_iq = identity_cell2(ttq), identity_cell2(iq)
+        idq = identity_cell2(q1)
+        return hs._Carrier(
+            q1, tq, sc._relabeled(from_ttq, sc.regroup,
+                                  sc._composite(t, tq, t_tq)),
+            sc._whiskered(from_ttq, mu2, idq, lambda d: d, tq),
+            sc._whiskered(from_iq, eta2, idq, lambda d: d, tq),
+            sc._relabeled(from_iq, lambda d: d[1], q1), identity_cell2(tq))
+    return carrier
+
+
+def per_atom_em_algebras(p, kind):
+    shape = hs._action_shape(p, kind)
+    idt = identity_cell2(p.cells[0])
+    carrier_at = per_atom_carriers(p, shape)
+    algebras = []
+    for q, rho, _ in hs._candidates(p, shape):
+        carrier = carrier_at(q)
+        assert type(carrier.tq.label) is not cb.ComposedMap
+        xi = hs._algebra_cell(shape, carrier, rho)
+        if hs._algebra_laws_hold(idt, carrier, xi):
+            algebras.append((hs._action_of(shape, q, rho), carrier, xi))
+    thin = shape.thin(p)
+    arrows = [(a, b, chi) for (a, a_c, a_xi) in algebras
+              for (b, b_c, b_xi) in algebras
+              for chi in hs._arrow_candidates(p, shape, a, b)
+              if thin or hs._arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
+    algebra_cat = hs._category_of_actions(
+        p, shape, [a for (a, _, _) in algebras], arrows)
+    actions = [hs._action_of(shape, q, rho)
+               for q, rho, _ in hs._candidates(p, shape)
+               if hs._action_laws_hold(p, shape, q, rho)]
+    enumerated = hs._category_of_actions(p, shape, actions, [
+        (a, b, chi) for a in actions for b in actions
+        for chi in hs._arrow_candidates(p, shape, a, b)
+        if hs._action_morphism_ok(p, shape, a, b, dict(chi))])
+    report = CheckReport("restricted algebras (%s)" % kind)
+    if len(enumerated.objects) != len(algebras):
+        report.fail("object count", (len(enumerated.objects), len(algebras)))
+    if len(enumerated.morphisms) != len(arrows):
+        report.fail("morphism count",
+                    (len(enumerated.morphisms), len(arrows)))
+    forward = backward = None
+    if report.ok:
+        forward, backward = [FunctorData(
+            src, tgt, FinFn.identity(tgt.objects),
+            FinFn.identity(tgt.morphisms)) for src, tgt in (
+                (enumerated, algebra_cat), (algebra_cat, enumerated))]
+        if forward.then(backward) != FunctorData.identity(enumerated) or \
+                backward.then(forward) != FunctorData.identity(algebra_cat):
+            report.fail("functor pair does not invert", kind)
+    return hs.RestrictedAlgebraComparison(kind, algebra_cat, enumerated,
+                                          forward, backward, report)
+
+
+def assert_same_as_per_atom(p, kind):
+    cmp, oracle = em_algebras_restricted(p, kind), per_atom_em_algebras(p, kind)
+    assert cmp.report == oracle.report
+    for mine, theirs in [(cmp.algebras, oracle.algebras),
+                         (cmp.enumerated, oracle.enumerated)]:
+        assert mine.objects.elements == theirs.objects.elements
+        assert mine.morphisms.elements == theirs.morphisms.elements
+        assert (mine.src, mine.tgt, mine.identities) == \
+            (theirs.src, theirs.tgt, theirs.identities)
+        assert mine.composition == theirs.composition
+    for mine, theirs in [(cmp.forward, oracle.forward),
+                         (cmp.backward, oracle.backward)]:
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert (mine.dom, mine.cod, mine.omap, mine.mmap) == \
+                (theirs.dom, theirs.cod, theirs.omap, theirs.mmap)
+    return cmp
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_carriers_share_their_steps_span_morphisms(name, fiber_kind, kind):
+    # Every carrier's steps run on the same spans along the same maps:
+    # the carriers after the first take its span morphisms, and their
+    # cells equal the ones each carrier builds along its own maps.
+    p = polyad_fixture(name, fiber_kind)
+    shape = hs._action_shape(p, kind)
+    carrier_at, oracle_at = hs._restricted_carriers(p, shape), \
+        per_atom_carriers(p, shape)
+    qs = list({id(q): q for q, _, _ in hs._candidates(p, shape)}.values())
+    first = carrier_at(qs[0]) if qs else None
+    for q in qs[1:]:
+        carrier, oracle = carrier_at(q), oracle_at(q)
+        for step in ("assoc", "mult", "unit", "unitor"):
+            mine, theirs = getattr(carrier, step), getattr(oracle, step)
+            assert mine.morphism is getattr(first, step).morphism
+            assert mine.morphism == theirs.morphism
+            assert mine == theirs and theirs == mine
+
+
+def max_translation():
+    """Translation by max on the total order 0 < 1 < 2, tensored by max:
+    thin, with an empty hom at some slots of some candidates (a module
+    needs f <= q at every f, so only q = 2 is one)."""
+    d = test_thin.total_order(3)
+    prod = product_category(d, d)
+    fiber = MonoidalCatData(d, FunctorData.held(prod, d, FinFn(
+        prod.objects, d.objects, {(x, y): max(x, y) for (x, y)
+                                  in prod.objects})), 0)
+    return translation_polyad(range(3), {(u, a): max(u, a) for u in range(3)
+                                         for a in range(3)}, 0, fiber)
+
+
+FIXTURES = {**{key: (lambda key=key: polyad_fixture(*key[:2]))
+               for key in COUNTS},
+            ("translation", "max", "modules"): max_translation,
+            ("translation", "max", "representations"): max_translation}
+
+
+@pytest.mark.parametrize("mode", ["trusted", "checking"])
+@pytest.mark.parametrize("name,fiber_kind,kind", list(FIXTURES))
+def test_restricted_algebras_match_the_per_atom_path(name, fiber_kind, kind,
+                                                     mode, monkeypatch):
+    if mode == "checking":
+        from test_trusted import enter_checking_mode
+        enter_checking_mode(monkeypatch)
+    p = FIXTURES[(name, fiber_kind, kind)]()
+    cmp = assert_same_as_per_atom(p, kind)
+    assert cmp.report.ok
+    thin = fiber_kind != "endomorphisms"
+    assert (cmp.algebras is cmp.enumerated) == thin
+    if (name, fiber_kind, kind) in COUNTS:
+        assert (len(cmp.algebras.objects), len(cmp.algebras.morphisms)) == \
+            COUNTS[(name, fiber_kind, kind)]
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", [
+    key for key in FIXTURES if key[1] != "endomorphisms"])
+def test_the_object_rule_accepts_the_candidates_the_laws_accept(
+        name, fiber_kind, kind):
+    # Over a thin fiber the search takes an object family with a
+    # non-empty hom at every slot as an action, and every arrow candidate
+    # between two as an arrow; composing each law and arrow equation in
+    # the fibers accepts the same ones, family by family, and refuses
+    # the families with an empty hom at a slot.
+    p = FIXTURES[(name, fiber_kind, kind)]()
+    shape, d = hs._action_shape(p, kind), p.shape
+    found = hs._enumerate_actions(p, kind)
+    accepted = {tuple(x for (_, x) in a.objects) for a in found.objects}
+    keys, refused = list(shape.keys), 0
+    for combo in itertools.product(*[shape.fiber(p, c).objects.elements
+                                     for c in keys]):
+        q = dict(zip(keys, combo))
+        pools = [p.base_label[d.tgt(f)].hom(p.mor_label[f].omap(q[c]),
+                                            q[shape.out[(f, c)]])
+                 for (f, c) in shape.slots]
+        lawful = any(hs._action_laws_hold(p, shape, q,
+                                          dict(zip(shape.slots, acts)))
+                     for acts in itertools.product(*pools))
+        assert lawful == all(pools)
+        assert lawful == (combo in accepted)
+        refused += not lawful
+    if fiber_kind in ("discrete", "max") and name == "translation":
+        assert refused
+    arrows = set(found.morphisms)
+    for a in found.objects:
+        for b in found.objects:
+            for chi in hs._arrow_candidates(p, shape, a, b):
+                assert hs._action_morphism_ok(p, shape, a, b, dict(chi))
+                assert (a, b, chi) in arrows
 
 
 # The per-kind enumeration that the single action enumeration replaced,

@@ -1252,3 +1252,156 @@ def test_a_chain_landing_in_a_wrong_target_is_refused(c, monkeypatch):
     assert held[0].startswith("component codomain mismatch at")
     assert held[1].startswith("component codomain mismatch at")
     assert held[2] == "vertical composition boundary mismatch"
+
+
+# ---------------------------------------------------------------------------
+# 1-cells out of the unit 0-cell whose labels are points, held by their
+# objects (a cb.ComposedMap of cb.points), against the same 1-cells with
+# their points listed in a dict: composites, the cells and chains built
+# on them, HeldCells.lands against the atom-by-atom check, and the
+# errors of a wrong landing or a missing hom.
+
+
+@pytest.mark.parametrize("c", THIN_FIBERS + NOT_THIN, ids=kind)
+def test_the_points_of_a_category_are_its_point_functors(c):
+    points = cb.points(c)
+    assert points is cb.points(c) and list(points) == list(c.objects)
+    for x in c.objects:
+        assert points[x] is cb.point_functor(c, x)
+
+
+class PointCells(ThinCells):
+    """ThinCells with a 1-cell q from the unit 0-cell into a 0-cell x
+    over c, its labels the points at random objects, held by them or
+    listed, and a 1-cell b from x on top of it."""
+
+    def __init__(self, c, seed, listed):
+        super().__init__(c, seed)
+        self.x, self.y = self.cell0(), self.cell0()
+        unit = sc.unit_cell0(self.be)
+        apex = FinSet(["q%d" % k for k in range(3)])
+        objects = {a: self.rng.choice(c.objects.elements) for a in apex}
+        span = sc.Span(unit.carrier, self.x.carrier, apex,
+                       FinFn(apex, self.x.carrier, {
+                           a: self.rng.choice(self.x.carrier.elements)
+                           for a in apex}),
+                       FinFn.constant(apex, unit.carrier, "*"))
+        self.q = sc.Cell1(self.be, unit, self.x, span, {
+            a: cb.point_functor(c, x) for a, x in objects.items()}
+            if listed else cb.ComposedMap(apex, cb.points(c), objects))
+        self.b = self.mixed(self.x, self.y)
+        self.span = sc.compose_spans(self.b.span, self.q.span)
+
+
+def point_builds(c, seed, listed):
+    """The composite b o q; the identities on q and on b o q, a
+    relabeling of b o q onto itself and its vertical square, and the
+    whisker of a 2-cell into b along q; and eq2 on two of them."""
+    g = PointCells(c, seed, listed)
+    composite = sc._composite(g.b, g.q, g.span)
+    u = g.onto(g.b)
+    below = sc._composite(u.source, g.q, sc.compose_spans(u.source.span,
+                                                          g.q.span))
+    whisker = sc._whiskered(sc.identity_cell2(below), u,
+                            sc.identity_cell2(g.q), lambda d: d,
+                            (u.target, g.q))
+    relabeled = sc._relabeled(sc.identity_cell2(composite), lambda d: d,
+                              composite)
+    cells = [sc.identity_cell2(g.q), sc.identity_cell2(composite),
+             relabeled, whisker, sc.vcomp2(relabeled, relabeled)]
+    return g, composite, cells, sc.eq2(relabeled, cells[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("c", THIN_FIBERS, ids=kind)
+def test_point_labels_compose_and_land_as_the_listed_ones(c, seed):
+    g, composite, cells, verdict = point_builds(c, seed, False)
+    _, listed, plain, plain_verdict = point_builds(c, seed, True)
+    assert type(g.q.label) is cb.ComposedMap
+    assert type(composite.label) is cb.ComposedMap
+    assert type(listed.label) is not cb.ComposedMap
+    assert sc._composite(g.b, g.q, g.span) is composite
+    for a in composite.span.apex:
+        assert composite.label[a] is listed.label[a]
+    assert composite == listed and listed == composite
+    for held, other in zip(cells, plain):
+        assert type(held.components) is sc.HeldCells
+        assert held.components.lands(held.target,
+                                     held.morphism.map.assignment)
+        assert_same_cells(held, other)
+        assert held == other and other == held
+    assert (bool(verdict), verdict.witness) == \
+        (bool(plain_verdict), plain_verdict.witness) == (True, None)
+    for other in plain:
+        if type(other.components) is sc.HeldCells:
+            assert other.components.lands(
+                other.target, other.morphism.map.assignment) is None
+
+
+def point_gaps(c, seed, listed):
+    """The messages of a relabeling of b o q into the same 1-cell with
+    one point moved, and of the identity span map from q to a 1-cell
+    with one point moved, its components held."""
+    g = PointCells(c, seed, listed)
+    composite = sc._composite(g.b, g.q, g.span)
+    found = []
+    for cell in (composite, g.q):
+        atom = cell.span.apex.elements[0]
+        x = cell.label[atom].omap("*")
+        moved = next(y for y in c.objects if y != x)
+        labels = {a: cell.label[a] for a in cell.span.apex}
+        labels[atom] = cb.point_functor(c, moved)
+        if not listed:
+            labels = cb.ComposedMap(cell.span.apex, cb.points(c), {
+                a: f.omap("*") for a, f in labels.items()})
+        other = sc.Cell1(g.be, cell.src, cell.tgt, cell.span, labels)
+        found.append(raised(lambda: sc._relabeled(
+            sc.identity_cell2(cell), lambda d: d, other)))
+        morphism = sc.SpanMorphism.identity(cell.span)
+        found.append(raised(lambda: sc.Cell2(
+            cell, other, morphism, sc.HeldCells(
+                cell, other, morphism.map.assignment))))
+    return found
+
+
+@pytest.mark.parametrize("c", [c for c in THIN_FIBERS if len(c.objects) > 1],
+                         ids=kind)
+def test_a_point_landing_wrong_or_on_no_hom_is_refused_as_listed(c):
+    for seed in range(3):
+        found = point_gaps(c, seed, False)
+        assert found == point_gaps(c, seed, True)
+        assert found[0].startswith("component codomain mismatch at")
+        assert found[2].startswith("component codomain mismatch at")
+        # A held cell into moved points exists where every hom does.
+        gaps = [m for m in found[1::2] if m is not None]
+        assert all(m.startswith("component missing at") for m in gaps)
+        if len(c._homs_by_ends()) == len(c.objects) ** 2:
+            assert not gaps
+
+
+def test_a_point_on_an_empty_hom_is_refused_in_an_order():
+    d = total_order(3)
+    found = [m for seed in range(6) for m in point_gaps(d, seed, False)[1::2]]
+    assert any(m and m.startswith("component missing at") for m in found)
+
+
+def test_a_product_lists_its_morphisms_only_when_read():
+    # The product category of a fiber with itself, n^4 morphisms of the
+    # indiscrete fiber on n objects, is never listed by a modules or a
+    # Hopf check of the translation polyad.
+    names, mul, unit = hs.cyclic_group(3)
+    fiber = hs.indiscrete_monoidal_group(names, mul, unit)
+    prod = product_category(fiber.cat, fiber.cat)
+    assert hs.em_algebras_restricted(
+        hs.translation_polyad(names, mul, unit, fiber)).report.ok
+    assert hs.polyad_is_hopf(hs.translation_opmonoidal(names, mul, unit,
+                                                       fiber))
+    morphisms = prod.morphisms
+    assert "elements" not in vars(morphisms)
+    listed = FinSet.product(fiber.cat.morphisms, fiber.cat.morphisms)
+    assert all(m in morphisms for m in listed)
+    assert ("x", "y") not in morphisms and "ab" not in morphisms
+    assert "elements" not in vars(morphisms)
+    assert morphisms == listed and listed == morphisms
+    assert morphisms.elements == listed.elements and len(morphisms) == 81
+    assert hash(morphisms) == hash(listed)

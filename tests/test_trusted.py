@@ -89,7 +89,7 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 and 22
+# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 23
 # run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
@@ -98,7 +98,8 @@ TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_18_indiscrete_20_monad_check",
                "test_criterion_19_translation_polyad_z12_modules",
                "test_criterion_21_translation_polyad_z32_hopf_check",
-               "test_criterion_22_translation_polyad_z24_modules"}
+               "test_criterion_22_translation_polyad_z24_modules",
+               "test_criterion_23_translation_polyad_z48_modules"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -403,21 +404,28 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
 # image, kept on the fiber, so its identity transformation is shared
 # too: 184 FinFn, 67 FunctorData and 156 NatTransData for Z_3 modules,
 # and 109, 24 and 158 for Z_2 representations, when each composite of
-# a point was built with its own identity transformation.  The closing
-# functor pair maps by FinFn.identity (4 of the FinFn here), where it
-# built and checked a dict of each set.  The fiber is thin, so every
-# cell of a law chain holds its components by its 1-cells
-# (spanv_core.HeldCells), and no whisker, composite or identity builds
-# a transformation: 120 NatTransData for Z_3 modules and 146 for Z_2
-# representations when each built its components one by one.
+# a point was built with its own identity transformation.  The fiber
+# is thin, so every cell of a law chain holds its components by its
+# 1-cells (spanv_core.HeldCells), and no whisker, composite or identity
+# builds a transformation: 120 NatTransData for Z_3 modules and 146 for
+# Z_2 representations when each built its components one by one.  A
+# carrier's labels are held by its objects, not marked Uniform, so the
+# identity cells on a one-atom carrier hold their components too: 6
+# and 4 NatTransData when each built the identity transformation of its
+# one point.  Both sides decide the same candidate atoms, and over a
+# thin fiber their categories are one when they accept the same ones,
+# so the closing functor pair is that category's identity functor (one
+# FunctorData and two FinFn): 4 FunctorData and 12 FinFn when the pair
+# was two inclusions on two categories, composed both ways.  Every
+# carrier's four steps run on the same spans along the same maps, so
+# the carriers after the first take the first one's span morphisms:
+# 8 and 12 more FinFn and SpanMorphism when each built its own.
 EM_BUILDS = {
-    (3, "modules"): {"Cell1": 12, "Cell2": 40, "FinFn": 62, "FinSet": 4,
-                     "FunctorData": 4, "NatTransData": 6, "Span": 4,
-                     "SpanMorphism": 40},
-    (2, "representations"): {"Cell1": 16, "Cell2": 53, "FinFn": 73,
-                             "FinSet": 4, "FunctorData": 4,
-                             "NatTransData": 4, "Span": 4,
-                             "SpanMorphism": 53},
+    (3, "modules"): {"Cell1": 12, "Cell2": 40, "FinFn": 44, "FinSet": 4,
+                     "FunctorData": 1, "Span": 4, "SpanMorphism": 32},
+    (2, "representations"): {"Cell1": 16, "Cell2": 53, "FinFn": 51,
+                             "FinSet": 4, "FunctorData": 1, "Span": 4,
+                             "SpanMorphism": 41},
 }
 
 
