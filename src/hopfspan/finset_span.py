@@ -261,6 +261,18 @@ class FinFn:
         return _trusted(FinFn, x, x, {a: a for a in x.elements})
 
     @staticmethod
+    def tabulate(domain, codomain, fn):
+        """a -> fn(a) for each atom a of domain, which so has a value at
+        every atom: each distinct value (by identity) is looked up in
+        codomain once, where the constructor looks up each atom's."""
+        atoms = domain.elements
+        assignment = dict(zip(atoms, map(fn, atoms)))
+        if not all(map(codomain.positions().__contains__,
+                       {id(v): v for v in assignment.values()}.values())):
+            return FinFn(domain, codomain, assignment)  # raises its error
+        return _trusted(FinFn, domain, codomain, assignment)
+
+    @staticmethod
     def constant(domain, codomain, value):
         return FinFn(domain, codomain, {a: value for a in domain})
 
@@ -401,24 +413,30 @@ def compose_spans(b, a, pairs=None):
                 raise SpanError("%r is not a matched pair" % ((d, c),))
     b_left, a_right = b.left.assignment, a.right.assignment
     atoms = apex.elements
-    left = _trusted(FinFn, apex, b.tgt, {(d, c): b_left[d] for (d, c) in atoms})
-    right = _trusted(FinFn, apex, a.src,
-                     {(d, c): a_right[c] for (d, c) in atoms})
+    left = _trusted(FinFn, apex, b.tgt, {x: b_left[x[0]] for x in atoms})
+    right = _trusted(FinFn, apex, a.src, {x: a_right[x[1]] for x in atoms})
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
-def compose_span_morphisms_h(g, f, source=None):
+def compose_span_morphisms_h(g, f, source=None, via=None, target=None):
     """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)).
     Given source, a sub-span of the composite of their sources built
     already, it runs from that into the sub-span on the images of its
-    pairs (see compose_spans)."""
+    pairs (see compose_spans), or into target, a sub-span of the
+    composite of their targets built already that holds those images;
+    given also via, source is that composite bracketed otherwise, each
+    atom read as its pair (d, c) through via.  Neither is checked but by
+    the constructors in checking mode: the map's values lie in target,
+    and each atom's legs are its pair's."""
     whole = source is None
     if whole:
         source = compose_spans(g.source, f.source)
-    gm, fm = g.map.assignment, f.map.assignment
-    assignment = {(d, c): (gm[d], fm[c]) for (d, c) in source.apex.elements}
-    target = compose_spans(g.target, f.target,
-                           None if whole else assignment.values())
+    gm, fm, atoms = g.map.assignment, f.map.assignment, source.apex.elements
+    assignment = {x: (gm[d], fm[c]) for x, (d, c) in zip(
+        atoms, atoms if via is None else map(via, atoms))}
+    if target is None:
+        target = compose_spans(g.target, f.target,
+                               None if whole else assignment.values())
     return _trusted(SpanMorphism, source, target,
                     _trusted(FinFn, source.apex, target.apex, assignment))
 

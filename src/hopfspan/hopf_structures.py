@@ -40,6 +40,7 @@ the lazy-category backend and re-checks them pointwise on probes.
 """
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,12 +62,13 @@ from .spanv_core import (
     CatBackend,
     Cell0,
     Cell1,
-    Cell2,
+    HeldCells,
     SpanVError,
     Uniform,
     VectBackend,
     apply_span_F,
     cell2_along,
+    differences2,
     eq2,
     hcomp1,
     hcomp2,
@@ -1245,8 +1247,8 @@ def translation_opmonoidal(elements, mul, unit, fiber):
 # Both are actions of the polyad on one fiber object per key.  A module
 # keys its objects by shape object, a representation by shape morphism,
 # sitting over its target.  The keys are the apex of a carrier 1-cell
-# from the unit 0-cell (_restricted_carrier), and each apex point (f, c)
-# of the composite t o carrier is a slot holding one action morphism.
+# from the unit 0-cell (_restricted_carriers), and each apex point (f,
+# c) of the composite t o carrier is a slot holding one action morphism.
 
 
 @dataclass(frozen=True)
@@ -1404,13 +1406,13 @@ def enumerate_representations(p):
 
 def _category_of_actions(p, shape, objects, arrows):
     """Assemble actions and their morphisms, one fiber morphism per key,
-    into a finite category, on a thin table over thin fibers.  Each
-    key's fiber is looked up once."""
+    into a finite category, on a thin table over thin fibers.  Its end
+    maps are tabulated, each distinct end checked once."""
     objects_f = FinSet(objects)
     morphisms_f = FinSet(arrows)
     fiber = {c: shape.fiber(p, c) for c in shape.keys}
-    src = FinFn(morphisms_f, objects_f, {m: m[0] for m in arrows})
-    tgt = FinFn(morphisms_f, objects_f, {m: m[1] for m in arrows})
+    src, tgt = (FinFn.tabulate(morphisms_f, objects_f, itemgetter(k))
+                for k in (0, 1))
     identities = {a: (a, a, tuple((c, fiber[c].identities(x))
                                   for (c, x) in a.objects))
                   for a in objects}
@@ -1446,101 +1448,76 @@ class RestrictedAlgebraComparison:
     report: CheckReport
 
 
-class _Carrier(NamedTuple):
-    """A restricted carrier 1-cell q with the composite t o q its
-    actions start from, and the steps that every action on it shares:
-    the associator (t o t) o q => t o (t o q) and mu o 1_q, both from
-    (t o t) o q, eta o 1_q and the left unitor, both from id o q, and
-    the identity on t o q, where a morphism's equation starts."""
+def _restricted_carriers(p, shape, actions):
+    """The candidate actions as one family (q, t o q, xi): q from the unit
+    0-cell on the disjoint union of their keys, atom (i, c) the point at
+    actions[i]'s object at c (held by that object assignment when the
+    fibers are one category), xi sending slot (f, (i, c)) to (i, out[(f,
+    c)]) by actions[i]'s action, over thin fibers the one morphism in its
+    hom.  Spans compose atom by atom, so a chain on the family is, on
+    each candidate's atoms, that candidate's own chain."""
+    be, t, one0 = p.backend, p.cells[0], unit_cell0(p.backend)
+    objects = {(i, c): x for i, action in enumerate(actions)
+               for (c, x) in action.objects}
+    apex = FinSet(objects)
+    span = Span(one0.carrier, p.shape.objects, apex, FinFn(
+        apex, p.shape.objects, {(i, c): shape.left(c) for (i, c) in apex}),
+        FinFn.constant(apex, one0.carrier, "*"))
+    cats = t.src.label
+    q = Cell1(be, one0, t.src, span, cb.ComposedMap(
+        apex, cb.points(cats.value), objects) if type(cats) is Uniform
+        else {(i, c): cb.point_functor(shape.fiber(p, c), x)
+              for (i, c), x in objects.items()})
+    tq = _composite(t, q, compose_spans(t.span, span))
+    rho = [dict(action.actions) for action in actions]
+    land = {(f, (i, c)): (i, shape.out[(f, c)])
+            for (f, (i, c)) in tq.span.apex}
+    return q, tq, cell2_along(tq, q, land.__getitem__, HeldCells(
+        tq, q, land) if shape.thin(p) else {
+        (f, (i, c)): cb.NatTransData(tq.label[(f, (i, c))], q.label[d],
+                                     {"*": rho[i][(f, c)]})
+        for (f, (i, c)), d in land.items()})
 
-    q: Cell1
-    tq: Cell1
-    assoc: Cell2
-    mult: Cell2
-    unit: Cell2
-    unitor: Cell2
-    start: Cell2
+
+def _verdicts(candidates, *laws):
+    """The candidates that hold every law, a pair of chains on their
+    family from one source: candidate i fails at each atom (d, (i, c))
+    where differences2, the walk eq2 reports the first of, finds them
+    apart."""
+    refused = {w[1][1][0] for u, v in laws for w in differences2(u, v)}
+    return [x for i, x in enumerate(candidates) if i not in refused]
 
 
-def _restricted_carriers(p, shape):
-    """The carrier at each choice q of one fiber object per key, as a
-    function of q: the 1-cell from the unit 0-cell whose apex is the
-    keys, with the point at q[c] as the label at c, held by q itself
-    when the fibers are one category (cb.points).
-
-    Every carrier sits on one span, and its composites with t, t o t
-    and the identity on the spans composed from it, each built once per
-    call, as are its four steps' span morphisms: later carriers take
-    the first one's.  A point-labeled carrier's composites are
-    point-labeled on the objects t's object maps send q to, no functor
-    composed, and its chains' seams and landings compare objects."""
-    be, d = p.backend, p.shape
+def _lawful(p, shape, actions):
+    """The candidate actions that are algebras, on the family of all of
+    them: xi (1_t o xi) alpha against xi (mu o 1_q), both whiskers built
+    from (t o t) o q into t o q (the first read through regroup, no alpha
+    built: identities at each atom's unit slot reach every atom of t o
+    q), and xi (eta o 1_q), on t o q's identity slots alone (_whiskered),
+    against the unitor."""
     t, mu2, eta2 = p.cells
-    one0 = unit_cell0(be)
-    span = Span(one0.carrier, d.objects, shape.keys, shape.left,
-                FinFn.constant(shape.keys, one0.carrier, "*"))
-    t_q = compose_spans(t.span, span)
-    tt_q = compose_spans(mu2.source.span, span)
-    t_tq = compose_spans(t.span, t_q)
-    i_q = compose_spans(eta2.source.span, span)
-    first = []
-
-    def carrier(q):
-        cats = t.src.label
-        q1 = Cell1(be, one0, t.src, span, cb.ComposedMap(
-            span.apex, cb.points(cats.value), q) if type(cats) is Uniform
-            else {c: cb.point_functor(shape.fiber(p, c), q[c])
-                  for c in shape.keys})
-        tq = _composite(t, q1, t_q)
-        ttq, iq = _composite(mu2.source, q1, tt_q), \
-            _composite(eta2.source, q1, i_q)
-        from_ttq, from_iq = identity_cell2(ttq), identity_cell2(iq)
-        idq = identity_cell2(q1)
-        # The span morphisms of the first carrier's four steps.
-        along = [c.morphism for c in first[0][2:6]] if first else [None] * 4
-        made = _Carrier(
-            q1, tq, _relabeled(from_ttq, regroup, _composite(t, tq, t_tq),
-                               along[0]),
-            _whiskered(from_ttq, mu2, idq, lambda d: d, tq, along[1]),
-            _whiskered(from_iq, eta2, idq, lambda d: d, tq, along[2]),
-            _relabeled(from_iq, lambda d: d[1], q1, along[3]),
-            identity_cell2(tq))
-        first[:] = first or [made]
-        return made
-    return carrier
+    q, tq, xi = _restricted_carriers(p, shape, actions)
+    ttq = hcomp1(mu2.source, q)
+    idq, from_iq = identity_cell2(q), identity_cell2(hcomp1(eta2.source, q))
+    return _verdicts(actions, (
+        vcomp2(xi, hcomp2(identity_cell2(t), xi, ttq, tq, regroup)),
+        vcomp2(xi, hcomp2(mu2, idq, ttq, tq))), (
+        vcomp2(xi, _whiskered(from_iq, eta2, idq, lambda d: d, tq)),
+        _relabeled(from_iq, lambda d: d[1], q)))
 
 
-def _algebra_cell(shape, carrier, rho):
-    """The action 2-cell from t o q to q, sending slot s to out[s] with
-    component rho[s]."""
-    tq, q1 = carrier.tq, carrier.q
-    comps = {s: cb.NatTransData(tq.label[s], q1.label[shape.out[s]],
-                                {"*": rho[s]})
-             for s in tq.span.apex}
-    return cell2_along(tq, q1, shape.out.__getitem__, comps)
-
-
-def _algebra_laws_hold(idt, carrier, xi):
-    """Associativity and the unit law of xi, each side a chain from
-    (t o t) o q or id o q: xi (1_t o xi) alpha against xi (mu o 1_q),
-    and xi (eta o 1_q) against the left unitor."""
-    lhs = vcomp2(xi, _whiskered(carrier.assoc, idt, xi, lambda d: d,
-                                carrier.tq))
-    if not eq2(lhs, vcomp2(xi, carrier.mult)):
-        return False
-    return bool(eq2(vcomp2(xi, carrier.unit), carrier.unitor))
-
-
-def _arrow_holds(idt, a, a_xi, b, b_xi, chi):
-    """The cell with components chi, from carrier a's q to b's, respects
-    the actions: b_xi (1_t o cell) against cell a_xi, both chains from
-    a's t o q."""
-    cell = cell2_along(a.q, b.q, lambda c: c, {
-        c: cb.NatTransData(a.q.label[c], b.q.label[c], {"*": m})
-        for (c, m) in chi})
-    return bool(eq2(vcomp2(b_xi, _whiskered(a.start, idt, cell,
-                                            lambda d: d, b.tq)),
-                    vcomp2(cell, a_xi)))
+def _arrows_hold(p, shape, arrows):
+    """The arrow candidates (a, b, chi) that respect the actions, as one
+    chain between the families of the a and of the b, with the chi
+    components between: xi_b (1_t o chi) against chi xi_a."""
+    (aq, atq, axi), (bq, btq, bxi) = [_restricted_carriers(
+        p, shape, [arrow[end] for arrow in arrows]) for end in (0, 1)]
+    cell = cell2_along(aq, bq, lambda c: c, {
+        (k, c): cb.NatTransData(aq.label[(k, c)], bq.label[(k, c)], {"*": m})
+        for k, (_, _, chi) in enumerate(arrows) for (c, m) in chi})
+    return _verdicts(arrows, (
+        vcomp2(bxi, hcomp2(identity_cell2(p.cells[0]), cell, atq, btq)),
+        vcomp2(cell, axi)))
 
 
 def _inclusion_functor(src, tgt):
@@ -1563,43 +1540,35 @@ def em_algebras_restricted(p, kind="modules"):
     The carrier morphisms are restricted to the identity reindexing of
     the apex, matching the enumerated morphisms, which are one component
     per key.  Both sides decide the same candidate atoms (_candidates,
-    _arrow_candidates) independently, the search on objects over thin
+    _arrow_candidates) independently: the search on objects over thin
     fibers and in the fibers elsewhere (_enumerate_actions), the
-    algebras with eq2 on assembled 2-cells, except that over thin
-    fibers every arrow candidate is an arrow: its equation's sides are
-    parallel.  There, when both accept the same atoms, they are one
-    category, and the functor pair its identity.  Each law is a chain
-    from its source through the _relabeled and _whiskered steps, on
-    point-labeled carriers (_restricted_carriers).
+    algebras as one family (_restricted_carriers), one chain per law
+    (_lawful), and their arrows, off thin fibers, as one chain between
+    two families (_arrows_hold).  Over thin fibers every arrow candidate
+    is an arrow, its equation's sides parallel: when both sides accept
+    the same atoms, they are one category, the functor pair its identity.
     """
     shape = _action_shape(p, kind)
     if not isinstance(p.backend, CatBackend):
         raise SpanVError("restricted algebras live over the finite-"
                          "category base")
-    idt = identity_cell2(p.cells[0])
-    carrier_at = _restricted_carriers(p, shape)
     candidates = _candidates(p, shape)
-    algebras, decided = {}, None
-    for q, rho, atom in candidates:
-        if q is not decided:
-            carrier, decided = carrier_at(q), q
-        xi = _algebra_cell(shape, carrier, rho)
-        if _algebra_laws_hold(idt, carrier, xi):
-            algebras[atom] = (carrier, xi)
+    objects = _lawful(p, shape, [atom for (_, _, atom) in candidates])
     enumerated = _enumerate_actions(p, kind, candidates)
-    objects, thin = list(algebras), shape.thin(p)
+    thin = shape.thin(p)
     if thin and list(map(id, objects)) == list(map(id, enumerated.objects)):
         # The same atoms, and every arrow candidate between them an
         # arrow on both sides: one category.
         algebra_cat = enumerated
     else:
-        algebra_cat = _category_of_actions(p, shape, objects, _arrows(
-            p, shape, objects, None if thin else lambda a, b, chi:
-            _arrow_holds(idt, *algebras[a], *algebras[b], chi)))
+        arrows = _arrows(p, shape, objects)
+        if not thin:
+            arrows = _arrows_hold(p, shape, arrows)
+        algebra_cat = _category_of_actions(p, shape, objects, arrows)
     arrows = algebra_cat.morphisms
     report = CheckReport("restricted algebras (%s)" % kind)
-    if len(enumerated.objects) != len(algebras):
-        report.fail("object count", (len(enumerated.objects), len(algebras)))
+    if len(enumerated.objects) != len(objects):
+        report.fail("object count", (len(enumerated.objects), len(objects)))
     if len(enumerated.morphisms) != len(arrows):
         report.fail("morphism count",
                     (len(enumerated.morphisms), len(arrows)))

@@ -213,8 +213,8 @@ def _after_points(b, a, span):
     objects, labels = _points(a.label), b.label
     return _trusted(Cell1, a.backend, a.src, b.tgt, span, cb.ComposedMap(
         span.apex, cb.points(b.tgt.label.value), {
-            (d, c): labels[d].omap.assignment[objects[c]]
-            for (d, c) in span.apex.elements}))
+            x: labels[x[0]].omap.assignment[objects[x[1]]]
+            for x in span.apex.elements}))
 
 
 def _thin_labels(a):
@@ -684,18 +684,13 @@ def cell2_along(source, target, fn, components):
     checked, whether target's labels land in thin categories: then the
     cell holds its components by its 1-cells (HeldCells).  Components
     held already, from source into another target, are checked by the
-    labels they land on, and none is composed.  fn may be a span
-    morphism between the two spans, built and checked already, as a step
-    on the same spans builds it again: it is taken as it is."""
+    labels they land on, and none is composed."""
     s, t = source.span, target.span
-    if type(fn) is SpanMorphism and fn.source is s and fn.target is t:
-        morphism = fn
-    else:
-        image = _trusted(FinFn, s.apex, t.apex,
-                         {c: fn(c) for c in s.apex.elements})
-        FinFn.__post_init__(image)
-        morphism = _trusted(SpanMorphism, s, t, image)
-        SpanMorphism.__post_init__(morphism)
+    image = _trusted(FinFn, s.apex, t.apex,
+                     {c: fn(c) for c in s.apex.elements})
+    FinFn.__post_init__(image)
+    morphism = _trusted(SpanMorphism, s, t, image)
+    SpanMorphism.__post_init__(morphism)
     components = _marked(components)
     cell = _trusted(Cell2, source, target, morphism, components)
     Cell2.__post_init__(cell)
@@ -750,24 +745,35 @@ def _composite(b, a, span):
     return _trusted(Cell1, be, a.src, b.tgt, span, label)
 
 
-def hcomp2(g, f, source=None):
+def hcomp2(g, f, source=None, target=None, via=None):
     """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
     the composite spans that the span morphism already carries.  Given
     source, the composite of g's and f's sources on some atoms, built
     already (the target of a chain so far), it is built from that 1-cell
-    itself, into the image of its atoms.  When g holds its components by
-    its 1-cells, so does the composite, which lands where g does."""
+    itself, into the image of its atoms, or into target, the composite
+    of g's and f's targets on atoms that hold that image, built already
+    (the source of the next step).  Given also via, source is that
+    composite bracketed otherwise, each atom read as its pair through
+    via: the composite after the relabeling between the two bracketings,
+    whose components are identities (associator_cell2).  Checking mode
+    checks target and via where the span morphism and the cell are
+    built (compose_span_morphisms_h).  When g holds its components by
+    its 1-cells, so does the composite, which lands where g does; so too
+    when f holds them and the composite lands in thin categories."""
     morphism = compose_span_morphisms_h(g.morphism, f.morphism,
-                                        source and source.span)
+                                        source and source.span, via,
+                                        target and target.span)
     source = source or _composite(g.source, f.source, morphism.source)
-    target = _composite(g.target, f.target, morphism.target)
+    target = target or _composite(g.target, f.target, morphism.target)
     be, atoms = source.backend, source.span.apex.elements
     comps = _fill(atoms, be.comp2, g.components, f.components)
     if comps is None:
         comps = HeldCells(source, target, morphism.map.assignment) \
-            if type(g.components) is HeldCells else {
-            (d, c): be.comp2(g.components[d], f.components[c])
-            for (d, c) in atoms}
+            if type(g.components) is HeldCells or (
+                type(f.components) is HeldCells and _thin_labels(target)) \
+            else {x: be.comp2(g.components[d], f.components[c])
+                  for x, (d, c) in zip(
+                      atoms, atoms if via is None else map(via, atoms))}
     return _trusted(Cell2, source, target, morphism, comps)
 
 
@@ -932,22 +938,20 @@ def interchange_cell2(f, g, h, k, product=tensor1, source=None):
 # checked where the next step is built (cell2_along).
 
 
-def _relabeled(cell, fn, into, along=None):
+def _relabeled(cell, fn, into):
     """cell, then the coherence step along the atom map fn from its
     target into `into`, a 1-cell, or a pair (b, a) of 1-cells for b o a
     on just the atoms fn reaches.  It is one cell: the step's components
     are identities, so the composite keeps cell's.  An associator or
-    unitor, whiskered or not, or a run of them, is one such step.  Given
-    along, the span morphism of this step on the same spans, built
-    before, it is taken in place of fn's (cell2_along)."""
+    unitor, whiskered or not, or a run of them, is one such step."""
     if isinstance(into, tuple):
         into = hcomp1(*into, [fn(d) for d in cell.target.span.apex.elements])
     image = cell.morphism.map.assignment
-    return cell2_along(cell.source, into, along or (
-        lambda c: fn(image[c])), cell.components)
+    return cell2_along(cell.source, into, lambda c: fn(image[c]),
+                       cell.components)
 
 
-def _whiskered(cell, g, f, fn, into, along=None):
+def _whiskered(cell, g, f, fn, into):
     """cell, then g o f from cell's target (the composite of g's and f's
     sources on its atoms), then the relabeling along fn into `into` (as
     in _relabeled), as one cell whose components are g o f's after
@@ -985,8 +989,7 @@ def _whiskered(cell, g, f, fn, into, along=None):
         comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
                              cell.components[x])
                  for x, (d, c) in image.items()}
-    return cell2_along(cell.source, into, along or (
-        lambda x: fn(reach[x])), comps)
+    return cell2_along(cell.source, into, lambda x: fn(reach[x]), comps)
 
 
 @dataclass(frozen=True)
@@ -1058,7 +1061,8 @@ def eq2(u, v, transport=()):
     Each transport cell must be invertible; they are composed vertically
     onto u in the given order before the comparison.  The verdict witness
     locates the first difference: a span-map disagreement or a component
-    difference with its backend-specific position.  When either cell
+    difference with its backend-specific position, past the boundary and
+    fast checks the first that differences2 finds.  When either cell
     holds its components by its 1-cells, both land in thin categories,
     where a component is fixed by its two functors: the cells are equal
     when their boundaries and span maps are, and no component is read.
@@ -1067,25 +1071,30 @@ def eq2(u, v, transport=()):
         if not invert_cell2(t):
             raise SpanVError("transport cell is not invertible")
         u = vcomp2(t, u)
-    be = u.backend
     if u.source != v.source or u.target != v.target:
         return Verdict(False, witness="boundary mismatch")
-    held = HeldCells in (type(u.components), type(v.components))
-    if (held or _agree_once(be.eq2, u.components, v.components,
-                            u.source.span.apex.elements)) \
+    if (HeldCells in (type(u.components), type(v.components))
+            or _agree_once(u.backend.eq2, u.components, v.components,
+                           u.source.span.apex.elements)) \
             and u.morphism.map == v.morphism.map:
         return Verdict(True)
-    for c in u.source.span.apex:
-        if u.morphism.map(c) != v.morphism.map(c):
-            return Verdict(False, witness=("span map", c))
-        if held:
-            continue
-        if not be.eq2(u.components[c], v.components[c]):
-            return Verdict(
-                False,
-                witness=("component", c, be.first_diff(u.components[c],
-                                                       v.components[c])))
-    return Verdict(True)
+    witness = next(differences2(u, v), None)
+    return Verdict(witness is None, witness=witness)
+
+
+def differences2(u, v):
+    """eq2's witness at each atom of the shared source where two parallel
+    2-cells differ, in apex order: ("span map", c), else ("component", c,
+    the backend's position), unless either holds them by its 1-cells."""
+    be, mine, theirs = u.backend, u.morphism.map.assignment, \
+        v.morphism.map.assignment
+    held = HeldCells in (type(u.components), type(v.components))
+    for c in u.source.span.apex.elements:
+        if mine[c] != theirs[c]:
+            yield ("span map", c)
+        elif not held and not be.eq2(u.components[c], v.components[c]):
+            yield ("component", c,
+                   be.first_diff(u.components[c], v.components[c]))
 
 
 @dataclass

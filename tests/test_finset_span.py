@@ -65,6 +65,15 @@ def test_finfn_totality_checked():
         FinFn(x, x, {0: 1, 1: 7})
 
 
+def test_tabulate_is_the_checked_function_of_its_rule():
+    x, y = FinSet([("a", 1), ("b", 2), ("c", 1)]), FinSet([1, 2, 3])
+    second = FinFn.tabulate(x, y, lambda atom: atom[1])
+    assert second == FinFn(x, y, {a: a[1] for a in x})
+    assert list(second.assignment) == list(x.elements)
+    with pytest.raises(SpanError, match="value 4 of .* not in codomain"):
+        FinFn.tabulate(x, y, lambda atom: atom[1] + 2)
+
+
 def test_identity_compose_identity():
     x = FinSet(["a", "b"])
     i = Span.identity(x)

@@ -1102,52 +1102,51 @@ class Decided(NamedTuple):
     """A candidate action on both routes, with both law verdicts."""
 
     action: object
-    carrier: object
-    xi: object
     whole_q: object
     whole_xi: object
     chain: bool
     whole: bool
 
 
-def decide_both_ways(p, shape, carrier_at, q, rho):
-    carrier, q1 = carrier_at(q), whole_cell_carrier(p, shape, q)
-    xi = hs._algebra_cell(shape, carrier, rho)
-    whole = whole_cell_action(shape, p.cells[0], q1, rho)
-    return Decided(hs._action_of(shape, q, rho), carrier, xi, q1, whole,
-                   hs._algebra_laws_hold(identity_cell2(p.cells[0]),
-                                         carrier, xi),
-                   whole_cell_laws_hold(p, q1, whole))
+def kept_by(decide, p, shape, candidates):
+    """Whether decide keeps each of candidates, which it returns as it
+    was given them, in order."""
+    kept = {id(x) for x in decide(p, shape, candidates)}
+    return [id(x) in kept for x in candidates]
 
 
 def assert_chains_match_whole_cells(p, kind, corrupt=None):
     """Candidate by candidate, the same verdict on both routes: the
-    algebra laws of every candidate action, then, given corrupt, of each
-    lawful one with corrupt applied to its actions, and the arrow
-    equation between every two of those of which one is lawful.
-    Returns the decided candidates and the arrow verdicts."""
+    algebra laws of every candidate action, decided as one family, then,
+    given corrupt, of each lawful one with corrupt applied to its
+    actions, and the arrow equation between every two of those of which
+    one is lawful, decided as one chain between two families.  Returns
+    the decided candidates and the arrow verdicts."""
     shape = hs._action_shape(p, kind)
-    idt = identity_cell2(p.cells[0])
-    carrier_at = hs._restricted_carriers(p, shape)
-    found = [decide_both_ways(p, shape, carrier_at, q, rho)
-             for q, rho, _ in hs._candidates(p, shape)]
+    actions = [atom for _, _, atom in hs._candidates(p, shape)]
+    lawful = kept_by(hs._lawful, p, shape, actions)
     if corrupt:
-        found += [decide_both_ways(p, shape, carrier_at,
-                                   dict(c.action.objects),
-                                   corrupt(dict(c.action.actions)))
-                  for c in found if c.chain]
+        extra = [hs._action_of(shape, dict(a.objects),
+                               corrupt(dict(a.actions)))
+                 for a, ok in zip(actions, lawful) if ok]
+        actions += extra
+        lawful += kept_by(hs._lawful, p, shape, extra)
+    found = []
+    for action, chain in zip(actions, lawful):
+        q1 = whole_cell_carrier(p, shape, dict(action.objects))
+        whole = whole_cell_action(shape, p.cells[0], q1, dict(action.actions))
+        found.append(Decided(action, q1, whole, chain,
+                             whole_cell_laws_hold(p, q1, whole)))
     assert [c.chain for c in found] == [c.whole for c in found]
-    arrows = []
-    for a in found:
-        for b in found:
-            if not (a.chain or b.chain):
-                continue
-            for chi in hs._arrow_candidates(p, shape, a.action, b.action):
-                chain = hs._arrow_holds(idt, a.carrier, a.xi, b.carrier,
-                                        b.xi, chi)
-                assert chain == whole_cell_arrow_holds(
-                    p, a.whole_q, a.whole_xi, b.whole_q, b.whole_xi, chi)
-                arrows.append(chain)
+    candidates = [(a, b, chi) for a in found for b in found
+                  if a.chain or b.chain
+                  for chi in hs._arrow_candidates(p, shape, a.action,
+                                                  b.action)]
+    arrows = kept_by(hs._arrows_hold, p, shape, [
+        (a.action, b.action, chi) for a, b, chi in candidates])
+    assert arrows == [whole_cell_arrow_holds(p, a.whole_q, a.whole_xi,
+                                             b.whole_q, b.whole_xi, chi)
+                      for a, b, chi in candidates]
     return found, arrows
 
 
@@ -1217,10 +1216,10 @@ def test_law_chains_match_with_one_action_corrupted():
     assert True in arrows and False in arrows
 
 
-# The tabulated category of actions and the per-arrow equation that
+# The tabulated category of actions and the arrow equations that
 # em_algebras_restricted no longer builds over thin fibers, kept as its
 # oracle: every composite composed in the fibers and tabulated, and
-# every arrow candidate decided with eq2 on its chains (hs._arrow_holds).
+# every arrow candidate decided on its chains (hs._arrows_hold).
 
 
 def tabulated_category_of_actions(p, shape, objects, arrows):
@@ -1247,22 +1246,12 @@ def tabulated_em_algebras(p, kind):
     """em_algebras_restricted with every arrow equation decided and both
     categories tabulated."""
     shape = hs._action_shape(p, kind)
-    idt = identity_cell2(p.cells[0])
-    carrier_at = hs._restricted_carriers(p, shape)
-    algebras = []
-    for q, rho, _ in hs._candidates(p, shape):
-        carrier = carrier_at(q)
-        xi = hs._algebra_cell(shape, carrier, rho)
-        if hs._algebra_laws_hold(idt, carrier, xi):
-            algebras.append((hs._action_of(shape, q, rho), carrier, xi))
-    arrows = []
-    for (a, a_c, a_xi) in algebras:
-        for (b, b_c, b_xi) in algebras:
-            for chi in hs._arrow_candidates(p, shape, a, b):
-                if hs._arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi):
-                    arrows.append((a, b, chi))
-    algebra_cat = tabulated_category_of_actions(
-        p, shape, [a for (a, _, _) in algebras], arrows)
+    candidates = [atom for _, _, atom in hs._candidates(p, shape)]
+    algebras = hs._lawful(p, shape, candidates)
+    arrows = hs._arrows_hold(p, shape, [
+        (a, b, chi) for a in algebras for b in algebras
+        for chi in hs._arrow_candidates(p, shape, a, b)])
+    algebra_cat = tabulated_category_of_actions(p, shape, algebras, arrows)
     actions = [hs._action_of(shape, q, rho)
                for q, rho, _ in hs._candidates(p, shape)
                if hs._action_laws_hold(p, shape, q, rho)]
@@ -1342,6 +1331,46 @@ def test_over_thin_fibers_every_arrow_candidate_holds(name, fiber_kind, kind):
 # both ways.
 
 
+class OracleCarrier(NamedTuple):
+    """One candidate's carrier q with the composite t o q its action
+    starts from, and the steps its laws take: the associator (t o t) o q
+    => t o (t o q) and mu o 1_q, both from (t o t) o q, eta o 1_q and the
+    left unitor, both from id o q, and the identity on t o q, where a
+    morphism's equation starts."""
+
+    q: object
+    tq: object
+    assoc: object
+    mult: object
+    unit: object
+    unitor: object
+    start: object
+
+
+def oracle_algebra_cell(shape, carrier, rho):
+    tq, q1 = carrier.tq, carrier.q
+    return cell2_along(tq, q1, shape.out.__getitem__, {
+        s: NatTransData(tq.label[s], q1.label[shape.out[s]], {"*": rho[s]})
+        for s in tq.span.apex})
+
+
+def oracle_laws_hold(idt, carrier, xi):
+    lhs = vcomp2(xi, sc._whiskered(carrier.assoc, idt, xi, lambda d: d,
+                                   carrier.tq))
+    if not eq2(lhs, vcomp2(xi, carrier.mult)):
+        return False
+    return bool(eq2(vcomp2(xi, carrier.unit), carrier.unitor))
+
+
+def oracle_arrow_holds(idt, a, a_xi, b, b_xi, chi):
+    cell = cell2_along(a.q, b.q, lambda c: c, {
+        c: NatTransData(a.q.label[c], b.q.label[c], {"*": m})
+        for (c, m) in chi})
+    return bool(eq2(vcomp2(b_xi, sc._whiskered(a.start, idt, cell,
+                                               lambda d: d, b.tq)),
+                    vcomp2(cell, a_xi)))
+
+
 def per_atom_carriers(p, shape):
     be, d = p.backend, p.shape
     t, mu2, eta2 = p.cells
@@ -1360,7 +1389,7 @@ def per_atom_carriers(p, shape):
             sc._composite(eta2.source, q1, i_q)
         from_ttq, from_iq = identity_cell2(ttq), identity_cell2(iq)
         idq = identity_cell2(q1)
-        return hs._Carrier(
+        return OracleCarrier(
             q1, tq, sc._relabeled(from_ttq, sc.regroup,
                                   sc._composite(t, tq, t_tq)),
             sc._whiskered(from_ttq, mu2, idq, lambda d: d, tq),
@@ -1377,14 +1406,14 @@ def per_atom_em_algebras(p, kind):
     for q, rho, _ in hs._candidates(p, shape):
         carrier = carrier_at(q)
         assert type(carrier.tq.label) is not cb.ComposedMap
-        xi = hs._algebra_cell(shape, carrier, rho)
-        if hs._algebra_laws_hold(idt, carrier, xi):
+        xi = oracle_algebra_cell(shape, carrier, rho)
+        if oracle_laws_hold(idt, carrier, xi):
             algebras.append((hs._action_of(shape, q, rho), carrier, xi))
     thin = shape.thin(p)
     arrows = [(a, b, chi) for (a, a_c, a_xi) in algebras
               for (b, b_c, b_xi) in algebras
               for chi in hs._arrow_candidates(p, shape, a, b)
-              if thin or hs._arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
+              if thin or oracle_arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
     algebra_cat = hs._category_of_actions(
         p, shape, [a for (a, _, _) in algebras], arrows)
     actions = [hs._action_of(shape, q, rho)
@@ -1430,26 +1459,6 @@ def assert_same_as_per_atom(p, kind):
             assert (mine.dom, mine.cod, mine.omap, mine.mmap) == \
                 (theirs.dom, theirs.cod, theirs.omap, theirs.mmap)
     return cmp
-
-
-@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
-def test_carriers_share_their_steps_span_morphisms(name, fiber_kind, kind):
-    # Every carrier's steps run on the same spans along the same maps:
-    # the carriers after the first take its span morphisms, and their
-    # cells equal the ones each carrier builds along its own maps.
-    p = polyad_fixture(name, fiber_kind)
-    shape = hs._action_shape(p, kind)
-    carrier_at, oracle_at = hs._restricted_carriers(p, shape), \
-        per_atom_carriers(p, shape)
-    qs = list({id(q): q for q, _, _ in hs._candidates(p, shape)}.values())
-    first = carrier_at(qs[0]) if qs else None
-    for q in qs[1:]:
-        carrier, oracle = carrier_at(q), oracle_at(q)
-        for step in ("assoc", "mult", "unit", "unitor"):
-            mine, theirs = getattr(carrier, step), getattr(oracle, step)
-            assert mine.morphism is getattr(first, step).morphism
-            assert mine.morphism == theirs.morphism
-            assert mine == theirs and theirs == mine
 
 
 def max_translation():

@@ -99,6 +99,7 @@ def test_module_imports_only_lower_layers(module):
 # on purpose, and tests/test_trusted.py must cover it.
 TRUSTED = {
     "finset_span": {"FinSet.product", "FinFn.compose", "FinFn.identity",
+                    "FinFn.tabulate",
                     "Span.identity", "SpanMorphism.identity",
                     "SpanMorphism.then", "_in_order", "compose_spans",
                     "compose_span_morphisms_h", "cartesian_product"},
@@ -279,12 +280,11 @@ STEPS = {
     "_relabeled": {"monoidale_duoidal": {
         "_triangle_left", "_triangle_right", "_frobenius_shared_prefix",
         "_core_steps"}, "hopf_structures": {
-            "check_opmonoidal", "_restricted_carriers.carrier"}},
+            "check_opmonoidal", "_lawful"}},
     "_whiskered": {"monoidale_duoidal": {
         "_triangle_left", "_triangle_right", "_alpha_reversed",
         "_frobenius_shared_prefix", "_comparison_cells"},
-        "hopf_structures": {"_fusion", "_restricted_carriers.carrier",
-                            "_algebra_laws_hold", "_arrow_holds"}},
+        "hopf_structures": {"_fusion", "_lawful"}},
 }
 
 
@@ -298,11 +298,12 @@ def test_chain_steps_are_the_one_chain_mechanism():
 
 
 # The readers of a backend's first_diff: the report's rule for equations
-# on base values, eq2 for 2-cells, and the graded backends' delegation
-# to the kernel.  A checker that locates a difference itself has
-# hand-rolled a law equation; it goes through CheckReport instead.
+# on base values, the atom walk that eq2 decides 2-cells by, and the
+# graded backends' delegation to the kernel.  A checker that locates a
+# difference itself has hand-rolled a law equation; it goes through
+# CheckReport or differences2 instead.
 FIRST_DIFF = {"reporting": {"CheckReport.equal"},
-              "spanv_core": {"eq2", "_GradedCells.first_diff"}}
+              "spanv_core": {"differences2", "_GradedCells.first_diff"}}
 
 
 def test_readers_finds_attribute_reads():
@@ -311,7 +312,7 @@ def test_readers_finds_attribute_reads():
     assert readers(source, "first_diff") == {"f"}
 
 
-def test_first_diff_is_read_only_by_the_law_rule_and_eq2():
+def test_first_diff_is_read_only_by_the_law_rule_and_the_atom_walk():
     assert package_scopes(readers, "first_diff") == FIRST_DIFF
 
 

@@ -175,6 +175,63 @@ def test_eq2_perturbed_entry_witness():
     assert kind == "component" and apex_elem == "g" and pos == (0, 1)
 
 
+def perturbed(u, atoms):
+    """u with the (0, 0) entry of its component at each of atoms moved
+    by one."""
+    comps = dict(u.components)
+    for c in atoms:
+        rows = [list(row) for row in comps[c].entries]
+        rows[0][0] += 1
+        comps[c] = VMorphism(comps[c].dom, comps[c].cod, rows)
+    return Cell2(u.source, u.target, u.morphism, comps)
+
+
+def eq2_cases(seed):
+    """Parallel 2-cells that eq2 decides: a random cell against itself,
+    against a copy, and perturbed at its first atom and at every atom;
+    a cell perturbed at one entry; and two cells whose span maps
+    differ."""
+    rng = seeded(seed)
+    (a,) = random_composable_vect_cell1s(rng, V2, 1)
+    u = random_vect_cell2_from(rng, a)
+    atoms = u.source.span.apex.elements
+    cases = [(u, u), (u, Cell2(u.source, u.target, u.morphism,
+                               dict(u.components)))]
+    if atoms:
+        cases += [(u, perturbed(u, atoms[:1])), (u, perturbed(u, atoms))]
+    g = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
+    cases.append((identity_cell2(g), perturbed(identity_cell2(g), ["g"])))
+    x = VObject.ungraded(["e"])
+    twin, one = (group_algebra_cell1(V1, labels)
+                 for labels in ({"g": x, "h": x}, {"s": x}))
+    apexes = one.span.apex, twin.span.apex
+    cases.append(tuple(Cell2(one, twin, SpanMorphism(
+        one.span, twin.span, FinFn(*apexes, {"s": image})),
+        {"s": VMorphism.identity(x)}) for image in "gh"))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_atom_walk_starts_at_the_eq2_witness(seed):
+    for u, v in eq2_cases(seed):
+        walk = list(sc.differences2(u, v))
+        verdict = eq2(u, v)
+        assert bool(verdict) == (walk == [])
+        assert walk[:1] == ([] if verdict else [verdict.witness])
+
+
+def test_the_atom_walk_lists_every_differing_atom():
+    labels = {k: VObject.ungraded(["e", "z", "w"][:n])
+              for n, k in enumerate("ghkl", 1)}
+    u = identity_cell2(group_algebra_cell1(V1, labels))
+    v = perturbed(u, ["g", "k", "l"])
+    walk = list(sc.differences2(u, v))
+    assert [w[:2] for w in walk] == [("component", c) for c in "gkl"]
+    assert [w[2] for w in walk] == [(0, 0)] * 3
+    assert eq2(u, v).witness == walk[0]
+    assert list(sc.differences2(u, u)) == []
+
+
 def test_eq2_requires_invertible_transport():
     a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
     collapse = VMorphism(a.label["g"], a.label["g"], [[1, 1], [0, 0]])
@@ -214,6 +271,21 @@ def test_relabel_cell2_validates_its_map():
         relabel_cell2(a, cell("q", {"h": one}), lambda c: "h")
     with pytest.raises(SpanVError):
         relabel_cell2(a, cell("p", {"h": two}), lambda c: "h")
+
+
+def test_a_horizontal_composite_read_through_a_rebracketing():
+    # hcomp2 from (s o b) o a, each atom read as a pair through regroup,
+    # is g o f after the associator (s o b) o a => s o (b o a), both
+    # into the image of their atoms.
+    rng, built = seeded(29), 0
+    while built < 10:
+        c, b, a = random_composable_vect_cell1s(rng, V2, 3)
+        g, f = random_vect_cell2_from(rng, c), identity_cell2(hcomp1(b, a))
+        al = associator_cell2(g.source, b, a)
+        read = hcomp2(g, f, source=al.source, via=regroup)
+        assert read.source is al.source
+        assert eq2(read, vcomp2(hcomp2(g, f, source=al.target), al))
+        built += len(al.source.span.apex) > 0
 
 
 def test_associator_cell_builds_four_pullbacks(monkeypatch):

@@ -1208,6 +1208,23 @@ def test_held_cells_read_as_the_composed_ones(c, seed, monkeypatch):
     assert verdicts[2].witness[0] == "span map"
 
 
+@pytest.mark.parametrize("c", THIN_FIBERS, ids=kind)
+def test_the_atom_walk_names_every_swapped_atom(c, monkeypatch):
+    # straight and crossed differ in their span maps at the two atoms
+    # they swap alone: held or listed, the walk names both, in apex
+    # order, and the first is eq2's witness.
+    for listed in (False, True):
+        if listed:
+            dict_path(monkeypatch)
+        cells, _, verdicts = thin_builds(c, 0)
+        straight, crossed = cells[-2:]
+        assert (type(straight.components) is sc.HeldCells) != listed
+        first, second = straight.source.span.apex.elements[:2]
+        walk = list(sc.differences2(straight, crossed))
+        assert walk == [("span map", first), ("span map", second)]
+        assert verdicts[2].witness == walk[0]
+
+
 def test_a_held_inverse_into_an_order_names_the_first_missing_hom():
     # In a total order a transformation between different functors has
     # a component with no inverse; the witness is the dict path's.

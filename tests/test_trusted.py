@@ -89,7 +89,7 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 23
+# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 24
 # run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
@@ -99,7 +99,8 @@ TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_19_translation_polyad_z12_modules",
                "test_criterion_21_translation_polyad_z32_hopf_check",
                "test_criterion_22_translation_polyad_z24_modules",
-               "test_criterion_23_translation_polyad_z48_modules"}
+               "test_criterion_23_translation_polyad_z48_modules",
+               "test_criterion_24_translation_polyad_z4_representations"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -416,16 +417,28 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
 # thin fiber their categories are one when they accept the same ones,
 # so the closing functor pair is that category's identity functor (one
 # FunctorData and two FinFn): 4 FunctorData and 12 FinFn when the pair
-# was two inclusions on two categories, composed both ways.  Every
-# carrier's four steps run on the same spans along the same maps, so
-# the carriers after the first take the first one's span morphisms:
-# 8 and 12 more FinFn and SpanMorphism when each built its own.
+# was two inclusions on two categories, composed both ways.  All the
+# candidates of one call are decided as one family: one carrier, whose
+# composites and law steps are built once, one action cell and one
+# chain per law, so the counts no longer grow with the number of
+# candidates: 40 Cell2 and 32 SpanMorphism for Z_3 modules, and 53 and
+# 41 for Z_2 representations, when each candidate had its own carrier,
+# action cell and chains, the carriers after the first taking the first
+# one's step span morphisms.  The associativity law's whiskers, mu o 1_q
+# and (1_t o xi) alpha, are horizontal composites from (t o t) o q into
+# the t o q built already, the second reading its atoms through
+# regroup, so no t o (t o q), no associator and no sub-span of t o q is
+# built: 12 Cell1, 44 FinFn, 4 FinSet and 4 Span for Z_3 modules, and
+# 16, 51, 4 and 4 for Z_2 representations, with t o (t o q) and the
+# associator built per candidate.  Two of the FinFn counted are the end
+# maps of the category of actions, which FinFn.tabulate builds through
+# _trusted where the constructor, uncounted here, built them before.
 EM_BUILDS = {
-    (3, "modules"): {"Cell1": 12, "Cell2": 40, "FinFn": 44, "FinSet": 4,
-                     "FunctorData": 1, "Span": 4, "SpanMorphism": 32},
-    (2, "representations"): {"Cell1": 16, "Cell2": 53, "FinFn": 51,
-                             "FinSet": 4, "FunctorData": 1, "Span": 4,
-                             "SpanMorphism": 41},
+    (3, "modules"): {"Cell1": 3, "Cell2": 11, "FinFn": 23, "FinSet": 3,
+                     "FunctorData": 1, "Span": 3, "SpanMorphism": 11},
+    (2, "representations"): {"Cell1": 3, "Cell2": 11, "FinFn": 21,
+                             "FinSet": 3, "FunctorData": 1, "Span": 3,
+                             "SpanMorphism": 11},
 }
 
 
@@ -442,6 +455,36 @@ def test_restricted_algebra_trusted_builds(n, kind, monkeypatch):
     enter_checking_mode(monkeypatch, counted)
     assert hs.em_algebras_restricted(p, kind).report.ok
     assert builds == EM_BUILDS[(n, kind)]
+
+
+def test_a_family_builds_as_many_cells_for_any_number_of_candidates(
+        monkeypatch):
+    # Z_3 and Z_5 modules decide 3 and 5 candidates over a thin fiber:
+    # one family each, so the same Cell1 and Cell2 builds, on polyads
+    # built beforehand: 4 and 11, where Z_3 built 15 and 40 and Z_5 25
+    # and 66 with one carrier per candidate.  In checking mode every
+    # build, trusted ones included, runs the constructor, where it is
+    # counted.
+    polyads = {}
+    for n in (3, 5):
+        names, mul, unit = hs.cyclic_group(n)
+        polyads[n] = hs.translation_polyad(
+            names, mul, unit, hs.indiscrete_monoidal_group(names, mul, unit))
+    builds = collections.Counter()
+    enter_checking_mode(monkeypatch)
+    for cls in (sc.Cell1, sc.Cell2):
+        def checked(self, *values, _init=cls.__init__):
+            builds[type(self).__name__] += 1
+            _init(self, *values)
+        monkeypatch.setattr(cls, "__init__", checked)
+    cells = {}
+    for n, p in polyads.items():
+        builds.clear()
+        comparison = hs.em_algebras_restricted(p, "modules")
+        assert comparison.report.ok
+        assert len(comparison.algebras.objects) == n
+        cells[n] = (builds["Cell1"], builds["Cell2"])
+    assert cells[3] == cells[5] == (4, 11)
 
 
 @pytest.mark.parametrize("kind", ["vect", "cat"])
@@ -797,3 +840,33 @@ def test_checking_mode_catches_swapped_span_legs(monkeypatch):
     enter_checking_mode(monkeypatch)
     with pytest.raises(SpanError, match="left leg"):
         hcomp1(b, a)
+
+
+def test_checking_mode_catches_a_misread_rebracketing_or_target(
+        monkeypatch):
+    # hcomp2 from (c o b) o a reads each atom's pair through via, and
+    # lands on a target built already; the trusted path checks neither.
+    # A via sending every atom to one pair moves the legs of the others,
+    # and a target missing an image misses a value: checking mode
+    # refuses both, as it does hcomp2's other inputs.
+    rng, be = seeded(5), VectBackend(BraidParam(1))
+    while True:
+        c, b, a = random_composable_vect_cell1s(rng, be, 3)
+        source = hcomp1(hcomp1(c, b), a)
+        legs = source.span.left.assignment
+        if len(set(legs.values())) > 1:
+            break
+    g, f = identity_cell2(c), identity_cell2(hcomp1(b, a))
+    whole = hcomp1(c, hcomp1(b, a))
+    pairs = [sc.regroup(x) for x in source.span.apex.elements]
+    some = hcomp1(c, f.source, pairs[1:])
+    assert hcomp2(g, f, source, whole, sc.regroup).target is whole
+
+    def one(x):
+        return pairs[0]
+    enter_checking_mode(monkeypatch)
+    assert hcomp2(g, f, source, whole, sc.regroup).target is whole
+    with pytest.raises(SpanError, match="legs do not commute"):
+        hcomp2(g, f, source, via=one)
+    with pytest.raises(SpanError, match="not in codomain"):
+        hcomp2(g, f, source, some, sc.regroup)
