@@ -25,16 +25,17 @@ A composite with an identity functor, or a vertical one with an
 identity transformation, is the other operand, and the horizontal
 composite of two identities is the identity on the composite functor.
 Into a thin category there is at most one transformation F => G, so
-one may be held by its two functors: its component at a is the one
-morphism F a -> G a, read on lookup (ThinComponents), and two
+one may be held by its two functors (NatTransData.held): its component
+at a is the one morphism F a -> G a, read on lookup, and two
 transformations into a thin category are equal when their functors
 are.  Likewise a functor into a thin category may be held by its
-object map: m goes to the one morphism between the images of its ends,
-read on lookup (ThinMorphisms), once every hom it reads is decided
-non-empty.  A point functor, out of the unit category TERMINAL, is
-built once per object (point_functor, points), and a composite of one
-is the point at its image, so composites of points compare by
-identity.
+object map (FunctorData.held): m goes to the one morphism between the
+images of its ends, read on lookup.  Both are one view, ThinMap: key
+-> the one morphism between its two ends, which exists once every hom
+it reads is decided non-empty (ThinMap.gap).  A point functor, out of
+the unit category TERMINAL, is built once per object (point_functor,
+points), and a composite of one is the point at its image, so
+composites of points compare by identity.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -249,22 +250,25 @@ def check_category(c):
 def _check_thin(c, report):
     """The laws on a thin table: no two morphisms share their ends, and
     the hom relation is transitive, one set test per morphism x -> y:
-    what y reaches, x reaches; none when every hom is non-empty.
-    Failing that, the composable pairs with no morphism between their
-    ends are reported, as a table's would."""
-    table, reach = c.composition, {}
+    what y reaches, x reaches; none, and no reach set built, when every
+    hom is non-empty.  Failing that, the composable pairs with no
+    morphism between their ends are reported, as a table's would."""
+    table = c.composition
     if (table.src, table.tgt) != (c.src, c.tgt):
         report.fail("table endpoints", None)
         return report
-    for (x, y), ms in table.homs.items():
+    for ms in table.homs.values():
         if len(ms) > 1:
             report.fail("parallel morphisms", tuple(ms))
-        reach.setdefault(x, set()).add(y)
-    if len(table.homs) < len(c.objects) ** 2 and not all(
-            reach[x].issuperset(reach.get(y, ())) for (x, y) in table.homs):
-        for pair in c.composable_pairs():
-            if pair not in table:
-                report.fail("missing composite", pair)
+    if len(table.homs) < len(c.objects) ** 2:
+        reach = {}
+        for (x, y) in table.homs:
+            reach.setdefault(x, set()).add(y)
+        if not all(reach[x].issuperset(reach.get(y, ()))
+                   for (x, y) in table.homs):
+            for pair in c.composable_pairs():
+                if pair not in table:
+                    report.fail("missing composite", pair)
     return report
 
 
@@ -417,44 +421,53 @@ class ComposedMap(_MapOn):
         return self.left[self.right[key]]
 
 
-class ThinComponents(_MapOn):
-    """The components of the one transformation left => right (two
-    functors) into a thin category: a -> the one morphism left(a) ->
-    right(a), read from the codomain's hom buckets on lookup.  Its keys
-    are the objects of the functors' domain; NatTransData checks at
-    construction that every component exists."""
+class ThinMap(_MapOn):
+    """key -> the one morphism objects[left[key]] -> objects[right[key]]
+    in a thin category cod, read from cod's hom buckets on lookup.  Its
+    parts are what holds it: the two functors F, G of a transformation
+    into cod (components: a -> the one morphism F a -> G a, objects the
+    identity of cod's objects), or the domain, object map and codomain
+    of a functor into cod (morphisms: m -> the one morphism
+    omap(src m) -> omap(tgt m)).  NatTransData and FunctorData each take
+    only a view of their own parts, and refuse one with a gap, a key
+    whose hom is empty."""
 
-    __slots__ = ("homs",)
+    __slots__ = ("held", "cod", "objects", "homs")
 
-    def __init__(self, source, target):
-        super().__init__(source.dom.objects, source, target)
-        self.homs = source.cod._homs_by_ends()
+    def __init__(self, held, cod, domain, objects, left, right):
+        super().__init__(domain, left, right)
+        self.held, self.cod, self.objects = held, cod, objects
+        self.homs = cod._homs_by_ends()
 
-    def __getitem__(self, key):
-        return self.homs[(self.left.omap.assignment[key],
-                          self.right.omap.assignment[key])][0]
+    @staticmethod
+    def components(F, G):
+        return ThinMap((F, G), F.cod, F.dom.objects,
+                       FunctorData.identity(F.cod).omap.assignment,
+                       F.omap.assignment, G.omap.assignment)
 
-
-class ThinMorphisms(_MapOn):
-    """The morphism map of the one functor from dom into a thin category
-    cod with a given object map: m -> the one morphism omap(src m) ->
-    omap(tgt m), read from cod's hom buckets on lookup.  Its keys are
-    the morphisms of dom; FunctorData checks at construction that every
-    hom it reads is non-empty."""
-
-    __slots__ = ("dom", "homs")
-
-    def __init__(self, dom, cod, omap):
-        super().__init__(dom.morphisms, omap, cod)
-        self.dom, self.homs = dom, cod._homs_by_ends()
+    @staticmethod
+    def morphisms(dom, cod, omap):
+        return ThinMap((dom, omap, cod), cod, dom.morphisms, omap.assignment,
+                       dom.src.assignment, dom.tgt.assignment)
 
     def parts(self):
-        return (self.dom, self.left, self.right)
+        return self.held
+
+    __repr__ = _View.__repr__
 
     def __getitem__(self, key):
-        dom, omap = self.dom, self.left.assignment
-        return self.homs[(omap[dom.src.assignment[key]],
-                          omap[dom.tgt.assignment[key]])][0]
+        objects = self.objects
+        return self.homs[(objects[self.left[key]],
+                          objects[self.right[key]])][0]
+
+    def gap(self):
+        """The first key with no morphism between its ends, or None; no
+        key is read when every hom of cod is non-empty."""
+        homs, objects, left, right = (self.homs, self.objects, self.left,
+                                      self.right)
+        return None if len(homs) == len(self.cod.objects) ** 2 else next(
+            (key for key in self.domain.elements
+             if (objects[left[key]], objects[right[key]]) not in homs), None)
 
 
 def product_factors(c):
@@ -543,7 +556,7 @@ class FunctorData:
     construction: every morphism's endpoints, then identities and
     composition on the generating pairs of the domain unless the
     codomain is thin.  Into a thin codomain it may be held by its object
-    map (FunctorData.held), its morphism map a ThinMorphisms view on it:
+    map (FunctorData.held), its morphism map a ThinMap view on it:
     then no morphism's image is stored or compared, and it exists when
     every hom(omap(src m), omap(tgt m)) is non-empty, decided once when
     the codomain has a morphism between any two objects, and per
@@ -567,11 +580,13 @@ class FunctorData:
         dom, cod = self.dom, self.cod
         omap, mmap = self.omap.assignment, self.mmap.assignment
         src, tgt = dom.src.assignment, dom.tgt.assignment
-        if type(mmap) is ThinMorphisms:
+        if type(mmap) is ThinMap:
             if mmap.parts() != (dom, self.omap, cod) or not is_thin(cod):
                 raise CatError("morphisms held by another object map "
                                "or not into a thin category")
-            _refuse_gap(dom, cod, omap)
+            gap = mmap.gap()
+            if gap is not None:
+                raise CatError("functor breaks endpoints at %r" % (gap,))
             return
         fsrc, ftgt = cod.src.assignment, cod.tgt.assignment
         if not (_identity_on(self.omap, cod.objects)
@@ -613,14 +628,19 @@ class FunctorData:
     @staticmethod
     def held(dom, cod, omap):
         """The functor from dom into the thin category cod with object
-        map omap, held by it: its morphism map is a ThinMorphisms view,
-        built once every hom it reads is decided non-empty, as the
-        constructor decides it, so that no checked FinFn reads a gap."""
-        if is_thin(cod):
-            _refuse_gap(dom, cod, omap.assignment)
-        return FunctorData(dom, cod, omap, _trusted(
-            FinFn, dom.morphisms, cod.morphisms,
-            ThinMorphisms(dom, cod, omap)))
+        map omap, held by it: its morphism map is a ThinMap view.  Every
+        hom it reads is decided non-empty here, once, as the constructor
+        decides it, before any checked FinFn reads the view; so the
+        functor is built without the constructor's checks."""
+        view = ThinMap.morphisms(dom, cod, omap)
+        thin = is_thin(cod)
+        gap = view.gap() if thin else None
+        if gap is not None:
+            raise CatError("functor breaks endpoints at %r" % (gap,))
+        mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, view)
+        # Not into a thin category, the constructor refuses it.
+        return (_trusted(FunctorData, dom, cod, omap, mmap) if thin
+                else FunctorData(dom, cod, omap, mmap))
 
     def then(self, other):
         """other after self; out of a product, mapped on lookup.  A
@@ -646,9 +666,9 @@ class FunctorData:
                 dom.objects, other.omap.assignment, self.omap.assignment))
         else:
             omap = other.omap.compose(self.omap)
-        if type(other.mmap.assignment) is ThinMorphisms:
+        if type(other.mmap.assignment) is ThinMap:
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
-                            ThinMorphisms(dom, cod, omap))
+                            ThinMap.morphisms(dom, cod, omap))
         elif product:
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, ComposedMap(
                 dom.morphisms, other.mmap.assignment, self.mmap.assignment))
@@ -692,10 +712,10 @@ class NatTransData:
     dict, or a view read on lookup.  Checked at construction: every
     component's endpoints, then naturality on the generators of the
     domain unless the codomain is thin.  Into a thin codomain it may be
-    held by its functors, its components a ThinComponents view on them:
-    then no component is stored or checked, and it exists when every
-    hom(source a, target a) is non-empty, decided once when the
-    codomain has a morphism between any two objects, and per object
+    held by its functors (NatTransData.held), its components a ThinMap
+    view on them: then no component is stored or checked, and it exists
+    when every hom(source a, target a) is non-empty, decided once when
+    the codomain has a morphism between any two objects, and per object
     otherwise."""
 
     source: FunctorData
@@ -707,12 +727,12 @@ class NatTransData:
         if F.dom != G.dom or F.cod != G.cod:
             raise CatError("natural transformation endpoints must agree")
         cod = F.cod
-        if type(self.components) is ThinComponents:
+        if type(self.components) is ThinMap:
             held = self.components
-            if (held.left, held.right) != (F, G) or not is_thin(cod):
+            if held.parts() != (F, G) or not is_thin(cod):
                 raise CatError("components held by other functors "
                                "or not into a thin category")
-            gap = thin_gap(F, G)
+            gap = held.gap()
             if gap is not None:
                 raise CatError("component missing at %r" % (gap,))
             return
@@ -743,6 +763,12 @@ class NatTransData:
 
     def __hash__(self):
         return hash((self.source, self.target))
+
+    @staticmethod
+    def held(F, G):
+        """The one transformation F => G into a thin category, held by
+        its two functors: its components are a ThinMap view on them."""
+        return NatTransData(F, G, ThinMap.components(F, G))
 
     @staticmethod
     def identity(F):
@@ -781,34 +807,6 @@ class NatTransData:
                                    other.components[F.omap(x)])]
                  for x in F.dom.objects}
         return _trusted(NatTransData, F.then(H), G.then(K), comps)
-
-
-def thin_gap(F, G):
-    """The first object a of the domain of F and G, two parallel
-    functors into a thin category, with no morphism F a -> G a, or None
-    when there is one at every object: then the one transformation
-    F => G exists.  Decided once when the codomain has a morphism
-    between any two objects, per object otherwise."""
-    fo, go = F.omap.assignment, G.omap.assignment
-    return _first_gap(F.cod, F.dom.objects, lambda x: (fo[x], go[x]))
-
-
-def _first_gap(cod, keys, ends):
-    """The first of keys whose ends, two objects of cod, bound no
-    morphism, or None; no key is read when every hom is non-empty."""
-    homs = cod._homs or cod._homs_by_ends()
-    return None if len(homs) == len(cod.objects) ** 2 else next(
-        (key for key in keys if ends(key) not in homs), None)
-
-
-def _refuse_gap(dom, cod, omap):
-    """Refuse an object assignment omap from dom into the thin cod at
-    the first morphism it sends to an empty hom."""
-    src, tgt = dom.src.assignment, dom.tgt.assignment
-    gap = _first_gap(cod, dom.morphisms, lambda m: (omap[src[m]],
-                                                    omap[tgt[m]]))
-    if gap is not None:
-        raise CatError("functor breaks endpoints at %r" % (gap,))
 
 
 def nat_is_iso(n):

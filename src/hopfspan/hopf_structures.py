@@ -1079,13 +1079,14 @@ def polyad_fusion(opstr, side="left"):
     """One transformation per composable pair: the outer label's binary
     structure followed by multiplication on the first (left) or second
     (right) tensor factor.  Its source and target are composites of
-    checked functors, built without checks.  Into a thin fiber it is
-    the one transformation between them, held by the two functors
-    (cb.ThinComponents): no component is composed, and the
-    constructor decides only that every component exists, once for the
-    whole family when the fiber has a morphism between any two objects.
-    Into any other fiber its components are composed from mu and d2
-    and built by the public NatTransData constructor, which checks their
+    checked functors, built without checks.  Into a thin fiber, the
+    only kind a translation polyad has, it is the one transformation
+    between them, held by the two functors (cb.NatTransData.held): no
+    component is composed, and the constructor decides only that every
+    component exists, once for the whole family when the fiber has a
+    morphism between any two objects.  Into any other fiber (an
+    identity polyad's) its components are composed from mu and d2 and
+    built by the public NatTransData constructor, which checks their
     endpoints and naturality."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
@@ -1100,8 +1101,7 @@ def polyad_fusion(opstr, side="left"):
         source = product_functor(*order(fk, ident)).then(fmid.tensor).then(fh)
         target = product_functor(*order(fhk, fh)).then(ftop.tensor)
         if cb.is_thin(cod):
-            out[(h, k)] = cb.NatTransData(
-                source, target, cb.ThinComponents(source, target))
+            out[(h, k)] = cb.NatTransData.held(source, target)
             continue
         mu = p.mu[(h, k)].components
         d2 = opstr.d2[h].components
@@ -1153,56 +1153,36 @@ def identity_polyad(elements, mul, unit, fiber):
 
 def translation_polyad(elements, mul, unit, fiber):
     """Labels translate the fiber by the acting element; the fiber's
-    objects must be the monoid elements and every relevant hom must be a
-    singleton for the morphism part to be determined.  On a thin fiber
-    each label is held by its object map (cb.FunctorData.held; a label
-    that misses a hom is refused as undetermined at the first morphism
-    it misses), and mu and eta by their functors
-    (cb.ThinComponents): no morphism or component is looked up."""
+    objects must be the monoid elements, and each label sends m: x -> y
+    to the one morphism between the translates of x and y.  Translation
+    by the unit fixes every object, so it sends m into hom(x, y), which
+    contains m: a translation exists only on a thin fiber.  There each
+    label is held by its object map (cb.FunctorData.held), and mu and
+    eta by their functors (cb.NatTransData.held): no morphism or
+    component is looked up.  On any other fiber, or where a label
+    misses a hom, the first label in shape order and its first morphism
+    whose hom is not one morphism are named."""
     shape = cb.FinCategory.from_monoid(list(elements), mul, unit)
     c = fiber.cat
-    thin = cb.is_thin(c)
     mor_label = {}
     for u in shape.morphisms:
         omap = FinFn(c.objects, c.objects,
                      {a: mul[(u, a)] for a in c.objects})
-        if thin:
-            try:
-                mor_label[u] = cb.FunctorData.held(c, c, omap)
-                continue
-            except cb.CatError:
-                pass  # the listing below names the first missing hom
-        mmap = {}
-        for m in c.morphisms:
-            pool = c.hom(omap(c.src(m)), omap(c.tgt(m)))
-            if len(pool) != 1:
-                raise SpanVError("translation by %r is not determined at "
-                                 "%r" % (u, m))
-            mmap[m] = pool[0]
-        mor_label[u] = cb.FunctorData(c, c, omap,
-                                      FinFn(c.morphisms, c.morphisms, mmap))
-
-    def strict(source, target):
-        # Translation is strict, so each component is an identity.
-        return cb.NatTransData(source, target, cb.ThinComponents(
-            source, target) if thin else {
-                a: c.identities(source.omap(a)) for a in c.objects})
-    mu = {(u, v): strict(mor_label[v].then(mor_label[u]),
-                         mor_label[mul[(u, v)]])
+        try:
+            mor_label[u] = cb.FunctorData.held(c, c, omap)
+        except cb.CatError:
+            u, m = next(
+                (v, m) for v in shape.morphisms for m in c.morphisms
+                if len(c.hom(mul[(v, c.src(m))], mul[(v, c.tgt(m))])) != 1)
+            raise SpanVError("translation by %r is not determined at %r"
+                             % (u, m)) from None
+    # Translation is strict, so each component is an identity.
+    mu = {(u, v): cb.NatTransData.held(mor_label[v].then(mor_label[u]),
+                                       mor_label[mul[(u, v)]])
           for (u, v) in shape.composable_pairs()}
-    eta = strict(cb.FunctorData.identity(c), mor_label[unit])
+    eta = cb.NatTransData.held(cb.FunctorData.identity(c), mor_label[unit])
     return MonadPresentation(CatBackend(), shape, {"*": c}, mor_label, mu,
                              {"*": eta})
-
-
-def _held(source, target):
-    """The one transformation source => target into a thin category,
-    held by its functors, or None when a component is missing."""
-    try:
-        return cb.NatTransData(source, target,
-                               cb.ThinComponents(source, target))
-    except cb.CatError:
-        return None
 
 
 def translation_opmonoidal(elements, mul, unit, fiber):
@@ -1210,9 +1190,9 @@ def translation_opmonoidal(elements, mul, unit, fiber):
     fiber admits one: each d2 component must be the unique morphism from
     the translated tensor to the tensor of translates, which exists in
     the indiscrete fiber but not in the discrete one away from the
-    unit.  On a thin fiber each d2 is held by its functors
-    (cb.ThinComponents), its components looked up only to name the
-    first missing one."""
+    unit.  The fiber is thin, or translation_polyad refuses it, and each
+    d2 is held by its functors (cb.NatTransData.held); a missing
+    component is named by its first object."""
     p = translation_polyad(elements, mul, unit, fiber)
     c = fiber.cat
     d2, d0 = {}, {}
@@ -1220,19 +1200,12 @@ def translation_opmonoidal(elements, mul, unit, fiber):
         f = p.mor_label[u]
         source = fiber.tensor.then(f)
         target = product_functor(f, f).then(fiber.tensor)
-        nat = _held(source, target) if cb.is_thin(c) else None
-        if nat is None:
-            comps = {}
-            for (a, b) in source.dom.objects:
-                pool = c.hom(f.omap(fiber.obj_tensor(a, b)),
-                             fiber.obj_tensor(f.omap(a), f.omap(b)))
-                if len(pool) != 1:
-                    raise SpanVError(
-                        "no comparison morphism for translation by %r at "
-                        "%r" % (u, (a, b)))
-                comps[(a, b)] = pool[0]
-            nat = cb.NatTransData(source, target, comps)
-        d2[u] = nat
+        try:
+            d2[u] = cb.NatTransData.held(source, target)
+        except cb.CatError:
+            raise SpanVError(
+                "no comparison morphism for translation by %r at %r"
+                % (u, cb.ThinMap.components(source, target).gap())) from None
         pool = c.hom(f.omap(fiber.unit), fiber.unit)
         if len(pool) != 1:
             raise SpanVError("no comparison morphism for translation by "

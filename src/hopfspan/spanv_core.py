@@ -135,7 +135,7 @@ class HeldCells(cb._View):
     source.label[c] to the label that c's image reaches in target, a
     1-cell, or a pair (b, a) of 1-cells for b o a on pairs of atoms (as
     `into` in _relabeled).  Each is read on lookup, held by its two
-    functors (cb.ThinComponents); its keys are the source apex atoms,
+    functors (cb.NatTransData.held); its keys are the source apex atoms,
     and image maps them into the target apex."""
 
     __slots__ = ("source", "target", "image")
@@ -159,12 +159,11 @@ class HeldCells(cb._View):
             G = b.backend.comp1(b.label[d[0]], a.label[d[1]])
         else:
             G = target.label[d]
-        return None if F is not G and cb.thin_gap(F, G) is not None \
-            else (F, G)
+        return None if F is not G \
+            and cb.ThinMap.components(F, G).gap() is not None else (F, G)
 
     def __getitem__(self, c):
-        F, G = self.ends(c)
-        return cb.NatTransData(F, G, cb.ThinComponents(F, G))
+        return cb.NatTransData.held(*self.ends(c))
 
     def __iter__(self):
         return iter(self.source.span.apex.elements)
@@ -1035,7 +1034,7 @@ def invert_cell2(u):
     if held and not _each_target(u.target, cb.is_groupoid):
         labels, ends = u.source.label, u.target.label
         for c in atoms:
-            gap = cb.thin_gap(ends[image[c]], labels[c])
+            gap = cb.ThinMap.components(ends[image[c]], labels[c]).gap()
             if gap is not None:
                 return InverseCellResult(
                     None, ("component not invertible", c, gap))

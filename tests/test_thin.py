@@ -693,12 +693,12 @@ def test_a_thin_table_raises_key_error_off_its_composable_pairs():
 
 # ---------------------------------------------------------------------------
 # Transformations into a thin category held by their two functors
-# (cb.ThinComponents) against the same families with their components
-# composed, or listed, and checked one by one.
+# (NatTransData.held, a cb.ThinMap view) against the same families with
+# their components composed, or listed, and checked one by one.
 
 
 def held_by(F, G):
-    return NatTransData(F, G, cb.ThinComponents(F, G))
+    return NatTransData.held(F, G)
 
 
 def fusion_polyads(n):
@@ -731,7 +731,7 @@ def test_fusion_families_match_the_composed_oracle(n):
                 other = oracle[pair]
                 assert nat.source is other.source
                 assert nat.target is other.target
-                assert (type(nat.components) is cb.ThinComponents) == thin
+                assert (type(nat.components) is cb.ThinMap) == thin
                 objects = nat.source.dom.objects
                 assert list(nat.components) == list(objects)
                 assert len(nat.components) == len(objects)
@@ -746,7 +746,7 @@ def test_fusion_families_match_the_composed_oracle(n):
 def test_a_hopf_check_over_a_thin_groupoid_reads_no_component(monkeypatch):
     def unread(*args):
         raise AssertionError("read %r" % (args[1:],))
-    monkeypatch.setattr(cb.ThinComponents, "__getitem__", unread)
+    monkeypatch.setattr(cb.ThinMap, "__getitem__", unread)
     monkeypatch.setattr(cb.ThinTable, "__getitem__", unread)
     for _, fiber, opstr in fusion_polyads(4):
         if fiber != "one object":
@@ -817,11 +817,15 @@ def test_a_transformation_is_held_by_its_functors_only_into_a_thin_category():
     G = FunctorData(d, d, FinFn.constant(d.objects, d.objects, 1),
                     FinFn.constant(d.morphisms, d.morphisms, (1, 1)))
     with pytest.raises(CatError, match="held by other functors"):
-        NatTransData(F, F, cb.ThinComponents(F, G))
+        NatTransData(F, F, cb.ThinMap.components(F, G))
+    # A functor's morphism map is held by its object map, not by two
+    # functors: handed to a transformation it is refused.
+    with pytest.raises(CatError, match="held by other functors"):
+        NatTransData(F, F, FunctorData.held(d, d, F.omap).mmap.assignment)
     with pytest.raises(CatError, match="component missing at 0"):
         held_by(G, F)
     assert repr(held_by(F, G).components) == \
-        "ThinComponents(%r, %r)" % (F, G)
+        "ThinMap(%r, %r)" % (F, G)
 
 
 def corrupted(nat, x):
@@ -866,7 +870,7 @@ def test_a_d2_or_mu_corrupted_at_one_component_is_refused_when_built(fiber):
 
 # ---------------------------------------------------------------------------
 # Functors into a thin category held by their object maps
-# (FunctorData.held, a cb.ThinMorphisms view), and point functors built
+# (FunctorData.held, a cb.ThinMap view), and point functors built
 # once per object, against the same functors with their morphism maps
 # listed, or composed by FunctorData._composite.
 
@@ -882,7 +886,7 @@ def listed(dom, cod, omap):
 
 
 def assert_same_functor(held, other):
-    assert type(held.mmap.assignment) is cb.ThinMorphisms
+    assert type(held.mmap.assignment) is cb.ThinMap
     assert held == other and other == held
     assert held.omap == other.omap
     assert [held.mmap(m) for m in held.dom.morphisms] == \
@@ -898,8 +902,8 @@ def test_held_tensors_read_as_the_listed_ones(n):
         fiber = build(names, mul, unit)
         t = fiber.tensor
         assert_same_functor(t, listed(t.dom, t.cod, t.omap))
-        assert t.mmap.assignment.dom is product_category(fiber.cat,
-                                                         fiber.cat)
+        assert t.mmap.assignment.parts()[0] is product_category(fiber.cat,
+                                                                fiber.cat)
 
 
 def listed_translation(names, mul, unit, fiber):
@@ -934,10 +938,10 @@ def test_held_translation_labels_read_as_the_listed_ones(n):
             assert_same_functor(label, labels[u])
         for held, other in [(p.eta["*"], eta)] + [
                 (p.mu[pair], mu[pair]) for pair in p.shape.composable_pairs()]:
-            assert type(held.components) is cb.ThinComponents
+            assert type(held.components) is cb.ThinMap
             assert held == other and other == held
             assert dict(held.components) == other.components
-            assert type(held.source.mmap.assignment) is cb.ThinMorphisms \
+            assert type(held.source.mmap.assignment) is cb.ThinMap \
                 or held.source is FunctorData.identity(fiber.cat)
 
 
@@ -971,7 +975,15 @@ def test_a_held_functor_that_misses_a_hom_is_refused():
     with pytest.raises(CatError, match="held by another object map"):
         FunctorData(d, d, ident.omap, _trusted(
             FinFn, d.morphisms, d.morphisms,
-            cb.ThinMorphisms(d, d, FinFn.constant(d.objects, d.objects, 2))))
+            cb.ThinMap.morphisms(d, d, FinFn.constant(d.objects, d.objects,
+                                                      2))))
+    # A transformation's components are held by two functors, not by an
+    # object map: handed to a functor as its morphism map they are
+    # refused.
+    with pytest.raises(CatError, match="held by another object map"):
+        FunctorData(d, d, ident.omap, _trusted(
+            FinFn, d.morphisms, d.morphisms,
+            NatTransData.held(ident, ident).components))
     held = FunctorData.held(d, d, FinFn(d.objects, d.objects,
                                         {0: 0, 1: 1, 2: 2}))
     assert held == ident and ident == held
@@ -994,6 +1006,49 @@ def test_a_translation_that_misses_a_hom_is_not_determined():
     with pytest.raises(SpanVError) as err:
         hs.translation_polyad(range(3), mul, 0, fiber)
     assert str(err.value) == "translation by 1 is not determined at (0, 2)"
+
+
+def indiscrete_by_bz2_fiber(n):
+    """I_n x BZ_2 tensored by addition: objects Z_n, each hom Z_2, a
+    morphism (x, y, g), composed by adding the g.  Strict monoidal and
+    not thin."""
+    objects = FinSet(range(n))
+    morphisms = FinSet([(x, y, g) for x in range(n) for y in range(n)
+                        for g in range(2)])
+    c = FinCategory(
+        objects, morphisms,
+        FinFn(morphisms, objects, {m: m[0] for m in morphisms}),
+        FinFn(morphisms, objects, {m: m[1] for m in morphisms}),
+        FinFn(objects, morphisms, {x: (x, x, 0) for x in objects}),
+        {((y, z, h), (x, y, g)): (x, z, (g + h) % 2)
+         for (x, y, g) in morphisms for z in range(n) for h in range(2)})
+    p = product_category(c, c)
+    return hs.MonoidalCatData(c, FunctorData(
+        p, c, FinFn(p.objects, c.objects,
+                    {(x, y): (x + y) % n for (x, y) in p.objects}),
+        FinFn(p.morphisms, c.morphisms, {
+            (m, k): ((m[0] + k[0]) % n, (m[1] + k[1]) % n, (m[2] + k[2]) % 2)
+            for (m, k) in p.morphisms})), 0)
+
+
+@pytest.mark.parametrize("mode", ["trusted", "checking"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_translation_over_a_fiber_that_is_not_thin_is_not_determined(
+        n, mode, monkeypatch):
+    # Translation by the unit fixes every object, so it would send
+    # (0, 0, 0) into hom(0, 0), which holds two morphisms: no fiber but
+    # a thin one holds a translation, and both builders name that hom.
+    if mode == "checking":
+        from test_trusted import enter_checking_mode
+        enter_checking_mode(monkeypatch)
+    fiber = indiscrete_by_bz2_fiber(n)
+    assert not is_thin(fiber.cat)
+    mul = {(u, a): (u + a) % n for u in range(n) for a in range(n)}
+    for build in (hs.translation_polyad, hs.translation_opmonoidal):
+        with pytest.raises(SpanVError) as err:
+            build(range(n), mul, 0, fiber)
+        assert str(err.value) == \
+            "translation by 0 is not determined at (0, 0, 0)"
 
 
 def point_fibers():
@@ -1115,7 +1170,8 @@ class ThinCells:
             target.src, target.tgt, [(span.left(d), span.right(d))
                                      for d in atoms],
             [rng.choice([F for F in self.functors
-                         if cb.thin_gap(F, target.label[d]) is None])
+                         if cb.ThinMap.components(
+                             F, target.label[d]).gap() is None])
              for d in atoms], "s")
         images = dict(zip(source.span.apex, atoms))
         return sc.cell2_along(source, target, images.__getitem__, {

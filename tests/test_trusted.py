@@ -323,7 +323,7 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
         FinCategory.from_monoid(names, mul, unit), torsor),
         "modules").report.ok
     assert len(families) > 150
-    assert not any(type(nat.components) is cb.ThinComponents
+    assert not any(type(nat.components) is cb.ThinMap
                    for nat in families)
     for nat in families:
         cod = nat.source.cod
