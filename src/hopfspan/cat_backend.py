@@ -33,9 +33,9 @@ object map (FunctorData.held): m goes to the one morphism between the
 images of its ends, read on lookup.  Both are one view, ThinMap: key
 -> the one morphism between its two ends, which exists once every hom
 it reads is decided non-empty (ThinMap.gap).  A point functor, out of
-the unit category TERMINAL, is built once per object (point_functor,
-points), and a composite of one is the point at its image, so
-composites of points compare by identity.
+the unit category TERMINAL, is built once per object (point_functor),
+and a composite of one is the point at its image, so composites of
+points compare by identity.
 
 LazyCategory is a category too big to materialize, given by procedures;
 it verifies the axioms on a finite list of probe objects and morphisms
@@ -73,7 +73,6 @@ class FinCategory:
     _thin = None
     _groupoid = None
     _identity = None
-    _points = None
 
     def __post_init__(self):
         # A product's table reads its checked factors, and a thin one
@@ -628,19 +627,20 @@ class FunctorData:
     @staticmethod
     def held(dom, cod, omap):
         """The functor from dom into the thin category cod with object
-        map omap, held by it: its morphism map is a ThinMap view.  Every
-        hom it reads is decided non-empty here, once, as the constructor
-        decides it, before any checked FinFn reads the view; so the
-        functor is built without the constructor's checks."""
+        map omap, held by it: its morphism map is a ThinMap view.  A cod
+        that is not thin is refused first, and every hom the view reads
+        is decided non-empty, once, as the constructor decides them,
+        before any checked FinFn reads the view; so the functor is built
+        without the constructor's checks."""
+        if not is_thin(cod):
+            raise CatError("morphisms held by another object map "
+                           "or not into a thin category")
         view = ThinMap.morphisms(dom, cod, omap)
-        thin = is_thin(cod)
-        gap = view.gap() if thin else None
+        gap = view.gap()
         if gap is not None:
             raise CatError("functor breaks endpoints at %r" % (gap,))
         mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, view)
-        # Not into a thin category, the constructor refuses it.
-        return (_trusted(FunctorData, dom, cod, omap, mmap) if thin
-                else FunctorData(dom, cod, omap, mmap))
+        return _trusted(FunctorData, dom, cod, omap, mmap)
 
     def then(self, other):
         """other after self; out of a product, mapped on lookup.  A
@@ -688,15 +688,6 @@ def point_functor(c, x):
     if index is not None:
         x = c.objects.elements[index]
     return _kept(_point_functor, c, x)
-
-
-def points(c):
-    """Each object's point_functor, in one dict kept on c, for labels
-    held by their objects to read (ComposedMap)."""
-    if c._points is None:
-        object.__setattr__(c, "_points", {
-            x: point_functor(c, x) for x in c.objects.elements})
-    return c._points
 
 
 def _point_functor(c, x):

@@ -64,7 +64,6 @@ from .spanv_core import (
     Cell1,
     HeldCells,
     SpanVError,
-    Uniform,
     VectBackend,
     apply_span_F,
     cell2_along,
@@ -1423,12 +1422,12 @@ class RestrictedAlgebraComparison:
 
 def _restricted_carriers(p, shape, actions):
     """The candidate actions as one family (q, t o q, xi): q from the unit
-    0-cell on the disjoint union of their keys, atom (i, c) the point at
-    actions[i]'s object at c (held by that object assignment when the
-    fibers are one category), xi sending slot (f, (i, c)) to (i, out[(f,
-    c)]) by actions[i]'s action, over thin fibers the one morphism in its
-    hom.  Spans compose atom by atom, so a chain on the family is, on
-    each candidate's atoms, that candidate's own chain."""
+    0-cell on the disjoint union of their keys, atom (i, c) labeled by
+    the point at actions[i]'s object at c (cb.point_functor), xi sending
+    slot (f, (i, c)) to (i, out[(f, c)]) by actions[i]'s action, over
+    thin fibers the one morphism in its hom.  Spans compose atom by
+    atom, so a chain on the family is, on each candidate's atoms, that
+    candidate's own chain."""
     be, t, one0 = p.backend, p.cells[0], unit_cell0(p.backend)
     objects = {(i, c): x for i, action in enumerate(actions)
                for (c, x) in action.objects}
@@ -1436,11 +1435,9 @@ def _restricted_carriers(p, shape, actions):
     span = Span(one0.carrier, p.shape.objects, apex, FinFn(
         apex, p.shape.objects, {(i, c): shape.left(c) for (i, c) in apex}),
         FinFn.constant(apex, one0.carrier, "*"))
-    cats = t.src.label
-    q = Cell1(be, one0, t.src, span, cb.ComposedMap(
-        apex, cb.points(cats.value), objects) if type(cats) is Uniform
-        else {(i, c): cb.point_functor(shape.fiber(p, c), x)
-              for (i, c), x in objects.items()})
+    q = Cell1(be, one0, t.src, span, {
+        (i, c): cb.point_functor(shape.fiber(p, c), x)
+        for (i, c), x in objects.items()})
     tq = _composite(t, q, compose_spans(t.span, span))
     rho = [dict(action.actions) for action in actions]
     land = {(f, (i, c)): (i, shape.out[(f, c)])

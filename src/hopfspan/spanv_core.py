@@ -51,18 +51,16 @@ checked one by one; one is_thin test decides it when the target's
 0-cell label is a Uniform.  vcomp2, hcomp2, _whiskered, _relabeled and
 invert_cell2 build held cells from held cells and compose no
 transformation: each seam is checked atom by atom by comparing label
-functors, which are kept composites, so equal ones are one object.  eq2
-compares two such cells by their boundaries and span maps.  A 1-cell
-out of the unit 0-cell whose labels are points of one category holds
-them by their objects (_points); its composites are point-labeled and
-kept, and the landings between such 1-cells are compared on objects
-(HeldCells.lands).  Into other categories, and over the graded base,
-the components stay a dict.
+functors, which are kept composites, so equal ones are one object; a
+label that is a point functor composes to the point at its image
+(cb.point_functor).  eq2 compares two such cells by their boundaries
+and span maps.  Into other categories, and over the graded base, the
+components stay a dict.
 """
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import is_, ne
+from operator import is_
 
 from .finset_span import (
     FinSet, FinFn, Span, SpanMorphism, _Pairs, _kept, _owns_no_memo, _trusted,
@@ -94,9 +92,9 @@ def _uniform(keys, value):
 def _marked(values):
     """values as a Uniform when it is not empty and every value in it is
     one object, compared by identity; values itself otherwise, and a
-    HeldCells or point labels (_points) as they are, nothing read.
-    Decided where a cell is checked, never in a builder."""
-    if type(values) in (Uniform, HeldCells, cb.ComposedMap) or not values:
+    HeldCells as it is, nothing read.  Decided where a cell is checked,
+    never in a builder."""
+    if type(values) in (Uniform, HeldCells) or not values:
         return values
     first = next(iter(values.values()))
     if all(map(is_, values.values(), repeat(first))):
@@ -174,47 +172,6 @@ class HeldCells(cb._View):
     def __contains__(self, c):
         return c in self.source.span.apex
 
-    def lands(self, into, image):
-        """Whether every component exists and lands on into's label at
-        image[c], decided on objects when the labels are points of one
-        category (_points), with no hom test when every hom is non-empty;
-        None otherwise, for the atom-by-atom check."""
-        b, a = self.target if type(self.target) is tuple else (None,
-                                                                self.target)
-        xs, ys, objects = map(_points, (self.source.label, into.label,
-                                        a.label))
-        cat = into.tgt.label
-        if xs is None or ys is None or objects is None \
-                or type(cat) is not Uniform:
-            return None
-        ends = {c: objects[d] for c, d in self.image.items()} if b is None \
-            else {c: b.label[d].omap.assignment[objects[e]]
-                  for c, (d, e) in self.image.items()}
-        if any(map(ne, map(ends.__getitem__, image),
-                   map(ys.__getitem__, image.values()))):
-            return False
-        homs = cat.value._homs_by_ends()
-        return len(homs) == len(cat.value.objects) ** 2 or all(
-            (xs[c], ends[c]) in homs for c in image)
-
-
-def _points(label):
-    """The object assignment of labels held as points of one category,
-    a cb.ComposedMap of cb.points after it: the label at c is the point
-    at objects[c], read on lookup.  None for other labels."""
-    return label.right if type(label) is cb.ComposedMap else None
-
-
-def _after_points(b, a, span):
-    """b o a on span, a's labels points (_points) and b's landing in one
-    category: the points at b's object maps applied to a's objects.
-    Kept (_composite), so that a seam against it meets by identity."""
-    objects, labels = _points(a.label), b.label
-    return _trusted(Cell1, a.backend, a.src, b.tgt, span, cb.ComposedMap(
-        span.apex, cb.points(b.tgt.label.value), {
-            x: labels[x[0]].omap.assignment[objects[x[1]]]
-            for x in span.apex.elements}))
-
 
 def _thin_labels(a):
     """Whether a's labels land in thin categories: on the Cat base, each
@@ -234,14 +191,21 @@ def _each_target(a, test):
 class Backend:
     """Base-bicategory interface; values at levels 0, 1, 2 are opaque here.
 
-    comp1/comp2 are horizontal composition of base 1-/2-cell values (for a
-    one-object base this is the tensor), vcomp is vertical composition.
+    A backend defines src1, tgt1, id1, comp1, src2, tgt2, id2, vcomp,
+    comp2, unit0, tensor0v, tensor1v, tensor2v, mid4, reshape1, invert2
+    and first_diff, and eq0, eq1 and eq2 compare by == unless it says
+    otherwise.  comp1/comp2 are horizontal composition of base 1-/2-cell
+    values (for a one-object base this is the tensor), vcomp is vertical
+    composition.
     mid4(p, q, r, s) is the interchange comparison (p . q) o (r . s) =>
     (p o r) . (q o s) on base 1-cell values, where o is composition within
     the base and . its tensor; both bundled backends realize it exactly.
     reshape1(x, y, fn) is the base 1-cell x -> y that reshuffles the atoms
     of products of base 0-cells by fn (a regrouping, projection or
     diagonal), where morphism atoms mirror the nesting of object atoms.
+    invert2(f) returns (inverse, witness), inverse None when f is not
+    invertible, and first_diff(f, g) a located difference between two
+    parallel 2-cell values.
     """
 
     def eq0(self, x, y):
@@ -252,59 +216,6 @@ class Backend:
 
     def eq2(self, f, g):
         return f == g
-
-    def src1(self, p):
-        raise NotImplementedError
-
-    def tgt1(self, p):
-        raise NotImplementedError
-
-    def id1(self, x):
-        raise NotImplementedError
-
-    def comp1(self, b, a):
-        raise NotImplementedError
-
-    def src2(self, f):
-        raise NotImplementedError
-
-    def tgt2(self, f):
-        raise NotImplementedError
-
-    def id2(self, p):
-        raise NotImplementedError
-
-    def vcomp(self, second, first):
-        raise NotImplementedError
-
-    def comp2(self, g, f):
-        raise NotImplementedError
-
-    def unit0(self):
-        raise NotImplementedError
-
-    def tensor0v(self, x, y):
-        raise NotImplementedError
-
-    def tensor1v(self, p, q):
-        raise NotImplementedError
-
-    def tensor2v(self, f, g):
-        raise NotImplementedError
-
-    def mid4(self, p, q, r, s):
-        raise NotImplementedError
-
-    def reshape1(self, x, y, fn):
-        raise NotImplementedError
-
-    def invert2(self, f):
-        """Return (inverse, witness): inverse is None when not invertible."""
-        raise NotImplementedError
-
-    def first_diff(self, f, g):
-        """A located difference between two parallel 2-cell values."""
-        raise NotImplementedError
 
 
 class _GradedCells(Backend):
@@ -614,8 +525,6 @@ class Cell2:
             if components.source != s or not _thin_labels(t):
                 raise SpanVError("components held from another 1-cell "
                                  "or not into thin categories")
-            if components.lands(t, image):
-                return
         elif type(components) is Uniform and type(s.label) is Uniform \
                 and type(t.label) is Uniform \
                 and _covers(components, s.span.apex.elements) \
@@ -736,8 +645,6 @@ def _composite(b, a, span):
     """b after a on span, their pullback composite computed elsewhere."""
     if b.src != a.tgt:
         raise SpanVError("horizontal composition boundary mismatch")
-    if type(a.label) is cb.ComposedMap and type(b.tgt.label) is Uniform:
-        return _kept(_after_points, b, a, span)
     be, atoms = a.backend, span.apex.elements
     label = _fill(atoms, be.comp1, b.label, a.label) or {
         (d, c): be.comp1(b.label[d], a.label[c]) for (d, c) in atoms}
@@ -975,14 +882,11 @@ def _whiskered(cell, g, f, fn, into):
     if comps is None and HeldCells in (type(g.components),
                                        type(cell.components)):
         gs, fs, seams = g.source.label, f.source.label, cell.target.label
-        if type(fs) is not cb.ComposedMap or cell.target is not _composite(
-                g.source, f.source, cell.target.span):
-            comp1, eq1 = be.comp1, be.eq1
-            for d, c in image.values():
-                seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
-                if seam is not label and not eq1(seam, label):
-                    raise cb.CatError(
-                        "vertical composition boundary mismatch")
+        comp1, eq1 = be.comp1, be.eq1
+        for d, c in image.values():
+            seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
+            if seam is not label and not eq1(seam, label):
+                raise cb.CatError("vertical composition boundary mismatch")
         comps = HeldCells(cell.source, (g.target, f.target), reach)
     elif comps is None:
         comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),

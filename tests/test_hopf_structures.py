@@ -968,7 +968,21 @@ ENDOMORPHISM_COUNTS = {
     ("identity", "endomorphisms", "modules"): (1, 2),
     ("identity", "endomorphisms", "representations"): (1, 2),
 }
-COUNTS = {**EXPECTED_COUNTS, **PAIR_COUNTS, **ENDOMORPHISM_COUNTS}
+# The polyad over the shape 0 -> 1 with the discrete fiber at 0, the
+# indiscrete one at 1, and the arrow labeled by the inclusion: objects
+# whose fibers differ.  An action along 0 -> 1 lands in the indiscrete
+# fiber, so it always exists and constrains nothing.  A module picks any
+# object at 0 and at 1 (four); a morphism of modules is an identity at 0
+# and any morphism at 1 (eight).  A representation picks any object at
+# each of the three morphisms (eight); a morphism between two of them is
+# an identity at the identity of 0 and any morphism at the other two
+# (thirty-two).
+MIXED_COUNTS = {
+    ("arrow", "mixed", "modules"): (4, 8),
+    ("arrow", "mixed", "representations"): (8, 32),
+}
+COUNTS = {**EXPECTED_COUNTS, **PAIR_COUNTS, **ENDOMORPHISM_COUNTS,
+          **MIXED_COUNTS}
 
 
 def identity_polyad_over(shape, cat):
@@ -982,7 +996,29 @@ def identity_polyad_over(shape, cat):
         {x: one for x in shape.objects})
 
 
+def inclusion_polyad():
+    """Over the shape 0 -> 1: the discrete fiber of Z_2 at 0, the
+    indiscrete one at 1, the identities labeled by identity functors and
+    the arrow by the inclusion, held by its object map; every structure
+    cell is held by its functors, all fibers being thin."""
+    shape = test_thin.total_order(2)
+    low = discrete_monoidal_group(*Z2).cat
+    high = indiscrete_monoidal_group(*Z2).cat
+    label = {(0, 0): FunctorData.identity(low),
+             (1, 1): FunctorData.identity(high),
+             (0, 1): FunctorData.held(low, high, FinFn(
+                 low.objects, high.objects, {a: a for a in low.objects}))}
+    return MonadPresentation(
+        CatBackend(), shape, {0: low, 1: high}, label,
+        {(g, f): NatTransData.held(label[f].then(label[g]),
+                                   label[shape.compose(g, f)])
+         for (g, f) in shape.composable_pairs()},
+        {x: NatTransData.identity(label[(x, x)]) for x in shape.objects})
+
+
 def polyad_fixture(name, fiber_kind):
+    if name == "arrow":
+        return inclusion_polyad()
     if fiber_kind == "endomorphisms":
         return identity_polyad_over(FinCategory.from_monoid(*Z2),
                                     FinCategory.from_monoid(*IDEMPOTENT))
@@ -1323,12 +1359,11 @@ def test_over_thin_fibers_every_arrow_candidate_holds(name, fiber_kind, kind):
     assert not all(arrows) and corrupted.count(False) > arrows.count(False)
 
 
-# The per-atom path that carriers held by their points replaced, kept
-# as its oracle: each carrier's labels a dict of point functors, each
-# label of a composite a functor composed, the search composing every
-# law and arrow equation in the fibers, and the two sides' categories
-# built apart and compared through two inclusion functors composed
-# both ways.
+# The per-candidate path that one carrier family and the search on
+# objects replaced, kept as its oracle: one carrier per candidate, its
+# labels a dict of point functors, the search composing every law and
+# arrow equation in the fibers, and the two sides' categories built
+# apart and compared through two inclusion functors composed both ways.
 
 
 class OracleCarrier(NamedTuple):
@@ -1405,7 +1440,6 @@ def per_atom_em_algebras(p, kind):
     algebras = []
     for q, rho, _ in hs._candidates(p, shape):
         carrier = carrier_at(q)
-        assert type(carrier.tq.label) is not cb.ComposedMap
         xi = oracle_algebra_cell(shape, carrier, rho)
         if oracle_laws_hold(idt, carrier, xi):
             algebras.append((hs._action_of(shape, q, rho), carrier, xi))

@@ -108,7 +108,7 @@ TRUSTED = {
                     "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
-                   "_composite", "_after_points", "hcomp2", "_tensor0",
+                   "_composite", "hcomp2", "_tensor0",
                    "tensor1", "tensor2", "cell2_along", "regroup_cell1",
                    "invert_cell2"},
 }

@@ -125,6 +125,15 @@ def test_vcomp2_with_inverse_gives_identity():
     assert eq2(vcomp2(res.inverse, u), identity_cell2(a))
 
 
+def test_invert_cell2_names_two_atoms_a_relabeling_merges():
+    one = VObject.ungraded(["e"])
+    two = group_algebra_cell1(V1, {"g": one, "h": one})
+    merged = group_algebra_cell1(V1, {"k": one})
+    res = invert_cell2(relabel_cell2(two, merged, lambda c: "k"))
+    assert not res and res.inverse is None
+    assert res.witness == ("span map not injective", ("g", "h"))
+
+
 def test_hcomp1_labels_tensor_dimensions():
     a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e", "z"])})
     b = group_algebra_cell1(V1, {"h": VObject.ungraded(["0", "1", "2"])})

@@ -14,6 +14,7 @@ must report or raise exactly as its oracle does.
 import collections
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1031,24 +1032,60 @@ def indiscrete_by_bz2_fiber(n):
             for (m, k) in p.morphisms})), 0)
 
 
+def idempotent_and_arrow_fiber():
+    """Objects e and b, an idempotent z on e beside its identity, and one
+    arrow m: e -> b; not thin.  Translation reads only a fiber's
+    category, and this one has no tensor for Z_2 on its objects (b b = e
+    would send (m, idb) into the empty hom(b, e)), so it stands alone."""
+    objects = FinSet(["e", "b"])
+    ends = {"ide": ("e", "e"), "z": ("e", "e"), "idb": ("b", "b"),
+            "m": ("e", "b")}
+    morphisms = FinSet(ends)
+    c = FinCategory(
+        objects, morphisms,
+        FinFn(morphisms, objects, {m: ends[m][0] for m in morphisms}),
+        FinFn(morphisms, objects, {m: ends[m][1] for m in morphisms}),
+        FinFn(objects, morphisms, {"e": "ide", "b": "idb"}),
+        {("ide", "ide"): "ide", ("z", "ide"): "z", ("ide", "z"): "z",
+         ("z", "z"): "z", ("idb", "idb"): "idb", ("m", "ide"): "m",
+         ("m", "z"): "m", ("idb", "m"): "m"})
+    return types.SimpleNamespace(cat=c)
+
+
+def undetermined_translation(n):
+    """The elements, table, unit and fiber of a translation over a fiber
+    that is not thin, and the message that refuses it: Z_n over
+    I_n x BZ_2, or Z_2 listed as b, e over idempotent_and_arrow_fiber,
+    where translation by b sends idb into hom(e, e), which holds ide and
+    z."""
+    if n == "idempotent":
+        elements = ["b", "e"]
+        return (elements, {(u, a): "e" if u == a else "b"
+                           for u in elements for a in elements}, "e",
+                idempotent_and_arrow_fiber(),
+                "translation by 'b' is not determined at 'idb'")
+    # Translation by the unit fixes every object, so it would send
+    # (0, 0, 0) into hom(0, 0), which holds two morphisms.
+    return (range(n), {(u, a): (u + a) % n for u in range(n)
+                       for a in range(n)}, 0, indiscrete_by_bz2_fiber(n),
+            "translation by 0 is not determined at (0, 0, 0)")
+
+
 @pytest.mark.parametrize("mode", ["trusted", "checking"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, "idempotent"])
 def test_a_translation_over_a_fiber_that_is_not_thin_is_not_determined(
         n, mode, monkeypatch):
-    # Translation by the unit fixes every object, so it would send
-    # (0, 0, 0) into hom(0, 0), which holds two morphisms: no fiber but
-    # a thin one holds a translation, and both builders name that hom.
+    # No fiber but a thin one holds a translation, and both builders, in
+    # both modes, name the first hom that is not one morphism.
     if mode == "checking":
         from test_trusted import enter_checking_mode
         enter_checking_mode(monkeypatch)
-    fiber = indiscrete_by_bz2_fiber(n)
+    elements, mul, unit, fiber, message = undetermined_translation(n)
     assert not is_thin(fiber.cat)
-    mul = {(u, a): (u + a) % n for u in range(n) for a in range(n)}
     for build in (hs.translation_polyad, hs.translation_opmonoidal):
         with pytest.raises(SpanVError) as err:
-            build(range(n), mul, 0, fiber)
-        assert str(err.value) == \
-            "translation by 0 is not determined at (0, 0, 0)"
+            build(elements, mul, unit, fiber)
+        assert str(err.value) == message
 
 
 def point_fibers():
@@ -1328,27 +1365,34 @@ def test_a_chain_landing_in_a_wrong_target_is_refused(c, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# 1-cells out of the unit 0-cell whose labels are points, held by their
-# objects (a cb.ComposedMap of cb.points), against the same 1-cells with
-# their points listed in a dict: composites, the cells and chains built
-# on them, HeldCells.lands against the atom-by-atom check, and the
-# errors of a wrong landing or a missing hom.
+# 1-cells out of the unit 0-cell whose labels are points: composites,
+# the cells built on them against their components listed atom by atom,
+# and the errors of a wrong landing or a missing hom.
 
 
 @pytest.mark.parametrize("c", THIN_FIBERS + NOT_THIN, ids=kind)
 def test_the_points_of_a_category_are_its_point_functors(c):
-    points = cb.points(c)
-    assert points is cb.points(c) and list(points) == list(c.objects)
-    for x in c.objects:
-        assert points[x] is cb.point_functor(c, x)
+    # One point functor per object, built once and kept on c, picking
+    # that object; a point followed by an endofunctor is the point at
+    # the object's image.
+    functors = held_endofunctors(c, random.Random(0)) if is_thin(c) \
+        else [FunctorData.identity(c)]
+    points = [cb.point_functor(c, x) for x in c.objects]
+    assert len({id(point) for point in points}) == len(c.objects)
+    for x, point in zip(c.objects, points):
+        assert point is cb.point_functor(c, x)
+        assert (point.dom, point.cod, point.omap("*")) == (cb.TERMINAL, c, x)
+        assert point.mmap(("id", "*")) == c.identities(x)
+        for F in functors:
+            assert point.then(F) is cb.point_functor(c, F.omap(x))
 
 
 class PointCells(ThinCells):
     """ThinCells with a 1-cell q from the unit 0-cell into a 0-cell x
-    over c, its labels the points at random objects, held by them or
-    listed, and a 1-cell b from x on top of it."""
+    over c, its labels the points at random objects, and a 1-cell b
+    from x on top of it."""
 
-    def __init__(self, c, seed, listed):
+    def __init__(self, c, seed):
         super().__init__(c, seed)
         self.x, self.y = self.cell0(), self.cell0()
         unit = sc.unit_cell0(self.be)
@@ -1360,17 +1404,16 @@ class PointCells(ThinCells):
                            for a in apex}),
                        FinFn.constant(apex, unit.carrier, "*"))
         self.q = sc.Cell1(self.be, unit, self.x, span, {
-            a: cb.point_functor(c, x) for a, x in objects.items()}
-            if listed else cb.ComposedMap(apex, cb.points(c), objects))
+            a: cb.point_functor(c, x) for a, x in objects.items()})
         self.b = self.mixed(self.x, self.y)
         self.span = sc.compose_spans(self.b.span, self.q.span)
 
 
-def point_builds(c, seed, listed):
+def point_builds(c, seed):
     """The composite b o q; the identities on q and on b o q, a
     relabeling of b o q onto itself and its vertical square, and the
     whisker of a 2-cell into b along q; and eq2 on two of them."""
-    g = PointCells(c, seed, listed)
+    g = PointCells(c, seed)
     composite = sc._composite(g.b, g.q, g.span)
     u = g.onto(g.b)
     below = sc._composite(u.source, g.q, sc.compose_spans(u.source.span,
@@ -1388,34 +1431,31 @@ def point_builds(c, seed, listed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("c", THIN_FIBERS, ids=kind)
 def test_point_labels_compose_and_land_as_the_listed_ones(c, seed):
-    g, composite, cells, verdict = point_builds(c, seed, False)
-    _, listed, plain, plain_verdict = point_builds(c, seed, True)
-    assert type(g.q.label) is cb.ComposedMap
-    assert type(composite.label) is cb.ComposedMap
-    assert type(listed.label) is not cb.ComposedMap
-    assert sc._composite(g.b, g.q, g.span) is composite
-    for a in composite.span.apex:
-        assert composite.label[a] is listed.label[a]
-    assert composite == listed and listed == composite
-    for held, other in zip(cells, plain):
-        assert type(held.components) is sc.HeldCells
-        assert held.components.lands(held.target,
-                                     held.morphism.map.assignment)
-        assert_same_cells(held, other)
-        assert held == other and other == held
-    assert (bool(verdict), verdict.witness) == \
-        (bool(plain_verdict), plain_verdict.witness) == (True, None)
-    for other in plain:
-        if type(other.components) is sc.HeldCells:
-            assert other.components.lands(
-                other.target, other.morphism.map.assignment) is None
+    # b o q labels each atom (d, a) by the point at the image of q's
+    # point under b's label at d; each cell built on them is held or
+    # uniform, and equals the cell with its components listed, which the
+    # constructor checks atom by atom.
+    g, composite, cells, verdict = point_builds(c, seed)
+    assert type(composite.label) in (dict, sc.Uniform)
+    assert sc._composite(g.b, g.q, g.span) == composite
+    for d, a in composite.span.apex:
+        assert composite.label[(d, a)] is cb.point_functor(
+            c, g.b.label[d].omap(g.q.label[a].omap("*")))
+    kinds = {type(cell.components) for cell in cells}
+    assert sc.HeldCells in kinds and kinds <= {sc.HeldCells, sc.Uniform}
+    for held in cells:
+        listed = sc.Cell2(held.source, held.target, held.morphism, {
+            a: held.components[a] for a in held.source.span.apex})
+        assert_same_cells(held, listed)
+        assert held == listed and listed == held
+    assert (bool(verdict), verdict.witness) == (True, None)
 
 
-def point_gaps(c, seed, listed):
+def point_gaps(c, seed):
     """The messages of a relabeling of b o q into the same 1-cell with
     one point moved, and of the identity span map from q to a 1-cell
     with one point moved, its components held."""
-    g = PointCells(c, seed, listed)
+    g = PointCells(c, seed)
     composite = sc._composite(g.b, g.q, g.span)
     found = []
     for cell in (composite, g.q):
@@ -1424,9 +1464,6 @@ def point_gaps(c, seed, listed):
         moved = next(y for y in c.objects if y != x)
         labels = {a: cell.label[a] for a in cell.span.apex}
         labels[atom] = cb.point_functor(c, moved)
-        if not listed:
-            labels = cb.ComposedMap(cell.span.apex, cb.points(c), {
-                a: f.omap("*") for a, f in labels.items()})
         other = sc.Cell1(g.be, cell.src, cell.tgt, cell.span, labels)
         found.append(raised(lambda: sc._relabeled(
             sc.identity_cell2(cell), lambda d: d, other)))
@@ -1441,8 +1478,7 @@ def point_gaps(c, seed, listed):
                          ids=kind)
 def test_a_point_landing_wrong_or_on_no_hom_is_refused_as_listed(c):
     for seed in range(3):
-        found = point_gaps(c, seed, False)
-        assert found == point_gaps(c, seed, True)
+        found = point_gaps(c, seed)
         assert found[0].startswith("component codomain mismatch at")
         assert found[2].startswith("component codomain mismatch at")
         # A held cell into moved points exists where every hom does.
@@ -1454,7 +1490,7 @@ def test_a_point_landing_wrong_or_on_no_hom_is_refused_as_listed(c):
 
 def test_a_point_on_an_empty_hom_is_refused_in_an_order():
     d = total_order(3)
-    found = [m for seed in range(6) for m in point_gaps(d, seed, False)[1::2]]
+    found = [m for seed in range(6) for m in point_gaps(d, seed)[1::2]]
     assert any(m and m.startswith("component missing at") for m in found)
 
 
