@@ -1086,7 +1086,8 @@ def polyad_fusion(opstr, side="left"):
     morphism between any two objects.  Into any other fiber (an
     identity polyad's) its components are composed from mu and d2 and
     built by the public NatTransData constructor, which checks their
-    endpoints and naturality."""
+    endpoints and naturality.  polyad_is_hopf reads these families only
+    when some fiber is not a thin groupoid."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
     out = {}
@@ -1116,14 +1117,19 @@ def polyad_fusion(opstr, side="left"):
 
 def polyad_is_hopf(opstr):
     """Shape a groupoid and every component of both fusion families an
-    isomorphism in its fiber.  Over a thin fiber that is a groupoid (an
-    indiscrete one) each family is decided at once, with no component
-    read: it exists, and every morphism there is invertible.  The
-    witness names the first failing side, pair and fiber object."""
+    isomorphism in its fiber; the witness names the first failing side,
+    pair and fiber object.  Over thin fibers each component is the
+    composite of a mu and a d2 component that construction validated, so
+    every family exists, and in a thin groupoid every morphism is
+    invertible: when every fiber is one, the verdict is the shape's and
+    no family is built."""
     verdict = cb.is_groupoid(opstr.monad.shape)
     if not verdict:
         return Verdict(False,
                        witness=("shape not a groupoid", verdict.witness))
+    if all(cb.is_thin(f.cat) and cb.is_groupoid(f.cat)
+           for f in opstr.fibers.values()):
+        return Verdict(True)
     for side in ("left", "right"):
         for pair, nat in polyad_fusion(opstr, side).items():
             v = cb.nat_is_iso(nat)
@@ -1298,11 +1304,28 @@ def _arrow_candidates(p, shape, a, b, homs=None):
 
 def _arrows(p, shape, actions, holds=None):
     """Every arrow candidate (a, b, chi) between two of actions, in
-    order, that holds(a, b, chi) accepts, if given."""
+    order, that holds(a, b, chi) accepts, if given.  Over thin fibers a
+    pair has at most one candidate, read straight from the hom buckets."""
     homs = [shape.fiber(p, c)._homs_by_ends() for c in shape.keys]
-    return [(a, b, chi) for a in actions for b in actions
-            for chi in _arrow_candidates(p, shape, a, b, homs)
-            if holds is None or holds(a, b, chi)]
+    if not shape.thin(p):
+        return [(a, b, chi) for a in actions for b in actions
+                for chi in _arrow_candidates(p, shape, a, b, homs)
+                if holds is None or holds(a, b, chi)]
+    # ends[k][x][y] is key k's one fiber hom from x to y.
+    ends = [{} for _ in homs]
+    for rows, hom in zip(ends, homs):
+        for (x, y), (m,) in hom.items():
+            rows.setdefault(x, {})[y] = m
+    keys, found = shape.keys.elements, []
+    objects = [[x for _, x in a.objects] for a in actions]
+    for a, xs in zip(actions, objects):
+        rows = [e.get(x, {}) for e, x in zip(ends, xs)]
+        for b, ys in zip(actions, objects):
+            if all(map(dict.__contains__, rows, ys)):
+                chi = tuple(zip(keys, map(dict.__getitem__, rows, ys)))
+                if holds is None or holds(a, b, chi):
+                    found.append((a, b, chi))
+    return found
 
 
 def _action_of(shape, q, rho):

@@ -11,9 +11,6 @@ reason; they run there unchanged, as they do without the option.
 import pytest
 
 TRUSTED_ONLY = {
-    "test_a_hopf_check_over_a_thin_groupoid_reads_no_component":
-        "it asserts that no component is read, and the checked "
-        "constructors read every component they check",
     "test_a_product_lists_its_morphisms_only_when_read":
         "it asserts that a product's morphisms are never listed, and the "
         "checked FinFn constructors list every domain they check",

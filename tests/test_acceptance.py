@@ -1,4 +1,4 @@
-"""Acceptance gate: twenty-four criteria, one pass line each.
+"""Acceptance gate: twenty-five criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -628,18 +628,20 @@ def test_criterion_20_translation_polyad_z3_representations():
            0.5, 27)
 
 
-# The Z_32 check in a child process of its own, capped at 3 GB of
-# address space.  Its peak RSS is read from VmHWM, the high-water mark
-# of the address space the child execs into: ru_maxrss carries the
-# parent's over a fork, so a large test process would be read instead.
-Z32_CHILD = """
-import resource, time
+# The Z_32 Hopf checks, each in a child process of its own, capped at
+# 3 GB of address space.  The peak RSS is read from VmHWM, the
+# high-water mark of the address space the child execs into: ru_maxrss
+# carries the parent's over a fork, so a large test process would be
+# read instead.  The polyad and fiber builders are named by argv.
+HOPF_CHILD = """
+import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 from hopfspan import hopf_structures as hs
+build, fiber_of = getattr(hs, sys.argv[1]), getattr(hs, sys.argv[2])
 start = time.monotonic()
 names, mul, unit = hs.cyclic_group(32)
-fiber = hs.indiscrete_monoidal_group(names, mul, unit)
-assert hs.polyad_is_hopf(hs.translation_opmonoidal(names, mul, unit, fiber))
+fiber = fiber_of(names, mul, unit)
+assert hs.polyad_is_hopf(build(names, mul, unit, fiber))
 elapsed = time.monotonic() - start
 with open("/proc/self/status") as status:
     (peak,) = [line.split()[1] for line in status
@@ -648,17 +650,37 @@ print(elapsed, int(peak) / 1024)
 """
 
 
-def test_criterion_21_translation_polyad_z32_hopf_check():
+def run_child(script, *args):
+    """The seconds and peak MiB that script prints, run with args in a
+    fresh interpreter that imports this package."""
     package = pathlib.Path(hs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    child = subprocess.run([sys.executable, "-c", Z32_CHILD], env=env,
+    child = subprocess.run([sys.executable, "-c", script, *args], env=env,
                            capture_output=True, text=True, check=True)
     elapsed, peak_mib = map(float, child.stdout.split())
-    print("criterion 21: peak RSS %.0f MiB of 200 MiB" % peak_mib)
-    finish(21, "Hopf check of the translation polyad over Z_32, fiber "
-           "build included", time.monotonic() - elapsed, 1.5)
-    assert peak_mib < 200
+    return elapsed, peak_mib
+
+
+def hopf_in_a_child(build, fiber_of, number, label, bound, peak_bound_mib):
+    elapsed, peak_mib = run_child(HOPF_CHILD, build, fiber_of)
+    print("criterion %d: peak RSS %.0f MiB of %d MiB"
+          % (number, peak_mib, peak_bound_mib))
+    finish(number, "Hopf check of the %s over Z_32, fiber build included"
+           % label, time.monotonic() - elapsed, bound)
+    assert peak_mib < peak_bound_mib
+
+
+def test_criterion_21_translation_polyad_z32_hopf_check():
+    hopf_in_a_child("translation_opmonoidal", "indiscrete_monoidal_group",
+                    21, "translation polyad", 0.5, 100)
+
+
+# Over the discrete fiber, a thin groupoid, the verdict is the shape's:
+# no fusion family is built, where building them read n^4 homs.
+def test_criterion_25_identity_polyad_z32_discrete_hopf_check():
+    hopf_in_a_child("identity_polyad", "discrete_monoidal_group", 25,
+                    "identity polyad on the discrete fiber", 0.1, 50)
 
 
 # The Z_n modules or representations in a child process of their own,
@@ -691,13 +713,7 @@ print(elapsed, int(peak) / 1024)
 
 def algebras_in_a_child(n, kind, number, bound, peak_bound_mib):
     objects = n if kind == "modules" else n ** n
-    package = pathlib.Path(hs.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(package)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    child = subprocess.run(
-        [sys.executable, "-c", ALGEBRAS_CHILD, str(n), kind, str(objects)],
-        env=env, capture_output=True, text=True, check=True)
-    elapsed, peak_mib = map(float, child.stdout.split())
+    elapsed, peak_mib = run_child(ALGEBRAS_CHILD, str(n), kind, str(objects))
     print("criterion %d: peak RSS %.0f MiB of %d MiB"
           % (number, peak_mib, peak_bound_mib))
     finish(number, "%s of the translation polyad over Z_%d, fiber and "

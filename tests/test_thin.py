@@ -744,14 +744,85 @@ def test_fusion_families_match_the_composed_oracle(n):
                 assert cb.nat_is_iso(nat) == cb.nat_is_iso(other)
 
 
+def max_order_fiber():
+    """The total order 0 < 1 < 2 tensored by max, unit 0: thin and not a
+    groupoid."""
+    d = total_order(3)
+    return hs.MonoidalCatData(d, FunctorData.held(
+        product_category(d, d), d, FinFn(
+            product_category(d, d).objects, d.objects,
+            {(x, y): max(x, y) for x in range(3) for y in range(3)})), 0)
+
+
+def hopf_by_families(opstr):
+    """polyad_is_hopf by its definition: the shape a groupoid, then every
+    component of both fusion families invertible, the left and right
+    families side by side, the first failure its witness."""
+    shape = cb.is_groupoid(opstr.monad.shape)
+    if not shape:
+        return False, ("shape not a groupoid", shape.witness)
+    for side in ("left", "right"):
+        for pair, nat in hs.polyad_fusion(opstr, side).items():
+            iso = cb.nat_is_iso(nat)
+            if not iso:
+                return False, (side, pair, iso.witness)
+    return True, None
+
+
+def hopf_polyads():
+    """The identity polyad of Z_2 over max_order_fiber, thin and not a
+    groupoid, and that of the idempotent monoid, not a groupoid."""
+    z2 = hs.cyclic_group(2)
+    idempotent = (["e", "z"], {("e", "e"): "e", ("e", "z"): "z",
+                               ("z", "e"): "z", ("z", "z"): "z"}, "e")
+    return [("total order", hs.identity_polyad(*z2, max_order_fiber())),
+            ("idempotent", hs.identity_polyad(
+                *idempotent, hs.discrete_monoidal_group(*idempotent)))]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hopf_decisions_match_the_family_reference(n):
+    for _, _, opstr in fusion_polyads(n):
+        verdict = hs.polyad_is_hopf(opstr)
+        assert (bool(verdict), verdict.witness) == hopf_by_families(opstr)
+
+
+def test_hopf_decisions_off_thin_groupoids_match_the_family_reference():
+    decided = {}
+    for name, opstr in hopf_polyads():
+        verdict = hs.polyad_is_hopf(opstr)
+        decided[name] = (bool(verdict), verdict.witness)
+        assert decided[name] == hopf_by_families(opstr)
+    assert decided == {"total order": (True, None),
+                       "idempotent": (False, ("shape not a groupoid", "z"))}
+
+
+def test_a_hopf_check_builds_families_only_off_thin_groupoids(monkeypatch):
+    calls = []
+
+    def counted(opstr, side="left", _fusion=hs.polyad_fusion):
+        calls.append(side)
+        return _fusion(opstr, side)
+    monkeypatch.setattr(hs, "polyad_fusion", counted)
+    built = [(fiber, opstr) for _, fiber, opstr in fusion_polyads(3)] + \
+        hopf_polyads()
+    for fiber, opstr in built:
+        calls.clear()
+        hs.polyad_is_hopf(opstr)
+        assert calls == (["left", "right"]
+                         if fiber in ("one object", "total order") else [])
+
+
 def test_a_hopf_check_over_a_thin_groupoid_reads_no_component(monkeypatch):
+    polyads = [opstr for _, fiber, opstr in fusion_polyads(4)
+               if fiber != "one object"]
+
     def unread(*args):
         raise AssertionError("read %r" % (args[1:],))
     monkeypatch.setattr(cb.ThinMap, "__getitem__", unread)
     monkeypatch.setattr(cb.ThinTable, "__getitem__", unread)
-    for _, fiber, opstr in fusion_polyads(4):
-        if fiber != "one object":
-            assert hs.polyad_is_hopf(opstr)
+    for opstr in polyads:
+        assert hs.polyad_is_hopf(opstr)
 
 
 def first_without(objects, found):
@@ -998,11 +1069,7 @@ def test_a_translation_that_misses_a_hom_is_not_determined():
     # Z_3: translation by 1 sends (0, 2) to 1 -> 0, which is not there,
     # so the label is refused with the listing's error, not the held
     # functor's.
-    d = total_order(3)
-    fiber = hs.MonoidalCatData(d, FunctorData.held(
-        product_category(d, d), d, FinFn(
-            product_category(d, d).objects, d.objects,
-            {(x, y): max(x, y) for x in range(3) for y in range(3)})), 0)
+    fiber = max_order_fiber()
     mul = {(u, a): (u + a) % 3 for u in range(3) for a in range(3)}
     with pytest.raises(SpanVError) as err:
         hs.translation_polyad(range(3), mul, 0, fiber)

@@ -89,7 +89,7 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 24
+# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 25
 # run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
@@ -100,7 +100,8 @@ TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_21_translation_polyad_z32_hopf_check",
                "test_criterion_22_translation_polyad_z24_modules",
                "test_criterion_23_translation_polyad_z48_modules",
-               "test_criterion_24_translation_polyad_z4_representations"}
+               "test_criterion_24_translation_polyad_z4_representations",
+               "test_criterion_25_identity_polyad_z32_discrete_hopf_check"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -251,19 +252,13 @@ def test_frobenius_trusted_builds(n, kind, monkeypatch):
 
 
 # The _trusted builds of a polyad_is_hopf over Z_3 with the indiscrete
-# fiber, by class, on a polyad built beforehand.  The product of two
-# identity functors is the identity of the product category, kept on it,
-# so the identity polyad builds nothing: 144 FinFn and 72 FunctorData
-# when each fusion family built that product again.  The product of an
-# identity with a label is kept on the label: 108 FinFn and 54
-# FunctorData for the translation polyad when each right-side fusion
-# family built it, and the composites kept on it, again.  The counts
-# did not move when the labels, the tensor and the composites of labels
-# into the thin fiber came to be held by their object maps: such a
-# composite builds the same FinFn and FunctorData, only its morphism
-# map is a view instead of a dict.
-POLYAD_BUILDS = {"identity": {},
-                 "translation": {"FinFn": 84, "FunctorData": 42}}
+# fiber, by class, on a polyad built beforehand.  The fiber is a thin
+# groupoid, so the verdict is the shape's and no fusion family is built:
+# neither polyad builds anything.  The translation polyad built 84 FinFn
+# and 42 FunctorData when each family's source and target functors were
+# composed; the identity polyad's products of identity functors were
+# already the identity kept on the product category.
+POLYAD_BUILDS = {"identity": {}, "translation": {}}
 
 
 @pytest.mark.parametrize("kind", sorted(POLYAD_BUILDS))
@@ -288,11 +283,12 @@ def test_checking_mode_checks_every_component_of_each_family_it_builds(
     # Every transformation built through _trusted while two polyads are
     # built and checked is rebuilt by the constructor in checking mode,
     # which must refuse it with any one component moved to a morphism
-    # with other endpoints.  The fusion families into a thin fiber, and
-    # the translation polyad's mu and eta there, hold no component and
-    # are built by the constructor in both modes.  Carriers share the
-    # composites of their point functors, so Z_3 modules build fewer
-    # families than they did, and Z_2 representations are checked too.
+    # with other endpoints.  A Hopf check over a thin groupoid fiber, as
+    # the three here are, builds no fusion family, and the translation
+    # polyad's mu and eta there hold no component and are built by the
+    # constructor in both modes.  Carriers share the composites of their
+    # point functors, so Z_3 modules build fewer families than they did,
+    # and Z_2 representations are checked too.
     # Over a thin fiber the law chains' cells hold their components by
     # their 1-cells and build no family at all, so the modules of the
     # identity polyad on a fiber that is not thin, with two objects so
