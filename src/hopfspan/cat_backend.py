@@ -802,11 +802,8 @@ class NatTransData:
 
 def nat_is_iso(n):
     """True iff every component has a two-sided inverse in the codomain,
-    else the first object whose component has none.  Into a thin
-    groupoid every morphism has one, so no component is read."""
+    else the first object whose component has none."""
     cod = n.source.cod
-    if is_thin(cod) and is_groupoid(cod):
-        return Verdict(True)
     for x in n.source.dom.objects:
         if cod.inverse(n.components[x]) is None:
             return Verdict(False, witness=x)

@@ -1086,7 +1086,7 @@ def polyad_fusion(opstr, side="left"):
     morphism between any two objects.  Into any other fiber (an
     identity polyad's) its components are composed from mu and d2 and
     built by the public NatTransData constructor, which checks their
-    endpoints and naturality.  polyad_is_hopf reads these families only
+    endpoints and naturality.  polyad_is_hopf builds these families only
     when some fiber is not a thin groupoid."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
@@ -1292,37 +1292,25 @@ def _candidates(p, shape):
     return found
 
 
-def _arrow_candidates(p, shape, a, b, homs=None):
-    """Each family of one fiber hom per key from a's object to b's, read
-    from each key's fiber hom buckets (homs, in key order, if given)."""
-    homs = homs or [shape.fiber(p, c)._homs_by_ends() for c in shape.keys]
-    for combo in itertools.product(*[
-            hom.get((x, y), ()) for hom, (_, x), (_, y)
-            in zip(homs, a.objects, b.objects)]):
-        yield tuple(zip(shape.keys.elements, combo))
-
-
 def _arrows(p, shape, actions, holds=None):
     """Every arrow candidate (a, b, chi) between two of actions, in
-    order, that holds(a, b, chi) accepts, if given.  Over thin fibers a
-    pair has at most one candidate, read straight from the hom buckets."""
-    homs = [shape.fiber(p, c)._homs_by_ends() for c in shape.keys]
-    if not shape.thin(p):
-        return [(a, b, chi) for a in actions for b in actions
-                for chi in _arrow_candidates(p, shape, a, b, homs)
-                if holds is None or holds(a, b, chi)]
-    # ends[k][x][y] is key k's one fiber hom from x to y.
-    ends = [{} for _ in homs]
-    for rows, hom in zip(ends, homs):
-        for (x, y), (m,) in hom.items():
-            rows.setdefault(x, {})[y] = m
+    order, that holds(a, b, chi) accepts, if given: each family of one
+    fiber hom per key from a's object to b's, read from the key's hom
+    buckets by source object, then by target object."""
+    rows = []
+    for c in shape.keys:
+        row = {}
+        for (x, y), bucket in shape.fiber(p, c)._homs_by_ends().items():
+            row.setdefault(x, {})[y] = bucket
+        rows.append(row)
     keys, found = shape.keys.elements, []
     objects = [[x for _, x in a.objects] for a in actions]
     for a, xs in zip(actions, objects):
-        rows = [e.get(x, {}) for e, x in zip(ends, xs)]
+        out = [row.get(x, {}) for row, x in zip(rows, xs)]
         for b, ys in zip(actions, objects):
-            if all(map(dict.__contains__, rows, ys)):
-                chi = tuple(zip(keys, map(dict.__getitem__, rows, ys)))
+            for combo in itertools.product(*[
+                    hom.get(y, ()) for hom, y in zip(out, ys)]):
+                chi = tuple(zip(keys, combo))
                 if holds is None or holds(a, b, chi):
                     found.append((a, b, chi))
     return found
@@ -1533,7 +1521,7 @@ def em_algebras_restricted(p, kind="modules"):
     The carrier morphisms are restricted to the identity reindexing of
     the apex, matching the enumerated morphisms, which are one component
     per key.  Both sides decide the same candidate atoms (_candidates,
-    _arrow_candidates) independently: the search on objects over thin
+    _arrows) independently: the search on objects over thin
     fibers and in the fibers elsewhere (_enumerate_actions), the
     algebras as one family (_restricted_carriers), one chain per law
     (_lawful), and their arrows, off thin fibers, as one chain between

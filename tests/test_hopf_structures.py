@@ -1077,6 +1077,30 @@ def test_restricted_algebras_reject_unknown_kinds():
     assert "unknown kind" in str(err.value)
 
 
+def arrow_candidates(p, shape, a, b):
+    """Each family of one fiber hom per key from a's object to b's, read
+    pair by pair from the fibers' homs: the oracle of hs._arrows."""
+    for combo in itertools.product(*[
+            shape.fiber(p, c).hom(x, y) for c, (_, x), (_, y)
+            in zip(shape.keys, a.objects, b.objects)]):
+        yield tuple(zip(shape.keys.elements, combo))
+
+
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_arrows_are_the_candidates_read_pair_by_pair(name, fiber_kind, kind):
+    p = polyad_fixture(name, fiber_kind)
+    shape = hs._action_shape(p, kind)
+    actions = [atom for _, _, atom in hs._candidates(p, shape)]
+
+    def holds(a, b, chi):
+        return hs._action_morphism_ok(p, shape, a, b, dict(chi))
+    pairs = [(a, b, chi) for a in actions for b in actions
+             for chi in arrow_candidates(p, shape, a, b)]
+    assert hs._arrows(p, shape, actions) == pairs
+    assert hs._arrows(p, shape, actions, holds) == [
+        arrow for arrow in pairs if holds(*arrow)]
+
+
 # The whole-cell law formulas that the chains of em_algebras_restricted
 # replaced, kept as their oracle: each candidate's carrier on a span of
 # its own, its action on the whole composite t o q, and each law through
@@ -1129,7 +1153,7 @@ def whole_cell_em_algebras(p, kind):
             algebras.append((hs._action_of(shape, q, rho), q1, xi))
     arrows = [(a, b, chi) for (a, a_q, a_xi) in algebras
               for (b, b_q, b_xi) in algebras
-              for chi in hs._arrow_candidates(p, shape, a, b)
+              for chi in arrow_candidates(p, shape, a, b)
               if whole_cell_arrow_holds(p, a_q, a_xi, b_q, b_xi, chi)]
     return [a for (a, _, _) in algebras], arrows
 
@@ -1176,7 +1200,7 @@ def assert_chains_match_whole_cells(p, kind, corrupt=None):
     assert [c.chain for c in found] == [c.whole for c in found]
     candidates = [(a, b, chi) for a in found for b in found
                   if a.chain or b.chain
-                  for chi in hs._arrow_candidates(p, shape, a.action,
+                  for chi in arrow_candidates(p, shape, a.action,
                                                   b.action)]
     arrows = kept_by(hs._arrows_hold, p, shape, [
         (a.action, b.action, chi) for a, b, chi in candidates])
@@ -1286,14 +1310,14 @@ def tabulated_em_algebras(p, kind):
     algebras = hs._lawful(p, shape, candidates)
     arrows = hs._arrows_hold(p, shape, [
         (a, b, chi) for a in algebras for b in algebras
-        for chi in hs._arrow_candidates(p, shape, a, b)])
+        for chi in arrow_candidates(p, shape, a, b)])
     algebra_cat = tabulated_category_of_actions(p, shape, algebras, arrows)
     actions = [hs._action_of(shape, q, rho)
                for q, rho, _ in hs._candidates(p, shape)
                if hs._action_laws_hold(p, shape, q, rho)]
     enumerated = tabulated_category_of_actions(p, shape, actions, [
         (a, b, chi) for a in actions for b in actions
-        for chi in hs._arrow_candidates(p, shape, a, b)
+        for chi in arrow_candidates(p, shape, a, b)
         if hs._action_morphism_ok(p, shape, a, b, dict(chi))])
     report = CheckReport("restricted algebras (%s)" % kind)
     if (len(enumerated.objects), len(enumerated.morphisms)) != \
@@ -1446,7 +1470,7 @@ def per_atom_em_algebras(p, kind):
     thin = shape.thin(p)
     arrows = [(a, b, chi) for (a, a_c, a_xi) in algebras
               for (b, b_c, b_xi) in algebras
-              for chi in hs._arrow_candidates(p, shape, a, b)
+              for chi in arrow_candidates(p, shape, a, b)
               if thin or oracle_arrow_holds(idt, a_c, a_xi, b_c, b_xi, chi)]
     algebra_cat = hs._category_of_actions(
         p, shape, [a for (a, _, _) in algebras], arrows)
@@ -1455,7 +1479,7 @@ def per_atom_em_algebras(p, kind):
                if hs._action_laws_hold(p, shape, q, rho)]
     enumerated = hs._category_of_actions(p, shape, actions, [
         (a, b, chi) for a in actions for b in actions
-        for chi in hs._arrow_candidates(p, shape, a, b)
+        for chi in arrow_candidates(p, shape, a, b)
         if hs._action_morphism_ok(p, shape, a, b, dict(chi))])
     report = CheckReport("restricted algebras (%s)" % kind)
     if len(enumerated.objects) != len(algebras):
@@ -1562,7 +1586,7 @@ def test_the_object_rule_accepts_the_candidates_the_laws_accept(
     arrows = set(found.morphisms)
     for a in found.objects:
         for b in found.objects:
-            for chi in hs._arrow_candidates(p, shape, a, b):
+            for chi in arrow_candidates(p, shape, a, b):
                 assert hs._action_morphism_ok(p, shape, a, b, dict(chi))
                 assert (a, b, chi) in arrows
 
