@@ -441,6 +441,24 @@ def compose_span_morphisms_h(g, f, source=None, via=None, target=None):
                     _trusted(FinFn, source.apex, target.apex, assignment))
 
 
+def convolution_span(b, a):
+    """The span of the pairs (c, h) of atoms of parallel spans b and a
+    with equal legs: ordered by c's left leg in tgt order, then c, then
+    h, in apex order, as the pullback of the diagonals around b . a."""
+    (bl, br), over, by_left = (b.left.assignment, b.right.assignment), {}, {}
+    for h in a.apex.elements:
+        over.setdefault((a.left.assignment[h], a.right.assignment[h]),
+                        []).append(h)
+    for c in b.apex.elements:
+        by_left.setdefault(bl[c], []).append(c)
+    apex = _trusted(FinSet, tuple([(c, h) for x in b.tgt.elements for c in
+                                   by_left.get(x, ())
+                                   for h in over.get((x, br[c]), ())]))
+    return _trusted(Span, b.src, b.tgt, apex, *[_trusted(
+        FinFn, apex, end, {p: leg[p[0]] for p in apex.elements})
+        for end, leg in ((b.tgt, bl), (b.src, br))])
+
+
 def cartesian_product(a, b, pairs=None, src=None, tgt=None):
     """Componentwise product span; apex pairs lexicographic in (a, b).
     Given pairs, the apex is just those (see compose_spans).  src and

@@ -53,9 +53,9 @@ from .monoidale_duoidal import (
     check_comonoid,
     comonoid_cells,
     diagonal_multiplication,
-    duoidal_interchange,
     duoidal_units,
-    star2,
+    _over_m,
+    _starred,
 )
 from .reporting import CheckReport, Verdict
 from .spanv_core import (
@@ -73,23 +73,25 @@ from .spanv_core import (
     hcomp2,
     identity_cell1,
     identity_cell2,
-    interchange_cell2,
     invert_cell2,
-    part,
     product_category,
     product_functor,
     regroup,
     relabel_cell2,
     right_unitor_cell2,
     tensor1,
-    tensor2,
     unit_cell0,
     vcomp2,
     vect_to_cat_functor,
     _composite,
     _fill,
     _marked,
+    _chained,
+    _interchanged,
+    _landed,
     _relabeled,
+    _run,
+    _tensored,
     _whiskered,
 )
 
@@ -206,22 +208,11 @@ class ComonoidStructure:
         object.__setattr__(self, "delta", _marked(self.delta))
 
 
-def _paired(t):
-    """t . t on the pairs of apex atoms with equal targets: all of it
-    that m o (t . t) reads."""
-    left, into = t.span.left.assignment, {}
-    for h in t.span.apex.elements:
-        into.setdefault(left[h], []).append(h)
-    return tensor1(t, t, [(h, k) for h in t.span.apex.elements
-                          for k in into[left[h]]])
-
-
-def _binary_cell(p, c, m, paired=None):
+def _binary_cell(p, c, m):
     """The binary structure cell t o m => m o (t . t) over the
-    multiplication m, into m o paired (_paired(t) unless given)."""
+    multiplication m, t . t on just the pairs of atoms m reaches."""
     d, t = p.shape, p.cells[0]
-    source = hcomp1(t, m)
-    target = hcomp1(m, paired or _paired(t))
+    source, target = hcomp1(t, m), _over_m(m, t, t)
     atoms = source.span.apex.elements
     return cell2_along(source, target,
                        lambda hx: (d.tgt(hx[0]), (hx[0], hx[0])),
@@ -249,17 +240,17 @@ def check_opmonoidal(p, c):
         return report
     delta2, eps2 = comonoid_cells(com)
     units = duoidal_units(p.shape.objects, be)
-    # delta . delta from mu2's source, the interchange and mu * mu, each
-    # on the atoms the one before reaches, landing in delta2's target.
-    spread = hcomp2(delta2, delta2, source=mu2.source)
-    swap = duoidal_interchange(t, t, t, t, source=spread.target)
-    square = vcomp2(star2(mu2, mu2, source=swap.target), vcomp2(swap, spread))
+    square = _landed(_chained(mu2.source, _whiskered(delta2, delta2),
+                              _interchanged(t, t, t, t), _starred(mu2, mu2)),
+                     delta2.target)
     report.holds("multiplication respects comultiplication", eq2(
-        vcomp2(delta2, mu2), _relabeled(square, lambda d: d, delta2.target)))
+        vcomp2(delta2, mu2), square))
     report.holds("multiplication respects counit", eq2(
-        vcomp2(eps2, mu2), vcomp2(units.mu_j, hcomp2(eps2, eps2))))
+        vcomp2(eps2, mu2), _landed(_chained(
+            mu2.source, _whiskered(eps2, eps2), units.mu_j), eps2.target)))
     report.holds("unit respects comultiplication", eq2(
-        vcomp2(delta2, eta2), vcomp2(star2(eta2, eta2), units.delta_i)))
+        vcomp2(delta2, eta2), _landed(_chained(
+            eta2.source, units.delta_i, _starred(eta2, eta2)), delta2.target)))
     report.holds("unit respects counit",
                  eq2(vcomp2(eps2, eta2), units.iota_ij))
     return report
@@ -279,16 +270,12 @@ def _pair_order(side):
 
 def _fusion(p, c, fibers, side):
     """The fusion cell (t o m) o (t . 1) => m o (t . t) on the left and
-    (t o m) o (1 . t) => m o (t . t) on the right: one chain of three
-    steps with every tensor pair in the side's order.
-
-    Whisker the binary structure cell and reassociate, as one cell into
-    m o ((t . t) o (t . 1)) on the atoms it reaches; then, whiskered by
-    1_m as one cell that lands in the binary cell's target, apply the
-    interchange cell (this is where the braiding acts) and multiply and
-    absorb the identity factor.  Each step starts from the 1-cell the
-    one before lands on (spanv_core._whiskered).  Over the graded base
-    the component at a composable pair works out to
+    (t o m) o (1 . t) => m o (t . t) on the right: one chain, every
+    tensor pair in the side's order, landed once in the binary cell's
+    target.  It whiskers the binary structure cell and reassociates;
+    then, whiskered by 1_m, applies the interchange (where the braiding
+    acts), multiplies and absorbs the identity factor.  Over the graded
+    base the component at a composable pair works out to
     (mu tensor 1) (1 tensor braiding) (delta tensor 1) on the left; on
     the right the interchange braids against the unit label, so it is
     (1 tensor mu) (delta tensor 1).  The tests pin both down
@@ -298,18 +285,13 @@ def _fusion(p, c, fibers, side):
     t, mu2, _ = p.cells
     m = diagonal_multiplication(p.shape.objects, p.backend, fibers)
     idc = identity_cell1(m.tgt)
-    pair, paired = tensor1(*order(t, idc)), _paired(t)
-    binary = _binary_cell(p, c, m, paired)
-    source = hcomp1(binary.source, pair)
-    image = binary.morphism.map.assignment
-    onto = [regroup((image[d], e)) for d, e in source.span.apex.elements]
-    inner = hcomp1(paired, pair, part(onto, 1))
-    cell = _whiskered(identity_cell2(source), binary, identity_cell2(pair),
-                      regroup, hcomp1(m, inner, onto))
-    swap = interchange_cell2(t, t, *order(t, idc), source=inner)
-    mult = tensor2(*order(mu2, right_unitor_cell2(t)), source=swap.target)
-    return _whiskered(cell, identity_cell2(m), vcomp2(mult, swap),
-                      lambda d: d, binary.target)
+    pair = tensor1(*order(t, idc))
+    binary = _binary_cell(p, c, m)
+    multiply = _run(_interchanged(t, t, *order(t, idc)),
+                    _tensored(*order(mu2, right_unitor_cell2(t))))
+    return _landed(_chained(hcomp1(binary.source, pair),
+                            _whiskered(binary, pair), _relabeled(regroup),
+                            _whiskered(m, multiply)), binary.target)
 
 
 def left_fusion(p, c, fibers=None):
@@ -1087,7 +1069,7 @@ def polyad_fusion(opstr, side="left"):
     identity polyad's) its components are composed from mu and d2 and
     built by the public NatTransData constructor, which checks their
     endpoints and naturality.  polyad_is_hopf builds these families only
-    when some fiber is not a thin groupoid."""
+    when some fiber is not a groupoid."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
     out = {}
@@ -1118,17 +1100,16 @@ def polyad_fusion(opstr, side="left"):
 def polyad_is_hopf(opstr):
     """Shape a groupoid and every component of both fusion families an
     isomorphism in its fiber; the witness names the first failing side,
-    pair and fiber object.  Over thin fibers each component is the
-    composite of a mu and a d2 component that construction validated, so
-    every family exists, and in a thin groupoid every morphism is
-    invertible: when every fiber is one, the verdict is the shape's and
-    no family is built."""
+    pair and fiber object.  Each component is the composite of a mu and
+    a d2 component that construction validated, so every family exists,
+    and in a groupoid every morphism is invertible: when every fiber is
+    one, thin or not, the verdict is the shape's and no family is
+    built."""
     verdict = cb.is_groupoid(opstr.monad.shape)
     if not verdict:
         return Verdict(False,
                        witness=("shape not a groupoid", verdict.witness))
-    if all(cb.is_thin(f.cat) and cb.is_groupoid(f.cat)
-           for f in opstr.fibers.values()):
+    if all(cb.is_groupoid(f.cat) for f in opstr.fibers.values()):
         return Verdict(True)
     for side in ("left", "right"):
         for pair, nat in polyad_fusion(opstr, side).items():
@@ -1479,12 +1460,12 @@ def _lawful(p, shape, actions):
     t, mu2, eta2 = p.cells
     q, tq, xi = _restricted_carriers(p, shape, actions)
     ttq = hcomp1(mu2.source, q)
-    idq, from_iq = identity_cell2(q), identity_cell2(hcomp1(eta2.source, q))
+    idq, iq = identity_cell2(q), hcomp1(eta2.source, q)
     return _verdicts(actions, (
         vcomp2(xi, hcomp2(identity_cell2(t), xi, ttq, tq, regroup)),
         vcomp2(xi, hcomp2(mu2, idq, ttq, tq))), (
-        vcomp2(xi, _whiskered(from_iq, eta2, idq, lambda d: d, tq)),
-        _relabeled(from_iq, lambda d: d[1], q)))
+        vcomp2(xi, _landed(_chained(iq, _whiskered(eta2, q)), tq)),
+        _landed(_chained(iq, _relabeled(lambda d: d[1])), q)))
 
 
 def _arrows_hold(p, shape, arrows):

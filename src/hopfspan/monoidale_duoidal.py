@@ -25,17 +25,17 @@ agreement breaks, so nothing outside the class is silently accepted.
 import itertools
 from dataclasses import dataclass
 
-from .finset_span import FinSet, FinFn, Span
+from .finset_span import FinFn, Span, convolution_span
 from .reporting import Verdict, CheckReport
 from . import vect_backend as vb
 from .spanv_core import (
     SpanVError, VectBackend,
     Cell0, Cell1, Cell2, cell2_along, identity_cell1, identity_cell2,
-    vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1, tensor2,
+    vcomp2, hcomp1, hcomp2, unit_cell0, tensor0, tensor1,
     regroup_cell1, relabel_cell2, regroup, ungroup, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2,
-    interchange_atoms, invert_cell2, eq2, image_atoms, part, _relabeled,
-    _whiskered, _fill,
+    interchange_atoms, invert_cell2, eq2, part, _chained, _fill, _landed,
+    _pair_labeled, _pairwise, _relabeled, _run, _tensored, _whiskered,
 )
 
 
@@ -339,24 +339,23 @@ def opmap_adjunctions(X, be):
                                       identity_cell1(u.src)))
 
 
-def _triangle_left(one, right, unit, counit):
-    """(counit o 1) . (1 o unit) on the left adjoint, with unitors, from
-    its identity 2-cell one; the zigzag identity says it equals one."""
-    left = one.source
-    cell = _relabeled(one, lambda c: (c, left.span.right(c)),
-                      (left, unit.source))
-    cell = _whiskered(cell, one, unit, ungroup, (counit.source, left))
-    return _whiskered(cell, counit, one, lambda t: t[1], left)
+def _triangle_left(left, right, unit, counit):
+    """(counit o 1) . (1 o unit) on the left adjoint, with unitors, as one
+    chain from left into left; the zigzag identity says it is 1_left."""
+    return _landed(_chained(
+        left, _relabeled(lambda c: (c, left.span.right(c))),
+        _whiskered(left, unit), _relabeled(ungroup),
+        _whiskered(counit, left), _relabeled(lambda t: t[1])), left)
 
 
-def _triangle_right(one, left, unit, counit):
-    """(1 o counit) . (unit o 1) on the right adjoint, with unitors, from
-    its identity 2-cell one; the zigzag identity says it equals one."""
-    right = one.source
-    cell = _relabeled(one, lambda c: (right.span.left(c), c),
-                      (unit.source, right))
-    cell = _whiskered(cell, unit, one, regroup, (right, counit.source))
-    return _whiskered(cell, one, counit, lambda t: t[0], right)
+def _triangle_right(left, right, unit, counit):
+    """(1 o counit) . (unit o 1) on the right adjoint, with unitors, as
+    one chain from right into right; the zigzag identity says it is
+    1_right."""
+    return _landed(_chained(
+        right, _relabeled(lambda c: (right.span.left(c), c)),
+        _whiskered(unit, right), _relabeled(regroup),
+        _whiskered(right, counit), _relabeled(lambda t: t[0])), right)
 
 
 _MISMATCH = "vertical composition boundary mismatch"
@@ -397,11 +396,11 @@ def _triangles(adj):
     for name, left, right, unit, counit in [
             ("m", adj.m_star, adj.m, adj.m_unit, adj.m_counit),
             ("u", adj.u_star, adj.u, adj.u_unit, adj.u_counit)]:
-        for side, triangle, one, other in (
-                ("left", _triangle_left, identity_cell2(left), right),
-                ("right", _triangle_right, identity_cell2(right), left)):
+        for side, triangle, one in (
+                ("left", _triangle_left, identity_cell2(left)),
+                ("right", _triangle_right, identity_cell2(right))):
             report.holds("%s-adjunction %s triangle" % (name, side), eq2(
-                triangle(one, other, unit, counit), one))
+                triangle(left, right, unit, counit), one))
     return report
 
 
@@ -420,9 +419,9 @@ def _alpha_reversed(adj):
     A, alpha = adj.base, adj.alpha
     a_rev = tensor_associator_inv_cell1(
         A, A, A, map(regroup, alpha.source.span.right.assignment.values()))
-    res = invert_cell2(_whiskered(
-        identity_cell2(hcomp1(alpha.source, a_rev)), alpha,
-        identity_cell2(a_rev), lambda t: t[0][0],
+    res = invert_cell2(_landed(_chained(
+        hcomp1(alpha.source, a_rev), _whiskered(alpha, a_rev),
+        _relabeled(lambda t: t[0][0])),
         _over_m(adj.m, adj.m_unit.source, adj.m)))
     if not res:
         raise SpanVError("reversed coherence is not invertible: %r"
@@ -432,11 +431,10 @@ def _alpha_reversed(adj):
 
 def _comparison_target(adj, mirrored):
     """The whole 1-cell (freed o regroup) o outer that a side's
-    comparison cells run into, and its factors freed o regroup, freed,
-    regroup and outer.  The regrouping factor is built on the points
-    that both tensors reach, and the tensors on their atoms over those,
-    so no factor is built over all of base^3 and the chains are built on
-    them."""
+    comparison cells land in, and its factors freed, regroup and outer.
+    The regrouping factor is built on the points that both tensors
+    reach, and the tensors on their atoms over those, so no factor is
+    built over all of base^3."""
     A, m = adj.base, adj.m
     idc, ms = adj.m_unit.source, adj.m_star
     freed, outer = ((m, idc), (idc, ms)) if mirrored else \
@@ -450,69 +448,47 @@ def _comparison_target(adj, mirrored):
     freed = _tensor_over(*freed, map(fn, points), "right")
     moved = build(A, A, A, points)
     outer = _tensor_over(*outer, points)
-    inner = hcomp1(freed, moved)
-    return hcomp1(inner, outer), inner, freed, moved, outer
+    return hcomp1(hcomp1(freed, moved), outer), freed, moved, outer
 
 
-def _frobenius_shared_prefix(adj, mirrored, lead, outer):
-    """The opening moves of both mate composites: pad with the identity,
-    insert the adjunction unit on one tensor factor, split off the
-    composite with the inverse interchange cell, and rebracket so the
-    multiplication sits next to its freshly inserted partner in lead
-    (m o inner, where the core's coherence cell starts), against outer,
-    the tensored m_star.  The mirrored side is the same moves with every
-    tensor pair swapped.
-
-    Returns the prefix 2-cell out of m_star o m, and m_star o lead on
-    the atoms its target reaches.
-    """
+def _frobenius_shared_prefix(adj, mirrored):
+    """The opening moves of both mate composites, as a chain from
+    m_star o m: pad with the identity, insert the adjunction unit on one
+    tensor factor, split off the composite with the inverse interchange
+    cell (built on the atoms the padding reaches), and rebracket so the
+    multiplication sits next to its freshly inserted partner, against
+    the tensored m_star.  The mirrored side swaps every tensor pair."""
     m, ms, unit = adj.m, adj.m_star, adj.m_unit
     idc, s0 = unit.source, adj.m_counit.source
     def order(a, b):
         return (b, a) if mirrored else (a, b)
-    right = s0.span.right.assignment
-    pad = tensor2(*order(unit, identity_cell2(idc)), source=tensor1(
-        idc, idc, [right[c] for c in s0.span.apex.elements]))
+    right, inserted = s0.span.right.assignment, unit.morphism.map.assignment
     fix = (lambda t: ((t[0], t[0]), t[1])) if mirrored else \
         (lambda t: (t[0], (t[1], t[1])))
-    atoms = [interchange_atoms(fix(t)) for t in pad.target.span.apex.elements]
+    def split(point):  # the atom of the interchange's source it reaches
+        a, b = order(*point)
+        return interchange_atoms(fix(order(inserted[a], b)))
+    atoms = [split(right[c]) for c in s0.span.apex.elements]
     swap = interchange_cell2(*order(m, idc), *order(ms, idc), source=hcomp1(
         tensor1(*order(m, idc), part(atoms, 0)),
         tensor1(*order(ms, idc), part(atoms, 1)), atoms))
-    padded = vcomp2(invert_cell2(swap).inverse,
-                    _relabeled(pad, fix, swap.target))
-    one = identity_cell2(s0)
-    cell = _relabeled(one, lambda c: (c, right[c]), (s0, pad.source))
+    padded = _run(_tensored(*order(unit, idc)), _relabeled(fix),
+                  invert_cell2(swap).inverse)
     def rebracket(t):
         return ((t[0][0], (t[0][1], t[1][0])), t[1][1])
-    split = padded.morphism.map.assignment
-    onto = [rebracket((d, split[c]))
-            for d, c in cell.target.span.apex.elements]
-    core = hcomp1(ms, lead, part(onto, 0))
-    return _whiskered(cell, one, padded, rebracket,
-                      hcomp1(core, outer, onto)), core
+    return _chained(s0, _relabeled(lambda c: (c, right[c])),
+                    _whiskered(s0, padded), _relabeled(rebracket))
 
 
-def _core_steps(adj, fire, freed, moved, inner):
+def _core_steps(adj, coherence, freed, moved):
     """The vertical steps of the mate's core m_star o (m o (m-bracket))
-    => (1-bracket) o regroup: fire, the whiskered coherence cell, then a
-    relabeling that rebrackets, the counit's collapse, and a unitor that
-    drops the identity it leaves and lands in inner = freed o moved.
-    Returns the core composed and its four steps; a relabeling step is
-    the pair (atom map, 1-cell it lands on), which a chain applies as
-    one cell, whiskered or not (_relabeled, _whiskered)."""
-    counit = adj.m_counit
-    def rebracket(t):
-        return (((t[0], t[1][0][0]), t[1][0][1]), t[1][1])
-    onto = [rebracket(t) for t in fire.target.span.apex.elements]
-    collapsed = hcomp1(counit.source, freed, part(onto, 0))
-    composed = _relabeled(fire, rebracket, hcomp1(collapsed, moved, onto))
-    rebracketed = composed.target
-    collapse = hcomp2(hcomp2(counit, identity_cell2(freed), source=collapsed),
-                      identity_cell2(moved), source=rebracketed)
-    finish = (lambda t: (t[0][1], t[1]), inner)
-    return _relabeled(vcomp2(collapse, composed), *finish), \
-        (fire, (rebracket, rebracketed), collapse, finish)
+    => (1-bracket) o regroup: fire, the whiskered coherence cell, a
+    rebracketing, the counit's collapse, and a unitor that drops the
+    identity it leaves; each relabeling as its atom map."""
+    return (_whiskered(adj.m_star, coherence),
+            lambda t: (((t[0], t[1][0][0]), t[1][0][1]), t[1][1]),
+            _whiskered(_whiskered(adj.m_counit, freed), moved),
+            lambda t: (t[0][1], t[1]))
 
 
 def frobenius_comparison_cells(adj):
@@ -523,13 +499,10 @@ def frobenius_comparison_cells(adj):
     them.
 
     Unit-first applies every core step as its own whiskered vertical
-    step (a whisker and the relabeling after it built as one cell);
-    counit-first composes the coherence-and-counit core first and
-    applies it in one whiskered step.  Both conventions read one prefix
-    and one list of core steps per side, built on the atoms that
-    m_star o m reaches, and land in the side's target, built whole so
-    that invertibility is decided against it; check_frobenius compares
-    them.
+    step; counit-first composes the core first and whiskers it once.
+    Both continue one prefix chain with one list of core steps per side
+    and land in the side's whole target, against which invertibility
+    is decided; check_frobenius compares them.
     """
     if not _fits(adj, "m", "alpha"):
         raise SpanVError(_MISMATCH)
@@ -538,25 +511,24 @@ def frobenius_comparison_cells(adj):
 
 def _comparison_cells(adj):
     """frobenius_comparison_cells on an adj whose boundaries are right."""
-    one = identity_cell2(adj.m_star)
     sides = []
     for mirrored in (False, True):
         coherence = _alpha_reversed(adj) if mirrored else adj.alpha
-        target, inner, freed, moved, outer = _comparison_target(
-            adj, mirrored)
-        prefix, core = _frobenius_shared_prefix(
-            adj, mirrored, coherence.source, outer)
-        composed, (fire, rebracket, collapse, finish) = _core_steps(
-            adj, hcomp2(one, coherence, source=core), freed, moved, inner)
-        whisker = identity_cell2(outer)
-        # Each relabeling acts on the first factor of the whiskered
-        # composite; the last lands in target, which is inner o outer.
-        unit_first = _whiskered(prefix, fire, whisker, lambda t: (
-            rebracket[0](t[0]), t[1]), (rebracket[1], outer))
-        sides.append((
-            _whiskered(unit_first, collapse, whisker, lambda t: (
-                finish[0](t[0]), t[1]), target),
-            _whiskered(prefix, composed, whisker, lambda d: d, target)))
+        target, freed, moved, outer = _comparison_target(adj, mirrored)
+        prefix = _frobenius_shared_prefix(adj, mirrored)
+        fire, rebracket, collapse, finish = _core_steps(
+            adj, coherence, freed, moved)
+        # Unit-first relabels the first factor of the whiskered composite.
+        unit_first = _chained(
+            prefix, _whiskered(fire, outer),
+            _relabeled(lambda t: (rebracket(t[0]), t[1])),
+            _whiskered(collapse, outer),
+            _relabeled(lambda t: (finish(t[0]), t[1])))
+        counit_first = _chained(prefix, _whiskered(_run(
+            fire, _relabeled(rebracket), collapse, _relabeled(finish)),
+            outer))
+        sides.append((_landed(unit_first, target),
+                      _landed(counit_first, target)))
     return tuple(sides)
 
 
@@ -614,63 +586,37 @@ def _diagonal_labels(b):
     return fib.tensor, _duplicate_label(be, fib.obj)
 
 
-def star1(b, a, atoms=None):
+def star1(b, a):
     """The convolution b * a of parallel 1-cells.
 
     The apex is the pairs (c, h) with equal legs, ordered by the point
     x = left(c) in carrier order, then c, then h, in apex order: the
-    order of the pullback composite m o (b . a) o d.  The label at (c, h)
-    is m o (b(c) . a(h)) o d.  Over a one-object base this is just the
-    label tensor.  Given atoms (some such pairs, in any order), the apex
-    is just those, ordered as in the full apex."""
+    order of the pullback composite m o (b . a) o d
+    (finset_span.convolution_span).  The label at (c, h) is
+    m o (b(c) . a(h)) o d.  Over a one-object base this is just the
+    label tensor."""
     if b.src != a.src or b.tgt != a.tgt:
         raise SpanVError("convolution needs parallel 1-cells")
     be = b.backend
     m, d = _diagonal_labels(b)
-    b_left, b_right = b.span.left.assignment, b.span.right.assignment
-    legs = {h: (a.span.left(h), a.span.right(h)) for h in a.span.apex}
-    if atoms is None:
-        over = {}
-        for h in a.span.apex:
-            over.setdefault(legs[h], []).append(h)
-        atoms = [(c, h) for c in b.span.apex
-                 for h in over.get((b_left[c], b_right[c]), ())]
-    elif any(legs[h] != (b_left[c], b_right[c]) for (c, h) in atoms):
-        raise SpanVError("convolution atoms must have equal legs")
-    place, bi, ai = b.tgt.carrier.index, b.span.apex.index, a.span.apex.index
-    apex = FinSet(sorted(set(atoms), key=lambda p: (
-        place(b_left[p[0]]), bi(p[0]), ai(p[1]))))
-    span = Span(a.src.carrier, a.tgt.carrier, apex,
-                FinFn(apex, a.tgt.carrier, {p: b_left[p[0]] for p in apex}),
-                FinFn(apex, a.src.carrier, {p: b_right[p[0]] for p in apex}))
-    label = _fill(apex.elements, lambda p, q: be.comp1(be.comp1(
-        m, be.tensor1v(p, q)), d), b.label, a.label) or {
-            (c, h): be.comp1(be.comp1(m, be.tensor1v(b.label[c],
-                                                     a.label[h])), d)
-            for (c, h) in apex}
-    return Cell1(be, a.src, a.tgt, span, label)
+    return _pair_labeled(
+        a.src, a.tgt, convolution_span(b.span, a.span),
+        lambda p, q: be.comp1(be.comp1(m, be.tensor1v(p, q)), d), b, a)
 
 
-def star2(v, u, source=None):
+def star2(v, u):
     """The convolution of parallel 2-cells: (c, h) goes to (v(c), u(h))
-    with component 1_m o (v(c) . u(h)) o 1_d.  Given source, the
-    convolution of their sources on some atoms built already, it is
-    built on those, into their image."""
-    whole = source is None
-    source = source or star1(v.source, u.source)
-    fv, fu = v.morphism.map, u.morphism.map
-    fn = lambda t: (fv(t[0]), fu(t[1]))
-    target = star1(v.target, u.target, image_atoms(fn, source, whole))
-    be = source.backend
+    with component 1_m o (v(c) . u(h)) o 1_d (_starred)."""
+    return _landed(_chained(star1(v.source, u.source), _starred(v, u)),
+                   star1(v.target, u.target))
+
+
+def _starred(v, u):
+    """The convolution step v * u: at (c, h), 1_m o (v(c) . u(h)) o 1_d."""
     m, d = _diagonal_labels(v.source)
-    one_m, one_d = be.id2(m), be.id2(d)
-    atoms = source.span.apex.elements
-    comps = _fill(atoms, lambda f, g: be.comp2(be.comp2(
-        one_m, be.tensor2v(f, g)), one_d), v.components, u.components) or {
-            (c, h): be.comp2(be.comp2(one_m, be.tensor2v(
-                v.components[c], u.components[h])), one_d)
-            for (c, h) in atoms}
-    return cell2_along(source, target, fn, comps)
+    def op(be, f, g):
+        return be.comp2(be.comp2(be.id2(m), be.tensor2v(f, g)), be.id2(d))
+    return _pairwise(op, v, u)
 
 
 def complete_unit_cell1(src0, tgt0):
@@ -731,16 +677,14 @@ def duoidal_units(X, be):
     return DuoidalUnits(i, j, mu_j, delta_i, iota_ij)
 
 
-def duoidal_interchange(a, b, h, d, source=None):
+def duoidal_interchange(a, b, h, d):
     """(a * b) o (h * d)  =>  (a o h) * (b o d): the interchange cell of
     spanv_core with the convolution as its product, on endo-cells of one
-    carrier.  Given source, the composite of convolutions on some atoms
-    built already, it is built on those, into their image (see
-    interchange_cell2)."""
+    carrier."""
     for cell in (a, b, h, d):
         if cell.src != a.src or cell.tgt != a.src:
             raise SpanVError("interchange needs endo-cells on one carrier")
-    return interchange_cell2(a, b, h, d, product=star1, source=source)
+    return interchange_cell2(a, b, h, d, product=star1)
 
 
 def _take(cells, n, offset=0):

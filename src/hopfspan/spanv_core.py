@@ -22,13 +22,16 @@ through _trusted and runs each class's own checks on them
 invert_cell2 runs only its own.
 
 A 2-cell read at a source atom needs its target only at that atom's
-image.  So a 1-cell is restricted by the atoms it is built on, and a
-2-cell only by the 1-cell it starts from: the composites and coherence
-cells a law passes through are built from a given source 1-cell, into
-the sub-span of their target that its atoms reach.  A law is a vertical
-chain of such steps (_relabeled, _whiskered), each built from the
-1-cell the step before lands on, and the last lands in the law's
-target through cell2_along, which checks that landing.
+image, so a 1-cell is restricted by the atoms it is built on.  A law is
+a chain of vertical steps from a built 1-cell (_chained), landed once,
+in the law's target (_landed).  A step reads the atoms the chain has
+reached, which no 1-cell holds: a 1-cell reads as its identity, a
+2-cell at the atoms of its source, and _relabeled, _pairwise,
+_interchanged and _run build the others.  At each atom it gives the
+atom reached and its component there, one object for all atoms (a
+1-tuple) or a list; the chain composes them, so vcomp checks every
+seam, and cell2_along checks the composite where it lands.
+relabel_cell2, tensor2 and interchange_cell2 are one-step chains.
 
 A cell whose atoms all carry one label or component object is built
 and checked once, any other cell atom by atom.  Where a cell is checked
@@ -48,9 +51,10 @@ to the target label at c's image, read on lookup.  Where Uniform is
 decided (cell2_along and identity_cell2), a cell whose components are
 not one object becomes such a cell, once its given components are
 checked one by one; one is_thin test decides it when the target's
-0-cell label is a Uniform.  vcomp2, hcomp2, _whiskered, _relabeled and
-invert_cell2 build held cells from held cells and compose no
-transformation: each seam is checked atom by atom by comparing label
+0-cell label is a Uniform.  vcomp2, hcomp2 and invert_cell2 build held
+cells from held cells and compose no transformation, and a chain into
+thin categories composes the pairs of labels its components run
+between (_Ends): each seam is checked atom by atom by comparing label
 functors, which are kept composites, so equal ones are one object; a
 label that is a point functor composes to the point at its image
 (cb.point_functor).  eq2 compares two such cells by their boundaries
@@ -131,8 +135,8 @@ class HeldCells(cb._View):
     """The components of a 2-cell into thin categories, held by its
     1-cells: at a source atom c, the one transformation from
     source.label[c] to the label that c's image reaches in target, a
-    1-cell, or a pair (b, a) of 1-cells for b o a on pairs of atoms (as
-    `into` in _relabeled).  Each is read on lookup, held by its two
+    1-cell, or in target[c] when target is the dict of the labels a
+    chain reaches (_landed).  Each is read on lookup, held by its two
     functors (cb.NatTransData.held); its keys are the source apex atoms,
     and image maps them into the target apex."""
 
@@ -151,12 +155,9 @@ class HeldCells(cb._View):
     def ends(self, c):
         """The functors the component at c runs between, or None when no
         transformation runs between them."""
-        F, d, target = self.source.label[c], self.image[c], self.target
-        if type(target) is tuple:
-            b, a = target
-            G = b.backend.comp1(b.label[d[0]], a.label[d[1]])
-        else:
-            G = target.label[d]
+        F, target = self.source.label[c], self.target
+        G = target[c] if type(target) is dict else \
+            target.label[self.image[c]]
         return None if F is not G \
             and cb.ThinMap.components(F, G).gap() is not None else (F, G)
 
@@ -645,10 +646,17 @@ def _composite(b, a, span):
     """b after a on span, their pullback composite computed elsewhere."""
     if b.src != a.tgt:
         raise SpanVError("horizontal composition boundary mismatch")
-    be, atoms = a.backend, span.apex.elements
-    label = _fill(atoms, be.comp1, b.label, a.label) or {
-        (d, c): be.comp1(b.label[d], a.label[c]) for (d, c) in atoms}
-    return _trusted(Cell1, be, a.src, b.tgt, span, label)
+    return _pair_labeled(a.src, b.tgt, span, a.backend.comp1, b, a)
+
+
+def _pair_labeled(src, tgt, span, op, b, a):
+    """The 1-cell src -> tgt on span, whose atoms are pairs (d, c) of
+    atoms of the checked 1-cells b and a, labeled op(b(d), a(c)): built
+    without checks, as any composite of checked cells is."""
+    atoms = span.apex.elements
+    label = _fill(atoms, op, b.label, a.label) or {
+        (d, c): op(b.label[d], a.label[c]) for (d, c) in atoms}
+    return _trusted(Cell1, a.backend, src, tgt, span, label)
 
 
 def hcomp2(g, f, source=None, target=None, via=None):
@@ -712,31 +720,14 @@ def tensor1(a, b, atoms=None):
     be = a.backend
     src, tgt = tensor0(a.src, b.src), tensor0(a.tgt, b.tgt)
     span = cartesian_product(a.span, b.span, atoms, src.carrier, tgt.carrier)
-    pairs = span.apex.elements
-    label = _fill(pairs, be.tensor1v, a.label, b.label) or {
-        (c, d): be.tensor1v(a.label[c], b.label[d]) for (c, d) in pairs}
-    return _trusted(Cell1, be, src, tgt, span, label)
+    return _pair_labeled(src, tgt, span, be.tensor1v, a, b)
 
 
-def tensor2(u, v, source=None):
-    """u . v, componentwise.  Given source, the tensor of their sources
-    on some atoms built already, it is built from that, into the image
-    of its atoms (as hcomp2 is)."""
-    whole = source is None
-    source = source or tensor1(u.source, v.source)
-    be = source.backend
-    fu, fv = u.morphism.map.assignment, v.morphism.map.assignment
-    apex = source.span.apex
-    assignment = {(c, d): (fu[c], fv[d]) for (c, d) in apex.elements}
-    target = tensor1(u.target, v.target,
-                     None if whole else assignment.values())
-    fn = _trusted(FinFn, apex, target.span.apex, assignment)
-    comps = _fill(apex.elements, be.tensor2v, u.components,
-                  v.components) or {
-        (c, d): be.tensor2v(u.components[c], v.components[d])
-        for (c, d) in apex.elements}
-    return _trusted(Cell2, source, target,
-                    _trusted(SpanMorphism, source.span, target.span, fn), comps)
+def tensor2(u, v):
+    """u . v, componentwise: the one-step chain _tensored from the tensor
+    of their sources, landed in the tensor of their targets."""
+    return _landed(_chained(tensor1(u.source, v.source), _tensored(u, v)),
+                   tensor1(u.target, v.target))
 
 
 def regroup_cell1(src, tgt, fn, atoms=None):
@@ -762,10 +753,7 @@ def relabel_cell2(source, target, fn):
     cell2_along).  Valid when each source label equals the label of its
     image on the nose, as for every re-bracketing or collapse over the
     strict backends."""
-    be, atoms = source.backend, source.span.apex.elements
-    return cell2_along(source, target, fn, _fill(
-        atoms, be.id2, source.label) or {
-            c: be.id2(source.label[c]) for c in atoms})
+    return _landed(_chained(source, _relabeled(fn)), target)
 
 
 def regroup(t):
@@ -786,12 +774,6 @@ def interchange_atoms(t):
 def part(atoms, i):
     """The i-th coordinates of pair atoms; None (all of them) for None."""
     return None if atoms is None else [x[i] for x in atoms]
-
-
-def image_atoms(fn, cell, whole):
-    """Where fn sends the apex of cell; None (all of the target) when
-    cell is built whole."""
-    return None if whole else [fn(x) for x in cell.span.apex]
 
 
 def associator_cell2(c, b, a):
@@ -824,75 +806,150 @@ def interchange_cell2(f, g, h, k, product=tensor1, source=None):
     the image of its atoms.
     """
     lhs = source or hcomp1(product(f, g), product(h, k))
-    onto = image_atoms(interchange_atoms, lhs, source is None)
-    rhs = product(hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1)),
-                  onto)
-    be, atoms = lhs.backend, lhs.span.apex.elements
-    comps = _fill(atoms, be.mid4, f.label, g.label, h.label, k.label) or {
-        ((d, d2), (c, c2)): be.mid4(f.label[d], g.label[d2], h.label[c],
-                                    k.label[c2])
-        for ((d, d2), (c, c2)) in atoms}
-    return cell2_along(lhs, rhs, interchange_atoms, comps)
+    onto = source and [interchange_atoms(x) for x in lhs.span.apex.elements]
+    pair = hcomp1(f, h, part(onto, 0)), hcomp1(g, k, part(onto, 1))
+    rhs = product(*pair) if onto is None else product(*pair, onto)
+    return _landed(_chained(lhs, _interchanged(f, g, h, k)), rhs)
 
 
-# A law is a vertical chain of steps.  Each step starts from the 1-cell
-# the chain so far lands on, built once, so vcomp2 and hcomp2 meet it by
-# identity, and builds just the sub-span of its target that those atoms
-# reach.  A unit, counit or coherence cell is whiskered onto a 1-cell
-# built from its own source, and a relabeling lands in a 1-cell built
-# from the next cell's source, or in the law's target, so every seam is
-# checked where the next step is built (cell2_along).
+class _Ends:
+    """The cell operations on the pairs of labels that held components
+    run between (HeldCells), each seam checked as vcomp checks it."""
+
+    def __init__(self, be):
+        self.be, self.id2 = be, lambda p: (p, p)
+
+    def of(self, phi):
+        return self.be.src2(phi), self.be.tgt2(phi)
+
+    def vcomp(self, second, first):
+        if second[0] is not first[1] and not self.be.eq1(second[0], first[1]):
+            raise cb.CatError("vertical composition boundary mismatch")
+        return first[0], second[1]
+
+    def comp2(self, g, f):
+        return self.be.comp1(g[0], f[0]), self.be.comp1(g[1], f[1])
+
+    def tensor2v(self, f, g):
+        return self.be.tensor1v(f[0], g[0]), self.be.tensor1v(f[1], g[1])
 
 
-def _relabeled(cell, fn, into):
-    """cell, then the coherence step along the atom map fn from its
-    target into `into`, a 1-cell, or a pair (b, a) of 1-cells for b o a
-    on just the atoms fn reaches.  It is one cell: the step's components
-    are identities, so the composite keeps cell's.  An associator or
-    unitor, whiskered or not, or a run of them, is one such step."""
-    if isinstance(into, tuple):
-        into = hcomp1(*into, [fn(d) for d in cell.target.span.apex.elements])
-    image = cell.morphism.map.assignment
-    return cell2_along(cell.source, into, lambda c: fn(image[c]),
-                       cell.components)
+def _combined(be, ends, op, *parts):
+    """op(be, ...) of the parts' components, each part a list of them or
+    a 1-tuple, one for every atom: once when every part is one, else atom
+    by atom, by ends in place of be when given (one read as its ends)."""
+    if all(type(part) is tuple for part in parts):
+        return op(be, *[part[0] for part in parts]),
+    n = next(len(part) for part in parts if type(part) is not tuple)
+    return [op(ends or be, *values) for values in zip(*[
+        repeat(part[0] if ends is None else ends.of(part[0]), n)
+        if type(part) is tuple else part for part in parts])]
 
 
-def _whiskered(cell, g, f, fn, into):
-    """cell, then g o f from cell's target (the composite of g's and f's
-    sources on its atoms), then the relabeling along fn into `into` (as
-    in _relabeled), as one cell whose components are g o f's after
-    cell's.  The whiskered 1-cell in between is not built: cell2_along
-    checks `into` against those components.  When g or cell holds its
-    components by its 1-cells, both land in the same thin categories
-    (cell's target is g's source on those atoms), and no component is
-    composed: each atom's seam, cell's target label against g's and f's
-    source labels, is compared as functors (composites of functors are
-    kept, so equal ones are one object), and the cell's components are
-    held from its source into g's and f's targets, whose labels
-    cell2_along checks against `into`."""
-    be = cell.backend
-    image = cell.morphism.map.assignment
-    gm, fm = g.morphism.map.assignment, f.morphism.map.assignment
-    if isinstance(into, tuple):
-        into = hcomp1(*into, [fn((gm[d], fm[c]))
-                              for d, c in cell.target.span.apex.elements])
-    reach = {x: (gm[d], fm[c]) for x, (d, c) in image.items()}
-    comps = _fill(image, lambda gd, fc, x: be.vcomp(be.comp2(gd, fc), x),
-                  g.components, f.components, cell.components)
-    if comps is None and HeldCells in (type(g.components),
-                                       type(cell.components)):
-        gs, fs, seams = g.source.label, f.source.label, cell.target.label
-        comp1, eq1 = be.comp1, be.eq1
-        for d, c in image.values():
-            seam, label = comp1(gs[d], fs[c]), seams[(d, c)]
-            if seam is not label and not eq1(seam, label):
-                raise cb.CatError("vertical composition boundary mismatch")
-        comps = HeldCells(cell.source, (g.target, f.target), reach)
-    elif comps is None:
-        comps = {x: be.vcomp(be.comp2(g.components[d], f.components[c]),
-                             cell.components[x])
-                 for x, (d, c) in image.items()}
-    return cell2_along(cell.source, into, lambda x: fn(reach[x]), comps)
+def _at(step, xs, be, ends):
+    """step read at the atoms xs: the atoms they reach and its components
+    there, None for identities."""
+    if type(step) is Cell1:
+        label = step.label
+        if type(label) is Uniform:
+            return list(xs), (be.id2(label.value),)
+        return list(xs), [(ends or be).id2(label[x]) for x in xs]
+    if type(step) is not Cell2:
+        return step(xs, be, ends)
+    image, comps = step.morphism.map.assignment, step.components
+    ys = [image[x] for x in xs]
+    if type(comps) is Uniform:
+        return ys, (comps.value,)
+    src, tgt = step.source.label, step.target.label
+    return ys, [comps[x] for x in xs] if ends is None else \
+        [(src[x], tgt[y]) for x, y in zip(xs, ys)]
+
+
+def _relabeled(fn):
+    """The coherence step along the atom map fn, identity components: an
+    associator or unitor, whiskered or not, or a run of them."""
+    return lambda xs, be, ends: ([fn(x) for x in xs], None)
+
+
+def _pairwise(op, g, f):
+    """The step on pair atoms (d, c) reading g at d and f at c, each a
+    1-cell, a 2-cell or a step, with op(be, g's, f's) as component."""
+    def step(xs, be, ends):
+        gy, gc = _at(g, [x[0] for x in xs], be, ends)
+        fy, fc = _at(f, [x[1] for x in xs], be, ends)
+        return list(zip(gy, fy)), _combined(be, ends, op, gc, fc)
+    return step
+
+
+def _whiskered(g, f):
+    """g o f on the composite atoms of their sources."""
+    return _pairwise(lambda be, x, y: be.comp2(x, y), g, f)
+
+
+def _tensored(u, v):
+    """u . v on the product atoms of their sources."""
+    return _pairwise(lambda be, x, y: be.tensor2v(x, y), u, v)
+
+
+def _interchanged(f, g, h, k):
+    """The step (f . g) o (h . k) => (f o h) . (g o k), for the tensor
+    or any product on the same atoms: the middle-four swap, each
+    component the base interchange mid4 of the four labels."""
+    def step(xs, be, ends):
+        F, G, H, K = labels = f.label, g.label, h.label, k.label
+        ys = [interchange_atoms(x) for x in xs]
+        if xs and all(type(label) is Uniform for label in labels):
+            return ys, (be.mid4(*[label.value for label in labels]),)
+        mid4 = be.mid4 if ends is None else \
+            (lambda *ps: ends.of(be.mid4(*ps)))
+        return ys, [mid4(F[a], G[b], H[c], K[d]) for ((a, b), (c, d)) in xs]
+    return step
+
+
+def _run(*steps):
+    """The vertical composite of steps, the first first, as one step."""
+    return lambda xs, be, ends: _composed(xs, None, steps, be, ends)
+
+
+def _composed(xs, comps, steps, be, ends):
+    """steps read from the atoms xs on, their components composed onto
+    comps (None for identities): the atoms reached and the composite."""
+    for each in steps:
+        xs, more = _at(each, xs, be, ends)
+        if more is not None:
+            comps = more if comps is None else _combined(
+                be, ends, lambda o, y, x: o.vcomp(y, x), more, comps)
+    return xs, comps
+
+
+def _chained(start, *steps):
+    """start, a 1-cell or a chain, then steps: the chain (source, the
+    atom each source atom reaches, the components there, and the _Ends
+    they compose by into thin categories, else None)."""
+    if type(start) is Cell1:
+        ends = _Ends(start.backend) if _thin_labels(start) else None
+        start = (start, *_at(start, start.span.apex.elements,
+                             start.backend, ends), ends)
+    source, image, comps, ends = start
+    return (source, *_composed(image, comps, steps, source.backend, ends),
+            ends)
+
+
+def _landed(chain, target):
+    """The 2-cell a chain composes, landed in target by cell2_along,
+    which checks it there; into thin categories it holds the labels the
+    chain reaches (HeldCells), whose existence cell2_along decides."""
+    source, image, comps, ends = chain
+    atoms = source.span.apex.elements
+    land = dict(zip(atoms, image))
+    if type(comps) is tuple:
+        comps = _uniform(atoms, comps[0]) if atoms else {}
+    elif ends is not None:
+        comps = HeldCells(source, dict(zip(atoms, [G for _, G in comps])),
+                          land)
+    else:
+        comps = dict(zip(atoms, comps))
+    return cell2_along(source, target, land.__getitem__, comps)
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,15 @@ TRUSTED = {
                     "FinFn.tabulate",
                     "Span.identity", "SpanMorphism.identity",
                     "SpanMorphism.then", "_in_order", "compose_spans",
-                    "compose_span_morphisms_h", "cartesian_product"},
+                    "compose_span_morphisms_h", "cartesian_product",
+                    "convolution_span"},
     "cat_backend": {"FunctorData.identity", "FunctorData.held",
                     "FunctorData._composite", "NatTransData.identity",
                     "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
-                   "_composite", "hcomp2", "_tensor0",
-                   "tensor1", "tensor2", "cell2_along", "regroup_cell1",
+                   "_pair_labeled", "hcomp2", "_tensor0",
+                   "cell2_along", "regroup_cell1",
                    "invert_cell2"},
 }
 
@@ -251,11 +252,11 @@ def test_each_checked_constructor_message_is_written_once():
                 if isinstance(node, ast.Raise)]
 
 
-# The builders of 2-cells and span morphisms that a chain restricts: a
-# 1-cell is restricted by the atoms it is built on, a 2-cell only by the
-# 1-cell it starts from, so they take a source and no atoms.
+# The builders of 2-cells and span morphisms that take a source built
+# already: a 1-cell is restricted by the atoms it is built on, a 2-cell
+# only by the 1-cell it starts from, so they take a source and no atoms.
 RESTRICTED_BY_SOURCE = {
-    "spanv_core": {"hcomp2", "tensor2", "interchange_cell2"},
+    "spanv_core": {"hcomp2", "interchange_cell2"},
     "finset_span": {"compose_span_morphisms_h"},
 }
 
@@ -273,19 +274,17 @@ def test_a_2_cell_is_restricted_only_by_its_source():
                 not {"atoms", "pairs"} & params, name
 
 
-# The callers of the chain steps, which build each step of a law from
-# the 1-cell the step before lands on.  They are the package's one way
-# to chain 2-cells: no module defines a second one.
-STEPS = {
-    "_relabeled": {"monoidale_duoidal": {
-        "_triangle_left", "_triangle_right", "_frobenius_shared_prefix",
-        "_core_steps"}, "hopf_structures": {
-            "check_opmonoidal", "_lawful"}},
-    "_whiskered": {"monoidale_duoidal": {
-        "_triangle_left", "_triangle_right", "_alpha_reversed",
-        "_frobenius_shared_prefix", "_comparison_cells"},
-        "hopf_structures": {"_fusion", "_lawful"}},
-}
+# The callers of the chain mechanism: a law's chain starts from a built
+# 1-cell (_chained), composes each step atom by atom, and lands once, in
+# the law's target (_landed).  It is the package's one way to chain
+# 2-cells: no module defines a second one.
+CHAINS = {"spanv_core": {"relabel_cell2", "tensor2", "interchange_cell2"},
+          "monoidale_duoidal": {"_triangle_left", "_triangle_right",
+                                "_alpha_reversed", "star2",
+                                "_comparison_cells"},
+          "hopf_structures": {"check_opmonoidal", "_fusion", "_lawful"}}
+STEPS = {"_chained": {**CHAINS, "monoidale_duoidal": CHAINS[
+    "monoidale_duoidal"] | {"_frobenius_shared_prefix"}}, "_landed": CHAINS}
 
 
 def test_chain_steps_are_the_one_chain_mechanism():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopfspan import monoidale_duoidal as md
+from hopfspan import spanv_core as sc
 from hopfspan.finset_span import FinSet, FinFn, Span, SpanMorphism
 from hopfspan.vect_backend import (
     BraidParam, VObject, VMorphism, grouplike, invert, tensor_obj,
@@ -239,12 +240,9 @@ def test_frobenius_compares_its_0_cells_by_identity(n, backend,
     assert calls["equal"] == 0
 
 
-def restricted_prefix(adj, mirrored):
-    """A side's prefix, built on the atoms m_star o m reaches."""
-    coherence = md._alpha_reversed(adj) if mirrored else adj.alpha
-    outer = md._comparison_target(adj, mirrored)[4]
-    return md._frobenius_shared_prefix(adj, mirrored, coherence.source,
-                                       outer)[0]
+def restricted_prefix(adj, mirrored, target):
+    """A side's prefix chain, landed in target."""
+    return sc._landed(md._frobenius_shared_prefix(adj, mirrored), target)
 
 
 @pytest.mark.parametrize("backend", [V1, C], ids=["vect", "cat"])
@@ -257,17 +255,15 @@ def test_restricted_frobenius_cells_match_the_unrestricted_oracle(n, backend):
     for left, right, unit, counit in (
             (adj.m_star, adj.m, adj.m_unit, adj.m_counit),
             (adj.u_star, adj.u, adj.u_unit, adj.u_counit)):
-        assert md._triangle_left(identity_cell2(left), right, unit,
-                                 counit) == \
+        assert md._triangle_left(left, right, unit, counit) == \
             frobenius_oracle.triangle_left(left, right, unit, counit)
-        assert md._triangle_right(identity_cell2(right), left, unit,
-                                  counit) == \
+        assert md._triangle_right(left, right, unit, counit) == \
             frobenius_oracle.triangle_right(left, right, unit, counit)
     for mirrored in (False, True):
-        whole = frobenius_oracle.shared_prefix(adj, mirrored)[0]
-        prefix = restricted_prefix(adj, mirrored)
-        assert len(prefix.target.span.apex) == n
-        assert prefix == frobenius_oracle.onto_image(whole)
+        whole = frobenius_oracle.onto_image(
+            frobenius_oracle.shared_prefix(adj, mirrored)[0])
+        assert len(whole.target.span.apex) == n
+        assert restricted_prefix(adj, mirrored, whole.target) == whole
     sides = frobenius_comparison_cells(adj)
     for cells, whole in zip(sides,
                             frobenius_oracle.frobenius_comparison_cells(adj)):

@@ -232,9 +232,14 @@ def test_builders_agree_with_the_checked_constructors(seed):
 # thin categories whose components are not one object holds them by its
 # 1-cells (spanv_core.HeldCells), and its composites, whiskers and
 # inverses compose no transformation: 806 on Cat over 2 points when each
-# built its components one by one.
-FROBENIUS_BUILDS = {(1, "vect"): 560, (2, "vect"): 560,
-                    (1, "cat"): 713, (2, "cat"): 771}
+# built its components one by one.  Each chain composes its steps atom by
+# atom and lands once, in its law's target, so no 1-cell, span morphism
+# or cell is built between two steps: 560, 560, 713 and 771 when each
+# step landed in a 1-cell of its own.  A relabeling is such a chain, so
+# into thin categories it holds its identity components too: 460 on Cat
+# over 2 points when it built them.
+FROBENIUS_BUILDS = {(1, "vect"): 275, (2, "vect"): 275,
+                    (1, "cat"): 420, (2, "cat"): 458}
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROBENIUS_BUILDS))
@@ -341,7 +346,7 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
     # Cell2 constructor in checking mode: the law chains of modules and
     # representations over a thin fiber, a Frobenius check on Cat and
     # every builder on cells over the thin categories of test_thin,
-    # whiskers that land on a pair of 1-cells included.  The constructor
+    # chains that land with the labels they reach included.  The constructor
     # compares each component's ends with the labels and asks that a
     # transformation run between them, so it refuses a cell turned round
     # in a total order, a cell held from another 1-cell and one whose
@@ -362,8 +367,8 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
                            CatBackend()).ok
     for c in test_thin.THIN_FIBERS:
         test_thin.thin_builds(c, 0)
-    assert len(held) > 150
-    assert any(type(view.target) is tuple for view in held)
+    assert len(held) > 120
+    assert any(type(view.target) is dict for view in held)
     order = test_thin.total_order(4)
     cells, _, _ = test_thin.thin_builds(order, 0)
     u = cells[1]
@@ -429,12 +434,15 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
 # associator built per candidate.  Two of the FinFn counted are the end
 # maps of the category of actions, which FinFn.tabulate builds through
 # _trusted where the constructor, uncounted here, built them before.
+# The unit law's two sides are chains from id o q, with no identity cell
+# built on it: one Cell2, SpanMorphism and FinFn more when they started
+# from that cell.
 EM_BUILDS = {
-    (3, "modules"): {"Cell1": 3, "Cell2": 11, "FinFn": 23, "FinSet": 3,
-                     "FunctorData": 1, "Span": 3, "SpanMorphism": 11},
-    (2, "representations"): {"Cell1": 3, "Cell2": 11, "FinFn": 21,
+    (3, "modules"): {"Cell1": 3, "Cell2": 10, "FinFn": 22, "FinSet": 3,
+                     "FunctorData": 1, "Span": 3, "SpanMorphism": 10},
+    (2, "representations"): {"Cell1": 3, "Cell2": 10, "FinFn": 20,
                              "FinSet": 3, "FunctorData": 1, "Span": 3,
-                             "SpanMorphism": 11},
+                             "SpanMorphism": 10},
 }
 
 
@@ -457,8 +465,9 @@ def test_a_family_builds_as_many_cells_for_any_number_of_candidates(
         monkeypatch):
     # Z_3 and Z_5 modules decide 3 and 5 candidates over a thin fiber:
     # one family each, so the same Cell1 and Cell2 builds, on polyads
-    # built beforehand: 4 and 11, where Z_3 built 15 and 40 and Z_5 25
-    # and 66 with one carrier per candidate.  In checking mode every
+    # built beforehand: 4 and 10, where Z_3 built 15 and 40 and Z_5 25
+    # and 66 with one carrier per candidate (4 and 11 when the unit law's
+    # chains started from an identity cell).  In checking mode every
     # build, trusted ones included, runs the constructor, where it is
     # counted.
     polyads = {}
@@ -480,7 +489,7 @@ def test_a_family_builds_as_many_cells_for_any_number_of_candidates(
         assert comparison.report.ok
         assert len(comparison.algebras.objects) == n
         cells[n] = (builds["Cell1"], builds["Cell2"])
-    assert cells[3] == cells[5] == (4, 11)
+    assert cells[3] == cells[5] == (4, 10)
 
 
 @pytest.mark.parametrize("kind", ["vect", "cat"])
