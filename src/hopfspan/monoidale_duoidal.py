@@ -614,9 +614,8 @@ def star2(v, u):
 def _starred(v, u):
     """The convolution step v * u: at (c, h), 1_m o (v(c) . u(h)) o 1_d."""
     m, d = _diagonal_labels(v.source)
-    def op(be, f, g):
-        return be.comp2(be.comp2(be.id2(m), be.tensor2v(f, g)), be.id2(d))
-    return _pairwise(op, v, u)
+    return _pairwise(lambda be, f, g: be.comp2(be.comp2(
+        be.id2(m), be.tensor2v(f, g)), be.id2(d)), v, u)
 
 
 def complete_unit_cell1(src0, tgt0):

@@ -816,8 +816,10 @@ class _Ends:
     """The cell operations on the pairs of labels that held components
     run between (HeldCells), each seam checked as vcomp checks it."""
 
+    id2 = staticmethod(lambda p: (p, p))
+
     def __init__(self, be):
-        self.be, self.id2 = be, lambda p: (p, p)
+        self.be = be
 
     def of(self, phi):
         return self.be.src2(phi), self.be.tgt2(phi)
@@ -900,8 +902,7 @@ def _interchanged(f, g, h, k):
         ys = [interchange_atoms(x) for x in xs]
         if xs and all(type(label) is Uniform for label in labels):
             return ys, (be.mid4(*[label.value for label in labels]),)
-        mid4 = be.mid4 if ends is None else \
-            (lambda *ps: ends.of(be.mid4(*ps)))
+        mid4 = be.mid4 if ends is None else lambda *ps: ends.of(be.mid4(*ps))
         return ys, [mid4(F[a], G[b], H[c], K[d]) for ((a, b), (c, d)) in xs]
     return step
 
