@@ -518,9 +518,7 @@ def _execute_check(loaded, name):
         com = pres.comonoid_structure()
         return hs.check_opmonoidal(monad, com).failures, {}
     if name == "hopf":
-        com = pres.comonoid_structure()
-        left = hs.left_fusion(monad, com)
-        right = hs.right_fusion(monad, com)
+        left, right = hs.fusion_cells(monad, pres.comonoid_structure())
         verdict = hs.fusion_verdict(left, right)
         failures = [] if verdict else [("fusion invertible", verdict.witness)]
         return failures, {"fusion_determinants":

@@ -84,7 +84,9 @@ from .spanv_core import (
     vcomp2,
     vect_to_cat_functor,
     _composite,
+    _covers,
     _fill,
+    _mark_fields,
     _marked,
     _chained,
     _interchanged,
@@ -92,6 +94,7 @@ from .spanv_core import (
     _relabeled,
     _run,
     _tensored,
+    _values,
     _whiskered,
 )
 
@@ -109,7 +112,9 @@ class MonadPresentation:
     k) and eta[x] are base 2-cell values.  Construction builds the monad
     cells once, which validates every boundary, and keeps them as cells
     for every checker to read; the equations themselves are left to
-    check_monad.
+    check_monad.  Each of mu, mor_label and eta becomes a Uniform when it
+    holds one object at every key, so that each law on them is one
+    equation.
     """
 
     backend: object
@@ -122,6 +127,7 @@ class MonadPresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", monad_cells(self))
+        _mark_fields(self, "mu", "mor_label", "eta")
 
 
 def monad_cells(p):
@@ -147,11 +153,14 @@ def monad_cells(p):
 def check_monad(p):
     """Associativity over composable triples, unitality over morphisms.
 
-    l runs over the morphisms into src(k) in morphism order, read with
-    what (k, l) gives once per composable pair (the tails of k).  Each
-    side is built once per distinct mu entries and labels, keyed by
-    their ids: CheckReport.once, inlined for the n^4 triples of an
-    n-object shape."""
+    When mu, the labels and eta are each one object (Uniform), each law
+    is one equation, decided once; the triples and morphisms are walked
+    only if one fails, to record every failing tuple.  l runs over the
+    morphisms into src(k) in morphism order, read with what (k, l) gives
+    once per composable pair (the tails of k).  Each side is built once
+    per distinct mu entries and labels, keyed by their ids:
+    CheckReport.once, inlined for the n^4 triples of an n-object
+    shape."""
     report = CheckReport("monad axioms")
     be, d, lab, mu, eta = p.backend, p.shape, p.mor_label, p.mu, p.eta
     comp, src, tgt = d.composition, d.src.assignment, d.tgt.assignment
@@ -165,6 +174,13 @@ def check_monad(p):
         return (be.vcomp(y_h, be.comp2(unit_y, one)),
                 be.vcomp(h_x, be.comp2(one, unit_x)), one)
 
+    one = _values(mu, lab, eta)
+    if one is not None and len(d.morphisms):
+        m, label, unit = one
+        left, right, ident = units(m, unit, m, unit, label)
+        if report.uniform(be, associativity(m, m, label, m, label, m),
+                          (left, ident), (right, ident)):
+            return report
     mid = {pair: id(f) for pair, f in mu.items()}
     tails, built = {}, {}
     for (k, l) in d.composable_pairs():
@@ -197,15 +213,15 @@ def check_monad(p):
 @dataclass(frozen=True)
 class ComonoidStructure:
     """Per-morphism comultiplication and counit on the 1-cell labels,
-    keyed by shape morphisms.  The comultiplication is a Uniform when it
-    is one matrix at every morphism, so that the binary structure cell
-    is built once."""
+    keyed by shape morphisms.  Each is a Uniform when it is one matrix
+    at every morphism, so that the binary structure cell is built once
+    and each antipode square is one equation."""
 
     delta: dict
     eps: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _marked(self.delta))
+        _mark_fields(self, "delta", "eps")
 
 
 def _binary_cell(p, c, m):
@@ -268,13 +284,22 @@ def _pair_order(side):
     return (lambda a, b: (a, b)) if side == "left" else (lambda a, b: (b, a))
 
 
-def _fusion(p, c, fibers, side):
+def _fusion_operands(p, c, fibers):
+    """What both fusion cells are built from: the multiplication m of
+    the monoid object, the binary structure cell over m and the right
+    unitor on t."""
+    m = diagonal_multiplication(p.shape.objects, p.backend, fibers)
+    return m, _binary_cell(p, c, m), right_unitor_cell2(p.cells[0])
+
+
+def _fusion(p, operands, side):
     """The fusion cell (t o m) o (t . 1) => m o (t . t) on the left and
-    (t o m) o (1 . t) => m o (t . t) on the right: one chain, every
-    tensor pair in the side's order, landed once in the binary cell's
-    target.  It whiskers the binary structure cell and reassociates;
-    then, whiskered by 1_m, applies the interchange (where the braiding
-    acts), multiplies and absorbs the identity factor.  Over the graded
+    (t o m) o (1 . t) => m o (t . t) on the right, from the cells
+    _fusion_operands builds: one chain, every tensor pair in the side's
+    order, landed once in the binary cell's target.  It whiskers the
+    binary structure cell and reassociates; then, whiskered by 1_m,
+    applies the interchange (where the braiding acts), multiplies and
+    absorbs the identity factor.  Over the graded
     base the component at a composable pair works out to
     (mu tensor 1) (1 tensor braiding) (delta tensor 1) on the left; on
     the right the interchange braids against the unit label, so it is
@@ -283,12 +308,11 @@ def _fusion(p, c, fibers, side):
     """
     order = _pair_order(side)
     t, mu2, _ = p.cells
-    m = diagonal_multiplication(p.shape.objects, p.backend, fibers)
+    m, binary, unitor = operands
     idc = identity_cell1(m.tgt)
     pair = tensor1(*order(t, idc))
-    binary = _binary_cell(p, c, m)
     multiply = _run(_interchanged(t, t, *order(t, idc)),
-                    _tensored(*order(mu2, right_unitor_cell2(t))))
+                    _tensored(*order(mu2, unitor)))
     return _landed(_chained(hcomp1(binary.source, pair),
                             _whiskered(binary, pair), _relabeled(regroup),
                             _whiskered(m, multiply)), binary.target)
@@ -297,13 +321,20 @@ def _fusion(p, c, fibers, side):
 def left_fusion(p, c, fibers=None):
     """The left fusion cell (t o m) o (t . 1) => m o (t . t), whose
     invertibility is the left half of the Hopf property (see _fusion)."""
-    return _fusion(p, c, fibers, "left")
+    return _fusion(p, _fusion_operands(p, c, fibers), "left")
 
 
 def right_fusion(p, c, fibers=None):
     """The right fusion cell (t o m) o (1 . t) => m o (t . t): the left
     one with every tensor pair swapped (see _fusion)."""
-    return _fusion(p, c, fibers, "right")
+    return _fusion(p, _fusion_operands(p, c, fibers), "right")
+
+
+def fusion_cells(p, c, fibers=None):
+    """Both fusion cells, left then right, built from one set of
+    _fusion_operands."""
+    operands = _fusion_operands(p, c, fibers)
+    return _fusion(p, operands, "left"), _fusion(p, operands, "right")
 
 
 def fusion_components(cell, side):
@@ -327,8 +358,7 @@ def fusion_verdict(left, right):
 
 def is_hopf(p, c, fibers=None):
     """The Hopf property: build both fusion cells and test them."""
-    return fusion_verdict(left_fusion(p, c, fibers),
-                          right_fusion(p, c, fibers))
+    return fusion_verdict(*fusion_cells(p, c, fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +400,10 @@ def _antipode_squares(be, h_g, g_h, label, sigma, delta, eps, unit_y,
 
 def _antipode_axioms(p, c, sigma):
     """The two unit-counit composites per morphism, against eta o eps,
-    both built once per distinct operands.
+    both built once per distinct operands.  When every operand is one
+    object (Uniform), every morphism has a shape inverse and sigma,
+    delta and eps are given at each, each square is one equation,
+    decided once; the morphisms are walked only if one fails.
 
     sigma is keyed by shape morphisms, each entry from the label of the
     morphism to the label of its shape inverse; a missing inverse is a
@@ -379,8 +412,16 @@ def _antipode_axioms(p, c, sigma):
     report = CheckReport("antipode axioms")
     be, d, mu, eta = p.backend, p.shape, p.mu, p.eta
     src, tgt = d.src.assignment, d.tgt.assignment
+    inverse = {h: d.inverse(h) for h in d.morphisms}
+    one = _values(mu, p.mor_label, sigma, c.delta, c.eps, eta)
+    if one is not None and inverse and None not in inverse.values() \
+            and all(_covers(f, inverse) for f in (sigma, c.delta, c.eps)):
+        m, label, s, delta, eps, unit = one
+        if report.uniform(be, *_antipode_squares(be, m, m, label, s, delta,
+                                                 eps, unit, unit)):
+            return report
     for h in d.morphisms:
-        g = d.inverse(h)
+        g = inverse[h]
         if g is None:
             report.fail("no shape inverse", h)
             continue
@@ -504,11 +545,12 @@ def check_antipode_group(pres, sigma=None):
 def _antipode_inputs(pres, sigma):
     """The monad presentation, comonoid structure and family (the given
     one, else the presentation's), the last two keyed by shape
-    morphisms."""
+    morphisms and the family a Uniform when it is one matrix."""
     fam = sigma if sigma is not None else pres.antipode
     if fam is None:
         raise SpanVError("presentation carries no antipode family")
-    return pres.monad, pres.comonoid_structure(), pres.sigma_by_shape(fam)
+    return (pres.monad, pres.comonoid_structure(),
+            _marked(pres.sigma_by_shape(fam)))
 
 
 def check_antipode_duoidal(pres, sigma=None):
@@ -723,7 +765,8 @@ class EnrichedCatPresentation:
     morphism (u, v): u -> v carries hom[(v, u)]; construction builds that
     monad presentation once, as monad, and the key-translation helpers
     keep the orientation in one place.  delta/eps/antipode are optional,
-    keyed by hom pairs.
+    keyed by hom pairs.  Each of hom, mu and eta becomes a Uniform when
+    it holds one object at every key, as the monad's do.
     """
 
     backend: VectBackend
@@ -744,6 +787,7 @@ class EnrichedCatPresentation:
         object.__setattr__(self, "monad", MonadPresentation(
             self.backend, shape, {x: "*" for x in shape.objects},
             mor_label, mu, dict(self.eta)))
+        _mark_fields(self, "hom", "mu", "eta")
 
     def comonoid_structure(self):
         if self.delta is None or self.eps is None:
@@ -1562,10 +1606,14 @@ def em_algebras_restricted(p, kind="modules"):
 @dataclass(frozen=True)
 class EnrichedModule:
     """Objects v[(x, y)] with action maps psi[(x, y, z)] from
-    hom[(x, y)] tensor v[(y, z)] to v[(x, z)]."""
+    hom[(x, y)] tensor v[(y, z)] to v[(x, z)].  Each of v and psi
+    becomes a Uniform when it holds one object at every key."""
 
     v: dict
     psi: dict
+
+    def __post_init__(self):
+        _mark_fields(self, "v", "psi")
 
 
 def _module_associativity(xz_u, xy_z, zu, xy_u, xy, yz_u):
@@ -1583,8 +1631,19 @@ def _module_unit(xx_y, unit_x, xy):
 
 def _enriched_module_squares(e, m, report, tag):
     """Every associativity and unit square of m, each side built once
-    per distinct operands."""
+    per distinct operands.  When the operands are each one object
+    (Uniform) and m is given at every key, each square is one equation,
+    decided once; the tuples are walked only if one fails."""
     X, be, psi, v = e.objects, e.backend, m.psi, m.v
+    one = _values(psi, e.mu, v, e.hom, e.eta)
+    if one is not None and len(X) \
+            and _covers(psi, itertools.product(X, repeat=3)) \
+            and _covers(v, itertools.product(X, repeat=2)):
+        acts, mult, obj, hom, unit = one
+        if report.uniform(be, _module_associativity(acts, mult, obj, acts,
+                                                    hom, acts),
+                          _module_unit(acts, unit, obj)):
+            return
     for x, y, z, u in itertools.product(X, repeat=4):
         lhs, rhs = report.once(_module_associativity, psi[(x, z, u)],
                                e.mu[(x, y, z)], v[(z, u)], psi[(x, y, u)],
@@ -1708,9 +1767,8 @@ def image_hopf_report(pres, image, probes):
     if not verdict:
         report.fail("shape not a groupoid", verdict.witness)
         return report
-    com = pres.comonoid_structure()
-    for side, cell in (("left", left_fusion(pres.monad, com)),
-                       ("right", right_fusion(pres.monad, com))):
+    cells = fusion_cells(pres.monad, pres.comonoid_structure())
+    for side, cell in zip(("left", "right"), cells):
         pushed = apply_span_F(F, cell)
         res = invert_cell2(pushed)
         if not res:

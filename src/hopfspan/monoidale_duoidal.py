@@ -35,7 +35,8 @@ from .spanv_core import (
     regroup_cell1, relabel_cell2, regroup, ungroup, associator_cell2,
     left_unitor_cell2, right_unitor_cell2, interchange_cell2,
     interchange_atoms, invert_cell2, eq2, part, _chained, _fill, _landed,
-    _pair_labeled, _pairwise, _relabeled, _run, _tensored, _whiskered,
+    _mark_fields, _pair_labeled, _pairwise, _relabeled, _run, _tensored,
+    _values, _whiskered,
 )
 
 
@@ -793,7 +794,8 @@ def check_duoidal(un, cells):
 @dataclass(frozen=True)
 class ComonoidLabeledCell:
     """A 1-cell whose every label carries comonoid structure in the base:
-    delta[h] : a(h) -> a(h) . a(h) and eps[h] : a(h) -> K."""
+    delta[h] : a(h) -> a(h) . a(h) and eps[h] : a(h) -> K.  Each of delta
+    and eps becomes a Uniform when it holds one object at every key."""
 
     cell: Cell1
     delta: dict
@@ -810,6 +812,7 @@ class ComonoidLabeledCell:
             if not be.eq1(be.src2(e), p) or \
                     not be.eq1(be.tgt2(e), be.id1(be.unit0())):
                 raise SpanVError("counit boundary at %r" % (h,))
+        _mark_fields(self, "delta", "eps")
 
 
 _COMONOID_LAWS = ("coassociativity", "left counit", "right counit")
@@ -827,9 +830,15 @@ def _comonoid_sides(be, label, d, e):
 
 def check_comonoid(com):
     """Coassociativity and both counit laws, per apex element, each side
-    built once per distinct label, delta and eps."""
+    built once per distinct label, delta and eps.  When the labels,
+    delta and eps are each one object (Uniform), each law is one
+    equation, decided once; the apex is walked only if one fails."""
     report = CheckReport("comonoid labels")
     be = com.cell.backend
+    one = _values(com.cell.label, com.delta, com.eps)
+    if one is not None and len(com.cell.span.apex) \
+            and report.uniform(be, *_comonoid_sides(be, *one)):
+        return report
     for h in com.cell.span.apex:
         sides = report.once(_comonoid_sides, be, com.cell.label[h],
                             com.delta[h], com.eps[h])

@@ -5,7 +5,9 @@ once per distinct pair of operands.  The law loops on base values walk
 only the tuples they decide and build each side through
 CheckReport.once, once per distinct operands, so a shape whose structure
 maps are a few shared values builds a few sides however many tuples it
-has, and still records every tuple in loop order."""
+has, and still records every tuple in loop order.  When every operand
+of a law is one object at all its tuples, the law is one equation
+(CheckReport.uniform), and its loop is walked only if that fails."""
 
 from dataclasses import dataclass, field
 
@@ -51,7 +53,8 @@ class CheckReport:
 
     def equal(self, law, key, be, lhs, rhs):
         """The law lhs = rhs on base values at key, decided by backend be
-        once per distinct (lhs, rhs) pair and recorded as holds does."""
+        once per distinct (lhs, rhs) pair and recorded as holds does,
+        unless law is None; returns whether it holds."""
         pair = (id(lhs), id(rhs))
         hit = self._decided.get(pair)
         if hit is None:
@@ -59,8 +62,16 @@ class CheckReport:
             hit = self._decided[pair] = (lhs, rhs, Verdict(
                 ok, None if ok else be.first_diff(lhs, rhs)))
         verdict = hit[2]
-        if not verdict.ok:
+        if not verdict.ok and law is not None:
             self.fail(law, (key, verdict.witness))
+        return verdict.ok
+
+    def uniform(self, be, *sides):
+        """Whether each (lhs, rhs) of sides holds, decided as equal
+        decides it and recorded nowhere: the one equation of each law
+        whose operands are one object at every tuple.  The law's loop is
+        walked only when one fails, to record every failing tuple."""
+        return all(self.equal(None, None, be, lhs, rhs) for lhs, rhs in sides)
 
     def once(self, build, *operands):
         """build(*operands), built once per build and distinct operands:

@@ -96,8 +96,8 @@ def _uniform(keys, value):
 def _marked(values):
     """values as a Uniform when it is not empty and every value in it is
     one object, compared by identity; values itself otherwise, and a
-    HeldCells as it is, nothing read.  Decided where a cell is checked,
-    never in a builder."""
+    HeldCells as it is, nothing read.  Decided where a cell or a
+    presentation is checked, never in a builder."""
     if type(values) in (Uniform, HeldCells) or not values:
         return values
     first = next(iter(values.values()))
@@ -106,16 +106,29 @@ def _marked(values):
     return values
 
 
+def _mark_fields(value, *names):
+    """Each named dict field of the frozen dataclass value, _marked."""
+    for name in names:
+        object.__setattr__(value, name, _marked(getattr(value, name)))
+
+
+def _values(*operands):
+    """The value of each operand dict when every one is a Uniform; None
+    otherwise.  A law whose operands are all Uniform is one equation."""
+    for operand in operands:
+        if type(operand) is not Uniform:
+            return None
+    return [operand.value for operand in operands]
+
+
 def _fill(keys, op, *operands):
     """The Uniform on keys holding op of the operands' values, when keys
     is not empty and every operand dict is a Uniform; None otherwise, for
     the builder to build its dict atom by atom instead."""
-    for operand in operands:
-        if type(operand) is not Uniform:
-            return None
-    if keys:
-        return _uniform(keys, op(*[operand.value for operand in operands]))
-    return None
+    values = _values(*operands)
+    if values is None or not keys:
+        return None
+    return _uniform(keys, op(*values))
 
 
 def _covers(values, atoms):

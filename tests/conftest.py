@@ -24,9 +24,16 @@ def pytest_addoption(parser):
              "for each test, except those in conftest.TRUSTED_ONLY")
 
 
+@pytest.fixture
+def in_checking_mode(request):
+    """Whether this test runs in checking mode, for a count that only
+    the trusted path keeps."""
+    return request.config.getoption("--checking") and \
+        request.node.originalname not in TRUSTED_ONLY
+
+
 @pytest.fixture(autouse=True)
-def _checking_option(request, monkeypatch):
-    if request.config.getoption("--checking") and \
-            request.node.originalname not in TRUSTED_ONLY:
+def _checking_option(in_checking_mode, monkeypatch):
+    if in_checking_mode:
         from test_trusted import enter_checking_mode
         enter_checking_mode(monkeypatch)

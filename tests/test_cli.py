@@ -96,9 +96,14 @@ def test_z2_fusion_determinants_are_signs(capsys):
 
 
 def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
-    # The verdict and the determinants read the same two built cells.
-    calls = {"left_fusion": 0, "right_fusion": 0}
-    for name in calls:
+    # The verdict and the determinants read the same two built cells,
+    # and both cells are built from one diagonal multiplication, one
+    # binary structure cell and one unitor on t (two of each when each
+    # side built its own).
+    calls = collections.Counter()
+    for name in ("left_fusion", "right_fusion", "_fusion",
+                 "diagonal_multiplication", "_binary_cell",
+                 "right_unitor_cell2"):
         def counted(*args, _name=name, _original=getattr(hs, name),
                     **kwargs):
             calls[_name] += 1
@@ -107,7 +112,8 @@ def test_hopf_check_builds_each_fusion_cell_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", Z2_FILE, "--hopf",
                          "--format", "json")
     assert code == 0
-    assert calls == {"left_fusion": 1, "right_fusion": 1}
+    assert calls == {"_fusion": 2, "diagonal_multiplication": 1,
+                     "_binary_cell": 1, "right_unitor_cell2": 1}
 
 
 def test_hopf_check_eliminates_each_fusion_component_once(capsys,
@@ -156,7 +162,9 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     # built its source again and a whiskered composite on both sides).
     # Each chain now lands once, with no 1-cell built between its steps,
     # and the bimonoid square's counit and unit sides are chains too (68
-    # calls when each step landed in a sub-span of its own).
+    # calls when each step landed in a sub-span of its own).  Both fusion
+    # cells are built from one diagonal multiplication, binary structure
+    # cell and unitor on t (29 calls when each side built its own).
     # Before that, this check ran monad_cells 10 times,
     # check_category 4 times, induced_monoidale 5 times and compose_spans
     # 688 times; with a whole monoid object per fusion cell,
@@ -176,7 +184,7 @@ def test_default_check_builds_each_structure_once(capsys, monkeypatch):
     assert code == 0
     assert calls == collections.Counter({
         "monad_cells": 1, "check_category": 1, "induced_monoidale": 0,
-        "compose_spans": 29})
+        "compose_spans": 26})
 
 
 def test_opmonoidal_check_builds_convolutions_directly(capsys, monkeypatch):
@@ -690,7 +698,7 @@ def test_polyad_checks_run_only_their_own_half(capsys, monkeypatch):
     # Before, both read one whole image report, fusion cells included.
     calls = collections.Counter()
     for name in ("image_presentation", "check_monad", "left_fusion",
-                 "right_fusion"):
+                 "right_fusion", "fusion_cells"):
         def counted(*args, _name=name, _original=getattr(hs, name),
                     **kwargs):
             calls[_name] += 1
@@ -705,7 +713,7 @@ def test_polyad_checks_run_only_their_own_half(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", polyad, "--format", "json")
     assert code == 0
     assert calls == {"image_presentation": 1, "check_monad": 1,
-                     "left_fusion": 1, "right_fusion": 1}
+                     "fusion_cells": 1}
 
 
 def test_inapplicable_flags_on_polyad_are_skipped(capsys, tmp_path):

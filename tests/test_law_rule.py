@@ -8,7 +8,9 @@ sides once (CheckReport.equal), so the two must name the same failures,
 in the same order, with the same witnesses, whether the structure maps
 are shared or not, on one-object and many-object shapes, and on every
 backend the checkers run on: the graded base, its image in Cat and the
-finite-category base.
+finite-category base.  Where every operand of a law is one object
+(Uniform), the checkers decide one equation and walk no tuple unless it
+fails; the last section holds them to the same oracles there.
 """
 
 import dataclasses
@@ -19,9 +21,10 @@ import pytest
 from hopfspan import hopf_structures as hs
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
 from hopfspan.cli import load_document
+from hopfspan.finset_span import FinSet
 from hopfspan.monoidale_duoidal import ComonoidLabeledCell, check_comonoid
 from hopfspan.reporting import CheckReport, Verdict
-from hopfspan.spanv_core import CatBackend, VectBackend
+from hopfspan.spanv_core import CatBackend, Uniform, VectBackend
 from hopfspan import vect_backend as vb
 from hopfspan.vect_backend import VMorphism, VObject, unit_object
 
@@ -354,9 +357,12 @@ def test_a_shared_mu_decides_each_monad_law_once(n, monkeypatch):
         return raw(self, f, g)
 
     monkeypatch.setattr(VectBackend, "eq2", counted)
+    laws = walked(monkeypatch)
     assert hs.check_monad(pres.monad).ok
     # One pair of operands per law: associativity, left and right unit.
-    assert len(calls) == 3
+    # Each law is one equation: no tuple is walked (n^3 triples and 2n
+    # unit tuples were walked before the presentation was marked).
+    assert len(calls) == 3 and laws == []
 
     # On n objects every hom is one object and every mu entry one
     # matrix: each side is built once for all n^4 triples and n^2
@@ -373,7 +379,7 @@ def test_a_shared_mu_decides_each_monad_law_once(n, monkeypatch):
     monkeypatch.setattr(VectBackend, "vcomp", counted_vcomp)
     calls.clear()
     assert hs.check_monad(hs.indiscrete_enriched(range(n)).monad).ok
-    assert len(calls) == 1 and len(built) == 4
+    assert len(calls) == 1 and len(built) == 4 and laws == []
 
 
 # ---------------------------------------------------------------------------
@@ -409,3 +415,216 @@ def test_holds_records_the_witness_with_its_place():
     report.holds("b", Verdict(False, "w"))
     report.holds("c", Verdict(False, "w"), 0)
     assert report.failures == [("b", "w"), ("c", (0, "w"))]
+
+
+# ---------------------------------------------------------------------------
+# The uniform rule: a law whose operands are one object at every tuple is
+# one equation.  Each generated input comes as it is ("passing"), with
+# one wrong object in every slot of an operand ("failing": the one
+# equation fails), and with one slot given an equal but distinct copy
+# ("copy") or the wrong object ("broken"): then no operand of that kind
+# is one object and the loop is walked.
+
+
+def copied(f):
+    """An equal but distinct copy of a matrix or a transformation."""
+    if isinstance(f, NatTransData):
+        return NatTransData(f.source, f.target, dict(f.components))
+    return VMorphism(f.dom, f.cod, f.entries)
+
+
+def variants(rng, structure, right, wrong_of):
+    """(kind, the structure dict) for the four kinds, right at every slot
+    but where a kind says otherwise."""
+    wrong = wrong_of(right)
+    slot = rng.choice(sorted(structure, key=repr))
+    yield "passing", dict.fromkeys(structure, right)
+    yield "failing", dict.fromkeys(structure, wrong)
+    yield "copy", {**dict.fromkeys(structure, right), slot: copied(right)}
+    yield "broken", {**dict.fromkeys(structure, right), slot: wrong}
+
+
+def random_like(rng):
+    """A random matrix of f's shape other than f."""
+    def wrong(f):
+        g = f
+        while g == f:
+            g = random_vmorphism(rng, f.dom, f.cod)
+        return g
+    return wrong
+
+
+def walked(monkeypatch):
+    """The law of each tuple the checkers walk, in order: one per call
+    of CheckReport.equal that records."""
+    laws = []
+    equal = CheckReport.equal
+
+    def counted(self, law, *args):
+        if law is not None:
+            laws.append(law)
+        return equal(self, law, *args)
+    monkeypatch.setattr(CheckReport, "equal", counted)
+    return laws
+
+
+def assert_uniform_rule(kinds):
+    """kinds maps each kind to (failures, oracle's failures, laws
+    walked): every kind gives the oracle's report; the passing input
+    walks no tuple; the failing one walks the loop the copy walks, and
+    each law that fails there fails at every tuple."""
+    for kind, (failures, expected, laws) in kinds.items():
+        assert failures == expected, kind
+    assert not kinds["passing"][2] and not kinds["passing"][0]
+    failures, _, laws = kinds["failing"]
+    assert failures and laws == kinds["copy"][2] == kinds["broken"][2]
+    for law in {law for law, _ in failures}:
+        assert sum(1 for l, _ in failures if l == law) == laws.count(law)
+
+
+def uniform_monads(seed):
+    """(operand, the four kinds) for the group algebras of Z_2 and Z_3 and
+    the indiscrete presentations on 2 and 3 objects, on mu and, with
+    more than one object, on eta; and for cat_presentation's Z_2 and Z_3
+    shapes on mu, whose wrong transformation has a component other than
+    the unit, so that the unit laws fail."""
+    rng = seeded(seed)
+    for p in (hs.cyclic_group_algebra(2).monad,
+              hs.cyclic_group_algebra(3).monad,
+              hs.indiscrete_enriched(range(2)).monad,
+              hs.indiscrete_enriched(range(3)).monad):
+        for operand in ("mu", "eta")[:1 + (len(p.eta) > 1)]:
+            structure = getattr(p, operand)
+            yield operand, {
+                kind: dataclasses.replace(p, **{operand: given})
+                for kind, given in variants(rng, structure, structure.value,
+                                            random_like(rng))}
+    for n in (2, 3):
+        p = cat_presentation(rng, n, set(), True)
+        right = p.mu.value
+        wrong = NatTransData(right.source, right.target, {"*": "b"})
+        yield "mu", {kind: dataclasses.replace(p, mu=mu) for kind, mu in
+                     variants(rng, p.mu, right, lambda f: wrong)}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uniform_monad_laws_are_one_equation(seed, monkeypatch):
+    laws = walked(monkeypatch)
+    for operand, cases in uniform_monads(seed):
+        kinds = {}
+        for kind, p in cases.items():
+            assert type(getattr(p, operand)) is (
+                Uniform if kind in ("passing", "failing") else dict)
+            laws.clear()
+            failures = hs.check_monad(p).failures
+            kinds[kind] = (failures, naive_monad(p), list(laws))
+        assert_uniform_rule(kinds)
+    # An equal but distinct label is walked too.
+    p = cat_presentation(seeded(seed), 2, set(), True)
+    h, ident = next(iter(p.mor_label.items()))
+    copy = FunctorData(ident.dom, ident.cod, ident.omap, ident.mmap)
+    p = dataclasses.replace(p, mor_label={**p.mor_label, h: copy})
+    laws.clear()
+    assert hs.check_monad(p).failures == naive_monad(p) == [] and laws
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uniform_comonoid_laws_are_one_equation(seed, monkeypatch):
+    rng, laws = seeded(seed), walked(monkeypatch)
+    for n in (2, 3):
+        pres = hs.cyclic_group_algebra(n)
+        t, elements = pres.monad.cells[0], list(pres.elements)
+        delta, eps = pres.delta[pres.unit], pres.eps[pres.unit]
+        for operand in ("delta", "eps"):
+            kinds = {}
+            for kind, given in variants(rng, elements,
+                                        delta if operand == "delta" else eps,
+                                        random_like(rng)):
+                structure = {"delta": dict.fromkeys(elements, delta),
+                             "eps": dict.fromkeys(elements, eps),
+                             operand: given}
+                com = ComonoidLabeledCell(t, **structure)
+                laws.clear()
+                failures = check_comonoid(com).failures
+                kinds[kind] = (failures, naive_comonoid(com), list(laws))
+            assert_uniform_rule(kinds)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uniform_antipode_squares_are_one_equation(seed, monkeypatch):
+    rng, laws = seeded(seed), walked(monkeypatch)
+    for pres in (hs.cyclic_group_algebra(2), hs.cyclic_group_algebra(3),
+                 hs.indiscrete_enriched(range(3))):
+        for operand, structure in (("delta", pres.delta), ("eps", pres.eps),
+                                   ("antipode", pres.antipode.sigma)):
+            kinds = {}
+            for kind, given in variants(rng, structure,
+                                        next(iter(structure.values())),
+                                        random_like(rng)):
+                if operand == "antipode":
+                    given = hs.AntipodeFamily(given)
+                q = dataclasses.replace(pres, **{operand: given})
+                laws.clear()
+                failures = hs.check_antipode_group(q).failures
+                kinds[kind] = (failures, naive_antipode(
+                    q.monad, q.comonoid_structure(),
+                    q.sigma_by_shape(q.antipode)), list(laws))
+            assert_uniform_rule(kinds)
+
+
+def test_a_shape_without_inverses_walks_its_morphisms():
+    # Every operand of the idempotent monoid's squares is one object,
+    # but z has no inverse: the loop names it, and decides e.
+    p = hs.idempotent_monoid_presentation().monad
+    one = p.eta["*"]
+    c = hs.ComonoidStructure(dict.fromkeys(p.shape.morphisms, one),
+                             dict.fromkeys(p.shape.morphisms, one))
+    sigma = Uniform.fromkeys(p.shape.morphisms, one)
+    sigma.value = one
+    assert hs._antipode_axioms(p, c, sigma).failures == [
+        ("no shape inverse", "z")]
+
+
+def uniform_modules(rng):
+    """(presentation, module objects, the action's kinds, the laws the
+    failing action fails).  Over the indiscrete presentation every hom
+    is K, so an action K . V -> V is one matrix A on V: associativity is
+    A = A A and the unit A = 1.  With the group algebra of Z_2 at every
+    hom, an action on K is a character chi: the unit chi(e) = 1 holds
+    for chi(b) = 2, and associativity chi(b) chi(b) = chi(e) fails."""
+    for objects in (["x", "y"], ["x", "y", "z"]):
+        space = VObject([(("v",), 0), (("w",), 1)])
+        yield (hs.indiscrete_enriched(objects), space,
+               variants(rng, list(itertools.product(objects, repeat=3)),
+                        VMorphism.identity(space), random_like(rng)),
+               {"module associativity", "module unit"})
+    z2 = hs.cyclic_group_algebra(2)
+    objects, h = ["x", "y"], z2.labels[z2.unit]
+    pairs = list(itertools.product(objects, repeat=2))
+    triples = list(itertools.product(objects, repeat=3))
+    e = hs.EnrichedCatPresentation(
+        z2.backend, FinSet(objects), dict.fromkeys(pairs, h),
+        dict.fromkeys(triples, z2.mu[(z2.unit, z2.unit)]),
+        dict.fromkeys(objects, z2.eta))
+    counit = z2.eps[z2.unit]
+    chi = VMorphism(counit.dom, counit.cod, [[1, 2]])
+    assert h.labels() == [("e",), ("b",)]
+    yield (e, unit_object(), variants(rng, triples, counit, lambda f: chi),
+           {"module associativity"})
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_uniform_module_squares_are_one_equation(seed, monkeypatch):
+    rng, laws = seeded(seed), walked(monkeypatch)
+    for e, space, actions, failing in uniform_modules(rng):
+        v = dict.fromkeys(itertools.product(e.objects, repeat=2), space)
+        kinds = {}
+        for kind, psi in actions:
+            m = hs.EnrichedModule(v, psi)
+            report = CheckReport("module")
+            laws.clear()
+            hs._enriched_module_squares(e, m, report, "module")
+            kinds[kind] = (report.failures,
+                           naive_module_squares(e, m, "module"), list(laws))
+        assert_uniform_rule(kinds)
+        assert {law for law, _ in kinds["failing"][0]} == failing

@@ -748,8 +748,7 @@ def law_chains():
     for _, mp, c, fibers in test_hopf_structures.chain_inputs():
         if fibers is None:
             built.append(hs.check_opmonoidal(mp, c).failures)
-        built += [hs._fusion(mp, c, fibers, side)
-                  for side in ("left", "right")]
+        built += hs.fusion_cells(mp, c, fibers)
     return built
 
 

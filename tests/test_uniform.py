@@ -23,7 +23,9 @@ from hopfspan import monoidale_duoidal as md
 from hopfspan import spanv_core as sc
 from hopfspan import vect_backend as vb
 from hopfspan.cat_backend import FinCategory, FunctorData, NatTransData
-from hopfspan.finset_span import FinFn, FinSet, Span, SpanError, SpanMorphism
+from hopfspan.finset_span import (
+    FinFn, FinSet, Span, SpanError, SpanMorphism, _trusted as unchecked,
+)
 from hopfspan.spanv_core import (
     CatBackend, Cell0, Cell1, Cell2, InverseCellResult, SpanVError, Uniform,
     VectBackend, cell2_along, eq2, hcomp1, hcomp2, identity_cell1,
@@ -137,10 +139,11 @@ class CategoryBase:
 
     def stray_component(self, p, wrong_source):
         """A transformation out of or into another functor; the checks
-        read only its ends, so it is built without its own."""
+        read only its ends, so it is built without its own, in checking
+        mode too."""
         other = self.labels[p == self.labels[0]]
         ends = (other, p) if wrong_source else (p, other)
-        return sc._trusted(NatTransData, *ends, {"*": "e"})
+        return unchecked(NatTransData, *ends, {"*": "e"})
 
 
 BASES = {"graded": GradedBase, "category": CategoryBase}
@@ -298,8 +301,7 @@ def test_the_structure_cells_read_as_the_atom_by_atom_ones(monkeypatch):
         cells = []
         for _, p, c, fibers in chain_inputs():
             m = md.diagonal_multiplication(p.shape.objects, p.backend, fibers)
-            cells += [hs._binary_cell(p, c, m)] + [
-                hs._fusion(p, c, fibers, side) for side in ("left", "right")]
+            cells += [hs._binary_cell(p, c, m), *hs.fusion_cells(p, c, fibers)]
         return cells
     marked, plain = twice(monkeypatch, build)
     assert readable(marked) == readable(plain)
