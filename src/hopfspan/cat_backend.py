@@ -3,7 +3,9 @@
 FinCategory's composition maps composable morphism pairs (g, f) with
 tgt(f) = src(g) to g after f.  Category axioms are verified at
 construction, and check_category collects every violation, deciding the
-laws on morphism positions.  In a thin category (is_thin: no two
+laws on morphism positions; on one object, a monoid's table, it walks
+the associativity triples only when Light's test on generators fails
+(light_associative).  In a thin category (is_thin: no two
 morphisms share their endpoints) every law is decided by its endpoints:
 once they hold, its two sides are parallel and so equal, and
 check_category, the functor check and the naturality check into a thin
@@ -32,7 +34,10 @@ are.  Likewise a functor into a thin category may be held by its
 object map (FunctorData.held): m goes to the one morphism between the
 images of its ends, read on lookup.  Both are one view, ThinMap: key
 -> the one morphism between its two ends, which exists once every hom
-it reads is decided non-empty (ThinMap.gap).  A point functor, out of
+it reads is decided non-empty (ThinMap.gap); a composite into a thin
+category is held by the ComposedMap of its operands' object maps, and
+two functors into one are equal when their ends and object maps are.
+A point functor, out of
 the unit category TERMINAL, is built once per object (point_functor),
 and a composite of one is the point at its image, so composites of
 points compare by identity.
@@ -199,41 +204,60 @@ def is_thin(c):
 def check_category(c):
     """Collect every violation of the category axioms in c."""
     report = CheckReport("category axioms")
+    src, tgt = c.src.assignment, c.tgt.assignment
     for x in c.objects:
         i = c.identities(x)
-        if c.src(i) != x or c.tgt(i) != x:
+        if src[i] != x or tgt[i] != x:
             report.fail("identity endpoints", x)
-    if type(c.composition) is ThinTable:
+    table = c.composition
+    if type(table) is ThinTable:
         return _check_thin(c, report)
-    for (g, f) in c.composition:
-        if g not in c.morphisms or f not in c.morphisms \
-                or c.tgt(f) != c.src(g):
-            report.fail("table entry on non-composable pair", (g, f))
-    for (g, f) in c.composable_pairs():
-        if (g, f) not in c.composition:
-            report.fail("missing composite", (g, f))
-            continue
-        gf = c.composition[(g, f)]
-        if gf not in c.morphisms:
-            report.fail("composite not a morphism", (g, f))
-        elif c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
-            report.fail("composite endpoints", (g, f))
+    has, pairs = c.morphisms.__contains__, c.composable_pairs()
+    # On one object every end agrees, so a table with a morphism at each
+    # pair and nothing else passes; only otherwise is each entry walked.
+    if len(c.objects) != 1 or len(table) != len(pairs) \
+            or not all(map(table.__contains__, pairs)) \
+            or not all(map(has, set(table.values()))):
+        for (g, f) in table:
+            if not has(g) or not has(f) or tgt[f] != src[g]:
+                report.fail("table entry on non-composable pair", (g, f))
+        missing = object()
+        for (g, f) in pairs:
+            gf = table.get((g, f), missing)
+            if gf is missing:
+                report.fail("missing composite", (g, f))
+            elif not has(gf):
+                report.fail("composite not a morphism", (g, f))
+            elif src[gf] != src[f] or tgt[gf] != tgt[g]:
+                report.fail("composite endpoints", (g, f))
     if not report.ok or is_thin(c):
         # Both sides of each law are parallel once the endpoints hold.
         return report
+    morphisms, pos = c.morphisms.elements, c.morphisms.positions()
+    one = len(c.objects) == 1
+    if one:
+        # A monoid's table: the unit laws read from it, and the
+        # triples walked only if Light's test fails.
+        e = c.identities(c.objects.elements[0])
+        for f in morphisms:
+            if table[(e, f)] != f:
+                report.fail("left identity", f)
+            if table[(f, e)] != f:
+                report.fail("right identity", f)
+        if light_associative(morphisms, table):
+            return report
     # Every composite is a morphism: decide the laws on morphism
     # positions, where after[g][f] is the position of g after f.
-    morphisms, pos = c.morphisms.elements, c.morphisms.positions()
     after = [{} for _ in morphisms]
-    for (g, f), gf in c.composition.items():
+    for (g, f), gf in table.items():
         after[pos[g]][pos[f]] = pos[gf]
-    src, tgt = c.src.assignment, c.tgt.assignment
-    ids = {x: pos[i] for x, i in c.identities.assignment.items()}
-    for i, f in enumerate(morphisms):
-        if after[ids[tgt[f]]][i] != i:
-            report.fail("left identity", f)
-        if after[i][ids[src[f]]] != i:
-            report.fail("right identity", f)
+    if not one:
+        ids = {x: pos[i] for x, i in c.identities.assignment.items()}
+        for i, f in enumerate(morphisms):
+            if after[ids[tgt[f]]][i] != i:
+                report.fail("left identity", f)
+            if after[i][ids[src[f]]] != i:
+                report.fail("right identity", f)
     out_of = {x: [pos[h] for h in hs]
               for x, hs in c.morphisms_by(c.src).items()}
     for (g, f) in c.composable_pairs():
@@ -244,6 +268,52 @@ def check_category(c):
             if after[hk[i]][j] != hk[gf]:
                 report.fail("associativity", (morphisms[k], g, f))
     return report
+
+
+def light_associative(elements, mul):
+    """Whether the table mul, each pair (x, y) of elements to an element,
+    is associative, by Light's test (A. H. Clifford and G. B. Preston,
+    The Algebraic Theory of Semigroups, vol. 1): the a with
+    (x a) y = x (a y) for all x and y are closed under mul, so it is
+    enough that each member of a set generating the table is one.  The
+    set is taken greedily from the table itself: each element in turn
+    that the products of those before it miss, where the products are
+    grown by multiplying on the right by each generator (left-bracketed
+    products, which the generated submagma holds).  A two-sided unit
+    passes at once; each other generator costs n^2 products, where the
+    triples are n^3.  Three elements or fewer are walked triple by
+    triple, which costs less than finding the set.  False says only that
+    some triple fails; the caller walks them all to name it."""
+    elements = list(elements)
+    if len(elements) <= 3:
+        for x in elements:
+            for y in elements:
+                xy = mul[(x, y)]
+                for z in elements:
+                    if mul[(xy, z)] != mul[(x, mul[(y, z)])]:
+                        return False
+        return True
+    reached, generators = set(), []
+    for g in elements:
+        if g in reached:
+            continue
+        generators.append(g)
+        grown = [g, *[mul[(x, g)] for x in reached]]
+        while grown:
+            e = grown.pop()
+            if e not in reached:
+                reached.add(e)
+                grown += [mul[(e, a)] for a in generators]
+    for a in generators:
+        left = [mul[(x, a)] for x in elements]
+        right = [mul[(a, y)] for y in elements]
+        if left == right == elements:
+            continue  # a unit: (x a) y = x y = x (a y)
+        for x, xa in zip(elements, left):
+            for y, ay in zip(elements, right):
+                if mul[(xa, y)] != mul[(x, ay)]:
+                    return False
+    return True
 
 
 def _check_thin(c, report):
@@ -531,11 +601,14 @@ TERMINAL = _owns_no_memo(FinCategory.discrete(["*"]), process_wide=True)
 
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse; else the first
-    morphism without one is the witness.  Decided once and kept on c; in
-    a thin c each inverse is read from the hom buckets."""
+    morphism without one is the witness.  Decided once and kept on c; a
+    thin c is one when its hom relation is symmetric, read from the hom
+    buckets, and the morphisms are walked only to name the witness."""
     if c._groupoid is None:
-        witness = next((m for m in c.morphisms if c.inverse(m) is None),
-                       None)
+        homs = c._homs_by_ends() if is_thin(c) else None
+        witness = None if homs is not None and all(
+            (y, x) in homs for (x, y) in homs) else next(
+                (m for m in c.morphisms if c.inverse(m) is None), None)
         object.__setattr__(c, "_groupoid",
                            Verdict(witness is None, witness=witness))
     return c._groupoid
@@ -610,8 +683,10 @@ class FunctorData:
             return True
         if type(other) is not FunctorData:
             return NotImplemented
-        return (self.dom, self.cod, self.omap, self.mmap) == \
-            (other.dom, other.cod, other.omap, other.mmap)
+        # Into a thin category the object map fixes the morphism map.
+        return (self.dom, self.cod, self.omap) == \
+            (other.dom, other.cod, other.omap) and (
+                is_thin(self.cod) or self.mmap == other.mmap)
 
     @staticmethod
     def identity(c):
@@ -646,7 +721,8 @@ class FunctorData:
         """other after self; out of a product, mapped on lookup.  A
         composite with an identity functor is the other operand, that of
         a point the point at its image, and a composite is held by its
-        object map when other is."""
+        object map when other is, that map a ComposedMap of the two
+        operands' object maps: no table is composed."""
         if other.dom is not self.cod and other.dom != self.cod:
             raise CatError("functors are not composable")
         if self is self.dom._identity:
@@ -658,15 +734,25 @@ class FunctorData:
                 self.omap.assignment["*"]])
         return _kept(FunctorData._composite, self, other)
 
+    def keep_then(self, other, composite):
+        """Keep composite as self.then(other), unless one is kept: a
+        composite decided from the object maps, never composed, as a
+        translation's is (translating by v, then by u, is translating by
+        uv where the table is associative).  The caller decides that it
+        has self's domain, other's codomain and their composed object
+        map."""
+        _kept(FunctorData._composite, self, other, made=composite)
+
     def _composite(self, other):
         dom, cod = self.dom, other.cod
         product = product_factors(dom) is not None
-        if product:
+        held = type(other.mmap.assignment) is ThinMap
+        if product or held:
             omap = _trusted(FinFn, dom.objects, cod.objects, ComposedMap(
                 dom.objects, other.omap.assignment, self.omap.assignment))
         else:
             omap = other.omap.compose(self.omap)
-        if type(other.mmap.assignment) is ThinMap:
+        if held:
             mmap = _trusted(FinFn, dom.morphisms, cod.morphisms,
                             ThinMap.morphisms(dom, cod, omap))
         elif product:

@@ -63,34 +63,50 @@ _PROCESS_WIDE = MappingProxyType({})
 _PROCESS_WIDE_MEMO = {}
 
 
-def _kept(build, first, second, *more):
+def _kept(build, first, second, *more, made=None):
     """build(*operands), built once per tuple of operands: the one
-    keep-rule of the package.  The result is kept in the memo of the
-    first operand that may own one (its _memo, a dict set on first
-    use), under build and the other operands' ids (all the operands'
-    ids when the owner is not the first), holding the other operands,
-    so that no id is reused while it lives.  An identity owns no memo,
-    nor does a value that lives as long as the process
-    (cat_backend.TERMINAL, vect_backend._UNIT), where a memo would keep
-    every operand it met alive: _owns_no_memo marks them; nor does an
-    atom, which takes no attribute.  What is built of process-wide
-    values and atoms alone is process-wide too, kept in
+    keep-rule of the package.  Given made, a value known to equal it,
+    that is kept instead, unless a result is kept already.  The result
+    is kept in the memo of the first operand that may own one (its
+    _memo, a dict set on first use), under build and the other operands'
+    ids (all the operands' ids when the owner is not the first), holding
+    the other operands, so that no id is reused while it lives.  An
+    identity owns no memo, nor does a value that lives as long as the
+    process (cat_backend.TERMINAL, vect_backend._UNIT), where a memo
+    would keep every operand it met alive: _owns_no_memo marks them; nor
+    does an atom, which takes no attribute.  What is built of
+    process-wide values and atoms alone is process-wide too, kept in
     _PROCESS_WIDE_MEMO under build and all the ids; with no owner
     otherwise, the result is built at every call."""
-    # The hit on the first operand's memo comes first, with no tuple
-    # built when there are two operands, as there are at most sites.
-    try:
-        memo = first._memo
-    except AttributeError:
-        memo = _NO_MEMO
+    # The first operand's memo comes first, with no tuple built when
+    # there are two operands, as there are at most sites; when the first
+    # owns none (an identity), the hit on the second's comes next.  A
+    # getattr with a default raises nothing for a fresh operand.
+    mine = getattr(first, "_memo", None)
+    if mine is None and not isinstance(first, (str, int, tuple)):
+        object.__setattr__(first, "_memo", mine := {})
     rest = (id(second), *map(id, more)) if more else id(second)
-    memo = memo.get(build)
-    if memo is not None:
-        hit = memo.get(rest)
-        if hit is not None:
-            return hit[1]
+    if type(mine) is dict:
+        kept = mine.get(build)
+        if kept is None:
+            kept = mine[build] = {}
+        else:
+            hit = kept.get(rest)
+            if hit is not None:
+                return hit[1]
+        held = (second,) if not more and second is not first else tuple(
+            operand for operand in (second, *more) if operand is not first)
+        hit = kept[rest] = (held, build(first, second, *more)
+                            if made is None else made)
+        return hit[1]
+    if not more and type(theirs := getattr(second, "_memo", None)) is dict:
+        kept = theirs.get(build)
+        if kept is not None:
+            hit = kept.get((id(first), rest))
+            if hit is not None:
+                return hit[1]
     operands = (first, second, *more)
-    for owner in operands:
+    for owner in operands[1:]:
         memo = getattr(owner, "_memo", None)
         if memo is None:
             try:
@@ -100,22 +116,18 @@ def _kept(build, first, second, *more):
                     raise
                 continue
         if type(memo) is dict:
+            memo, key = memo.setdefault(build, {}), tuple(map(id, operands))
             break
     else:
         if any(getattr(operand, "_memo", _PROCESS_WIDE)
                is not _PROCESS_WIDE for operand in operands):
-            return build(*operands)
+            return build(*operands) if made is None else made
         memo, owner = _PROCESS_WIDE_MEMO, None
-    if owner is first:
-        memo, key = memo.setdefault(build, {}), rest
-    elif owner is None:
         key = (build, *map(id, operands))
-    else:
-        memo, key = memo.setdefault(build, {}), tuple(map(id, operands))
     hit = memo.get(key)
     if hit is None:
         held = tuple(operand for operand in operands if operand is not owner)
-        hit = memo[key] = (held, build(*operands))
+        hit = memo[key] = (held, build(*operands) if made is None else made)
         if owner is None:
             _owns_no_memo(hit[1], process_wide=True)
     return hit[1]

@@ -143,7 +143,9 @@ def monad_cells(p):
     for pair in composite.span.apex:
         if pair not in p.mu:
             raise SpanVError("multiplication entry missing at %r" % (pair,))
-    mu2 = cell2_along(composite, t, lambda pair: d.compose(*pair),
+    # The apex of t o t is the composable pairs: each composite is read
+    # from the table, which cell2_along checks against the legs.
+    mu2 = cell2_along(composite, t, d.composition.__getitem__,
                       {pair: p.mu[pair] for pair in composite.span.apex})
     eta2 = cell2_along(identity_cell1(t.src), t, d.identities,
                        {x: p.eta[x] for x in d.objects})
@@ -880,10 +882,13 @@ def enriched_from_groupoid(cat, q=None, grades=None):
 class MonoidalCatData:
     """A strictly monoidal finite category: the tensor is a functor on
     the product category, associative and unital on the nose at both the
-    object and morphism level.  Associativity on morphisms is checked on
-    the generators of the triple product only, and in a thin category
-    not at all: there the laws on morphisms are decided by their
-    endpoints, which the laws on objects fix."""
+    object and morphism level.  Associativity on objects is Light's test
+    on a generating set of the object table (cb.light_associative), n^2
+    per generator, and the n^3 triples are walked only when it fails, to
+    name the first.  Associativity on morphisms is checked on the
+    generators of the triple product only, and in a thin category not at
+    all: there the laws on morphisms are decided by their endpoints,
+    which the laws on objects fix."""
 
     cat: cb.FinCategory
     tensor: cb.FunctorData
@@ -896,22 +901,23 @@ class MonoidalCatData:
                              "category back to the category")
         if self.unit not in c.objects:
             raise SpanVError("unit object %r not present" % (self.unit,))
-        e = c.identities(self.unit)
-        for x in c.objects:
-            if t.omap((self.unit, x)) != x or t.omap((x, self.unit)) != x:
+        e, u = c.identities(self.unit), self.unit
+        to, objects = t.omap.assignment, c.objects.elements
+        for x in objects:
+            if to[(u, x)] != x or to[(x, u)] != x:
                 raise SpanVError("unit law fails at %r" % (x,))
         thin = cb.is_thin(c)
         if not thin:
             for m in c.morphisms:
                 if t.mmap((e, m)) != m or t.mmap((m, e)) != m:
                     raise SpanVError("unit law fails at morphism %r" % (m,))
-        to = t.omap.assignment
-        for x in c.objects:
-            for y in c.objects:
-                for z in c.objects:
-                    if to[(to[(x, y)], z)] != to[(x, to[(y, z)])]:
-                        raise SpanVError("tensor not associative at %r"
-                                         % ((x, y, z),))
+        if not cb.light_associative(objects, to):
+            for x in objects:
+                for y in objects:
+                    for z in objects:
+                        if to[(to[(x, y)], z)] != to[(x, to[(y, z)])]:
+                            raise SpanVError("tensor not associative at %r"
+                                             % ((x, y, z),))
         if thin:
             return
         # Both bracketings are functors (C x C) x C -> C that agree on
@@ -982,13 +988,17 @@ class PolyadOpmonoidalStructure:
     d0: dict
 
     def __post_init__(self):
-        p, d = self.monad, self.monad.shape
+        d = self.monad.shape
         for h in d.morphisms:
             self._check_label(h)
+        thin = {x: cb.is_thin(f.cat) for x, f in self.fibers.items()}
+        tgt = d.tgt.assignment
         for (h, k) in d.composable_pairs():
-            self._check_mu(h, k)
+            if not thin[tgt[h]]:
+                self._check_mu(h, k)
         for x in d.objects:
-            self._check_eta(x)
+            if not thin[x]:
+                self._check_eta(x)
 
     def _check_label(self, h):
         p, d = self.monad, self.monad.shape
@@ -1039,8 +1049,6 @@ class PolyadOpmonoidalStructure:
         hk = d.compose(h, k)
         mu = p.mu[(h, k)].components
         cod = ft.cat
-        if cb.is_thin(cod):
-            return
         for a in fs.cat.objects:
             for b in fs.cat.objects:
                 lhs = cod.compose(self.d2[hk].components[(a, b)],
@@ -1066,8 +1074,6 @@ class PolyadOpmonoidalStructure:
         e = d.identities(x)
         eta = p.eta[x].components
         cod = fx.cat
-        if cb.is_thin(cod):
-            return
         for a in fx.cat.objects:
             for b in fx.cat.objects:
                 lhs = cod.compose(self.d2[e].components[(a, b)],
@@ -1189,9 +1195,15 @@ def translation_polyad(elements, mul, unit, fiber):
     contains m: a translation exists only on a thin fiber.  There each
     label is held by its object map (cb.FunctorData.held), and mu and
     eta by their functors (cb.NatTransData.held): no morphism or
-    component is looked up.  On any other fiber, or where a label
-    misses a hom, the first label in shape order and its first morphism
-    whose hom is not one morphism are named."""
+    component is looked up.  mu is read from the object maps: by the
+    shape's associativity, translating by v and then by u moves every
+    object as translating by uv does, so that composite is the label of
+    uv itself, kept as it (cb.FunctorData.keep_then), never composed,
+    and mu at (u, v) is the one transformation from it to itself; a
+    fiber object that is no element is translated by composing.  On any
+    other fiber, or where a label misses a hom, the first label in shape
+    order and its first morphism whose hom is not one morphism are
+    named."""
     shape = cb.FinCategory.from_monoid(list(elements), mul, unit)
     c = fiber.cat
     mor_label = {}
@@ -1206,10 +1218,17 @@ def translation_polyad(elements, mul, unit, fiber):
                 if len(c.hom(mul[(v, c.src(m))], mul[(v, c.tgt(m))])) != 1)
             raise SpanVError("translation by %r is not determined at %r"
                              % (u, m)) from None
-    # Translation is strict, so each component is an identity.
-    mu = {(u, v): cb.NatTransData.held(mor_label[v].then(mor_label[u]),
-                                       mor_label[mul[(u, v)]])
-          for (u, v) in shape.composable_pairs()}
+    strict = all(map(shape.morphisms.__contains__, c.objects))
+    same = {u: cb.NatTransData.held(f, f) for u, f in mor_label.items()}
+    mu = {}
+    for (u, v) in shape.composable_pairs():
+        uv = mul[(u, v)]
+        if strict:
+            mor_label[v].keep_then(mor_label[u], mor_label[uv])
+            mu[(u, v)] = same[uv]
+        else:
+            mu[(u, v)] = cb.NatTransData.held(
+                mor_label[v].then(mor_label[u]), mor_label[uv])
     eta = cb.NatTransData.held(cb.FunctorData.identity(c), mor_label[unit])
     return MonadPresentation(CatBackend(), shape, {"*": c}, mor_label, mu,
                              {"*": eta})
@@ -1220,9 +1239,14 @@ def translation_opmonoidal(elements, mul, unit, fiber):
     fiber admits one: each d2 component must be the unique morphism from
     the translated tensor to the tensor of translates, which exists in
     the indiscrete fiber but not in the discrete one away from the
-    unit.  The fiber is thin, or translation_polyad refuses it, and each
-    d2 is held by its functors (cb.NatTransData.held); a missing
-    component is named by its first object."""
+    unit.  The fiber is thin, or translation_polyad refuses it, so d2
+    and d0 are read from the object maps: each d2 is held by its
+    functors (cb.NatTransData.held), composites out of the product held
+    by the ComposedMap of their object maps, and exists when every hom
+    between their images is non-empty, decided once in a fiber with a
+    morphism between any two objects; each d0 is the one morphism from
+    the translated unit to the unit.  A missing component is named by
+    its first object."""
     p = translation_polyad(elements, mul, unit, fiber)
     c = fiber.cat
     d2, d0 = {}, {}
@@ -1657,24 +1681,31 @@ def _enriched_module_squares(e, m, report, tag):
 
 def enriched_module_product(e, a, b):
     """The pointwise tensor of two modules, acted on by comultiplying the
-    hom factor and braiding it past the first module."""
+    hom factor and braiding it past the first module.  Each action is
+    built once per distinct operands, keyed by their ids, so that the
+    product of modules whose operands are each one object is one too
+    (a Uniform)."""
     if e.delta is None:
         raise SpanVError("the module product needs comonoid structure on "
                          "the presentation")
     q = e.backend.q
     v = {p: vb.tensor_obj(a.v[p], b.v[p]) for p in a.v}
-    psi = {}
+    psi, built = {}, {}
     for (x, y, z) in a.psi:
-        homxy = e.hom[(x, y)]
-        spread = vb.tensor_mor(
-            e.delta[(x, y)],
-            vb.VMorphism.identity(vb.tensor_obj(a.v[(y, z)], b.v[(y, z)])))
-        shuffle = vb.tensor_mor(
-            vb.VMorphism.identity(homxy),
-            vb.tensor_mor(vb.braiding(homxy, a.v[(y, z)], q),
-                          vb.VMorphism.identity(b.v[(y, z)])))
-        act = vb.tensor_mor(a.psi[(x, y, z)], b.psi[(x, y, z)])
-        psi[(x, y, z)] = act.compose(shuffle).compose(spread)
+        homxy, av, bv = e.hom[(x, y)], a.v[(y, z)], b.v[(y, z)]
+        operands = (homxy, e.delta[(x, y)], av, bv, a.psi[(x, y, z)],
+                    b.psi[(x, y, z)])
+        key = tuple(map(id, operands))
+        if key not in built:
+            spread = vb.tensor_mor(operands[1], vb.VMorphism.identity(
+                vb.tensor_obj(av, bv)))
+            shuffle = vb.tensor_mor(
+                vb.VMorphism.identity(homxy),
+                vb.tensor_mor(vb.braiding(homxy, av, q),
+                              vb.VMorphism.identity(bv)))
+            act = vb.tensor_mor(operands[4], operands[5])
+            built[key] = act.compose(shuffle).compose(spread)
+        psi[(x, y, z)] = built[key]
     return EnrichedModule(v, psi)
 
 

@@ -425,7 +425,8 @@ def product_functor(p, q):
 
 def _product_functor(p, q):
     dom = product_category(p.dom, q.dom)
-    cod = product_category(p.cod, q.cod)
+    cod = dom if p.cod is p.dom and q.cod is q.dom else \
+        product_category(p.cod, q.cod)
     omap = cb.PairMap(dom.objects, p.omap.assignment, q.omap.assignment)
     mmap = cb.PairMap(dom.morphisms, p.mmap.assignment, q.mmap.assignment)
     return _trusted(cb.FunctorData, dom, cod,

@@ -640,18 +640,19 @@ def test_criterion_20_translation_polyad_z3_representations():
            0.5, 27)
 
 
-# The Z_32 Hopf checks, each in a child process of its own, capped at
+# The Z_n Hopf checks, each in a child process of its own, capped at
 # 3 GB of address space.  The peak RSS is read from VmHWM, the
 # high-water mark of the address space the child execs into: ru_maxrss
 # carries the parent's over a fork, so a large test process would be
-# read instead.  The polyad and fiber builders are named by argv.
+# read instead.  The polyad and fiber builders and the group order are
+# named by argv.
 HOPF_CHILD = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 from hopfspan import hopf_structures as hs
 build, fiber_of = getattr(hs, sys.argv[1]), getattr(hs, sys.argv[2])
 start = time.monotonic()
-names, mul, unit = hs.cyclic_group(32)
+names, mul, unit = hs.cyclic_group(int(sys.argv[3]))
 fiber = fiber_of(names, mul, unit)
 assert hs.polyad_is_hopf(build(names, mul, unit, fiber))
 elapsed = time.monotonic() - start
@@ -674,25 +675,35 @@ def run_child(script, *args):
     return elapsed, peak_mib
 
 
-def hopf_in_a_child(build, fiber_of, number, label, bound, peak_bound_mib):
-    elapsed, peak_mib = run_child(HOPF_CHILD, build, fiber_of)
+def hopf_in_a_child(build, fiber_of, order, number, label, bound,
+                    peak_bound_mib):
+    elapsed, peak_mib = run_child(HOPF_CHILD, build, fiber_of, str(order))
     print("criterion %d: peak RSS %.0f MiB of %d MiB"
           % (number, peak_mib, peak_bound_mib))
-    finish(number, "Hopf check of the %s over Z_32, fiber build included"
-           % label, time.monotonic() - elapsed, bound)
+    finish(number, "Hopf check of the %s over Z_%d, fiber build included"
+           % (label, order), time.monotonic() - elapsed, bound)
     assert peak_mib < peak_bound_mib
 
 
 def test_criterion_21_translation_polyad_z32_hopf_check():
     hopf_in_a_child("translation_opmonoidal", "indiscrete_monoidal_group",
-                    21, "translation polyad", 0.5, 100)
+                    32, 21, "translation polyad", 0.5, 100)
 
 
 # Over the discrete fiber, a thin groupoid, the verdict is the shape's:
 # no fusion family is built, where building them read n^4 homs.
 def test_criterion_25_identity_polyad_z32_discrete_hopf_check():
-    hopf_in_a_child("identity_polyad", "discrete_monoidal_group", 25,
+    hopf_in_a_child("identity_polyad", "discrete_monoidal_group", 32, 25,
                     "identity polyad on the discrete fiber", 0.1, 50)
+
+
+# The build dominates a translation Hopf check over the indiscrete
+# fiber: no pair of labels composes a table (each composite is read from
+# the object maps), and no table of the fiber or the shape is walked by
+# triples (Light's test on generators).
+def test_criterion_27_translation_polyad_z128_hopf_check():
+    hopf_in_a_child("translation_opmonoidal", "indiscrete_monoidal_group",
+                    128, 27, "translation polyad", 0.6, 120)
 
 
 # The Z_n modules or representations in a child process of their own,

@@ -628,3 +628,49 @@ def test_uniform_module_squares_are_one_equation(seed, monkeypatch):
                            naive_module_squares(e, m, "module"), list(laws))
         assert_uniform_rule(kinds)
         assert {law for law, _ in kinds["failing"][0]} == failing
+
+
+def tuple_product(e, a, b):
+    """enriched_module_product with a fresh action composed at every key,
+    as the tuple loop builds it."""
+    q = e.backend.q
+    v = {p: vb.tensor_obj(a.v[p], b.v[p]) for p in a.v}
+    psi = {}
+    for (x, y, z) in a.psi:
+        homxy, av, bv = e.hom[(x, y)], a.v[(y, z)], b.v[(y, z)]
+        spread = vb.tensor_mor(e.delta[(x, y)],
+                               VMorphism.identity(vb.tensor_obj(av, bv)))
+        shuffle = vb.tensor_mor(
+            VMorphism.identity(homxy),
+            vb.tensor_mor(vb.braiding(homxy, av, q), VMorphism.identity(bv)))
+        act = vb.tensor_mor(a.psi[(x, y, z)], b.psi[(x, y, z)])
+        psi[(x, y, z)] = act.compose(shuffle).compose(spread)
+    return hs.EnrichedModule(v, psi)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_uniform_module_has_a_uniform_product(seed, monkeypatch):
+    # Over the indiscrete presentation each action of the product is
+    # built once per distinct operands: the product of a module whose
+    # action is one matrix is one matrix too, and its squares are one
+    # equation each, walked only when it fails; with one action copied
+    # or broken the squares are walked, and every action and every
+    # failure is the tuple loop's.
+    rng, laws = seeded(seed), walked(monkeypatch)
+    for e, space, actions, _ in list(uniform_modules(rng))[:2]:
+        v = dict.fromkeys(itertools.product(e.objects, repeat=2), space)
+        for kind, psi in actions:
+            m = hs.EnrichedModule(v, psi)
+            product, oracle = hs.enriched_module_product(e, m, m), \
+                tuple_product(e, m, m)
+            assert product.v == oracle.v
+            assert all(product.psi[key] == f for key, f in oracle.psi.items())
+            assert (type(product.psi) is Uniform) == (kind in ("passing",
+                                                               "failing"))
+            laws.clear()
+            failures = hs.check_enriched_module(e, m).failures
+            assert [f for f in failures if f[0].startswith("product")] == \
+                naive_module_squares(e, oracle, "product")
+            walked_product = [law for law in laws
+                              if law.startswith("product")]
+            assert bool(walked_product) == (kind != "passing")

@@ -254,6 +254,36 @@ def test_process_wide_values_hold_no_memo():
             assert value._memo is fs._PROCESS_WIDE
 
 
+def test_a_result_kept_on_the_second_operand_is_read_there_first():
+    # A first operand that owns no memo (an identity matrix) leaves the
+    # result to the second: a repeated call finds it in the second's
+    # memo, the identical object, before any search for an owner, which
+    # would read the first operand's memo again.
+    class NoMemo:
+        reads = 0
+
+        @property
+        def _memo(self):
+            NoMemo.reads += 1
+            return fs._NO_MEMO
+
+    builds = []
+
+    def pair(*operands):
+        builds.append(operands)
+        return types.SimpleNamespace(operands=operands)
+    first, second = NoMemo(), types.SimpleNamespace()
+    kept = fs._kept(pair, first, second)
+    NoMemo.reads = 0
+    for _ in range(3):
+        assert fs._kept(pair, first, second) is kept
+    assert NoMemo.reads == 3 and len(builds) == 1
+    ident = vb.VMorphism.identity(vb.VObject([(("v",), 0), (("w",), 1)]))
+    g = vb.VMorphism(ident.dom, ident.cod, [[1, 2], [0, 1]])
+    assert ident._memo is fs._NO_MEMO
+    assert vb.tensor_mor(ident, g) is vb.tensor_mor(ident, g)
+
+
 def test_only_atoms_are_skipped_as_owning_no_memo():
     # An atom takes no attribute and owns no memo; any other value that
     # takes no _memo is refused rather than counted process-wide, where

@@ -90,7 +90,7 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 # Criteria whose runtime bound holds only with the trusted path; their
 # inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 25
-# run in a child process, which checking mode does not reach.
+# and 27 run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
                "test_criterion_16_translation_polyad_z8_hopf_check",
@@ -101,7 +101,8 @@ TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_22_translation_polyad_z24_modules",
                "test_criterion_23_translation_polyad_z48_modules",
                "test_criterion_24_translation_polyad_z4_representations",
-               "test_criterion_25_identity_polyad_z32_discrete_hopf_check"}
+               "test_criterion_25_identity_polyad_z32_discrete_hopf_check",
+               "test_criterion_27_translation_polyad_z128_hopf_check"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
