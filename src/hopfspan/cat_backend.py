@@ -2,10 +2,11 @@
 
 FinCategory's composition maps composable morphism pairs (g, f) with
 tgt(f) = src(g) to g after f.  Category axioms are verified at
-construction, and check_category collects every violation, deciding the
-laws on morphism positions; on one object, a monoid's table, it walks
-the associativity triples only when Light's test on generators fails
-(light_associative).  In a thin category (is_thin: no two
+construction, and check_category collects every violation, reading the
+unit laws from the table and deciding associativity on morphism
+positions; on one object, a monoid's table, it walks the triples only
+when Light's test on generators fails (light_associative).  In a thin
+category (is_thin: no two
 morphisms share their endpoints) every law is decided by its endpoints:
 once they hold, its two sides are parallel and so equal, and
 check_category, the functor check and the naturality check into a thin
@@ -35,9 +36,8 @@ object map (FunctorData.held): m goes to the one morphism between the
 images of its ends, read on lookup.  Both are one view, ThinMap: key
 -> the one morphism between its two ends, which exists once every hom
 it reads is decided non-empty (ThinMap.gap); a composite into a thin
-category is held by the ComposedMap of its operands' object maps, and
-two functors into one are equal when their ends and object maps are.
-A point functor, out of
+category is held by the ComposedMap of its operands' object maps.  A
+point functor, out of
 the unit category TERMINAL, is built once per object (point_functor),
 and a composite of one is the point at its image, so composites of
 points compare by identity.
@@ -212,52 +212,39 @@ def check_category(c):
     table = c.composition
     if type(table) is ThinTable:
         return _check_thin(c, report)
-    has, pairs = c.morphisms.__contains__, c.composable_pairs()
-    # On one object every end agrees, so a table with a morphism at each
-    # pair and nothing else passes; only otherwise is each entry walked.
-    if len(c.objects) != 1 or len(table) != len(pairs) \
-            or not all(map(table.__contains__, pairs)) \
-            or not all(map(has, set(table.values()))):
-        for (g, f) in table:
-            if not has(g) or not has(f) or tgt[f] != src[g]:
-                report.fail("table entry on non-composable pair", (g, f))
-        missing = object()
-        for (g, f) in pairs:
-            gf = table.get((g, f), missing)
-            if gf is missing:
-                report.fail("missing composite", (g, f))
-            elif not has(gf):
-                report.fail("composite not a morphism", (g, f))
-            elif src[gf] != src[f] or tgt[gf] != tgt[g]:
-                report.fail("composite endpoints", (g, f))
+    has = c.morphisms.__contains__
+    for (g, f) in table:
+        if not has(g) or not has(f) or tgt[f] != src[g]:
+            report.fail("table entry on non-composable pair", (g, f))
+    for (g, f) in c.composable_pairs():
+        if (g, f) not in table:
+            report.fail("missing composite", (g, f))
+            continue
+        gf = table[(g, f)]
+        if not has(gf):
+            report.fail("composite not a morphism", (g, f))
+        elif src[gf] != src[f] or tgt[gf] != tgt[g]:
+            report.fail("composite endpoints", (g, f))
     if not report.ok or is_thin(c):
         # Both sides of each law are parallel once the endpoints hold.
         return report
-    morphisms, pos = c.morphisms.elements, c.morphisms.positions()
-    one = len(c.objects) == 1
-    if one:
-        # A monoid's table: the unit laws read from it, and the
-        # triples walked only if Light's test fails.
-        e = c.identities(c.objects.elements[0])
-        for f in morphisms:
-            if table[(e, f)] != f:
-                report.fail("left identity", f)
-            if table[(f, e)] != f:
-                report.fail("right identity", f)
-        if light_associative(morphisms, table):
-            return report
-    # Every composite is a morphism: decide the laws on morphism
-    # positions, where after[g][f] is the position of g after f.
+    # Every composite is a morphism.
+    morphisms, ids = c.morphisms.elements, c.identities.assignment
+    for f in morphisms:
+        if table[(ids[tgt[f]], f)] != f:
+            report.fail("left identity", f)
+        if table[(f, ids[src[f]])] != f:
+            report.fail("right identity", f)
+    if len(c.objects) == 1 and light_associative(morphisms, table):
+        # A monoid's table: its triples are walked only to name a
+        # failure.
+        return report
+    # Decide associativity on morphism positions, where after[g][f] is
+    # the position of g after f.
+    pos = c.morphisms.positions()
     after = [{} for _ in morphisms]
     for (g, f), gf in table.items():
         after[pos[g]][pos[f]] = pos[gf]
-    if not one:
-        ids = {x: pos[i] for x, i in c.identities.assignment.items()}
-        for i, f in enumerate(morphisms):
-            if after[ids[tgt[f]]][i] != i:
-                report.fail("left identity", f)
-            if after[i][ids[src[f]]] != i:
-                report.fail("right identity", f)
     out_of = {x: [pos[h] for h in hs]
               for x, hs in c.morphisms_by(c.src).items()}
     for (g, f) in c.composable_pairs():
@@ -274,25 +261,12 @@ def light_associative(elements, mul):
     """Whether the table mul, each pair (x, y) of elements to an element,
     is associative, by Light's test (A. H. Clifford and G. B. Preston,
     The Algebraic Theory of Semigroups, vol. 1): the a with
-    (x a) y = x (a y) for all x and y are closed under mul, so it is
-    enough that each member of a set generating the table is one.  The
-    set is taken greedily from the table itself: each element in turn
-    that the products of those before it miss, where the products are
-    grown by multiplying on the right by each generator (left-bracketed
-    products, which the generated submagma holds).  A two-sided unit
-    passes at once; each other generator costs n^2 products, where the
-    triples are n^3.  Three elements or fewer are walked triple by
-    triple, which costs less than finding the set.  False says only that
-    some triple fails; the caller walks them all to name it."""
+    (x a) y = x (a y) for all x and y are closed under mul, so a set
+    generating the table suffices.  It is taken greedily: each element
+    the left-bracketed products of the earlier ones miss.  A two-sided
+    unit passes at once, each other generator costs n^2 products.  False
+    says only that some triple fails."""
     elements = list(elements)
-    if len(elements) <= 3:
-        for x in elements:
-            for y in elements:
-                xy = mul[(x, y)]
-                for z in elements:
-                    if mul[(xy, z)] != mul[(x, mul[(y, z)])]:
-                        return False
-        return True
     reached, generators = set(), []
     for g in elements:
         if g in reached:
@@ -601,14 +575,11 @@ TERMINAL = _owns_no_memo(FinCategory.discrete(["*"]), process_wide=True)
 
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse; else the first
-    morphism without one is the witness.  Decided once and kept on c; a
-    thin c is one when its hom relation is symmetric, read from the hom
-    buckets, and the morphisms are walked only to name the witness."""
+    morphism without one is the witness.  Decided once and kept on c; in
+    a thin c each inverse is read from the hom buckets."""
     if c._groupoid is None:
-        homs = c._homs_by_ends() if is_thin(c) else None
-        witness = None if homs is not None and all(
-            (y, x) in homs for (x, y) in homs) else next(
-                (m for m in c.morphisms if c.inverse(m) is None), None)
+        witness = next((m for m in c.morphisms if c.inverse(m) is None),
+                       None)
         object.__setattr__(c, "_groupoid",
                            Verdict(witness is None, witness=witness))
     return c._groupoid
@@ -683,10 +654,8 @@ class FunctorData:
             return True
         if type(other) is not FunctorData:
             return NotImplemented
-        # Into a thin category the object map fixes the morphism map.
-        return (self.dom, self.cod, self.omap) == \
-            (other.dom, other.cod, other.omap) and (
-                is_thin(self.cod) or self.mmap == other.mmap)
+        return (self.dom, self.cod, self.omap, self.mmap) == \
+            (other.dom, other.cod, other.omap, other.mmap)
 
     @staticmethod
     def identity(c):
@@ -711,7 +680,10 @@ class FunctorData:
             raise CatError("morphisms held by another object map "
                            "or not into a thin category")
         view = ThinMap.morphisms(dom, cod, omap)
-        gap = view.gap()
+        # The hom of an identity's ends holds an identity: with no other
+        # morphism in dom (a discrete one, or a product of them) every
+        # hom the view reads is non-empty.
+        gap = None if len(dom.morphisms) == len(dom.objects) else view.gap()
         if gap is not None:
             raise CatError("functor breaks endpoints at %r" % (gap,))
         mmap = _trusted(FinFn, dom.morphisms, cod.morphisms, view)
@@ -735,12 +707,9 @@ class FunctorData:
         return _kept(FunctorData._composite, self, other)
 
     def keep_then(self, other, composite):
-        """Keep composite as self.then(other), unless one is kept: a
-        composite decided from the object maps, never composed, as a
-        translation's is (translating by v, then by u, is translating by
-        uv where the table is associative).  The caller decides that it
-        has self's domain, other's codomain and their composed object
-        map."""
+        """Keep composite as self.then(other), unless one is kept: the
+        caller decides that it has their ends and composed object map,
+        as a translation's is decided by the table's associativity."""
         _kept(FunctorData._composite, self, other, made=composite)
 
     def _composite(self, other):

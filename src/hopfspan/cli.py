@@ -41,9 +41,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cat_backend as cb
 from . import hopf_structures as hs
 from . import vect_backend as vb
+from .cat_backend import light_associative
 from .finset_span import FinSet
 from .monoidale_duoidal import check_frobenius
 from .spanv_core import SpanVError, VectBackend
@@ -307,7 +307,7 @@ def _load_group(doc, path):
     for a in elements:
         if mul[(unit, a)] != a or mul[(a, unit)] != a:
             _fail(path + ".table", "unit law fails at %r" % (a,))
-    if not cb.light_associative(elements, mul):
+    if not light_associative(elements, mul):
         for a in elements:
             for b in elements:
                 for c in elements:

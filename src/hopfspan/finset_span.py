@@ -217,6 +217,10 @@ class _Pairs(FinSet):
         self.__dict__[name] = FinSet.product(*self.factors).elements
         return self.__dict__[name]
 
+    def __len__(self):
+        x, y = self.factors
+        return len(x) * len(y)
+
     def __contains__(self, atom):
         x, y = self.factors
         return type(atom) is tuple and len(atom) == 2 \

@@ -1199,13 +1199,16 @@ def translation_polyad(elements, mul, unit, fiber):
     shape's associativity, translating by v and then by u moves every
     object as translating by uv does, so that composite is the label of
     uv itself, kept as it (cb.FunctorData.keep_then), never composed,
-    and mu at (u, v) is the one transformation from it to itself; a
-    fiber object that is no element is translated by composing.  On any
-    other fiber, or where a label misses a hom, the first label in shape
-    order and its first morphism whose hom is not one morphism are
-    named."""
+    and mu at (u, v) is the one transformation from it to itself.  A
+    fiber object that is no element is refused first; on any other
+    fiber, or where a label misses a hom, the first label in shape order
+    and its first morphism whose hom is not one morphism are named."""
     shape = cb.FinCategory.from_monoid(list(elements), mul, unit)
     c = fiber.cat
+    stray = next((a for a in c.objects if a not in shape.morphisms), None)
+    if stray is not None:
+        raise SpanVError("fiber object %r is not a monoid element"
+                         % (stray,))
     mor_label = {}
     for u in shape.morphisms:
         omap = FinFn(c.objects, c.objects,
@@ -1218,17 +1221,12 @@ def translation_polyad(elements, mul, unit, fiber):
                 if len(c.hom(mul[(v, c.src(m))], mul[(v, c.tgt(m))])) != 1)
             raise SpanVError("translation by %r is not determined at %r"
                              % (u, m)) from None
-    strict = all(map(shape.morphisms.__contains__, c.objects))
     same = {u: cb.NatTransData.held(f, f) for u, f in mor_label.items()}
     mu = {}
     for (u, v) in shape.composable_pairs():
         uv = mul[(u, v)]
-        if strict:
-            mor_label[v].keep_then(mor_label[u], mor_label[uv])
-            mu[(u, v)] = same[uv]
-        else:
-            mu[(u, v)] = cb.NatTransData.held(
-                mor_label[v].then(mor_label[u]), mor_label[uv])
+        mor_label[v].keep_then(mor_label[u], mor_label[uv])
+        mu[(u, v)] = same[uv]
     eta = cb.NatTransData.held(cb.FunctorData.identity(c), mor_label[unit])
     return MonadPresentation(CatBackend(), shape, {"*": c}, mor_label, mu,
                              {"*": eta})
@@ -1241,12 +1239,10 @@ def translation_opmonoidal(elements, mul, unit, fiber):
     the indiscrete fiber but not in the discrete one away from the
     unit.  The fiber is thin, or translation_polyad refuses it, so d2
     and d0 are read from the object maps: each d2 is held by its
-    functors (cb.NatTransData.held), composites out of the product held
-    by the ComposedMap of their object maps, and exists when every hom
-    between their images is non-empty, decided once in a fiber with a
-    morphism between any two objects; each d0 is the one morphism from
-    the translated unit to the unit.  A missing component is named by
-    its first object."""
+    functors (cb.NatTransData.held), their composites by the ComposedMap
+    of their object maps, and each d0 is the one morphism from the
+    translated unit to the unit.  A missing component is named by its
+    first object."""
     p = translation_polyad(elements, mul, unit, fiber)
     c = fiber.cat
     d2, d0 = {}, {}

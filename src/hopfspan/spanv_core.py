@@ -425,8 +425,7 @@ def product_functor(p, q):
 
 def _product_functor(p, q):
     dom = product_category(p.dom, q.dom)
-    cod = dom if p.cod is p.dom and q.cod is q.dom else \
-        product_category(p.cod, q.cod)
+    cod = product_category(p.cod, q.cod)
     omap = cb.PairMap(dom.objects, p.omap.assignment, q.omap.assignment)
     mmap = cb.PairMap(dom.morphisms, p.mmap.assignment, q.mmap.assignment)
     return _trusted(cb.FunctorData, dom, cod,

@@ -12,6 +12,7 @@ compared with the construction that composes them.
 """
 
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +225,10 @@ def composed_opmonoidal(elements, mul, unit, fiber):
     return hs.PolyadOpmonoidalStructure(p, {"*": fiber}, d2, d0)
 
 
+def parts(functor):
+    return functor.dom, functor.cod, functor.omap, functor.mmap
+
+
 def built(build, *args):
     try:
         return build(*args), None
@@ -269,8 +274,10 @@ def test_translations_read_from_object_maps_match_the_composed_ones(case):
     for (u, v) in p.shape.composable_pairs():
         composite = labels[v].then(labels[u])
         assert composite is labels[mul[(u, v)]]
-        assert composite == fresh_composite(labels[v], labels[u])
-        assert fresh_composite(labels[v], labels[u]) == composite
+        # Each map compared entry by entry, the morphism map included.
+        fresh = fresh_composite(labels[v], labels[u])
+        assert parts(composite) == parts(fresh)
+        assert parts(fresh) == parts(composite)
     assert hs.check_monad(p).failures == hs.check_monad(q).failures == []
     kinds = ["modules"] + ["representations"] * (len(fiber.cat.objects) <= 2)
     for kind in kinds:
@@ -284,3 +291,27 @@ def test_translations_read_from_object_maps_match_the_composed_ones(case):
         assert hs.polyad_is_hopf(opstr) == hs.polyad_is_hopf(composed)
         assert hs.polyad_is_hopf(opstr).witness == \
             hs.polyad_is_hopf(composed).witness
+
+
+def test_a_fiber_object_that_is_no_element_is_refused():
+    names, mul, unit = hs.cyclic_group(2)
+    fiber = types.SimpleNamespace(cat=FinCategory.indiscrete([*names, "x"]))
+    with pytest.raises(SpanVError) as err:
+        hs.translation_polyad(names, mul, unit, fiber)
+    assert str(err.value) == "fiber object 'x' is not a monoid element"
+
+
+@pytest.mark.parametrize("factors", [1, 2])
+def test_a_functor_out_of_discrete_categories_is_held_as_checked(factors):
+    # Every morphism of a discrete category, or of a product of them, is
+    # an identity, whose image's hom holds an identity: held decides no
+    # hom, and the functor is the one the checked constructor builds.
+    c = FinCategory.discrete(["a", "b", "c"])
+    dom = c if factors == 1 else product_category(c, c)
+    omap = {x: "a" if x in ("b", ("b", "c")) else "c" for x in dom.objects}
+    held = FunctorData.held(dom, c, FinFn(dom.objects, c.objects, omap))
+    checked = FunctorData(
+        dom, c, FinFn(dom.objects, c.objects, omap),
+        FinFn(dom.morphisms, c.morphisms,
+              {m: c.identities(omap[dom.src(m)]) for m in dom.morphisms}))
+    assert parts(held) == parts(checked)
