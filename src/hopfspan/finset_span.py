@@ -15,11 +15,13 @@ already checked build their result through _trusted instead, which sets
 the fields without the checks; each still checks the boundary it
 composes across, once.  _trusted is the only way to a value without
 its checks: it calls a builder made for each class on first use, which
-stores the fields straight into the new value.
+stores the fields straight into the new value.  A builder is made from
+a template written below, one for each number of fields, with no source
+compiled.
 """
 
-from dataclasses import dataclass, field, fields
-from types import MappingProxyType
+from dataclasses import dataclass, field
+from types import FunctionType, MappingProxyType
 
 
 class SpanError(ValueError):
@@ -43,17 +45,75 @@ def _trusted(cls, *values):
 
 def _builder(cls):
     """A function of cls's fields, in order, named after cls, that makes
-    a cls and stores each field by name straight into its __dict__,
-    where the __init__ that dataclasses writes stores it through
-    object.__setattr__."""
-    names = [f.name for f in fields(cls)]
-    lines = ["def %s(%s):" % (cls.__name__, ", ".join(names)),
-             "    value = new(cls)", "    attrs = value.__dict__"]
-    lines += ["    attrs[%r] = %s" % (name, name) for name in names]
-    lines.append("    return value")
-    scope = {"new": object.__new__, "cls": cls}
-    exec("\n".join(lines), scope)
-    return scope[cls.__name__]
+    a cls and stores each field by name straight into its __dict__, as
+    a def written for cls would, raising that def's TypeError on any
+    other number of values: the template for their number (KeyError if
+    none), its parameters and keys renamed, with cls and object.__new__
+    as globals.  No source is compiled.  The fields are read as those
+    __init__ takes by position (__match_args__, cheaper than fields()),
+    which are all of them for each class built through _trusted."""
+    names = cls.__match_args__
+    template = _TEMPLATES[len(names)].__code__
+    # The parameters come first among the locals, and the keys, used in
+    # order, lie together among the constants.
+    consts, keys = template.co_consts, template.co_consts.index("f0")
+    build = FunctionType(template.replace(
+        co_name=cls.__name__,
+        co_varnames=names + template.co_varnames[len(names):],
+        co_consts=consts[:keys] + names + consts[keys + len(names):]),
+        {"new": object.__new__, "cls": cls})
+    build.__qualname__ = cls.__name__  # named in TypeErrors from 3.11 on
+    return build
+
+
+# The builders' templates, one for each number of fields of a class built
+# through _trusted; keys are constants, as a global costs each call a read.
+def _fields1(f0):
+    attrs = (value := new(cls)).__dict__
+    attrs["f0"] = f0
+    return value
+
+
+def _fields3(f0, f1, f2):
+    attrs = (value := new(cls)).__dict__
+    attrs["f0"] = f0
+    attrs["f1"] = f1
+    attrs["f2"] = f2
+    return value
+
+
+def _fields4(f0, f1, f2, f3):
+    attrs = (value := new(cls)).__dict__
+    attrs["f0"] = f0
+    attrs["f1"] = f1
+    attrs["f2"] = f2
+    attrs["f3"] = f3
+    return value
+
+
+def _fields5(f0, f1, f2, f3, f4):
+    attrs = (value := new(cls)).__dict__
+    attrs["f0"] = f0
+    attrs["f1"] = f1
+    attrs["f2"] = f2
+    attrs["f3"] = f3
+    attrs["f4"] = f4
+    return value
+
+
+def _fields6(f0, f1, f2, f3, f4, f5):
+    attrs = (value := new(cls)).__dict__
+    attrs["f0"] = f0
+    attrs["f1"] = f1
+    attrs["f2"] = f2
+    attrs["f3"] = f3
+    attrs["f4"] = f4
+    attrs["f5"] = f5
+    return value
+
+
+_TEMPLATES = {1: _fields1, 3: _fields3, 4: _fields4, 5: _fields5,
+              6: _fields6}
 
 
 # The memos of the values that own none (see _kept), and that of the

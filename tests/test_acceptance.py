@@ -1,4 +1,4 @@
-"""Acceptance gate: twenty-five criteria, one pass line each.
+"""Acceptance gate: twenty-eight criteria, one pass line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Each test asserts its own runtime bound so a slow regression fails
@@ -663,16 +663,20 @@ print(elapsed, int(peak) / 1024)
 """
 
 
-def run_child(script, *args):
-    """The seconds and peak MiB that script prints, run with args in a
-    fresh interpreter that imports this package."""
+def child_output(script, *args):
+    """What script prints, run with args in a fresh interpreter that
+    imports this package."""
     package = pathlib.Path(hs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(package)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    child = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                           capture_output=True, text=True, check=True)
-    elapsed, peak_mib = map(float, child.stdout.split())
-    return elapsed, peak_mib
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def run_child(script, *args):
+    """The numbers script prints, run as child_output runs it: the
+    seconds and peak MiB of a Hopf check or of the algebras."""
+    return tuple(map(float, child_output(script, *args).split()))
 
 
 def hopf_in_a_child(build, fiber_of, order, number, label, bound,
@@ -755,3 +759,32 @@ def test_criterion_23_translation_polyad_z48_modules():
 
 def test_criterion_24_translation_polyad_z4_representations():
     algebras_in_a_child(4, "representations", 24, 2.5, 150)
+
+
+# The first decision after a fresh import against the same decision run
+# again, gc.collect() before each, in a child process of its own: the
+# builders that _trusted makes on first use compile no source, so the
+# first decision costs about what the second does (3.0 times it when
+# each builder compiled a def).  The median ratio over five children.
+FIRST_DECISION_CHILD = """
+import gc, time
+from hopfspan import hopf_structures as hs
+names, mul, unit = hs.cyclic_group(2)
+for _ in range(2):
+    gc.collect()
+    start = time.perf_counter()
+    assert hs.polyad_is_hopf(hs.identity_polyad(
+        names, mul, unit, hs.discrete_monoidal_group(names, mul, unit)))
+    print(time.perf_counter() - start)
+"""
+
+
+def test_criterion_28_first_decision_after_import():
+    start = time.monotonic()
+    ratios = sorted(first / second for first, second in (
+        run_child(FIRST_DECISION_CHILD) for _ in range(5)))
+    print("criterion 28: first over second decision %.2f (median of %s)"
+          % (ratios[2], ", ".join("%.2f" % ratio for ratio in ratios)))
+    finish(28, "first identity polyad Hopf check over Z_2 after import",
+           start, 5)
+    assert ratios[2] <= 1.5

@@ -13,14 +13,17 @@ inverses, which run only the checks that can fail: on broken ones both
 modes raise the checked constructors' errors.  Mutant
 composites show that the mode catches what the trusted path lets
 through.  The per-class builders behind ``_trusted`` are compared with
-the checked constructors directly, and the builds of a Frobenius check
-and of a polyad's Hopf check are counted.
+the checked constructors directly, and their TypeErrors with those of a
+def written for each class; a child process counts the sources compiled
+while they are made (none).  The builds of a Frobenius check and of a
+polyad's Hopf check are counted.
 """
 
 import ast
 import collections
 import dataclasses
 import inspect
+import json
 import sys
 
 import pytest
@@ -89,8 +92,8 @@ def test_exports_in_checking_mode(export, checking_mode, capsys):
 
 
 # Criteria whose runtime bound holds only with the trusted path; their
-# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 25
-# and 27 run in a child process, which checking mode does not reach.
+# inputs run below at Z_3 and Z_4, and on 4 objects.  Criteria 21 to 25,
+# 27 and 28 run in a child process, which checking mode does not reach.
 TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_14_translation_polyad_z6_hopf_check",
                "test_criterion_16_translation_polyad_z8_hopf_check",
@@ -102,7 +105,8 @@ TRUST_BOUND = {"test_criterion_11_translation_polyad_z3_to_z5",
                "test_criterion_23_translation_polyad_z48_modules",
                "test_criterion_24_translation_polyad_z4_representations",
                "test_criterion_25_identity_polyad_z32_discrete_hopf_check",
-               "test_criterion_27_translation_polyad_z128_hopf_check"}
+               "test_criterion_27_translation_polyad_z128_hopf_check",
+               "test_criterion_28_first_decision_after_import"}
 ACCEPTANCE = sorted(name for name in vars(test_acceptance)
                     if name.startswith("test_") and name not in TRUST_BOUND)
 
@@ -190,16 +194,75 @@ def test_builders_agree_with_the_checked_constructors(seed):
         cls = type(value)
         names = [f.name for f in dataclasses.fields(cls)]
         fields = [getattr(value, name) for name in names]
-        built = fs._trusted(cls, *fields)
+        build = fs._builder(cls)
+        assert build.__name__ == cls.__name__
+        built = build(*fields)
         assert type(built) is cls
         assert vars(built) == dict(zip(names, fields))
         assert set(vars(value)) - set(names) <= LAZY
         assert built == value and value == built
         assert hash(built) == hash(value)
-        with pytest.raises(TypeError):
-            fs._trusted(cls, *fields[:-1])
-        with pytest.raises(TypeError):
-            fs._trusted(cls, *fields, fields[0])
+        # Any other number of values raises the TypeError of a def
+        # written for cls, which names cls and the fields.
+        with pytest.raises(TypeError, match="^%s\\(\\) missing 1 required "
+                           "positional argument: '%s'$" % (cls.__name__,
+                                                           names[-1])):
+            build(*fields[:-1])
+        scope = {}
+        exec("def %s(%s): pass" % (cls.__name__, ", ".join(names)), scope)
+        for wrong in (fields[:-1], [], [*fields, fields[0]]):
+            with pytest.raises(TypeError) as raised:
+                build(*wrong)
+            with pytest.raises(TypeError) as written:
+                scope[cls.__name__](*wrong)
+            assert str(raised.value) == str(written.value)
+
+
+# A fresh interpreter that imports the package, then counts the compile
+# audit events while it makes a builder for every dataclass of the
+# package that has a template, decides the identity polyad over Z_2 and
+# checks a document through the CLI, the last two making their builders
+# on first use.  It prints the classes it made builders for and the
+# events of each step: 37, 9 and 1 when each builder compiled a def.
+COMPILES_CHILD = """
+import contextlib, dataclasses, importlib, io, json, pkgutil, sys
+import hopfspan
+from hopfspan import cli, finset_span as fs, hopf_structures as hs
+classes = [value for info in pkgutil.iter_modules(hopfspan.__path__)
+           for value in vars(importlib.import_module(
+               "hopfspan." + info.name)).values()
+           if dataclasses.is_dataclass(value) and isinstance(value, type)]
+compiles = {"builders": 0, "decision": 0, "cli": 0}
+step = "builders"
+
+
+def count(event, args):
+    if event == "compile":
+        compiles[step] += 1
+
+
+sys.addaudithook(count)
+built = []
+for cls in classes:
+    if len(cls.__match_args__) in fs._TEMPLATES:
+        fs._builder(cls)
+        built.append(cls.__name__)
+step = "decision"
+names, mul, unit = hs.cyclic_group(2)
+assert hs.polyad_is_hopf(hs.identity_polyad(
+    names, mul, unit, hs.discrete_monoidal_group(names, mul, unit)))
+step = "cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check", sys.argv[1], "--format", "json"]) == 0
+print(json.dumps([built, compiles]))
+"""
+
+
+def test_builders_compile_no_source():
+    built, compiles = json.loads(test_acceptance.child_output(
+        COMPILES_CHILD, str(test_acceptance.DATA / "z2_group_algebra.json")))
+    assert trusted_classes() <= set(built)
+    assert compiles == {"builders": 0, "decision": 0, "cli": 0}
 
 
 # The _trusted builds of a check_frobenius on a fresh backend with no
