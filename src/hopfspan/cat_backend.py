@@ -508,7 +508,7 @@ class ThinMap(_MapOn):
         key is read when every hom of cod is non-empty."""
         homs, objects, left, right = (self.homs, self.objects, self.left,
                                       self.right)
-        return None if len(homs) == len(self.cod.objects) ** 2 else next(
+        return None if is_full(self.cod) else next(
             (key for key in self.domain.elements
              if (objects[left[key]], objects[right[key]]) not in homs), None)
 
@@ -572,6 +572,12 @@ def generating_pairs(c):
 
 # The unit of the product, one object: every unit label shares it.
 TERMINAL = _owns_no_memo(FinCategory.discrete(["*"]), process_wide=True)
+
+def is_full(c):
+    """True when c has a morphism between any two objects, read from its
+    hom buckets."""
+    return len(c._homs_by_ends()) == len(c.objects) ** 2
+
 
 def is_groupoid(c):
     """True iff every morphism has a two-sided inverse; else the first

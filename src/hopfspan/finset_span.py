@@ -494,27 +494,15 @@ def compose_spans(b, a, pairs=None):
     return _trusted(Span, a.src, b.tgt, apex, left, right)
 
 
-def compose_span_morphisms_h(g, f, source=None, via=None, target=None):
-    """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)).
-    Given source, a sub-span of the composite of their sources built
-    already, it runs from that into the sub-span on the images of its
-    pairs (see compose_spans), or into target, a sub-span of the
-    composite of their targets built already that holds those images;
-    given also via, source is that composite bracketed otherwise, each
-    atom read as its pair (d, c) through via.  Neither is checked but by
-    the constructors in checking mode: the map's values lie in target,
-    and each atom's legs are its pair's."""
-    whole = source is None
-    if whole:
-        source = compose_spans(g.source, f.source)
-    gm, fm, atoms = g.map.assignment, f.map.assignment, source.apex.elements
-    assignment = {x: (gm[d], fm[c]) for x, (d, c) in zip(
-        atoms, atoms if via is None else map(via, atoms))}
-    if target is None:
-        target = compose_spans(g.target, f.target,
-                               None if whole else assignment.values())
-    return _trusted(SpanMorphism, source, target,
-                    _trusted(FinFn, source.apex, target.apex, assignment))
+def compose_span_morphisms_h(g, f):
+    """Horizontal composite of span morphisms: (d, c) -> (g(d), f(c)),
+    from the composite of their sources into that of their targets."""
+    source = compose_spans(g.source, f.source)
+    target = compose_spans(g.target, f.target)
+    gm, fm = g.map.assignment, f.map.assignment
+    return _trusted(SpanMorphism, source, target, _trusted(
+        FinFn, source.apex, target.apex,
+        {(d, c): (gm[d], fm[c]) for (d, c) in source.apex.elements}))
 
 
 def convolution_span(b, a):

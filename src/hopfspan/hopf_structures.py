@@ -30,11 +30,11 @@ extraction from the inverted right fusion cell.
 
 Over the finite-category base the same shape data is a polyad: labels
 are functors and multiplication is natural.  It is Hopf when its shape
-is a groupoid and its fusion families are invertible; into a thin
-fiber each family is held by its two functors, with no component
-composed.  Modules and representations
-are enumerated exhaustively and compared, through a validated functor
-pair, with the algebra 2-cells over restricted carrier 1-cells.  A final
+is a groupoid and its fusion families are invertible; over groupoid
+fibers, thin or not, that is the shape's verdict, and no family is
+built.  Modules and representations are enumerated exhaustively and
+compared, through a validated functor pair, with the algebra 2-cells
+over restricted carrier 1-cells, each law side landed once.  A final
 section pushes one-object presentations along the tensoring functor into
 the lazy-category backend and re-checks them pointwise on probes.
 """
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from . import cat_backend as cb
 from . import vect_backend as vb
-from .finset_span import FinFn, FinSet, Span, compose_spans
+from .finset_span import FinFn, FinSet, Span
 from .monoidale_duoidal import (
     ComonoidLabeledCell,
     MonoidalFiber,
@@ -70,9 +70,7 @@ from .spanv_core import (
     differences2,
     eq2,
     hcomp1,
-    hcomp2,
     identity_cell1,
-    identity_cell2,
     invert_cell2,
     product_category,
     product_functor,
@@ -83,7 +81,6 @@ from .spanv_core import (
     unit_cell0,
     vcomp2,
     vect_to_cat_functor,
-    _composite,
     _covers,
     _fill,
     _mark_fields,
@@ -1110,16 +1107,11 @@ def polyad_fusion(opstr, side="left"):
     """One transformation per composable pair: the outer label's binary
     structure followed by multiplication on the first (left) or second
     (right) tensor factor.  Its source and target are composites of
-    checked functors, built without checks.  Into a thin fiber, the
-    only kind a translation polyad has, it is the one transformation
-    between them, held by the two functors (cb.NatTransData.held): no
-    component is composed, and the constructor decides only that every
-    component exists, once for the whole family when the fiber has a
-    morphism between any two objects.  Into any other fiber (an
-    identity polyad's) its components are composed from mu and d2 and
-    built by the public NatTransData constructor, which checks their
-    endpoints and naturality.  polyad_is_hopf builds these families only
-    when some fiber is not a groupoid."""
+    checked functors, built without checks, and its components are
+    composed from mu and d2 and built by the public NatTransData
+    constructor, which checks their endpoints, and naturality unless the
+    fiber is thin.  polyad_is_hopf builds these families only when some
+    fiber is not a groupoid."""
     order = _pair_order(side)
     p, d = opstr.monad, opstr.monad.shape
     out = {}
@@ -1132,9 +1124,6 @@ def polyad_fusion(opstr, side="left"):
         ident = cb.FunctorData.identity(fmid.cat)
         source = product_functor(*order(fk, ident)).then(fmid.tensor).then(fh)
         target = product_functor(*order(fhk, fh)).then(ftop.tensor)
-        if cb.is_thin(cod):
-            out[(h, k)] = cb.NatTransData.held(source, target)
-            continue
         mu = p.mu[(h, k)].components
         d2 = opstr.d2[h].components
         comps = {}
@@ -1494,7 +1483,7 @@ def _restricted_carriers(p, shape, actions):
     q = Cell1(be, one0, t.src, span, {
         (i, c): cb.point_functor(shape.fiber(p, c), x)
         for (i, c), x in objects.items()})
-    tq = _composite(t, q, compose_spans(t.span, span))
+    tq = hcomp1(t, q)
     rho = [dict(action.actions) for action in actions]
     land = {(f, (i, c)): (i, shape.out[(f, c)])
             for (f, (i, c)) in tq.span.apex}
@@ -1516,34 +1505,45 @@ def _verdicts(candidates, *laws):
 
 def _lawful(p, shape, actions):
     """The candidate actions that are algebras, on the family of all of
-    them: xi (1_t o xi) alpha against xi (mu o 1_q), both whiskers built
-    from (t o t) o q into t o q (the first read through regroup, no alpha
-    built: identities at each atom's unit slot reach every atom of t o
-    q), and xi (eta o 1_q), on t o q's identity slots alone (_whiskered),
-    against the unitor."""
+    them: xi (1_t o xi) alpha against xi (mu o 1_q), both from (t o t) o
+    q, and xi (eta o 1_q) against the left unitor, both from 1 o q, each
+    side landed once, in q.  Over thin fibers a side is held along its
+    atom map, composed from the span maps of xi, mu and eta, and only
+    the maps are compared; elsewhere it is the chain of its steps."""
     t, mu2, eta2 = p.cells
-    q, tq, xi = _restricted_carriers(p, shape, actions)
-    ttq = hcomp1(mu2.source, q)
-    idq, iq = identity_cell2(q), hcomp1(eta2.source, q)
-    return _verdicts(actions, (
-        vcomp2(xi, hcomp2(identity_cell2(t), xi, ttq, tq, regroup)),
-        vcomp2(xi, hcomp2(mu2, idq, ttq, tq))), (
-        vcomp2(xi, _landed(_chained(iq, _whiskered(eta2, q)), tq)),
-        _landed(_chained(iq, _relabeled(lambda d: d[1])), q)))
+    q, _, xi = _restricted_carriers(p, shape, actions)
+    act, mul, unit = [cell.morphism.map.assignment for cell in (xi, mu2, eta2)]
+    ttq, iq = hcomp1(mu2.source, q), hcomp1(eta2.source, q)
+    sides = [(ttq, lambda x: act[(x[0][0], act[(x[0][1], x[1])])],
+              _relabeled(regroup), _whiskered(t, xi), xi),
+             (ttq, lambda x: act[(mul[x[0]], x[1])], _whiskered(mu2, q), xi),
+             (iq, lambda x: act[(unit[x[0]], x[1])], _whiskered(eta2, q), xi),
+             (iq, itemgetter(1), _relabeled(itemgetter(1)))]
+    if shape.thin(p):
+        images = [(source, dict(zip(source.span.apex.elements, map(
+            land, source.span.apex.elements)))) for source, land, *_ in sides]
+        cells = [cell2_along(source, q, image.__getitem__,
+                             HeldCells(source, q, image))
+                 for source, image in images]
+    else:
+        cells = [_landed(_chained(source, *steps), q)
+                 for source, _, *steps in sides]
+    return _verdicts(actions, cells[:2], cells[2:])
 
 
 def _arrows_hold(p, shape, arrows):
-    """The arrow candidates (a, b, chi) that respect the actions, as one
-    chain between the families of the a and of the b, with the chi
-    components between: xi_b (1_t o chi) against chi xi_a."""
-    (aq, atq, axi), (bq, btq, bxi) = [_restricted_carriers(
+    """The arrow candidates (a, b, chi) that respect the actions, on the
+    families of the a and of the b, with the chi components between:
+    xi_b (1_t o chi) against chi xi_a, each a chain from the a-family's
+    t o q landed once, in the b-family's q."""
+    (aq, atq, axi), (bq, _, bxi) = [_restricted_carriers(
         p, shape, [arrow[end] for arrow in arrows]) for end in (0, 1)]
     cell = cell2_along(aq, bq, lambda c: c, {
         (k, c): cb.NatTransData(aq.label[(k, c)], bq.label[(k, c)], {"*": m})
         for k, (_, _, chi) in enumerate(arrows) for (c, m) in chi})
     return _verdicts(arrows, (
-        vcomp2(bxi, hcomp2(identity_cell2(p.cells[0]), cell, atq, btq)),
-        vcomp2(cell, axi)))
+        _landed(_chained(atq, _whiskered(p.cells[0], cell), bxi), bq),
+        _landed(_chained(atq, axi, cell), bq)))
 
 
 def _inclusion_functor(src, tgt):
@@ -1568,11 +1568,12 @@ def em_algebras_restricted(p, kind="modules"):
     per key.  Both sides decide the same candidate atoms (_candidates,
     _arrows) independently: the search on objects over thin
     fibers and in the fibers elsewhere (_enumerate_actions), the
-    algebras as one family (_restricted_carriers), one chain per law
-    (_lawful), and their arrows, off thin fibers, as one chain between
-    two families (_arrows_hold).  Over thin fibers every arrow candidate
-    is an arrow, its equation's sides parallel: when both sides accept
-    the same atoms, they are one category, the functor pair its identity.
+    algebras as one family (_restricted_carriers), each law side landed
+    once, in its carrier (_lawful), and their arrows, off thin fibers,
+    as chains between two families (_arrows_hold).  Over thin fibers
+    every arrow candidate is an arrow, its equation's sides parallel:
+    when both sides accept the same atoms, they are one category, the
+    functor pair its identity.
     """
     shape = _action_shape(p, kind)
     if not isinstance(p.backend, CatBackend):

@@ -12,13 +12,13 @@ built here has identity components and all the weakness sits in span apex
 re-bracketing.  Equality of 2-cells is decided exactly, optionally after
 transport along explicitly supplied coherence cells.
 
-The cell constructors check labels and boundaries.  Identities and the
-horizontal, vertical and tensor composites of checked cells are built
-without those checks (finset_span._trusted), once the boundary they
-compose across has been checked.  A 2-cell along a given atom map is
-built by cell2_along, which builds its map, span morphism and cell
-through _trusted and runs each class's own checks on them
-(relabel_cell2 is cell2_along with identity components), and
+The cell constructors check labels and boundaries.  Identities, the
+composites of checked 1-cells and the vertical composites of checked
+2-cells are built without those checks (finset_span._trusted), once
+the boundary they compose across has been checked.  A 2-cell along a
+given atom map is built by cell2_along, which builds its map, span
+morphism and cell through _trusted and runs each class's own checks on
+them (relabel_cell2 is cell2_along with identity components), and
 invert_cell2 runs only its own.
 
 A 2-cell read at a source atom needs its target only at that atom's
@@ -31,7 +31,8 @@ _interchanged and _run build the others.  At each atom it gives the
 atom reached and its component there, one object for all atoms (a
 1-tuple) or a list; the chain composes them, so vcomp checks every
 seam, and cell2_along checks the composite where it lands.
-relabel_cell2, tensor2 and interchange_cell2 are one-step chains.
+relabel_cell2, hcomp2, tensor2 and interchange_cell2 are one-step
+chains.
 
 A cell whose atoms all carry one label or component object is built
 and checked once, any other cell atom by atom.  Where a cell is checked
@@ -51,15 +52,17 @@ to the target label at c's image, read on lookup.  Where Uniform is
 decided (cell2_along and identity_cell2), a cell whose components are
 not one object becomes such a cell, once its given components are
 checked one by one; one is_thin test decides it when the target's
-0-cell label is a Uniform.  vcomp2, hcomp2 and invert_cell2 build held
-cells from held cells and compose no transformation, and a chain into
-thin categories composes the pairs of labels its components run
-between (_Ends): each seam is checked atom by atom by comparing label
-functors, which are kept composites, so equal ones are one object; a
-label that is a point functor composes to the point at its image
-(cb.point_functor).  eq2 compares two such cells by their boundaries
-and span maps.  Into other categories, and over the graded base, the
-components stay a dict.
+0-cell label is a Uniform.  Existence is decided once for a cell held
+along its own span map when each category its target's labels land in
+has a morphism between any two objects (cb.is_full), else atom by
+atom.  vcomp2 and invert_cell2 build held cells from held cells and
+compose no transformation, and a chain into thin categories composes
+the pairs of labels its components run between (_Ends): each seam is
+checked atom by atom by comparing label functors, which are kept
+composites, so equal ones are one object; a label that is a point
+functor composes to the point at its image (cb.point_functor).  eq2
+compares two such cells by their boundaries and span maps.  Into other
+categories, and over the graded base, the components stay a dict.
 """
 
 from dataclasses import dataclass, field
@@ -68,7 +71,7 @@ from operator import is_
 
 from .finset_span import (
     FinSet, FinFn, Span, SpanMorphism, _Pairs, _kept, _owns_no_memo, _trusted,
-    compose_spans, compose_span_morphisms_h, cartesian_product,
+    compose_spans, cartesian_product,
 )
 from .reporting import Verdict
 from . import vect_backend as vb
@@ -167,12 +170,14 @@ class HeldCells(cb._View):
 
     def ends(self, c):
         """The functors the component at c runs between, or None when no
-        transformation runs between them."""
+        transformation runs between them: one does when they are one
+        functor or their codomain has a morphism between any two objects
+        (cb.is_full), else when each of its homs is not empty."""
         F, target = self.source.label[c], self.target
         G = target[c] if type(target) is dict else \
             target.label[self.image[c]]
-        return None if F is not G \
-            and cb.ThinMap.components(F, G).gap() is not None else (F, G)
+        return (F, G) if F is G or cb.is_full(F.cod) \
+            or cb.ThinMap.components(F, G).gap() is None else None
 
     def __getitem__(self, c):
         return cb.NatTransData.held(*self.ends(c))
@@ -539,6 +544,9 @@ class Cell2:
             if components.source != s or not _thin_labels(t):
                 raise SpanVError("components held from another 1-cell "
                                  "or not into thin categories")
+            if components.target is t and components.image == image \
+                    and _each_target(t, cb.is_full):
+                return
         elif type(components) is Uniform and type(s.label) is Uniform \
                 and type(t.label) is Uniform \
                 and _covers(components, s.span.apex.elements) \
@@ -672,36 +680,13 @@ def _pair_labeled(src, tgt, span, op, b, a):
     return _trusted(Cell1, a.backend, src, tgt, span, label)
 
 
-def hcomp2(g, f, source=None, target=None, via=None):
-    """Horizontal composite of 2-cells, componentwise; its 1-cells sit on
-    the composite spans that the span morphism already carries.  Given
-    source, the composite of g's and f's sources on some atoms, built
-    already (the target of a chain so far), it is built from that 1-cell
-    itself, into the image of its atoms, or into target, the composite
-    of g's and f's targets on atoms that hold that image, built already
-    (the source of the next step).  Given also via, source is that
-    composite bracketed otherwise, each atom read as its pair through
-    via: the composite after the relabeling between the two bracketings,
-    whose components are identities (associator_cell2).  Checking mode
-    checks target and via where the span morphism and the cell are
-    built (compose_span_morphisms_h).  When g holds its components by
-    its 1-cells, so does the composite, which lands where g does; so too
-    when f holds them and the composite lands in thin categories."""
-    morphism = compose_span_morphisms_h(g.morphism, f.morphism,
-                                        source and source.span, via,
-                                        target and target.span)
-    source = source or _composite(g.source, f.source, morphism.source)
-    target = target or _composite(g.target, f.target, morphism.target)
-    be, atoms = source.backend, source.span.apex.elements
-    comps = _fill(atoms, be.comp2, g.components, f.components)
-    if comps is None:
-        comps = HeldCells(source, target, morphism.map.assignment) \
-            if type(g.components) is HeldCells or (
-                type(f.components) is HeldCells and _thin_labels(target)) \
-            else {x: be.comp2(g.components[d], f.components[c])
-                  for x, (d, c) in zip(
-                      atoms, atoms if via is None else map(via, atoms))}
-    return _trusted(Cell2, source, target, morphism, comps)
+def hcomp2(g, f):
+    """Horizontal composite of 2-cells, componentwise: the one-step chain
+    _whiskered from the composite of their sources, landed in the
+    composite of their targets, its span map (d, c) -> (g(d), f(c)) and
+    its component there g's at d composed with f's at c."""
+    return _landed(_chained(hcomp1(g.source, f.source), _whiskered(g, f)),
+                   hcomp1(g.target, f.target))
 
 
 def unit_cell0(backend):

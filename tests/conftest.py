@@ -10,10 +10,22 @@ reason; they run there unchanged, as they do without the option.
 
 import pytest
 
+_LETS_A_MUTANT_THROUGH = (
+    "it asserts that the trusted path lets a mutant through before it "
+    "enters checking mode itself, and checking mode already refuses the "
+    "mutant in its setup")
+
 TRUSTED_ONLY = {
     "test_a_product_lists_its_morphisms_only_when_read":
         "it asserts that a product's morphisms are never listed, and the "
         "checked FinFn constructors list every domain they check",
+    **dict.fromkeys([
+        "test_checking_mode_catches_a_relabeling_without_checks",
+        "test_checking_mode_catches_a_then_that_drops_the_mmap",
+        "test_checking_mode_catches_a_vcomp_that_drops_a_component",
+        "test_checking_mode_catches_a_wrong_restricted_leg",
+        "test_checking_mode_catches_swapped_span_legs"],
+        _LETS_A_MUTANT_THROUGH),
 }
 
 

@@ -3,9 +3,10 @@
 Each family's component at an object of the fiber square is composed
 from the outer label's binary structure d2 and the multiplication mu,
 and the family is built by the checked NatTransData constructor, on any
-fiber.  That is how ``hopf_structures.polyad_fusion`` built the families
-into a thin fiber before it held each one by its source and target
-functors.  The differential tests compare the two constructions.
+fiber.  ``hopf_structures.polyad_fusion`` builds them so too; it once
+held each family into a thin fiber by its source and target functors,
+and this frozen copy stays the reference the differential tests compare
+it with.
 """
 
 from hopfspan import cat_backend as cb

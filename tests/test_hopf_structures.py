@@ -1245,6 +1245,14 @@ def test_law_chains_match_the_whole_cell_formulas(name, fiber_kind, kind):
     assert_same_comparison(p, kind)
 
 
+@pytest.mark.parametrize("name,fiber_kind,kind", list(COUNTS))
+def test_law_chains_match_the_whole_cell_formulas_in_checking_mode(
+        name, fiber_kind, kind, monkeypatch):
+    from test_trusted import enter_checking_mode
+    enter_checking_mode(monkeypatch)
+    test_law_chains_match_the_whole_cell_formulas(name, fiber_kind, kind)
+
+
 def corrupted_mu(p):
     """p with the multiplication at (b, b) acting by z, natural since
     the idempotent monoid is commutative: its cells build, but its laws

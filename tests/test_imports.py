@@ -109,7 +109,7 @@ TRUSTED = {
                     "NatTransData.vcomp", "NatTransData.hcomp"},
     "spanv_core": {"_product_category", "_product_functor", "product_nat",
                    "identity_cell1", "identity_cell2", "vcomp2",
-                   "_pair_labeled", "hcomp2", "_tensor0",
+                   "_pair_labeled", "_tensor0",
                    "cell2_along", "regroup_cell1",
                    "invert_cell2"},
 }
@@ -255,10 +255,7 @@ def test_each_checked_constructor_message_is_written_once():
 # The builders of 2-cells and span morphisms that take a source built
 # already: a 1-cell is restricted by the atoms it is built on, a 2-cell
 # only by the 1-cell it starts from, so they take a source and no atoms.
-RESTRICTED_BY_SOURCE = {
-    "spanv_core": {"hcomp2", "interchange_cell2"},
-    "finset_span": {"compose_span_morphisms_h"},
-}
+RESTRICTED_BY_SOURCE = {"spanv_core": {"interchange_cell2"}}
 
 
 def test_a_2_cell_is_restricted_only_by_its_source():
@@ -278,11 +275,13 @@ def test_a_2_cell_is_restricted_only_by_its_source():
 # 1-cell (_chained), composes each step atom by atom, and lands once, in
 # the law's target (_landed).  It is the package's one way to chain
 # 2-cells: no module defines a second one.
-CHAINS = {"spanv_core": {"relabel_cell2", "tensor2", "interchange_cell2"},
+CHAINS = {"spanv_core": {"relabel_cell2", "hcomp2", "tensor2",
+                         "interchange_cell2"},
           "monoidale_duoidal": {"_triangle_left", "_triangle_right",
                                 "_alpha_reversed", "star2",
                                 "_comparison_cells"},
-          "hopf_structures": {"check_opmonoidal", "_fusion", "_lawful"}}
+          "hopf_structures": {"check_opmonoidal", "_fusion", "_lawful",
+                              "_arrows_hold"}}
 STEPS = {"_chained": {**CHAINS, "monoidale_duoidal": CHAINS[
     "monoidale_duoidal"] | {"_frobenius_shared_prefix"}}, "_landed": CHAINS}
 

@@ -162,6 +162,35 @@ def test_hcomp2_kronecker_oracle():
                                                    f.components[c])
 
 
+def assert_componentwise(gf, g, f):
+    """gf is hcomp2(g, f) by its formula: from the composite of their
+    sources into that of their targets, (d, c) sent to (g(d), f(c)),
+    with g's component at d composed with f's at c."""
+    be = g.backend
+    assert gf.source == hcomp1(g.source, f.source)
+    assert gf.target == hcomp1(g.target, f.target)
+    gm, fm = g.morphism.map, f.morphism.map
+    for (d, c) in gf.source.span.apex:
+        assert gf.morphism.map((d, c)) == (gm(d), fm(c))
+        expected = be.comp2(g.components[d], f.components[c])
+        assert gf.components[(d, c)] == expected
+        if type(gf.components) is sc.HeldCells:
+            assert dict(gf.components[(d, c)].components) == \
+                dict(expected.components)
+
+
+@pytest.mark.parametrize("q", [1, -1, 2])
+def test_hcomp2_is_the_componentwise_formula_on_vect_cells(q):
+    # Random composable cells until six composites have atoms.
+    rng, be, built = seeded(q + 7), VectBackend(BraidParam(q)), 0
+    while built < 6:
+        b, a = random_composable_vect_cell1s(rng, be, 2)
+        g, f = random_vect_cell2_from(rng, b), random_vect_cell2_from(rng, a)
+        gf = hcomp2(g, f)
+        assert_componentwise(gf, g, f)
+        built += len(gf.source.span.apex) > 0
+
+
 def test_tensor_cells_and_unit():
     a = group_algebra_cell1(V1, {"g": VObject.ungraded(["e"])})
     u = unit_cell0(V1)
@@ -283,17 +312,18 @@ def test_relabel_cell2_validates_its_map():
 
 
 def test_a_horizontal_composite_read_through_a_rebracketing():
-    # hcomp2 from (s o b) o a, each atom read as a pair through regroup,
-    # is g o f after the associator (s o b) o a => s o (b o a), both
-    # into the image of their atoms.
+    # The chain from (s o b) o a that reads each atom as a pair through
+    # regroup and whiskers g o f there is hcomp2(g, f) after the
+    # associator (s o b) o a => s o (b o a).
     rng, built = seeded(29), 0
     while built < 10:
         c, b, a = random_composable_vect_cell1s(rng, V2, 3)
         g, f = random_vect_cell2_from(rng, c), identity_cell2(hcomp1(b, a))
-        al = associator_cell2(g.source, b, a)
-        read = hcomp2(g, f, source=al.source, via=regroup)
+        al, gf = associator_cell2(g.source, b, a), hcomp2(g, f)
+        read = sc._landed(sc._chained(al.source, sc._relabeled(regroup),
+                                      sc._whiskered(g, f)), gf.target)
         assert read.source is al.source
-        assert eq2(read, vcomp2(hcomp2(g, f, source=al.target), al))
+        assert eq2(read, vcomp2(gf, al))
         built += len(al.source.span.apex) > 0
 
 

@@ -30,6 +30,7 @@ from hopfspan import spanv_core as sc
 from hopfspan.spanv_core import SpanVError, product_category, product_functor
 from fusion_oracle import composed_fusion
 from test_cat_backend import scanned_check_category
+from test_spanv_core import assert_componentwise
 
 
 def total_order(n):
@@ -732,7 +733,6 @@ def test_fusion_families_match_the_composed_oracle(n):
                 other = oracle[pair]
                 assert nat.source is other.source
                 assert nat.target is other.target
-                assert (type(nat.components) is cb.ThinMap) == thin
                 objects = nat.source.dom.objects
                 assert list(nat.components) == list(objects)
                 assert len(nat.components) == len(objects)
@@ -876,8 +876,9 @@ def test_a_hopf_check_over_a_thin_groupoid_reads_no_component(
     # The checked constructors read every component they check, so in
     # checking mode the polyads are built before the readers are
     # patched, and only the Hopf check runs under the patch.  Outside
-    # it, building the thin polyads and their fusion families reads no
-    # component either.
+    # it, building the thin polyads reads no component either.  The
+    # fusion families compose their components on every fiber, and the
+    # Hopf check builds them only off groupoid fibers.
     checking = request.config.getoption("--checking")
 
     def thin_polyads():
@@ -891,9 +892,6 @@ def test_a_hopf_check_over_a_thin_groupoid_reads_no_component(
     monkeypatch.setattr(cb.ThinTable, "__getitem__", unread)
     if not checking:
         polyads = thin_polyads()
-        for opstr in polyads:
-            for side in ("left", "right"):
-                assert hs.polyad_fusion(opstr, side)
     for opstr in polyads:
         assert hs.polyad_is_hopf(opstr)
 
@@ -1352,8 +1350,43 @@ class ThinCells:
              for d in atoms], "s")
         images = dict(zip(source.span.apex, atoms))
         return sc.cell2_along(source, target, images.__getitem__, {
-            s: listed_from(source.label[s], target.label[d])
+            s: self.component(source.label[s], target.label[d])
             for s, d in images.items()})
+
+    def component(self, F, G):
+        return listed_from(F, G)
+
+
+class GroupCells(ThinCells):
+    """Cells over the Cat base whose 0-cells are labeled by the cyclic
+    group of order 3 as a one-object category, which is not thin: every
+    label its identity functor, and each component a random element,
+    natural since the group is abelian."""
+
+    def __init__(self, seed):
+        self.c, self.rng = one_object_fiber(3).cat, random.Random(seed)
+        self.be = sc.CatBackend()
+        self.functors = [FunctorData.identity(self.c)]
+        self.count = itertools.count()
+
+    def component(self, F, G):
+        return NatTransData(F, G, {"*": self.rng.choice(
+            self.c.morphisms.elements)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hcomp2_is_the_componentwise_formula_on_cat_cells(seed):
+    # Over thin categories the composite holds its components by its
+    # 1-cells (HeldCells) and composes none; over the group, which is not
+    # thin, it composes each one.
+    for g in [ThinCells(c, seed) for c in THIN_FIBERS] + [GroupCells(seed)]:
+        x, y, z = g.cell0(), g.cell0(), g.cell0()
+        u, v = g.onto(g.mixed(x, y)), g.onto(g.mixed(y, z))
+        gf = sc.hcomp2(v, u)
+        assert (type(gf.components) is sc.HeldCells) == \
+            (is_thin(g.c) and len(gf.source.span.apex) > 0
+             and len(g.functors) > 1)
+        assert_componentwise(gf, v, u)
 
 
 def whiskered(cell, g, f, into):

@@ -500,13 +500,17 @@ def test_checking_mode_checks_every_held_cell_it_builds(monkeypatch):
 # _trusted where the constructor, uncounted here, built them before.
 # The unit law's two sides are chains from id o q, with no identity cell
 # built on it: one Cell2, SpanMorphism and FinFn more when they started
-# from that cell.
+# from that cell.  Each law side is one cell, landed in q along its
+# atom map: the action cell and four sides make 5 Cell2, 5 SpanMorphism
+# and 5 of the FinFn, where each associativity side was a horizontal
+# composite into t o q under a vertical one, the unit side a landed
+# chain under a vertical one, and 1_t and 1_q were built (10 each).
 EM_BUILDS = {
-    (3, "modules"): {"Cell1": 3, "Cell2": 10, "FinFn": 22, "FinSet": 3,
-                     "FunctorData": 1, "Span": 3, "SpanMorphism": 10},
-    (2, "representations"): {"Cell1": 3, "Cell2": 10, "FinFn": 20,
+    (3, "modules"): {"Cell1": 3, "Cell2": 5, "FinFn": 17, "FinSet": 3,
+                     "FunctorData": 1, "Span": 3, "SpanMorphism": 5},
+    (2, "representations"): {"Cell1": 3, "Cell2": 5, "FinFn": 15,
                              "FinSet": 3, "FunctorData": 1, "Span": 3,
-                             "SpanMorphism": 10},
+                             "SpanMorphism": 5},
 }
 
 
@@ -529,9 +533,10 @@ def test_a_family_builds_as_many_cells_for_any_number_of_candidates(
         monkeypatch):
     # Z_3 and Z_5 modules decide 3 and 5 candidates over a thin fiber:
     # one family each, so the same Cell1 and Cell2 builds, on polyads
-    # built beforehand: 4 and 10, where Z_3 built 15 and 40 and Z_5 25
+    # built beforehand: 4 and 5, where Z_3 built 15 and 40 and Z_5 25
     # and 66 with one carrier per candidate (4 and 11 when the unit law's
-    # chains started from an identity cell).  In checking mode every
+    # chains started from an identity cell, and 4 and 10 before each law
+    # side was one cell landed in q).  In checking mode every
     # build, trusted ones included, runs the constructor, where it is
     # counted.
     polyads = {}
@@ -553,7 +558,7 @@ def test_a_family_builds_as_many_cells_for_any_number_of_candidates(
         assert comparison.report.ok
         assert len(comparison.algebras.objects) == n
         cells[n] = (builds["Cell1"], builds["Cell2"])
-    assert cells[3] == cells[5] == (4, 10)
+    assert cells[3] == cells[5] == (4, 5)
 
 
 @pytest.mark.parametrize("kind", ["vect", "cat"])
@@ -910,31 +915,46 @@ def test_checking_mode_catches_swapped_span_legs(monkeypatch):
         hcomp1(b, a)
 
 
-def test_checking_mode_catches_a_misread_rebracketing_or_target(
+def test_a_law_side_along_a_misread_rebracketing_or_target_is_refused(
         monkeypatch):
-    # hcomp2 from (c o b) o a reads each atom's pair through via, and
-    # lands on a target built already; the trusted path checks neither.
-    # A via sending every atom to one pair moves the legs of the others,
-    # and a target missing an image misses a value: checking mode
-    # refuses both, as it does hcomp2's other inputs.
-    rng, be = seeded(5), VectBackend(BraidParam(1))
-    while True:
-        c, b, a = random_composable_vect_cell1s(rng, be, 3)
-        source = hcomp1(hcomp1(c, b), a)
-        legs = source.span.left.assignment
-        if len(set(legs.values())) > 1:
-            break
-    g, f = identity_cell2(c), identity_cell2(hcomp1(b, a))
-    whole = hcomp1(c, hcomp1(b, a))
-    pairs = [sc.regroup(x) for x in source.span.apex.elements]
-    some = hcomp1(c, f.source, pairs[1:])
-    assert hcomp2(g, f, source, whole, sc.regroup).target is whole
+    # A law side of em_algebras_restricted lands once, in q, through
+    # cell2_along, which runs its checks on the trusted path too: held
+    # along its atom map over thin fibers (sc.HeldCells), a chain
+    # elsewhere (sc._landed).  Reading one atom of (t o t) o q as the
+    # regrouped pair of another with other legs breaks the legs, and the
+    # q of one candidate fewer misses the images of the last; both modes
+    # refuse both, and build the sides read aright.
+    p = test_hopf_structures.polyad_fixture("pair", "indiscrete")
+    shape = hs._action_shape(p, "modules")
+    actions = [atom for _, _, atom in hs._candidates(p, shape)]
+    (q, _, xi), (fewer, _, _) = [hs._restricted_carriers(p, shape, chosen)
+                                 for chosen in (actions, actions[:-1])]
+    t, mu2, _ = p.cells
+    ttq = hcomp1(mu2.source, q)
+    first, legs = ttq.span.apex.elements[0], ttq.span.left.assignment
+    other = next(x for x in legs if legs[x] != legs[first])
+    act = xi.morphism.map.assignment
 
-    def one(x):
-        return pairs[0]
+    def along(read):
+        return {x: act[(h, act[(k, c)])] for x in legs
+                for (h, (k, c)) in [sc.regroup(read(x))]}
+
+    def held(target, image):
+        return sc.cell2_along(ttq, target, image.__getitem__,
+                              sc.HeldCells(ttq, target, image))
+
+    def chain(target):
+        return sc._landed(sc._chained(ttq, sc._relabeled(sc.regroup),
+                                      sc._whiskered(t, xi), xi), target)
+
+    def refused():
+        assert sc.eq2(held(q, along(lambda x: x)), chain(q))
+        with pytest.raises(SpanError, match="legs do not commute"):
+            held(q, along(lambda x: other if x is first else x))
+        with pytest.raises(SpanError, match="not in codomain"):
+            held(fewer, along(lambda x: x))
+        with pytest.raises(SpanError, match="not in codomain"):
+            chain(fewer)
+    refused()
     enter_checking_mode(monkeypatch)
-    assert hcomp2(g, f, source, whole, sc.regroup).target is whole
-    with pytest.raises(SpanError, match="legs do not commute"):
-        hcomp2(g, f, source, via=one)
-    with pytest.raises(SpanError, match="not in codomain"):
-        hcomp2(g, f, source, some, sc.regroup)
+    refused()
